@@ -28,7 +28,7 @@ use dpvk_trace::timeline::SpanKind;
 
 use crate::error::CoreError;
 use crate::flight;
-use crate::persist::{PersistConfig, PersistStore};
+use crate::persist::{PersistConfig, PersistStore, SpecArtifact, SpecId};
 use crate::translate::{translate, TranslatedKernel};
 use crate::vectorize::{specialize, SpecializeOptions, Specialized};
 
@@ -53,17 +53,6 @@ impl Variant {
             Variant::Baseline => "baseline",
             Variant::Dynamic => "dynamic",
             Variant::StaticTie => "static_tie",
-        }
-    }
-
-    /// Parse a label produced by [`Variant::label`]; `None` for anything
-    /// else (e.g. a corrupt or future-format width manifest).
-    pub(crate) fn from_label(label: &str) -> Option<Variant> {
-        match label {
-            "baseline" => Some(Variant::Baseline),
-            "dynamic" => Some(Variant::Dynamic),
-            "static_tie" => Some(Variant::StaticTie),
-            _ => None,
         }
     }
 
@@ -156,10 +145,10 @@ pub struct CacheStats {
     pub specialize_ns: u64,
     /// Nanoseconds spent decoding specialized IR to bytecode.
     pub decode_ns: u64,
-    /// Artifacts rehydrated from the persistent (disk) cache. Each
-    /// persist hit still counts as a [`miss`](CacheStats::misses) of the
-    /// in-memory cache — it just pays rehydration instead of
-    /// translation/specialization.
+    /// Specialized functions loaded from the persistent (disk) cache.
+    /// Each persist hit still counts as a [`miss`](CacheStats::misses)
+    /// of the in-memory cache — it just pays load + decode instead of
+    /// specialization.
     pub persist_hits: u64,
     /// Persistent-cache lookups that found nothing (or a corrupt
     /// artifact) and fell through to compilation.
@@ -282,15 +271,15 @@ struct StatCells {
 
 #[derive(Default)]
 struct Inner {
-    translated: HashMap<String, Arc<TranslatedKernel>>,
+    /// Each translation with its persistent-cache content key (`None`
+    /// when persistence is off). The key is taken from the source that
+    /// was translated, at the moment it is translated, so a later
+    /// registration under the same name cannot pair a new source's key
+    /// with this translation.
+    translated: HashMap<String, (Arc<TranslatedKernel>, Option<u64>)>,
     /// Specializations that failed to compile, memoized so each launch
     /// does not retry (and re-pay for) a known-bad compilation.
     failed: HashMap<(String, u32, Variant), CoreError>,
-    /// Persistent-cache translation key per kernel (hash of format
-    /// version × model × printed source), memoized alongside the
-    /// translation so specialization keys derive from it without
-    /// re-printing the kernel. Populated only when persistence is on.
-    persist_keys: HashMap<String, u64>,
 }
 
 /// The translation cache: kernels in, specialized functions out.
@@ -332,8 +321,8 @@ impl TranslationCache {
 
     /// Create an empty cache compiling for `model` with explicit
     /// persistence control: `None` keeps everything in memory, `Some`
-    /// rehydrates translations and specializations from (and stores
-    /// them to) the configured directory.
+    /// loads specialized functions from (and stores them to) the
+    /// configured directory.
     pub fn with_persist(model: MachineModel, persist: Option<PersistConfig>) -> Self {
         TranslationCache {
             shared: Arc::new(CacheShared {
@@ -376,10 +365,16 @@ impl TranslationCache {
     /// Returns [`CoreError::NotFound`] for unregistered kernels and any
     /// translation error otherwise.
     pub fn translated(&self, kernel: &str) -> Result<Arc<TranslatedKernel>, CoreError> {
+        self.translation(kernel).map(|(t, _)| t)
+    }
+
+    /// [`TranslationCache::translated`] plus the translation's
+    /// persistent-cache content key (`None` when persistence is off).
+    fn translation(&self, kernel: &str) -> Result<(Arc<TranslatedKernel>, Option<u64>), CoreError> {
         {
             let inner = self.shared.inner.lock();
             if let Some(t) = inner.translated.get(kernel) {
-                return Ok(Arc::clone(t));
+                return Ok(t.clone());
             }
         }
         let ptx_kernel = {
@@ -389,42 +384,6 @@ impl TranslationCache {
                 .cloned()
                 .ok_or_else(|| CoreError::NotFound(format!("kernel `{kernel}`")))?
         };
-        // Persistent cache: key by format version × model × printed
-        // source, so a changed kernel body never matches a stale
-        // artifact. A disk hit skips translation entirely and charges
-        // no translate time.
-        let mut tkey = None;
-        if let Some(ps) = &self.shared.persist {
-            let source = ptx::print_kernel(&ptx_kernel);
-            let key = PersistStore::translation_key(&self.shared.model.name, &source);
-            tkey = Some(key);
-            let span = flight::span_start();
-            if let Some(tk) = ps.load_translation(kernel, key) {
-                self.shared.stats.persist_hits.fetch_add(1, Relaxed);
-                dpvk_trace::add(dpvk_trace::Counter::PersistHits, 1);
-                if let Some(s) = span {
-                    flight::emit_span(
-                        SpanKind::PersistLoad,
-                        kernel,
-                        s,
-                        tk.scalar.blocks.len() as u64,
-                    );
-                }
-                let t = Arc::new(tk);
-                let (t, first) = {
-                    let mut inner = self.shared.inner.lock();
-                    inner.persist_keys.insert(kernel.to_string(), key);
-                    let first = !inner.translated.contains_key(kernel);
-                    (Arc::clone(inner.translated.entry(kernel.to_string()).or_insert(t)), first)
-                };
-                if first {
-                    self.rehydrate_widths(kernel, key);
-                }
-                return Ok(t);
-            }
-            self.shared.stats.persist_misses.fetch_add(1, Relaxed);
-            dpvk_trace::add(dpvk_trace::Counter::PersistMisses, 1);
-        }
         let t = {
             let start = Instant::now();
             let span = flight::span_start();
@@ -436,46 +395,13 @@ impl TranslationCache {
             }
             t
         };
-        if let (Some(ps), Some(key)) = (&self.shared.persist, tkey) {
-            let span = flight::span_start();
-            let evicted = ps.store_translation(kernel, key, &t);
-            self.shared.stats.persist_writes.fetch_add(1, Relaxed);
-            self.shared.stats.persist_evictions.fetch_add(evicted, Relaxed);
-            dpvk_trace::add(dpvk_trace::Counter::PersistWrites, 1);
-            if let Some(s) = span {
-                flight::emit_span(SpanKind::PersistStore, kernel, s, t.scalar.blocks.len() as u64);
-            }
-        }
-        let (t, first) = {
-            let mut inner = self.shared.inner.lock();
-            if let Some(key) = tkey {
-                inner.persist_keys.insert(kernel.to_string(), key);
-            }
-            let first = !inner.translated.contains_key(kernel);
-            (Arc::clone(inner.translated.entry(kernel.to_string()).or_insert(t)), first)
-        };
-        // Specialization artifacts can outlive an evicted translation, so
-        // even a fresh translate rehydrates any widths the width manifest
-        // still lists.
-        if let (Some(key), true) = (tkey, first) {
-            self.rehydrate_widths(kernel, key);
-        }
-        Ok(t)
-    }
-
-    /// Rehydrate every width the persistent width manifest lists for
-    /// `kernel`, so a restarted process starts with the same `WidthSet`
-    /// it shut down with — not just the one width the first launch asks
-    /// for. Runs once, when the translation is first materialized.
-    fn rehydrate_widths(&self, kernel: &str, tkey: u64) {
-        let Some(ps) = self.shared.persist.as_ref() else { return };
-        for (width, label) in ps.load_widths(kernel, tkey) {
-            let Some(variant) = Variant::from_label(&label) else { continue };
-            if self.lookup(kernel, width, variant).is_some() {
-                continue;
-            }
-            let _ = self.load_persisted_spec(kernel, width, variant);
-        }
+        // Keyed by format version × model × printed source, so a changed
+        // kernel body never matches a stale artifact.
+        let key = self.shared.persist.as_ref().map(|_| {
+            PersistStore::translation_key(&self.shared.model.name, &ptx::print_kernel(&ptx_kernel))
+        });
+        let mut inner = self.shared.inner.lock();
+        Ok(inner.translated.entry(kernel.to_string()).or_insert((t, key)).clone())
     }
 
     /// The specialization of `kernel` for `(warp_size, variant)`,
@@ -510,50 +436,37 @@ impl TranslationCache {
         if dpvk_trace::enabled() {
             dpvk_trace::record_cache_query(kernel, warp_size, variant.label(), false);
         }
-        let tk = self.translated(kernel)?;
-        // Materializing the translation may have rehydrated this very
-        // width from the persistent width manifest: re-probe before
-        // touching the disk again so the rehydration is charged once.
-        if let Some(c) = self.lookup_counting(kernel, warp_size, variant) {
-            self.shared.stats.hits.fetch_add(1, Relaxed);
-            return Ok(c);
-        }
-        if let Some(compiled) = self.load_persisted_spec(kernel, warp_size, variant) {
-            return Ok(compiled);
-        }
+        let (tk, tkey) = self.translation(kernel)?;
         let start = Instant::now();
-        let spec_start = Instant::now();
-        let spec_span = flight::span_start();
-        let specialized = {
-            let _phase = dpvk_trace::phase(kernel, "specialize");
-            self.specialize_checked(&tk, kernel, warp_size, variant)
-        };
-        self.shared.stats.specialize_ns.fetch_add(spec_start.elapsed().as_nanos() as u64, Relaxed);
-        if let Some(s) = spec_span {
-            flight::emit_span(SpanKind::Specialize, kernel, s, u64::from(warp_size));
-        }
-        let Specialized { function, pre_opt_instructions, post_opt_instructions, fusion, .. } =
-            match specialized {
-                Ok(s) => s,
-                Err(e) => {
-                    // Memoize compile-type failures so later queries (and
-                    // the downgrade path) answer without recompiling.
-                    if matches!(e, CoreError::Verify(_) | CoreError::Unsupported { .. }) {
-                        dpvk_trace::add(dpvk_trace::Counter::SpecFailures, 1);
-                        dpvk_trace::record_downgrade(
-                            kernel,
-                            warp_size,
-                            variant.label(),
-                            &e.to_string(),
-                        );
-                        self.shared.stats.spec_failures.fetch_add(1, Relaxed);
-                        let mut inner = self.shared.inner.lock();
-                        inner
-                            .failed
-                            .entry((kernel.to_string(), warp_size, variant))
-                            .or_insert_with(|| e.clone());
+        // The specialized function: from disk, else specialize + store.
+        // A disk hit still counts as an in-memory **miss** whose
+        // `compile_ns` is the load + decode time, so hit/miss totals
+        // stay comparable with persistence on or off.
+        let disk = self.shared.persist.as_ref().zip(tkey).map(|(ps, translation_key)| {
+            (ps, SpecId { kernel, translation_key, width: warp_size, variant: variant.label() })
+        });
+        // A planned injected fault must not be masked by a disk hit: let
+        // the specialize path take (and memoize) the failure.
+        #[cfg(feature = "fault-inject")]
+        let disk = disk.filter(|_| {
+            crate::faults::injected_specialize_failure(kernel, warp_size, variant).is_none()
+        });
+        let mut fusion = None;
+        let SpecArtifact { function, pre_opt_instructions, post_opt_instructions } =
+            match disk.as_ref().and_then(|(ps, id)| self.load_persisted(ps, id)) {
+                Some(art) => art,
+                None => {
+                    let s = self.specialize_checked(&tk, kernel, warp_size, variant)?;
+                    fusion = Some(s.fusion);
+                    let art = SpecArtifact {
+                        function: s.function,
+                        pre_opt_instructions: s.pre_opt_instructions,
+                        post_opt_instructions: s.post_opt_instructions,
+                    };
+                    if let Some((ps, id)) = &disk {
+                        self.store_persisted(ps, id, &art);
                     }
-                    return Err(e);
+                    art
                 }
             };
         let cost = CostInfo::analyze(&function, &self.shared.model);
@@ -567,18 +480,21 @@ impl TranslationCache {
         bytecode.attach_profile(kernel, variant.label());
         // The decoder re-derives fusion legality per pair; the
         // specializer's static summary bounds what it may form.
-        debug_assert!(
-            bytecode.stats.fused_cmp_br <= fusion.cmp_br_candidates,
-            "decoder fused {} compare-branches but only {} are legal",
-            bytecode.stats.fused_cmp_br,
-            fusion.cmp_br_candidates,
-        );
-        debug_assert!(
-            bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin <= fusion.pair_candidates,
-            "decoder fused {} pairs but only {} are legal",
-            bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin,
-            fusion.pair_candidates,
-        );
+        if let Some(fusion) = fusion {
+            debug_assert!(
+                bytecode.stats.fused_cmp_br <= fusion.cmp_br_candidates,
+                "decoder fused {} compare-branches but only {} are legal",
+                bytecode.stats.fused_cmp_br,
+                fusion.cmp_br_candidates,
+            );
+            debug_assert!(
+                bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin
+                    <= fusion.pair_candidates,
+                "decoder fused {} pairs but only {} are legal",
+                bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin,
+                fusion.pair_candidates,
+            );
+        }
         let decode_ns = decode_t.elapsed().as_nanos() as u64;
         self.shared.stats.decode_ns.fetch_add(decode_ns, Relaxed);
         if let Some(s) = decode_span {
@@ -601,7 +517,6 @@ impl TranslationCache {
         dpvk_trace::record_compile(kernel, warp_size, variant.label(), elapsed);
         self.shared.stats.misses.fetch_add(1, Relaxed);
         self.shared.stats.compile_ns.fetch_add(elapsed, Relaxed);
-        self.store_persisted_spec(kernel, warp_size, variant, &compiled);
         // Publish under the write lock; on a compile race the first
         // publication wins (both racers still count their miss, exactly
         // as the mutex-era cache did).
@@ -621,19 +536,7 @@ impl TranslationCache {
     }
 
     /// Warm lookup: read lock, borrowed key, linear scan of the kernel's
-    /// few specializations. Pure probe — no accounting.
-    fn lookup(
-        &self,
-        kernel: &str,
-        warp_size: u32,
-        variant: Variant,
-    ) -> Option<Arc<CompiledKernel>> {
-        let map = self.shared.compiled.read();
-        let set = map.get(kernel)?;
-        set.find(warp_size, variant).map(|e| Arc::clone(&e.compiled))
-    }
-
-    /// Warm lookup that also charges the served width's hit counter.
+    /// few specializations; charges the served width's hit counter.
     fn lookup_counting(
         &self,
         kernel: &str,
@@ -699,134 +602,48 @@ impl TranslationCache {
         }
     }
 
-    /// Try to rehydrate a `(kernel, warp_size, variant)` specialization
-    /// from the persistent cache. Cost analysis and the frame layout
-    /// are recomputed live (they depend on the machine model, not the
-    /// artifact); the persisted program's slot count is cross-checked
-    /// against the recomputed layout and any disagreement is treated as
-    /// a miss. A hit counts as an in-memory **miss** whose `compile_ns`
-    /// is the rehydration time, so hit/miss totals stay comparable with
-    /// persistence on or off.
-    fn load_persisted_spec(
-        &self,
-        kernel: &str,
-        warp_size: u32,
-        variant: Variant,
-    ) -> Option<Arc<CompiledKernel>> {
-        let ps = self.shared.persist.as_ref()?;
-        // A planned injected fault must not be masked by a disk hit:
-        // probe first and let the normal specialize path take (and
-        // memoize) the failure.
-        #[cfg(feature = "fault-inject")]
-        if crate::faults::injected_specialize_failure(kernel, warp_size, variant).is_some() {
-            return None;
-        }
-        let tkey = {
-            let inner = self.shared.inner.lock();
-            *inner.persist_keys.get(kernel)?
-        };
-        let skey = PersistStore::spec_key(tkey, warp_size, variant.label());
-        let start = Instant::now();
+    /// The persisted specialization named by `id`, if the directory
+    /// holds a sound one.
+    fn load_persisted(&self, ps: &PersistStore, id: &SpecId<'_>) -> Option<SpecArtifact> {
         let span = flight::span_start();
-        let Some(mut art) = ps.load_spec(kernel, skey) else {
-            self.shared.stats.persist_misses.fetch_add(1, Relaxed);
-            dpvk_trace::add(dpvk_trace::Counter::PersistMisses, 1);
-            return None;
+        let art = ps.load_spec(id);
+        let (cell, counter) = match art {
+            Some(_) => (&self.shared.stats.persist_hits, dpvk_trace::Counter::PersistHits),
+            None => (&self.shared.stats.persist_misses, dpvk_trace::Counter::PersistMisses),
         };
-        let cost = CostInfo::analyze(&art.function, &self.shared.model);
-        let frame = FrameLayout::of(&art.function);
-        if frame.slots() != art.bytecode.slots() {
-            // This build lays out frames differently than the one that
-            // stored the artifact (format drift without a version
-            // bump): miss, recompile.
-            self.shared.stats.persist_misses.fetch_add(1, Relaxed);
-            dpvk_trace::add(dpvk_trace::Counter::PersistMisses, 1);
-            return None;
+        cell.fetch_add(1, Relaxed);
+        dpvk_trace::add(counter, 1);
+        if let (Some(s), Some(art)) = (span, &art) {
+            flight::emit_span(
+                SpanKind::PersistLoad,
+                id.kernel,
+                s,
+                art.function.blocks.len() as u64,
+            );
         }
-        art.bytecode.attach_profile(kernel, variant.label());
-        let compiled = Arc::new(CompiledKernel {
-            function: Arc::new(art.function),
-            cost,
-            frame,
-            bytecode: art.bytecode,
-            pre_opt_instructions: art.pre_opt_instructions,
-            post_opt_instructions: art.post_opt_instructions,
-            jit: OnceLock::new(),
-        });
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.shared.stats.misses.fetch_add(1, Relaxed);
-        self.shared.stats.compile_ns.fetch_add(elapsed, Relaxed);
-        self.shared.stats.persist_hits.fetch_add(1, Relaxed);
-        dpvk_trace::add(dpvk_trace::Counter::PersistHits, 1);
-        if let Some(s) = span {
-            flight::emit_span(SpanKind::PersistLoad, kernel, s, compiled.bytecode.len() as u64);
-        }
-        let mut map = self.shared.compiled.write();
-        let set = map.entry(kernel.to_string()).or_default();
-        if let Some(existing) = set.find(warp_size, variant) {
-            return Some(Arc::clone(&existing.compiled));
-        }
-        set.entries.push(WidthEntry {
-            width: warp_size,
-            variant,
-            compiled: Arc::clone(&compiled),
-            hits: AtomicU64::new(0),
-            warps: AtomicU64::new(0),
-        });
-        Some(compiled)
+        art
     }
 
-    /// Persist a freshly compiled specialization (best effort). The JIT
-    /// byte count is advisory metadata: native code is emitted lazily
-    /// after compilation (and is not relocatable across processes), so
-    /// it is almost always 0 here.
-    fn store_persisted_spec(
-        &self,
-        kernel: &str,
-        warp_size: u32,
-        variant: Variant,
-        compiled: &CompiledKernel,
-    ) {
-        let Some(ps) = self.shared.persist.as_ref() else { return };
-        let tkey = {
-            let inner = self.shared.inner.lock();
-            match inner.persist_keys.get(kernel) {
-                Some(k) => *k,
-                None => return,
-            }
-        };
-        let skey = PersistStore::spec_key(tkey, warp_size, variant.label());
+    /// Persist a freshly specialized function (best effort).
+    fn store_persisted(&self, ps: &PersistStore, id: &SpecId<'_>, art: &SpecArtifact) {
         let span = flight::span_start();
-        let jit_code_bytes = compiled
-            .jit
-            .get()
-            .and_then(|o| o.as_ref())
-            .map(|j| j.emit_stats().code_bytes)
-            .unwrap_or(0);
-        let evicted = ps.store_spec(
-            kernel,
-            skey,
-            &compiled.function,
-            &compiled.bytecode,
-            crate::persist::SpecMeta {
-                pre_opt_instructions: compiled.pre_opt_instructions,
-                post_opt_instructions: compiled.post_opt_instructions,
-                jit_code_bytes,
-            },
-        );
+        let evicted = ps.store_spec(id, art);
         self.shared.stats.persist_writes.fetch_add(1, Relaxed);
         self.shared.stats.persist_evictions.fetch_add(evicted, Relaxed);
         dpvk_trace::add(dpvk_trace::Counter::PersistWrites, 1);
-        // Keep the width manifest in step so a restart rehydrates every
-        // width that was observed, not just the first one requested.
-        ps.record_width(kernel, tkey, warp_size, variant.label());
         if let Some(s) = span {
-            flight::emit_span(SpanKind::PersistStore, kernel, s, compiled.bytecode.len() as u64);
+            flight::emit_span(
+                SpanKind::PersistStore,
+                id.kernel,
+                s,
+                art.function.blocks.len() as u64,
+            );
         }
     }
 
-    /// Run `specialize`, with the fault-injection hook (forced verify
-    /// failure for a chosen width) applied first when enabled.
+    /// Run `specialize` — with the fault-injection hook (forced verify
+    /// failure for a chosen width) applied first when enabled — charging
+    /// its time and memoizing a compile-type failure.
     fn specialize_checked(
         &self,
         tk: &TranslatedKernel,
@@ -834,13 +651,36 @@ impl TranslationCache {
         warp_size: u32,
         variant: Variant,
     ) -> Result<Specialized, CoreError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(e) = crate::faults::injected_specialize_failure(kernel, warp_size, variant) {
-            return Err(e);
+        let start = Instant::now();
+        let span = flight::span_start();
+        let specialized = {
+            let _phase = dpvk_trace::phase(kernel, "specialize");
+            #[cfg(feature = "fault-inject")]
+            let injected = crate::faults::injected_specialize_failure(kernel, warp_size, variant);
+            #[cfg(not(feature = "fault-inject"))]
+            let injected = None;
+            match injected {
+                Some(e) => Err(e),
+                None => specialize(tk, &variant.options(warp_size)),
+            }
+        };
+        self.shared.stats.specialize_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+        if let Some(s) = span {
+            flight::emit_span(SpanKind::Specialize, kernel, s, u64::from(warp_size));
         }
-        #[cfg(not(feature = "fault-inject"))]
-        let _ = kernel;
-        specialize(tk, &variant.options(warp_size))
+        // Memoize compile-type failures so later queries (and the
+        // downgrade path) answer without recompiling.
+        if let Err(e @ (CoreError::Verify(_) | CoreError::Unsupported { .. })) = &specialized {
+            dpvk_trace::add(dpvk_trace::Counter::SpecFailures, 1);
+            dpvk_trace::record_downgrade(kernel, warp_size, variant.label(), &e.to_string());
+            self.shared.stats.spec_failures.fetch_add(1, Relaxed);
+            let mut inner = self.shared.inner.lock();
+            inner
+                .failed
+                .entry((kernel.to_string(), warp_size, variant))
+                .or_insert_with(|| e.clone());
+        }
+        specialized
     }
 
     /// Like [`TranslationCache::get`], but degrade gracefully: when the
@@ -970,10 +810,7 @@ done:
 "#;
 
     fn cache_with_kernel() -> TranslationCache {
-        // In-memory only: these tests pin exact demand-path counter
-        // values, which must not depend on what an earlier process left
-        // in the shared env cache directory (width-manifest rehydration
-        // would pre-load entries and shift hit/miss totals).
+        // In-memory only, whatever `DPVK_CACHE_DIR` says.
         let cache = TranslationCache::with_persist(MachineModel::sandybridge_sse(), None);
         cache.register_module(&ptx::parse_module(SRC).unwrap());
         cache
@@ -1030,42 +867,6 @@ done:
     }
 
     #[test]
-    fn persisted_specialization_rehydrates_across_cache_instances() {
-        let dir =
-            std::env::temp_dir().join(format!("dpvk-cache-test-rehydrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fresh = || {
-            let c = TranslationCache::with_persist(
-                MachineModel::sandybridge_sse(),
-                Some(PersistConfig::at(&dir)),
-            );
-            c.register_module(&ptx::parse_module(SRC).unwrap());
-            c
-        };
-        let a = fresh();
-        let c1 = a.get("k", 4, Variant::Dynamic).unwrap();
-        assert!(a.stats().persist_writes >= 2, "translation + spec should be written");
-        // A fresh cache over the same directory models a restarted
-        // process: both artifacts rehydrate, no translate/specialize/
-        // decode time is charged, and the program is identical.
-        let b = fresh();
-        let c2 = b.get("k", 4, Variant::Dynamic).unwrap();
-        let stats = b.stats();
-        assert_eq!(stats.persist_hits, 2, "{stats:?}");
-        assert_eq!(stats.translate_ns, 0);
-        assert_eq!(stats.specialize_ns, 0);
-        assert_eq!(stats.decode_ns, 0);
-        assert_eq!(stats.misses, 1, "a persist hit still counts as an in-memory miss");
-        assert_eq!(*c1.function, *c2.function);
-        assert_eq!(
-            format!("{:?}", c1.bytecode),
-            format!("{:?}", c2.bytecode),
-            "rehydrated bytecode must match the compiled program exactly"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn disabled_persistence_keeps_everything_in_memory() {
         let dir =
             std::env::temp_dir().join(format!("dpvk-cache-test-disabled-{}", std::process::id()));
@@ -1102,49 +903,6 @@ done:
             cache.observed_widths("k"),
             vec![(2, Variant::Dynamic), (4, Variant::Dynamic), (8, Variant::Dynamic)]
         );
-    }
-
-    #[test]
-    fn width_manifest_rehydrates_every_observed_width() {
-        let dir =
-            std::env::temp_dir().join(format!("dpvk-cache-test-widths-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fresh = || {
-            let c = TranslationCache::with_persist(
-                MachineModel::sandybridge_sse(),
-                Some(PersistConfig::at(&dir)),
-            );
-            c.register_module(&ptx::parse_module(SRC).unwrap());
-            c
-        };
-        let a = fresh();
-        for w in [2u32, 4, 8] {
-            a.get("k", w, Variant::Dynamic).unwrap();
-        }
-        a.get("k", 1, Variant::Baseline).unwrap();
-        // A restarted process materializes the translation once and gets
-        // every previously observed width back without asking for them.
-        let b = fresh();
-        b.translated("k").unwrap();
-        assert_eq!(
-            b.observed_widths("k"),
-            vec![
-                (1, Variant::Baseline),
-                (2, Variant::Dynamic),
-                (4, Variant::Dynamic),
-                (8, Variant::Dynamic)
-            ]
-        );
-        let stats = b.stats();
-        assert_eq!(stats.persist_hits, 5, "translation + four widths: {stats:?}");
-        assert_eq!(stats.translate_ns, 0);
-        assert_eq!(stats.specialize_ns, 0);
-        assert_eq!(stats.decode_ns, 0);
-        // Asking for a rehydrated width is now a pure in-memory hit.
-        b.get("k", 4, Variant::Dynamic).unwrap();
-        assert_eq!(b.stats().persist_hits, 5);
-        assert_eq!(b.stats().hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

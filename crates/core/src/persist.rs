@@ -1,78 +1,73 @@
-//! Disk-backed persistent translation cache.
+//! Disk-backed persistent specialization cache.
 //!
 //! The in-memory [`TranslationCache`](crate::cache::TranslationCache)
-//! dies with the process; every restart re-pays PTX parsing, translation
-//! and specialization for each kernel. This module persists the two
-//! expensive artifacts — the translated scalar kernel and each compiled
-//! specialization (specialized function + validated bytecode) — to a
-//! content-addressed directory so a cold process rehydrates them and
-//! skips the translate/specialize/decode pipeline entirely.
+//! dies with the process, and specialization is where a restart's
+//! compile time goes. This module persists exactly one thing — each
+//! specialized [`dpvk_ir::Function`] with its instruction counts — to a
+//! content-addressed directory. A restarted process still translates
+//! (too cheap to be worth a second artifact kind) and decodes (cheaper
+//! than loading the bytecode was; DESIGN.md has the numbers), and
+//! demand-loads each `(width, variant)` by key on first use.
 //!
-//! **Content addressing.** Artifact keys are FNV-1a64 hashes over the
-//! container format version, the machine-model name, the kernel's
-//! printed source text, and (for specializations) the warp width and
-//! variant label. A changed kernel body therefore produces a different
-//! key — stale artifacts are never returned, they just age out.
+//! **Content addressing.** The artifact key is an FNV-1a64 hash over
+//! the container format version, the machine-model name, the kernel's
+//! printed source text, the warp width and the variant label. A changed
+//! kernel body therefore produces a different key — stale artifacts are
+//! never returned, they just age out.
 //!
-//! **Container format.** Every file is `MAGIC ∥ version ∥ kind ∥
-//! payload-length ∥ payload-checksum ∥ payload`. Loads verify all five;
-//! any mismatch (torn write, bit rot, format drift) deletes the file and
-//! reports a miss, so the worst case for a corrupt cache is a
-//! recompile. `FORMAT_VERSION` **must be bumped whenever any layer of
-//! the encoding changes** — the IR codec, the bytecode codec, or the
-//! layouts in this file (see DESIGN.md).
+//! **Container format.** Every file is `MAGIC ∥ version ∥
+//! payload-length ∥ payload-checksum ∥ payload`, and the payload starts
+//! with an identity header — kernel name, translation key, width,
+//! variant label — naming what the artifact *is*, independent of the
+//! path it was found under. A load checks all of it against the
+//! request, plus the function's own `warp_size` and `ir::verify`; any
+//! mismatch (torn write, bit rot, format drift, one artifact's bytes
+//! under another's name) deletes the file and reports a miss, so the
+//! worst case for a bad cache is a recompile. `FORMAT_VERSION` **must
+//! be bumped whenever the IR codec or the layout in this file changes**
+//! (see DESIGN.md).
 //!
-//! **Atomicity.** Stores write a unique temp file in the cache
-//! directory and `rename(2)` it into place, so concurrent processes
-//! (e.g. parallel test binaries sharing `target/dpvk-cache/`) never
-//! observe partial artifacts.
+//! **Atomicity.** Stores write a temp file whose name is unique within
+//! the process and `rename(2)` it into place, so concurrent stores —
+//! other devices in this process, other processes over the same
+//! directory — never observe partial artifacts.
 //!
-//! **Bounded size.** After each store the directory is trimmed to
-//! `DPVK_CACHE_CAP` bytes (default 256 MiB), evicting oldest-modified
-//! files first and counting `persist_evictions`.
+//! **Bounded size.** The directory is trimmed to `DPVK_CACHE_CAP` bytes
+//! (default 256 MiB) when a store takes it over the cap, evicting
+//! oldest-modified files first and counting `persist_evictions`.
 
-use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::SystemTime;
 
-use dpvk_ir::serial::{self as irs, Reader, SerialError, SerialResult};
-use dpvk_ir::{BlockId, VReg};
+use dpvk_ir::serial::{self as irs, Reader};
 use dpvk_trace::Counter;
-use dpvk_vm::serial as vms;
-use dpvk_vm::BytecodeProgram;
 
-use crate::translate::TranslatedKernel;
+use crate::sync::Mutex;
 
-/// Bump whenever the on-disk encoding changes at *any* layer (this
-/// container, [`dpvk_ir::serial`], or [`dpvk_vm::serial`]). Old
-/// artifacts then hash to different keys and are evicted by the size
-/// cap instead of being misread.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bump whenever the on-disk encoding changes at either layer (this
+/// container or [`dpvk_ir::serial`]). Old artifacts then hash to
+/// different keys and are evicted by the size cap instead of being
+/// misread.
+pub const FORMAT_VERSION: u32 = 2;
 
-const MAGIC: &[u8; 8] = b"DPVKART\x01";
-
-/// Artifact kind byte: a translated scalar kernel.
-const KIND_TRANSLATION: u8 = 1;
-/// Artifact kind byte: a compiled specialization.
-const KIND_SPEC: u8 = 2;
-/// Artifact kind byte: a translation's width manifest — the list of
-/// `(width, variant)` specializations observed for it, so a restart
-/// rehydrates the whole `WidthSet`, not just the first width asked for.
-/// Old readers never look for this kind or its extension, so adding it
-/// needs no `FORMAT_VERSION` bump.
-const KIND_WIDTHS: u8 = 3;
+const MAGIC: &[u8; 8] = b"DPVKART\x02";
 
 /// Default directory size cap: 256 MiB.
 const DEFAULT_CAP_BYTES: u64 = 256 << 20;
 
+/// Temp-file sequence. Process-global: every store in the process
+/// writes `.tmp-<pid>-<seq>`, so two stores over one directory must
+/// never draw the same number.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Where and how large the persistent cache is.
 ///
-/// [`Device::new`](crate::Device::new) builds one from the environment:
-/// `DPVK_CACHE=0` disables persistence, `DPVK_CACHE_DIR` overrides the
-/// directory (default: `dpvk-cache/` under the build's target
-/// directory), `DPVK_CACHE_CAP` sets the size cap in bytes. Tests and
-/// services that want hermetic control use [`PersistConfig::at`] with
+/// Persistence is opt-in by location: [`Device::new`](crate::Device::new)
+/// persists only when `DPVK_CACHE_DIR` names a directory
+/// (`DPVK_CACHE_CAP` sets the size cap in bytes). Tests and services
+/// that want explicit control use [`PersistConfig::at`] with
 /// [`Device::with_persist`](crate::Device::with_persist).
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
@@ -93,66 +88,60 @@ impl PersistConfig {
         self
     }
 
-    /// The environment-derived configuration, or `None` when persistence
-    /// is disabled with `DPVK_CACHE=0`/`off`.
+    /// The environment-derived configuration: `None` (nothing touches
+    /// the disk) unless `DPVK_CACHE_DIR` is set.
     pub fn from_env() -> Option<Self> {
-        if std::env::var("DPVK_CACHE").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("off")) {
-            return None;
-        }
-        let dir =
-            std::env::var_os("DPVK_CACHE_DIR").map(PathBuf::from).unwrap_or_else(default_cache_dir);
+        // Read first: a malformed cap is a startup error even when no
+        // directory is named.
         let cap_bytes = crate::error::env_u64("DPVK_CACHE_CAP", "a size cap in bytes")
             .unwrap_or(DEFAULT_CAP_BYTES);
+        let dir = PathBuf::from(std::env::var_os("DPVK_CACHE_DIR")?);
         Some(PersistConfig { dir, cap_bytes })
     }
 }
 
-/// Default cache directory, resolved at compile time so it does not
-/// depend on the process working directory: `dpvk-cache/` under
-/// `CARGO_TARGET_DIR` when that was set for the build, else under the
-/// workspace `target/` next to this crate.
-fn default_cache_dir() -> PathBuf {
-    match option_env!("CARGO_TARGET_DIR") {
-        Some(target) => Path::new(target).join("dpvk-cache"),
-        None => Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")).join("dpvk-cache"),
+/// What a specialization artifact is. Hashed into its file name, written
+/// at the head of its payload, and compared on load with the request.
+pub(crate) struct SpecId<'a> {
+    pub kernel: &'a str,
+    /// [`PersistStore::translation_key`] of the kernel's source.
+    pub translation_key: u64,
+    pub width: u32,
+    pub variant: &'a str,
+}
+
+impl SpecId<'_> {
+    fn key(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.update(&self.translation_key.to_le_bytes());
+        h.update(&self.width.to_le_bytes());
+        h.update(self.variant.as_bytes());
+        h.finish()
     }
 }
 
-/// A rehydrated specialization artifact: everything
-/// [`TranslationCache::get`](crate::cache::TranslationCache::get) needs
-/// to rebuild a `CompiledKernel` without specializing or decoding.
+/// The persisted part of a specialization; cost analysis, frame layout
+/// and bytecode are re-derived from it.
 pub(crate) struct SpecArtifact {
     /// The specialized (vectorized) function.
     pub function: dpvk_ir::Function,
-    /// The validated bytecode program (no profile tag attached yet).
-    pub bytecode: BytecodeProgram,
     /// Static instruction count before optimization.
     pub pre_opt_instructions: usize,
     /// Static instruction count after optimization.
     pub post_opt_instructions: usize,
-    /// Advisory: native code bytes the JIT emitted for this program in
-    /// the storing process (0 = not emitted). Machine code itself is
-    /// not relocatable across processes, so this is metadata only —
-    /// the loader still re-emits lazily and does not consult it.
-    #[allow(dead_code)]
-    pub jit_code_bytes: u64,
-}
-
-/// The scalar counters stored alongside a specialization artifact
-/// (everything in [`SpecArtifact`] that is not the code itself).
-#[derive(Clone, Copy)]
-pub(crate) struct SpecMeta {
-    pub pre_opt_instructions: usize,
-    pub post_opt_instructions: usize,
-    pub jit_code_bytes: u64,
 }
 
 /// Handle to an opened cache directory.
 pub(crate) struct PersistStore {
     dir: PathBuf,
     cap_bytes: u64,
-    /// Distinguishes temp files written concurrently by this process.
-    tmp_seq: AtomicU64,
+    /// Bytes in the directory as far as this store knows: one listing
+    /// at its first write plus every write since, corrected by each
+    /// eviction pass. (Not listed at open: a store that only ever loads
+    /// — every device of a warm restart — never needs the figure.)
+    /// Over-counts rewrites and misses other stores' writes; both only
+    /// move the next listing, which restores the true figure.
+    total_bytes: Mutex<Option<u64>>,
 }
 
 impl PersistStore {
@@ -160,10 +149,11 @@ impl PersistStore {
     /// persistence off — when the directory cannot be created.
     pub(crate) fn open(cfg: PersistConfig) -> Option<Self> {
         fs::create_dir_all(&cfg.dir).ok()?;
-        Some(PersistStore { dir: cfg.dir, cap_bytes: cfg.cap_bytes, tmp_seq: AtomicU64::new(0) })
+        Some(PersistStore { dir: cfg.dir, cap_bytes: cfg.cap_bytes, total_bytes: Mutex::new(None) })
     }
 
-    /// Content key of a kernel's translation artifact.
+    /// Content key of a kernel's translation: format version × model ×
+    /// printed source. Every specialization key derives from it.
     pub(crate) fn translation_key(model_name: &str, source: &str) -> u64 {
         let mut h = Fnv::new();
         h.update(&FORMAT_VERSION.to_le_bytes());
@@ -173,19 +163,9 @@ impl PersistStore {
         h.finish()
     }
 
-    /// Content key of a specialization artifact: derived from the
-    /// kernel's translation key (version × model × source) plus the
-    /// warp width and variant label.
-    pub(crate) fn spec_key(translation_key: u64, width: u32, variant: &str) -> u64 {
-        let mut h = Fnv::new();
-        h.update(&translation_key.to_le_bytes());
-        h.update(&width.to_le_bytes());
-        h.update(variant.as_bytes());
-        h.finish()
-    }
-
-    fn artifact_path(&self, kernel: &str, key: u64, ext: &str) -> PathBuf {
-        let mut safe: String = kernel
+    fn artifact_path(&self, id: &SpecId<'_>) -> PathBuf {
+        let mut safe: String = id
+            .kernel
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
             .take(48)
@@ -193,192 +173,66 @@ impl PersistStore {
         if safe.is_empty() {
             safe.push('k');
         }
-        self.dir.join(format!("{safe}-{key:016x}.{ext}"))
+        self.dir.join(format!("{safe}-{:016x}.spec", id.key()))
     }
 
-    /// Load a translation artifact, or `None` on miss/corruption
-    /// (corrupt files are deleted).
-    pub(crate) fn load_translation(&self, kernel: &str, key: u64) -> Option<TranslatedKernel> {
-        let path = self.artifact_path(kernel, key, "tk");
-        let payload = self.read_artifact(&path, KIND_TRANSLATION)?;
-        match decode_translation(&payload) {
-            Ok(tk) => Some(tk),
-            Err(_) => {
-                let _ = fs::remove_file(&path);
-                None
-            }
+    /// Load the artifact for `id`, or `None` when there is none or the
+    /// file is not a sound artifact *for `id`* (such files are deleted).
+    pub(crate) fn load_spec(&self, id: &SpecId<'_>) -> Option<SpecArtifact> {
+        let path = self.artifact_path(id);
+        let bytes = fs::read(&path).ok()?;
+        let art = decode_artifact(&bytes, id);
+        if art.is_none() {
+            // Scrub it so the next run does not re-pay the read.
+            let _ = fs::remove_file(&path);
         }
+        art
     }
 
-    /// Store a translation artifact (best effort: IO errors drop the
-    /// artifact, they never fail the caller). Returns the number of
-    /// artifacts evicted enforcing the size cap.
-    pub(crate) fn store_translation(&self, kernel: &str, key: u64, tk: &TranslatedKernel) -> u64 {
-        let mut payload = Vec::with_capacity(1 << 12);
-        encode_translation(tk, &mut payload);
-        self.write_artifact(&self.artifact_path(kernel, key, "tk"), KIND_TRANSLATION, &payload)
-    }
-
-    /// Load a specialization artifact, or `None` on miss/corruption.
-    /// The decoded function is re-verified and the bytecode re-validated
-    /// (inside [`dpvk_vm::serial::program_from_bytes`]); either failing
-    /// is treated as corruption.
-    pub(crate) fn load_spec(&self, kernel: &str, key: u64) -> Option<SpecArtifact> {
-        let path = self.artifact_path(kernel, key, "spec");
-        let payload = self.read_artifact(&path, KIND_SPEC)?;
-        match decode_spec(&payload) {
-            Ok(art) if dpvk_ir::verify(&art.function).is_ok() => Some(art),
-            _ => {
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    /// Store a specialization artifact (best effort). Returns the
-    /// number of artifacts evicted enforcing the size cap.
-    pub(crate) fn store_spec(
-        &self,
-        kernel: &str,
-        key: u64,
-        function: &dpvk_ir::Function,
-        bytecode: &BytecodeProgram,
-        meta: SpecMeta,
-    ) -> u64 {
+    /// Store the artifact for `id`, published atomically (unique temp
+    /// file + rename). Best effort: IO errors drop the artifact, they
+    /// never fail the caller. Returns the number of artifacts evicted
+    /// enforcing the size cap.
+    pub(crate) fn store_spec(&self, id: &SpecId<'_>, art: &SpecArtifact) -> u64 {
         let mut payload = Vec::with_capacity(1 << 14);
-        irs::put_u64(&mut payload, meta.pre_opt_instructions as u64);
-        irs::put_u64(&mut payload, meta.post_opt_instructions as u64);
-        irs::put_u64(&mut payload, meta.jit_code_bytes);
-        let fbytes = irs::function_to_bytes(function);
-        irs::put_u64(&mut payload, fbytes.len() as u64);
-        payload.extend_from_slice(&fbytes);
-        let pbytes = vms::program_to_bytes(bytecode);
-        irs::put_u64(&mut payload, pbytes.len() as u64);
-        payload.extend_from_slice(&pbytes);
-        self.write_artifact(&self.artifact_path(kernel, key, "spec"), KIND_SPEC, &payload)
-    }
+        irs::put_str(&mut payload, id.kernel);
+        irs::put_u64(&mut payload, id.translation_key);
+        irs::put_u32(&mut payload, id.width);
+        irs::put_str(&mut payload, id.variant);
+        irs::put_u64(&mut payload, art.pre_opt_instructions as u64);
+        irs::put_u64(&mut payload, art.post_opt_instructions as u64);
+        irs::encode_function(&art.function, &mut payload);
 
-    /// The `(width, variant-label)` pairs recorded for a translation's
-    /// width manifest, or empty on miss/corruption (corrupt manifests
-    /// are deleted; the cost is re-observing widths, never wrong code).
-    pub(crate) fn load_widths(&self, kernel: &str, translation_key: u64) -> Vec<(u32, String)> {
-        let path = self.artifact_path(kernel, translation_key, "widths");
-        let Some(payload) = self.read_artifact(&path, KIND_WIDTHS) else { return Vec::new() };
-        match decode_widths(&payload) {
-            Ok(widths) => widths,
-            Err(_) => {
-                let _ = fs::remove_file(&path);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Merge `(width, variant)` into the translation's width manifest.
-    /// Best-effort read-modify-write: concurrent writers may drop one
-    /// another's entry for a run, which only delays rehydration of that
-    /// width — it never produces wrong code.
-    pub(crate) fn record_width(
-        &self,
-        kernel: &str,
-        translation_key: u64,
-        width: u32,
-        variant: &str,
-    ) {
-        let mut widths = self.load_widths(kernel, translation_key);
-        if widths.iter().any(|(w, v)| *w == width && v == variant) {
-            return;
-        }
-        widths.push((width, variant.to_string()));
-        widths.sort();
-        let mut payload = Vec::with_capacity(16 * widths.len());
-        irs::put_u32(&mut payload, widths.len() as u32);
-        for (w, v) in &widths {
-            irs::put_u32(&mut payload, *w);
-            irs::put_str(&mut payload, v);
-        }
-        let path = self.artifact_path(kernel, translation_key, "widths");
-        self.write_artifact(&path, KIND_WIDTHS, &payload);
-    }
-
-    /// Read and unwrap a container file: magic, version, kind, length
-    /// and checksum must all match or the file is deleted and `None`
-    /// returned.
-    fn read_artifact(&self, path: &Path, kind: u8) -> Option<Vec<u8>> {
-        let bytes = fs::read(path).ok()?;
-        let ok = (|| -> Option<Vec<u8>> {
-            let mut r = Reader::new(&bytes);
-            let mut magic = [0u8; 8];
-            for m in &mut magic {
-                *m = r.take_u8().ok()?;
-            }
-            if &magic != MAGIC || r.take_u32().ok()? != FORMAT_VERSION || r.take_u8().ok()? != kind
-            {
-                return None;
-            }
-            let len = r.take_u64().ok()? as usize;
-            let checksum = r.take_u64().ok()?;
-            if r.remaining() != len {
-                return None;
-            }
-            let payload = bytes[bytes.len() - len..].to_vec();
-            let mut h = Fnv::new();
-            h.update(&payload);
-            (h.finish() == checksum).then_some(payload)
-        })();
-        if ok.is_none() {
-            // Torn write or bit rot: scrub it so the next run does not
-            // re-pay the read.
-            let _ = fs::remove_file(path);
-        }
-        ok
-    }
-
-    /// Wrap `payload` in the container format and publish it atomically
-    /// (unique temp file + rename). Best effort; returns the number of
-    /// artifacts evicted enforcing the size cap afterwards.
-    fn write_artifact(&self, path: &Path, kind: u8, payload: &[u8]) -> u64 {
-        let mut buf = Vec::with_capacity(payload.len() + 32);
+        let mut buf = Vec::with_capacity(payload.len() + 28);
         buf.extend_from_slice(MAGIC);
         irs::put_u32(&mut buf, FORMAT_VERSION);
-        irs::put_u8(&mut buf, kind);
         irs::put_u64(&mut buf, payload.len() as u64);
-        let mut h = Fnv::new();
-        h.update(payload);
-        irs::put_u64(&mut buf, h.finish());
-        buf.extend_from_slice(payload);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::write(&tmp, &buf).is_ok() && fs::rename(&tmp, path).is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        self.enforce_cap()
-    }
+        irs::put_u64(&mut buf, checksum(&payload));
+        buf.extend_from_slice(&payload);
 
-    /// Trim the directory to the configured byte cap, deleting
-    /// oldest-modified artifacts first. Returns how many were deleted.
-    fn enforce_cap(&self) -> u64 {
-        let Ok(entries) = fs::read_dir(&self.dir) else { return 0 };
-        let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
-        let mut total = 0u64;
-        for e in entries.flatten() {
-            let Ok(meta) = e.metadata() else { continue };
-            if !meta.is_file() {
-                continue;
-            }
-            let name = e.file_name();
-            if name.to_string_lossy().starts_with(".tmp-") {
-                continue;
-            }
-            let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            total += meta.len();
-            files.push((e.path(), meta.len(), mtime));
-        }
-        if total <= self.cap_bytes {
+        let tmp =
+            self.dir.join(format!(".tmp-{}-{}", std::process::id(), TMP_SEQ.fetch_add(1, Relaxed)));
+        if fs::write(&tmp, &buf).is_err() || fs::rename(&tmp, self.artifact_path(id)).is_err() {
+            let _ = fs::remove_file(&tmp);
             return 0;
         }
+        let len = buf.len() as u64;
+        let mut known = self.total_bytes.lock();
+        let (evicted, total) = match *known {
+            Some(total) if total + len <= self.cap_bytes => (0, total + len),
+            // This store's first write, or one that crosses the cap.
+            _ => self.list_and_evict(),
+        };
+        *known = Some(total);
+        evicted
+    }
+
+    /// List the directory and trim it to the configured byte cap,
+    /// deleting oldest-modified artifacts first. Returns how many were
+    /// deleted and the bytes left.
+    fn list_and_evict(&self) -> (u64, u64) {
+        let mut files = list_artifacts(&self.dir);
+        let mut total: u64 = files.iter().map(|&(_, len, _)| len).sum();
         files.sort_by_key(|&(_, _, mtime)| mtime);
         let mut evicted = 0;
         for (path, len, _) in files {
@@ -391,17 +245,55 @@ impl PersistStore {
                 dpvk_trace::add(Counter::PersistEvictions, 1);
             }
         }
-        evicted
+        (evicted, total)
     }
 }
 
-impl std::fmt::Debug for PersistStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PersistStore")
-            .field("dir", &self.dir)
-            .field("cap_bytes", &self.cap_bytes)
-            .finish()
+/// Every artifact in `dir` (in-flight temp files excluded) with its
+/// length and modification time.
+fn list_artifacts(dir: &Path) -> Vec<(PathBuf, u64, SystemTime)> {
+    let Ok(entries) = fs::read_dir(dir) else { return Vec::new() };
+    let mut files = Vec::new();
+    for e in entries.flatten() {
+        let Ok(meta) = e.metadata() else { continue };
+        if !meta.is_file() || e.file_name().to_string_lossy().starts_with(".tmp-") {
+            continue;
+        }
+        files.push((e.path(), meta.len(), meta.modified().unwrap_or(SystemTime::UNIX_EPOCH)));
     }
+    files
+}
+
+/// Unwrap a container file and decode its payload. `None` unless magic,
+/// version, length and checksum hold, the identity header equals `id`,
+/// and the function is the width `id` asks for and passes `ir::verify`.
+fn decode_artifact(bytes: &[u8], id: &SpecId<'_>) -> Option<SpecArtifact> {
+    let mut r = Reader::new(bytes);
+    for &m in MAGIC {
+        if r.take_u8().ok()? != m {
+            return None;
+        }
+    }
+    if r.take_u32().ok()? != FORMAT_VERSION {
+        return None;
+    }
+    let len = r.take_u64().ok()?;
+    let sum = r.take_u64().ok()?;
+    if r.remaining() as u64 != len || checksum(&bytes[bytes.len() - r.remaining()..]) != sum {
+        return None;
+    }
+    let same_identity = r.take_str().ok()? == id.kernel
+        && r.take_u64().ok()? == id.translation_key
+        && r.take_u32().ok()? == id.width
+        && r.take_str().ok()? == id.variant;
+    if !same_identity {
+        return None;
+    }
+    let pre_opt_instructions = usize::try_from(r.take_u64().ok()?).ok()?;
+    let post_opt_instructions = usize::try_from(r.take_u64().ok()?).ok()?;
+    let function = irs::decode_function(&mut r).ok()?;
+    (r.is_done() && function.warp_size == id.width && dpvk_ir::verify(&function).is_ok())
+        .then_some(SpecArtifact { function, pre_opt_instructions, post_opt_instructions })
 }
 
 // ---------------------------------------------------------------------------
@@ -427,196 +319,17 @@ impl Fnv {
     }
 }
 
-// ---------------------------------------------------------------------------
-// TranslatedKernel payload codec
-// ---------------------------------------------------------------------------
-
-/// Encode a [`TranslatedKernel`]. Map/set fields are written in sorted
-/// order so identical kernels always produce identical bytes;
-/// `entry_id_of` is derivable from `entry_points` and not stored.
-fn encode_translation(tk: &TranslatedKernel, buf: &mut Vec<u8>) {
-    irs::put_str(buf, &tk.name);
-    irs::encode_function(&tk.scalar, buf);
-    irs::put_u32(buf, tk.entry_points.len() as u32);
-    for b in &tk.entry_points {
-        irs::put_u32(buf, b.0);
-    }
-    let mut barriers: Vec<(BlockId, BlockId)> =
-        tk.barrier_edges.iter().map(|(k, v)| (*k, *v)).collect();
-    barriers.sort_by_key(|&(k, _)| k.0);
-    irs::put_u32(buf, barriers.len() as u32);
-    for (from, to) in barriers {
-        irs::put_u32(buf, from.0);
-        irs::put_u32(buf, to.0);
-    }
-    let mut exits: Vec<BlockId> = tk.pure_exit_blocks.iter().copied().collect();
-    exits.sort_by_key(|b| b.0);
-    irs::put_u32(buf, exits.len() as u32);
-    for b in exits {
-        irs::put_u32(buf, b.0);
-    }
-    let mut spills: Vec<(VReg, u64)> = tk.spill_slots.iter().map(|(k, v)| (*k, *v)).collect();
-    spills.sort_by_key(|&(r, _)| r.0);
-    irs::put_u32(buf, spills.len() as u32);
-    for (r, off) in spills {
-        irs::put_u32(buf, r.0);
-        irs::put_u64(buf, off);
-    }
-    irs::put_u64(buf, tk.user_local_bytes as u64);
-    irs::put_u64(buf, tk.local_bytes as u64);
-    irs::put_u64(buf, tk.shared_bytes as u64);
-    irs::put_u64(buf, tk.param_bytes as u64);
-    irs::put_u32(buf, tk.live_in.len() as u32);
-    for regs in &tk.live_in {
-        irs::put_u32(buf, regs.len() as u32);
-        for r in regs {
-            irs::put_u32(buf, r.0);
-        }
-    }
-}
-
-fn take_usize(r: &mut Reader<'_>) -> SerialResult<usize> {
-    let v = r.take_u64()?;
-    usize::try_from(v).map_err(|_| SerialError::new(format!("usize field {v} out of range")))
-}
-
-fn decode_translation(bytes: &[u8]) -> SerialResult<TranslatedKernel> {
-    let mut r = Reader::new(bytes);
-    let name = r.take_str()?;
-    let scalar = irs::decode_function(&mut r)?;
-    dpvk_ir::verify(&scalar)
-        .map_err(|e| SerialError::new(format!("persisted scalar kernel fails verify: {e}")))?;
-    let nentries = r.take_len(4)?;
-    let mut entry_points = Vec::with_capacity(nentries);
-    for _ in 0..nentries {
-        entry_points.push(BlockId(r.take_u32()?));
-    }
-    let entry_id_of: HashMap<BlockId, i64> =
-        entry_points.iter().enumerate().map(|(i, b)| (*b, i as i64)).collect();
-    if entry_id_of.len() != entry_points.len() {
-        return Err(SerialError::new("duplicate entry points"));
-    }
-    let nbarriers = r.take_len(8)?;
-    let mut barrier_edges = HashMap::with_capacity(nbarriers);
-    for _ in 0..nbarriers {
-        let from = BlockId(r.take_u32()?);
-        let to = BlockId(r.take_u32()?);
-        barrier_edges.insert(from, to);
-    }
-    let nexits = r.take_len(4)?;
-    let mut pure_exit_blocks = HashSet::with_capacity(nexits);
-    for _ in 0..nexits {
-        pure_exit_blocks.insert(BlockId(r.take_u32()?));
-    }
-    let nspills = r.take_len(12)?;
-    let mut spill_slots = HashMap::with_capacity(nspills);
-    for _ in 0..nspills {
-        let reg = VReg(r.take_u32()?);
-        let off = r.take_u64()?;
-        spill_slots.insert(reg, off);
-    }
-    let user_local_bytes = take_usize(&mut r)?;
-    let local_bytes = take_usize(&mut r)?;
-    let shared_bytes = take_usize(&mut r)?;
-    let param_bytes = take_usize(&mut r)?;
-    let nblocks = r.take_len(4)?;
-    if nblocks != scalar.blocks.len() {
-        return Err(SerialError::new(format!(
-            "live-in sets cover {nblocks} blocks but the function has {}",
-            scalar.blocks.len()
-        )));
-    }
-    let mut live_in = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        let nregs = r.take_len(4)?;
-        let mut regs = Vec::with_capacity(nregs);
-        for _ in 0..nregs {
-            regs.push(VReg(r.take_u32()?));
-        }
-        live_in.push(regs);
-    }
-    if !r.is_done() {
-        return Err(SerialError::new(format!(
-            "{} trailing bytes after translation artifact",
-            r.remaining()
-        )));
-    }
-    for b in entry_points.iter().chain(barrier_edges.keys()).chain(barrier_edges.values()) {
-        if b.0 as usize >= scalar.blocks.len() {
-            return Err(SerialError::new(format!("block id {} out of range", b.0)));
-        }
-    }
-    Ok(TranslatedKernel {
-        name,
-        scalar,
-        entry_points,
-        entry_id_of,
-        barrier_edges,
-        pure_exit_blocks,
-        spill_slots,
-        user_local_bytes,
-        local_bytes,
-        shared_bytes,
-        param_bytes,
-        live_in,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Specialization payload codec
-// ---------------------------------------------------------------------------
-
-fn decode_spec(bytes: &[u8]) -> SerialResult<SpecArtifact> {
-    let mut r = Reader::new(bytes);
-    let pre_opt_instructions = take_usize(&mut r)?;
-    let post_opt_instructions = take_usize(&mut r)?;
-    let jit_code_bytes = r.take_u64()?;
-    let flen = take_usize(&mut r)?;
-    if flen > r.remaining() {
-        return Err(SerialError::new("function length exceeds payload"));
-    }
-    let fstart = bytes.len() - r.remaining();
-    let function = irs::function_from_bytes(&bytes[fstart..fstart + flen])?;
-    let tail = &bytes[fstart + flen..];
-    let mut r = Reader::new(tail);
-    let plen = take_usize(&mut r)?;
-    if plen != r.remaining() {
-        return Err(SerialError::new("program length does not match payload"));
-    }
-    let bytecode = vms::program_from_bytes(&tail[tail.len() - plen..])?;
-    Ok(SpecArtifact {
-        function,
-        bytecode,
-        pre_opt_instructions,
-        post_opt_instructions,
-        jit_code_bytes,
-    })
-}
-
-/// Decode a width manifest payload: count, then `(u32 width, str
-/// variant-label)` pairs.
-fn decode_widths(bytes: &[u8]) -> SerialResult<Vec<(u32, String)>> {
-    let mut r = Reader::new(bytes);
-    let n = r.take_len(5)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let width = r.take_u32()?;
-        let variant = r.take_str()?;
-        out.push((width, variant));
-    }
-    if !r.is_done() {
-        return Err(SerialError::new(format!(
-            "{} trailing bytes after width manifest",
-            r.remaining()
-        )));
-    }
-    Ok(out)
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.update(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::translate::translate;
+    use crate::vectorize::{specialize, SpecializeOptions};
     use dpvk_ptx as ptx;
 
     const SRC: &str = r#"
@@ -636,170 +349,126 @@ done:
 }
 "#;
 
-    fn sample_tk() -> TranslatedKernel {
+    fn sample_art(width: u32) -> SpecArtifact {
         let module = ptx::parse_module(SRC).unwrap();
-        translate(&module.kernels[0]).unwrap()
+        let tk = translate(&module.kernels[0]).unwrap();
+        let s = specialize(&tk, &SpecializeOptions::dynamic(width)).unwrap();
+        SpecArtifact {
+            function: s.function,
+            pre_opt_instructions: s.pre_opt_instructions,
+            post_opt_instructions: s.post_opt_instructions,
+        }
     }
 
-    fn tmp_store(tag: &str) -> PersistStore {
+    fn id(kernel: &str, width: u32) -> SpecId<'_> {
+        SpecId {
+            kernel,
+            translation_key: PersistStore::translation_key("model", SRC),
+            width,
+            variant: "dynamic",
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("dpvk-persist-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        PersistStore::open(PersistConfig::at(&dir)).expect("open store")
-    }
-
-    #[test]
-    fn translation_round_trips_through_disk() {
-        let store = tmp_store("tk");
-        let tk = sample_tk();
-        let key = PersistStore::translation_key("model", SRC);
-        assert!(store.load_translation("pk", key).is_none(), "cold cache must miss");
-        store.store_translation("pk", key, &tk);
-        let back = store.load_translation("pk", key).expect("warm cache must hit");
-        assert_eq!(back.name, tk.name);
-        assert_eq!(back.scalar, tk.scalar);
-        assert_eq!(back.entry_points, tk.entry_points);
-        assert_eq!(back.entry_id_of, tk.entry_id_of);
-        assert_eq!(back.barrier_edges, tk.barrier_edges);
-        assert_eq!(back.pure_exit_blocks, tk.pure_exit_blocks);
-        assert_eq!(back.spill_slots, tk.spill_slots);
-        assert_eq!(back.local_bytes, tk.local_bytes);
-        assert_eq!(back.param_bytes, tk.param_bytes);
-        assert_eq!(back.live_in, tk.live_in);
-    }
-
-    #[test]
-    fn spec_round_trips_through_disk() {
-        use dpvk_vm::{CostInfo, FrameLayout, MachineModel};
-
-        let store = tmp_store("spec");
-        let tk = sample_tk();
-        let spec =
-            crate::vectorize::specialize(&tk, &crate::vectorize::SpecializeOptions::dynamic(4))
-                .unwrap();
-        let model = MachineModel::sandybridge_sse();
-        let cost = CostInfo::analyze(&spec.function, &model);
-        let frame = FrameLayout::of(&spec.function);
-        let program = BytecodeProgram::decode(&spec.function, &frame, &model, &cost);
-        let key = PersistStore::spec_key(PersistStore::translation_key("m", SRC), 4, "dynamic");
-        assert!(store.load_spec("pk", key).is_none(), "cold cache must miss");
-        store.store_spec(
-            "pk",
-            key,
-            &spec.function,
-            &program,
-            SpecMeta {
-                pre_opt_instructions: spec.pre_opt_instructions,
-                post_opt_instructions: spec.post_opt_instructions,
-                jit_code_bytes: 123,
-            },
-        );
-        let art = store.load_spec("pk", key).expect("warm cache must hit");
-        assert_eq!(art.function, spec.function);
-        assert_eq!(art.pre_opt_instructions, spec.pre_opt_instructions);
-        assert_eq!(art.post_opt_instructions, spec.post_opt_instructions);
-        assert_eq!(art.jit_code_bytes, 123, "advisory JIT metadata must round-trip");
-        assert_eq!(art.bytecode.slots(), program.slots());
-        assert_eq!(format!("{:?}", art.bytecode), format!("{program:?}"));
-    }
-
-    #[test]
-    fn width_manifest_merges_and_round_trips() {
-        let store = tmp_store("widths");
-        let tkey = PersistStore::translation_key("model", SRC);
-        assert!(store.load_widths("pk", tkey).is_empty(), "cold manifest must be empty");
-        store.record_width("pk", tkey, 4, "dynamic");
-        store.record_width("pk", tkey, 8, "dynamic");
-        store.record_width("pk", tkey, 4, "dynamic"); // idempotent
-        store.record_width("pk", tkey, 1, "baseline");
-        assert_eq!(
-            store.load_widths("pk", tkey),
-            vec![
-                (1, "baseline".to_string()),
-                (4, "dynamic".to_string()),
-                (8, "dynamic".to_string())
-            ]
-        );
-        // A corrupt manifest misses cleanly and is scrubbed.
-        let path = store.artifact_path("pk", tkey, "widths");
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load_widths("pk", tkey).is_empty());
-        assert!(!path.exists(), "corrupt manifest must be scrubbed");
-    }
-
-    #[test]
-    fn encoding_is_deterministic_despite_hash_maps() {
-        let tk = sample_tk();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        encode_translation(&tk, &mut a);
-        encode_translation(&tk, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn corrupt_artifact_is_deleted_and_misses() {
-        let store = tmp_store("corrupt");
-        let tk = sample_tk();
-        let key = PersistStore::translation_key("model", SRC);
-        store.store_translation("pk", key, &tk);
-        let path = store.artifact_path("pk", key, "tk");
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load_translation("pk", key).is_none(), "corrupt load must miss");
-        assert!(!path.exists(), "corrupt artifact must be scrubbed");
+        dir
     }
 
     #[test]
     fn truncated_artifact_misses_cleanly() {
-        let store = tmp_store("trunc");
-        let tk = sample_tk();
-        let key = PersistStore::translation_key("model", SRC);
-        store.store_translation("pk", key, &tk);
-        let path = store.artifact_path("pk", key, "tk");
+        let dir = tmp_dir("trunc");
+        let store = PersistStore::open(PersistConfig::at(&dir)).expect("open store");
+        let (id, art) = (id("pk", 4), sample_art(4));
+        assert!(store.load_spec(&id).is_none(), "cold cache must miss");
+        store.store_spec(&id, &art);
+        assert!(store.load_spec(&id).is_some_and(|back| back.function == art.function));
+        let path = store.artifact_path(&id);
         let bytes = fs::read(&path).unwrap();
-        for cut in [0, 4, 12, 21, bytes.len() - 1] {
+        for cut in [0, 4, 12, 21, 40, bytes.len() - 1] {
             fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(store.load_translation("pk", key).is_none(), "cut={cut}");
+            assert!(store.load_spec(&id).is_none(), "cut={cut}");
+            assert!(!path.exists(), "cut={cut}: truncated artifact must be scrubbed");
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn keys_separate_model_source_width_and_variant() {
         let t1 = PersistStore::translation_key("m1", "src");
-        let t2 = PersistStore::translation_key("m2", "src");
-        let t3 = PersistStore::translation_key("m1", "src2");
-        assert_ne!(t1, t2);
-        assert_ne!(t1, t3);
-        let s1 = PersistStore::spec_key(t1, 4, "dynamic");
-        let s2 = PersistStore::spec_key(t1, 8, "dynamic");
-        let s3 = PersistStore::spec_key(t1, 4, "static_tie");
-        assert_ne!(s1, s2);
-        assert_ne!(s1, s3);
-        assert_ne!(s1, t1);
+        assert_ne!(t1, PersistStore::translation_key("m2", "src"));
+        assert_ne!(t1, PersistStore::translation_key("m1", "src2"));
+        let key =
+            |width, variant| SpecId { kernel: "k", translation_key: t1, width, variant }.key();
+        assert_ne!(key(4, "dynamic"), key(8, "dynamic"));
+        assert_ne!(key(4, "dynamic"), key(4, "static_tie"));
+        assert_ne!(key(4, "dynamic"), t1);
     }
 
     #[test]
     fn size_cap_evicts_oldest_artifacts() {
-        let dir =
-            std::env::temp_dir().join(format!("dpvk-persist-test-cap-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = PersistStore::open(PersistConfig::at(&dir).with_cap_bytes(4096)).expect("open");
-        let tk = sample_tk();
-        for i in 0..32 {
-            let key = PersistStore::translation_key("model", &format!("src{i}"));
-            store.store_translation("pk", key, &tk);
+        let dir = tmp_dir("cap");
+        let art = sample_art(2);
+        let one = {
+            let probe = PersistStore::open(PersistConfig::at(&dir)).expect("open");
+            probe.store_spec(&id("pk", 2), &art);
+            fs::metadata(probe.artifact_path(&id("pk", 2))).unwrap().len()
+        };
+        // Room for three artifacts. The second round's store opens over
+        // a full directory and must find that out at its first write.
+        let cap = 3 * one + one / 2;
+        let mut evicted = 0;
+        for round in 0..2 {
+            let store = PersistStore::open(PersistConfig::at(&dir).with_cap_bytes(cap)).unwrap();
+            for i in 0..16 {
+                evicted += store.store_spec(&id(&format!("pk{round}_{i}"), 2), &art);
+            }
+            let total: u64 = list_artifacts(&dir).iter().map(|&(_, len, _)| len).sum();
+            assert!(total <= cap, "cap not enforced: {total} bytes on disk, cap {cap}");
         }
-        let total: u64 = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum();
-        assert!(total <= 4096, "cap not enforced: {total} bytes on disk");
+        let left = list_artifacts(&dir).len() as u64;
+        assert_eq!(evicted + left, 33, "every stored artifact is either left or counted evicted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: the temp-file sequence used to be per store, so two
+    /// stores in one process both wrote `.tmp-<pid>-0` and one renamed
+    /// the other's bytes into its own path.
+    #[test]
+    fn concurrent_stores_over_one_directory_keep_artifacts_apart() {
+        const THREADS: usize = 8;
+        const WIDTHS: [u32; 3] = [2, 4, 8];
+        let dir = tmp_dir("race");
+        let arts: Vec<SpecArtifact> = WIDTHS.iter().map(|&w| sample_art(w)).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (dir, arts, start) = (&dir, &arts, &start);
+                s.spawn(move || {
+                    let store = PersistStore::open(PersistConfig::at(dir)).expect("open store");
+                    let kernel = format!("k{t}");
+                    start.wait();
+                    for _ in 0..32 {
+                        for (art, &w) in arts.iter().zip(&WIDTHS) {
+                            let mut art = SpecArtifact { function: art.function.clone(), ..*art };
+                            art.function.name = format!("{kernel}_w{w}");
+                            store.store_spec(&id(&kernel, w), &art);
+                        }
+                    }
+                });
+            }
+        });
+        let store = PersistStore::open(PersistConfig::at(&dir)).expect("open store");
+        for t in 0..THREADS {
+            let kernel = format!("k{t}");
+            for &w in &WIDTHS {
+                let back = store.load_spec(&id(&kernel, w));
+                let back = back.unwrap_or_else(|| panic!("{kernel} w{w}: lost or foreign bytes"));
+                assert_eq!(back.function.name, format!("{kernel}_w{w}"));
+                assert_eq!(back.function.warp_size, w);
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -80,11 +80,11 @@ impl Device {
     }
 
     /// [`Device::new`] with explicit control of the persistent
-    /// translation cache: `None` keeps compilation artifacts in memory
-    /// only, `Some` rehydrates translations and specializations from
-    /// (and stores them to) the configured directory. [`Device::new`]
-    /// itself configures persistence from the environment
-    /// (`DPVK_CACHE`, `DPVK_CACHE_DIR`, `DPVK_CACHE_CAP`).
+    /// specialization cache: `None` keeps compilation artifacts in
+    /// memory only, `Some` loads specialized functions from (and stores
+    /// them to) the configured directory. [`Device::new`] itself
+    /// persists only when `DPVK_CACHE_DIR` names a directory
+    /// (`DPVK_CACHE_CAP` bounds it).
     pub fn with_persist(
         model: MachineModel,
         heap_size: usize,

@@ -212,7 +212,7 @@ pub enum Counter {
     /// typed error to the client.
     ServerFailed,
     /// Persistent-cache artifacts loaded successfully from disk (a
-    /// translate/specialize pipeline skipped).
+    /// specialization skipped).
     PersistHits,
     /// Persistent-cache lookups that found no usable artifact (absent,
     /// corrupt, or version-mismatched) and fell back to compilation.

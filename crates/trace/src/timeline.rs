@@ -129,9 +129,8 @@ pub enum SpanKind {
     /// The launch's last chunk completed and the result became
     /// observable.
     Retire,
-    /// Loading a translation/specialization artifact from the
-    /// persistent on-disk cache (replaces Translate/Specialize/Decode
-    /// on a warm restart).
+    /// Loading a specialized function from the persistent on-disk
+    /// cache (replaces Specialize on a warm restart).
     PersistLoad,
     /// Writing a freshly compiled artifact to the persistent cache.
     PersistStore,

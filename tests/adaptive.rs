@@ -6,15 +6,20 @@
 //! widths, and re-specialization events must surface in the trace
 //! report and the flight-recorder timeline.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use dpvk::core::{AdaptConfig, Device, Engine, ExecConfig, ParamValue};
 use dpvk::trace::{self, timeline, TraceReport};
 use dpvk::vm::MachineModel;
 
-/// The tracer is process-global; tests in this binary that touch it
-/// serialize on this lock and reset state around themselves.
+/// The tracer — and with it the `respec_events` counter — is
+/// process-global: every test in this binary that respecializes or reads
+/// the trace serializes on this lock.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+fn trace_lock() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Uniform compute kernel: a fixed-trip-count loop of integer mixing,
 /// no divergence, so every width vectorizes fully and the modeled
@@ -138,6 +143,7 @@ fn run_until_converged(
 /// sweep of modeled cycles would pick — and stays there.
 #[test]
 fn converges_to_best_static_width_from_worst_start() {
+    let _guard = trace_lock();
     let threshold = 2u32;
     for src in [UNIFORM, DIVERGENT] {
         let (best, worst) = best_static_width(src, Engine::Bytecode);
@@ -190,6 +196,7 @@ fn observe_mode_counts_without_steering() {
 /// memory image as a non-adapting reference.
 #[test]
 fn adaptation_is_bit_identical_across_widths_and_engines() {
+    let _guard = trace_lock();
     for src in [UNIFORM, DIVERGENT] {
         for engine in [Engine::Bytecode, Engine::Tree, Engine::Jit] {
             // Reference image from the scalar-equivalent static config.
@@ -230,7 +237,7 @@ fn adaptation_is_bit_identical_across_widths_and_engines() {
 /// worker track that ran the background compile.
 #[test]
 fn respec_events_surface_in_trace_and_timeline() {
-    let _guard = TRACE_LOCK.lock().unwrap();
+    let _guard = trace_lock();
     trace::reset();
     trace::enable();
 
