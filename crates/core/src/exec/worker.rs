@@ -24,7 +24,7 @@ use std::time::Instant;
 use dpvk_ir::ResumeStatus;
 use dpvk_trace::timeline::{self, SpanKind};
 use dpvk_vm::{
-    execute_warp_bytecode, execute_warp_framed, execute_warp_jit, GlobalMem, MemAccess, RegFrame,
+    execute_warp_bytecode, execute_warp_framed, GlobalMem, JitCta, MemAccess, RegFrame,
     ThreadContext, VmError,
 };
 
@@ -378,53 +378,58 @@ impl DispatchMemo {
 
     /// Resolve a specialization plus its downgrade flag, consulting the
     /// shared cache only on the first request per `(kernel, width,
-    /// variant)` this worker has seen since binding to the cache.
+    /// variant)` this worker has seen since binding to the cache. The
+    /// kernel is lent out of the memo entry, which holds it alive: a
+    /// warp entry touches no reference count, so the workers of a launch
+    /// do not bounce its cache line between them.
     fn resolve(
         &mut self,
         kernel: &str,
         tk: &Arc<TranslatedKernel>,
         w: u32,
         variant: Variant,
-    ) -> Result<(Arc<CompiledKernel>, bool), CoreError> {
-        if let Some(e) = self
+    ) -> Result<(&CompiledKernel, bool), CoreError> {
+        let found = self
             .entries
-            .iter_mut()
-            .find(|e| e.width == w && e.variant == variant && Arc::ptr_eq(&e.tk, tk))
-        {
+            .iter()
+            .position(|e| e.width == w && e.variant == variant && Arc::ptr_eq(&e.tk, tk));
+        let at = if let Some(at) = found {
             // Tally what the shared cache would have counted: one hit per
             // resolution, and for a downgraded entry a hit on the width-1
             // baseline plus one downgrade.
+            let e = &mut self.entries[at];
             self.hits += 1;
             e.pending_hits += 1;
             e.pending_warps += 1;
-            let downgraded = e.downgraded;
-            if downgraded {
+            if e.downgraded {
                 self.downgrades += 1;
             }
-            let compiled = Arc::clone(&e.compiled);
             if dpvk_trace::enabled() {
-                let (rw, rv) = if downgraded { (1, Variant::Baseline) } else { (w, variant) };
+                let (rw, rv) = if e.downgraded { (1, Variant::Baseline) } else { (w, variant) };
                 dpvk_trace::record_cache_query(kernel, rw, rv.label(), true);
             }
-            return Ok((compiled, downgraded));
-        }
-        let cache = self.cache.as_ref().expect("memo bound to a cache before resolving");
-        let (compiled, downgraded) = cache.get_or_downgrade(kernel, w, variant)?;
-        if self.entries.len() >= MEMO_CAPACITY {
-            // Flush before discarding so no per-width tallies are lost.
-            self.flush();
-            self.entries.clear();
-        }
-        self.entries.push(MemoEntry {
-            tk: Arc::clone(tk),
-            width: w,
-            variant,
-            compiled: Arc::clone(&compiled),
-            downgraded,
-            pending_hits: 0,
-            pending_warps: 1,
-        });
-        Ok((compiled, downgraded))
+            at
+        } else {
+            let cache = self.cache.as_ref().expect("memo bound to a cache before resolving");
+            let (compiled, downgraded) = cache.get_or_downgrade(kernel, w, variant)?;
+            if self.entries.len() >= MEMO_CAPACITY {
+                // Flush before discarding so no per-width tallies are lost.
+                self.flush();
+                self.entries.clear();
+            }
+            self.entries.push(MemoEntry {
+                tk: Arc::clone(tk),
+                width: w,
+                variant,
+                compiled,
+                downgraded,
+                pending_hits: 0,
+                pending_warps: 1,
+            });
+            self.entries.len() - 1
+        };
+        let e = &self.entries[at];
+        Ok((&e.compiled, e.downgraded))
     }
 
     /// Flush accumulated hit/downgrade and per-width tallies to the
@@ -483,6 +488,16 @@ impl WorkerScratch {
     }
 }
 
+/// A CTA's memory spaces, held the way its engine takes them: the JIT
+/// binds them into its environment block once per CTA, the interpreters
+/// borrow them per warp call. One lives on `run_cta`'s stack per CTA, so
+/// the size gap between the variants costs nothing a `Box` would save.
+#[allow(clippy::large_enum_variant)]
+enum CtaMem<'a> {
+    Jit(JitCta<'a>),
+    Interp(MemAccess<'a>),
+}
+
 /// Execute all threads of one CTA to completion.
 fn run_cta(
     job: &LaunchJob,
@@ -531,6 +546,18 @@ fn run_cta(
 
     #[cfg(feature = "fault-inject")]
     let mut injected_fault_pending = crate::faults::injected_warp_fault(cta_flat);
+
+    let mem = MemAccess {
+        global,
+        shared: &mut shared,
+        local: &mut local,
+        param: &req.param,
+        cbank: &req.cbank,
+    };
+    let mut mem = match config.engine {
+        Engine::Jit => CtaMem::Jit(JitCta::new(mem, &config.limits, Some(cancel))),
+        Engine::Bytecode | Engine::Tree => CtaMem::Interp(mem),
+    };
 
     while let Some(front) = ready.front() {
         let rp = front.resume_point;
@@ -627,36 +654,26 @@ fn run_cta(
             };
             dpvk_trace::add(engine_counter, 1);
         }
-        let mut mem = MemAccess {
-            global,
-            shared: &mut shared,
-            local: &mut local,
-            param: &req.param,
-            cbank: &req.cbank,
-        };
-        let outcome = match (config.engine, jit) {
-            (Engine::Jit, Some(jit)) => execute_warp_jit(
-                jit,
+        let outcome = match (&mut mem, config.engine) {
+            (CtaMem::Jit(cta), _) => cta.execute_warp(
+                jit.map(Arc::as_ref),
                 &compiled.bytecode,
                 &mut scratch.frame,
                 &mut scratch.warp,
                 rp,
-                &mut mem,
                 &mut stats.exec,
-                &config.limits,
-                Some(cancel),
             ),
-            (Engine::Bytecode | Engine::Jit, _) => execute_warp_bytecode(
+            (CtaMem::Interp(mem), Engine::Bytecode | Engine::Jit) => execute_warp_bytecode(
                 &compiled.bytecode,
                 &mut scratch.frame,
                 &mut scratch.warp,
                 rp,
-                &mut mem,
+                mem,
                 &mut stats.exec,
                 &config.limits,
                 Some(cancel),
             ),
-            (Engine::Tree, _) => execute_warp_framed(
+            (CtaMem::Interp(mem), Engine::Tree) => execute_warp_framed(
                 &compiled.function,
                 &compiled.frame,
                 &mut scratch.frame,
@@ -664,7 +681,7 @@ fn run_cta(
                 req.cache.model(),
                 &mut scratch.warp,
                 rp,
-                &mut mem,
+                mem,
                 &mut stats.exec,
                 &config.limits,
                 Some(cancel),

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use crate::function::Function;
 use crate::inst::BlockId;
-use crate::value::VReg;
+use crate::value::{VReg, Value};
 
 /// Per-block register liveness for an IR function.
 #[derive(Debug, Clone)]
@@ -78,6 +78,68 @@ impl Liveness {
         v.sort();
         v
     }
+}
+
+/// Registers live on entry to block 0, in index order: those some path
+/// reads before any write. The same answer as
+/// `Liveness::compute(f).live_in_sorted(BlockId(0))`, computed over
+/// dense bit sets and for that one block only — cheap enough to run on
+/// every specialization at decode time, where the full per-block hash
+/// sets are not.
+pub fn live_into_entry(f: &Function) -> Vec<VReg> {
+    let words = f.regs.len().div_ceil(64);
+    let n = f.blocks.len();
+    if n == 0 || words == 0 {
+        return Vec::new();
+    }
+    let bit = |r: VReg| (r.index() / 64, 1u64 << (r.index() % 64));
+    // Per block, `words` words each: `killed` = written in the block;
+    // `live` = live on entry, seeded with what the block reads before
+    // writing it.
+    let mut killed = vec![0u64; n * words];
+    let mut live = vec![0u64; n * words];
+    for (i, b) in f.blocks.iter().enumerate() {
+        let (kill, exposed) = (&mut killed[i * words..][..words], &mut live[i * words..][..words]);
+        let mut read = |v: &Value, kill: &[u64]| {
+            if let Some(r) = v.as_reg() {
+                let (w, m) = bit(r);
+                if kill[w] & m == 0 {
+                    exposed[w] |= m;
+                }
+            }
+        };
+        for inst in &b.insts {
+            for v in inst.uses() {
+                read(&v, kill);
+            }
+            if let Some(d) = inst.dst() {
+                let (w, m) = bit(d);
+                kill[w] |= m;
+            }
+        }
+        for v in b.term.uses() {
+            read(&v, kill);
+        }
+    }
+    let succs: Vec<Vec<BlockId>> = f.blocks.iter().map(|b| b.term.successors()).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..n).rev() {
+            for s in &succs[i] {
+                for w in 0..words {
+                    let add = live[s.index() * words + w] & !killed[i * words + w];
+                    let slot = &mut live[i * words + w];
+                    changed |= add & !*slot != 0;
+                    *slot |= add;
+                }
+            }
+        }
+    }
+    (0..f.regs.len())
+        .filter(|r| live[r / 64] & (1 << (r % 64)) != 0)
+        .map(|r| VReg(r as u32))
+        .collect()
 }
 
 /// Number of uses of each register across the whole function (including
@@ -221,6 +283,44 @@ mod tests {
         let lv = Liveness::compute(&f);
         assert!(lv.live_in[h.index()].contains(&i));
         assert!(!lv.live_in[e.index()].contains(&i));
+    }
+
+    #[test]
+    fn live_into_entry_matches_the_full_analysis() {
+        // `x` is written on one arm only and read at the join, `never`
+        // is read and written nowhere else, `i` is loop-carried but
+        // initialised: only the first two are live into the entry.
+        let t = Type::scalar(STy::I32);
+        let mut f = Function::new("t", 1);
+        let (i, x, never, out) = (f.new_reg(t), f.new_reg(t), f.new_reg(t), f.new_reg(t));
+        let p = f.new_reg(Type::scalar(STy::I1));
+        let add = |dst, a, b| Inst::Bin { op: BinOp::Add, ty: t, signed: false, dst, a, b };
+        let mut entry = Block::new("entry");
+        entry.insts.push(Inst::Mov { ty: t, dst: i, a: Value::ImmI(0) });
+        entry.insts.push(Inst::Cmp {
+            pred: crate::CmpPred::Lt,
+            ty: t,
+            signed: true,
+            dst: p,
+            a: Value::Reg(never),
+            b: Value::ImmI(3),
+        });
+        let mut arm = Block::new("arm");
+        arm.insts.push(Inst::Mov { ty: t, dst: x, a: Value::ImmI(7) });
+        let mut join = Block::new("join");
+        join.insts.push(add(out, Value::Reg(x), Value::Reg(i)));
+        join.insts.push(add(i, Value::Reg(i), Value::ImmI(1)));
+        let e = f.add_block(entry);
+        let a = f.add_block(arm);
+        let j = f.add_block(join);
+        f.block_mut(e).term = Term::CondBr { cond: Value::Reg(p), taken: a, fall: j };
+        f.block_mut(a).term = Term::Br(j);
+        f.block_mut(j).term = Term::CondBr { cond: Value::Reg(p), taken: j, fall: a };
+
+        assert_eq!(live_into_entry(&f), vec![x, never]);
+        assert_eq!(live_into_entry(&f), Liveness::compute(&f).live_in_sorted(e));
+        assert!(live_into_entry(&straightline()).is_empty());
+        assert!(live_into_entry(&Function::new("empty", 1)).is_empty());
     }
 
     #[test]

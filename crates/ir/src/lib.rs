@@ -58,7 +58,7 @@ mod verify;
 pub mod opt;
 pub mod serial;
 
-pub use analysis::{max_live_vector_regs, use_counts, Liveness};
+pub use analysis::{live_into_entry, max_live_vector_regs, use_counts, Liveness};
 pub use function::{Block, BlockKind, Function};
 pub use inst::{
     AtomKind, BinOp, BlockId, CmpPred, CtxField, Inst, ReduceOp, ResumeStatus, Space, Term, UnOp,

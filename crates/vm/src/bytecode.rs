@@ -80,6 +80,69 @@ pub(crate) struct TermInfo {
     pub overhead: bool,
 }
 
+/// What a run of `charge!` calls adds up to: the poll-clock ticks and
+/// every counter the macro touches. The interpreter never builds one —
+/// it charges µop by µop — but the JIT pre-charges whole basic blocks
+/// (and takes charges back on its slow paths) in these units, so the
+/// arithmetic has one definition next to [`OpMeta`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Charge {
+    /// `tick!` calls (one per source instruction).
+    pub ticks: u64,
+    /// Modeled cycles.
+    pub cost: u64,
+    /// Modeled flops.
+    pub flops: u64,
+    /// [`ExecStats::loads`].
+    pub loads: u64,
+    /// [`ExecStats::stores`].
+    pub stores: u64,
+    /// [`ExecStats::restore_loads`].
+    pub restore_loads: u64,
+    /// [`ExecStats::restore_bytes`].
+    pub restore_bytes: u64,
+    /// [`ExecStats::spill_stores`].
+    pub spill_stores: u64,
+    /// [`ExecStats::spill_bytes`].
+    pub spill_bytes: u64,
+}
+
+impl Charge {
+    /// What `times` back-to-back `charge!(meta)` calls accumulate.
+    pub(crate) fn of(meta: OpMeta, times: u32) -> Charge {
+        let n = times as u64;
+        let flag = |f: u8| if meta.flags & f != 0 { n } else { 0 };
+        let restores = if meta.flags & F_LOAD != 0 { flag(F_RESTORE) } else { 0 };
+        let spills = if meta.flags & F_STORE != 0 { flag(F_SPILL) } else { 0 };
+        Charge {
+            ticks: n,
+            cost: n * meta.cost as u64,
+            flops: n * meta.flops as u64,
+            loads: flag(F_LOAD),
+            stores: flag(F_STORE),
+            restore_loads: restores,
+            restore_bytes: restores * meta.bytes as u64,
+            spill_stores: spills,
+            spill_bytes: spills * meta.bytes as u64,
+        }
+    }
+
+    /// Field-wise sum.
+    pub(crate) fn plus(self, o: Charge) -> Charge {
+        Charge {
+            ticks: self.ticks + o.ticks,
+            cost: self.cost + o.cost,
+            flops: self.flops + o.flops,
+            loads: self.loads + o.loads,
+            stores: self.stores + o.stores,
+            restore_loads: self.restore_loads + o.restore_loads,
+            restore_bytes: self.restore_bytes + o.restore_bytes,
+            spill_stores: self.spill_stores + o.spill_stores,
+            spill_bytes: self.spill_bytes + o.spill_bytes,
+        }
+    }
+}
+
 /// A resolved operand source. Reads are a single indexed load.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BSrc {
@@ -128,6 +191,44 @@ pub(crate) struct Op {
     pub meta: OpMeta,
     /// Operation payload.
     pub kind: OpKind,
+}
+
+impl Op {
+    /// Everything this µop's `charge!` calls add up to when it runs to
+    /// completion, from component `from` on: one `meta` per component,
+    /// plus the second meta of a fused pair. A terminator's retire (its
+    /// own tick and cost) is not a `charge!` and is not counted; the
+    /// compare half of a `CmpBr` is.
+    pub(crate) fn charge_from(&self, from: u32) -> Charge {
+        match self.kind {
+            OpKind::CopyRun { n, .. }
+            | OpKind::LoadRun { n, .. }
+            | OpKind::CtxReadRun { n, .. } => Charge::of(self.meta, n - from),
+            OpKind::StoreRun { n, smeta, .. } => {
+                Charge::of(self.meta, n - from).plus(Charge::of(smeta, n - from))
+            }
+            OpKind::BinBin { meta2, .. } | OpKind::LoadBin { meta2, .. } => {
+                Charge::of(self.meta, 1).plus(Charge::of(meta2, 1))
+            }
+            OpKind::Br { .. }
+            | OpKind::CondBr { .. }
+            | OpKind::Switch { .. }
+            | OpKind::Ret { .. } => Charge::default(),
+            _ => Charge::of(self.meta, 1),
+        }
+    }
+
+    /// Whether the µop ends its basic block.
+    pub(crate) fn is_terminator(&self) -> bool {
+        matches!(
+            self.kind,
+            OpKind::CmpBr { .. }
+                | OpKind::Br { .. }
+                | OpKind::CondBr { .. }
+                | OpKind::Switch { .. }
+                | OpKind::Ret { .. }
+        )
+    }
 }
 
 /// µop payloads. Straight-line µops advance `pc` by one; terminator µops
@@ -502,6 +603,11 @@ pub struct BytecodeProgram {
     pub(crate) slots: usize,
     /// Warp width of the source function.
     pub(crate) warp_size: u32,
+    /// Slot ranges `(first, len)` of the registers live into block 0 —
+    /// the only slots a warp entry can read before writing, so the only
+    /// ones [`RegFrame::prepare_slots`] has to zero. Empty unless the
+    /// source reads a register it never wrote.
+    pub(crate) entry_live: Vec<(u32, u32)>,
     /// Decode statistics (µop count, fusion tallies).
     pub stats: DecodeStats,
     /// Profiler identity (kernel × specialization). `None` until
@@ -704,6 +810,9 @@ impl BytecodeProgram {
         }
         for &(_, t) in &self.cases {
             target(t);
+        }
+        for &(first, len) in &self.entry_live {
+            assert!(first as usize + len as usize <= slots, "live range {first}+{len}");
         }
     }
 
@@ -1148,7 +1257,7 @@ fn exec_loop<P: UopSink>(
         ctxs.len(),
         program.warp_size
     );
-    let regs = scratch.prepare_slots(program.slots);
+    let regs = scratch.prepare_slots(program.slots, &program.entry_live);
     let code = program.code.as_slice();
     let mut pc: usize = 0;
     let mut status: Option<ResumeStatus> = None;

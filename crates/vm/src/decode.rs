@@ -32,7 +32,7 @@
 //! [`inst_cost`]: crate::cost::inst_cost
 //! [`inst_flops`]: crate::cost::inst_flops
 
-use dpvk_ir::{BlockKind, Function, Inst, STy, Term, Type, VReg, Value};
+use dpvk_ir::{live_into_entry, BlockKind, Function, Inst, STy, Term, Type, VReg, Value};
 
 use crate::bytecode::{
     BDst, BSrc, BytecodeProgram, DecodeStats, Op, OpKind, OpMeta, SwitchVal, TermInfo, F_LOAD,
@@ -81,6 +81,7 @@ impl BytecodeProgram {
             cases: d.cases,
             slots: layout.slots(),
             warp_size: f.warp_size,
+            entry_live: entry_live_slots(f, layout),
             stats: d.stats,
             profile: None,
         };
@@ -90,6 +91,23 @@ impl BytecodeProgram {
         prog.validate();
         prog
     }
+}
+
+/// Slot ranges of the registers live into block 0, adjacent ranges
+/// merged: what a warp entry may read before writing it. The
+/// specializer's scheduler block restores everything a resumed thread
+/// needs from its spill slots, so this is empty unless the source
+/// itself reads a register it never wrote.
+fn entry_live_slots(f: &Function, layout: &FrameLayout) -> Vec<(u32, u32)> {
+    let mut ranges: Vec<(u32, u32)> = Vec::new();
+    for r in live_into_entry(f) {
+        let (first, len) = (layout.offset(r) as u32, layout.width(r) as u32);
+        match ranges.last_mut() {
+            Some((f0, l0)) if *f0 + *l0 == first => *l0 += len,
+            _ => ranges.push((first, len)),
+        }
+    }
+    ranges
 }
 
 /// Static read counts per register: how many operand positions (across

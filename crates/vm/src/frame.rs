@@ -69,7 +69,9 @@ impl FrameLayout {
 ///
 /// `prepare` zeroes and sizes the buffer for a layout without shrinking
 /// its capacity, so a frame reused across warp calls stops allocating once
-/// it has grown to the largest layout it serves.
+/// it has grown to the largest layout it serves. `prepare_slots` zeroes
+/// only what a warp entry can read before writing and leaves the rest
+/// as the previous warp left it.
 #[derive(Debug, Default)]
 pub struct RegFrame {
     slots: Vec<u64>,
@@ -83,16 +85,26 @@ impl RegFrame {
 
     /// Zero the frame and size it for `layout`, returning the slot slice.
     pub(crate) fn prepare(&mut self, layout: &FrameLayout) -> &mut [u64] {
-        self.prepare_slots(layout.slots())
+        self.slots.clear();
+        self.slots.resize(layout.slots(), 0);
+        &mut self.slots
     }
 
-    /// Zero the frame and size it to `slots` slots, returning the slot
-    /// slice. The bytecode engine's entry point: a decoded program caches
-    /// its slot count, so no layout walk is needed per warp call.
-    pub(crate) fn prepare_slots(&mut self, slots: usize) -> &mut [u64] {
-        self.slots.clear();
-        self.slots.resize(slots, 0);
-        &mut self.slots
+    /// Size the frame to at least `slots` slots and zero the `live`
+    /// ranges, returning the first `slots` slots. The bytecode and JIT
+    /// engines' entry point: `live` is the decoded program's
+    /// entry-live set — every other slot is written before any read on
+    /// every path, so whatever an earlier warp left there is never
+    /// observed and clearing it per entry (5–7 KB on the barrier
+    /// kernels) is pure cost.
+    pub(crate) fn prepare_slots(&mut self, slots: usize, live: &[(u32, u32)]) -> &mut [u64] {
+        if self.slots.len() < slots {
+            self.slots.resize(slots, 0);
+        }
+        for &(first, len) in live {
+            self.slots[first as usize..(first + len) as usize].fill(0);
+        }
+        &mut self.slots[..slots]
     }
 }
 
@@ -132,5 +144,15 @@ mod tests {
         assert_eq!(s, &[0]);
         assert_eq!(frame.slots.capacity(), cap, "prepare must not shrink");
         assert!(frame.prepare(&big).iter().all(|&v| v == 0), "prepare zeroes");
+    }
+
+    #[test]
+    fn prepare_slots_clears_the_live_ranges_only() {
+        let mut frame = RegFrame::new();
+        frame.prepare_slots(8, &[]).fill(9);
+        let s = frame.prepare_slots(6, &[(1, 2), (5, 1)]);
+        assert_eq!(s, &[9, 0, 0, 9, 9, 0]);
+        // Growing zero-fills the new slots and keeps the old ones.
+        assert_eq!(frame.prepare_slots(10, &[]), &[9, 0, 0, 9, 9, 0, 9, 9, 0, 0]);
     }
 }

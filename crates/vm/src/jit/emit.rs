@@ -1,41 +1,59 @@
 //! The copy-and-patch template emitter: lowers a validated
 //! [`BytecodeProgram`] to straight-line x86-64, one template per µop,
 //! with operands patched to register-frame displacements and branch
-//! targets fixed up to µop entry offsets.
+//! targets fixed up to block entry offsets.
 //!
-//! Fidelity contract: every template reproduces the bytecode
-//! interpreter's observable behaviour bit-for-bit — lane values funnel
-//! through the same masking/sign-extension rules, modeled cycles and
-//! stat counters charge the same amounts in the same order, and the
-//! watchdog/deadline/cancellation polls tick on the same dynamic
-//! instruction counts. µop shapes without a template (atomics,
-//! division, transcendentals, wide vectors) call back into
-//! [`crate::jit::rt::jit_step`], which re-runs the whole µop through
-//! the interpreter's own helpers; memory templates bounds-check
-//! *before* charging (a pure register read, so the reorder is
-//! unobservable) and take the same helper on the slow path so faulting
-//! accesses charge and error exactly as interpreted.
+//! Fidelity contract: a warp call through generated code is
+//! indistinguishable from one through the bytecode interpreter — lane
+//! values funnel through the same masking/sign-extension rules, every
+//! [`ExecStats`](crate::ExecStats) field ends up the same on success
+//! and on error, and the watchdog trips and the deadline/cancellation
+//! poll fires on the same dynamic instruction counts. The interpreter's
+//! per-µop `tick!`/`charge!` is the definition of that accounting;
+//! generated code reaches the same totals per *basic block*:
+//!
+//! * Each block opens with one header. It compares `executed` plus the
+//!   ticks of all the block's µops against the watchdog limit and the
+//!   next poll; when neither lies inside the block no tick in it can
+//!   have an effect, so the header adds the block's summed charges
+//!   (ticks, cycles, flops, load/store/spill/restore counters — one
+//!   `add` per non-zero sum, computed by [`block_charges`]) and the
+//!   templates that follow carry no accounting at all. Terminators keep
+//!   their own tick and retire, so pure-branch loops still poll.
+//! * When the limit or a poll does lie inside the block, the header
+//!   calls [`jit_block_slow`]. Polls that would find neither a
+//!   cancelled token nor a passed deadline only move `next_poll`; the
+//!   helper moves it and native code carries on with the header's
+//!   charge. Otherwise something stops the warp at an instruction of
+//!   this block, and the helper steps the block µop by µop, with the
+//!   interpreter's accounting, to exactly that instruction.
+//! * µop shapes without a template (atomics, division, transcendentals,
+//!   wide vectors; [`has_inline_template`] is the one predicate) call
+//!   [`jit_step`], which runs the whole µop through the interpreter's
+//!   own helpers, charge included — the header leaves them out of its
+//!   sums. Memory templates bounds-check inline and take the same
+//!   helper when the access would fault; the helper first takes back
+//!   the header's charge for that µop, then charges and errors exactly
+//!   as interpreted. A helper that fails also takes back the header's
+//!   charge for the µops after it, which never run.
 //!
 //! Register conventions inside generated code:
 //!   r15 = &JitEnv      rbx = register-frame base
-//!   rbp = value kept live across helper calls (poll clobbers the rest)
+//!   rbp = value kept live within a fused µop (helper calls clobber the rest)
 //!   rax/rcx/rdx/rsi/rdi/r11, xmm0-2 = scratch
 
 use std::mem::offset_of;
 
 use dpvk_ir::{BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp};
 
-use crate::bytecode::{
-    BDst, BSrc, BytecodeProgram, OpKind, OpMeta, SwitchVal, TermInfo, F_LOAD, F_RESTORE, F_SPILL,
-    F_STORE,
-};
+use crate::bytecode::{BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo};
 use crate::context::ThreadContext;
 use crate::jit::asm::{
     Alu, Asm, Cc, Fixup, Sh, Sse, R11, R15, RAX, RBP, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1, XMM2,
 };
 use crate::jit::rt::{
-    jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv, FAIL_FLOAT_SWITCH, FAIL_WATCHDOG,
-    STATUS_BARRIER, STATUS_BRANCH, STATUS_EXIT,
+    block_charges, jit_block_slow, jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv,
+    FAIL_FLOAT_SWITCH, FAIL_WATCHDOG, STATUS_BARRIER, STATUS_BRANCH, STATUS_EXIT,
 };
 
 /// Widest vector µop lowered lane-by-lane inline; wider ops fall back
@@ -114,12 +132,16 @@ fn addr_step() -> u64 {
 fn addr_run_from() -> u64 {
     jit_run_from as unsafe extern "C" fn(*mut JitEnv, u32, u32) -> u32 as usize as u64
 }
+fn addr_block_slow() -> u64 {
+    jit_block_slow as unsafe extern "C" fn(*mut JitEnv, u32) -> u32 as usize as u64
+}
 fn addr_f2i() -> u64 {
     jit_f2i as unsafe extern "C" fn(u64, u32, u32) -> u64 as usize as u64
 }
 
 /// Emit the whole program. Returns `None` when a structural limit rules
-/// out code generation (frame too large for disp32 addressing).
+/// out code generation (frame too large for disp32 addressing, or a
+/// block whose summed charges overflow an imm32).
 pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmitStats)> {
     // Frame-slot and context displacements must fit disp32.
     let max_slot_disp = (program.slots as u64 + 64) * 8;
@@ -132,6 +154,7 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         program,
         uop_start: Vec::with_capacity(program.code.len()),
         branch_fixups: Vec::new(),
+        slow_blocks: Vec::new(),
         watchdog_fixups: Vec::new(),
         badfloat_fixups: Vec::new(),
         err_fixups: Vec::new(),
@@ -139,10 +162,14 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         stats: JitEmitStats::default(),
     };
     e.prologue();
-    for idx in 0..program.code.len() {
-        let start = e.asm.here();
-        e.uop_start.push(start);
+    let mut block_start = true;
+    for (idx, op) in program.code.iter().enumerate() {
+        e.uop_start.push(e.asm.here());
+        if block_start {
+            e.block_header(idx as u32)?;
+        }
         e.emit_op(idx as u32);
+        block_start = op.is_terminator();
     }
     e.finish();
     let mut stats = e.stats;
@@ -211,13 +238,43 @@ fn cvt_ok(to: STy, from: STy, signed: bool) -> bool {
     !(to.is_float() && from == STy::I64 && !signed)
 }
 
+/// Whether the µop's shape has an inline template at some width:
+/// atomics, integer division, transcendentals, float min/max, unsigned
+/// i64 → float and stores to read-only spaces (which only ever fault)
+/// do not.
+fn shape_has_template(kind: &OpKind) -> bool {
+    match *kind {
+        OpKind::Bin { op, sty, .. } => bin_ok(op, sty),
+        OpKind::Un { op, sty, .. } => un_ok(op, sty),
+        OpKind::Cvt { to, from, signed, .. } => cvt_ok(to, from, signed),
+        OpKind::Store { space, .. } | OpKind::StoreRun { space, .. } => space_offsets(space).2,
+        OpKind::BinBin { op1, sty1, op2, sty2, .. } => bin_ok(op1, sty1) && bin_ok(op2, sty2),
+        OpKind::LoadBin { op2, sty2, .. } => bin_ok(op2, sty2),
+        OpKind::Atom { .. } | OpKind::Unsupported { .. } => false,
+        _ => true,
+    }
+}
+
+/// Whether generated code runs the µop from an inline template (true)
+/// or through the [`jit_step`] helper (false). A pure function of the
+/// µop: the emitter picks the lowering by it, the block header sums the
+/// charges of exactly the µops it admits ([`block_charges`]), and the
+/// helpers tell a template's slow site from a helper-only µop by it.
+pub(crate) fn has_inline_template(kind: &OpKind) -> bool {
+    shape_has_template(kind) && kind.lanes() <= VEC_INLINE_MAX
+}
+
 struct Emitter<'p> {
     asm: Asm,
     program: &'p BytecodeProgram,
-    /// Code offset of each µop's template (branch-fixup targets).
+    /// Code offset of each µop (branch-fixup targets); for a block's
+    /// first µop, its header.
     uop_start: Vec<usize>,
     /// (fixup, target µop index) pairs patched once all µops are placed.
     branch_fixups: Vec<(Fixup, u32)>,
+    /// Headers' exits to [`jit_block_slow`]: the two branches, the
+    /// block's first µop, and where the header's charge begins.
+    slow_blocks: Vec<([Fixup; 2], u32, usize)>,
     watchdog_fixups: Vec<Fixup>,
     badfloat_fixups: Vec<Fixup>,
     err_fixups: Vec<Fixup>,
@@ -242,8 +299,46 @@ impl Emitter<'_> {
         a.load(RBX, R15, ENV_REGS);
     }
 
-    /// The interpreter's `tick!`: bump `executed`, trip the watchdog,
-    /// poll cancel/deadline when the counter crosses `next_poll`.
+    /// Open the basic block starting at µop `first`: unless the
+    /// watchdog limit or the next poll lies within the block's ticks —
+    /// then [`jit_block_slow`] decides first — charge all its templated
+    /// µops at once. `None` when a sum does not fit an imm32.
+    fn block_header(&mut self, first: u32) -> Option<()> {
+        let (bound, pre) = block_charges(&self.program.code, first as usize);
+        if bound == 0 {
+            // A bare terminator: nothing to check, nothing to charge.
+            return Some(());
+        }
+        let imm = |v: u64| i32::try_from(v).ok();
+        let a = &mut self.asm;
+        a.load(RAX, R15, ENV_EXECUTED);
+        a.alu_ri(Alu::Add, RAX, imm(bound)?);
+        a.alu_rm(Alu::Cmp, RAX, R15, ENV_MAX_INSTRUCTIONS);
+        let watchdog = a.jcc_fwd(Cc::A);
+        a.alu_rm(Alu::Cmp, RAX, R15, ENV_NEXT_POLL);
+        let poll = a.jcc_fwd(Cc::Ae);
+        self.slow_blocks.push(([watchdog, poll], first, a.here()));
+        for (field, sum) in [
+            (ENV_EXECUTED, pre.ticks),
+            (ENV_CYCLES, pre.cost),
+            (ENV_FLOPS, pre.flops),
+            (ENV_LOADS, pre.loads),
+            (ENV_STORES, pre.stores),
+            (ENV_RESTORE_LOADS, pre.restore_loads),
+            (ENV_RESTORE_BYTES, pre.restore_bytes),
+            (ENV_SPILL_STORES, pre.spill_stores),
+            (ENV_SPILL_BYTES, pre.spill_bytes),
+        ] {
+            if sum != 0 {
+                a.alu_mi(Alu::Add, R15, field, imm(sum)?);
+            }
+        }
+        Some(())
+    }
+
+    /// The interpreter's `tick!`, kept by terminators: bump `executed`,
+    /// trip the watchdog, poll cancel/deadline when the counter crosses
+    /// `next_poll`.
     fn tick(&mut self) {
         let a = &mut self.asm;
         a.load(RAX, R15, ENV_EXECUTED);
@@ -262,33 +357,6 @@ impl Emitter<'_> {
         let err = a.jcc_fwd(Cc::Ne);
         self.err_fixups.push(err);
         self.asm.bind(skip);
-    }
-
-    /// The interpreter's `charge!`: tick, then accumulate the µop's
-    /// modeled cycles, flops, and memory-traffic stats.
-    fn charge(&mut self, meta: OpMeta) {
-        self.tick();
-        let a = &mut self.asm;
-        if meta.cost != 0 {
-            a.alu_mi(Alu::Add, R15, ENV_CYCLES, meta.cost as i32);
-        }
-        if meta.flops != 0 {
-            a.alu_mi(Alu::Add, R15, ENV_FLOPS, meta.flops as i32);
-        }
-        if meta.flags & F_LOAD != 0 {
-            a.alu_mi(Alu::Add, R15, ENV_LOADS, 1);
-            if meta.flags & F_RESTORE != 0 {
-                a.alu_mi(Alu::Add, R15, ENV_RESTORE_LOADS, 1);
-                a.alu_mi(Alu::Add, R15, ENV_RESTORE_BYTES, meta.bytes as i32);
-            }
-        }
-        if meta.flags & F_STORE != 0 {
-            a.alu_mi(Alu::Add, R15, ENV_STORES, 1);
-            if meta.flags & F_SPILL != 0 {
-                a.alu_mi(Alu::Add, R15, ENV_SPILL_STORES, 1);
-                a.alu_mi(Alu::Add, R15, ENV_SPILL_BYTES, meta.bytes as i32);
-            }
-        }
     }
 
     /// The interpreter's `retire_block!`: terminator cost joins the
@@ -310,16 +378,22 @@ impl Emitter<'_> {
         a.store_imm(R15, ENV_CYCLES, 0);
     }
 
-    /// Call `jit_step(env, idx)`: the full-µop interpreter fallback.
-    fn call_step(&mut self, idx: u32) {
+    /// Call `helper(env, idx)` and leave through the error exit when it
+    /// returns nonzero.
+    fn call_helper(&mut self, helper: u64, idx: u32) {
         let a = &mut self.asm;
         a.mov_rr(RDI, R15);
         a.mov_ri(RSI, idx as u64);
-        a.mov_ri(R11, addr_step());
+        a.mov_ri(R11, helper);
         a.call_reg(R11);
         a.test_rr32(RAX, RAX);
         let err = a.jcc_fwd(Cc::Ne);
         self.err_fixups.push(err);
+    }
+
+    /// Call `jit_step(env, idx)`: the full-µop interpreter fallback.
+    fn call_step(&mut self, idx: u32) {
+        self.call_helper(addr_step(), idx);
     }
 
     /// Call `jit_run_from(env, idx, comp)`: resume a run µop at a
@@ -440,11 +514,10 @@ impl Emitter<'_> {
     }
 
     /// Inline bounds check `addr + size <= len`: loads the address into
-    /// RAX and branches to the pushed fixups when the access would
-    /// fault (`len < size` underflow, or `addr > len - size`). Pure
-    /// register/env reads, so running it before `charge` is
-    /// unobservable; the slow path re-runs the µop through a helper
-    /// that charges and errors exactly as interpreted.
+    /// RAX (left there for the access) and branches to the pushed
+    /// fixups when the access would fault (`len < size` underflow, or
+    /// `addr > len - size`); the slow path re-runs the µop through a
+    /// helper that charges and errors exactly as interpreted.
     fn emit_bounds(&mut self, src: BSrc, i: u32, len_off: i32, size: usize, slow: &mut Vec<Fixup>) {
         self.load_src(RAX, src, i, None);
         self.asm.load(RCX, R15, len_off);
@@ -767,71 +840,63 @@ fn shift_mask(sty: STy) -> i32 {
     (sty.bits() - 1).max(1) as i32
 }
 
-/// Whether `kind` missed its inline template *solely* because its vector
-/// width exceeds [`VEC_INLINE_MAX`] — i.e. the same shape at a narrower
-/// width would have inlined. Mirrors the width gates in
-/// [`Emitter::try_emit`]; widthless µops (memory, glue, terminators)
-/// never qualify.
-fn wide_only_fallback(kind: OpKind) -> bool {
-    match kind {
-        OpKind::Bin { op, sty, w, .. } => w > VEC_INLINE_MAX && bin_ok(op, sty),
-        OpKind::Un { op, sty, w, .. } => w > VEC_INLINE_MAX && un_ok(op, sty),
-        OpKind::Fma { w, .. } | OpKind::Cmp { w, .. } | OpKind::Select { w, .. } => {
-            w > VEC_INLINE_MAX
-        }
-        OpKind::Cvt { to, from, signed, w, .. } => w > VEC_INLINE_MAX && cvt_ok(to, from, signed),
-        _ => false,
-    }
-}
-
 impl Emitter<'_> {
-    /// Lower µop `idx`: an inline template when one applies, otherwise
-    /// the whole-µop interpreter helper.
+    /// Lower µop `idx`: its inline template when it has one, otherwise
+    /// a call to the whole-µop interpreter helper.
     fn emit_op(&mut self, idx: u32) {
-        let op = self.program.code[idx as usize];
-        if self.try_emit(idx, op.kind, op.meta) {
+        let kind = self.program.code[idx as usize].kind;
+        if has_inline_template(&kind) {
             self.stats.template_uops += 1;
+            self.emit_template(idx, kind);
         } else {
             self.stats.helper_uops += 1;
-            if wide_only_fallback(op.kind) {
+            // Missed its template *solely* by width: the same shape at
+            // a narrower width would have inlined.
+            if shape_has_template(&kind) {
                 self.stats.wide_helper_uops += 1;
             }
             self.call_step(idx);
         }
     }
 
-    /// Emit an inline template for the µop if its shape has one.
-    /// Returns false (emitting nothing) otherwise; terminators always
-    /// inline.
-    fn try_emit(&mut self, idx: u32, kind: OpKind, meta: OpMeta) -> bool {
+    /// The fast path of a scalar load whose address [`Self::emit_bounds`]
+    /// left in RAX: the masked value lands in `r`.
+    fn emit_load_value(&mut self, r: u8, sty: STy, base_off: i32) {
+        self.asm.load(RDX, R15, base_off);
+        self.asm.load_index(r, RDX, RAX, sty.size_bytes() as u8);
+        if sty == STy::I1 {
+            self.asm.alu_ri(Alu::And, r, 1);
+        }
+    }
+
+    /// Close a memory template: the fast path jumps over the slow site,
+    /// where every failed bounds check re-runs the µop in [`jit_step`].
+    fn emit_step_slow_path(&mut self, idx: u32, slow: Vec<Fixup>) {
+        let done = self.asm.jmp_fwd();
+        for f in slow {
+            self.asm.bind(f);
+        }
+        self.call_step(idx);
+        self.asm.bind(done);
+    }
+
+    /// Emit the inline template of a µop [`has_inline_template`]
+    /// admits. No accounting here: the block header charged the µop.
+    fn emit_template(&mut self, idx: u32, kind: OpKind) {
         match kind {
             OpKind::Bin { op, sty, signed, w, dst, a, b } => {
-                if !bin_ok(op, sty) || w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.emit_bin_lane(op, sty, signed, a, b, i, None);
                     self.write_lane(dst, w, i, RAX);
                 }
-                true
             }
             OpKind::Un { op, sty, w, dst, a } => {
-                if !un_ok(op, sty) || w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.emit_un_lane(op, sty, a, i);
                     self.write_lane(dst, w, i, RAX);
                 }
-                true
             }
             OpKind::Fma { sty, w, dst, a, b, c } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     if sty.is_float() {
                         self.load_f(XMM0, a, i, sty, RAX, None);
@@ -854,24 +919,14 @@ impl Emitter<'_> {
                     }
                     self.write_lane(dst, w, i, RAX);
                 }
-                true
             }
             OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.emit_cmp_lane(pred, sty, signed, a, b, i);
                     self.write_lane(dst, w, i, RAX);
                 }
-                true
             }
             OpKind::Select { w, dst, cond, a, b } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.load_src(RAX, cond, i, None);
                     self.load_src(RCX, a, i, None);
@@ -880,70 +935,32 @@ impl Emitter<'_> {
                     self.asm.cmov(Cc::E, RCX, RDX);
                     self.write_lane(dst, w, i, RCX);
                 }
-                true
             }
             OpKind::Cvt { to, from, signed, w, dst, a } => {
-                if !cvt_ok(to, from, signed) || w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.emit_cvt_lane(to, from, signed, a, i);
                     self.write_lane(dst, w, i, RAX);
                 }
-                true
             }
             OpKind::Load { sty, space, dst, addr } => {
+                let (base_off, len_off, _) = space_offsets(space);
+                let mut slow = Vec::new();
+                self.emit_bounds(addr, 0, len_off, sty.size_bytes(), &mut slow);
+                self.emit_load_value(RCX, sty, base_off);
+                self.store_bcast(dst, RCX);
+                self.emit_step_slow_path(idx, slow);
+            }
+            OpKind::Store { sty, space, addr, value } => {
                 let (base_off, len_off, _) = space_offsets(space);
                 let size = sty.size_bytes();
                 let mut slow = Vec::new();
                 self.emit_bounds(addr, 0, len_off, size, &mut slow);
-                self.charge(meta);
-                // Reload the address: the poll call inside charge
-                // clobbers the scratch registers.
-                self.load_src(RAX, addr, 0, None);
-                self.asm.load(RDX, R15, base_off);
-                self.asm.load_index(RCX, RDX, RAX, size as u8);
-                if sty == STy::I1 {
-                    self.asm.alu_ri(Alu::And, RCX, 1);
-                }
-                self.store_bcast(dst, RCX);
-                let done = self.asm.jmp_fwd();
-                for f in slow {
-                    self.asm.bind(f);
-                }
-                self.call_step(idx);
-                self.asm.bind(done);
-                true
-            }
-            OpKind::Store { sty, space, addr, value } => {
-                let (base_off, len_off, writable) = space_offsets(space);
-                if !writable {
-                    // Read-only space: the helper charges, then errors
-                    // identically to the interpreter.
-                    return false;
-                }
-                let size = sty.size_bytes();
-                let mut slow = Vec::new();
-                self.emit_bounds(addr, 0, len_off, size, &mut slow);
-                self.charge(meta);
-                self.load_src(RAX, addr, 0, None);
                 self.load_src(RCX, value, 0, None);
                 self.asm.load(RDX, R15, base_off);
                 self.asm.store_index(RDX, RAX, RCX, size as u8);
-                let done = self.asm.jmp_fwd();
-                for f in slow {
-                    self.asm.bind(f);
-                }
-                self.call_step(idx);
-                self.asm.bind(done);
-                true
+                self.emit_step_slow_path(idx, slow);
             }
             OpKind::Insert { w, dst, vec, elem, lane: l } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 // Element first, then the initializer copy, then the
                 // lane write — the interpreter's exact order.
                 self.load_src(RAX, elem, 0, None);
@@ -956,28 +973,19 @@ impl Emitter<'_> {
                 }
                 let d = self.disp(dst.off, l);
                 self.asm.store(RBX, d, RAX);
-                true
             }
             OpKind::Extract { dst, vec, lane: l } => {
-                self.charge(meta);
                 self.load_src(RAX, vec, l, None);
                 self.store_bcast(dst, RAX);
-                true
             }
             OpKind::Splat { dst, a } | OpKind::MovScalar { dst, a } | OpKind::Vote { dst, a } => {
-                self.charge(meta);
                 self.load_src(RAX, a, 0, None);
                 if matches!(kind, OpKind::Vote { .. }) {
                     self.asm.alu_ri(Alu::And, RAX, 1);
                 }
                 self.store_bcast(dst, RAX);
-                true
             }
             OpKind::Reduce { op: rop, sty, w, dst, vec } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 match rop {
                     ReduceOp::Add => {
                         self.asm.mov_ri(RAX, 0);
@@ -1001,55 +1009,40 @@ impl Emitter<'_> {
                     }
                 }
                 self.store_bcast(dst, RAX);
-                true
             }
             OpKind::CtxRead { field, lane: l, dst } => {
-                self.charge(meta);
                 self.emit_ctx_field(field, l);
                 self.store_bcast(dst, RAX);
-                true
             }
             OpKind::SetRpImm { lane: l, id } => {
-                self.charge(meta);
                 self.asm.load(RCX, R15, ENV_CTXS);
                 self.asm.mov_ri(RAX, id as u64);
                 self.asm.store(RCX, l as i32 * CTX_SIZE + CTX_RESUME_POINT, RAX);
-                true
             }
             OpKind::SetRpReg { lane: l, slot, sty } => {
-                self.charge(meta);
                 let d = self.disp(slot, 0);
                 self.asm.load(RAX, RBX, d);
                 self.sext_reg(RAX, sty);
                 self.asm.load(RCX, R15, ENV_CTXS);
                 self.asm.store(RCX, l as i32 * CTX_SIZE + CTX_RESUME_POINT, RAX);
-                true
             }
             OpKind::SetStatus { status } => {
-                self.charge(meta);
                 let code = match status {
                     ResumeStatus::Branch => STATUS_BRANCH,
                     ResumeStatus::Barrier => STATUS_BARRIER,
                     ResumeStatus::Exit => STATUS_EXIT,
                 };
                 self.asm.store_imm(R15, ENV_STATUS, code as i32);
-                true
             }
             OpKind::MovVec { w, off, a } => {
-                if w > VEC_INLINE_MAX {
-                    return false;
-                }
-                self.charge(meta);
                 for i in 0..w {
                     self.load_src(RAX, a, i, None);
                     let d = self.disp(off, i);
                     self.asm.store(RBX, d, RAX);
                 }
-                true
             }
             OpKind::CopyRun { n, src, sstride, dst, prefill } => {
                 for i in 0..n {
-                    self.charge(meta);
                     let sd = self.disp(src, i * sstride);
                     self.asm.load(RAX, RBX, sd);
                     if i == 0 {
@@ -1064,124 +1057,69 @@ impl Emitter<'_> {
                     let d = self.disp(dst, i);
                     self.asm.store(RBX, d, RAX);
                 }
-                true
             }
             OpKind::LoadRun { n, sty, space, addr, dst } => {
                 let (base_off, len_off, _) = space_offsets(space);
-                let size = sty.size_bytes();
                 let mut slow: Vec<(Vec<Fixup>, u32)> = Vec::new();
                 for i in 0..n {
                     let mut s = Vec::new();
-                    self.emit_bounds(BSrc::Lanes(addr), i, len_off, size, &mut s);
+                    self.emit_bounds(BSrc::Lanes(addr), i, len_off, sty.size_bytes(), &mut s);
                     slow.push((s, i));
-                    self.charge(meta);
-                    self.load_src(RAX, BSrc::Lanes(addr), i, None);
-                    self.asm.load(RDX, R15, base_off);
-                    self.asm.load_index(RCX, RDX, RAX, size as u8);
-                    if sty == STy::I1 {
-                        self.asm.alu_ri(Alu::And, RCX, 1);
-                    }
+                    self.emit_load_value(RCX, sty, base_off);
                     let d = self.disp(dst, i);
                     self.asm.store(RBX, d, RCX);
                 }
                 self.emit_run_slow_paths(idx, slow);
-                true
             }
-            OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
-                let (base_off, len_off, writable) = space_offsets(space);
-                if !writable {
-                    return false;
-                }
+            OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, .. } => {
+                let (base_off, len_off, _) = space_offsets(space);
                 let size = sty.size_bytes();
                 let mut slow: Vec<(Vec<Fixup>, u32)> = Vec::new();
                 for i in 0..n {
                     let mut s = Vec::new();
                     self.emit_bounds(BSrc::Lanes(avec), i, len_off, size, &mut s);
                     slow.push((s, i));
-                    self.charge(meta);
-                    self.load_src(RAX, BSrc::Lanes(avec), i, None);
                     let d = self.disp(atmp, i);
                     self.asm.store(RBX, d, RAX);
-                    self.charge(smeta);
-                    self.load_src(RAX, BSrc::Lanes(avec), i, None);
                     let vd = self.disp(val, i * vstride);
                     self.asm.load(RCX, RBX, vd);
                     self.asm.load(RDX, R15, base_off);
                     self.asm.store_index(RDX, RAX, RCX, size as u8);
                 }
                 self.emit_run_slow_paths(idx, slow);
-                true
             }
             OpKind::CtxReadRun { field, n, dst } => {
                 for i in 0..n {
-                    self.charge(meta);
                     self.emit_ctx_field(field, i);
                     let d = self.disp(dst, i);
                     self.asm.store(RBX, d, RAX);
                 }
-                true
             }
             OpKind::BinBin {
-                op1,
-                sty1,
-                sg1,
-                a1,
-                b1,
-                dst1,
-                op2,
-                sty2,
-                sg2,
-                a2,
-                b2,
-                dst2,
-                meta2,
+                op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, ..
             } => {
-                if !bin_ok(op1, sty1) || !bin_ok(op2, sty2) {
-                    return false;
-                }
-                self.charge(meta);
                 self.emit_bin_lane(op1, sty1, sg1, a1, b1, 0, None);
-                // v1 lives in rbp across the second charge's poll call.
+                // v1 moves out of the second lane's scratch registers.
                 self.asm.mov_rr(RBP, RAX);
                 if let Some(d) = dst1 {
                     self.store_bcast(d, RBP);
                 }
-                self.charge(meta2);
                 self.emit_bin_lane(op2, sty2, sg2, a2, b2, 0, Some(RBP));
                 self.store_bcast(dst2, RAX);
-                true
             }
-            OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-                if !bin_ok(op2, sty2) {
-                    return false;
-                }
+            OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, .. } => {
                 let (base_off, len_off, _) = space_offsets(space);
-                let size = sty1.size_bytes();
                 let mut slow = Vec::new();
-                self.emit_bounds(addr, 0, len_off, size, &mut slow);
-                self.charge(meta);
-                self.load_src(RAX, addr, 0, None);
-                self.asm.load(RDX, R15, base_off);
-                self.asm.load_index(RBP, RDX, RAX, size as u8);
-                if sty1 == STy::I1 {
-                    self.asm.alu_ri(Alu::And, RBP, 1);
-                }
+                self.emit_bounds(addr, 0, len_off, sty1.size_bytes(), &mut slow);
+                self.emit_load_value(RBP, sty1, base_off);
                 if let Some(d) = dst1 {
                     self.store_bcast(d, RBP);
                 }
-                self.charge(meta2);
                 self.emit_bin_lane(op2, sty2, sg2, a2, b2, 0, Some(RBP));
                 self.store_bcast(dst2, RAX);
-                let done = self.asm.jmp_fwd();
-                for f in slow {
-                    self.asm.bind(f);
-                }
-                self.call_step(idx);
-                self.asm.bind(done);
-                true
+                self.emit_step_slow_path(idx, slow);
             }
             OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
-                self.charge(meta);
                 self.emit_cmp_lane(pred, sty, signed, a, b, 0);
                 // The 0/1 result must survive the retire's poll call.
                 self.asm.mov_rr(RBP, RAX);
@@ -1193,12 +1131,10 @@ impl Emitter<'_> {
                 let f = self.asm.jcc_fwd(Cc::Ne);
                 self.branch_fixups.push((f, taken));
                 self.emit_jump(fall, idx);
-                true
             }
             OpKind::Br { target, term } => {
                 self.retire(term);
                 self.emit_jump(target, idx);
-                true
             }
             OpKind::CondBr { cond, taken, fall, term } => {
                 self.retire(term);
@@ -1207,7 +1143,6 @@ impl Emitter<'_> {
                 let f = self.asm.jcc_fwd(Cc::Ne);
                 self.branch_fixups.push((f, taken));
                 self.emit_jump(fall, idx);
-                true
             }
             OpKind::Switch { val, cases, default, term } => {
                 self.retire(term);
@@ -1241,7 +1176,6 @@ impl Emitter<'_> {
                         self.emit_jump(default, idx);
                     }
                 }
-                true
             }
             OpKind::Ret { term } => {
                 self.retire(term);
@@ -1261,9 +1195,10 @@ impl Emitter<'_> {
                 self.asm.bind(s2);
                 let f = self.asm.jmp_fwd();
                 self.ok_fixups.push(f);
-                true
             }
-            OpKind::Atom { .. } | OpKind::Unsupported { .. } => false,
+            OpKind::Atom { .. } | OpKind::Unsupported { .. } => {
+                unreachable!("has_inline_template admitted a µop without a template")
+            }
         }
     }
 
@@ -1290,6 +1225,16 @@ impl Emitter<'_> {
         for (f, target) in fixups {
             let t = self.uop_start[target as usize];
             self.asm.patch(f, t);
+        }
+        // Block headers' slow exits, out of line: ask the helper, then
+        // rejoin the header at its charge.
+        for (fixups, first, charge) in std::mem::take(&mut self.slow_blocks) {
+            for f in fixups {
+                self.asm.bind(f);
+            }
+            self.call_helper(addr_block_slow(), first);
+            let back = self.asm.jmp_fwd();
+            self.asm.patch(back, charge);
         }
         // Watchdog and float-switch failures funnel into jit_fail.
         for f in std::mem::take(&mut self.watchdog_fixups) {
@@ -1320,5 +1265,53 @@ impl Emitter<'_> {
         self.asm.pop(RBX);
         self.asm.pop(RBP);
         self.asm.ret();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cost::CostInfo;
+    use crate::frame::FrameLayout;
+    use crate::machine::MachineModel;
+    use dpvk_ir::{Block, Function, Inst, Type, Value};
+
+    /// Accounting belongs to the block, not the µop: a straight-line
+    /// block of 32 scalar adds must stay well under the ≈80 B each µop
+    /// took when every template opened with its own tick and charge.
+    #[test]
+    fn straight_line_adds_carry_no_per_uop_accounting() {
+        const ADDS: usize = 32;
+        let mut f = Function::new("adds", 1);
+        let t = Type::scalar(STy::I32);
+        let regs: Vec<_> = (0..ADDS + 2).map(|_| f.new_reg(t)).collect();
+        let mut b = Block::new("entry");
+        for i in 0..ADDS {
+            // Distinct registers, so the decoder fuses no pair and the
+            // block is exactly 32 `Bin` µops plus the `Ret`.
+            b.insts.push(Inst::Bin {
+                op: BinOp::Add,
+                ty: t,
+                signed: false,
+                dst: regs[i + 2],
+                a: Value::Reg(regs[0]),
+                b: Value::Reg(regs[1]),
+            });
+        }
+        f.add_block(b);
+        let model = MachineModel::sandybridge_sse();
+        let info = CostInfo::analyze(&f, &model);
+        let program = BytecodeProgram::decode(&f, &FrameLayout::of(&f), &model, &info);
+        assert_eq!(program.code.len(), ADDS + 1, "{:?}", program.stats);
+
+        let (code, stats) = emit_program(&program).expect("a small program emits");
+        assert_eq!(stats.template_uops, ADDS as u64 + 1);
+        // Prologue, one header and its slow exit, 32 adds, the `Ret`'s
+        // retire and the shared exits: all of it must fit the budget.
+        assert!(
+            code.len() < ADDS * 48,
+            "{} B for {ADDS} scalar adds: per-µop accounting is back",
+            code.len()
+        );
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! [`compile`] lowers a validated [`BytecodeProgram`] to straight-line
 //! machine code — one template per µop, operands patched to
-//! register-frame displacements, branches fixed up to µop entry offsets
-//! — and seals it into a W^X executable mapping.
-//! [`execute_warp_jit`] then runs warps through that code with the same
-//! contract as [`execute_warp_bytecode`]: bit-identical lane values,
-//! modeled cycles, [`crate::ExecStats`] deltas, memory effects, errors
-//! and watchdog/deadline/cancellation polling.
+//! register-frame displacements, branches fixed up to block entry
+//! offsets, accounting hoisted into one header per basic block — and
+//! seals it into a W^X executable mapping. A [`JitCta`] then runs a
+//! CTA's warps through that code with the same contract as
+//! [`execute_warp_bytecode`]: bit-identical lane values, modeled cycles,
+//! [`crate::ExecStats`] deltas, memory effects, errors and
+//! watchdog/deadline/cancellation polling.
 //!
 //! µop shapes without an inline template (atomics, division,
 //! transcendentals, vectors wider than the inline cap) call back into
@@ -38,7 +39,7 @@ use crate::stats::ExecStats;
 /// A program compiled to native x86-64 by the JIT tier.
 ///
 /// Immutable once built; share it across worker threads with an `Arc`
-/// and run warps through [`execute_warp_jit`]. The executable mapping
+/// and run warps through [`JitCta::execute_warp`]. The executable mapping
 /// is unmapped on drop.
 #[derive(Debug)]
 pub struct JitProgram {
@@ -96,134 +97,201 @@ pub fn compile(program: &BytecodeProgram) -> Option<JitProgram> {
     Some(JitProgram { mem, stats })
 }
 
-/// Execute one warp through JIT-compiled code, starting at µop 0.
-///
-/// The native twin of [`execute_warp_bytecode`]: same contract, same
-/// errors, bit-identical modeled cycles, [`ExecStats`] and memory
-/// effects. `jit` must have been produced by [`compile`] from this
-/// exact `program`. Warps under active µop profiling are routed through
-/// the interpreter (counted as [`dpvk_trace::Counter::JitFallbackWarps`])
-/// so the profiler still sees per-µop samples.
-///
-/// # Errors
-///
-/// Identical to `execute_warp_bytecode`: memory faults, division by
-/// zero, watchdog, deadline, cancellation.
-///
-/// # Panics
-///
-/// Panics if `ctxs.len() != program.warp_size()`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_warp_jit(
-    jit: &JitProgram,
-    program: &BytecodeProgram,
-    scratch: &mut RegFrame,
-    ctxs: &mut [ThreadContext],
-    entry_id: i64,
-    mem: &mut MemAccess<'_>,
-    stats: &mut ExecStats,
-    limits: &ExecLimits,
-    cancel: Option<&CancelToken>,
-) -> Result<WarpOutcome, VmError> {
-    // The µop profiler needs the interpreter's per-op dispatch to
-    // attribute samples; native code has no per-µop hook.
-    if dpvk_trace::profile::uop_enabled() && program.profile_key().is_some() {
-        dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
-        return execute_warp_bytecode(program, scratch, ctxs, entry_id, mem, stats, limits, cancel);
+/// The JIT engine's view of one CTA: the memory spaces its warps run
+/// against, the launch's limits, and the native environment block built
+/// from them once — memory bases and lengths, watchdog limit, poll
+/// stride — so that a warp entry resets only the counters and the
+/// per-entry pointers instead of rebuilding every field.
+pub struct JitCta<'a> {
+    env: rt::JitEnv,
+    host: rt::HostCtx,
+    /// Owned so the base pointers in `env` cannot outlive or be
+    /// re-pointed away from the slices they were taken from.
+    mem: MemAccess<'a>,
+    limits: ExecLimits,
+    cancel: Option<&'a CancelToken>,
+    /// `next_poll` at the start of every entry: the stride when anything
+    /// can interrupt the warp, `u64::MAX` otherwise.
+    first_poll: u64,
+}
+
+impl<'a> JitCta<'a> {
+    /// Bind the engine to a CTA's memory, limits and cancellation token.
+    pub fn new(mem: MemAccess<'a>, limits: &ExecLimits, cancel: Option<&'a CancelToken>) -> Self {
+        let poll_stride = limits.check_interval.max(1);
+        let polling = limits.deadline.is_some() || cancel.is_some();
+        let (global_base, global_len) = mem.global.raw_parts();
+        let env = rt::JitEnv {
+            regs: std::ptr::null_mut(),
+            executed: 0,
+            max_instructions: limits.max_instructions,
+            next_poll: 0,
+            cycles: 0,
+            instructions: 0,
+            flops: 0,
+            loads: 0,
+            stores: 0,
+            restore_loads: 0,
+            restore_bytes: 0,
+            spill_stores: 0,
+            spill_bytes: 0,
+            cycles_body: 0,
+            cycles_yield: 0,
+            status: rt::STATUS_NONE,
+            entry_id_masked: 0,
+            ctxs: std::ptr::null_mut(),
+            nctx: 0,
+            slots: 0,
+            global_base,
+            global_len: global_len as u64,
+            shared_base: mem.shared.as_mut_ptr(),
+            shared_len: mem.shared.len() as u64,
+            local_base: mem.local.as_mut_ptr(),
+            local_len: mem.local.len() as u64,
+            param_base: mem.param.as_ptr(),
+            param_len: mem.param.len() as u64,
+            const_base: mem.cbank.as_ptr(),
+            const_len: mem.cbank.len() as u64,
+            host: std::ptr::null_mut(),
+        };
+        let host = rt::HostCtx {
+            program: std::ptr::null(),
+            mem: std::ptr::null_mut(),
+            cancel: cancel.map_or(std::ptr::null(), |c| c as *const CancelToken),
+            deadline: limits.deadline,
+            poll_stride,
+            err: None,
+        };
+        let first_poll = if polling { poll_stride } else { u64::MAX };
+        JitCta { env, host, mem, limits: *limits, cancel, first_poll }
     }
 
-    assert_eq!(
-        ctxs.len(),
-        program.warp_size as usize,
-        "warp size mismatch: {} contexts for a width-{} program",
-        ctxs.len(),
-        program.warp_size
-    );
-    let regs = scratch.prepare_slots(program.slots);
-    stats.warp_entries += 1;
-    stats.thread_entries += program.warp_size as u64;
+    /// Execute one warp, starting at µop 0, through `jit` — or through
+    /// the bytecode engine when this specialization has no native code
+    /// (`None`) or the warp is under the µop profiler, which needs the
+    /// interpreter's per-op dispatch (counted as
+    /// [`dpvk_trace::Counter::JitFallbackWarps`]).
+    ///
+    /// The native twin of [`execute_warp_bytecode`]: same contract, same
+    /// errors, bit-identical modeled cycles, [`ExecStats`] and memory
+    /// effects. `jit` must have been produced by [`compile`] from this
+    /// exact `program`.
+    ///
+    /// # Errors
+    ///
+    /// Identical to `execute_warp_bytecode`: memory faults, division by
+    /// zero, watchdog, deadline, cancellation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctxs.len() != program.warp_size()`.
+    pub fn execute_warp(
+        &mut self,
+        jit: Option<&JitProgram>,
+        program: &BytecodeProgram,
+        scratch: &mut RegFrame,
+        ctxs: &mut [ThreadContext],
+        entry_id: i64,
+        stats: &mut ExecStats,
+    ) -> Result<WarpOutcome, VmError> {
+        let profiled = dpvk_trace::profile::uop_enabled() && program.profile_key().is_some();
+        let jit = match jit {
+            Some(jit) if !profiled => jit,
+            _ => {
+                if jit.is_some() {
+                    dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
+                }
+                return execute_warp_bytecode(
+                    program,
+                    scratch,
+                    ctxs,
+                    entry_id,
+                    &mut self.mem,
+                    stats,
+                    &self.limits,
+                    self.cancel,
+                );
+            }
+        };
 
-    let poll_stride = limits.check_interval.max(1);
-    let polling = limits.deadline.is_some() || cancel.is_some();
-    let (global_base, global_len) = mem.global.raw_parts();
+        assert_eq!(
+            ctxs.len(),
+            program.warp_size as usize,
+            "warp size mismatch: {} contexts for a width-{} program",
+            ctxs.len(),
+            program.warp_size
+        );
+        let regs = scratch.prepare_slots(program.slots, &program.entry_live);
+        stats.warp_entries += 1;
+        stats.thread_entries += program.warp_size as u64;
 
-    let mut host = rt::HostCtx {
-        program: program as *const BytecodeProgram,
-        // Lifetime erased; only dereferenced inside this call, while the
-        // borrow is live.
-        mem: (mem as *mut MemAccess<'_>).cast::<MemAccess<'static>>(),
-        cancel: cancel.map_or(std::ptr::null(), |c| c as *const CancelToken),
-        deadline: limits.deadline,
-        poll_stride,
-        err: None,
-    };
-    let mut env = rt::JitEnv {
-        regs: regs.as_mut_ptr(),
-        executed: 0,
-        max_instructions: limits.max_instructions,
-        next_poll: if polling { poll_stride } else { u64::MAX },
-        cycles: 0,
-        instructions: 0,
-        flops: 0,
-        loads: 0,
-        stores: 0,
-        restore_loads: 0,
-        restore_bytes: 0,
-        spill_stores: 0,
-        spill_bytes: 0,
-        cycles_body: 0,
-        cycles_yield: 0,
-        status: rt::STATUS_NONE,
-        entry_id_masked: mask_to(entry_id as u64, STy::I32),
-        ctxs: ctxs.as_mut_ptr(),
-        nctx: ctxs.len() as u64,
-        slots: program.slots as u64,
-        global_base,
-        global_len: global_len as u64,
-        shared_base: mem.shared.as_mut_ptr(),
-        shared_len: mem.shared.len() as u64,
-        local_base: mem.local.as_mut_ptr(),
-        local_len: mem.local.len() as u64,
-        param_base: mem.param.as_ptr(),
-        param_len: mem.param.len() as u64,
-        const_base: mem.cbank.as_ptr(),
-        const_len: mem.cbank.len() as u64,
-        host: &mut host,
-    };
+        // The per-entry half of the environment. `host` and `host.mem`
+        // point into `self`, which cannot move while this call borrows
+        // it; the memory lifetime is erased and only dereferenced inside
+        // this call.
+        let host = &mut self.host;
+        host.program = program;
+        host.mem = (&mut self.mem as *mut MemAccess<'a>).cast::<MemAccess<'static>>();
+        let env = &mut self.env;
+        env.host = host;
+        env.regs = regs.as_mut_ptr();
+        env.slots = program.slots as u64;
+        env.ctxs = ctxs.as_mut_ptr();
+        env.nctx = ctxs.len() as u64;
+        env.entry_id_masked = mask_to(entry_id as u64, STy::I32);
+        env.status = rt::STATUS_NONE;
+        env.next_poll = self.first_poll;
+        env.executed = 0;
+        env.cycles = 0;
+        env.instructions = 0;
+        env.flops = 0;
+        env.loads = 0;
+        env.stores = 0;
+        env.restore_loads = 0;
+        env.restore_bytes = 0;
+        env.spill_stores = 0;
+        env.spill_bytes = 0;
+        env.cycles_body = 0;
+        env.cycles_yield = 0;
 
-    // SAFETY: `jit.mem` holds code emitted for this program's µop
-    // stream by `emit_program`, entry at offset 0, with the extern "C"
-    // signature the prologue/epilogue implement; `env` outlives the
-    // call and every pointer in it is valid for its stated length.
-    let rc = unsafe {
-        let entry: unsafe extern "C" fn(*mut rt::JitEnv) -> u32 =
-            std::mem::transmute(jit.mem.base());
-        entry(&mut env)
-    };
+        // SAFETY: `jit.mem` holds code emitted for this program's µop
+        // stream by `emit_program`, entry at offset 0, with the extern "C"
+        // signature the prologue/epilogue implement; `env` outlives the
+        // call and every pointer in it is valid for its stated length.
+        let rc = unsafe {
+            let entry: unsafe extern "C" fn(*mut rt::JitEnv) -> u32 =
+                std::mem::transmute(jit.mem.base());
+            entry(env)
+        };
 
-    // Merge the counter deltas on success and error alike — the
-    // interpreter mutates the caller's stats in place as it runs. The
-    // unflushed block remainder `env.cycles` is dropped, matching the
-    // local accumulator the interpreter abandons when a block errors
-    // before retiring.
-    stats.instructions += env.instructions;
-    stats.flops += env.flops;
-    stats.loads += env.loads;
-    stats.stores += env.stores;
-    stats.restore_loads += env.restore_loads;
-    stats.restore_bytes += env.restore_bytes;
-    stats.spill_stores += env.spill_stores;
-    stats.spill_bytes += env.spill_bytes;
-    stats.cycles_body += env.cycles_body;
-    stats.cycles_yield += env.cycles_yield;
+        // Merge the counter deltas on success and error alike — the
+        // interpreter mutates the caller's stats in place as it runs. The
+        // unflushed block remainder `env.cycles` is dropped, matching the
+        // local accumulator the interpreter abandons when a block errors
+        // before retiring.
+        stats.instructions += env.instructions;
+        stats.flops += env.flops;
+        stats.loads += env.loads;
+        stats.stores += env.stores;
+        stats.restore_loads += env.restore_loads;
+        stats.restore_bytes += env.restore_bytes;
+        stats.spill_stores += env.spill_stores;
+        stats.spill_bytes += env.spill_bytes;
+        stats.cycles_body += env.cycles_body;
+        stats.cycles_yield += env.cycles_yield;
 
-    if rc != 0 {
-        return Err(host.err.take().expect("jit helper signalled an error without recording one"));
+        if rc != 0 {
+            return Err(self
+                .host
+                .err
+                .take()
+                .expect("jit helper signalled an error without recording one"));
+        }
+        let status = match env.status {
+            rt::STATUS_BRANCH => ResumeStatus::Branch,
+            rt::STATUS_BARRIER => ResumeStatus::Barrier,
+            _ => ResumeStatus::Exit,
+        };
+        Ok(WarpOutcome { status })
     }
-    let status = match env.status {
-        rt::STATUS_BRANCH => ResumeStatus::Branch,
-        rt::STATUS_BARRIER => ResumeStatus::Barrier,
-        _ => ResumeStatus::Exit,
-    };
-    Ok(WarpOutcome { status })
 }

@@ -8,19 +8,30 @@
 //! register and memory effects — by reusing the same `pub(crate)`
 //! execution helpers (`exec_bin`, `scalar_cvt`, `atom_rmw`, …) the
 //! interpreter itself funnels through.
+//!
+//! Generated code charges per basic block (see `emit.rs`); the helpers
+//! here charge per µop, like the interpreter. The seam between the two
+//! is three rules, all in terms of [`Charge`]: a helper called for a
+//! templated µop first takes back what the block header charged for it
+//! ([`jit_step`], [`jit_run_from`]); a helper that fails takes back the
+//! header's charge for every µop after it ([`settle`]); and a header
+//! that finds the watchdog limit or a poll inside its block asks
+//! [`jit_block_slow`], which either shows that nothing would happen or
+//! steps the block µop by µop to the instruction where something does.
 
 use std::time::Instant;
 
 use dpvk_ir::{CtxField, ResumeStatus, STy};
 
 use crate::bytecode::{
-    exec_bin, exec_fma, exec_un, lane, set_bcast, vec1, vec2, vec3, BytecodeProgram, OpKind,
-    OpMeta, F_LOAD, F_RESTORE, F_SPILL, F_STORE,
+    exec_bin, exec_fma, exec_un, lane, set_bcast, vec1, vec2, vec3, BytecodeProgram, Charge, Op,
+    OpKind, OpMeta, F_LOAD, F_RESTORE, F_SPILL, F_STORE,
 };
 use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
 use crate::interp::{atom_rmw, mask_to, scalar_bin, scalar_cmp, scalar_cvt, sext};
+use crate::jit::emit::has_inline_template;
 use crate::memory::MemAccess;
 
 /// Status codes written to [`JitEnv::status`]; 0 means "no SetStatus
@@ -34,15 +45,16 @@ pub(crate) const STATUS_EXIT: u64 = 3;
 pub(crate) const FAIL_WATCHDOG: u32 = 0;
 pub(crate) const FAIL_FLOAT_SWITCH: u32 = 1;
 
-/// The per-warp-call environment block. Generated code keeps a pointer
+/// The environment block of a warp call. Generated code keeps a pointer
 /// to it in `r15` and reads/writes fields at `offset_of!` displacements;
 /// the layout is `repr(C)` so those offsets are stable within a build.
 ///
-/// Counter fields (`executed` … `spill_bytes`) start at zero and hold
-/// *deltas* for this warp call; the Rust wrapper merges them into the
+/// Counter fields (`executed` … `cycles_yield`) start each warp call at
+/// zero and hold *deltas* for it; the Rust wrapper merges them into the
 /// caller's [`crate::stats::ExecStats`] after the generated code
 /// returns (on success and on error alike, matching the interpreter,
-/// which mutates the caller's stats in place).
+/// which mutates the caller's stats in place). The limits and memory
+/// fields are fixed for a CTA and set once by [`super::JitCta::new`].
 #[repr(C)]
 pub(crate) struct JitEnv {
     /// Base of the register frame (`slots` u64s).
@@ -144,6 +156,51 @@ impl JitEnv {
     unsafe fn ctxs_mut(&mut self) -> &mut [ThreadContext] {
         std::slice::from_raw_parts_mut(self.ctxs, self.nctx as usize)
     }
+
+    /// The µop stream of the running program. The lifetime is the
+    /// caller's to choose: the program outlives the warp call every
+    /// helper runs inside, and nothing here mutates it.
+    #[inline(always)]
+    unsafe fn code<'p>(&mut self) -> &'p [Op] {
+        &(*self.host().program).code
+    }
+
+    /// Undo a block header's charge of `c`, for µops that will charge
+    /// themselves or never run.
+    fn take_back(&mut self, c: &Charge) {
+        self.executed -= c.ticks;
+        self.cycles -= c.cost;
+        self.flops -= c.flops;
+        self.loads -= c.loads;
+        self.stores -= c.stores;
+        self.restore_loads -= c.restore_loads;
+        self.restore_bytes -= c.restore_bytes;
+        self.spill_stores -= c.spill_stores;
+        self.spill_bytes -= c.spill_bytes;
+    }
+}
+
+/// What a block header checks and charges for the µops from `from` to
+/// the end of its basic block: the ticks of all of them (the bound it
+/// holds against the watchdog limit and the next poll) and the summed
+/// charges of those with an inline template (the rest charge themselves
+/// in [`step_op`]). Recomputed from the µops' metas wherever it is
+/// needed — once per block at emission, and on the cold paths below —
+/// rather than stored.
+pub(crate) fn block_charges(code: &[Op], from: usize) -> (u64, Charge) {
+    let mut bound = 0;
+    let mut pre = Charge::default();
+    for op in &code[from..] {
+        let c = op.charge_from(0);
+        bound += c.ticks;
+        if has_inline_template(&op.kind) {
+            pre = pre.plus(c);
+        }
+        if op.is_terminator() {
+            break;
+        }
+    }
+    (bound, pre)
 }
 
 /// The `tick!` macro of the interpreter loop, field-for-field.
@@ -156,14 +213,21 @@ unsafe fn tick(env: &mut JitEnv) -> Result<(), VmError> {
     if env.executed >= env.next_poll {
         let stride = env.host().poll_stride;
         env.next_poll = env.executed + stride;
-        let cancel = env.host().cancel;
-        if !cancel.is_null() && (*cancel).is_cancelled() {
-            return Err(VmError::Cancelled);
-        }
-        if let Some(deadline) = env.host().deadline {
-            if Instant::now() >= deadline {
-                return Err(VmError::Deadline);
-            }
+        poll(env)?;
+    }
+    Ok(())
+}
+
+/// What a due poll looks at: the cancellation token, then the deadline.
+#[inline(always)]
+unsafe fn poll(env: &mut JitEnv) -> Result<(), VmError> {
+    let cancel = env.host().cancel;
+    if !cancel.is_null() && (*cancel).is_cancelled() {
+        return Err(VmError::Cancelled);
+    }
+    if let Some(deadline) = env.host().deadline {
+        if Instant::now() >= deadline {
+            return Err(VmError::Deadline);
         }
     }
     Ok(())
@@ -207,16 +271,10 @@ pub(crate) unsafe extern "C" fn jit_poll(env: *mut JitEnv) -> u32 {
     let env = &mut *env;
     let stride = env.host().poll_stride;
     env.next_poll = env.executed + stride;
-    let cancel = env.host().cancel;
-    if !cancel.is_null() && (*cancel).is_cancelled() {
-        return fail(env, VmError::Cancelled);
+    match poll(env) {
+        Ok(()) => 0,
+        Err(e) => fail(env, e),
     }
-    if let Some(deadline) = env.host().deadline {
-        if Instant::now() >= deadline {
-            return fail(env, VmError::Deadline);
-        }
-    }
-    0
 }
 
 /// Terminal-failure helper for inline templates (watchdog trip, float
@@ -253,7 +311,8 @@ pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) ->
 /// execution helpers. The universal fallback for op shapes without an
 /// inline template; also the whole-op slow path behind inline
 /// fast-path guards (memory bounds), re-running the op from its start
-/// so charges and partial effects land exactly as interpreted.
+/// — the block header's charge for it taken back first — so charges
+/// and partial effects land exactly as interpreted.
 ///
 /// Returns 0 on success, 1 with the error stored in the host.
 ///
@@ -263,24 +322,84 @@ pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) ->
 /// `JitEnv`/`HostCtx` pointers are all live.
 pub(crate) unsafe extern "C" fn jit_step(env: *mut JitEnv, idx: u32) -> u32 {
     let env = &mut *env;
-    match step_op(env, idx) {
-        Ok(()) => 0,
-        Err(e) => fail(env, e),
+    let op = &env.code()[idx as usize];
+    if has_inline_template(&op.kind) {
+        // A template's slow site: the header charged this µop, and
+        // `step_op` is about to charge it again.
+        env.take_back(&op.charge_from(0));
     }
+    let r = step_op(env, idx);
+    settle(env, idx, r)
+}
+
+/// Turn a helper's result into its return code. On failure the block
+/// header's charge for the µops after `idx` comes back off — they never
+/// run — so the stats the wrapper merges are the interpreter's.
+unsafe fn settle(env: &mut JitEnv, idx: u32, r: Result<(), VmError>) -> u32 {
+    match r {
+        Ok(()) => 0,
+        Err(e) => {
+            let (_, rest) = block_charges(env.code(), idx as usize + 1);
+            env.take_back(&rest);
+            fail(env, e)
+        }
+    }
+}
+
+/// The block header's slow path: `executed` plus the tick bound of the
+/// block starting at µop `first` reaches the watchdog limit or the next
+/// poll, so charging the block up front could step over one of them.
+///
+/// When only polls lie inside the block and neither the token nor the
+/// deadline would stop the warp, the polls change nothing but
+/// `next_poll`: advance it exactly as each of them would have and
+/// return 0 — the header then charges the block and native code runs it
+/// as usual. (The token and the clock are read here rather than at the
+/// polls' own ticks, a block's run time earlier; both are asynchronous
+/// to the instruction count, so no caller can tell.) Otherwise the
+/// watchdog trips or a poll fires at some instruction of this block:
+/// step the block through [`step_op`] — per-µop accounting, the
+/// interpreter's — until it does, and return 1 with that error stored
+/// and the stats exactly as the interpreter leaves them.
+pub(crate) unsafe extern "C" fn jit_block_slow(env: *mut JitEnv, first: u32) -> u32 {
+    let env = &mut *env;
+    let code = env.code();
+    let (bound, _) = block_charges(code, first as usize);
+    let end = env.executed + bound;
+    if end <= env.max_instructions && poll(env).is_ok() {
+        let stride = env.host().poll_stride;
+        while env.next_poll <= end {
+            env.next_poll += stride;
+        }
+        return 0;
+    }
+    for (pc, op) in code.iter().enumerate().skip(first as usize) {
+        let stepped = match op.kind {
+            // The compare's charge is the block's last tick: by it the
+            // limit is passed or the poll has come due.
+            OpKind::CmpBr { .. } => charge(env, op.meta),
+            _ => step_op(env, pc as u32),
+        };
+        if let Err(e) = stepped {
+            return fail(env, e);
+        }
+        assert!(!op.is_terminator(), "block {first} ran out before its watchdog or poll");
+    }
+    unreachable!("µop stream ends without a terminator")
 }
 
 /// Resume a `LoadRun`/`StoreRun` at component `comp` and run it to the
 /// end of the µop. The inline template branches here when a
-/// component's bounds check fails — the helper re-runs *that*
-/// component from its first charge (the inline fast path charges only
-/// after the bounds check passes), so a faulting run leaves the same
+/// component's bounds check fails — the helper takes back the block
+/// header's charge for components `comp..` and re-runs them from
+/// *that* component's first charge, so a faulting run leaves the same
 /// stats and register prefix as the interpreter.
 pub(crate) unsafe extern "C" fn jit_run_from(env: *mut JitEnv, idx: u32, comp: u32) -> u32 {
     let env = &mut *env;
-    match run_from(env, idx, comp as usize) {
-        Ok(()) => 0,
-        Err(e) => fail(env, e),
-    }
+    let op = &env.code()[idx as usize];
+    env.take_back(&op.charge_from(comp));
+    let r = run_from(env, idx, comp as usize);
+    settle(env, idx, r)
 }
 
 unsafe fn run_from(env: &mut JitEnv, idx: u32, comp: usize) -> Result<(), VmError> {

@@ -76,8 +76,7 @@ pub use error::VmError;
 pub use frame::{FrameLayout, RegFrame};
 pub use interp::{execute_warp, execute_warp_framed, ExecLimits, WarpOutcome};
 pub use jit::{
-    compile as jit_compile, execute_warp_jit, jit_inline_width_cap, jit_supported, JitEmitStats,
-    JitProgram,
+    compile as jit_compile, jit_inline_width_cap, jit_supported, JitCta, JitEmitStats, JitProgram,
 };
 pub use machine::MachineModel;
 pub use memory::{GlobalMem, MemAccess};

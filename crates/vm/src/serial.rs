@@ -634,8 +634,17 @@ pub fn program_from_bytes(bytes: &[u8]) -> SerialResult<BytecodeProgram> {
     // Derived, not on the wire: recompute so rehydrated programs carry
     // the same tally as a fresh decode.
     stats.vector_ops = crate::bytecode::count_vector_ops(&code);
-    let program =
-        BytecodeProgram { code, cases, slots: slots as usize, warp_size, stats, profile: None };
+    // No source function to run liveness over: every slot counts as
+    // live into the entry, so warp entries clear the whole frame.
+    let program = BytecodeProgram {
+        code,
+        cases,
+        slots: slots as usize,
+        warp_size,
+        entry_live: vec![(0, slots as u32)],
+        stats,
+        profile: None,
+    };
     // The execution loop elides register-file bounds checks because
     // `validate` ran at decode time; re-run it on the decoded program so
     // a corrupted artifact can never reach the unchecked accessors. The

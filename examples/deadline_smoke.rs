@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     dev.register_source(SPIN)?;
 
     let budget = Duration::from_millis(300);
-    for engine in [Engine::Bytecode, Engine::Tree] {
+    for engine in [Engine::Bytecode, Engine::Tree, Engine::Jit] {
         let start = Instant::now();
         let result = dev.launch_with_deadline(
             "spin",
