@@ -161,7 +161,11 @@ pub(crate) fn pool_size(min_workers: usize) -> usize {
     if let Some(n) = crate::error::env_u64("DPVK_POOL_WORKERS", "a worker count (1..=256)") {
         return usize::try_from(n).unwrap_or(usize::MAX).clamp(1, 256);
     }
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // Asked once: the answer re-reads the cgroup files on every call
+    // (tens of microseconds) and every `Device` construction comes here.
+    static HOST: OnceLock<usize> = OnceLock::new();
+    let host =
+        *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     host.max(min_workers).max(1)
 }
 

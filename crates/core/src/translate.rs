@@ -759,32 +759,22 @@ pub fn translate(kernel: &ptx::Kernel) -> Result<TranslatedKernel, CoreError> {
     let entry_id_of: HashMap<BlockId, i64> =
         entry_points.iter().enumerate().map(|(i, &b)| (b, i as i64)).collect();
 
-    // Spill slots for registers live into any entry point.
+    // Spill slots for registers live into any entry point, numbered in
+    // register order.
     let lv = ir::Liveness::compute(&f);
     let user_local_bytes = kernel.local_size();
-    let mut spill_regs: Vec<VReg> = {
-        let mut set: HashSet<VReg> = HashSet::new();
-        for &e in &entry_points {
-            set.extend(lv.live_in[e.index()].iter().copied());
-        }
-        let mut v: Vec<VReg> = set.into_iter().collect();
-        v.sort();
-        v
-    };
-    let spill_slots: HashMap<VReg, u64> = spill_regs
-        .drain(..)
+    let mut spilled = vec![0u64; f.regs.len().div_ceil(64)];
+    for &e in &entry_points {
+        spilled.iter_mut().zip(lv.live_in(e)).for_each(|(acc, row)| *acc |= row);
+    }
+    let spill_slots: HashMap<VReg, u64> = ir::Liveness::regs_of(&spilled)
         .enumerate()
         .map(|(i, r)| (r, (user_local_bytes + i * 8) as u64))
         .collect();
     let local_bytes = user_local_bytes + spill_slots.len() * 8;
 
-    let live_in: Vec<Vec<VReg>> = (0..f.blocks.len())
-        .map(|i| {
-            let mut v: Vec<VReg> = lv.live_in[i].iter().copied().collect();
-            v.sort();
-            v
-        })
-        .collect();
+    let live_in: Vec<Vec<VReg>> =
+        (0..f.blocks.len()).map(|i| lv.live_in_sorted(BlockId(i as u32))).collect();
 
     Ok(TranslatedKernel {
         name: kernel.name.clone(),

@@ -26,8 +26,6 @@
 //! every entry-point edge so threads can re-merge into warps
 //! (`yield_at_branches`, the scalar flow of the paper's Figure 4b).
 
-use std::collections::HashMap;
-
 use dpvk_ir as ir;
 use dpvk_ir::{
     BinOp, Block, BlockId, BlockKind, CtxField, Function, Inst, ReduceOp, ResumeStatus, STy, Term,
@@ -186,11 +184,11 @@ struct Specializer<'a> {
     out: Function,
     home: Vec<Home>,
     /// Scalar reg -> vector home register.
-    vec_reg: HashMap<VReg, VReg>,
-    /// (scalar reg, lane) -> per-lane register.
-    lane_reg: HashMap<(VReg, u32), VReg>,
+    vec_reg: Vec<Option<VReg>>,
+    /// (scalar reg, lane) -> per-lane register, at `reg * w + lane`.
+    lane_reg: Vec<Option<VReg>>,
     /// Scalar reg -> single uniform register.
-    uni_reg: HashMap<VReg, VReg>,
+    uni_reg: Vec<Option<VReg>>,
     /// Scalar block -> specialized body block.
     body_block: Vec<BlockId>,
 }
@@ -201,21 +199,21 @@ impl<'a> Specializer<'a> {
     }
 
     fn vec_home(&mut self, r: VReg) -> VReg {
-        if let Some(&v) = self.vec_reg.get(&r) {
+        if let Some(v) = self.vec_reg[r.index()] {
             return v;
         }
         let ty = Type::vector(self.sty(r), self.w);
         let v = self.out.new_reg(ty);
-        self.vec_reg.insert(r, v);
+        self.vec_reg[r.index()] = Some(v);
         v
     }
 
     fn uni_home(&mut self, r: VReg) -> VReg {
-        if let Some(&v) = self.uni_reg.get(&r) {
+        if let Some(v) = self.uni_reg[r.index()] {
             return v;
         }
         let v = self.out.new_reg(Type::scalar(self.sty(r)));
-        self.uni_reg.insert(r, v);
+        self.uni_reg[r.index()] = Some(v);
         v
     }
 
@@ -232,11 +230,12 @@ impl<'a> Specializer<'a> {
     }
 
     fn lane_home(&mut self, r: VReg, lane: u32) -> VReg {
-        if let Some(&v) = self.lane_reg.get(&(r, lane)) {
+        let slot = r.index() * self.w as usize + lane as usize;
+        if let Some(v) = self.lane_reg[slot] {
             return v;
         }
         let v = self.out.new_reg(Type::scalar(self.sty(r)));
-        self.lane_reg.insert((r, lane), v);
+        self.lane_reg[slot] = Some(v);
         v
     }
 
@@ -381,7 +380,7 @@ impl<'a> Specializer<'a> {
                 let uni = &self.uni_reg;
                 cloned.map_uses(|v| {
                     if let Value::Reg(r) = v {
-                        *v = Value::Reg(uni[r]);
+                        *v = Value::Reg(uni[r.index()].expect("home created above"));
                     }
                 });
                 if let Some(d) = cloned.dst() {
@@ -416,7 +415,7 @@ impl<'a> Specializer<'a> {
                 let uni = &self.uni_reg;
                 cloned.map_uses(|v| {
                     if let Value::Reg(r) = v {
-                        *v = Value::Reg(uni[r]);
+                        *v = Value::Reg(uni[r.index()].expect("home created above"));
                     }
                 });
                 self.out.block_mut(block).insts.push(cloned);
@@ -937,9 +936,9 @@ pub fn specialize(
         w,
         out: Function::new("placeholder", w),
         home,
-        vec_reg: HashMap::new(),
-        lane_reg: HashMap::new(),
-        uni_reg: HashMap::new(),
+        vec_reg: vec![None; scalar.regs.len()],
+        lane_reg: vec![None; scalar.regs.len() * w as usize],
+        uni_reg: vec![None; scalar.regs.len()],
         body_block: Vec::new(),
     };
     std::mem::swap(&mut sp.out, &mut out);

@@ -1,145 +1,104 @@
 //! Data-flow analyses over IR functions: liveness and def-use counts.
 
-use std::collections::HashSet;
-
 use crate::function::Function;
 use crate::inst::BlockId;
-use crate::value::{VReg, Value};
+use crate::value::VReg;
 
-/// Per-block register liveness for an IR function.
+/// Per-block register liveness for an IR function, as dense bit rows:
+/// one row of `ceil(registers / 64)` words per block, bit `r` set when
+/// register `r` is live. The one liveness analysis of the tree — the
+/// translator's spill slots, the cost model's register pressure and the
+/// decoder's entry-live ranges all read it.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    /// Registers live on entry to each block.
-    pub live_in: Vec<HashSet<VReg>>,
-    /// Registers live on exit from each block.
-    pub live_out: Vec<HashSet<VReg>>,
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
     /// Compute liveness with the standard backward iteration.
     pub fn compute(f: &Function) -> Self {
+        let words = f.regs.len().div_ceil(64);
         let n = f.blocks.len();
-        let mut gen_set: Vec<HashSet<VReg>> = Vec::with_capacity(n);
-        let mut kill: Vec<HashSet<VReg>> = Vec::with_capacity(n);
-        for b in &f.blocks {
-            let mut g = HashSet::new();
-            let mut k = HashSet::new();
+        let bit = |r: VReg| (r.index() / 64, 1u64 << (r.index() % 64));
+        // Per block: `killed` = written in the block; `live_in` is seeded
+        // with what the block reads before writing it.
+        let mut killed = vec![0u64; n * words];
+        let mut live_in = vec![0u64; n * words];
+        for (i, b) in f.blocks.iter().enumerate() {
+            let (kill, exposed) =
+                (&mut killed[i * words..][..words], &mut live_in[i * words..][..words]);
             for inst in &b.insts {
-                for v in inst.uses() {
-                    if let Some(r) = v.as_reg() {
-                        if !k.contains(&r) {
-                            g.insert(r);
-                        }
-                    }
+                for r in inst.uses().iter().filter_map(|v| v.as_reg()) {
+                    let (w, m) = bit(r);
+                    exposed[w] |= m & !kill[w];
                 }
                 if let Some(d) = inst.dst() {
-                    k.insert(d);
+                    let (w, m) = bit(d);
+                    kill[w] |= m;
                 }
             }
-            for v in b.term.uses() {
-                if let Some(r) = v.as_reg() {
-                    if !k.contains(&r) {
-                        g.insert(r);
-                    }
-                }
+            for r in b.term.uses().iter().filter_map(|v| v.as_reg()) {
+                let (w, m) = bit(r);
+                exposed[w] |= m & !kill[w];
             }
-            gen_set.push(g);
-            kill.push(k);
         }
-        let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
         let mut changed = true;
         while changed {
             changed = false;
-            for i in (0..n).rev() {
-                let mut out = HashSet::new();
-                for s in f.blocks[i].term.successors() {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn: HashSet<VReg> = gen_set[i].clone();
-                for &r in &out {
-                    if !kill[i].contains(&r) {
-                        inn.insert(r);
+            for (i, b) in f.blocks.iter().enumerate().rev() {
+                b.term.for_each_successor(|s| {
+                    for w in 0..words {
+                        let add = live_in[s.index() * words + w] & !killed[i * words + w];
+                        let slot = &mut live_in[i * words + w];
+                        changed |= add & !*slot != 0;
+                        *slot |= add;
                     }
-                }
-                if out != live_out[i] || inn != live_in[i] {
-                    live_out[i] = out;
-                    live_in[i] = inn;
-                    changed = true;
-                }
+                });
             }
         }
-        Liveness { live_in, live_out }
-    }
-
-    /// Registers live on entry to `b`, sorted for deterministic iteration.
-    pub fn live_in_sorted(&self, b: BlockId) -> Vec<VReg> {
-        let mut v: Vec<VReg> = self.live_in[b.index()].iter().copied().collect();
-        v.sort();
-        v
-    }
-}
-
-/// Registers live on entry to block 0, in index order: those some path
-/// reads before any write. The same answer as
-/// `Liveness::compute(f).live_in_sorted(BlockId(0))`, computed over
-/// dense bit sets and for that one block only — cheap enough to run on
-/// every specialization at decode time, where the full per-block hash
-/// sets are not.
-pub fn live_into_entry(f: &Function) -> Vec<VReg> {
-    let words = f.regs.len().div_ceil(64);
-    let n = f.blocks.len();
-    if n == 0 || words == 0 {
-        return Vec::new();
-    }
-    let bit = |r: VReg| (r.index() / 64, 1u64 << (r.index() % 64));
-    // Per block, `words` words each: `killed` = written in the block;
-    // `live` = live on entry, seeded with what the block reads before
-    // writing it.
-    let mut killed = vec![0u64; n * words];
-    let mut live = vec![0u64; n * words];
-    for (i, b) in f.blocks.iter().enumerate() {
-        let (kill, exposed) = (&mut killed[i * words..][..words], &mut live[i * words..][..words]);
-        let mut read = |v: &Value, kill: &[u64]| {
-            if let Some(r) = v.as_reg() {
-                let (w, m) = bit(r);
-                if kill[w] & m == 0 {
-                    exposed[w] |= m;
-                }
-            }
-        };
-        for inst in &b.insts {
-            for v in inst.uses() {
-                read(&v, kill);
-            }
-            if let Some(d) = inst.dst() {
-                let (w, m) = bit(d);
-                kill[w] |= m;
-            }
-        }
-        for v in b.term.uses() {
-            read(&v, kill);
-        }
-    }
-    let succs: Vec<Vec<BlockId>> = f.blocks.iter().map(|b| b.term.successors()).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            for s in &succs[i] {
+        // Live out of a block is what its successors need on entry.
+        let mut live_out = killed;
+        live_out.fill(0);
+        for (i, b) in f.blocks.iter().enumerate() {
+            b.term.for_each_successor(|s| {
                 for w in 0..words {
-                    let add = live[s.index() * words + w] & !killed[i * words + w];
-                    let slot = &mut live[i * words + w];
-                    changed |= add & !*slot != 0;
-                    *slot |= add;
+                    live_out[i * words + w] |= live_in[s.index() * words + w];
                 }
-            }
+            });
         }
+        Liveness { words, live_in, live_out }
     }
-    (0..f.regs.len())
-        .filter(|r| live[r / 64] & (1 << (r % 64)) != 0)
-        .map(|r| VReg(r as u32))
-        .collect()
+
+    /// Bit row of the registers live on entry to `b`.
+    pub fn live_in(&self, b: BlockId) -> &[u64] {
+        &self.live_in[b.index() * self.words..][..self.words]
+    }
+
+    /// Bit row of the registers live on exit from `b`.
+    pub fn live_out(&self, b: BlockId) -> &[u64] {
+        &self.live_out[b.index() * self.words..][..self.words]
+    }
+
+    /// Registers live on entry to `b`, in index order.
+    pub fn live_in_sorted(&self, b: BlockId) -> Vec<VReg> {
+        Self::regs_of(self.live_in(b)).collect()
+    }
+
+    /// The registers whose bits are set in `row`, in index order.
+    pub fn regs_of(row: &[u64]) -> impl Iterator<Item = VReg> + '_ {
+        row.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let r = VReg((w * 64) as u32 + rest.trailing_zeros());
+                    rest &= rest - 1;
+                    r
+                })
+            })
+        })
+    }
 }
 
 /// Number of uses of each register across the whole function (including
@@ -163,38 +122,10 @@ pub fn use_counts(f: &Function) -> Vec<u32> {
     counts
 }
 
-/// Maximum number of simultaneously live *vector* registers anywhere in
-/// the function, computed per instruction point. The machine model uses
-/// this to estimate register pressure (the paper's Table 1 shows the
-/// width-8 collapse caused by exceeding the architectural register file).
-pub fn max_live_vector_regs(f: &Function) -> usize {
-    let lv = Liveness::compute(f);
-    let is_vec = |r: VReg| f.reg_type(r).is_vector();
-    let mut max = 0usize;
-    for (i, b) in f.blocks.iter().enumerate() {
-        // Walk backwards from live-out.
-        let mut live: HashSet<VReg> =
-            lv.live_out[i].iter().copied().filter(|&r| is_vec(r)).collect();
-        max = max.max(live.len());
-        for inst in b.insts.iter().rev() {
-            if let Some(d) = inst.dst() {
-                live.remove(&d);
-            }
-            for v in inst.uses() {
-                if let Some(r) = v.as_reg() {
-                    if is_vec(r) {
-                        live.insert(r);
-                    }
-                }
-            }
-            max = max.max(live.len());
-        }
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::function::Block;
     use crate::inst::{BinOp, Inst, Term};
@@ -233,8 +164,8 @@ mod tests {
     fn straightline_has_empty_boundary_liveness() {
         let f = straightline();
         let lv = Liveness::compute(&f);
-        assert!(lv.live_in[0].is_empty());
-        assert!(lv.live_out[0].is_empty());
+        assert!(lv.live_in_sorted(BlockId(0)).is_empty());
+        assert!(lv.live_out(BlockId(0)).iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -281,12 +212,13 @@ mod tests {
         f.block_mut(e).term = Term::Br(h);
 
         let lv = Liveness::compute(&f);
-        assert!(lv.live_in[h.index()].contains(&i));
-        assert!(!lv.live_in[e.index()].contains(&i));
+        assert!(lv.live_in_sorted(h).contains(&i));
+        assert!(!lv.live_in_sorted(e).contains(&i));
+        assert_eq!(Liveness::regs_of(lv.live_out(h)).collect::<Vec<_>>(), vec![i]);
     }
 
     #[test]
-    fn live_into_entry_matches_the_full_analysis() {
+    fn entry_liveness_is_what_some_path_reads_before_writing() {
         // `x` is written on one arm only and read at the join, `never`
         // is read and written nowhere else, `i` is loop-carried but
         // initialised: only the first two are live into the entry.
@@ -317,43 +249,82 @@ mod tests {
         f.block_mut(a).term = Term::Br(j);
         f.block_mut(j).term = Term::CondBr { cond: Value::Reg(p), taken: j, fall: a };
 
-        assert_eq!(live_into_entry(&f), vec![x, never]);
-        assert_eq!(live_into_entry(&f), Liveness::compute(&f).live_in_sorted(e));
-        assert!(live_into_entry(&straightline()).is_empty());
-        assert!(live_into_entry(&Function::new("empty", 1)).is_empty());
+        assert_eq!(Liveness::compute(&f).live_in_sorted(e), vec![x, never]);
+    }
+
+    /// The textbook formulation over hash sets, kept here as the oracle
+    /// for the dense rows.
+    fn reference(f: &Function) -> (Vec<HashSet<VReg>>, Vec<HashSet<VReg>>) {
+        let n = f.blocks.len();
+        let (mut live_in, mut live_out) = (vec![HashSet::new(); n], vec![HashSet::new(); n]);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, b) in f.blocks.iter().enumerate().rev() {
+                let out: HashSet<VReg> =
+                    b.term.successors().iter().flat_map(|s| live_in[s.index()].clone()).collect();
+                let mut live = out.clone();
+                live.extend(b.term.uses().iter().filter_map(|v| v.as_reg()));
+                for inst in b.insts.iter().rev() {
+                    if let Some(d) = inst.dst() {
+                        live.remove(&d);
+                    }
+                    live.extend(inst.uses().iter().filter_map(|v| v.as_reg()));
+                }
+                changed |= live != live_in[i] || out != live_out[i];
+                (live_in[i], live_out[i]) = (live, out);
+            }
+        }
+        (live_in, live_out)
     }
 
     #[test]
-    fn max_live_vectors_counts_only_vectors() {
-        let mut f = Function::new("t", 4);
-        let v1 = f.new_reg(Type::vector(STy::F32, 4));
-        let v2 = f.new_reg(Type::vector(STy::F32, 4));
-        let s = f.new_reg(Type::scalar(STy::F32));
-        let mut blk = Block::new("entry");
-        blk.insts.push(Inst::Splat { ty: Type::vector(STy::F32, 4), dst: v1, a: Value::ImmF(1.0) });
-        blk.insts.push(Inst::Splat { ty: Type::vector(STy::F32, 4), dst: v2, a: Value::ImmF(2.0) });
-        blk.insts.push(Inst::Bin {
-            op: BinOp::Add,
-            ty: Type::vector(STy::F32, 4),
-            signed: false,
-            dst: v1,
-            a: Value::Reg(v1),
-            b: Value::Reg(v2),
-        });
-        blk.insts.push(Inst::Extract {
-            ty: Type::vector(STy::F32, 4),
-            dst: s,
-            vec: Value::Reg(v1),
-            lane: 0,
-        });
-        blk.insts.push(Inst::Store {
-            ty: STy::F32,
-            space: crate::Space::Global,
-            addr: Value::ImmI(0),
-            value: Value::Reg(s),
-        });
-        blk.term = Term::Ret;
-        f.add_block(blk);
-        assert_eq!(max_live_vector_regs(&f), 2);
+    fn dense_rows_equal_the_hash_set_reference_on_random_cfgs() {
+        // Seeded: loops, switches, redefinitions, and more registers than
+        // one word holds.
+        let mut state = 0x11fe_5eed_u64;
+        let mut next = move |bound: u64| crate::testing::draw(&mut state, bound);
+        let t = Type::scalar(STy::I32);
+        for case in 0..200 {
+            let mut f = Function::new("random", 1);
+            let nregs = 1 + next(150);
+            let regs: Vec<VReg> = (0..nregs).map(|_| f.new_reg(t)).collect();
+            let nblocks = 1 + next(9);
+            for b in 0..nblocks {
+                let mut blk = Block::new(format!("b{b}"));
+                for _ in 0..next(8) {
+                    let mut pick = || Value::Reg(regs[next(nregs) as usize]);
+                    let (a, b) = (pick(), pick());
+                    let dst = pick().as_reg().unwrap();
+                    blk.insts.push(Inst::Bin { op: BinOp::Add, ty: t, signed: false, dst, a, b });
+                }
+                let mut target = || BlockId(next(nblocks) as u32);
+                let (x, y, z) = (target(), target(), target());
+                let value = Value::Reg(regs[next(nregs) as usize]);
+                blk.term = match next(4) {
+                    0 => Term::Ret,
+                    1 => Term::Br(x),
+                    2 => Term::CondBr { cond: value, taken: x, fall: y },
+                    _ => Term::Switch { value, cases: vec![(0, x), (1, y)], default: z },
+                };
+                f.add_block(blk);
+            }
+            let lv = Liveness::compute(&f);
+            let (live_in, live_out) = reference(&f);
+            for b in 0..nblocks as usize {
+                let id = BlockId(b as u32);
+                let sorted = |set: &HashSet<VReg>| {
+                    let mut v: Vec<VReg> = set.iter().copied().collect();
+                    v.sort();
+                    v
+                };
+                assert_eq!(lv.live_in_sorted(id), sorted(&live_in[b]), "case {case} block {b}");
+                assert_eq!(
+                    Liveness::regs_of(lv.live_out(id)).collect::<Vec<_>>(),
+                    sorted(&live_out[b]),
+                    "case {case} block {b}"
+                );
+            }
+        }
     }
 }

@@ -175,6 +175,50 @@ pub enum ResumeStatus {
 /// exit handlers.
 pub const EXIT_ENTRY_ID: i64 = i32::MAX as i64;
 
+/// The operands of one instruction or terminator, held inline: no
+/// instruction has more than three, and every pass asks every
+/// instruction for them, so they must not cost a heap allocation. Reads
+/// as a `[Value]` slice and iterates by value.
+#[derive(Clone, Copy)]
+pub struct Uses {
+    vals: [Value; 3],
+    len: u8,
+}
+
+impl Uses {
+    #[inline]
+    fn of<const N: usize>(operands: [Value; N]) -> Self {
+        let mut vals = [Value::ImmI(0); 3];
+        vals[..N].copy_from_slice(&operands);
+        Uses { vals, len: N as u8 }
+    }
+}
+
+impl std::ops::Deref for Uses {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        &self.vals[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Uses {
+    type Item = Value;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Value, 3>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.vals.into_iter().take(self.len as usize)
+    }
+}
+
+impl fmt::Debug for Uses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
 /// One (non-terminator) IR instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Inst {
@@ -394,6 +438,7 @@ pub enum Inst {
 
 impl Inst {
     /// The register this instruction defines, if any.
+    #[inline]
     pub fn dst(&self) -> Option<VReg> {
         use Inst::*;
         match self {
@@ -440,28 +485,24 @@ impl Inst {
     }
 
     /// The values this instruction uses, in operand order.
-    pub fn uses(&self) -> Vec<Value> {
+    #[inline]
+    pub fn uses(&self) -> Uses {
         use Inst::*;
         match self {
-            Bin { a, b, .. } | Cmp { a, b, .. } => vec![*a, *b],
+            Bin { a, b, .. } | Cmp { a, b, .. } => Uses::of([*a, *b]),
             Un { a, .. } | Cvt { a, .. } | Splat { a, .. } | Vote { a, .. } | Mov { a, .. } => {
-                vec![*a]
+                Uses::of([*a])
             }
-            Fma { a, b, c, .. } => vec![*a, *b, *c],
-            Select { cond, a, b, .. } => vec![*cond, *a, *b],
-            Load { addr, .. } => vec![*addr],
-            Store { addr, value, .. } => vec![*addr, *value],
-            Atom { addr, a, b, .. } => {
-                let mut v = vec![*addr, *a];
-                if let Some(b) = b {
-                    v.push(*b);
-                }
-                v
-            }
-            Insert { vec, elem, .. } => vec![*vec, *elem],
-            Extract { vec, .. } | Reduce { vec, .. } => vec![*vec],
-            CtxRead { .. } | SetResumeStatus { .. } => vec![],
-            SetResumePoint { value, .. } => vec![*value],
+            Fma { a, b, c, .. } => Uses::of([*a, *b, *c]),
+            Select { cond, a, b, .. } => Uses::of([*cond, *a, *b]),
+            Load { addr, .. } => Uses::of([*addr]),
+            Store { addr, value, .. } => Uses::of([*addr, *value]),
+            Atom { addr, a, b: Some(b), .. } => Uses::of([*addr, *a, *b]),
+            Atom { addr, a, b: None, .. } => Uses::of([*addr, *a]),
+            Insert { vec, elem, .. } => Uses::of([*vec, *elem]),
+            Extract { vec, .. } | Reduce { vec, .. } => Uses::of([*vec]),
+            CtxRead { .. } | SetResumeStatus { .. } => Uses::of([]),
+            SetResumePoint { value, .. } => Uses::of([*value]),
         }
     }
 
@@ -571,24 +612,35 @@ pub enum Term {
 impl Term {
     /// Successor blocks in order.
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut v = Vec::new();
+        self.for_each_successor(|b| v.push(b));
+        v
+    }
+
+    /// Call `f` on every successor block in order, without collecting
+    /// them.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Term::Br(b) => vec![*b],
-            Term::CondBr { taken, fall, .. } => vec![*taken, *fall],
-            Term::Switch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
+            Term::Br(b) => f(*b),
+            Term::CondBr { taken, fall, .. } => {
+                f(*taken);
+                f(*fall);
             }
-            Term::Ret => vec![],
+            Term::Switch { cases, default, .. } => {
+                cases.iter().for_each(|(_, b)| f(*b));
+                f(*default);
+            }
+            Term::Ret => {}
         }
     }
 
     /// The values this terminator uses.
-    pub fn uses(&self) -> Vec<Value> {
+    #[inline]
+    pub fn uses(&self) -> Uses {
         match self {
-            Term::CondBr { cond, .. } => vec![*cond],
-            Term::Switch { value, .. } => vec![*value],
-            Term::Br(_) | Term::Ret => vec![],
+            Term::CondBr { cond, .. } => Uses::of([*cond]),
+            Term::Switch { value, .. } => Uses::of([*value]),
+            Term::Br(_) | Term::Ret => Uses::of([]),
         }
     }
 
@@ -626,7 +678,7 @@ mod tests {
             b: Value::ImmI(4),
         };
         assert_eq!(i.dst(), Some(VReg(2)));
-        assert_eq!(i.uses(), vec![Value::Reg(VReg(0)), Value::ImmI(4)]);
+        assert_eq!(*i.uses(), [Value::Reg(VReg(0)), Value::ImmI(4)]);
         assert!(!i.has_side_effects());
     }
 
@@ -657,10 +709,8 @@ mod tests {
                 *v = Value::Reg(VReg(r.0 + 10));
             }
         });
-        assert_eq!(
-            i.uses(),
-            vec![Value::Reg(VReg(11)), Value::Reg(VReg(12)), Value::Reg(VReg(13))]
-        );
+        assert_eq!(*i.uses(), [Value::Reg(VReg(11)), Value::Reg(VReg(12)), Value::Reg(VReg(13))]);
+        assert_eq!(i.uses().into_iter().count(), 3);
     }
 
     #[test]

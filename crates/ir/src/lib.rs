@@ -51,6 +51,8 @@ mod analysis;
 mod function;
 mod inst;
 mod printer;
+#[cfg(test)]
+mod testing;
 mod types;
 mod value;
 mod verify;
@@ -58,11 +60,11 @@ mod verify;
 pub mod opt;
 pub mod serial;
 
-pub use analysis::{live_into_entry, max_live_vector_regs, use_counts, Liveness};
+pub use analysis::{use_counts, Liveness};
 pub use function::{Block, BlockKind, Function};
 pub use inst::{
     AtomKind, BinOp, BlockId, CmpPred, CtxField, Inst, ReduceOp, ResumeStatus, Space, Term, UnOp,
-    EXIT_ENTRY_ID,
+    Uses, EXIT_ENTRY_ID,
 };
 pub use printer::print_function;
 pub use types::{STy, Type};

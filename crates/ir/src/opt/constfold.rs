@@ -1,7 +1,5 @@
 //! Block-local constant propagation and folding.
 
-use std::collections::HashMap;
-
 use crate::function::Function;
 use crate::inst::{BinOp, CmpPred, Inst, UnOp};
 use crate::types::{STy, Type};
@@ -15,18 +13,13 @@ use crate::value::{VReg, Value};
 /// register's constant binding is invalidated by any redefinition.
 pub fn const_fold(f: &mut Function) -> usize {
     let mut changed = 0;
+    // Known-constant registers of the block being walked; reset at the
+    // end of each block from the list of registers it bound.
+    let mut env: Vec<Option<Value>> = vec![None; f.regs.len()];
+    let mut bound: Vec<VReg> = Vec::new();
     for b in &mut f.blocks {
-        let mut env: HashMap<VReg, Value> = HashMap::new();
         for inst in &mut b.insts {
-            // Substitute known-constant registers into operands.
-            inst.map_uses(|v| {
-                if let Value::Reg(r) = v {
-                    if let Some(c) = env.get(r) {
-                        *v = *c;
-                        changed += 1;
-                    }
-                }
-            });
+            inst.map_uses(|v| changed += substitute(v, &env));
             // Try to fold.
             if let Some((dst, folded)) = fold(inst) {
                 let ty = match inst {
@@ -45,39 +38,37 @@ pub fn const_fold(f: &mut Function) -> usize {
             }
             // Update the environment.
             if let Some(d) = inst.dst() {
-                match inst {
+                env[d.index()] = match inst {
                     Inst::Mov { a, .. } if a.is_const() => {
-                        env.insert(d, *a);
+                        bound.push(d);
+                        Some(*a)
                     }
-                    _ => {
-                        env.remove(&d);
-                    }
-                }
+                    _ => None,
+                };
             }
         }
-        // Terminator operands.
-        let term = &mut b.term;
-        match term {
-            crate::Term::CondBr { cond, .. } => {
-                if let Value::Reg(r) = cond {
-                    if let Some(c) = env.get(r) {
-                        *cond = *c;
-                        changed += 1;
-                    }
-                }
-            }
-            crate::Term::Switch { value, .. } => {
-                if let Value::Reg(r) = value {
-                    if let Some(c) = env.get(r) {
-                        *value = *c;
-                        changed += 1;
-                    }
-                }
-            }
-            _ => {}
+        if let crate::Term::CondBr { cond: v, .. } | crate::Term::Switch { value: v, .. } =
+            &mut b.term
+        {
+            changed += substitute(v, &env);
+        }
+        for r in bound.drain(..) {
+            env[r.index()] = None;
         }
     }
     changed
+}
+
+/// Replace a register operand bound to a constant; returns how many
+/// substitutions that made (0 or 1).
+fn substitute(v: &mut Value, env: &[Option<Value>]) -> usize {
+    if let Value::Reg(r) = v {
+        if let Some(c) = env[r.index()] {
+            *v = c;
+            return 1;
+        }
+    }
+    0
 }
 
 fn as_i64(v: Value) -> Option<i64> {
@@ -94,7 +85,30 @@ fn as_f64(v: Value) -> Option<f64> {
     }
 }
 
+/// The low `sty` bits of `x`, zero-extended: the VM's encoding of an
+/// integer immediate (`vm::interp::mask_to`).
+fn zext(x: i64, sty: STy) -> u64 {
+    let bits = sty.bits();
+    if bits >= 64 {
+        x as u64
+    } else {
+        x as u64 & ((1u64 << bits) - 1)
+    }
+}
+
+/// The low `sty` bits of `x`, sign-extended (`vm::interp::sext`).
+fn sext(x: i64, sty: STy) -> i64 {
+    let unused = 64 - sty.bits();
+    (x << unused) >> unused
+}
+
 /// Fold a single instruction with constant operands into `(dst, value)`.
+///
+/// Integer immediates are raw `i64`s that mean their low `ty` bits, so
+/// both operands are brought to the operation's width first (sign- or
+/// zero-extended, as the operation reads them) and the result is
+/// truncated to it: exactly what the VM computes for the unfolded
+/// instruction, shift-amount masking included.
 fn fold(inst: &Inst) -> Option<(VReg, Value)> {
     match inst {
         Inst::Bin { op, ty, signed, dst, a, b } if ty.width == 1 => {
@@ -112,61 +126,33 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
                 let r = if ty.scalar == STy::F32 { (r as f32) as f64 } else { r };
                 Some((*dst, Value::ImmF(r)))
             } else {
+                let sty = ty.scalar;
                 let (x, y) = (as_i64(*a)?, as_i64(*b)?);
-                let bits = ty.scalar.bits();
-                let mask = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
-                let r: i64 = match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Shl => x.wrapping_shl(y as u32),
-                    BinOp::Shr => {
-                        if *signed {
-                            x.wrapping_shr(y as u32)
-                        } else {
-                            ((x as u64 & mask).wrapping_shr(y as u32)) as i64
-                        }
-                    }
-                    BinOp::Div => {
-                        if y == 0 {
-                            return None;
-                        }
-                        if *signed {
-                            x.wrapping_div(y)
-                        } else {
-                            ((x as u64) / (y as u64)) as i64
-                        }
-                    }
-                    BinOp::Rem => {
-                        if y == 0 {
-                            return None;
-                        }
-                        if *signed {
-                            x.wrapping_rem(y)
-                        } else {
-                            ((x as u64) % (y as u64)) as i64
-                        }
-                    }
-                    BinOp::Min => {
-                        if *signed {
-                            x.min(y)
-                        } else {
-                            ((x as u64).min(y as u64)) as i64
-                        }
-                    }
-                    BinOp::Max => {
-                        if *signed {
-                            x.max(y)
-                        } else {
-                            ((x as u64).max(y as u64)) as i64
-                        }
-                    }
-                    BinOp::MulHi => return None,
+                let (ux, uy) = (zext(x, sty), zext(y, sty));
+                let (sx, sy) = (sext(x, sty), sext(y, sty));
+                let shift = uy & (sty.bits() - 1).max(1) as u64;
+                let r: u64 = match (op, *signed) {
+                    (BinOp::Add, _) => sx.wrapping_add(sy) as u64,
+                    (BinOp::Sub, _) => sx.wrapping_sub(sy) as u64,
+                    (BinOp::Mul, _) => sx.wrapping_mul(sy) as u64,
+                    (BinOp::And, _) => ux & uy,
+                    (BinOp::Or, _) => ux | uy,
+                    (BinOp::Xor, _) => ux ^ uy,
+                    (BinOp::Shl, _) => ux << shift,
+                    (BinOp::Shr, true) => (sx >> shift) as u64,
+                    (BinOp::Shr, false) => ux >> shift,
+                    (BinOp::Div | BinOp::Rem, _) if uy == 0 => return None,
+                    (BinOp::Div, true) => sx.wrapping_div(sy) as u64,
+                    (BinOp::Div, false) => ux / uy,
+                    (BinOp::Rem, true) => sx.wrapping_rem(sy) as u64,
+                    (BinOp::Rem, false) => ux % uy,
+                    (BinOp::Min, true) => sx.min(sy) as u64,
+                    (BinOp::Min, false) => ux.min(uy),
+                    (BinOp::Max, true) => sx.max(sy) as u64,
+                    (BinOp::Max, false) => ux.max(uy),
+                    (BinOp::MulHi, _) => return None,
                 };
-                Some((*dst, Value::ImmI(r)))
+                Some((*dst, Value::ImmI(zext(r as i64, sty) as i64)))
             }
         }
         Inst::Un { op, ty, dst, a } if ty.width == 1 => {
@@ -180,32 +166,26 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
                 };
                 Some((*dst, Value::ImmF(r)))
             } else {
+                let sty = ty.scalar;
                 let x = as_i64(*a)?;
                 let r = match op {
-                    UnOp::Neg => x.wrapping_neg(),
-                    UnOp::Not => {
-                        if ty.scalar == STy::I1 {
-                            (x == 0) as i64
-                        } else {
-                            !x
-                        }
-                    }
-                    UnOp::Abs => x.wrapping_abs(),
+                    UnOp::Neg => sext(x, sty).wrapping_neg(),
+                    UnOp::Not if sty == STy::I1 => (x & 1) ^ 1,
+                    UnOp::Not => !x,
+                    UnOp::Abs => sext(x, sty).wrapping_abs(),
                     _ => return None,
                 };
-                Some((*dst, Value::ImmI(r)))
+                Some((*dst, Value::ImmI(zext(r, sty) as i64)))
             }
         }
         Inst::Cmp { pred, ty, signed, dst, a, b } if ty.width == 1 => {
-            let r = if ty.scalar.is_float() {
-                let (x, y) = (as_f64(*a)?, as_f64(*b)?);
-                eval_cmp_f(*pred, x, y)
+            let sty = ty.scalar;
+            let r = if sty.is_float() {
+                eval_cmp(*pred, as_f64(*a)?, as_f64(*b)?)
             } else if *signed {
-                let (x, y) = (as_i64(*a)?, as_i64(*b)?);
-                eval_cmp_i(*pred, x, y)
+                eval_cmp(*pred, sext(as_i64(*a)?, sty), sext(as_i64(*b)?, sty))
             } else {
-                let (x, y) = (as_i64(*a)? as u64, as_i64(*b)? as u64);
-                eval_cmp_u(*pred, x, y)
+                eval_cmp(*pred, zext(as_i64(*a)?, sty), zext(as_i64(*b)?, sty))
             };
             Some((*dst, Value::ImmI(r as i64)))
         }
@@ -214,35 +194,13 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
             if !a.is_const() || !b.is_const() {
                 return None;
             }
-            Some((*dst, if c != 0 { *a } else { *b }))
+            Some((*dst, if c & 1 != 0 { *a } else { *b }))
         }
         _ => None,
     }
 }
 
-fn eval_cmp_i(p: CmpPred, a: i64, b: i64) -> bool {
-    match p {
-        CmpPred::Eq => a == b,
-        CmpPred::Ne => a != b,
-        CmpPred::Lt => a < b,
-        CmpPred::Le => a <= b,
-        CmpPred::Gt => a > b,
-        CmpPred::Ge => a >= b,
-    }
-}
-
-fn eval_cmp_u(p: CmpPred, a: u64, b: u64) -> bool {
-    match p {
-        CmpPred::Eq => a == b,
-        CmpPred::Ne => a != b,
-        CmpPred::Lt => a < b,
-        CmpPred::Le => a <= b,
-        CmpPred::Gt => a > b,
-        CmpPred::Ge => a >= b,
-    }
-}
-
-fn eval_cmp_f(p: CmpPred, a: f64, b: f64) -> bool {
+fn eval_cmp<T: PartialOrd>(p: CmpPred, a: T, b: T) -> bool {
     match p {
         CmpPred::Eq => a == b,
         CmpPred::Ne => a != b,
@@ -375,5 +333,43 @@ mod tests {
             }
             other => panic!("expected folded mov, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn integers_fold_at_the_operation_width() {
+        let i32s = Type::scalar(STy::I32);
+        let d = VReg(0);
+        let bin = |op, signed, a, b| Inst::Bin {
+            op,
+            ty: i32s,
+            signed,
+            dst: d,
+            a: Value::ImmI(a),
+            b: Value::ImmI(b),
+        };
+        let cmp = |pred, signed, a, b| Inst::Cmp {
+            pred,
+            ty: i32s,
+            signed,
+            dst: d,
+            a: Value::ImmI(a),
+            b: Value::ImmI(b),
+        };
+        let folded = |inst: Inst| fold(&inst).map(|(_, v)| v);
+        // 0xFFFFFFFF + 1 wraps to 0 and 0 - 1 to 0xFFFFFFFF: results are
+        // truncated, never left as 33-bit or negative raw values.
+        assert_eq!(folded(bin(BinOp::Add, false, 0xFFFF_FFFF, 1)), Some(Value::ImmI(0)));
+        assert_eq!(folded(bin(BinOp::Sub, false, 0, 1)), Some(Value::ImmI(0xFFFF_FFFF)));
+        // Operands are read at 32 bits: -1 is 0xFFFFFFFF unsigned, and
+        // 0xFFFFFFFF is -1 signed.
+        assert_eq!(folded(bin(BinOp::Div, false, -1, 2)), Some(Value::ImmI(0x7FFF_FFFF)));
+        assert_eq!(folded(cmp(CmpPred::Lt, true, 0xFFFF_FFFF, 0)), Some(Value::ImmI(1)));
+        assert_eq!(folded(cmp(CmpPred::Eq, false, 1 << 32, 0)), Some(Value::ImmI(1)));
+        assert_eq!(folded(bin(BinOp::Max, true, 0xFFFF_FFFF, 5)), Some(Value::ImmI(5)));
+        // Shift amounts wrap at the width, as the machine's do.
+        assert_eq!(folded(bin(BinOp::Shl, false, 1, 33)), Some(Value::ImmI(2)));
+        assert_eq!(folded(bin(BinOp::Shr, true, -8, 1)), Some(Value::ImmI(0xFFFF_FFFC)));
+        // Zero at the width is zero, whatever the upper bits say.
+        assert_eq!(folded(bin(BinOp::Rem, false, 7, 1 << 32)), None);
     }
 }

@@ -7,24 +7,94 @@
 //! and are removed here.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::function::Function;
-use crate::inst::{Inst, Space};
+use crate::inst::{BinOp, CmpPred, CtxField, Inst, ReduceOp, Space, UnOp};
+use crate::types::{STy, Type};
 use crate::value::{VReg, Value};
 
-/// Key identifying a pure expression, with operands resolved to
+/// One operand of a keyed expression: registers resolve to
 /// `(register, version)` pairs so redefinitions invalidate entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum OperandKey {
+    None,
     Reg(VReg, u32),
     ImmI(i64),
     ImmF(u64),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Everything about a pure instruction except its operands and its
+/// destination: two instructions compute the same value exactly when
+/// their shapes and their operand keys are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    Bin(BinOp, Type, bool),
+    Un(UnOp, Type),
+    Fma(Type),
+    Cmp(CmpPred, Type, bool),
+    Select(Type),
+    Cvt {
+        to: STy,
+        from: STy,
+        signed: bool,
+        width: u32,
+    },
+    Insert(Type, u32),
+    Extract(Type, u32),
+    Splat(Type),
+    Reduce(ReduceOp, Type),
+    CtxRead(CtxField, u32),
+    /// Loads from the read-only spaces only (`Param`, `Const`): those are
+    /// pure and safe to CSE.
+    Load(STy, Space),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ExprKey {
-    shape: String,
-    operands: Vec<OperandKey>,
+    shape: Shape,
+    operands: [OperandKey; 3],
+}
+
+/// Folded-multiply hasher for [`ExprKey`]: a handful of small integers
+/// per key, hashed once per pure instruction per pipeline round, where
+/// the default SipHash costs more than the rest of the pass. Each word
+/// is multiplied into a 128-bit product whose halves are xored together:
+/// the table indexes with the low bits of the hash, and the low bits of
+/// a plain 64-bit product would not see the high bits of the word —
+/// which is where two float immediates differ.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let product = (self.0.rotate_left(5) ^ x) as u128 * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
 }
 
 /// Run local CSE and copy propagation on every block. Returns the number
@@ -32,23 +102,26 @@ struct ExprKey {
 pub fn local_cse(f: &mut Function) -> usize {
     let nregs = f.regs.len();
     let mut replaced = 0;
-    for bi in 0..f.blocks.len() {
-        let mut version = vec![0u32; nregs];
-        let mut avail: HashMap<ExprKey, (VReg, u32)> = HashMap::new();
-        // Copy bindings: dst -> (src, version-of-src-at-copy).
-        let mut copies: HashMap<VReg, (VReg, u32)> = HashMap::new();
-        let block = &mut f.blocks[bi];
-        for inst in &mut block.insts {
-            // Copy propagation on uses.
-            inst.map_uses(|v| {
-                if let Value::Reg(r) = v {
-                    if let Some(&(src, ver)) = copies.get(r) {
-                        if version[src.index()] == ver {
-                            *v = Value::Reg(src);
-                        }
-                    }
+    // Block-local state, allocated once and reset at the end of each
+    // block from the list of registers the block wrote.
+    let mut version = vec![0u32; nregs];
+    // Copy bindings: dst -> (src, version-of-src-at-copy).
+    let mut copies: Vec<Option<(VReg, u32)>> = vec![None; nregs];
+    let mut written: Vec<VReg> = Vec::new();
+    let mut avail: HashMap<ExprKey, (VReg, u32), BuildHasherDefault<KeyHasher>> =
+        HashMap::default();
+    let propagate = |v: &mut Value, version: &[u32], copies: &[Option<(VReg, u32)>]| {
+        if let Value::Reg(r) = v {
+            if let Some((src, ver)) = copies[r.index()] {
+                if version[src.index()] == ver {
+                    *v = Value::Reg(src);
                 }
-            });
+            }
+        }
+    };
+    for block in &mut f.blocks {
+        for inst in &mut block.insts {
+            inst.map_uses(|v| propagate(v, &version, &copies));
             let key = expr_key(inst, &version);
             let mut was_replaced = false;
             if let Some(key) = &key {
@@ -66,37 +139,31 @@ pub fn local_cse(f: &mut Function) -> usize {
             }
             if let Some(d) = inst.dst() {
                 version[d.index()] += 1;
-                // Invalidate copies whose source was overwritten is handled
-                // by the version check; record new binding.
-                if let Inst::Mov { a: Value::Reg(src), .. } = inst {
-                    if *src != d {
-                        copies.insert(d, (*src, version[src.index()]));
-                    } else {
-                        copies.remove(&d);
+                written.push(d);
+                // Copies whose source was overwritten are invalidated by
+                // the version check; record or drop this one's binding.
+                copies[d.index()] = match inst {
+                    Inst::Mov { a: Value::Reg(src), .. } if *src != d => {
+                        Some((*src, version[src.index()]))
                     }
-                } else {
-                    copies.remove(&d);
-                }
+                    _ => None,
+                };
                 if let (Some(key), false) = (key, was_replaced) {
                     avail.insert(key, (d, version[d.index()]));
                 }
             }
         }
-        // Terminator copy propagation.
-        let term_sub = |v: &mut Value| {
-            if let Value::Reg(r) = v {
-                if let Some(&(src, ver)) = copies.get(r) {
-                    if version[src.index()] == ver {
-                        *v = Value::Reg(src);
-                    }
-                }
-            }
-        };
         match &mut block.term {
-            crate::Term::CondBr { cond, .. } => term_sub(cond),
-            crate::Term::Switch { value, .. } => term_sub(value),
+            crate::Term::CondBr { cond: v, .. } | crate::Term::Switch { value: v, .. } => {
+                propagate(v, &version, &copies)
+            }
             _ => {}
         }
+        for r in written.drain(..) {
+            version[r.index()] = 0;
+            copies[r.index()] = None;
+        }
+        avail.clear();
     }
     replaced
 }
@@ -112,24 +179,25 @@ fn operand_key(v: Value, version: &[u32]) -> OperandKey {
 /// Expression key for CSE-able instructions, `None` for the rest.
 fn expr_key(inst: &Inst, version: &[u32]) -> Option<ExprKey> {
     use Inst::*;
-    let shape = match inst {
-        Bin { op, ty, signed, .. } => format!("bin.{op:?}.{ty}.{signed}"),
-        Un { op, ty, .. } => format!("un.{op:?}.{ty}"),
-        Fma { ty, .. } => format!("fma.{ty}"),
-        Cmp { pred, ty, signed, .. } => format!("cmp.{pred:?}.{ty}.{signed}"),
-        Select { ty, .. } => format!("sel.{ty}"),
-        Cvt { to, from, signed, width, .. } => format!("cvt.{to}.{from}.{signed}.{width}"),
-        Insert { ty, lane, .. } => format!("ins.{ty}.{lane}"),
-        Extract { ty, lane, .. } => format!("ext.{ty}.{lane}"),
-        Splat { ty, .. } => format!("splat.{ty}"),
-        Reduce { op, ty, .. } => format!("red.{op:?}.{ty}"),
-        CtxRead { field, lane, .. } => format!("ctx.{field:?}.{lane}"),
-        // Loads from read-only spaces are pure and safe to CSE.
-        Load { ty, space: Space::Param, .. } => format!("ld.param.{ty}"),
-        Load { ty, space: Space::Const, .. } => format!("ld.const.{ty}"),
+    let shape = match *inst {
+        Bin { op, ty, signed, .. } => Shape::Bin(op, ty, signed),
+        Un { op, ty, .. } => Shape::Un(op, ty),
+        Fma { ty, .. } => Shape::Fma(ty),
+        Cmp { pred, ty, signed, .. } => Shape::Cmp(pred, ty, signed),
+        Select { ty, .. } => Shape::Select(ty),
+        Cvt { to, from, signed, width, .. } => Shape::Cvt { to, from, signed, width },
+        Insert { ty, lane, .. } => Shape::Insert(ty, lane),
+        Extract { ty, lane, .. } => Shape::Extract(ty, lane),
+        Splat { ty, .. } => Shape::Splat(ty),
+        Reduce { op, ty, .. } => Shape::Reduce(op, ty),
+        CtxRead { field, lane, .. } => Shape::CtxRead(field, lane),
+        Load { ty, space: space @ (Space::Param | Space::Const), .. } => Shape::Load(ty, space),
         _ => return None,
     };
-    let operands = inst.uses().iter().map(|&v| operand_key(v, version)).collect();
+    let mut operands = [OperandKey::None; 3];
+    for (slot, v) in operands.iter_mut().zip(inst.uses()) {
+        *slot = operand_key(v, version);
+    }
     Some(ExprKey { shape, operands })
 }
 
@@ -137,9 +205,8 @@ fn expr_key(inst: &Inst, version: &[u32]) -> Option<ExprKey> {
 mod tests {
     use super::*;
     use crate::function::Block;
-    use crate::inst::{BinOp, CtxField, Term};
+    use crate::inst::Term;
     use crate::opt::dead_code_elimination;
-    use crate::types::{STy, Type};
 
     #[test]
     fn merges_identical_expressions() {
@@ -341,5 +408,143 @@ mod tests {
         blk.term = Term::Ret;
         f.add_block(blk);
         assert_eq!(local_cse(&mut f), 0);
+    }
+
+    /// Whether `local_cse` merges `second` into `first` when they sit
+    /// next to each other in one block. Destinations are set here (two
+    /// distinct registers); operands may name `%0..%5`.
+    fn merges(mut first: Inst, mut second: Inst) -> bool {
+        let mut f = Function::new("t", 4);
+        let regs: Vec<VReg> = (0..8).map(|_| f.new_reg(Type::scalar(STy::I32))).collect();
+        *first.dst_mut().unwrap() = regs[6];
+        *second.dst_mut().unwrap() = regs[7];
+        let mut blk = Block::new("entry");
+        blk.insts.extend([first, second]);
+        blk.term = Term::Ret;
+        f.add_block(blk);
+        local_cse(&mut f) == 1
+    }
+
+    #[test]
+    fn one_differing_key_field_keeps_two_expressions_apart() {
+        let (i32s, i64s) = (Type::scalar(STy::I32), Type::scalar(STy::I64));
+        let v4 = Type::vector(STy::I32, 4);
+        let (d, x, y) = (VReg(0), Value::Reg(VReg(1)), Value::Reg(VReg(2)));
+        let bin = |op, ty, signed, b| Inst::Bin { op, ty, signed, dst: d, a: x, b };
+        let cmp = |pred, ty, signed| Inst::Cmp { pred, ty, signed, dst: d, a: x, b: y };
+        let cvt = |to, from, signed, width| Inst::Cvt { to, from, signed, width, dst: d, a: x };
+        let ctx = |field, lane| Inst::CtxRead { field, lane, dst: d };
+        let load = |ty, space| Inst::Load { ty, space, dst: d, addr: x };
+        // Each row: a base instruction and variants that differ from it in
+        // exactly one field of the key.
+        let rows: Vec<(Inst, Vec<Inst>)> = vec![
+            (
+                bin(BinOp::Add, i32s, false, y),
+                vec![
+                    bin(BinOp::Sub, i32s, false, y),
+                    bin(BinOp::Add, i64s, false, y),
+                    bin(BinOp::Add, v4, false, y),
+                    bin(BinOp::Add, i32s, true, y),
+                    bin(BinOp::Add, i32s, false, x),
+                    bin(BinOp::Add, i32s, false, Value::ImmI(2)),
+                    cmp(CmpPred::Eq, i32s, false),
+                ],
+            ),
+            (
+                bin(BinOp::Add, i32s, false, Value::ImmI(1)),
+                vec![
+                    bin(BinOp::Add, i32s, false, Value::ImmI(2)),
+                    bin(BinOp::Add, i32s, false, Value::ImmF(1.0)),
+                ],
+            ),
+            (
+                cmp(CmpPred::Lt, i32s, false),
+                vec![
+                    cmp(CmpPred::Le, i32s, false),
+                    cmp(CmpPred::Lt, i64s, false),
+                    cmp(CmpPred::Lt, i32s, true),
+                ],
+            ),
+            (
+                Inst::Un { op: UnOp::Neg, ty: i32s, dst: d, a: x },
+                vec![
+                    Inst::Un { op: UnOp::Not, ty: i32s, dst: d, a: x },
+                    Inst::Un { op: UnOp::Neg, ty: i64s, dst: d, a: x },
+                    Inst::Splat { ty: i32s, dst: d, a: x },
+                ],
+            ),
+            (
+                cvt(STy::F32, STy::I32, false, 1),
+                vec![
+                    cvt(STy::F64, STy::I32, false, 1),
+                    cvt(STy::F32, STy::I16, false, 1),
+                    cvt(STy::F32, STy::I32, true, 1),
+                    cvt(STy::F32, STy::I32, false, 4),
+                ],
+            ),
+            (
+                Inst::Extract { ty: v4, dst: d, vec: x, lane: 0 },
+                vec![
+                    Inst::Extract { ty: v4, dst: d, vec: x, lane: 1 },
+                    Inst::Extract { ty: Type::vector(STy::I32, 8), dst: d, vec: x, lane: 0 },
+                    Inst::Reduce { op: ReduceOp::Add, ty: v4, dst: d, vec: x },
+                ],
+            ),
+            (
+                Inst::Insert { ty: v4, dst: d, vec: x, elem: y, lane: 2 },
+                vec![
+                    Inst::Insert { ty: v4, dst: d, vec: x, elem: y, lane: 3 },
+                    Inst::Insert { ty: v4, dst: d, vec: y, elem: y, lane: 2 },
+                ],
+            ),
+            (
+                Inst::Reduce { op: ReduceOp::All, ty: v4, dst: d, vec: x },
+                vec![Inst::Reduce { op: ReduceOp::Any, ty: v4, dst: d, vec: x }],
+            ),
+            (
+                Inst::Fma { ty: i32s, dst: d, a: x, b: y, c: x },
+                vec![
+                    Inst::Fma { ty: i32s, dst: d, a: x, b: y, c: y },
+                    Inst::Select { ty: i32s, dst: d, cond: x, a: y, b: x },
+                ],
+            ),
+            (
+                ctx(CtxField::Tid(0), 0),
+                vec![
+                    ctx(CtxField::Tid(1), 0),
+                    ctx(CtxField::Ntid(0), 0),
+                    ctx(CtxField::LaneId, 0),
+                    ctx(CtxField::Tid(0), 1),
+                ],
+            ),
+            (
+                load(STy::I32, Space::Param),
+                vec![load(STy::I32, Space::Const), load(STy::I64, Space::Param)],
+            ),
+        ];
+        for (base, variants) in rows {
+            assert!(merges(base.clone(), base.clone()), "identical {base:?} must merge");
+            for other in variants {
+                assert!(!merges(base.clone(), other.clone()), "{base:?} merged with {other:?}");
+                assert!(merges(other.clone(), other.clone()), "identical {other:?} must merge");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_that_differ_in_a_float_immediate_spread_over_the_table() {
+        // 1.0, 2.0, 3.0, ... differ in the top bits of the last word
+        // hashed only; the table's index comes from the bottom bits.
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let ty = Type::scalar(STy::F32);
+        let (x, version) = (Value::Reg(VReg(1)), [0u32; 2]);
+        let buckets: std::collections::HashSet<u64> = (1..=256)
+            .map(|k| {
+                let fma = Inst::Fma { ty, dst: VReg(0), a: x, b: x, c: Value::ImmF(k as f64) };
+                let key = expr_key(&fma, &version).unwrap();
+                BuildHasherDefault::<KeyHasher>::default().hash_one(key) & 0xFF
+            })
+            .collect();
+        assert!(buckets.len() > 128, "256 keys fell into {} of 256 buckets", buckets.len());
     }
 }

@@ -1,10 +1,8 @@
-//! Control-flow and data-flow analyses over kernels: reverse postorder,
-//! dominator tree, and per-block register liveness.
-
-use std::collections::HashSet;
+//! Control-flow analyses over kernels: reverse postorder and the
+//! dominator tree. (Liveness is computed once, on the IR:
+//! `dpvk_ir::Liveness`.)
 
 use crate::kernel::{BlockId, Kernel};
-use crate::operand::RegId;
 
 /// Blocks of `kernel` in reverse postorder from the entry block.
 ///
@@ -123,78 +121,10 @@ fn intersect(
     a
 }
 
-/// Per-block register liveness.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers live on entry to each block.
-    pub live_in: Vec<HashSet<RegId>>,
-    /// Registers live on exit from each block.
-    pub live_out: Vec<HashSet<RegId>>,
-}
-
-impl Liveness {
-    /// Compute liveness with the standard backward data-flow iteration.
-    ///
-    /// A register is live-in at a block if it is read before being written
-    /// within the block, or live-out and not written.
-    pub fn compute(kernel: &Kernel) -> Self {
-        let n = kernel.blocks.len();
-        let mut gen: Vec<HashSet<RegId>> = Vec::with_capacity(n);
-        let mut kill: Vec<HashSet<RegId>> = Vec::with_capacity(n);
-        for b in &kernel.blocks {
-            let mut g = HashSet::new();
-            let mut k = HashSet::new();
-            for inst in &b.instructions {
-                for r in inst.regs_read() {
-                    if !k.contains(&r) {
-                        g.insert(r);
-                    }
-                }
-                if let Some(d) = inst.reg_written() {
-                    if inst.guard.is_none() {
-                        k.insert(d);
-                    } else if !k.contains(&d) {
-                        // A guarded write merges with the incoming value:
-                        // it reads-and-writes rather than fully defining,
-                        // so it neither kills nor (if already defined in
-                        // this block) generates.
-                        g.insert(d);
-                    }
-                }
-            }
-            gen.push(g);
-            kill.push(k);
-        }
-        let mut live_in: Vec<HashSet<RegId>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<RegId>> = vec![HashSet::new(); n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in (0..n).rev() {
-                let b = BlockId(i as u32);
-                let mut out = HashSet::new();
-                for s in kernel.successors(b) {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn: HashSet<RegId> = gen[i].clone();
-                for &r in &out {
-                    if !kill[i].contains(&r) {
-                        inn.insert(r);
-                    }
-                }
-                if out != live_out[i] || inn != live_in[i] {
-                    live_out[i] = out;
-                    live_in[i] = inn;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::parser::parse_kernel;
 
@@ -238,51 +168,5 @@ join:
         assert!(dt.dominates(entry, left));
         assert!(!dt.dominates(left, join));
         assert_eq!(dt.idom[join.index()], Some(entry));
-    }
-
-    #[test]
-    fn liveness_at_join() {
-        let k = parse_kernel(DIAMOND).unwrap();
-        let lv = Liveness::compute(&k);
-        let join = k.block_by_label("join").unwrap();
-        // %r3 (value merged from both arms) and %r1 are live into join.
-        let names: Vec<&str> =
-            lv.live_in[join.index()].iter().map(|r| k.registers[r.index()].name.as_str()).collect();
-        assert!(names.contains(&"%r3"), "{names:?}");
-        assert!(names.contains(&"%r1"), "{names:?}");
-        assert!(!names.contains(&"%r4"), "{names:?}");
-    }
-
-    #[test]
-    fn guarded_write_keeps_value_live() {
-        let k = parse_kernel(
-            ".kernel k (.param .u32 n) { .reg .u32 %r<3>; .reg .pred %p<2>; \
-             entry: mov.u32 %r1, 5; ld.param.u32 %r2, [n]; setp.lt.u32 %p1, %r2, 3; \
-             @%p1 mov.u32 %r1, 7; st.global.u32 [8], %r1; ret; }",
-        )
-        .unwrap();
-        let lv = Liveness::compute(&k);
-        // %r1's initial value must stay live across the guarded overwrite,
-        // i.e. the block's gen set includes it even though it is written.
-        // Since everything is one block, check live_in of the entry: %r1 is
-        // defined before the guarded write, so live_in should NOT contain it.
-        assert!(lv.live_in[0].is_empty(), "{:?}", lv.live_in[0]);
-    }
-
-    #[test]
-    fn loop_liveness_converges() {
-        let k = parse_kernel(
-            ".kernel k (.param .u32 n) { .reg .u32 %r<4>; .reg .pred %p<2>; \
-             entry: mov.u32 %r1, 0; ld.param.u32 %r2, [n]; \
-             head: add.u32 %r1, %r1, 1; setp.lt.u32 %p1, %r1, %r2; @%p1 bra head; \
-             exit: ret; }",
-        )
-        .unwrap();
-        let lv = Liveness::compute(&k);
-        let head = k.block_by_label("head").unwrap();
-        let names: Vec<&str> =
-            lv.live_in[head.index()].iter().map(|r| k.registers[r.index()].name.as_str()).collect();
-        assert!(names.contains(&"%r1"));
-        assert!(names.contains(&"%r2"));
     }
 }

@@ -58,7 +58,7 @@ mod printer;
 mod types;
 mod validate;
 
-pub use analysis::{reverse_postorder, DominatorTree, Liveness};
+pub use analysis::{reverse_postorder, DominatorTree};
 pub use builder::KernelBuilder;
 pub use error::PtxError;
 pub use instruction::{AtomOp, CmpOp, Guard, Instruction, MulHalf, Opcode, VoteMode};

@@ -11,9 +11,7 @@
 //!    instruction pays a spill penalty — this is the Table 1 collapse at
 //!    warp size 8 on a 4-wide machine.
 
-use std::collections::HashSet;
-
-use dpvk_ir::{BinOp, Function, Inst, Liveness, Space, Term, Type, UnOp, VReg};
+use dpvk_ir::{BinOp, BlockId, Function, Inst, Liveness, Space, Term, Type, UnOp, VReg};
 
 use crate::machine::MachineModel;
 
@@ -46,32 +44,38 @@ impl CostInfo {
 /// registers needed to hold the live vector values (each IR vector
 /// register of width `w` needs `chunks(w)` machine registers).
 fn max_live_machine_vregs(f: &Function, model: &MachineModel) -> u64 {
+    // Machine registers per IR register; scalars weigh nothing, so they
+    // may sit in the live row without being counted.
+    let weight: Vec<u64> = f
+        .regs
+        .iter()
+        .map(|t| if t.is_vector() { model.chunks(t.width, t.scalar.size_bytes()) } else { 0 })
+        .collect();
+    if weight.iter().all(|&w| w == 0) {
+        return 0;
+    }
     let lv = Liveness::compute(f);
-    let weight = |r: VReg| -> u64 {
-        let t = f.reg_type(r);
-        if t.is_vector() {
-            model.chunks(t.width, t.scalar.size_bytes())
-        } else {
-            0
-        }
-    };
+    let bit = |r: VReg| (r.index() / 64, 1u64 << (r.index() % 64));
+    let mut live: Vec<u64> = Vec::new();
     let mut max = 0u64;
     for (i, b) in f.blocks.iter().enumerate() {
-        let mut live: HashSet<VReg> =
-            lv.live_out[i].iter().copied().filter(|&r| f.reg_type(r).is_vector()).collect();
-        let mut cur: u64 = live.iter().map(|&r| weight(r)).sum();
+        live.clear();
+        live.extend_from_slice(lv.live_out(BlockId(i as u32)));
+        let mut cur: u64 = Liveness::regs_of(&live).map(|r| weight[r.index()]).sum();
         max = max.max(cur);
         for inst in b.insts.iter().rev() {
             if let Some(d) = inst.dst() {
-                if live.remove(&d) {
-                    cur -= weight(d);
+                let (w, m) = bit(d);
+                if live[w] & m != 0 {
+                    live[w] &= !m;
+                    cur -= weight[d.index()];
                 }
             }
-            for v in inst.uses() {
-                if let Some(r) = v.as_reg() {
-                    if f.reg_type(r).is_vector() && live.insert(r) {
-                        cur += weight(r);
-                    }
+            for r in inst.uses().iter().filter_map(|v| v.as_reg()) {
+                let (w, m) = bit(r);
+                if live[w] & m == 0 {
+                    live[w] |= m;
+                    cur += weight[r.index()];
                 }
             }
             max = max.max(cur);

@@ -32,7 +32,7 @@
 //! [`inst_cost`]: crate::cost::inst_cost
 //! [`inst_flops`]: crate::cost::inst_flops
 
-use dpvk_ir::{live_into_entry, BlockKind, Function, Inst, STy, Term, Type, VReg, Value};
+use dpvk_ir::{BlockId, BlockKind, Function, Inst, Liveness, STy, Term, Type, VReg, Value};
 
 use crate::bytecode::{
     BDst, BSrc, BytecodeProgram, DecodeStats, Op, OpKind, OpMeta, SwitchVal, TermInfo, F_LOAD,
@@ -61,7 +61,7 @@ impl BytecodeProgram {
             layout,
             model,
             info,
-            use_counts: count_uses(f),
+            use_counts: dpvk_ir::use_counts(f),
             code: Vec::new(),
             cases: Vec::new(),
             stats: DecodeStats::default(),
@@ -100,7 +100,8 @@ impl BytecodeProgram {
 /// itself reads a register it never wrote.
 fn entry_live_slots(f: &Function, layout: &FrameLayout) -> Vec<(u32, u32)> {
     let mut ranges: Vec<(u32, u32)> = Vec::new();
-    for r in live_into_entry(f) {
+    let lv = Liveness::compute(f);
+    for r in Liveness::regs_of(lv.live_in(BlockId(0))) {
         let (first, len) = (layout.offset(r) as u32, layout.width(r) as u32);
         match ranges.last_mut() {
             Some((f0, l0)) if *f0 + *l0 == first => *l0 += len,
@@ -110,36 +111,15 @@ fn entry_live_slots(f: &Function, layout: &FrameLayout) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// Static read counts per register: how many operand positions (across
-/// all instructions and terminators) name it. Fusion may elide the
-/// intermediate write only when the fused consumer accounts for every
-/// read in the function.
-fn count_uses(f: &Function) -> Vec<u64> {
-    let mut counts = vec![0u64; f.regs.len()];
-    let mut bump = |v: &Value| {
-        if let Some(r) = v.as_reg() {
-            counts[r.index()] += 1;
-        }
-    };
-    for block in &f.blocks {
-        for inst in &block.insts {
-            for v in inst.uses() {
-                bump(&v);
-            }
-        }
-        for v in block.term.uses() {
-            bump(&v);
-        }
-    }
-    counts
-}
-
 struct Decoder<'a> {
     f: &'a Function,
     layout: &'a FrameLayout,
     model: &'a MachineModel,
     info: &'a CostInfo,
-    use_counts: Vec<u64>,
+    /// Static read counts per register. Fusion may elide an intermediate
+    /// write only when the fused consumer accounts for every read in the
+    /// function.
+    use_counts: Vec<u32>,
     code: Vec<Op>,
     cases: Vec<(i64, u32)>,
     stats: DecodeStats,
@@ -287,7 +267,7 @@ impl<'a> Decoder<'a> {
             _ => return None,
         };
         let feeds = |v: &Value| matches!(v.as_reg(), Some(r) if r.index() == dst1.index());
-        let reads = feeds(a2) as u64 + feeds(b2) as u64;
+        let reads = feeds(a2) as u32 + feeds(b2) as u32;
         if reads == 0 {
             return None;
         }

@@ -9,15 +9,23 @@
 //! trip count (so one executes ~16x the warps of the other) must perform
 //! essentially the same number of allocations.
 //!
-//! The test lives alone in its own integration-test binary so the
-//! counting allocator sees no interference from concurrently running
-//! tests.
+//! The compile tail has a budget of the same kind: allocations per
+//! instruction compiled, so per-instruction heap traffic (operand lists,
+//! string keys, hash sets) cannot creep back into the optimizer and the
+//! analyses.
+//!
+//! The tests live alone in their own integration-test binary and take
+//! turns on one lock, so the counting allocator sees no interference from
+//! concurrently running tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
-use dpvk::core::{Device, Engine, ExecConfig, ParamValue};
-use dpvk::vm::MachineModel;
+use dpvk::core::{
+    specialize, translate, Device, Engine, ExecConfig, ParamValue, SpecializeOptions,
+};
+use dpvk::vm::{BytecodeProgram, CostInfo, FrameLayout, MachineModel};
 
 /// System allocator wrapper that counts allocations while armed.
 struct CountingAlloc;
@@ -48,6 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole body: the counter is process-wide.
+static TURN: Mutex<()> = Mutex::new(());
+
 /// Count allocations performed by `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Relaxed);
@@ -77,11 +88,10 @@ loop:
 }
 "#;
 
-/// One test body covering both guest engines, kept in a single `#[test]`
-/// so the counting allocator is never shared between concurrently
-/// running tests.
+/// One test body covering both guest engines.
 #[test]
 fn warm_dispatch_does_not_allocate_per_warp() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
     dev.register_source(SPIN).unwrap();
     for engine in [Engine::Bytecode, Engine::Tree] {
@@ -117,4 +127,43 @@ fn warm_dispatch_does_not_allocate_per_warp() {
              {small_warps} warps vs {big_allocs} allocs for {big_warps} warps"
         );
     }
+}
+
+/// Over the suite at `dynamic(4)`: `specialize` makes at most one
+/// allocation per pre-optimization instruction, and `CostInfo::analyze`
+/// plus `BytecodeProgram::decode` together at most a quarter of one.
+/// Before the optimizer keyed expressions structurally, liveness went
+/// dense and `uses()` went inline the figures were 8.86 and 3.9; they are
+/// deterministic, so the budget is tight on purpose.
+#[test]
+fn the_compile_tail_does_not_allocate_per_instruction() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let model = MachineModel::sandybridge_sse();
+    let options = SpecializeOptions::dynamic(4);
+    let (mut instructions, mut specialize_allocs, mut tail_allocs) = (0u64, 0u64, 0u64);
+    for w in dpvk::workloads::all_workloads() {
+        for kernel in &dpvk::ptx::parse_module(&w.source()).unwrap().kernels {
+            let translated = translate(kernel).unwrap();
+            let (n, s) = count_allocs(|| specialize(&translated, &options).unwrap());
+            specialize_allocs += n;
+            instructions += s.pre_opt_instructions as u64;
+            let frame = FrameLayout::of(&s.function);
+            let (n, _) = count_allocs(|| {
+                let cost = CostInfo::analyze(&s.function, &model);
+                BytecodeProgram::decode(&s.function, &frame, &model, &cost)
+            });
+            tail_allocs += n;
+        }
+    }
+    let per_inst = |allocs: u64| allocs as f64 / instructions as f64;
+    assert!(
+        per_inst(specialize_allocs) <= 1.0,
+        "specialize: {specialize_allocs} allocations for {instructions} instructions ({:.2} each)",
+        per_inst(specialize_allocs)
+    );
+    assert!(
+        per_inst(tail_allocs) <= 0.25,
+        "analyze + decode: {tail_allocs} allocations for {instructions} instructions ({:.2} each)",
+        per_inst(tail_allocs)
+    );
 }

@@ -369,6 +369,46 @@ fn golden_launch_stats() {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned specialization digest
+// ---------------------------------------------------------------------------
+
+use dpvk::core::{specialize, translate, SpecializeOptions};
+use dpvk::vm::CostInfo;
+
+use crate::common::{digest_bytes, fold};
+
+/// The compile tail must keep producing the same program: the serialized
+/// specialized function, its register-pressure figure and its
+/// post-optimization instruction count, over every suite kernel under
+/// every option set the cache can ask for, fold into one digest recorded
+/// before the optimizer and the analyses were rewritten for speed. A
+/// moved digest means an optimization changed what is compiled, not just
+/// how fast.
+#[test]
+fn specialization_digest_is_pinned() {
+    const PINNED: u64 = 0x3970_1366_78a2_b64e;
+    let mut options = vec![SpecializeOptions::baseline()];
+    options.extend([1, 2, 4, 8].map(SpecializeOptions::dynamic));
+    options.extend([2, 4, 8].map(SpecializeOptions::static_tie));
+    options.push(SpecializeOptions::dynamic(4).without_uniform_analysis());
+    let model = MachineModel::sandybridge_sse();
+
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in dpvk::workloads::all_workloads() {
+        for kernel in &ptx::parse_module(&w.source()).unwrap().kernels {
+            let translated = translate(kernel).unwrap();
+            for opts in &options {
+                let s = specialize(&translated, opts).unwrap();
+                fold(&mut h, digest_bytes(&dpvk::ir::serial::function_to_bytes(&s.function)));
+                fold(&mut h, CostInfo::analyze(&s.function, &model).max_live_machine_vregs);
+                fold(&mut h, s.post_opt_instructions as u64);
+            }
+        }
+    }
+    assert_eq!(h, PINNED, "the specialized programs moved: digest {h:#018x}");
+}
+
+// ---------------------------------------------------------------------------
 // Differential engine fuzzing
 // ---------------------------------------------------------------------------
 
