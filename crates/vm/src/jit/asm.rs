@@ -2,9 +2,10 @@
 //!
 //! Just enough of the ISA for the µop templates: 64/32-bit ALU forms,
 //! loads/stores with `[base + disp32]` and `[base + index]` addressing,
-//! scalar SSE2 double arithmetic, one VEX-encoded FMA, and rel32
-//! branches with back-patching. Registers are raw encodings (`RAX`…)
-//! rather than an enum — the emitter is an internal tool, not an API.
+//! one VEX.128 encoder with the vector forms as [`Vop`] constants, and
+//! rel32 branches with back-patching. Registers are raw encodings
+//! (`RAX`…) rather than an enum — the emitter is an internal tool, not
+//! an API.
 
 /// General-purpose register encodings.
 pub const RAX: u8 = 0;
@@ -17,11 +18,30 @@ pub const RDI: u8 = 7;
 pub const R11: u8 = 11;
 pub const R15: u8 = 15;
 
-/// XMM register encodings (only 0–7 are used, so no REX.R/B plumbing
-/// for the SSE forms).
+/// XMM register encodings.
 pub const XMM0: u8 = 0;
 pub const XMM1: u8 = 1;
 pub const XMM2: u8 = 2;
+
+/// Declares the host features generated code needs, once: the list
+/// and the probe [`super::jit_supported`] gates compilation on.
+macro_rules! host_features {
+    ($($f:tt),*) => {
+        /// Every instruction-set extension a form in this file belongs
+        /// to: `fma` for `vfmadd213pd`, `avx` for the VEX encoding of
+        /// everything else, `sse4.1` for the instructions born there
+        /// (`vpinsrq/d`, `vpmovzxdq`). No `avx2`: there is no 256-bit
+        /// form and no `vpbroadcast`.
+        pub const HOST_FEATURES: &[&str] = &[$($f),*];
+
+        /// Whether the host has every one of [`HOST_FEATURES`].
+        #[cfg(target_arch = "x86_64")]
+        pub fn host_has_features() -> bool {
+            $(std::arch::is_x86_feature_detected!($f))&&*
+        }
+    };
+}
+host_features!("fma", "avx", "sse4.1");
 
 /// Condition codes (the low nibble of `Jcc`/`SETcc`/`CMOVcc`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,10 +60,6 @@ pub enum Cc {
     A = 0x7,
     /// Sign set (negative).
     S = 0x8,
-    /// Parity (used for NaN detection after `ucomisd`).
-    P = 0xA,
-    /// No parity.
-    Np = 0xB,
     /// Less (signed <).
     L = 0xC,
     /// Greater or equal (signed >=).
@@ -71,16 +87,6 @@ pub enum Sh {
     Shl = 4,
     Shr = 5,
     Sar = 7,
-}
-
-/// Scalar SSE2 double-precision ops (`F2 0F xx` opcodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sse {
-    Add = 0x58,
-    Mul = 0x59,
-    Sub = 0x5C,
-    Div = 0x5E,
-    Sqrt = 0x51,
 }
 
 /// A forward-branch placeholder returned by the `*_fwd` emitters; the
@@ -503,101 +509,141 @@ impl Asm {
         self.u8(0xC3);
     }
 
-    // -- SSE scalar double --------------------------------------------
+    // -- VEX.128 -------------------------------------------------------
 
-    /// `movq xmm, r64`.
-    pub fn movq_xr(&mut self, x: u8, r: u8) {
-        self.u8(0x66);
-        self.u8(0x48 | u8::from(r >= 8));
-        self.u8(0x0F);
-        self.u8(0x6E);
-        self.modrm_reg(x, r);
-    }
-
-    /// `movq r64, xmm`.
-    pub fn movq_rx(&mut self, r: u8, x: u8) {
-        self.u8(0x66);
-        self.u8(0x48 | u8::from(r >= 8));
-        self.u8(0x0F);
-        self.u8(0x7E);
-        self.modrm_reg(x, r);
-    }
-
-    /// `movd r32, xmm` (zero-extends the f32 bit pattern).
-    pub fn movd_rx(&mut self, r: u8, x: u8) {
-        self.u8(0x66);
-        if r >= 8 {
-            self.u8(0x41);
+    /// The one VEX encoder: prefix and opcode of `o` with `reg` in
+    /// ModRM.reg and `vvvv` as the second source. VEX.L is always 0 —
+    /// no 256-bit form exists here (R3) — and the two-byte prefix is
+    /// used whenever the form allows it.
+    fn vex(&mut self, o: Vop, reg: u8, vvvv: u8, rm_ext: bool) {
+        let r = u8::from(reg < 8) << 7;
+        let tail = (!vvvv & 0xF) << 3 | o.pp;
+        if o.map == 1 && !o.w && !rm_ext {
+            self.u8(0xC5);
+            self.u8(r | tail);
+        } else {
+            self.u8(0xC4);
+            self.u8(r | 0x40 | u8::from(!rm_ext) << 5 | o.map);
+            self.u8(u8::from(o.w) << 7 | tail);
         }
-        self.u8(0x0F);
-        self.u8(0x7E);
-        self.modrm_reg(x, r);
+        self.u8(o.op);
     }
 
-    /// Scalar double op, `xmm_dst op= xmm_src`.
-    pub fn sse_sd(&mut self, op: Sse, dst: u8, src: u8) {
-        self.u8(0xF2);
-        self.u8(0x0F);
-        self.u8(op as u8);
-        self.modrm_reg(dst, src);
+    /// `op dst, src1, src2` over registers (xmm, or a GPR where the form
+    /// takes one). Forms without a first source pass `src1 = 0`, which
+    /// encodes the `vvvv = 1111` they require.
+    pub fn vop(&mut self, o: Vop, dst: u8, src1: u8, src2: u8) {
+        self.vex(o, dst, src1, src2 >= 8);
+        self.modrm_reg(dst, src2);
     }
 
-    /// `cvtss2sd xmm, xmm` (widen f32 → f64).
-    pub fn cvtss2sd(&mut self, dst: u8, src: u8) {
-        self.u8(0xF3);
-        self.u8(0x0F);
-        self.u8(0x5A);
-        self.modrm_reg(dst, src);
+    /// [`Self::vop`] with a trailing `imm8`.
+    pub fn vop_i(&mut self, o: Vop, dst: u8, src1: u8, src2: u8, imm: u8) {
+        self.vop(o, dst, src1, src2);
+        self.u8(imm);
     }
 
-    /// `cvtsd2ss xmm, xmm` (narrow f64 → f32, round-to-nearest).
-    pub fn cvtsd2ss(&mut self, dst: u8, src: u8) {
-        self.u8(0xF2);
-        self.u8(0x0F);
-        self.u8(0x5A);
-        self.modrm_reg(dst, src);
+    /// `vpsllq`/`vpsrlq x, x, imm8`.
+    pub fn vshift_q(&mut self, op: Sh, x: u8, imm: u8) {
+        let ext = if op == Sh::Shl { 6 } else { 2 };
+        self.vop_i(VPSHIFTQ, ext, x, x, imm);
     }
 
-    /// `cvtsi2sd xmm, r64` (exact for |v| < 2^53; i64 → f64 rounding
-    /// matches Rust `as f64`).
-    pub fn cvtsi2sd(&mut self, x: u8, r: u8) {
-        self.u8(0xF2);
-        self.u8(0x48 | u8::from(r >= 8));
-        self.u8(0x0F);
-        self.u8(0x2A);
-        self.modrm_reg(x, r);
+    /// Memory-operand form. Private: what generated code may do to the
+    /// frame is the four methods below — loads no wider than a lane
+    /// (R1), stores of a whole chunk (R2).
+    fn vop_m(&mut self, o: Vop, reg: u8, vvvv: u8, base: u8, disp: i32) {
+        self.vex(o, reg, vvvv, base >= 8);
+        self.modrm_mem(reg, base, disp);
     }
 
-    /// `cvttsd2si r64, xmm` (truncating f64 → i64; overflow and NaN
-    /// produce the `i64::MIN` sentinel, which templates test to branch
-    /// to the saturating slow path).
-    pub fn cvttsd2si(&mut self, r: u8, x: u8) {
-        self.u8(0xF2);
-        self.u8(0x48 | (u8::from(r >= 8)) << 2);
-        self.u8(0x0F);
-        self.u8(0x2C);
-        self.modrm_reg(r, x);
+    /// Load one lane into the low qword of `x` and zero the rest:
+    /// `vmovq`, or `vmovd` when only the lane's low `dword` is wanted.
+    pub fn vload_lane(&mut self, x: u8, base: u8, disp: i32, dword: bool) {
+        self.vop_m(if dword { VMOVD_LOAD } else { VMOVQ_LOAD }, x, 0, base, disp);
     }
 
-    /// `ucomisd xmm, xmm`.
-    pub fn ucomisd(&mut self, a: u8, b: u8) {
-        self.u8(0x66);
-        self.u8(0x0F);
-        self.u8(0x2E);
-        self.modrm_reg(a, b);
+    /// Load a second lane beside the first: `vpinsrq x, x, [m], 1`, or
+    /// `vpinsrd` into dword 1, which packs two f32 for `vcvtps2pd`.
+    pub fn vinsert_lane(&mut self, x: u8, base: u8, disp: i32, dword: bool) {
+        self.vop_m(if dword { VPINSRD } else { VPINSRQ }, x, x, base, disp);
+        self.u8(1);
     }
 
-    /// `vfmadd213sd xmm_dst, xmm_b, xmm_c`: dst = dst*b + c, one
-    /// rounding — the hardware twin of `f64::mul_add`.
-    pub fn vfmadd213sd(&mut self, dst: u8, b: u8, c: u8) {
-        // VEX three-byte: C4 [RXB.m-mmmm=0F38] [W.vvvv.L.pp], opcode A9.
-        self.u8(0xC4);
-        self.u8(0xE2); // R=1 X=1 B=1 (inverted, regs < 8), m-mmmm=0F38
-        self.u8(0x80 | ((!b & 0xF) << 3) | 0x01); // W=1, vvvv=~b, L=0, pp=66
-        self.u8(0xA9);
-        self.modrm_reg(dst, c);
+    /// `vmovddup x, [m]`: one lane load, broadcast to both qwords.
+    pub fn vload_dup(&mut self, x: u8, base: u8, disp: i32) {
+        self.vop_m(VMOVDDUP, x, 0, base, disp);
+    }
+
+    /// Store the chunk in `x`: `vmovdqu` for two lanes, `vmovq` for one.
+    pub fn vstore(&mut self, base: u8, disp: i32, x: u8, lanes: u32) {
+        self.vop_m(if lanes == 2 { VMOVDQU_STORE } else { VMOVQ_STORE }, x, 0, base, disp);
     }
 }
+
+/// A VEX.128-encoded operation: opcode map (1 = `0F`, 2 = `0F38`,
+/// 3 = `0F3A`), mandatory prefix (0 none, 1 = `66`, 2 = `F3`, 3 = `F2`),
+/// VEX.W and the opcode byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Vop {
+    map: u8,
+    pp: u8,
+    w: bool,
+    op: u8,
+}
+
+const fn v(map: u8, pp: u8, w: bool, op: u8) -> Vop {
+    Vop { map, pp, w, op }
+}
+
+impl Vop {
+    /// The float form of `0F op` for a chunk of `lanes` f32 or f64:
+    /// `ps`/`pd` (prefix 0/1), and `ss`/`sd` (2/3) for one lane, so no
+    /// lane that is not there is computed (a packed divide would raise
+    /// 0/0 in it).
+    pub const fn float(op: u8, f32: bool, lanes: u32) -> Vop {
+        v(1, 2 * (lanes == 1) as u8 + !f32 as u8, false, op)
+    }
+}
+
+/// Float opcodes for [`Vop::float`].
+pub const F_ADD: u8 = 0x58;
+pub const F_MUL: u8 = 0x59;
+pub const F_SUB: u8 = 0x5C;
+pub const F_DIV: u8 = 0x5E;
+pub const F_SQRT: u8 = 0x51;
+/// `vcmpps`/`vcmppd`; takes the predicate as `imm8`.
+pub const F_CMP: u8 = 0xC2;
+
+const VMOVQ_LOAD: Vop = v(1, 2, false, 0x7E);
+const VMOVD_LOAD: Vop = v(1, 1, false, 0x6E);
+const VPINSRQ: Vop = v(3, 1, true, 0x22);
+const VPINSRD: Vop = v(3, 1, false, 0x22);
+const VMOVDQU_STORE: Vop = v(1, 2, false, 0x7F);
+const VMOVQ_STORE: Vop = v(1, 1, false, 0xD6);
+const VPSHIFTQ: Vop = v(1, 1, false, 0x73);
+/// `vmovq xmm, r64` / `vmovq r64, xmm` (the xmm is `dst` in both).
+pub const VMOVQ_XR: Vop = v(1, 1, true, 0x6E);
+pub const VMOVQ_RX: Vop = v(1, 1, true, 0x7E);
+pub const VMOVDDUP: Vop = v(1, 3, false, 0x12);
+/// `vcvtsi2sd xmm, xmm, r64`: exact for |v| < 2^53, and the i64 → f64
+/// rounding of Rust `as f64` beyond.
+pub const VCVTSI2SD: Vop = v(1, 3, true, 0x2A);
+/// `vcvttsd2si r64, xmm`: overflow and NaN give the `i64::MIN`
+/// sentinel the `Cvt` template tests before its saturating slow path.
+pub const VCVTTSD2SI: Vop = v(1, 3, true, 0x2C);
+/// f32 ↔ f64 over the two low lanes; the widening quiets an sNaN
+/// exactly like Rust `as f64`.
+pub const VCVTPS2PD: Vop = v(1, 0, false, 0x5A);
+pub const VCVTPD2PS: Vop = v(1, 1, false, 0x5A);
+/// Two packed dwords → two zero-extended qwords: packed f32 back onto
+/// the slot layout.
+pub const VPMOVZXDQ: Vop = v(2, 1, false, 0x35);
+/// `dst = dst * src1 + src2`, one rounding per lane — the hardware
+/// twin of `f64::mul_add`.
+pub const VFMADD213PD: Vop = v(2, 1, true, 0xA8);
+pub const VPAND: Vop = v(1, 1, false, 0xDB);
+pub const VPXOR: Vop = v(1, 1, false, 0xEF);
 
 #[cfg(test)]
 mod tests {
@@ -613,9 +659,22 @@ mod tests {
         a.alu_rr32(Alu::Add, RAX, RCX); // 01 c8
         a.alu_mi(Alu::Add, R15, 0x10, 5); // 49 81 47 10 05 00 00 00
         a.setcc(Cc::E, RCX); // 40 0f 94 c1
-        a.movq_xr(XMM0, RAX); // 66 48 0f 6e c0
-        a.sse_sd(Sse::Add, XMM0, XMM1); // f2 0f 58 c1
-        a.vfmadd213sd(XMM0, XMM1, XMM2); // c4 e2 f1 a9 c2
+        a.vop(Vop::float(F_ADD, true, 2), XMM0, XMM0, XMM1); // vaddps: c5 f8 58 c1
+        a.vop(Vop::float(F_ADD, false, 1), XMM0, XMM0, XMM1); // vaddsd: c5 fb 58 c1
+        a.vop(VFMADD213PD, XMM0, XMM1, XMM2); // W1: c4 e2 f1 a8 c2
+        a.vop(VPMOVZXDQ, XMM0, 0, XMM0); // 0F38: c4 e2 79 35 c0
+        a.vop(VMOVQ_XR, XMM1, 0, R11); // VEX.B: c4 c1 f9 6e cb
+        a.vop(VCVTTSD2SI, RAX, 0, XMM0); // c4 e1 fb 2c c0
+        a.vload_lane(XMM0, RBX, 8, false); // vmovq, disp8: c5 fa 7e 43 08
+        a.vload_lane(XMM2, RBX, 0, true); // vmovd: c5 f9 6e 13
+        a.vinsert_lane(XMM0, RBX, 0x100, false); // vpinsrq, disp32, imm8
+        a.vinsert_lane(XMM1, RBX, 12, true); // vpinsrd: c4 e3 71 22 4b 0c 01
+        a.vload_dup(XMM1, RBX, 0x80); // vmovddup: c5 fb 12 8b 80 00 00 00
+        a.vstore(RBX, 16, XMM0, 2); // vmovdqu: c5 fa 7f 43 10
+        a.vstore(RBX, 0x200, XMM0, 1); // vmovq: c5 f9 d6 83 00 02 00 00
+        a.vshift_q(Sh::Shl, XMM0, 63); // vpsllq: c5 f9 73 f0 3f
+        a.vshift_q(Sh::Shr, XMM0, 63); // vpsrlq: c5 f9 73 d0 3f
+        a.vop_i(Vop::float(F_CMP, false, 2), XMM0, XMM0, XMM1, 0x1E); // vcmppd
         let code = a.into_code();
         assert_eq!(
             code,
@@ -626,9 +685,22 @@ mod tests {
                 0x01, 0xC8, //
                 0x49, 0x81, 0x47, 0x10, 0x05, 0x00, 0x00, 0x00, //
                 0x40, 0x0F, 0x94, 0xC1, //
-                0x66, 0x48, 0x0F, 0x6E, 0xC0, //
-                0xF2, 0x0F, 0x58, 0xC1, //
-                0xC4, 0xE2, 0xF1, 0xA9, 0xC2,
+                0xC5, 0xF8, 0x58, 0xC1, //
+                0xC5, 0xFB, 0x58, 0xC1, //
+                0xC4, 0xE2, 0xF1, 0xA8, 0xC2, //
+                0xC4, 0xE2, 0x79, 0x35, 0xC0, //
+                0xC4, 0xC1, 0xF9, 0x6E, 0xCB, //
+                0xC4, 0xE1, 0xFB, 0x2C, 0xC0, //
+                0xC5, 0xFA, 0x7E, 0x43, 0x08, //
+                0xC5, 0xF9, 0x6E, 0x13, //
+                0xC4, 0xE3, 0xF9, 0x22, 0x83, 0x00, 0x01, 0x00, 0x00, 0x01, //
+                0xC4, 0xE3, 0x71, 0x22, 0x4B, 0x0C, 0x01, //
+                0xC5, 0xFB, 0x12, 0x8B, 0x80, 0x00, 0x00, 0x00, //
+                0xC5, 0xFA, 0x7F, 0x43, 0x10, //
+                0xC5, 0xF9, 0xD6, 0x83, 0x00, 0x02, 0x00, 0x00, //
+                0xC5, 0xF9, 0x73, 0xF0, 0x3F, //
+                0xC5, 0xF9, 0x73, 0xD0, 0x3F, //
+                0xC5, 0xF9, 0xC2, 0xC1, 0x1E,
             ]
         );
     }

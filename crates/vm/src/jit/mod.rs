@@ -15,14 +15,16 @@
 //! transcendentals, vectors wider than the inline cap) call back into
 //! the interpreter's own helpers at run time, so coverage gaps cost
 //! speed, never correctness. Hosts where native emission is unavailable
-//! (non-x86-64, no FMA, or a locked-down address space) simply get
-//! `None` from [`compile`] and the caller stays on the bytecode engine.
+//! (non-x86-64, one of [`JIT_HOST_FEATURES`] missing, or a locked-down
+//! address space) simply get `None` from [`compile`] and the caller
+//! stays on the bytecode engine.
 
 mod asm;
 mod code;
 mod emit;
 mod rt;
 
+pub use asm::HOST_FEATURES as JIT_HOST_FEATURES;
 pub use emit::JitEmitStats;
 
 use dpvk_ir::{ResumeStatus, STy};
@@ -61,8 +63,9 @@ impl JitProgram {
 unsafe impl Send for JitProgram {}
 unsafe impl Sync for JitProgram {}
 
-/// Widest vector µop the JIT lowers lane-by-lane inline; wider vector
-/// µops stay correct but call back into the interpreter helper per
+/// Widest vector µop the JIT lowers inline (float shapes as chunks of
+/// two lanes in one xmm register, integer shapes lane by lane); wider
+/// vector µops stay correct but call back into the interpreter helper per
 /// dynamic dispatch (counted in [`JitEmitStats::wide_helper_uops`]).
 /// Width-selection policies use this to anticipate the JIT efficiency
 /// cliff when ranking candidate warp widths.
@@ -70,12 +73,14 @@ pub fn jit_inline_width_cap() -> u32 {
     emit::VEC_INLINE_MAX
 }
 
-/// Whether this host can emit and run native code at all. When false,
-/// [`compile`] always returns `None`.
+/// Whether this host can emit and run native code at all: executable
+/// memory, and every extension the emitter has a form from
+/// ([`JIT_HOST_FEATURES`]). When false, [`compile`] always returns
+/// `None`.
 pub fn jit_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        code::ExecMem::supported() && std::arch::is_x86_feature_detected!("fma")
+        code::ExecMem::supported() && asm::host_has_features()
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

@@ -77,6 +77,7 @@ pub use frame::{FrameLayout, RegFrame};
 pub use interp::{execute_warp, execute_warp_framed, ExecLimits, WarpOutcome};
 pub use jit::{
     compile as jit_compile, jit_inline_width_cap, jit_supported, JitCta, JitEmitStats, JitProgram,
+    JIT_HOST_FEATURES,
 };
 pub use machine::MachineModel;
 pub use memory::{GlobalMem, MemAccess};
