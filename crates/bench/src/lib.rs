@@ -1,9 +1,10 @@
 //! # dpvk-bench
 //!
-//! Reproduction harness for the paper's evaluation: one binary per table
-//! and figure (see DESIGN.md §4), plus shared helpers for running the
-//! workload suite under the three execution policies and formatting
-//! report tables.
+//! Reproduction harness for the paper's evaluation: the `figures` binary
+//! prints each table and figure (see DESIGN.md §4) in modeled cycles over
+//! the helpers here, which run the workload suite under the three
+//! execution policies and format report tables. The wall-clock benchmark
+//! is the separate `dpvk-bench` binary (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

@@ -65,9 +65,17 @@ static GATE: Mutex<()> = Mutex::new(());
 #[must_use = "the plan is cleared when the guard drops"]
 pub struct PlanGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
 
+impl PlanGuard {
+    /// Uninstall the plan but keep the injection gate, so the rest of
+    /// the test runs clean without the next test's plan slipping in.
+    pub fn clear(&self) {
+        *PLAN.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    }
+}
+
 impl Drop for PlanGuard {
     fn drop(&mut self) {
-        *PLAN.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.clear();
     }
 }
 
@@ -165,17 +173,23 @@ pub(crate) fn maybe_slow_warp(cta: u32) {
 mod tests {
     use super::*;
 
+    /// A CTA index no launch reaches and a warp width no launch asks
+    /// for: the plan is process-wide, and the crate's other unit tests
+    /// launch kernels without taking the gate.
+    const NO_SUCH_CTA: u32 = u32::MAX;
+    const NO_SUCH_WIDTH: u32 = 1 << 20;
+
     #[test]
     fn install_round_trip_and_specialize_failure() {
         let guard = install(FaultPlan {
-            panic_at_cta: Some(7),
-            fail_specialize_width: Some(4),
+            panic_at_cta: Some(NO_SUCH_CTA),
+            fail_specialize_width: Some(NO_SUCH_WIDTH),
             ..Default::default()
         });
-        assert_eq!(plan().unwrap().panic_at_cta, Some(7));
-        assert!(injected_specialize_failure("k", 4, Variant::Dynamic).is_some());
-        assert!(injected_specialize_failure("k", 4, Variant::StaticTie).is_some());
-        assert!(injected_specialize_failure("k", 4, Variant::Baseline).is_none());
+        assert_eq!(plan().unwrap().panic_at_cta, Some(NO_SUCH_CTA));
+        assert!(injected_specialize_failure("k", NO_SUCH_WIDTH, Variant::Dynamic).is_some());
+        assert!(injected_specialize_failure("k", NO_SUCH_WIDTH, Variant::StaticTie).is_some());
+        assert!(injected_specialize_failure("k", NO_SUCH_WIDTH, Variant::Baseline).is_none());
         assert!(injected_specialize_failure("k", 2, Variant::Dynamic).is_none());
         drop(guard);
     }
@@ -183,17 +197,17 @@ mod tests {
     #[test]
     fn panic_budget_is_consumed_then_execution_passes() {
         let _guard = install(FaultPlan {
-            panic_at_cta: Some(3),
+            panic_at_cta: Some(NO_SUCH_CTA),
             panic_budget: Some(2),
             ..Default::default()
         });
         for _ in 0..2 {
-            let caught = std::panic::catch_unwind(|| maybe_panic(3));
+            let caught = std::panic::catch_unwind(|| maybe_panic(NO_SUCH_CTA));
             assert!(caught.is_err(), "budgeted panic should trip");
         }
         // Budget exhausted: the same CTA now runs clean.
-        maybe_panic(3);
-        maybe_panic(3);
+        maybe_panic(NO_SUCH_CTA);
+        maybe_panic(NO_SUCH_CTA);
     }
 
     #[test]

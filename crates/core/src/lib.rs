@@ -69,7 +69,6 @@ pub mod cache;
 pub mod exec;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
-pub mod lint;
 pub mod persist;
 pub mod runtime;
 pub mod specialize;
@@ -85,7 +84,6 @@ pub use exec::{
     run_grid, run_grid_cancellable, AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig,
     FormationPolicy, LaunchHandle, LaunchStats, UnknownAdaptModeError, UnknownEngineError,
 };
-pub use lint::{warp_sync_lint, LintFinding};
 pub use persist::PersistConfig;
 pub use runtime::{Device, DeviceBuffer, DevicePtr, ParamValue, Stream};
 pub use specialize::{PolicySnapshot, PolicyTable};

@@ -1,129 +1,113 @@
 //! Locking used by the translation cache and runtime.
 //!
-//! By default this is a thin, poison-ignoring wrapper over
-//! [`std::sync::Mutex`], keeping `dpvk-core` free of external
-//! dependencies. Enabling the optional `parking_lot` feature swaps in
-//! `parking_lot::Mutex` (the paper's implementation contends on a single
-//! cache lock from every execution manager, which is exactly the workload
-//! `parking_lot` is tuned for); both expose the same `lock() -> guard`
-//! surface so no call site changes.
+//! Thin, poison-ignoring wrappers over [`std::sync`], keeping `dpvk-core`
+//! free of external dependencies: `lock()`, `read()` and `write()` return
+//! their guards directly.
 
-#[cfg(feature = "parking_lot")]
-pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::fmt;
 
-#[cfg(not(feature = "parking_lot"))]
-pub use fallback::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+/// Guard returned by [`Mutex::lock`]; unlocks on drop.
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
-#[cfg(not(feature = "parking_lot"))]
-mod fallback {
-    use std::fmt;
+impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
-    /// Guard returned by [`Mutex::lock`]; unlocks on drop.
-    pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
+impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
 
-    impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.0
-        }
+/// Mutex whose `lock()` returns the guard directly: a panic while the
+/// lock is held does not poison it (the interpreter's caches hold no
+/// invariants that a panicking reader could corrupt).
+#[derive(Default)]
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// Create a mutex protecting `value`.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    /// Acquire the lock, blocking until it is available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard(self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// Guard returned by [`RwLock::read`]; releases on drop.
+pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
+
+impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// Guard returned by [`RwLock::write`]; releases on drop.
+pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
+
+impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// Reader-writer lock whose `read()`/`write()` return guards directly
+/// and ignore poisoning, like [`Mutex`].
+#[derive(Default)]
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Create a lock protecting `value`.
+    pub const fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    /// Acquire shared read access.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        RwLockReadGuard(self.0.read().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
-    impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.0
-        }
+    /// Acquire exclusive write access.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        RwLockWriteGuard(self.0.write().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
+}
 
-    /// Mutex with the `parking_lot` calling convention: `lock()` returns
-    /// the guard directly, and a panic while the lock is held does not
-    /// poison it (the interpreter's caches hold no invariants that a
-    /// panicking reader could corrupt).
-    #[derive(Default)]
-    pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        /// Create a mutex protecting `value`.
-        pub const fn new(value: T) -> Self {
-            Mutex(std::sync::Mutex::new(value))
-        }
-    }
-
-    impl<T: ?Sized> Mutex<T> {
-        /// Acquire the lock, blocking until it is available.
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            MutexGuard(self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-        }
-    }
-
-    impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.0.fmt(f)
-        }
-    }
-
-    /// Guard returned by [`RwLock::read`]; releases on drop.
-    pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-    impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.0
-        }
-    }
-
-    /// Guard returned by [`RwLock::write`]; releases on drop.
-    pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-    impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.0
-        }
-    }
-
-    impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.0
-        }
-    }
-
-    /// Reader-writer lock with the `parking_lot` calling convention:
-    /// `read()`/`write()` return guards directly and poisoning is
-    /// ignored, like [`Mutex`].
-    #[derive(Default)]
-    pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-    impl<T> RwLock<T> {
-        /// Create a lock protecting `value`.
-        pub const fn new(value: T) -> Self {
-            RwLock(std::sync::RwLock::new(value))
-        }
-    }
-
-    impl<T: ?Sized> RwLock<T> {
-        /// Acquire shared read access.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            RwLockReadGuard(self.0.read().unwrap_or_else(std::sync::PoisonError::into_inner))
-        }
-
-        /// Acquire exclusive write access.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            RwLockWriteGuard(self.0.write().unwrap_or_else(std::sync::PoisonError::into_inner))
-        }
-    }
-
-    impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.0.fmt(f)
-        }
+impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
 /// A monitor: a mutex paired with a condition variable, with the same
 /// poison-transparent convention as [`Mutex`]. The persistent worker
 /// pool, launch jobs, streams and the device's in-flight gauge all need
-/// blocking waits, which the `parking_lot`-style wrappers above do not
-/// expose, so this is always backed by `std` regardless of features.
+/// blocking waits, which the wrappers above do not expose.
 pub(crate) struct Monitor<T> {
     state: std::sync::Mutex<T>,
     cond: std::sync::Condvar,

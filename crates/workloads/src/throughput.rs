@@ -77,8 +77,8 @@ loop:
 
     fn run(&self, dev: &Device, config: &ExecConfig) -> Result<Outcome, WorkloadError> {
         // The expected outputs are a pure function of the fixed problem
-        // size, so warm relaunches (the host_perf benchmark, CI smoke
-        // loops) pay for the host-side reference computation once.
+        // size, so warm relaunches (`dpvk-bench`'s `uniform_compute`
+        // rounds) pay for the host-side reference computation once.
         static WANT: std::sync::OnceLock<Vec<f32>> = std::sync::OnceLock::new();
         let n = (CTA * CTAS) as usize;
         let out = dev.alloc(n * 4)?;

@@ -117,7 +117,7 @@ fn injected_panic_is_contained_and_prior_ctas_complete() {
 
     // The device (cache, heap, global memory) survives the contained
     // panic: a clean relaunch on the same device succeeds.
-    drop(guard);
+    guard.clear();
     let (result, out) = launch_triple(&dev, 4, 8, 32, &ExecConfig::dynamic(4).with_workers(1));
     result.unwrap();
     assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u32) * 3));
@@ -182,7 +182,7 @@ fn panic_in_one_async_launch_fails_only_its_handle() {
 
     // The pool's worker threads survived the contained panic: with the
     // plan uninstalled, the same device runs the victim grid cleanly.
-    drop(guard);
+    guard.clear();
     dev.copy_u32_htod(pv, &(0..n_victim).collect::<Vec<_>>()).unwrap();
     dev.launch(
         "triple",

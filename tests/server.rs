@@ -416,6 +416,63 @@ fn saturated_capacity_sheds_instead_of_queueing() {
 }
 
 #[test]
+fn closed_loop_clients_at_twice_capacity_shed_and_admitted_work_completes() {
+    // Healthy work this time: twice as many closed-loop clients as
+    // admission slots, every launch one that completes. A gate that
+    // queued would answer every request `Launched`; this one must refuse
+    // some, and everything it admits must complete without an error.
+    const CAPACITY: usize = 2;
+    const CLIENTS: usize = 2 * CAPACITY;
+    const LAUNCHES: u64 = 40;
+    let config = ServerConfig {
+        admission_capacity: Some(CAPACITY),
+        shed_retry_ms: 7,
+        // Per-tenant limits out of the way: only the global gate sheds.
+        tenant_rate_per_sec: 1e9,
+        tenant_burst: 1e9,
+        tenant_parallelism: CLIENTS,
+        ..ServerConfig::default()
+    };
+    let handle = start_server(config);
+    let addr = handle.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    setup.register("crowd", TRIPLE).unwrap();
+
+    let start = std::sync::Barrier::new(CLIENTS);
+    let (completed, shed) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).unwrap();
+                    start.wait();
+                    let (mut completed, mut shed) = (0u64, 0u64);
+                    for _ in 0..LAUNCHES {
+                        match client.launch(triple_spec("crowd", 1 << 15)).unwrap() {
+                            Response::Launched { .. } => completed += 1,
+                            Response::Overloaded { retry_after_ms } => {
+                                assert_eq!(retry_after_ms, 7, "only the capacity gate sheds here");
+                                shed += 1;
+                                std::thread::sleep(Duration::from_millis(retry_after_ms.into()));
+                            }
+                            other => panic!("healthy work surfaced {other:?}"),
+                        }
+                    }
+                    (completed, shed)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+
+    assert!(shed > 0, "{CLIENTS} clients on {CAPACITY} slots were all admitted: queueing?");
+    let stats = setup.stats("crowd").unwrap();
+    assert_eq!(stats.requests, CLIENTS as u64 * LAUNCHES);
+    assert_eq!(stats.shed, shed);
+    assert_eq!((stats.admitted, stats.completed, stats.failed), (completed, completed, 0));
+    handle.shutdown();
+}
+
+#[test]
 fn exec_quota_is_enforced_per_tenant() {
     let config = ServerConfig { tenant_quota_exec_ns: Some(1), ..ServerConfig::default() };
     let handle = start_server(config);
