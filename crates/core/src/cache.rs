@@ -78,12 +78,10 @@ pub struct CompiledKernel {
     pub function: Arc<dpvk_ir::Function>,
     /// Cost analysis under the cache's machine model.
     pub cost: CostInfo,
-    /// Register frame layout, computed once here so the interpreter can
-    /// execute against a flat reusable frame with no per-warp setup.
+    /// Register frame layout the bytecode was decoded against.
     pub frame: FrameLayout,
     /// The function pre-decoded to linear bytecode, built once here so
-    /// the default engine's inner loop is a flat `match` over µops with
-    /// no per-warp tree walk.
+    /// the default engine's inner loop is a flat `match` over µops.
     pub bytecode: BytecodeProgram,
     /// Static instruction count before optimization.
     pub pre_opt_instructions: usize,

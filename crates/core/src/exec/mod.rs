@@ -62,19 +62,17 @@ pub enum FormationPolicy {
     Static,
 }
 
-/// Which guest engine runs warp bodies. All engines execute the same
-/// compiled specialization and charge modeled cycles identically; they
-/// differ only in host-side speed.
+/// Which guest engine runs warp bodies. Both execute the same compiled
+/// specialization and charge modeled cycles identically; they differ
+/// only in host-side speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The pre-decoded linear-bytecode engine (default): operands
     /// resolved to frame slots at compile time, hot pairs fused, inner
-    /// loop a flat `match` over µops.
+    /// loop a flat `match` over µops. The one executable definition of
+    /// modeled cycles.
     #[default]
     Bytecode,
-    /// The tree-walking interpreter over the IR, kept as the
-    /// differential oracle for the bytecode engine.
-    Tree,
     /// The native tier: the µop stream copy-and-patch compiled to
     /// x86-64 in-process, cached per specialization in the translation
     /// cache. Falls back to the bytecode engine per warp when the host
@@ -87,7 +85,6 @@ impl Engine {
     pub fn label(self) -> &'static str {
         match self {
             Engine::Bytecode => "bytecode",
-            Engine::Tree => "tree",
             Engine::Jit => "jit",
         }
     }
@@ -98,18 +95,17 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`UnknownEngineError`] (listing the valid names) for
-    /// anything other than `bytecode`, `tree`, or `jit`.
+    /// anything other than `bytecode` or `jit`.
     pub fn parse(name: &str) -> Result<Self, UnknownEngineError> {
         match name {
             "bytecode" => Ok(Engine::Bytecode),
-            "tree" => Ok(Engine::Tree),
             "jit" => Ok(Engine::Jit),
             other => Err(UnknownEngineError { value: other.to_string() }),
         }
     }
 
     /// The session default: `Engine::default()` unless overridden by
-    /// `DPVK_ENGINE={bytecode,tree,jit}`. The env hook lets CI rerun a
+    /// `DPVK_ENGINE={bytecode,jit}`. The env hook lets CI rerun a
     /// whole reproduction binary on another engine and diff its output
     /// against the bytecode engine without per-binary flags. Read once;
     /// explicit `with_engine` calls are unaffected.
@@ -140,7 +136,7 @@ pub struct UnknownEngineError {
 
 impl std::fmt::Display for UnknownEngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown engine `{}`: expected `bytecode`, `tree`, or `jit`", self.value)
+        write!(f, "unknown engine `{}`: expected `bytecode` or `jit`", self.value)
     }
 }
 

@@ -24,8 +24,7 @@ use std::time::Instant;
 use dpvk_ir::ResumeStatus;
 use dpvk_trace::timeline::{self, SpanKind};
 use dpvk_vm::{
-    execute_warp_bytecode, execute_warp_framed, GlobalMem, JitCta, MemAccess, RegFrame,
-    ThreadContext, VmError,
+    execute_warp_bytecode, GlobalMem, JitCta, MemAccess, RegFrame, ThreadContext, VmError,
 };
 
 use crate::cache::{CompiledKernel, TranslationCache, Variant};
@@ -493,13 +492,13 @@ impl WorkerScratch {
 }
 
 /// A CTA's memory spaces, held the way its engine takes them: the JIT
-/// binds them into its environment block once per CTA, the interpreters
-/// borrow them per warp call. One lives on `run_cta`'s stack per CTA, so
+/// binds them into its environment block once per CTA, the bytecode
+/// engine borrows them per warp call. One lives on `run_cta`'s stack per CTA, so
 /// the size gap between the variants costs nothing a `Box` would save.
 #[allow(clippy::large_enum_variant)]
 enum CtaMem<'a> {
     Jit(JitCta<'a>),
-    Interp(MemAccess<'a>),
+    Bytecode(MemAccess<'a>),
 }
 
 /// Execute all threads of one CTA to completion.
@@ -560,7 +559,7 @@ fn run_cta(
     };
     let mut mem = match config.engine {
         Engine::Jit => CtaMem::Jit(JitCta::new(mem, &config.limits, Some(cancel))),
-        Engine::Bytecode | Engine::Tree => CtaMem::Interp(mem),
+        Engine::Bytecode => CtaMem::Bytecode(mem),
     };
 
     while let Some(front) = ready.front() {
@@ -642,14 +641,13 @@ fn run_cta(
         // warp to the bytecode engine.
         let jit = match config.engine {
             Engine::Jit => compiled.jit(kernel),
-            Engine::Bytecode | Engine::Tree => None,
+            Engine::Bytecode => None,
         };
         // Count the dispatch before executing: a warp that faults or is
         // cancelled mid-body was still dispatched to its engine.
         if tracing {
             let engine_counter = match config.engine {
                 Engine::Bytecode => dpvk_trace::Counter::WarpsBytecode,
-                Engine::Tree => dpvk_trace::Counter::WarpsTree,
                 Engine::Jit if jit.is_some() => dpvk_trace::Counter::WarpsJit,
                 Engine::Jit => {
                     dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
@@ -658,8 +656,8 @@ fn run_cta(
             };
             dpvk_trace::add(engine_counter, 1);
         }
-        let outcome = match (&mut mem, config.engine) {
-            (CtaMem::Jit(cta), _) => cta.execute_warp(
+        let outcome = match &mut mem {
+            CtaMem::Jit(cta) => cta.execute_warp(
                 jit.map(Arc::as_ref),
                 &compiled.bytecode,
                 &mut scratch.frame,
@@ -667,22 +665,9 @@ fn run_cta(
                 rp,
                 &mut stats.exec,
             ),
-            (CtaMem::Interp(mem), Engine::Bytecode | Engine::Jit) => execute_warp_bytecode(
+            CtaMem::Bytecode(mem) => execute_warp_bytecode(
                 &compiled.bytecode,
                 &mut scratch.frame,
-                &mut scratch.warp,
-                rp,
-                mem,
-                &mut stats.exec,
-                &config.limits,
-                Some(cancel),
-            ),
-            (CtaMem::Interp(mem), Engine::Tree) => execute_warp_framed(
-                &compiled.function,
-                &compiled.frame,
-                &mut scratch.frame,
-                &compiled.cost,
-                req.cache.model(),
                 &mut scratch.warp,
                 rp,
                 mem,

@@ -483,12 +483,15 @@ impl<'k> Translator<'k> {
             P::Cvt(from) => {
                 let from_sty = sty_of(*from);
                 let v = self.value_of(block, &inst.srcs[0], from_sty)?;
+                // The integer side decides: a float converts to a signed
+                // destination through i64, not u64.
+                let signed = if from.is_float() { inst.ty.is_signed() } else { from.is_signed() };
                 self.push(
                     block,
                     Inst::Cvt {
                         to: vty,
                         from: from_sty,
-                        signed: from.is_signed(),
+                        signed,
                         width: 1,
                         dst: d.expect("cvt has a destination"),
                         a: v,

@@ -86,7 +86,7 @@ fn as_f64(v: Value) -> Option<f64> {
 }
 
 /// The low `sty` bits of `x`, zero-extended: the VM's encoding of an
-/// integer immediate (`vm::interp::mask_to`).
+/// integer immediate (`vm::semantics::mask_to`).
 fn zext(x: i64, sty: STy) -> u64 {
     let bits = sty.bits();
     if bits >= 64 {
@@ -96,7 +96,7 @@ fn zext(x: i64, sty: STy) -> u64 {
     }
 }
 
-/// The low `sty` bits of `x`, sign-extended (`vm::interp::sext`).
+/// The low `sty` bits of `x`, sign-extended (`vm::semantics::sext`).
 fn sext(x: i64, sty: STy) -> i64 {
     let unused = 64 - sty.bits();
     (x << unused) >> unused

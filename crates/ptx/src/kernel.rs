@@ -241,19 +241,6 @@ impl Kernel {
         }
     }
 
-    /// Predecessor map: for each block, the blocks that branch or fall
-    /// through to it.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for i in 0..self.blocks.len() {
-            let b = BlockId(i as u32);
-            for s in self.successors(b) {
-                preds[s.index()].push(b);
-            }
-        }
-        preds
-    }
-
     /// Total static instruction count across all blocks.
     pub fn instruction_count(&self) -> usize {
         self.blocks.iter().map(|b| b.instructions.len()).sum()
@@ -330,15 +317,6 @@ mod tests {
         assert_eq!(k.successors(BlockId(0)), vec![BlockId(2), BlockId(1)]);
         assert_eq!(k.successors(BlockId(1)), vec![BlockId(2)]);
         assert_eq!(k.successors(BlockId(2)), vec![]);
-    }
-
-    #[test]
-    fn predecessors_invert_successors() {
-        let k = branchy_kernel();
-        let preds = k.predecessors();
-        assert_eq!(preds[2], vec![BlockId(0), BlockId(1)]);
-        assert_eq!(preds[1], vec![BlockId(0)]);
-        assert!(preds[0].is_empty());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! # dpvk-ptx
 //!
 //! A PTX-like data-parallel virtual ISA: in-memory representation, textual
-//! parser and printer, programmatic builder, and the control-flow and
-//! data-flow analyses the dynamic compiler needs.
+//! parser and printer, and validation.
 //!
 //! This crate is the front half of the CGO 2012 reproduction
 //! ("Dynamic Compilation of Data-Parallel Kernels for Vector Processors"):
@@ -46,8 +45,6 @@
 
 #![warn(missing_docs)]
 
-mod analysis;
-mod builder;
 mod error;
 mod instruction;
 mod kernel;
@@ -58,8 +55,6 @@ mod printer;
 mod types;
 mod validate;
 
-pub use analysis::{reverse_postorder, DominatorTree};
-pub use builder::KernelBuilder;
 pub use error::PtxError;
 pub use instruction::{AtomOp, CmpOp, Guard, Instruction, MulHalf, Opcode, VoteMode};
 pub use kernel::{BasicBlock, BlockId, Kernel, Module, Param, RegInfo, VarDecl};

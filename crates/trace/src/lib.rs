@@ -160,8 +160,6 @@ pub enum Counter {
     GuestDecodeNs,
     /// Warp executions dispatched to the pre-decoded bytecode engine.
     WarpsBytecode,
-    /// Warp executions dispatched to the tree-walk oracle engine.
-    WarpsTree,
     /// Warp executions dispatched to native x86-64 code emitted by the
     /// copy-and-patch JIT tier.
     WarpsJit,
@@ -245,7 +243,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 55] = [
+    pub const ALL: [Counter; 54] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -271,7 +269,6 @@ impl Counter {
         Counter::HostFormationNs,
         Counter::GuestDecodeNs,
         Counter::WarpsBytecode,
-        Counter::WarpsTree,
         Counter::WarpsJit,
         Counter::JitCodeBytes,
         Counter::JitTemplateUops,
@@ -331,7 +328,6 @@ impl Counter {
             Counter::HostFormationNs => "host_formation_ns",
             Counter::GuestDecodeNs => "guest_decode_ns",
             Counter::WarpsBytecode => "warps_bytecode",
-            Counter::WarpsTree => "warps_tree",
             Counter::WarpsJit => "warps_jit",
             Counter::JitCodeBytes => "jit_code_bytes",
             Counter::JitTemplateUops => "jit_template_uops",

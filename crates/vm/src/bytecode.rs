@@ -1,12 +1,9 @@
 //! The pre-decoded linear bytecode engine: µop format and execution loop.
 //!
-//! The tree-walking interpreter in [`crate::interp`] re-resolves every
-//! `Value::Reg`/`Value::Imm` operand through the [`FrameLayout`] and
-//! recomputes the modeled instruction cost on every dynamic instruction.
-//! This module executes a [`BytecodeProgram`] instead: a flat `Vec<Op>` of
-//! fixed-size µops produced once per compiled specialization (see
-//! [`crate::decode`]), with operands already resolved to frame-slot
-//! offsets, immediates pre-encoded to their masked bit patterns, modeled
+//! A [`BytecodeProgram`] is a flat `Vec<Op>` of fixed-size µops produced
+//! once per compiled specialization (see [`crate::decode`]), with operands
+//! already resolved to frame-slot offsets through the [`FrameLayout`],
+//! immediates pre-encoded to their masked bit patterns, modeled
 //! cycle/flop charges pre-baked per µop, and branch/switch targets
 //! resolved to µop indices so the inner loop is one dense
 //! `match code[pc]` dispatch.
@@ -16,12 +13,13 @@
 //! autovectorizer straight-line, branch-free bodies to widen — no SIMD
 //! intrinsics or new dependencies involved.
 //!
-//! Everything observable is bit-identical to the tree-walk: lane values
-//! funnel through the same scalar helpers, modeled cycles/flops charge
-//! the same amounts in the same order, [`ExecStats`] fields and
-//! watchdog/deadline/cancellation polls tick on exactly the same
-//! instruction counts (terminators included, so pure-branch spin loops
-//! still poll). The tree-walk stays as the differential oracle.
+//! This loop is the one executable definition of modeled cycles: each
+//! µop charges its cycles/flops in source order, and [`ExecStats`] fields
+//! and watchdog/deadline/cancellation polls tick once per source
+//! instruction (terminators included, so pure-branch spin loops still
+//! poll). Lane values are the functions of [`crate::semantics`]. The JIT
+//! is held to this engine; the results of both are held to a PTX-level
+//! reference evaluator in the test suite (`tests/reference.rs`).
 //!
 //! [`FrameLayout`]: crate::frame::FrameLayout
 
@@ -34,11 +32,11 @@ use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
 use crate::frame::RegFrame;
-use crate::interp::{
-    atom_rmw, f_enc, f_of, mask_to, scalar_bin, scalar_cmp, scalar_cvt, scalar_un, sext,
-    ExecLimits, WarpOutcome,
-};
 use crate::memory::MemAccess;
+use crate::semantics::{
+    atom_rmw, f_enc, f_min_max, f_of, fused_mul_add, mask_to, scalar_bin, scalar_cmp, scalar_cvt,
+    scalar_un, sext, ExecLimits, WarpOutcome,
+};
 use crate::stats::ExecStats;
 
 /// µop counts [`ExecStats::loads`].
@@ -179,8 +177,7 @@ pub(crate) enum SwitchVal {
     },
     /// Integer immediate (used as-is).
     Imm(i64),
-    /// A float immediate: errors at execution time exactly like the
-    /// tree-walk does.
+    /// A float immediate: an `Unsupported` error at execution time.
     BadFloat,
 }
 
@@ -285,8 +282,8 @@ pub(crate) enum OpKind {
     MovVec { w: u32, off: u32, a: BSrc },
     /// Scalar register copy (broadcast write).
     MovScalar { dst: BDst, a: BSrc },
-    /// A construct the tree-walk rejects at execution time; charged like
-    /// the original instruction, then errors identically.
+    /// A construct rejected at execution time; charged like the original
+    /// instruction, then errors.
     Unsupported { what: &'static str },
 
     /// Fused scalar compare + conditional branch (superinstruction).
@@ -970,10 +967,10 @@ pub(crate) fn vec3(
 /// chaining); vector forms return 0.
 ///
 /// The arithmetic in each lane closure replicates `scalar_bin` exactly
-/// (guarded by the differential fuzz tests); infallible ops get chunked
-/// kernels, fallible ones (integer Div/Rem) fall back to the sequential
-/// per-lane loop so error ordering and partially-written lanes match the
-/// tree-walk.
+/// (guarded by `tests/jit_lanes.rs` and the reference matrix); infallible
+/// ops get chunked kernels, fallible ones (integer Div/Rem) fall back to
+/// the sequential per-lane loop so a lane's error leaves the lanes before
+/// it written and the ones after it not.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn exec_bin(
@@ -1000,12 +997,12 @@ pub(crate) fn exec_bin(
             BinOp::Sub => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) - f_of(y, sty), sty)),
             BinOp::Mul => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) * f_of(y, sty), sty)),
             BinOp::Div => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) / f_of(y, sty), sty)),
-            BinOp::Min => {
-                vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty).min(f_of(y, sty)), sty))
-            }
-            BinOp::Max => {
-                vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty).max(f_of(y, sty)), sty))
-            }
+            BinOp::Min => vec2(regs, w, doff, a, b, |x, y| {
+                f_enc(f_min_max(f_of(x, sty), f_of(y, sty), false), sty)
+            }),
+            BinOp::Max => vec2(regs, w, doff, a, b, |x, y| {
+                f_enc(f_min_max(f_of(x, sty), f_of(y, sty), true), sty)
+            }),
             BinOp::And => vec2(regs, w, doff, a, b, |x, y| mask_to(x & y, sty)),
             BinOp::Or => vec2(regs, w, doff, a, b, |x, y| mask_to(x | y, sty)),
             BinOp::Xor => vec2(regs, w, doff, a, b, |x, y| mask_to(x ^ y, sty)),
@@ -1114,16 +1111,16 @@ pub(crate) fn exec_un(
 
 /// Execute one warp through a decoded program, starting at µop 0.
 ///
-/// The bytecode twin of
-/// [`execute_warp_framed`](crate::interp::execute_warp_framed): same
-/// contract, same errors, bit-identical modeled cycles, [`ExecStats`]
-/// and memory effects. `scratch` is reused across calls and allocates
-/// nothing once grown (the program caches its slot count).
+/// `ctxs` must hold exactly `program.warp_size()` contexts, all waiting at
+/// entry `entry_id`. On return the kernel's exit handlers have written
+/// their `resume_point`s (a `Ret` without an explicit status terminates
+/// the warp). `scratch` is reused across calls and allocates nothing once
+/// grown (the program caches its slot count).
 ///
 /// # Errors
 ///
-/// Identical to `execute_warp_framed`: memory faults, division by zero,
-/// watchdog, deadline, cancellation — polled every
+/// Memory faults, division by zero, the instruction watchdog, the
+/// wall-clock deadline and cancellation — the last two polled every
 /// [`ExecLimits::check_interval`] instructions, terminators included.
 ///
 /// # Panics
@@ -1274,9 +1271,9 @@ fn exec_loop<P: UopSink>(
     stats.warp_entries += 1;
     stats.thread_entries += program.warp_size as u64;
 
-    // Per-instruction bookkeeping, identical (in order and in counts) to
-    // the tree-walk loop: the watchdog and the deadline/cancellation poll
-    // tick on the same `executed` values, including per fused component.
+    // Per-instruction bookkeeping: the watchdog and the
+    // deadline/cancellation poll tick once per source instruction,
+    // including per fused component.
     macro_rules! tick {
         () => {
             executed += 1;
@@ -1661,8 +1658,7 @@ fn exec_loop<P: UopSink>(
 /// Element-wise FMA with the `sty` dispatch hoisted out of the lane
 /// loop: the common types get monomorphized chunk kernels whose bodies
 /// are exact transcriptions of [`fma_one`] for that type (f32 stays
-/// widen-to-f64 `mul_add`, narrow once — `f64::mul_add` is correctly
-/// rounded, so the value is bit-identical to the generic path).
+/// widen-to-f64 [`fused_mul_add`], narrow once).
 #[inline(always)]
 pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b: BSrc, c: BSrc) {
     if w == 1 {
@@ -1674,12 +1670,11 @@ pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b
     let doff = dst.off as usize;
     match sty {
         STy::F32 => vec3(regs, w, doff, a, b, c, |x, y, z| {
-            let r = (f32::from_bits(x as u32) as f64)
-                .mul_add(f32::from_bits(y as u32) as f64, f32::from_bits(z as u32) as f64);
-            (r as f32).to_bits() as u64
+            let widen = |v: u64| f32::from_bits(v as u32) as f64;
+            f_enc(fused_mul_add(widen(x), widen(y), widen(z)), STy::F32)
         }),
         STy::F64 => vec3(regs, w, doff, a, b, c, |x, y, z| {
-            f64::from_bits(x).mul_add(f64::from_bits(y), f64::from_bits(z)).to_bits()
+            fused_mul_add(f64::from_bits(x), f64::from_bits(y), f64::from_bits(z)).to_bits()
         }),
         STy::I32 => vec3(regs, w, doff, a, b, c, |x, y, z| {
             let r = (x as i32 as i64).wrapping_mul(y as i32 as i64).wrapping_add(z as i32 as i64);
@@ -1692,13 +1687,16 @@ pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b
     }
 }
 
-/// One FMA lane, matching the tree-walk's `Fma` arm exactly.
+/// One FMA lane: floats through [`fused_mul_add`], integers wrap.
 #[inline(always)]
 pub(crate) fn fma_one(sty: STy, x: u64, y: u64, z: u64) -> u64 {
     if sty.is_float() {
-        f_enc(f_of(x, sty).mul_add(f_of(y, sty), f_of(z, sty)), sty)
+        f_enc(fused_mul_add(f_of(x, sty), f_of(y, sty), f_of(z, sty)), sty)
     } else {
         let r = sext(x, sty).wrapping_mul(sext(y, sty)).wrapping_add(sext(z, sty));
         mask_to(r as u64, sty)
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests;

@@ -1,8 +1,8 @@
 //! The bytecode decoder: lowers a [`Function`] into a [`BytecodeProgram`].
 //!
 //! Decoding runs once per compiled specialization, right after the
-//! [`FrameLayout`] is computed, and moves every per-dynamic-instruction
-//! cost of the tree-walk to compile time:
+//! [`FrameLayout`] is computed, and moves every cost that would otherwise
+//! recur per dynamic instruction to compile time:
 //!
 //! * operands resolve through the layout to [`BSrc`] slot offsets
 //!   (`Slot` for width-1 registers, which broadcast; `Lanes` for vector
@@ -18,7 +18,7 @@
 //!   where the second reads the first, and scalar `Load`→`Bin` feeding
 //!   pairs. A fused µop still ticks, charges, and polls once per source
 //!   instruction, so watchdog counts, poll points, and every `ExecStats`
-//!   field stay bit-identical to the tree-walk. The intermediate register
+//!   field are those of the unfused pair. The intermediate register
 //!   write is elided only when use counting proves the fused consumer is
 //!   its sole reader anywhere in the function;
 //! * per-lane glue runs collapse into run superinstructions
@@ -40,16 +40,15 @@ use crate::bytecode::{
 };
 use crate::cost::{inst_cost, inst_flops, term_cost, CostInfo};
 use crate::frame::FrameLayout;
-use crate::interp::encode_imm;
 use crate::machine::MachineModel;
+use crate::semantics::encode_imm;
 
 impl BytecodeProgram {
     /// Lower `f` to linear bytecode.
     ///
     /// `layout` must be the [`FrameLayout`] of `f` and `info` its
-    /// [`CostInfo`] under `model` — the same triple the tree-walk
-    /// interpreter executes against, so the pre-baked charges match it
-    /// exactly.
+    /// [`CostInfo`] under `model`: the pre-baked charges are
+    /// [`inst_cost`]/[`inst_flops`] under exactly that pair.
     pub fn decode(
         f: &Function,
         layout: &FrameLayout,
@@ -126,8 +125,8 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// Operand in a lane-indexed position (the tree-walk's `src`):
-    /// width-1 registers broadcast via `Slot`, vectors read per lane.
+    /// Operand in a lane-indexed position: width-1 registers broadcast
+    /// via `Slot`, vectors read per lane.
     fn bsrc(&self, v: Value, sty: STy) -> BSrc {
         match v {
             Value::Reg(r) => {
@@ -142,8 +141,8 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Operand in a scalar position (the tree-walk's `eval_scalar`):
-    /// registers always read their first slot.
+    /// Operand in a scalar position: registers always read their first
+    /// slot.
     fn bsrc_scalar(&self, v: Value, sty: STy) -> BSrc {
         match v {
             Value::Reg(r) => BSrc::Slot(self.layout.offset(r) as u32),
@@ -156,7 +155,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Pre-baked charges for one source instruction in a block of kind
-    /// `bk` — exactly what the tree-walk computes per dynamic instruction.
+    /// `bk`.
     fn meta_of(&self, inst: &Inst, bk: BlockKind) -> OpMeta {
         let cost = inst_cost(inst, self.model, self.info);
         debug_assert!(cost <= u32::MAX as u64, "instruction cost overflows the µop encoding");
@@ -747,93 +746,21 @@ fn try_ctx_run(ops: &[Op]) -> Option<(Op, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::execute_warp_bytecode;
-    use crate::context::ThreadContext;
-    use crate::frame::RegFrame;
-    use crate::interp::{execute_warp, ExecLimits};
-    use crate::memory::{GlobalMem, MemAccess};
+    use crate::bytecode::tests::{run, run_with, Ran};
+    use crate::semantics::{ExecLimits, WarpOutcome};
     use crate::stats::ExecStats;
-    use dpvk_ir::{BinOp, Block, BlockId, CmpPred, Space};
+    use dpvk_ir::{BinOp, Block, BlockId, CmpPred, ResumeStatus, Space};
 
-    /// Run `f` under both engines against separate memories and assert
-    /// outcome, stats, memory image and resume points all agree.
-    fn assert_engines_agree(f: &Function) {
-        let model = MachineModel::sandybridge_sse();
-        let info = CostInfo::analyze(f, &model);
-        let layout = FrameLayout::of(f);
-        let program = BytecodeProgram::decode(f, &layout, &model, &info);
-
-        let mk_ctxs = || -> Vec<ThreadContext> {
-            (0..f.warp_size)
-                .map(|i| ThreadContext::new([i, 0, 0], [f.warp_size, 1, 1], [0; 3], [1, 1, 1]))
-                .collect()
-        };
-        let run_tree = |g: &GlobalMem| {
-            let mut ctxs = mk_ctxs();
-            let (mut shared, mut local) = (vec![0u8; 512], vec![0u8; 512]);
-            let mut mem = MemAccess {
-                global: g,
-                shared: &mut shared,
-                local: &mut local,
-                param: &[],
-                cbank: &[],
-            };
-            let mut stats = ExecStats::default();
-            let r = execute_warp(
-                f,
-                &info,
-                &model,
-                &mut ctxs,
-                0,
-                &mut mem,
-                &mut stats,
-                &ExecLimits::default(),
-                None,
-            );
-            (r, stats, ctxs)
-        };
-        let run_bc = |g: &GlobalMem| {
-            let mut ctxs = mk_ctxs();
-            let (mut shared, mut local) = (vec![0u8; 512], vec![0u8; 512]);
-            let mut mem = MemAccess {
-                global: g,
-                shared: &mut shared,
-                local: &mut local,
-                param: &[],
-                cbank: &[],
-            };
-            let mut stats = ExecStats::default();
-            let mut scratch = RegFrame::new();
-            let r = execute_warp_bytecode(
-                &program,
-                &mut scratch,
-                &mut ctxs,
-                0,
-                &mut mem,
-                &mut stats,
-                &ExecLimits::default(),
-                None,
-            );
-            (r, stats, ctxs)
-        };
-
-        let (g1, g2) = (GlobalMem::new(256), GlobalMem::new(256));
-        let (r1, s1, c1) = run_tree(&g1);
-        let (r2, s2, c2) = run_bc(&g2);
-        assert_eq!(r1, r2, "outcomes diverge");
-        assert_eq!(s1, s2, "exec stats diverge");
-        assert_eq!(
-            c1.iter().map(|c| c.resume_point).collect::<Vec<_>>(),
-            c2.iter().map(|c| c.resume_point).collect::<Vec<_>>(),
-            "resume points diverge"
-        );
-        let (mut b1, mut b2) = (vec![0u8; g1.size()], vec![0u8; g2.size()]);
-        g1.copy_out(0, &mut b1).unwrap();
-        g2.copy_out(0, &mut b2).unwrap();
-        assert_eq!(b1, b2, "memory images diverge");
+    /// `ran` exited cleanly with `stats`, and global memory starts with
+    /// `words` (little-endian u32s).
+    fn assert_ran(ran: &Ran, words: &[u32], stats: ExecStats) {
+        assert_eq!(ran.result, Ok(WarpOutcome { status: ResumeStatus::Exit }));
+        let got: Vec<u32> = (0..words.len()).map(|k| ran.word(4 * k)).collect();
+        assert_eq!(got, words, "memory image");
+        assert_eq!(ran.stats, stats);
     }
 
-    /// The `loop_with_condbr` kernel from the interp tests: exercises
+    /// Sum 0..10 into global[0]: exercises
     /// `Cmp`+`CondBr` fusion, `Bin`+`Bin` fusion, and the loop back-edge.
     fn sum_loop() -> Function {
         let mut f = Function::new("t", 1);
@@ -887,8 +814,16 @@ mod tests {
     }
 
     #[test]
-    fn loop_kernel_matches_tree_walk() {
-        assert_engines_agree(&sum_loop());
+    fn loop_kernel_runs_to_its_pinned_image_and_stats() {
+        let stats = ExecStats {
+            cycles_body: 56,
+            instructions: 45,
+            stores: 1,
+            warp_entries: 1,
+            thread_entries: 1,
+            ..ExecStats::default()
+        };
+        assert_ran(&run(&sum_loop()), &[45], stats);
     }
 
     #[test]
@@ -910,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn chained_arithmetic_fuses_and_matches_tree_walk() {
+    fn chained_arithmetic_fuses_and_keeps_its_pinned_image_and_stats() {
         // global[4] = (global[0] + 5) * 3 + 7, all through single-use
         // temporaries: one Load+Bin pair and one Bin+Bin pair fuse, with
         // every intermediate write elided.
@@ -970,7 +905,16 @@ mod tests {
             program.code.iter().any(|op| matches!(op.kind, OpKind::LoadBin { dst1: None, .. })),
             "single-use load result should be elided"
         );
-        assert_engines_agree(&f);
+        let stats = ExecStats {
+            cycles_body: 8,
+            instructions: 6,
+            loads: 1,
+            stores: 1,
+            warp_entries: 1,
+            thread_entries: 1,
+            ..ExecStats::default()
+        };
+        assert_ran(&run(&f), &[0, 22], stats);
     }
 
     #[test]
@@ -1019,7 +963,7 @@ mod tests {
             program.code.iter().any(|op| matches!(op.kind, OpKind::CmpBr { dst: Some(_), .. })),
             "multi-use predicate write must be kept"
         );
-        assert_engines_agree(&f);
+        assert_eq!(run(&f).word(0), 1);
     }
 
     #[test]
@@ -1046,52 +990,13 @@ mod tests {
             b.term = Term::Ret;
             f.add_block(b);
         }
-        assert_engines_agree(&f);
+        for (entry, want) in [(0, 111), (5, 222), (9, 111)] {
+            assert_eq!(run_with(&f, entry, &[], &ExecLimits::default(), None).word(0), want);
+        }
     }
 
     #[test]
-    fn spin_loop_still_polls_deadline() {
-        let mut f = Function::new("spin", 1);
-        let mut b = Block::new("spin");
-        b.term = Term::Br(BlockId(0));
-        f.add_block(b);
-        let model = MachineModel::default();
-        let info = CostInfo::zero();
-        let layout = FrameLayout::of(&f);
-        let program = BytecodeProgram::decode(&f, &layout, &model, &info);
-        let g = GlobalMem::new(4);
-        let mut ctxs = vec![ThreadContext::new([0; 3], [1, 1, 1], [0; 3], [1, 1, 1])];
-        let (mut shared, mut local) = (vec![], vec![]);
-        let mut mem = MemAccess {
-            global: &g,
-            shared: &mut shared,
-            local: &mut local,
-            param: &[],
-            cbank: &[],
-        };
-        let mut stats = ExecStats::default();
-        let mut scratch = RegFrame::new();
-        let limits = ExecLimits {
-            deadline: Some(std::time::Instant::now()),
-            check_interval: 16,
-            ..Default::default()
-        };
-        let err = execute_warp_bytecode(
-            &program,
-            &mut scratch,
-            &mut ctxs,
-            0,
-            &mut mem,
-            &mut stats,
-            &limits,
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(err, crate::error::VmError::Deadline);
-    }
-
-    #[test]
-    fn vector_kernels_match_tree_walk() {
+    fn vector_kernel_runs_to_its_pinned_image_and_stats() {
         let mut f = Function::new("t", 4);
         let vt = Type::vector(STy::F32, 4);
         let v = f.new_reg(vt);
@@ -1114,6 +1019,15 @@ mod tests {
         });
         b.term = Term::Ret;
         f.add_block(b);
-        assert_engines_agree(&f);
+        let stats = ExecStats {
+            cycles_body: 6,
+            instructions: 5,
+            flops: 8,
+            stores: 1,
+            warp_entries: 1,
+            thread_entries: 4,
+            ..ExecStats::default()
+        };
+        assert_ran(&run(&f), &[6.0f32.to_bits()], stats);
     }
 }

@@ -1,12 +1,12 @@
-//! Flat register frames: the per-function slot layout the interpreter
-//! executes against.
+//! Flat register frames: the per-function slot layout the engines
+//! execute against.
 //!
 //! A [`FrameLayout`] is computed once per compiled specialization and maps
 //! every virtual register to a contiguous run of `u64` lane slots (one
 //! slot for scalars, `width` slots for vectors). [`RegFrame`] is the
 //! reusable backing storage: an execution manager keeps one per worker
-//! and re-prepares it for each warp call, so the interpreter performs no
-//! heap allocation per instruction — or, once the frame has grown to the
+//! and re-prepares it for each warp call, so an engine performs no heap
+//! allocation per instruction — or, once the frame has grown to the
 //! largest specialization it has seen, per warp.
 
 use dpvk_ir::{Function, VReg};
@@ -47,11 +47,6 @@ impl FrameLayout {
         self.slots
     }
 
-    /// Number of registers covered by this layout.
-    pub fn regs(&self) -> usize {
-        self.offsets.len()
-    }
-
     /// First slot of register `r`.
     #[inline]
     pub fn offset(&self, r: VReg) -> usize {
@@ -67,11 +62,10 @@ impl FrameLayout {
 
 /// Reusable backing storage for a register frame.
 ///
-/// `prepare` zeroes and sizes the buffer for a layout without shrinking
-/// its capacity, so a frame reused across warp calls stops allocating once
-/// it has grown to the largest layout it serves. `prepare_slots` zeroes
-/// only what a warp entry can read before writing and leaves the rest
-/// as the previous warp left it.
+/// `prepare_slots` grows the buffer without ever shrinking it, so a frame
+/// reused across warp calls stops allocating once it has grown to the
+/// largest program it serves, and zeroes only what a warp entry can read
+/// before writing: the rest stays as the previous warp left it.
 #[derive(Debug, Default)]
 pub struct RegFrame {
     slots: Vec<u64>,
@@ -83,19 +77,11 @@ impl RegFrame {
         RegFrame { slots: Vec::new() }
     }
 
-    /// Zero the frame and size it for `layout`, returning the slot slice.
-    pub(crate) fn prepare(&mut self, layout: &FrameLayout) -> &mut [u64] {
-        self.slots.clear();
-        self.slots.resize(layout.slots(), 0);
-        &mut self.slots
-    }
-
     /// Size the frame to at least `slots` slots and zero the `live`
-    /// ranges, returning the first `slots` slots. The bytecode and JIT
-    /// engines' entry point: `live` is the decoded program's
-    /// entry-live set — every other slot is written before any read on
-    /// every path, so whatever an earlier warp left there is never
-    /// observed and clearing it per entry (5–7 KB on the barrier
+    /// ranges, returning the first `slots` slots. `live` is the decoded
+    /// program's entry-live set — every other slot is written before any
+    /// read on every path, so whatever an earlier warp left there is
+    /// never observed and clearing it per entry (5–7 KB on the barrier
     /// kernels) is pure cost.
     pub(crate) fn prepare_slots(&mut self, slots: usize, live: &[(u32, u32)]) -> &mut [u64] {
         if self.slots.len() < slots {
@@ -121,37 +107,19 @@ mod tests {
         let b = f.new_reg(Type::scalar(STy::I64));
         let l = FrameLayout::of(&f);
         assert_eq!(l.slots(), 6);
-        assert_eq!(l.regs(), 3);
         assert_eq!((l.offset(a), l.width(a)), (0, 1));
         assert_eq!((l.offset(v), l.width(v)), (1, 4));
         assert_eq!((l.offset(b), l.width(b)), (5, 1));
     }
 
     #[test]
-    fn frame_reuse_keeps_capacity() {
-        let mut f = Function::new("t", 4);
-        f.new_reg(Type::vector(STy::I32, 8));
-        let big = FrameLayout::of(&f);
-        let mut g = Function::new("t", 1);
-        g.new_reg(Type::scalar(STy::I32));
-        let small = FrameLayout::of(&g);
-
-        let mut frame = RegFrame::new();
-        let s = frame.prepare(&big);
-        s[7] = 99;
-        let cap = frame.slots.capacity();
-        let s = frame.prepare(&small);
-        assert_eq!(s, &[0]);
-        assert_eq!(frame.slots.capacity(), cap, "prepare must not shrink");
-        assert!(frame.prepare(&big).iter().all(|&v| v == 0), "prepare zeroes");
-    }
-
-    #[test]
     fn prepare_slots_clears_the_live_ranges_only() {
         let mut frame = RegFrame::new();
         frame.prepare_slots(8, &[]).fill(9);
+        let cap = frame.slots.capacity();
         let s = frame.prepare_slots(6, &[(1, 2), (5, 1)]);
         assert_eq!(s, &[9, 0, 0, 9, 9, 0]);
+        assert_eq!(frame.slots.capacity(), cap, "a smaller program must not shrink the frame");
         // Growing zero-fills the new slots and keeps the old ones.
         assert_eq!(frame.prepare_slots(10, &[]), &[9, 0, 0, 9, 9, 0, 9, 9, 0, 0]);
     }

@@ -67,12 +67,12 @@ use dpvk_ir::{BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp
 
 use crate::bytecode::{BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo};
 use crate::context::ThreadContext;
-use crate::interp::f_of;
 use crate::jit::asm::*;
 use crate::jit::rt::{
     block_charges, jit_block_slow, jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv,
     FAIL_FLOAT_SWITCH, FAIL_WATCHDOG, STATUS_BARRIER, STATUS_BRANCH, STATUS_EXIT,
 };
+use crate::semantics::f_of;
 
 /// Widest vector µop lowered inline — four chunks for a float shape,
 /// eight lanes for an integer one; wider ops fall back to the

@@ -34,8 +34,8 @@ use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
 use crate::frame::RegFrame;
-use crate::interp::{mask_to, ExecLimits, WarpOutcome};
 use crate::memory::MemAccess;
+use crate::semantics::{mask_to, ExecLimits, WarpOutcome};
 use crate::stats::ExecStats;
 
 /// A program compiled to native x86-64 by the JIT tier.

@@ -30,9 +30,9 @@ use crate::bytecode::{
 use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
-use crate::interp::{atom_rmw, mask_to, scalar_bin, scalar_cmp, scalar_cvt, sext};
 use crate::jit::emit::has_inline_template;
 use crate::memory::MemAccess;
+use crate::semantics::{atom_rmw, mask_to, scalar_bin, scalar_cmp, scalar_cvt, sext};
 
 /// Status codes written to [`JitEnv::status`]; 0 means "no SetStatus
 /// executed yet" (`None` in the interpreter).

@@ -18,8 +18,8 @@
 //! ```
 //! use dpvk_ir::{Block, Function, Inst, Space, STy, Term, Type, Value};
 //! use dpvk_vm::{
-//!     execute_warp, CostInfo, ExecLimits, ExecStats, GlobalMem, MachineModel, MemAccess,
-//!     ThreadContext,
+//!     execute_warp_bytecode, BytecodeProgram, CostInfo, ExecLimits, ExecStats, FrameLayout,
+//!     GlobalMem, MachineModel, MemAccess, RegFrame, ThreadContext,
 //! };
 //!
 //! // A one-instruction kernel: global[0] = 42.
@@ -36,6 +36,7 @@
 //!
 //! let model = MachineModel::sandybridge_sse();
 //! let info = CostInfo::analyze(&f, &model);
+//! let program = BytecodeProgram::decode(&f, &FrameLayout::of(&f), &model, &info);
 //! let global = GlobalMem::new(64);
 //! let mut ctxs = vec![ThreadContext::new([0; 3], [1, 1, 1], [0; 3], [1, 1, 1])];
 //! let (mut shared, mut local) = (vec![0u8; 0], vec![0u8; 0]);
@@ -46,8 +47,9 @@
 //!     param: &[],
 //!     cbank: &[],
 //! };
-//! let mut stats = ExecStats::default();
-//! execute_warp(&f, &info, &model, &mut ctxs, 0, &mut mem, &mut stats, &ExecLimits::default(), None)?;
+//! let (mut stats, mut frame) = (ExecStats::default(), RegFrame::new());
+//! let limits = ExecLimits::default();
+//! execute_warp_bytecode(&program, &mut frame, &mut ctxs, 0, &mut mem, &mut stats, &limits, None)?;
 //! assert_eq!(u32::from_le_bytes(global.read::<4>(0)?), 42);
 //! # Ok::<(), dpvk_vm::VmError>(())
 //! ```
@@ -61,10 +63,10 @@ mod cost;
 mod decode;
 mod error;
 mod frame;
-mod interp;
 mod jit;
 mod machine;
 mod memory;
+mod semantics;
 pub mod serial;
 mod stats;
 
@@ -74,11 +76,11 @@ pub use context::ThreadContext;
 pub use cost::{inst_cost, inst_flops, term_cost, CostInfo};
 pub use error::VmError;
 pub use frame::{FrameLayout, RegFrame};
-pub use interp::{execute_warp, execute_warp_framed, ExecLimits, WarpOutcome};
 pub use jit::{
     compile as jit_compile, jit_inline_width_cap, jit_supported, JitCta, JitEmitStats, JitProgram,
     JIT_HOST_FEATURES,
 };
 pub use machine::MachineModel;
 pub use memory::{GlobalMem, MemAccess};
+pub use semantics::{ExecLimits, WarpOutcome};
 pub use stats::ExecStats;

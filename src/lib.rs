@@ -10,9 +10,10 @@
 //!
 //! This façade crate re-exports the workspace's public API:
 //!
-//! * [`ptx`] — the PTX-like virtual ISA: parser, builder, analyses.
+//! * [`ptx`] — the PTX-like virtual ISA: parser, printer, validation.
 //! * [`ir`] — the typed vector IR and its optimization pipeline.
-//! * [`vm`] — the simulated vector machine (interpreter + cost model).
+//! * [`vm`] — the simulated vector machine (bytecode engine, native JIT,
+//!   cost model).
 //! * [`core`] — translation, vectorization, translation cache, execution
 //!   manager, and the CUDA-runtime-like [`Device`](core::Device) API.
 //! * [`workloads`] — the 22-kernel benchmark suite of the evaluation.

@@ -198,7 +198,7 @@ fn observe_mode_counts_without_steering() {
 fn adaptation_is_bit_identical_across_widths_and_engines() {
     let _guard = trace_lock();
     for src in [UNIFORM, DIVERGENT] {
-        for engine in [Engine::Bytecode, Engine::Tree, Engine::Jit] {
+        for engine in [Engine::Bytecode, Engine::Jit] {
             // Reference image from the scalar-equivalent static config.
             let (ref_dev, ref_out) = fresh(src);
             let ref_config = ExecConfig::dynamic(4)

@@ -163,9 +163,7 @@ fn churn_digest(engine: Engine) -> u64 {
 
 #[test]
 fn golden_digests_are_engine_independent_under_churn() {
-    let tree = churn_digest(Engine::Tree);
     let bytecode = churn_digest(Engine::Bytecode);
     let jit = churn_digest(Engine::Jit);
-    assert_eq!(tree, bytecode, "tree vs bytecode digests diverged");
     assert_eq!(bytecode, jit, "bytecode vs jit digests diverged");
 }

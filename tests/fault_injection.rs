@@ -17,7 +17,7 @@ use dpvk::core::{CancelToken, CoreError, Device, Engine, ExecConfig, ParamValue}
 use dpvk::vm::{MachineModel, VmError};
 
 /// Both guest engines must survive every recovery path identically.
-const ENGINES: [Engine; 2] = [Engine::Bytecode, Engine::Tree];
+const ENGINES: [Engine; 2] = [Engine::Bytecode, Engine::Jit];
 
 /// In-place `data[i] *= 3` over `n` u32 elements.
 const TRIPLE: &str = r#"
@@ -237,7 +237,8 @@ fn deadline_kills_a_runaway_kernel_within_twice_the_budget() {
     assert!(report.counter("cancelled_warps") >= 1, "counters: {:?}", report.counters);
     assert!(report.counter("faults") >= 2);
     assert!(report.counter("warps_bytecode") >= 1, "counters: {:?}", report.counters);
-    assert!(report.counter("warps_tree") >= 1, "counters: {:?}", report.counters);
+    let jit = report.counter("warps_jit") + report.counter("jit_fallback_warps");
+    assert!(jit >= 1, "counters: {:?}", report.counters);
 }
 
 #[test]

@@ -191,7 +191,7 @@ entry:
 
 #[test]
 fn wrapped_constants_compute_the_same_on_every_engine() {
-    for engine in [Engine::Tree, Engine::Bytecode, Engine::Jit] {
+    for engine in [Engine::Bytecode, Engine::Jit] {
         for config in [ExecConfig::baseline(), ExecConfig::dynamic(4)] {
             let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
             dev.register_source(WRAPS).unwrap();

@@ -94,7 +94,7 @@ fn warm_dispatch_does_not_allocate_per_warp() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
     dev.register_source(SPIN).unwrap();
-    for engine in [Engine::Bytecode, Engine::Tree] {
+    for engine in [Engine::Bytecode, Engine::Jit] {
         let config = ExecConfig::dynamic(4).with_workers(1).with_engine(engine);
         let launch = |iters: u32| {
             dev.launch("spin", [1, 1, 1], [32, 1, 1], &[ParamValue::U32(iters)], &config).unwrap()

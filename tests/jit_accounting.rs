@@ -1,9 +1,9 @@
-//! The JIT charges per basic block, the interpreters per µop. These
+//! The JIT charges per basic block, the bytecode engine per µop. These
 //! tests put the difference where it could show — a fault mid-block, a
 //! watchdog limit or a poll landing inside a block, a frame the last
-//! warp left dirty — and require the three engines to agree pairwise on
-//! the error, on every `ExecStats` field, on memory and on resume
-//! points. The JIT leg is skipped where `jit_supported()` is false.
+//! warp left dirty — and require the two engines to agree on the error,
+//! on every `ExecStats` field, on memory and on resume points. The JIT
+//! leg is skipped where `jit_supported()` is false.
 
 use std::time::{Duration, Instant};
 
@@ -11,13 +11,13 @@ use dpvk::ir::{
     BinOp, Block, BlockKind, CmpPred, Function, Inst, STy, Space, Term, Type, UnOp, VReg, Value,
 };
 use dpvk::vm::{
-    execute_warp_bytecode, execute_warp_framed, jit_compile, jit_supported, BytecodeProgram,
-    CancelToken, CostInfo, ExecLimits, ExecStats, FrameLayout, GlobalMem, JitCta, MachineModel,
-    MemAccess, RegFrame, ThreadContext, VmError, WarpOutcome,
+    execute_warp_bytecode, jit_compile, jit_supported, BytecodeProgram, CancelToken, CostInfo,
+    ExecLimits, ExecStats, FrameLayout, GlobalMem, JitCta, MachineModel, MemAccess, RegFrame,
+    ThreadContext, VmError, WarpOutcome,
 };
 
 const GLOBAL_BYTES: usize = 256;
-const ENGINES: [&str; 3] = ["tree", "bytecode", "jit"];
+const ENGINES: [&str; 2] = ["bytecode", "jit"];
 
 /// Everything one warp call leaves behind that a caller can see.
 #[derive(Debug, PartialEq)]
@@ -58,9 +58,6 @@ fn run_on(
         cbank: &[],
     };
     let result = match engine {
-        "tree" => execute_warp_framed(
-            f, &layout, frame, &info, &model, &mut ctxs, 0, &mut mem, &mut stats, limits, cancel,
-        ),
         "bytecode" => execute_warp_bytecode(
             &program, frame, &mut ctxs, 0, &mut mem, &mut stats, limits, cancel,
         ),
@@ -101,7 +98,7 @@ fn agree(what: &str, f: &Function, limits: &ExecLimits, cancel: Option<&CancelTo
     for pair in seen.windows(2) {
         assert_eq!(pair[0].1, pair[1].1, "{what}: {} vs {}", pair[0].0, pair[1].0);
     }
-    seen.pop().expect("at least the interpreters ran").1
+    seen.pop().expect("at least the bytecode engine ran").1
 }
 
 fn i32t() -> Type {

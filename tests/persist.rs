@@ -6,7 +6,7 @@
 //! exactly the state a new process would have. The warm device loads
 //! every specialized function from disk — zero nanoseconds specializing;
 //! translation and bytecode decode still run — and produces bit-identical
-//! kernel outputs at every width under all three execution engines.
+//! kernel outputs at every width under both execution engines.
 
 mod common;
 
@@ -99,7 +99,7 @@ fn artifacts(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     files
 }
 
-const ENGINES: [Engine; 3] = [Engine::Tree, Engine::Bytecode, Engine::Jit];
+const ENGINES: [Engine; 2] = [Engine::Bytecode, Engine::Jit];
 const WIDTHS: [u32; 3] = [1, 2, 4];
 
 /// The differential harness: widths × engines, each cold → warm → warm
