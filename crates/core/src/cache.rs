@@ -110,6 +110,8 @@ impl CompiledKernel {
                     dpvk_trace::add(dpvk_trace::Counter::JitTemplateUops, s.template_uops);
                     dpvk_trace::add(dpvk_trace::Counter::JitHelperUops, s.helper_uops);
                     dpvk_trace::add(dpvk_trace::Counter::JitWideHelperUops, s.wide_helper_uops);
+                    dpvk_trace::add(dpvk_trace::Counter::JitResidentReads, s.resident_reads);
+                    dpvk_trace::add(dpvk_trace::Counter::JitRefills, s.refills);
                     if let Some(start) = span {
                         flight::emit_span(SpanKind::JitEmit, kernel, start, s.code_bytes);
                     }

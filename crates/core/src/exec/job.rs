@@ -117,7 +117,9 @@ impl LaunchJob {
 
     /// Record one finished chunk; the worker that retires the last chunk
     /// finalizes the outcome, wakes waiters, and releases the stream's
-    /// next job into `pool`.
+    /// next job into `pool`. On a traced launch that retirement is the
+    /// `Retire` span: from the last chunk's taking the state lock to
+    /// after the stream promotion.
     pub(crate) fn complete_chunk(
         self: &Arc<Self>,
         index: usize,
@@ -126,6 +128,7 @@ impl LaunchJob {
         stopped_at: Option<u32>,
         pool: &PoolShared,
     ) {
+        let start = if self.seq != 0 { timeline::now_ns() } else { 0 };
         let finished = {
             let mut st = self.state.lock();
             st.stats.merge(&stats);
@@ -157,23 +160,22 @@ impl LaunchJob {
         if finished {
             self.state.notify_all();
             dpvk_trace::add(dpvk_trace::Counter::LaunchesRetired, 1);
-            if self.seq != 0 {
-                // Instantaneous retire edge on the stream track.
-                flight::emit_stream_span(
-                    SpanKind::Retire,
-                    &self.req.kernel,
-                    self.seq,
-                    self.stream_id(),
-                    timeline::now_ns(),
-                    0,
-                    self.cta_count,
-                );
-            }
             if let Some(gauge) = &self.gauge {
                 gauge.dec();
             }
             if let Some(stream) = &self.stream {
                 stream.on_job_retired(&self.req.kernel, pool);
+            }
+            if self.seq != 0 {
+                flight::emit_stream_span(
+                    SpanKind::Retire,
+                    &self.req.kernel,
+                    self.seq,
+                    self.stream_id(),
+                    start,
+                    timeline::now_ns().saturating_sub(start),
+                    self.cta_count,
+                );
             }
         }
     }

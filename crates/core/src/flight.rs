@@ -46,8 +46,8 @@ pub(crate) fn emit_span_at(kind: SpanKind, kernel: &str, start_ns: u64, dur_ns: 
 
 /// Record a span with explicit launch attribution and duration on the
 /// stream track (no worker), for events observed outside a launch scope
-/// — e.g. the retire edge (duration 0) runs on whichever thread
-/// completes the last chunk.
+/// — e.g. the retirement, which runs on whichever thread completes the
+/// last chunk.
 pub(crate) fn emit_stream_span(
     kind: SpanKind,
     kernel: &str,

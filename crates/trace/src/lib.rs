@@ -239,11 +239,17 @@ pub enum Counter {
     /// µop's vector width exceeds the JIT's inline lane cap — the
     /// width-aware rung of the engine fallback ladder.
     JitWideHelperUops,
+    /// Operand reads JIT emit served from a register an earlier template
+    /// of the same block left the value in (static count).
+    JitResidentReads,
+    /// Registers JIT emit reloads from the frame at template slow
+    /// sites, after the call there (static count).
+    JitRefills,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 54] = [
+    pub const ALL: [Counter; 56] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -298,6 +304,8 @@ impl Counter {
         Counter::RespecEvents,
         Counter::WidthSwitches,
         Counter::JitWideHelperUops,
+        Counter::JitResidentReads,
+        Counter::JitRefills,
     ];
 
     /// Stable snake_case name used in reports.
@@ -357,6 +365,8 @@ impl Counter {
             Counter::RespecEvents => "respec_events",
             Counter::WidthSwitches => "width_switches",
             Counter::JitWideHelperUops => "jit_wide_helper_uops",
+            Counter::JitResidentReads => "jit_resident_reads",
+            Counter::JitRefills => "jit_refills",
         }
     }
 }

@@ -126,8 +126,9 @@ pub enum SpanKind {
     Execute,
     /// Warp formation inside one chunk, coalesced into a single span.
     Gather,
-    /// The launch's last chunk completed and the result became
-    /// observable.
+    /// Retiring the launch: from its last chunk's taking the job's
+    /// state lock (merge, finalize, policy feedback, waking waiters) to
+    /// after the stream's next job was released.
     Retire,
     /// Loading a specialized function from the persistent on-disk
     /// cache (replaces Specialize on a warm restart).

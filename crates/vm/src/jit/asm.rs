@@ -18,10 +18,10 @@ pub const RDI: u8 = 7;
 pub const R11: u8 = 11;
 pub const R15: u8 = 15;
 
-/// XMM register encodings.
+/// XMM register encodings: the two scratch registers by name; the
+/// residency pool (`jit/resident.rs`) is `2..=15`.
 pub const XMM0: u8 = 0;
 pub const XMM1: u8 = 1;
-pub const XMM2: u8 = 2;
 
 /// Declares the host features generated code needs, once: the list
 /// and the probe [`super::jit_supported`] gates compilation on.
@@ -537,6 +537,17 @@ impl Asm {
         self.modrm_reg(dst, src2);
     }
 
+    /// `vmovaps dst, src`: a register copy, in the store form when that
+    /// spares the three-byte prefix (only `src` extended).
+    pub fn vmov(&mut self, dst: u8, src: u8) {
+        if src >= 8 && dst < 8 {
+            self.vex(VMOVAPS_STORE, src, 0, false);
+            self.modrm_reg(src, dst);
+        } else {
+            self.vop(VMOVAPS, dst, 0, src);
+        }
+    }
+
     /// [`Self::vop`] with a trailing `imm8`.
     pub fn vop_i(&mut self, o: Vop, dst: u8, src1: u8, src2: u8, imm: u8) {
         self.vop(o, dst, src1, src2);
@@ -642,14 +653,22 @@ pub const VPMOVZXDQ: Vop = v(2, 1, false, 0x35);
 /// `dst = dst * src1 + src2`, one rounding per lane — the hardware
 /// twin of `f64::mul_add`.
 pub const VFMADD213PD: Vop = v(2, 1, true, 0xA8);
+/// `dst = dst * src2 + src1`.
+pub const VFMADD132PD: Vop = v(2, 1, true, 0x98);
 pub const VPAND: Vop = v(1, 1, false, 0xDB);
 pub const VPXOR: Vop = v(1, 1, false, 0xEF);
+const VMOVAPS: Vop = v(1, 0, false, 0x28);
+const VMOVAPS_STORE: Vop = v(1, 0, false, 0x29);
+/// `vpshufd xmm, xmm, imm8` (`src1 = 0`): dword shuffle; packs the two
+/// f32 of a slot-layout chunk for `vcvtps2pd`.
+pub const VPSHUFD: Vop = v(1, 1, false, 0x70);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Spot-check encodings against hand-assembled bytes.
+    /// Spot-check encodings against hand-assembled bytes (GNU as
+    /// output).
     #[test]
     fn encodings_match_reference() {
         let mut a = Asm::new();
@@ -661,12 +680,12 @@ mod tests {
         a.setcc(Cc::E, RCX); // 40 0f 94 c1
         a.vop(Vop::float(F_ADD, true, 2), XMM0, XMM0, XMM1); // vaddps: c5 f8 58 c1
         a.vop(Vop::float(F_ADD, false, 1), XMM0, XMM0, XMM1); // vaddsd: c5 fb 58 c1
-        a.vop(VFMADD213PD, XMM0, XMM1, XMM2); // W1: c4 e2 f1 a8 c2
+        a.vop(VFMADD213PD, XMM0, XMM1, 2); // W1: c4 e2 f1 a8 c2
         a.vop(VPMOVZXDQ, XMM0, 0, XMM0); // 0F38: c4 e2 79 35 c0
         a.vop(VMOVQ_XR, XMM1, 0, R11); // VEX.B: c4 c1 f9 6e cb
         a.vop(VCVTTSD2SI, RAX, 0, XMM0); // c4 e1 fb 2c c0
         a.vload_lane(XMM0, RBX, 8, false); // vmovq, disp8: c5 fa 7e 43 08
-        a.vload_lane(XMM2, RBX, 0, true); // vmovd: c5 f9 6e 13
+        a.vload_lane(2, RBX, 0, true); // vmovd: c5 f9 6e 13
         a.vinsert_lane(XMM0, RBX, 0x100, false); // vpinsrq, disp32, imm8
         a.vinsert_lane(XMM1, RBX, 12, true); // vpinsrd: c4 e3 71 22 4b 0c 01
         a.vload_dup(XMM1, RBX, 0x80); // vmovddup: c5 fb 12 8b 80 00 00 00
@@ -675,6 +694,29 @@ mod tests {
         a.vshift_q(Sh::Shl, XMM0, 63); // vpsllq: c5 f9 73 f0 3f
         a.vshift_q(Sh::Shr, XMM0, 63); // vpsrlq: c5 f9 73 d0 3f
         a.vop_i(Vop::float(F_CMP, false, 2), XMM0, XMM0, XMM1, 0x1E); // vcmppd
+
+        // The residency pool's forms: register copies, and xmm8–15 in
+        // every operand position (VEX.R, VEX.B, a four-bit `vvvv`).
+        a.vmov(3, 9); // vmovaps xmm3, xmm9 (store form): c5 78 29 cb
+        a.vmov(12, XMM0); // vmovaps xmm12, xmm0: c5 78 28 e0
+        a.vmov(15, 8); // vmovaps xmm15, xmm8: c4 41 78 28 f8
+        a.vop(VFMADD213PD, 10, 11, 13); // c4 42 a1 a8 d5
+        a.vop_i(VPSHUFD, 4, 0, 14, 8); // vpshufd xmm4, xmm14, 8: c4 c1 79 70 e6 08
+        a.vop_i(VPSHUFD, 3, 0, 3, 8); // c5 f9 70 db 08
+        a.vload_lane(9, RBX, 8, false); // vmovq xmm9, [rbx+8]: c5 7a 7e 4b 08
+        a.vstore(RBX, 16, 15, 2); // vmovdqu [rbx+16], xmm15: c5 7a 7f 7b 10
+        a.vop(VCVTPS2PD, 5, 0, 8); // c4 c1 78 5a e8
+        a.vinsert_lane(11, RBX, 12, true); // vpinsrd: c4 63 21 22 5b 0c 01
+        a.vshift_q(Sh::Shl, 13, 63); // vpsllq xmm13, xmm13, 63: c4 c1 11 73 f5 3f
+        a.vop(VMOVQ_XR, 9, 0, R11); // vmovq xmm9, r11: c4 41 f9 6e cb
+        a.vop(VMOVQ_RX, 12, 0, RDI); // vmovq rdi, xmm12: c4 61 f9 7e e7
+        a.vload_dup(14, RBX, 0x80); // vmovddup: c5 7b 12 b3 80 00 00 00
+        a.vop(Vop::float(F_ADD, true, 2), 8, 15, 3); // vaddps: c5 00 58 c3
+        a.vop_i(Vop::float(F_CMP, false, 2), 10, 4, 12, 0x1E); // c4 41 59 c2 d4 1e
+        a.vop(VPXOR, 6, 9, 10); // c4 c1 31 ef f2
+        a.vop(Vop::float(F_SQRT, true, 1), 7, 12, 12); // vsqrtss: c4 c1 1a 51 fc
+        a.vop(VCVTTSD2SI, RAX, 0, 11); // c4 c1 fb 2c c3
+        a.vop(VFMADD132PD, 4, 9, 3); // vfmadd132pd xmm4, xmm9, xmm3: c4 e2 b1 98 e3
         let code = a.into_code();
         assert_eq!(
             code,
@@ -700,7 +742,27 @@ mod tests {
                 0xC5, 0xF9, 0xD6, 0x83, 0x00, 0x02, 0x00, 0x00, //
                 0xC5, 0xF9, 0x73, 0xF0, 0x3F, //
                 0xC5, 0xF9, 0x73, 0xD0, 0x3F, //
-                0xC5, 0xF9, 0xC2, 0xC1, 0x1E,
+                0xC5, 0xF9, 0xC2, 0xC1, 0x1E, //
+                0xC5, 0x78, 0x29, 0xCB, //
+                0xC5, 0x78, 0x28, 0xE0, //
+                0xC4, 0x41, 0x78, 0x28, 0xF8, //
+                0xC4, 0x42, 0xA1, 0xA8, 0xD5, //
+                0xC4, 0xC1, 0x79, 0x70, 0xE6, 0x08, //
+                0xC5, 0xF9, 0x70, 0xDB, 0x08, //
+                0xC5, 0x7A, 0x7E, 0x4B, 0x08, //
+                0xC5, 0x7A, 0x7F, 0x7B, 0x10, //
+                0xC4, 0xC1, 0x78, 0x5A, 0xE8, //
+                0xC4, 0x63, 0x21, 0x22, 0x5B, 0x0C, 0x01, //
+                0xC4, 0xC1, 0x11, 0x73, 0xF5, 0x3F, //
+                0xC4, 0x41, 0xF9, 0x6E, 0xCB, //
+                0xC4, 0x61, 0xF9, 0x7E, 0xE7, //
+                0xC5, 0x7B, 0x12, 0xB3, 0x80, 0x00, 0x00, 0x00, //
+                0xC5, 0x00, 0x58, 0xC3, //
+                0xC4, 0x41, 0x59, 0xC2, 0xD4, 0x1E, //
+                0xC4, 0xC1, 0x31, 0xEF, 0xF2, //
+                0xC4, 0xC1, 0x1A, 0x51, 0xFC, //
+                0xC4, 0xC1, 0xFB, 0x2C, 0xC3, //
+                0xC4, 0xE2, 0xB1, 0x98, 0xE3,
             ]
         );
     }

@@ -55,11 +55,31 @@
 //!   so nothing needs a `vzeroupper` and the Rust runtime around
 //!   generated code never pays a transition.
 //!
+//! Inside a basic block, values stay in registers (`jit/resident.rs`):
+//! an operand an earlier template of the block loaded or computed is
+//! read from the pool register that still holds it, keyed by the slots
+//! it came from, the chunk, and its form — the slot layout, the f64
+//! widening of f32 lanes, a broadcast scalar slot, an immediate. Every
+//! result is still stored to the frame (write-through), so the frame
+//! always holds what the interpreter's would, and nothing is ever
+//! flushed. What that costs is invalidation:
+//!
+//! * the table is empty at every block header (several predecessors);
+//! * every frame store (`Emitter::put`, `Emitter::put_chunk`) drops
+//!   the values read from the slots it writes;
+//! * a call on the main path (a helper-only µop's [`jit_step`]) empties
+//!   the table: it clobbers every xmm register and may write the frame;
+//! * a template's slow site — out of line, after the blocks — makes its
+//!   call and then reloads from the frame every register the table holds
+//!   where it rejoins the fast path (a refill), so the fast path keeps
+//!   its residency.
+//!
 //! Register conventions inside generated code:
 //!   r15 = &JitEnv      rbx = register-frame base
 //!   rbp = value kept live within a fused µop (helper calls clobber the rest)
 //!   rax/rcx/rdx/rsi/rdi/r11 = scratch
-//!   xmm0 = the chunk being computed, xmm1-2 = its other operands
+//!   xmm0-1 = scratch of one template (a GPR result's chunk, a `Prev` operand)
+//!   xmm2-15 = the residency pool: operands and float results, LRU-evicted
 
 use std::mem::offset_of;
 
@@ -68,6 +88,7 @@ use dpvk_ir::{BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp
 use crate::bytecode::{BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo};
 use crate::context::ThreadContext;
 use crate::jit::asm::*;
+use crate::jit::resident::{Held, Residency, Word};
 use crate::jit::rt::{
     block_charges, jit_block_slow, jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv,
     FAIL_FLOAT_SWITCH, FAIL_WATCHDOG, STATUS_BARRIER, STATUS_BRANCH, STATUS_EXIT,
@@ -95,6 +116,12 @@ pub struct JitEmitStats {
     /// pays helper-call overhead per dynamic µop, which the adaptive
     /// width policy observes as inflated cycles at that width.
     pub wide_helper_uops: u64,
+    /// Operand reads served by a register an earlier template of the
+    /// same block left the value in, instead of by frame loads.
+    pub resident_reads: u64,
+    /// Registers reloaded from the frame at slow sites, after a call
+    /// that clobbered them, so the fast path keeps its residency.
+    pub refills: u64,
 }
 
 // JitEnv field displacements, resolved at compile time from the
@@ -178,6 +205,9 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         badfloat_fixups: Vec::new(),
         err_fixups: Vec::new(),
         ok_fixups: Vec::new(),
+        slow_sites: Vec::new(),
+        refills: Vec::new(),
+        res: Residency::default(),
         stats: JitEmitStats::default(),
     };
     e.prologue();
@@ -185,6 +215,8 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
     for (idx, op) in program.code.iter().enumerate() {
         e.uop_start.push(e.asm.here());
         if block_start {
+            // Entered from several predecessors: nothing is resident.
+            e.res.clear();
             e.block_header(idx as u32)?;
         }
         e.emit_op(idx as u32);
@@ -315,7 +347,33 @@ struct Emitter<'p> {
     badfloat_fixups: Vec<Fixup>,
     err_fixups: Vec<Fixup>,
     ok_fixups: Vec<Fixup>,
+    /// Templates' out-of-line slow sites, emitted by `finish`.
+    slow_sites: Vec<SlowSite>,
+    /// What the slow sites reload, each site a range of it.
+    refills: Vec<(Held, u8)>,
+    /// Which pool register holds which frame value in the current block.
+    res: Residency,
     stats: JitEmitStats,
+}
+
+/// What a template's slow site calls before it rejoins the fast path.
+enum SlowCall {
+    /// Re-run µop `idx` in [`jit_step`] (a failed bounds check).
+    Step(u32),
+    /// Finish run µop `idx` from a component in [`jit_run_from`].
+    RunFrom(u32, u32),
+    /// Convert the f64 lane in xmm `x` in [`jit_f2i`] (overflow or NaN).
+    F2i { x: u8, to: STy, signed: bool },
+}
+
+/// An out-of-line slow site: the fast path's branches to it, the call,
+/// the registers to reload after it (a range of `Emitter::refills`),
+/// and where it rejoins.
+struct SlowSite {
+    from: Vec<Fixup>,
+    call: SlowCall,
+    refill: std::ops::Range<usize>,
+    back: usize,
 }
 
 impl Emitter<'_> {
@@ -458,11 +516,25 @@ impl Emitter<'_> {
         }
     }
 
+    /// Store GPR `r` to frame slot `slot`. Every frame write of a
+    /// template goes through here or [`Self::put_chunk`], which drop
+    /// what the write makes stale from the residency table.
+    fn put(&mut self, slot: u32, r: u8) {
+        self.asm.store(RBX, disp(slot, 0), r);
+        self.res.clobber(slot, slot + 1);
+    }
+
+    /// Store the `n`-lane chunk in `x` to the slots from `slot` (R2).
+    fn put_chunk(&mut self, slot: u32, x: u8, n: u32) {
+        self.asm.vstore(RBX, disp(slot, 0), x, n);
+        self.res.clobber(slot, slot + n);
+    }
+
     /// Broadcast-fill all `w` declared slots of `dst` from `r`
     /// (`set_bcast`); clobbers XMM0 when the register is a vector.
     fn store_bcast(&mut self, dst: BDst, r: u8) {
         if dst.w == 1 {
-            return self.asm.store(RBX, disp(dst.off, 0), r);
+            return self.put(dst.off, r);
         }
         self.asm.vop(VMOVQ_XR, XMM0, 0, r);
         self.write_chunk(dst, 1, 0, 1, XMM0);
@@ -470,89 +542,160 @@ impl Emitter<'_> {
 
     /// Write the `n`-lane chunk in `x`, one store per chunk (R2): a
     /// vector µop writes lanes `i..` only, a scalar µop broadcast-fills
-    /// every declared slot.
-    fn write_chunk(&mut self, dst: BDst, w: u32, i: u32, n: u32, x: u8) {
+    /// every declared slot. Returns what `x` then holds.
+    fn write_chunk(&mut self, dst: BDst, w: u32, i: u32, n: u32, x: u8) -> Held {
         if w > 1 {
-            return self.asm.vstore(RBX, disp(dst.off, i), x, n);
+            self.put_chunk(dst.off + i, x, n);
+            return Held::chunk(dst.off + i, n);
         }
         if dst.w > 1 {
             self.asm.vop(VMOVDDUP, x, 0, x);
         }
         for (j, m) in chunks(dst.w) {
-            self.asm.vstore(RBX, disp(dst.off, j), x, m);
+            self.put_chunk(dst.off + j, x, m);
         }
+        let lo = Word::Slot(dst.off);
+        Held { lo, hi: (dst.w > 1).then_some(lo), wide: false }
     }
 
-    /// Run `body` over every chunk of a width-`w` µop; it leaves each
-    /// result in XMM0.
-    fn each_chunk(&mut self, dst: BDst, w: u32, body: impl Fn(&mut Self, u32, u32)) {
+    /// Run `body` over every chunk of a width-`w` µop; it returns the
+    /// pool register it left the result in, which stays resident.
+    fn each_chunk(&mut self, dst: BDst, w: u32, body: impl Fn(&mut Self, u32, u32) -> u8) {
         for (i, n) in chunks(w) {
-            body(self, i, n);
-            self.write_chunk(dst, w, i, n, XMM0);
+            self.res.unpin();
+            let x = body(self, i, n);
+            let held = self.write_chunk(dst, w, i, n, x);
+            self.res.record(held, x);
         }
     }
 
     /// Copy `w` lanes of `src` — a scalar broadcasts — to the slots
-    /// from `off`, chunk by chunk; clobbers RAX for an immediate.
+    /// from `off`, chunk by chunk; the copies stay resident.
     fn copy_vec(&mut self, off: u32, src: BSrc, w: u32) {
         for (i, n) in chunks(w) {
-            self.load_chunk(XMM0, src, i, n, None);
-            self.asm.vstore(RBX, disp(off, i), XMM0, n);
+            self.res.unpin();
+            let x = self.operand(src, i, n, false, None);
+            self.put_chunk(off + i, x, n);
+            self.res.record(Held::chunk(off + i, n), x);
         }
     }
 
-    /// Lanes `i..i + n` of the vector register at `s`, one lane load per
-    /// lane (R1): whole slots, or their low `dword`s packed low.
-    fn load_lanes(&mut self, x: u8, s: u32, i: u32, n: u32, dword: bool) {
-        self.asm.vload_lane(x, RBX, disp(s, i), dword);
-        if n == 2 {
-            self.asm.vinsert_lane(x, RBX, disp(s, i + 1), dword);
-        }
+    /// A register holding lanes `i..i + n` of an operand on the slot
+    /// layout — scalar operands broadcast — or, with `wide`, the f64
+    /// widening of those f32 lanes (`f_of`). Read from the residency
+    /// table when an earlier template of the block left it in a
+    /// register; otherwise loaded into a pool register, lane-wide (R1),
+    /// and entered in the table. `Prev` comes from its GPR through
+    /// XMM1 and is never resident.
+    fn operand(&mut self, src: BSrc, i: u32, n: u32, wide: bool, prev: Option<u8>) -> u8 {
+        self.fetch(src, i, n, wide, prev).0
     }
 
-    /// Load lanes `i..i + n` of an operand into `x` on the slot layout;
-    /// scalar operands broadcast. `Imm` and `Prev` go through RAX.
-    fn load_chunk(&mut self, x: u8, src: BSrc, i: u32, n: u32, prev: Option<u8>) {
+    /// [`Self::operand`], and whether the value was resident (`false`:
+    /// this call loaded or widened it into a register of its own).
+    fn fetch(&mut self, src: BSrc, i: u32, n: u32, wide: bool, prev: Option<u8>) -> (u8, bool) {
+        let (lo, hi) = match src {
+            BSrc::Imm(v) => (Word::Imm(v), Word::Imm(v)),
+            BSrc::Slot(s) => (Word::Slot(s), Word::Slot(s)),
+            BSrc::Lanes(s) => (Word::Slot(s + i), Word::Slot(s + i + 1)),
+            BSrc::Prev => {
+                debug_assert!(n == 1 && !wide, "Prev is a scalar slot-layout operand");
+                let p = prev.expect("Prev operand outside a fused µop");
+                self.asm.vop(VMOVQ_XR, XMM1, 0, p);
+                return (XMM1, false);
+            }
+        };
+        let want = Held { lo, hi: (n == 2).then_some(hi), wide };
+        if let Some(x) = self.res.find(want) {
+            self.stats.resident_reads += 1;
+            return (x, true);
+        }
+        if wide {
+            // The f32 lanes themselves may be resident: widen them in
+            // registers instead of reloading them.
+            let dup = want.hi == Some(lo);
+            let slots = Held { hi: if dup { None } else { want.hi }, wide: false, ..want };
+            if let Some(r) = self.res.find(slots) {
+                self.stats.resident_reads += 1;
+                let x = self.res.alloc();
+                if dup || want.hi.is_none() {
+                    self.asm.vop(VCVTPS2PD, x, 0, r);
+                    if dup {
+                        self.asm.vop(VMOVDDUP, x, 0, x);
+                    }
+                } else {
+                    // Slot layout [a, 0, b, 0] → [a, b, …].
+                    self.asm.vop_i(VPSHUFD, x, 0, r, 0b1000);
+                    self.asm.vop(VCVTPS2PD, x, 0, x);
+                }
+                self.res.record(want, x);
+                return (x, false);
+            }
+        }
+        let x = self.res.alloc();
+        self.load_held(x, want, RAX);
+        self.res.record(want, x);
+        (x, false)
+    }
+
+    /// [`Self::operand`] as f64 (`f_of`): f32 lanes widen, f32
+    /// immediates widen here.
+    fn operand_f64(&mut self, src: BSrc, i: u32, n: u32, sty: STy) -> u8 {
+        self.fetch_f64(src, i, n, sty).0
+    }
+
+    /// [`Self::fetch`] as f64.
+    fn fetch_f64(&mut self, src: BSrc, i: u32, n: u32, sty: STy) -> (u8, bool) {
         match src {
-            BSrc::Lanes(s) => self.load_lanes(x, s, i, n, false),
-            BSrc::Slot(s) if n == 2 => self.asm.vload_dup(x, RBX, disp(s, 0)),
-            BSrc::Slot(s) => self.asm.vload_lane(x, RBX, disp(s, 0), false),
-            BSrc::Imm(_) | BSrc::Prev => {
-                self.load_src(RAX, src, 0, prev);
-                self.asm.vop(VMOVQ_XR, x, 0, RAX);
-                if n == 2 {
-                    self.asm.vop(VMOVDDUP, x, 0, x);
+            BSrc::Imm(v) => self.fetch(BSrc::Imm(f_of(v, sty).to_bits()), i, n, false, None),
+            _ => self.fetch(src, i, n, sty == STy::F32, None),
+        }
+    }
+
+    /// Load `h` from the frame (or `tmp` for an immediate) into `x`,
+    /// each load no wider than a lane (R1). f32 lanes pack through
+    /// `vmovd`/`vpinsrd` and widen in `vcvtps2pd`, which quiets an sNaN
+    /// exactly like Rust `as f64`.
+    fn load_held(&mut self, x: u8, h: Held, tmp: u8) {
+        let a = &mut self.asm;
+        match (h.lo, h.hi) {
+            (Word::Imm(v), hi) => {
+                a.mov_ri(tmp, v);
+                a.vop(VMOVQ_XR, x, 0, tmp);
+                if hi.is_some() {
+                    a.vop(VMOVDDUP, x, 0, x);
                 }
             }
-        }
-    }
-
-    /// Load a float chunk into `x` as f64 (`f_of`): f32 lanes pack
-    /// through `vmovd`/`vpinsrd` and widen in `vcvtps2pd`, which quiets
-    /// an sNaN exactly like Rust `as f64`; f32 immediates widen here.
-    fn load_chunk_f64(&mut self, x: u8, src: BSrc, i: u32, n: u32, sty: STy, prev: Option<u8>) {
-        match (sty, src) {
-            (STy::F64, _) => return self.load_chunk(x, src, i, n, prev),
-            (_, BSrc::Imm(v)) => {
-                return self.load_chunk(x, BSrc::Imm(f_of(v, sty).to_bits()), i, n, prev)
+            (Word::Slot(s), Some(Word::Slot(t))) if t != s => {
+                a.vload_lane(x, RBX, disp(s, 0), h.wide);
+                a.vinsert_lane(x, RBX, disp(t, 0), h.wide);
+                if h.wide {
+                    a.vop(VCVTPS2PD, x, 0, x);
+                }
             }
-            (_, BSrc::Lanes(s)) => self.load_lanes(x, s, i, n, true),
-            // The slot's zero upper dword widens to a 0.0 nobody reads.
-            _ => self.load_chunk(x, src, i, 1, prev),
-        }
-        self.asm.vop(VCVTPS2PD, x, 0, x);
-        if n == 2 && !matches!(src, BSrc::Lanes(_)) {
-            self.asm.vop(VMOVDDUP, x, 0, x);
+            (Word::Slot(s), hi) if h.wide => {
+                // The slot's zero upper dword widens to a 0.0 nobody reads.
+                a.vload_lane(x, RBX, disp(s, 0), false);
+                a.vop(VCVTPS2PD, x, 0, x);
+                if hi.is_some() {
+                    a.vop(VMOVDDUP, x, 0, x);
+                }
+            }
+            (Word::Slot(s), Some(_)) => a.vload_dup(x, RBX, disp(s, 0)),
+            (Word::Slot(s), None) => a.vload_lane(x, RBX, disp(s, 0), false),
         }
     }
 
-    /// Encode the f64 chunk in `x` back to `sty` on the slot layout
-    /// (`f_enc`): narrow, then spread the two f32 over their slots.
-    fn narrow_chunk(&mut self, x: u8, sty: STy) {
-        if sty == STy::F32 {
-            self.asm.vop(VCVTPD2PS, x, 0, x);
-            self.asm.vop(VPMOVZXDQ, x, 0, x);
+    /// Encode the f64 chunk in `src` back to `sty` on the slot layout
+    /// (`f_enc`) — narrow into `x`, then spread the two f32 over their
+    /// slots — and return the register holding it.
+    fn narrow_chunk(&mut self, x: u8, src: u8, sty: STy) -> u8 {
+        if sty != STy::F32 {
+            return src;
         }
+        self.asm.vop(VCVTPD2PS, x, 0, src);
+        self.asm.vop(VPMOVZXDQ, x, 0, x);
+        x
     }
 
     /// Sign-extend the `sty`-masked value in `r` to 64 bits (`sext`).
@@ -586,7 +729,7 @@ impl Emitter<'_> {
         if w == 1 {
             self.store_bcast(dst, r);
         } else {
-            self.asm.store(RBX, disp(dst.off, i), r);
+            self.put(dst.off + i, r);
         }
     }
 
@@ -594,6 +737,7 @@ impl Emitter<'_> {
     /// GPRs; it leaves each result in RAX.
     fn each_lane(&mut self, dst: BDst, w: u32, body: impl Fn(&mut Self, u32)) {
         for i in 0..w {
+            self.res.unpin();
             body(self, i);
             self.write_lane(dst, w, i, RAX);
         }
@@ -654,69 +798,83 @@ impl Emitter<'_> {
         self.asm.load32(RAX, RCX, disp);
     }
 
-    /// Chunk `i..i + n` of `a` into XMM0 and of `b` into XMM1.
-    fn load_pair(&mut self, a: BSrc, b: BSrc, i: u32, n: u32, prev: Option<u8>) {
-        self.load_chunk(XMM0, a, i, n, prev);
-        self.load_chunk(XMM1, b, i, n, prev);
+    /// Chunk `i..i + n` of `a` and of `b` on the slot layout.
+    fn operand_pair(&mut self, a: BSrc, b: BSrc, i: u32, n: u32, prev: Option<u8>) -> (u8, u8) {
+        (self.operand(a, i, n, false, prev), self.operand(b, i, n, false, prev))
     }
 
-    /// XMM0 ← XMM0 `op` XMM1 over `n` lanes of a [`float_arith`] shape,
+    /// `x` ← `a` `op` `b` over `n` lanes of a [`float_arith`] shape,
     /// f32 at native width on the slot layout: over `[x, 0, y, 0]` the
     /// zero upper dwords stay zero (0 op 0 = 0) except under the
     /// divide. The first source wins a NaN-vs-NaN operation, as in
-    /// `a op b`.
-    fn bin_chunk(&mut self, op: BinOp, sty: STy, n: u32) {
+    /// `a op b`; a one-lane form takes the rest of the register — an
+    /// f32 slot's zero upper dword — from it too.
+    fn bin_chunk(&mut self, op: BinOp, sty: STy, n: u32, x: u8, (a, b): (u8, u8)) {
         let opc = match op {
             BinOp::Add => F_ADD,
             BinOp::Sub => F_SUB,
             BinOp::Mul => F_MUL,
             _ => F_DIV,
         };
-        self.asm.vop(Vop::float(opc, sty == STy::F32, n), XMM0, XMM0, XMM1);
+        self.asm.vop(Vop::float(opc, sty == STy::F32, n), x, a, b);
         if (op, sty, n) == (BinOp::Div, STy::F32, 2) {
             // `vdivps` left 0/0 in the slots' upper dwords.
-            self.asm.vshift_q(Sh::Shl, XMM0, 32);
-            self.asm.vshift_q(Sh::Shr, XMM0, 32);
+            self.asm.vshift_q(Sh::Shl, x, 32);
+            self.asm.vshift_q(Sh::Shr, x, 32);
         }
     }
 
-    /// Compute lanes `i..i + n` of a float `un_ok` shape into XMM0.
+    /// `x` ← √`a` over `n` lanes. The packed form takes no first source
+    /// (`vvvv = 1111`, which `0` encodes); the one-lane form takes the
+    /// rest of the register from `a`.
+    fn sqrt_chunk(&mut self, f32: bool, n: u32, x: u8, a: u8) {
+        let first = if n == 2 { 0 } else { a };
+        self.asm.vop(Vop::float(F_SQRT, f32, n), x, first, a);
+    }
+
+    /// Compute lanes `i..i + n` of a float `un_ok` shape into a fresh
+    /// pool register.
     /// `Sqrt` is correctly rounded at native width (√0 keeps an f32
     /// slot's upper dword zero); the others are defined through f64 —
     /// `Neg`/`Abs` so an f32 sNaN quiets like `f_enc(f_of(x))`,
     /// `Rsqrt`/`Rcp` for their two f64 roundings.
-    fn un_chunk(&mut self, op: UnOp, sty: STy, a: BSrc, i: u32, n: u32) {
+    fn un_chunk(&mut self, op: UnOp, sty: STy, a: BSrc, i: u32, n: u32) -> u8 {
         if op == UnOp::Sqrt {
-            self.load_chunk(XMM0, a, i, n, None);
-            // XMM0 as first source is also the `vvvv = 1111` the packed
-            // form requires.
-            return self.asm.vop(Vop::float(F_SQRT, sty == STy::F32, n), XMM0, XMM0, XMM0);
+            let a = self.operand(a, i, n, false, None);
+            let x = self.res.alloc();
+            self.sqrt_chunk(sty == STy::F32, n, x, a);
+            return x;
         }
-        let f64_op = |opc| Vop::float(opc, false, n);
-        self.load_chunk_f64(XMM0, a, i, n, sty, None);
+        let a = self.operand_f64(a, i, n, sty);
         match op {
             UnOp::Neg | UnOp::Abs => {
                 let (mask, vop) =
                     if op == UnOp::Neg { (SIGN_BIT, VPXOR) } else { (!SIGN_BIT, VPAND) };
-                self.load_chunk(XMM1, BSrc::Imm(mask), 0, n, None);
-                self.asm.vop(vop, XMM0, XMM0, XMM1);
+                let m = self.operand(BSrc::Imm(mask), 0, n, false, None);
+                let x = self.res.alloc();
+                self.asm.vop(vop, x, a, m);
+                self.narrow_chunk(x, x, sty)
             }
             UnOp::Rsqrt | UnOp::Rcp => {
+                let one = self.operand(BSrc::Imm(1.0f64.to_bits()), 0, n, false, None);
+                let x = self.res.alloc();
+                let div = Vop::float(F_DIV, false, n);
                 if op == UnOp::Rsqrt {
-                    self.asm.vop(f64_op(F_SQRT), XMM0, XMM0, XMM0);
+                    self.sqrt_chunk(false, n, x, a);
+                    self.asm.vop(div, x, one, x);
+                } else {
+                    self.asm.vop(div, x, one, a);
                 }
-                self.load_chunk(XMM1, BSrc::Imm(1.0f64.to_bits()), 0, n, None);
-                self.asm.vop(f64_op(F_DIV), XMM0, XMM1, XMM0);
+                self.narrow_chunk(x, x, sty)
             }
             _ => unreachable!("µop without an inline template reached un_chunk"),
         }
-        self.narrow_chunk(XMM0, sty);
     }
 
-    /// XMM0 ← 0/1 per slot: the float compare of XMM0 with XMM1. Ordered
+    /// `x` ← 0/1 per slot: the float compare of `a` with `b`. Ordered
     /// and quiet, except `Ne`: a NaN compares false, and unequal.
     /// Comparing f32 lanes as f32 is comparing their exact f64 widenings.
-    fn cmp_chunk(&mut self, pred: CmpPred, sty: STy) {
+    fn cmp_chunk(&mut self, pred: CmpPred, sty: STy, x: u8, (a, b): (u8, u8)) {
         let imm = match pred {
             CmpPred::Eq => 0x00,
             CmpPred::Ne => 0x04,
@@ -725,14 +883,15 @@ impl Emitter<'_> {
             CmpPred::Ge => 0x1D,
             CmpPred::Gt => 0x1E,
         };
-        self.asm.vop_i(Vop::float(F_CMP, sty == STy::F32, 2), XMM0, XMM0, XMM1, imm);
+        self.asm.vop_i(Vop::float(F_CMP, sty == STy::F32, 2), x, a, b, imm);
         // Bit 0 of a slot is the answer, whether the mask is 32 or 64 wide.
-        self.asm.vshift_q(Sh::Shl, XMM0, 63);
-        self.asm.vshift_q(Sh::Shr, XMM0, 63);
+        self.asm.vshift_q(Sh::Shl, x, 63);
+        self.asm.vshift_q(Sh::Shr, x, 63);
     }
 
     /// Compute one `scalar_bin` lane into RAX (clobbers RCX, and XMM0/1
-    /// for float arithmetic). Only called for `bin_ok` shapes, which
+    /// for float arithmetic, whose operands come through the residency
+    /// table). Only called for `bin_ok` shapes, which
     /// never error. Exploits the masked-storage invariant: inputs are
     /// already `mask_to`-normalized, so wrap-then-mask replaces
     /// sext-op-mask wherever the low bits are independent of the high
@@ -750,8 +909,8 @@ impl Emitter<'_> {
         prev: Option<u8>,
     ) {
         if float_arith(op, sty) {
-            self.load_pair(a, b, i, 1, prev);
-            self.bin_chunk(op, sty, 1);
+            let ab = self.operand_pair(a, b, i, 1, prev);
+            self.bin_chunk(op, sty, 1, XMM0, ab);
             return self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         }
         self.load_src(RAX, a, i, prev);
@@ -840,11 +999,11 @@ impl Emitter<'_> {
     }
 
     /// Compute one `scalar_cmp` lane (0/1) into RAX; clobbers RCX, and
-    /// XMM0/1 for floats.
+    /// XMM0 for floats, whose operands come through the residency table.
     fn emit_cmp_lane(&mut self, pred: CmpPred, sty: STy, signed: bool, a: BSrc, b: BSrc, i: u32) {
         if sty.is_float() {
-            self.load_pair(a, b, i, 1, None);
-            self.cmp_chunk(pred, sty);
+            let ab = self.operand_pair(a, b, i, 1, None);
+            self.cmp_chunk(pred, sty, XMM0, ab);
             return self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         }
         self.load_src(RAX, a, i, None);
@@ -880,18 +1039,18 @@ impl Emitter<'_> {
                     // Widen/narrow dance; f32 → f32 keeps it so sNaN
                     // quietizes exactly like the interpreter's
                     // `f_enc(f_of(x))` round trip.
-                    self.load_chunk_f64(XMM0, a, i, 1, from, None);
-                    self.narrow_chunk(XMM0, to);
-                    self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
+                    let x = self.operand_f64(a, i, 1, from);
+                    let x = self.narrow_chunk(XMM0, x, to);
+                    self.asm.vop(VMOVQ_RX, x, 0, RAX);
                 }
                 return;
             }
             // float → int: `cvttsd2si` fast path; the i64::MIN sentinel
             // (overflow/NaN) — or any negative result for unsigned —
-            // takes the saturating `jit_f2i` helper, which returns the
-            // Rust `as`-cast value already masked.
-            self.load_chunk_f64(XMM0, a, i, 1, from, None);
-            self.asm.vop(VCVTTSD2SI, RAX, 0, XMM0);
+            // takes the saturating `jit_f2i` helper, out of line, which
+            // returns the Rust `as`-cast value already masked.
+            let x = self.operand_f64(a, i, 1, from);
+            self.asm.vop(VCVTTSD2SI, RAX, 0, x);
             let slow = if signed {
                 self.asm.mov_ri(RCX, i64::MIN as u64);
                 self.asm.alu_rr(Alu::Cmp, RAX, RCX);
@@ -901,14 +1060,7 @@ impl Emitter<'_> {
                 self.asm.jcc_fwd(Cc::S)
             };
             self.mask_reg(RAX, to);
-            let done = self.asm.jmp_fwd();
-            self.asm.bind(slow);
-            self.asm.vop(VMOVQ_RX, XMM0, 0, RDI);
-            self.asm.mov_ri(RSI, to.bits() as u64);
-            self.asm.mov_ri(RDX, signed as u64);
-            self.asm.mov_ri(R11, addr_f2i());
-            self.asm.call_reg(R11);
-            self.asm.bind(done);
+            self.slow_site(vec![slow], SlowCall::F2i { x, to, signed });
             return;
         }
         self.load_src(RAX, a, i, None);
@@ -923,7 +1075,7 @@ impl Emitter<'_> {
             // Zeroed first: the convert merges XMM0's upper lane.
             self.asm.vop(VPXOR, XMM0, XMM0, XMM0);
             self.asm.vop(VCVTSI2SD, XMM0, XMM0, RAX);
-            self.narrow_chunk(XMM0, to);
+            self.narrow_chunk(XMM0, XMM0, to);
             self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         } else {
             if signed {
@@ -944,6 +1096,7 @@ impl Emitter<'_> {
     /// a call to the whole-µop interpreter helper.
     fn emit_op(&mut self, idx: u32) {
         let kind = self.program.code[idx as usize].kind;
+        self.res.unpin();
         if has_inline_template(&kind) {
             self.stats.template_uops += 1;
             self.emit_template(idx, kind);
@@ -955,6 +1108,8 @@ impl Emitter<'_> {
                 self.stats.wide_helper_uops += 1;
             }
             self.call_step(idx);
+            // The call clobbered every xmm register and wrote the frame.
+            self.res.clear();
         }
     }
 
@@ -968,15 +1123,15 @@ impl Emitter<'_> {
         }
     }
 
-    /// Close a memory template: the fast path jumps over the slow site,
-    /// where every failed bounds check re-runs the µop in [`jit_step`].
-    fn emit_step_slow_path(&mut self, idx: u32, slow: Vec<Fixup>) {
-        let done = self.asm.jmp_fwd();
-        for f in slow {
-            self.asm.bind(f);
-        }
-        self.call_step(idx);
-        self.asm.bind(done);
+    /// Close a template whose fast path branches out to `from` when it
+    /// cannot finish: the slow site, emitted out of line by
+    /// [`Self::finish`], makes `call` and rejoins the fast path here
+    /// with the residency table as the fast path leaves it.
+    fn slow_site(&mut self, from: Vec<Fixup>, call: SlowCall) {
+        let start = self.refills.len();
+        self.res.snapshot(&mut self.refills);
+        let refill = start..self.refills.len();
+        self.slow_sites.push(SlowSite { from, call, refill, back: self.asm.here() });
     }
 
     /// Emit the inline template of a µop [`has_inline_template`]
@@ -987,8 +1142,10 @@ impl Emitter<'_> {
             // lane by lane through the scalar templates.
             OpKind::Bin { op, sty, w, dst, a, b, .. } if float_arith(op, sty) => {
                 self.each_chunk(dst, w, |e, i, n| {
-                    e.load_pair(a, b, i, n, None);
-                    e.bin_chunk(op, sty, n);
+                    let ab = e.operand_pair(a, b, i, n, None);
+                    let x = e.res.alloc();
+                    e.bin_chunk(op, sty, n, x, ab);
+                    x
                 })
             }
             OpKind::Bin { op, sty, signed, w, dst, a, b } => {
@@ -1003,14 +1160,26 @@ impl Emitter<'_> {
             // f32 is *defined* as f64 `mul_add`, then narrowed. The 213
             // form multiplies its second operand by its first and
             // prefers their NaNs in that order: `a` goes second, so
-            // `a`'s NaN beats `b`'s beats `c`'s as in `mul_add`.
+            // `a`'s NaN beats `b`'s beats `c`'s as in `mul_add`. The
+            // 132 form computes `a·b + c` in `a`'s register with the
+            // same preference, so an `a` this chunk loaded becomes the
+            // result; a resident one stays, and `b` is copied instead.
             OpKind::Fma { sty, w, dst, a, b, c } if sty.is_float() => {
                 self.each_chunk(dst, w, |e, i, n| {
-                    e.load_chunk_f64(XMM1, a, i, n, sty, None);
-                    e.load_chunk_f64(XMM0, b, i, n, sty, None);
-                    e.load_chunk_f64(XMM2, c, i, n, sty, None);
-                    e.asm.vop(VFMADD213PD, XMM0, XMM1, XMM2);
-                    e.narrow_chunk(XMM0, sty);
+                    let (a, resident) = e.fetch_f64(a, i, n, sty);
+                    let b = e.operand_f64(b, i, n, sty);
+                    let c = e.operand_f64(c, i, n, sty);
+                    let x = if resident || a == b || a == c {
+                        let x = e.res.alloc();
+                        e.asm.vmov(x, b);
+                        e.asm.vop(VFMADD213PD, x, a, c);
+                        x
+                    } else {
+                        e.res.forget(a);
+                        e.asm.vop(VFMADD132PD, a, c, b);
+                        a
+                    };
+                    e.narrow_chunk(x, x, sty)
                 })
             }
             // Low bits of mul/add are independent of the high bits, so
@@ -1025,8 +1194,10 @@ impl Emitter<'_> {
             }),
             OpKind::Cmp { pred, sty, w, dst, a, b, .. } if sty.is_float() => {
                 self.each_chunk(dst, w, |e, i, n| {
-                    e.load_pair(a, b, i, n, None);
-                    e.cmp_chunk(pred, sty);
+                    let ab = e.operand_pair(a, b, i, n, None);
+                    let x = e.res.alloc();
+                    e.cmp_chunk(pred, sty, x, ab);
+                    x
                 })
             }
             OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
@@ -1048,7 +1219,7 @@ impl Emitter<'_> {
                 self.emit_bounds(addr, 0, len_off, sty.size_bytes(), &mut slow);
                 self.emit_load_value(RCX, sty, base_off);
                 self.store_bcast(dst, RCX);
-                self.emit_step_slow_path(idx, slow);
+                self.slow_site(slow, SlowCall::Step(idx));
             }
             OpKind::Store { sty, space, addr, value } => {
                 let (base_off, len_off, _) = space_offsets(space);
@@ -1058,7 +1229,7 @@ impl Emitter<'_> {
                 self.load_src(RCX, value, 0, None);
                 self.asm.load(RDX, R15, base_off);
                 self.asm.store_index(RDX, RAX, RCX, size as u8);
-                self.emit_step_slow_path(idx, slow);
+                self.slow_site(slow, SlowCall::Step(idx));
             }
             OpKind::Insert { w, dst, vec, elem, lane: l } => {
                 // Element first, then the initializer copy, then the
@@ -1067,7 +1238,7 @@ impl Emitter<'_> {
                 if let Some(v) = vec {
                     self.copy_vec(dst.off, v, w);
                 }
-                self.asm.store(RBX, disp(dst.off, l), RCX);
+                self.put(dst.off + l, RCX);
             }
             OpKind::Extract { dst, vec, lane: l } => {
                 self.load_src(RAX, vec, l, None);
@@ -1139,11 +1310,11 @@ impl Emitter<'_> {
                         if let Some((v, w)) = prefill {
                             for j in 0..w {
                                 self.load_src(RCX, v, j, None);
-                                self.asm.store(RBX, disp(dst, j), RCX);
+                                self.put(dst + j, RCX);
                             }
                         }
                     }
-                    self.asm.store(RBX, disp(dst, i), RAX);
+                    self.put(dst + i, RAX);
                 }
             }
             OpKind::LoadRun { n, sty, space, addr, dst } => {
@@ -1154,9 +1325,9 @@ impl Emitter<'_> {
                     self.emit_bounds(BSrc::Lanes(addr), i, len_off, sty.size_bytes(), &mut s);
                     slow.push((s, i));
                     self.emit_load_value(RCX, sty, base_off);
-                    self.asm.store(RBX, disp(dst, i), RCX);
+                    self.put(dst + i, RCX);
                 }
-                self.emit_run_slow_paths(idx, slow);
+                self.run_slow_sites(idx, slow);
             }
             OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, .. } => {
                 let (base_off, len_off, _) = space_offsets(space);
@@ -1166,17 +1337,17 @@ impl Emitter<'_> {
                     let mut s = Vec::new();
                     self.emit_bounds(BSrc::Lanes(avec), i, len_off, size, &mut s);
                     slow.push((s, i));
-                    self.asm.store(RBX, disp(atmp, i), RAX);
+                    self.put(atmp + i, RAX);
                     self.asm.load(RCX, RBX, disp(val, i * vstride));
                     self.asm.load(RDX, R15, base_off);
                     self.asm.store_index(RDX, RAX, RCX, size as u8);
                 }
-                self.emit_run_slow_paths(idx, slow);
+                self.run_slow_sites(idx, slow);
             }
             OpKind::CtxReadRun { field, n, dst } => {
                 for i in 0..n {
                     self.emit_ctx_field(field, i);
-                    self.asm.store(RBX, disp(dst, i), RAX);
+                    self.put(dst + i, RAX);
                 }
             }
             OpKind::BinBin {
@@ -1201,7 +1372,7 @@ impl Emitter<'_> {
                 }
                 self.emit_bin_lane(op2, sty2, sg2, a2, b2, 0, Some(RBP));
                 self.store_bcast(dst2, RAX);
-                self.emit_step_slow_path(idx, slow);
+                self.slow_site(slow, SlowCall::Step(idx));
             }
             OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
                 self.emit_cmp_lane(pred, sty, signed, a, b, 0);
@@ -1285,21 +1456,42 @@ impl Emitter<'_> {
         }
     }
 
-    /// Per-component slow paths of a run µop: each bounds-check failure
+    /// Per-component slow sites of a run µop: each bounds-check failure
     /// re-enters the run at its component through `jit_run_from`, then
     /// rejoins after the run.
-    fn emit_run_slow_paths(&mut self, idx: u32, slow: Vec<(Vec<Fixup>, u32)>) {
-        let mut dones = vec![self.asm.jmp_fwd()];
-        for (fs, comp) in slow {
-            for f in fs {
-                self.asm.bind(f);
-            }
-            self.call_run_from(idx, comp);
-            dones.push(self.asm.jmp_fwd());
+    fn run_slow_sites(&mut self, idx: u32, slow: Vec<(Vec<Fixup>, u32)>) {
+        for (from, comp) in slow {
+            self.slow_site(from, SlowCall::RunFrom(idx, comp));
         }
-        for f in dones {
+    }
+
+    /// Emit a slow site: the call, then — the call clobbered every xmm
+    /// register — a reload from the frame of each register the table
+    /// holds at the rejoin, so the fast path after it keeps its
+    /// residency. The helpers leave the frame as the fast path would.
+    fn emit_slow_site(&mut self, site: SlowSite) {
+        for f in site.from {
             self.asm.bind(f);
         }
+        match site.call {
+            SlowCall::Step(idx) => self.call_step(idx),
+            SlowCall::RunFrom(idx, comp) => self.call_run_from(idx, comp),
+            SlowCall::F2i { x, to, signed } => {
+                self.asm.vop(VMOVQ_RX, x, 0, RDI);
+                self.asm.mov_ri(RSI, to.bits() as u64);
+                self.asm.mov_ri(RDX, signed as u64);
+                self.asm.mov_ri(R11, addr_f2i());
+                self.asm.call_reg(R11);
+            }
+        }
+        // R11, not RAX: `jit_f2i` returns its value there.
+        for k in site.refill {
+            let (h, x) = self.refills[k];
+            self.load_held(x, h, R11);
+            self.stats.refills += 1;
+        }
+        let back = self.asm.jmp_fwd();
+        self.asm.patch(back, site.back);
     }
 
     /// Shared stubs and the epilogue; patches all pending fixups.
@@ -1318,6 +1510,9 @@ impl Emitter<'_> {
             self.call_helper(addr_block_slow(), first);
             let back = self.asm.jmp_fwd();
             self.asm.patch(back, charge);
+        }
+        for site in std::mem::take(&mut self.slow_sites) {
+            self.emit_slow_site(site);
         }
         // Watchdog and float-switch failures funnel into jit_fail.
         for f in std::mem::take(&mut self.watchdog_fixups) {
@@ -1357,30 +1552,48 @@ mod tests {
     use crate::cost::CostInfo;
     use crate::frame::FrameLayout;
     use crate::machine::MachineModel;
-    use dpvk_ir::{Block, Function, Inst, Type, Value};
+    use dpvk_ir::{Block, Function, Inst, Type, VReg, Value};
 
-    /// `ADDS` adds of type `t` over distinct registers — so the decoder
-    /// fuses no pair — in one block: exactly `ADDS` `Bin` µops and the
-    /// `Ret`, all templated. Returns the bytes emitted for them, with
-    /// the prologue, the one header and its slow exit, the `Ret`'s
-    /// retire and the shared exits.
-    fn emit_adds(t: Type) -> usize {
-        let mut f = Function::new("adds", t.width);
-        let regs: Vec<_> = (0..ADDS + 2).map(|_| f.new_reg(t)).collect();
+    /// `n` µops of type `t` in one block, µop `k` built by
+    /// `make(dst, own, shared)`: a fresh destination, an input register
+    /// of its own and two registers every µop shares. All distinct — so
+    /// the decoder fuses no pair — and all templated, with the `Ret`.
+    /// Returns the bytes emitted for them, with the prologue, the one
+    /// header and its slow exit, the `Ret`'s retire and the shared
+    /// exits, and the emission counters.
+    fn emit_block(
+        t: Type,
+        n: usize,
+        make: impl Fn(VReg, Value, [Value; 2]) -> Inst,
+    ) -> (usize, JitEmitStats) {
+        let mut f = Function::new("block", t.width);
+        let regs: Vec<_> = (0..2 * n + 2).map(|_| f.new_reg(t)).collect();
         let mut b = Block::new("entry");
-        let (x, y) = (Value::Reg(regs[0]), Value::Reg(regs[1]));
-        for &dst in &regs[2..] {
-            b.insts.push(Inst::Bin { op: BinOp::Add, ty: t, signed: false, dst, a: x, b: y });
+        let shared = [Value::Reg(regs[0]), Value::Reg(regs[1])];
+        for k in 0..n {
+            b.insts.push(make(regs[2 + n + k], Value::Reg(regs[2 + k]), shared));
         }
         f.add_block(b);
         let model = MachineModel::sandybridge_sse();
         let info = CostInfo::analyze(&f, &model);
         let program = BytecodeProgram::decode(&f, &FrameLayout::of(&f), &model, &info);
-        assert_eq!(program.code.len(), ADDS + 1, "{:?}", program.stats);
+        assert_eq!(program.code.len(), n + 1, "{:?}", program.stats);
 
         let (code, stats) = emit_program(&program).expect("a small program emits");
-        assert_eq!(stats.template_uops, ADDS as u64 + 1);
-        code.len()
+        assert_eq!(stats.template_uops, n as u64 + 1);
+        (code.len(), stats)
+    }
+
+    fn emit_adds(t: Type) -> usize {
+        let add = |dst, _: Value, [a, b]: [Value; 2]| Inst::Bin {
+            op: BinOp::Add,
+            ty: t,
+            signed: false,
+            dst,
+            a,
+            b,
+        };
+        emit_block(t, ADDS, add).0
     }
 
     const ADDS: usize = 32;
@@ -1403,5 +1616,27 @@ mod tests {
     fn vector_adds_are_chunks_not_a_lane_loop() {
         let bytes = emit_adds(Type::vector(STy::F32, 4));
         assert!(bytes < ADDS * 130, "{bytes} B for {ADDS} w4 f32 adds: the lane loop is back");
+    }
+
+    /// Operands stay in registers within a block: 64 `w4` f32 `fma`s
+    /// sharing their multiplier and addend — the shape of `throughput`'s
+    /// loop body — took 9 953 B (≈ 152 B per µop) rebuilding both from
+    /// the frame in every chunk, and take 6 188 B (≈ 93 B per µop) with
+    /// them resident after the first µop. The budget is two thirds of
+    /// the old size.
+    #[test]
+    fn shared_operands_stay_resident_across_a_block() {
+        const FMAS: usize = 64;
+        let t = Type::vector(STy::F32, 4);
+        let fma = |dst, a, [b, c]: [Value; 2]| Inst::Fma { ty: t, dst, a, b, c };
+        let (bytes, stats) = emit_block(t, FMAS, fma);
+        assert!(
+            bytes < 9_953 * 2 / 3,
+            "{bytes} B for {FMAS} w4 f32 fmas: shared operands are reloaded"
+        );
+        // Two chunks per µop, two shared operands per chunk, all but
+        // the first µop's from a register.
+        assert_eq!(stats.resident_reads, 2 * 2 * (FMAS as u64 - 1));
+        assert_eq!(stats.refills, 0);
     }
 }

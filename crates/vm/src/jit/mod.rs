@@ -22,6 +22,7 @@
 mod asm;
 mod code;
 mod emit;
+mod resident;
 mod rt;
 
 pub use asm::HOST_FEATURES as JIT_HOST_FEATURES;

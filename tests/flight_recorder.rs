@@ -114,11 +114,11 @@ fn timeline_records_nested_launch_spans_and_exports_chrome_json() {
     let of = |kind: SpanKind| rec.spans.iter().filter(|s| s.kind == kind).collect::<Vec<_>>();
 
     // Lifecycle spans: one queue-wait, one retire, both on the stream
-    // track (no worker); the retire edge is instantaneous.
+    // track (no worker).
     assert_eq!(of(SpanKind::QueueWait).len(), 1);
     let retire = of(SpanKind::Retire);
     assert_eq!(retire.len(), 1);
-    assert!(retire[0].worker.is_none() && retire[0].dur_ns == 0);
+    assert!(retire[0].worker.is_none());
 
     // Two workers → two chunks → two execute spans, each on a distinct
     // worker track, each with its coalesced gather child nested inside.
@@ -155,6 +155,26 @@ fn timeline_records_nested_launch_spans_and_exports_chrome_json() {
     assert!(chrome.contains("\"ph\":\"X\"") && chrome.contains("\"ph\":\"M\""));
     assert!(chrome.contains("\"pid\":1") && chrome.contains("\"pid\":2"));
     assert!(chrome.contains("\"execute\"") && chrome.contains("\"queue_wait\""));
+}
+
+/// Retirement is work — merging the chunks' stats, finalizing, waking
+/// the waiter, promoting the stream — and its span measures it: over a
+/// batch of launches the summed retire time is not zero.
+#[test]
+fn retire_spans_measure_the_retirement() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    trace::reset();
+    trace::enable();
+    for _ in 0..8 {
+        run_divergent(&ExecConfig::dynamic(4).with_workers(2));
+    }
+    let spans = timeline::spans();
+    trace::disable();
+    trace::reset();
+    let retire: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Retire).collect();
+    assert_eq!(retire.len(), 8);
+    let total: u64 = retire.iter().map(|s| s.dur_ns).sum();
+    assert!(total > 0, "eight retirements took no time: {retire:?}");
 }
 
 #[test]
