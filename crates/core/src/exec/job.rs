@@ -3,7 +3,7 @@
 //! A launch is *submitted*: validated and translated eagerly on the
 //! calling thread (so compile errors surface synchronously, with the
 //! same statistics and trace events on every path), packaged as an
-//! owned [`LaunchJob`], and enqueued on a persistent
+//! owned [`LaunchJob`], and enqueued on the process-wide
 //! [`WorkerPool`](super::worker::WorkerPool) as one chunk per worker
 //! share. The caller gets a [`LaunchHandle`] — the stream-ordered,
 //! individually waitable/cancellable "event" of the CUDA model.
@@ -22,7 +22,7 @@ use crate::sync::Monitor;
 use crate::translate::TranslatedKernel;
 
 use super::stats::LaunchStats;
-use super::worker::{PoolShared, WorkerPool};
+use super::worker;
 use super::{boundary_fault, ExecConfig};
 
 /// Everything a launch needs, owned: pool workers are `'static` and may
@@ -34,17 +34,16 @@ pub(crate) struct LaunchRequest {
     pub grid: [u32; 3],
     pub block: [u32; 3],
     pub param: Vec<u8>,
-    pub cbank: Vec<u8>,
     pub global: Arc<GlobalMem>,
     pub config: ExecConfig,
     /// The launch token: the caller's token when given, a private one
     /// otherwise. Chunks trip it on any fault so siblings of *this*
     /// launch stop early; other launches' tokens are untouched.
     pub token: CancelToken,
-    /// The device's adaptive width-policy table, when the launch came
-    /// through a [`Device`](crate::Device) with adaptation enabled; the
-    /// retiring worker feeds the launch's `ExecStats` back into it.
-    pub policy: Option<Arc<crate::specialize::policy::PolicyTable>>,
+    /// The device's adaptive width-policy table; the retiring worker
+    /// feeds the launch's `ExecStats` back into it (a no-op unless
+    /// adaptation is enabled).
+    pub policy: Arc<crate::specialize::policy::PolicyTable>,
 }
 
 /// Mutable completion state of one launch, updated by pool workers as
@@ -78,7 +77,7 @@ pub(crate) struct LaunchJob {
     /// Stream this job is ordered on, if any.
     stream: Option<Arc<StreamShared>>,
     /// Device in-flight gauge, decremented at completion.
-    gauge: Option<Arc<InflightGauge>>,
+    gauge: Arc<InflightGauge>,
     state: Monitor<JobInner>,
     /// Flight-recorder launch sequence number; 0 when tracing was off at
     /// submission, which disables all timeline work for this job.
@@ -115,18 +114,17 @@ impl LaunchJob {
         );
     }
 
-    /// Record one finished chunk; the worker that retires the last chunk
-    /// finalizes the outcome, wakes waiters, and releases the stream's
-    /// next job into `pool`. On a traced launch that retirement is the
-    /// `Retire` span: from the last chunk's taking the state lock to
-    /// after the stream promotion.
+    /// Record one finished chunk, consuming the worker's reference; the
+    /// worker that retires the last chunk finalizes the outcome, wakes
+    /// waiters, and releases the stream's next job into the pool. On a
+    /// traced launch that retirement is the `Retire` span: from the last
+    /// chunk's taking the state lock to after the stream promotion.
     pub(crate) fn complete_chunk(
-        self: &Arc<Self>,
+        self: Arc<Self>,
         index: usize,
         stats: LaunchStats,
         error: Option<CoreError>,
         stopped_at: Option<u32>,
-        pool: &PoolShared,
     ) {
         let start = if self.seq != 0 { timeline::now_ns() } else { 0 };
         let finished = {
@@ -137,18 +135,17 @@ impl LaunchJob {
             st.remaining -= 1;
             if st.remaining == 0 {
                 let outcome = finalize(&self.req.kernel, &mut st);
-                if let (Some(policy), Ok(stats)) = (&self.req.policy, &outcome) {
+                if let Ok(stats) = &outcome {
                     // Feed the launch's modeled cost back into the
                     // adaptive width policy before the outcome becomes
                     // visible to waiters, so a caller that immediately
                     // relaunches observes every prior launch's score.
-                    policy.observe(
+                    self.req.policy.observe(
                         &self.req.kernel,
                         self.req.config.max_warp,
                         stats,
                         &self.req.config.adapt,
                         &self.req.cache,
-                        pool,
                     );
                 }
                 st.outcome = Some(outcome);
@@ -160,11 +157,8 @@ impl LaunchJob {
         if finished {
             self.state.notify_all();
             dpvk_trace::add(dpvk_trace::Counter::LaunchesRetired, 1);
-            if let Some(gauge) = &self.gauge {
-                gauge.dec();
-            }
             if let Some(stream) = &self.stream {
-                stream.on_job_retired(&self.req.kernel, pool);
+                stream.on_job_retired(&self.req.kernel);
             }
             if self.seq != 0 {
                 flight::emit_stream_span(
@@ -177,6 +171,13 @@ impl LaunchJob {
                     self.cta_count,
                 );
             }
+            // Last, and with this worker's reference let go, so a
+            // device's `synchronize` (and its drop) returns only once
+            // retirement is done and the retiring worker no longer keeps
+            // the launch's memory alive.
+            let gauge = Arc::clone(&self.gauge);
+            drop(self);
+            gauge.dec();
         }
     }
 
@@ -320,7 +321,7 @@ impl StreamShared {
     /// Enqueue `job` in stream order: release it to the pool immediately
     /// if the stream is idle, otherwise hold it until its predecessor
     /// retires.
-    fn submit_ordered(&self, job: Arc<LaunchJob>, pool: &PoolShared) {
+    fn submit_ordered(&self, job: Arc<LaunchJob>) {
         let release = {
             let mut q = self.queue.lock();
             if q.active {
@@ -347,13 +348,13 @@ impl StreamShared {
             }
         };
         if release {
-            pool.enqueue(job);
+            worker::pool().enqueue(job);
         }
     }
 
     /// Called by the pool worker that retired this stream's active job:
     /// release the next held job, or mark the stream idle.
-    fn on_job_retired(&self, kernel: &str, pool: &PoolShared) {
+    fn on_job_retired(&self, kernel: &str) {
         let next = {
             let mut q = self.queue.lock();
             let next = q.pending.pop_front();
@@ -367,7 +368,7 @@ impl StreamShared {
         };
         self.queue.notify_all();
         if let Some(job) = next {
-            pool.enqueue(job);
+            worker::pool().enqueue(job);
         }
     }
 
@@ -415,10 +416,10 @@ impl InflightGauge {
     }
 }
 
-/// Validate, translate, and enqueue one launch on `pool`, returning its
-/// handle. This is the single submission path: the blocking
-/// [`run_grid`](super::run_grid) compatibility API, `Device::launch`,
-/// `Device::launch_async` and `Stream::launch` all come through here.
+/// Validate, translate, and enqueue one launch on the process-wide pool,
+/// returning its handle. This is the single submission path:
+/// `Device::launch`, `Device::launch_async` and `Stream::launch` all come
+/// through here.
 ///
 /// # Errors
 ///
@@ -428,10 +429,9 @@ impl InflightGauge {
 /// as a dpvk-trace fault event, exactly like worker-side translation
 /// failures, so the async path reports compile errors consistently.
 pub(crate) fn submit(
-    pool: &WorkerPool,
     req: LaunchRequest,
     stream: Option<Arc<StreamShared>>,
-    gauge: Option<Arc<InflightGauge>>,
+    gauge: Arc<InflightGauge>,
 ) -> Result<LaunchHandle, CoreError> {
     let cta_count = (req.grid[0] as u64) * (req.grid[1] as u64) * (req.grid[2] as u64);
     let cta_size = (req.block[0] as u64) * (req.block[1] as u64) * (req.block[2] as u64);
@@ -487,13 +487,11 @@ pub(crate) fn submit(
         submit_ns,
         queue_wait_done: AtomicBool::new(false),
     });
-    if let Some(gauge) = &job.gauge {
-        gauge.inc();
-    }
+    job.gauge.inc();
     dpvk_trace::add(dpvk_trace::Counter::LaunchesSubmitted, 1);
     match &job.stream {
-        Some(stream) => stream.submit_ordered(Arc::clone(&job), pool.shared()),
-        None => pool.shared().enqueue(Arc::clone(&job)),
+        Some(stream) => stream.submit_ordered(Arc::clone(&job)),
+        None => worker::pool().enqueue(Arc::clone(&job)),
     }
     Ok(LaunchHandle { job })
 }

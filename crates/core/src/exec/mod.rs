@@ -1,14 +1,14 @@
 //! The dynamic execution manager (paper, Sections 3 and 5.2).
 //!
 //! The paper's execution managers are *resident* services: worker threads
-//! live with the device, park when idle, and have kernels dispatched into
-//! them — they are not spawned per launch. This module tree implements
-//! that shape:
+//! park when idle and have kernels dispatched into them — they are not
+//! spawned per launch. This module tree implements that shape:
 //!
-//! * [`worker`] — the persistent [`worker::WorkerPool`]: threads created
-//!   once (with the [`Device`](crate::runtime::Device), or lazily for the
-//!   free [`run_grid`] path), parked on a condition variable when idle,
-//!   each owning long-lived dispatch memos and warp-formation scratch;
+//! * [`worker`] — the process-wide [`worker::WorkerPool`] that every
+//!   [`Device`](crate::runtime::Device) shares: threads spawned as
+//!   launches first need them and never joined, parked on a condition
+//!   variable when idle, each owning a long-lived dispatch memo and
+//!   warp-formation scratch;
 //! * [`job`] — one launch as a [`job::LaunchJob`]: an owned, immutable
 //!   description plus shared completion state, exposed to callers as a
 //!   [`LaunchHandle`] that can be waited on, polled, or cancelled
@@ -29,19 +29,19 @@
 //! spawn-per-launch implementation used per worker, so statistics and
 //! modeled outputs are bit-identical. Chunks of one launch run on
 //! whichever pool workers are free, so independent launches (and
-//! different streams) overlap while launches queued on one
-//! [`Stream`](crate::runtime::Stream) retain in-order semantics.
+//! different streams and devices) overlap while launches queued on one
+//! [`Stream`](crate::runtime::Stream) retain in-order semantics. Every
+//! chunk's CTA loop runs under `catch_unwind`: a panic in one CTA becomes
+//! [`CoreError::WorkerPanic`] on that launch, and the launch's token is
+//! tripped so sibling chunks stop at their next poll.
 
 pub(crate) mod gather;
 pub(crate) mod job;
 pub(crate) mod stats;
 pub(crate) mod worker;
 
-use std::sync::Arc;
+use dpvk_vm::{ExecLimits, ThreadContext, VmError};
 
-use dpvk_vm::{CancelToken, ExecLimits, GlobalMem, ThreadContext, VmError};
-
-use crate::cache::TranslationCache;
 use crate::error::{CoreError, FaultContext};
 
 pub use job::LaunchHandle;
@@ -427,73 +427,6 @@ impl ExecConfig {
     }
 }
 
-/// Run a full kernel grid, partitioning CTAs across the shared worker
-/// pool and blocking until the launch completes.
-///
-/// # Errors
-///
-/// Returns the first error raised by any worker (bad launch geometry,
-/// compilation failure, memory fault, barrier deadlock).
-#[allow(clippy::too_many_arguments)]
-pub fn run_grid(
-    cache: &TranslationCache,
-    kernel: &str,
-    grid: [u32; 3],
-    block: [u32; 3],
-    param: &[u8],
-    cbank: &[u8],
-    global: &Arc<GlobalMem>,
-    config: &ExecConfig,
-) -> Result<LaunchStats, CoreError> {
-    run_grid_cancellable(cache, kernel, grid, block, param, cbank, global, config, None)
-}
-
-/// [`run_grid`] with cooperative cancellation.
-///
-/// The launch is submitted to a process-wide persistent worker pool (a
-/// device-less equivalent of the pool each [`crate::runtime::Device`]
-/// owns) and waited on; no threads are spawned per launch. Every chunk's
-/// CTA loop runs under `catch_unwind`: a panic in one CTA becomes
-/// [`CoreError::WorkerPanic`] instead of tearing down the process or the
-/// pool, and the launch's cancellation token is tripped so sibling chunks
-/// stop at their next poll instead of burning CPU on a doomed launch.
-/// The caller's `cancel` token (when given) *is* the launch token —
-/// cancelling it from another thread stops the launch, and the runtime
-/// cancels it itself on an internal fault, so a token is good for one
-/// launch only.
-///
-/// # Errors
-///
-/// The first error raised by any worker, with genuine faults preferred
-/// over secondary cancellations. VM faults arrive as
-/// [`CoreError::Fault`] carrying kernel/CTA/warp provenance.
-#[allow(clippy::too_many_arguments)]
-pub fn run_grid_cancellable(
-    cache: &TranslationCache,
-    kernel: &str,
-    grid: [u32; 3],
-    block: [u32; 3],
-    param: &[u8],
-    cbank: &[u8],
-    global: &Arc<GlobalMem>,
-    config: &ExecConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<LaunchStats, CoreError> {
-    let req = job::LaunchRequest {
-        cache: cache.clone(),
-        kernel: kernel.to_string(),
-        grid,
-        block,
-        param: param.to_vec(),
-        cbank: cbank.to_vec(),
-        global: Arc::clone(global),
-        config: *config,
-        token: cancel.cloned().unwrap_or_default(),
-        policy: None,
-    };
-    job::submit(worker::global_pool(), req, None, None)?.wait()
-}
-
 /// Provenance for a fault detected between warps (no warp was formed, so
 /// the thread list is empty and the entry point is the kernel start).
 pub(crate) fn boundary_fault(kernel: &str, cta: u32, source: VmError) -> CoreError {
@@ -541,7 +474,7 @@ pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpvk_ptx::parse_module;
+    use crate::runtime::{Device, DevicePtr, ParamValue};
     use dpvk_vm::MachineModel;
 
     const VECADD: &str = r#"
@@ -573,47 +506,24 @@ done:
 }
 "#;
 
-    fn setup(src: &str) -> TranslationCache {
-        let cache = TranslationCache::new(MachineModel::sandybridge_sse());
-        cache.register_module(&parse_module(src).unwrap());
-        cache
-    }
-
-    fn pack_params(items: &[(usize, &[u8])]) -> Vec<u8> {
-        let size = items.iter().map(|(off, b)| off + b.len()).max().unwrap_or(0);
-        let mut buf = vec![0u8; size];
-        for (off, bytes) in items {
-            buf[*off..*off + bytes.len()].copy_from_slice(bytes);
-        }
-        buf
+    fn device(src: &str) -> Device {
+        let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 16);
+        dev.register_source(src).unwrap();
+        dev
     }
 
     fn run_vecadd(config: &ExecConfig) -> (Vec<f32>, LaunchStats) {
-        let cache = setup(VECADD);
+        let dev = device(VECADD);
         let n: u32 = 100; // not a multiple of the CTA size: tests divergence
-        let global = GlobalMem::new(4096);
-        let (a_ptr, b_ptr, c_ptr) = (0u64, 1024u64, 2048u64);
         let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let b: Vec<f32> = (0..n).map(|i| 2.0 * i as f32).collect();
-        for (i, v) in a.iter().enumerate() {
-            global.write::<4>(a_ptr + 4 * i as u64, v.to_le_bytes()).unwrap();
-        }
-        for (i, v) in b.iter().enumerate() {
-            global.write::<4>(b_ptr + 4 * i as u64, v.to_le_bytes()).unwrap();
-        }
-        let param = pack_params(&[
-            (0, &a_ptr.to_le_bytes()),
-            (8, &b_ptr.to_le_bytes()),
-            (16, &c_ptr.to_le_bytes()),
-            (24, &n.to_le_bytes()),
-        ]);
-        let stats = run_grid(&cache, "vecadd", [4, 1, 1], [32, 1, 1], &param, &[], &global, config)
-            .unwrap();
-        let mut out = vec![0f32; n as usize];
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = f32::from_le_bytes(global.read::<4>(c_ptr + 4 * i as u64).unwrap());
-        }
-        (out, stats)
+        let [pa, pb, pc] = [(); 3].map(|()| dev.malloc(4 * n as usize).unwrap());
+        dev.copy_f32_htod(pa, &a).unwrap();
+        dev.copy_f32_htod(pb, &b).unwrap();
+        let args =
+            [ParamValue::Ptr(pa), ParamValue::Ptr(pb), ParamValue::Ptr(pc), ParamValue::U32(n)];
+        let stats = dev.launch("vecadd", [4, 1, 1], [32, 1, 1], &args, config).unwrap();
+        (dev.copy_f32_dtoh(pc, n as usize).unwrap(), stats)
     }
 
     #[test]
@@ -700,16 +610,13 @@ done:
 "#;
 
     fn run_reduction(config: &ExecConfig) -> f32 {
-        let cache = setup(REDUCTION);
-        let global = GlobalMem::new(1024);
-        for i in 0..32u64 {
-            global.write::<4>(4 * i, ((i + 1) as f32).to_le_bytes()).unwrap();
-        }
-        let out_ptr = 512u64;
-        let param = pack_params(&[(0, &0u64.to_le_bytes()), (8, &out_ptr.to_le_bytes())]);
-        run_grid(&cache, "reduce_sum", [1, 1, 1], [32, 1, 1], &param, &[], &global, config)
-            .unwrap();
-        f32::from_le_bytes(global.read::<4>(out_ptr).unwrap())
+        let dev = device(REDUCTION);
+        let data = dev.malloc(32 * 4).unwrap();
+        let out = dev.malloc(4).unwrap();
+        dev.copy_f32_htod(data, &(1..=32).map(|i| i as f32).collect::<Vec<_>>()).unwrap();
+        let args = [ParamValue::Ptr(data), ParamValue::Ptr(out)];
+        dev.launch("reduce_sum", [1, 1, 1], [32, 1, 1], &args, config).unwrap();
+        dev.copy_f32_dtoh(out, 1).unwrap()[0]
     }
 
     #[test]
@@ -723,19 +630,12 @@ done:
 
     #[test]
     fn zero_grid_is_rejected() {
-        let cache = setup(VECADD);
-        let global = GlobalMem::new(64);
-        let err = run_grid(
-            &cache,
-            "vecadd",
-            [0, 1, 1],
-            [32, 1, 1],
-            &[0u8; 28],
-            &[],
-            &global,
-            &ExecConfig::baseline(),
-        )
-        .unwrap_err();
+        let dev = device(VECADD);
+        let null = ParamValue::Ptr(DevicePtr(0));
+        let args = [null, null, null, ParamValue::U32(0)];
+        let err = dev
+            .launch("vecadd", [0, 1, 1], [32, 1, 1], &args, &ExecConfig::baseline())
+            .unwrap_err();
         assert!(matches!(err, CoreError::BadLaunch(_)));
     }
 
@@ -755,23 +655,20 @@ entry:
   ret;
 }
 "#;
-        let cache = setup(GUARDED);
-        let global = GlobalMem::new(64);
+        let dev = device(GUARDED);
         for attempt in 1..=2u64 {
-            let err = run_grid(
-                &cache,
-                "guarded",
-                [1, 1, 1],
-                [1, 1, 1],
-                &[0u8; 4],
-                &[],
-                &global,
-                &ExecConfig::baseline(),
-            )
-            .unwrap_err();
+            let err = dev
+                .launch(
+                    "guarded",
+                    [1, 1, 1],
+                    [1, 1, 1],
+                    &[ParamValue::U32(0)],
+                    &ExecConfig::baseline(),
+                )
+                .unwrap_err();
             assert!(matches!(err, CoreError::Unsupported { .. }), "{err:?}");
             assert_eq!(
-                cache.stats().spec_failures,
+                dev.cache_stats().spec_failures,
                 attempt,
                 "each failed submission must be counted"
             );

@@ -1,14 +1,16 @@
-//! The persistent worker pool: the paper's resident execution managers.
+//! The process-wide worker pool: the paper's resident execution managers.
 //!
-//! Workers are spawned once — with the device, or lazily for the free
-//! [`run_grid`](super::run_grid) path — and park on a condition variable
-//! when the queue is empty, so the launch hot path performs no thread
-//! spawn or join. Each worker owns a [`WorkerScratch`]: warp-formation
+//! One pool serves every [`Device`](crate::runtime::Device) in the
+//! process. It grows a worker whenever more work is queued than workers
+//! are idle, up to its size, and never shrinks or shuts down; idle
+//! workers park on a condition variable, so a warm launch performs no
+//! thread spawn or join, and building or dropping a device spawns and
+//! joins nothing. Each worker owns a [`WorkerScratch`]: warp-formation
 //! buffers, an interpreter register frame, and a [`DispatchMemo`] of
-//! resolved specializations that now lives as long as the worker does
+//! resolved specializations that lives as long as the worker does
 //! (flushing its statistics tallies at every chunk boundary, so cache
 //! stats stay exact and fault-safe, and rebinding when a job arrives
-//! from a different cache).
+//! from a different device's cache).
 //!
 //! Fault isolation: each CTA runs under `catch_unwind` (plus a
 //! chunk-level net around the glue), so a panic becomes
@@ -57,129 +59,87 @@ enum PoolItem {
 #[derive(Default)]
 struct PoolQueue {
     items: VecDeque<PoolItem>,
-    shutdown: bool,
     /// Workers currently executing an item (pool occupancy).
     busy: usize,
+    /// Workers spawned so far: the pool grows on demand, never past its
+    /// size, and never shrinks.
+    spawned: usize,
 }
 
-/// State shared between the pool handle and its worker threads.
-pub(crate) struct PoolShared {
+/// The pool of execution-manager threads; [`pool`] is the one instance.
+pub(crate) struct WorkerPool {
     queue: Monitor<PoolQueue>,
     size: usize,
 }
 
-impl PoolShared {
+impl WorkerPool {
     /// Enqueue every chunk of `job` and wake workers. Called at submit
     /// for unordered jobs, and by the retiring worker for the next job
     /// of a stream.
     pub(crate) fn enqueue(&self, job: Arc<LaunchJob>) {
-        let n = job.chunks;
-        {
-            let mut q = self.queue.lock();
-            for index in 0..n {
-                q.items.push_back(PoolItem::Chunk(Chunk { job: Arc::clone(&job), index }));
-            }
-        }
-        if n == 1 {
-            self.queue.notify_one();
-        } else {
-            self.queue.notify_all();
-        }
+        let chunks = (0..job.chunks).map(|index| Chunk { job: Arc::clone(&job), index });
+        self.push(chunks.map(PoolItem::Chunk));
     }
 
     /// Enqueue a detached background task; it runs on a pool worker when
-    /// one frees up, behind any queued chunks. The pool's drain-on-drop
-    /// contract covers tasks too.
+    /// one frees up, behind any queued chunks.
     pub(crate) fn submit_task(&self, task: Box<dyn FnOnce() + Send>) {
-        {
+        self.push(std::iter::once(PoolItem::Task(task)));
+    }
+
+    /// Queue `items`, spawn workers while more items wait than workers
+    /// are idle (up to the pool size), and wake one parked worker; a
+    /// worker that takes an item and leaves more behind wakes the next.
+    /// Waking one at a time keeps the woken workers from all contending
+    /// for the queue lock at once, which on a two-core host left the
+    /// second chunk of a launch waiting for the first.
+    fn push(&self, items: impl Iterator<Item = PoolItem>) {
+        let spawn = {
             let mut q = self.queue.lock();
-            q.items.push_back(PoolItem::Task(task));
+            q.items.extend(items);
+            let idle = q.spawned - q.busy;
+            let spawn = q.spawned..(q.spawned + q.items.len().saturating_sub(idle)).min(self.size);
+            q.spawned = spawn.end;
+            spawn
+        };
+        for i in spawn {
+            std::thread::Builder::new()
+                .name(format!("dpvk-worker-{i}"))
+                .spawn(|| worker_loop(pool()))
+                .expect("spawn pool worker");
         }
         self.queue.notify_one();
     }
-}
 
-/// A persistent pool of execution-manager threads.
-///
-/// Dropping the pool is a drain, not an abort: the queue is marked shut
-/// down, workers finish every queued chunk (including stream successors
-/// promoted along the way), and the threads are joined — so every
-/// [`LaunchHandle`](super::LaunchHandle) issued against the pool
-/// completes.
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool of `size` parked workers.
-    pub(crate) fn new(size: usize) -> Self {
-        let size = size.max(1);
-        let shared = Arc::new(PoolShared { queue: Monitor::new(PoolQueue::default()), size });
-        let threads = (0..size)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("dpvk-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool { shared, threads }
-    }
-
-    pub(crate) fn shared(&self) -> &PoolShared {
-        &self.shared
-    }
-
-    /// Number of worker threads.
+    /// Most worker threads the pool runs.
     pub(crate) fn size(&self) -> usize {
-        self.shared.size
+        self.size
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            self.shared.queue.lock().shutdown = true;
-        }
-        self.shared.queue.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+/// The process-wide pool: created on first use, shared by every device,
+/// and never torn down. Its workers are spawned as launches first need
+/// them, up to [`pool_size`].
+pub(crate) fn pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool { queue: Monitor::new(PoolQueue::default()), size: pool_size() })
 }
 
-/// Worker count for a new pool: `DPVK_POOL_WORKERS` when set, otherwise
-/// the host's available parallelism, but never below `min_workers` (a
-/// device passes its model's core count so modeled-default launches
-/// always have a chunk's worth of workers to land on).
-pub(crate) fn pool_size(min_workers: usize) -> usize {
+/// Size of the pool: `DPVK_POOL_WORKERS` when set, otherwise the host's
+/// available parallelism but at least 4, so a default-config launch on
+/// either 4-core model has a worker per chunk.
+fn pool_size() -> usize {
     // An unparsable value is a startup configuration bug and panics
     // (same contract as `DPVK_ENGINE`), it is never silently ignored.
     if let Some(n) = crate::error::env_u64("DPVK_POOL_WORKERS", "a worker count (1..=256)") {
         return usize::try_from(n).unwrap_or(usize::MAX).clamp(1, 256);
     }
-    // Asked once: the answer re-reads the cgroup files on every call
-    // (tens of microseconds) and every `Device` construction comes here.
-    static HOST: OnceLock<usize> = OnceLock::new();
-    let host =
-        *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    host.max(min_workers).max(1)
-}
-
-/// The process-wide pool backing the free [`run_grid`](super::run_grid)
-/// functions (a `Device` owns its own). Created on first use, sized for
-/// the host, and never torn down.
-pub(crate) fn global_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(pool_size(4)))
+    std::thread::available_parallelism().map_or(1, |n| n.get()).max(4)
 }
 
 /// One worker thread: park until a chunk is available, run it, flush
-/// memo tallies, report completion, repeat until shutdown *and* the
-/// queue is drained.
-fn worker_loop(shared: &Arc<PoolShared>) {
+/// memo tallies, report completion, repeat for the life of the process.
+fn worker_loop(pool: &WorkerPool) {
     // Claim a timeline track up front (one atomic increment per worker
     // thread lifetime) so spans emitted on this thread — including
     // compile spans from deep inside the cache — carry its identity.
@@ -187,19 +147,19 @@ fn worker_loop(shared: &Arc<PoolShared>) {
     let mut scratch = WorkerScratch::new();
     loop {
         let item = {
-            let mut q = shared.queue.lock();
+            let mut q = pool.queue.lock();
             loop {
                 if let Some(item) = q.items.pop_front() {
+                    if !q.items.is_empty() {
+                        pool.queue.notify_one();
+                    }
                     q.busy += 1;
                     if dpvk_trace::enabled() {
                         dpvk_trace::record_peak(dpvk_trace::Counter::PoolBusyPeak, q.busy as u64);
                     }
                     break item;
                 }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.queue.wait(q);
+                q = pool.queue.wait(q);
             }
         };
         let Chunk { job, index } = match item {
@@ -208,7 +168,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 // Background work is panic-contained like a chunk: a bad
                 // candidate compile must not kill the worker thread.
                 let _ = catch_unwind(AssertUnwindSafe(task));
-                let mut q = shared.queue.lock();
+                let mut q = pool.queue.lock();
                 q.busy -= 1;
                 continue;
             }
@@ -234,10 +194,10 @@ fn worker_loop(shared: &Arc<PoolShared>) {
         // when the chunk panicked or faulted.
         scratch.dispatch.flush();
         {
-            let mut q = shared.queue.lock();
+            let mut q = pool.queue.lock();
             q.busy -= 1;
         }
-        job.complete_chunk(index, stats, error, stopped_at, shared);
+        job.complete_chunk(index, stats, error, stopped_at);
     }
 }
 
@@ -328,12 +288,15 @@ fn run_chunk(
 /// survive across launches (keyed by the translated kernel's identity,
 /// so back-to-back launches of the same kernel skip the shared cache
 /// entirely) and are invalidated only when a job arrives from a
-/// different cache. Hit and downgrade tallies accumulate locally and
-/// flush to the cache's atomic counters at every chunk boundary — which
-/// runs even when a CTA panics or faults, because the flush sits outside
-/// `catch_unwind` in the worker loop — so
-/// [`TranslationCache::stats`] totals are identical to per-query
-/// counting by the time any waiter observes the launch complete.
+/// different cache. The bound cache and its entries therefore outlive a
+/// dropped device until this worker serves another one: at most one
+/// device's cache per worker is kept alive this way. Hit and downgrade
+/// tallies accumulate locally and flush to the cache's atomic counters
+/// at every chunk boundary — which runs even when a CTA panics or
+/// faults, because the flush sits outside `catch_unwind` in the worker
+/// loop — so [`TranslationCache::stats`] totals are identical to
+/// per-query counting by the time any waiter observes the launch
+/// complete.
 pub(crate) struct DispatchMemo {
     cache: Option<TranslationCache>,
     entries: Vec<MemoEntry>,
@@ -550,13 +513,8 @@ fn run_cta(
     #[cfg(feature = "fault-inject")]
     let mut injected_fault_pending = crate::faults::injected_warp_fault(cta_flat);
 
-    let mem = MemAccess {
-        global,
-        shared: &mut shared,
-        local: &mut local,
-        param: &req.param,
-        cbank: &req.cbank,
-    };
+    let mem =
+        MemAccess { global, shared: &mut shared, local: &mut local, param: &req.param, cbank: &[] };
     let mut mem = match config.engine {
         Engine::Jit => CtaMem::Jit(JitCta::new(mem, &config.limits, Some(cancel))),
         Engine::Bytecode => CtaMem::Bytecode(mem),

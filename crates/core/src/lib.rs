@@ -15,10 +15,10 @@
 //!   re-entry;
 //! * [`TranslationCache`](crate::cache::TranslationCache) — lazy,
 //!   lock-guarded specialization per `(kernel, warp size, variant)`;
-//! * [`run_grid`](crate::exec::run_grid) and the execution manager —
-//!   dynamic/static warp formation, barrier pools, per-thread resume
-//!   bookkeeping across a pool of worker threads;
-//! * [`Device`](crate::runtime::Device) — a CUDA-runtime-like host API.
+//! * [`Device`](crate::runtime::Device) — a CUDA-runtime-like host API,
+//!   and behind it the execution manager ([`exec`]): dynamic/static warp
+//!   formation, barrier pools, per-thread resume bookkeeping across the
+//!   one process-wide pool of worker threads.
 //!
 //! ## Quickstart
 //!
@@ -81,8 +81,8 @@ pub use devmem::MemoryStats;
 pub use dpvk_vm::CancelToken;
 pub use error::{CoreError, FaultContext, InvalidEnvValue};
 pub use exec::{
-    run_grid, run_grid_cancellable, AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig,
-    FormationPolicy, LaunchHandle, LaunchStats, UnknownAdaptModeError, UnknownEngineError,
+    AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig, FormationPolicy, LaunchHandle,
+    LaunchStats, UnknownAdaptModeError, UnknownEngineError,
 };
 pub use persist::PersistConfig;
 pub use runtime::{Device, DeviceBuffer, DevicePtr, ParamValue, Stream};

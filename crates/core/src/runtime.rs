@@ -16,7 +16,7 @@ use crate::cache::{CacheStats, TranslationCache};
 use crate::devmem::{DevHeap, MemoryStats};
 use crate::error::CoreError;
 use crate::exec::job::{self, InflightGauge, LaunchRequest, StreamShared};
-use crate::exec::worker::{pool_size, WorkerPool};
+use crate::exec::worker;
 use crate::exec::{ExecConfig, FormationPolicy, LaunchHandle, LaunchStats};
 use crate::specialize::{PolicySnapshot, PolicyTable};
 
@@ -46,22 +46,22 @@ impl DevicePtr {
     }
 }
 
-/// The simulated device: global memory, a translation cache, a
-/// persistent pool of execution-manager workers, and launch facilities.
+/// The simulated device: global memory, a translation cache, and launch
+/// facilities.
 ///
-/// The pool is created with the device and parks when idle, so launches
-/// — blocking or [asynchronous](Device::launch_async) — enqueue work
-/// instead of spawning threads. Launches on one [`Stream`] run in
-/// submission order; launches on different streams (or plain
-/// `launch_async` calls) may overlap. Dropping the device drains the
-/// pool: every outstanding [`LaunchHandle`] completes first.
+/// Launches — blocking or [asynchronous](Device::launch_async) — are
+/// enqueued on the one process-wide pool of execution-manager workers,
+/// which every device shares; building or dropping a device spawns or
+/// joins no thread. Launches on one [`Stream`] run in submission order;
+/// launches on different streams (or plain `launch_async` calls) may
+/// overlap. Dropping the device is [`Device::synchronize`]: every
+/// outstanding [`LaunchHandle`] and stream-held launch completes first.
 pub struct Device {
     model: MachineModel,
     global: Arc<GlobalMem>,
     cache: TranslationCache,
     heap: DevHeap,
     heap_size: u64,
-    pool: WorkerPool,
     inflight: Arc<InflightGauge>,
     next_stream: std::sync::atomic::AtomicU64,
     /// Adaptive width-policy table shared by every launch path of this
@@ -71,10 +71,7 @@ pub struct Device {
 
 impl Device {
     /// Create a device with the given machine model and global-memory heap
-    /// size in bytes. Spawns the device's worker pool: `DPVK_POOL_WORKERS`
-    /// workers when set, otherwise at least the host parallelism and the
-    /// model's core count (so a default-config launch always has a worker
-    /// per chunk).
+    /// size in bytes.
     pub fn new(model: MachineModel, heap_size: usize) -> Self {
         Self::with_persist(model, heap_size, crate::persist::PersistConfig::from_env())
     }
@@ -91,7 +88,6 @@ impl Device {
         persist: Option<crate::persist::PersistConfig>,
     ) -> Self {
         dpvk_trace::init_from_env();
-        let pool = WorkerPool::new(pool_size(model.cores as usize));
         let global = GlobalMem::new(heap_size);
         Device {
             cache: TranslationCache::with_persist(model.clone(), persist),
@@ -100,7 +96,6 @@ impl Device {
             heap: DevHeap::new(Arc::clone(&global), heap_size as u64),
             global,
             heap_size: heap_size as u64,
-            pool,
             inflight: Arc::new(InflightGauge::new()),
             next_stream: std::sync::atomic::AtomicU64::new(1),
             policy: Arc::new(PolicyTable::new()),
@@ -255,15 +250,7 @@ impl Device {
     /// Returns [`CoreError::BadLaunch`] when the argument count or types
     /// do not match the declaration.
     pub fn pack_params(&self, kernel: &str, args: &[ParamValue]) -> Result<Vec<u8>, CoreError> {
-        let tk = self.cache.translated(kernel)?;
-        let _ = tk;
-        // Re-read the declaration for offsets/types.
-        let decl = {
-            // The cache owns the kernel; go through a private reparse-free
-            // path: translated() guarantees registration, so we can look at
-            // the declaration via the kernels map.
-            self.cache.kernel_declaration(kernel)?
-        };
+        let decl = self.cache.kernel_declaration(kernel)?;
         if decl.params.len() != args.len() {
             return Err(CoreError::BadLaunch(format!(
                 "kernel `{kernel}` expects {} parameters, got {}",
@@ -291,7 +278,7 @@ impl Device {
         Ok(buf)
     }
 
-    /// Package a launch for submission to this device's pool.
+    /// Package a launch for submission to the pool.
     fn request(
         &self,
         kernel: &str,
@@ -315,16 +302,15 @@ impl Device {
             grid,
             block,
             param,
-            cbank: Vec::new(),
             global: Arc::clone(&self.global),
             config,
             token,
-            policy: Some(Arc::clone(&self.policy)),
+            policy: Arc::clone(&self.policy),
         })
     }
 
     /// Launch `kernel` over `grid` CTAs of `block` threads and block
-    /// until it completes (submit + wait on the device's worker pool).
+    /// until it completes (submit + wait on the worker pool).
     ///
     /// # Errors
     ///
@@ -341,7 +327,7 @@ impl Device {
     }
 
     /// Launch `kernel` asynchronously: the launch is enqueued on the
-    /// device's worker pool and this call returns immediately with a
+    /// worker pool and this call returns immediately with a
     /// [`LaunchHandle`] to wait on, poll, or cancel. Launches submitted
     /// this way are unordered with respect to each other; use a
     /// [`Stream`](Device::stream) for in-order submission.
@@ -360,7 +346,7 @@ impl Device {
         config: &ExecConfig,
     ) -> Result<LaunchHandle, CoreError> {
         let req = self.request(kernel, grid, block, args, config, CancelToken::new())?;
-        job::submit(&self.pool, req, None, Some(Arc::clone(&self.inflight)))
+        job::submit(req, None, Arc::clone(&self.inflight))
     }
 
     /// Create a new stream on this device. Launches submitted to the
@@ -379,9 +365,10 @@ impl Device {
         self.inflight.wait_idle();
     }
 
-    /// Number of worker threads in the device's pool.
+    /// Size of the process-wide worker pool every device shares: the
+    /// most launch chunks that run at once.
     pub fn pool_workers(&self) -> usize {
-        self.pool.size()
+        worker::pool().size()
     }
 
     /// Bytes of device heap currently live (allocated and not yet
@@ -442,7 +429,7 @@ impl Device {
         cancel: &CancelToken,
     ) -> Result<LaunchStats, CoreError> {
         let req = self.request(kernel, grid, block, args, config, cancel.clone())?;
-        job::submit(&self.pool, req, None, Some(Arc::clone(&self.inflight)))?.wait()
+        job::submit(req, None, Arc::clone(&self.inflight))?.wait()
     }
 
     /// Translation-cache statistics.
@@ -461,12 +448,18 @@ impl Device {
     }
 }
 
+impl Drop for Device {
+    fn drop(&mut self) {
+        self.synchronize();
+    }
+}
+
 impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Device")
             .field("model", &self.model.name)
             .field("heap_size", &self.heap_size)
-            .field("pool_workers", &self.pool.size())
+            .field("pool_workers", &self.pool_workers())
             .field("cache", &self.cache)
             .finish()
     }
@@ -583,12 +576,7 @@ impl Stream<'_> {
         cancel: &CancelToken,
     ) -> Result<LaunchHandle, CoreError> {
         let req = self.dev.request(kernel, grid, block, args, config, cancel.clone())?;
-        job::submit(
-            &self.dev.pool,
-            req,
-            Some(Arc::clone(&self.shared)),
-            Some(Arc::clone(&self.dev.inflight)),
-        )
+        job::submit(req, Some(Arc::clone(&self.shared)), Arc::clone(&self.dev.inflight))
     }
 
     /// Launches accepted by this stream but not yet released to the pool

@@ -36,7 +36,7 @@ use dpvk_trace::timeline::SpanKind;
 
 use crate::cache::{TranslationCache, Variant};
 use crate::exec::stats::LaunchStats;
-use crate::exec::worker::PoolShared;
+use crate::exec::worker;
 use crate::exec::{AdaptConfig, AdaptMode};
 use crate::flight;
 use crate::sync::Mutex;
@@ -159,7 +159,6 @@ impl PolicyTable {
         stats: &LaunchStats,
         adapt: &AdaptConfig,
         cache: &TranslationCache,
-        pool: &PoolShared,
     ) {
         if adapt.mode == AdaptMode::Off {
             return;
@@ -185,7 +184,7 @@ impl PolicyTable {
                 && kp.scores.get(w).map_or(0, |s| s.launches) < threshold
         });
         match next {
-            Some(cand) => Self::schedule_respec(kp, kernel, current, cand, cache, pool),
+            Some(cand) => Self::schedule_respec(kp, kernel, current, cand, cache),
             None => {
                 // Every candidate measured (or failed): commit the
                 // cheapest per launch, ties to the narrower width.
@@ -221,7 +220,6 @@ impl PolicyTable {
         from: u32,
         cand: u32,
         cache: &TranslationCache,
-        pool: &PoolShared,
     ) {
         let ready = Arc::new(AtomicBool::new(false));
         let achieved = Arc::new(AtomicU32::new(0));
@@ -235,7 +233,7 @@ impl PolicyTable {
         dpvk_trace::record_respec(kernel, from, cand, kp.launches);
         let cache = cache.clone();
         let name = kernel.to_string();
-        pool.submit_task(Box::new(move || {
+        worker::pool().submit_task(Box::new(move || {
             let start = flight::span_start();
             let mut w = cand;
             let landed = loop {
@@ -293,9 +291,8 @@ mod tests {
         assert_eq!(table.decide("k", 4, &observe), 4);
         // Observe mode still accumulates a profile.
         let cache = TranslationCache::with_persist(dpvk_vm::MachineModel::sandybridge_sse(), None);
-        let pool = crate::exec::worker::WorkerPool::new(1);
         for _ in 0..3 {
-            table.observe("k", 4, &stats_with_cycles(10), &observe, &cache, pool.shared());
+            table.observe("k", 4, &stats_with_cycles(10), &observe, &cache);
         }
         let snap = table.snapshot("k");
         assert_eq!(snap.launches, 3);

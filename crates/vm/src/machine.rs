@@ -19,7 +19,8 @@ pub struct MachineModel {
     /// Core clock in GHz, used only to convert modeled cycles to seconds
     /// for GFLOP/s reports.
     pub clock_ghz: f64,
-    /// Worker-thread count the runtime will use (one per core).
+    /// Modeled core count: the default number of chunks a launch is
+    /// split into (one per core), not the number of host threads.
     pub cores: u32,
     /// Extra cycles charged to every vector instruction for each spilled
     /// vector register when live vector state exceeds the register file.

@@ -12,7 +12,7 @@
 //! set of seeds; `cargo test --release --test reference -- --ignored`
 //! runs the long sweep.
 
-use dpvk::core::{Device, Engine, ExecConfig, LaunchStats, ParamValue};
+use dpvk::core::{CoreError, Device, DevicePtr, Engine, ExecConfig, LaunchStats, ParamValue};
 use dpvk::ptx;
 use dpvk::vm::{jit_supported, MachineModel};
 
@@ -103,14 +103,8 @@ fn check(case: &Case, only: Option<&Mismatch>) -> Result<(), Mismatch> {
             if let Err(e) = &registered {
                 return Err(fail(Failure::Launch(e.to_string())));
             }
-            dev.memcpy_htod(buf, &gen::input(case.seed)).expect("upload");
-            let (grid, block) = ([case.ctas, 1, 1], [case.threads, 1, 1]);
-            let exec = exec.with_engine(engine);
-            let stats = dev
-                .launch("refk", grid, block, &[ParamValue::Ptr(buf)], &exec)
+            let (got, stats) = run_case(&dev, buf, case, &exec.with_engine(engine))
                 .map_err(|e| fail(Failure::Launch(e.to_string())))?;
-            let mut got = vec![0u8; BYTES];
-            dev.memcpy_dtoh(&mut got, buf).expect("read back");
             if let Some(word) =
                 (0..BYTES / 8).find(|w| got[8 * w..8 * w + 8] != want[8 * w..8 * w + 8])
             {
@@ -161,6 +155,57 @@ fn generated_kernels_match_the_reference_on_every_engine_and_width() {
 #[ignore = "the long sweep; CI runs it in release"]
 fn generated_kernels_match_the_reference_long() {
     sweep(48..4000);
+}
+
+/// Upload `case`'s input to `buf`, launch it, and read the image back.
+fn run_case(
+    dev: &Device,
+    buf: DevicePtr,
+    case: &Case,
+    exec: &ExecConfig,
+) -> Result<(Vec<u8>, LaunchStats), CoreError> {
+    dev.memcpy_htod(buf, &gen::input(case.seed)).expect("upload");
+    let (grid, block) = ([case.ctas, 1, 1], [case.threads, 1, 1]);
+    let stats = dev.launch("refk", grid, block, &[ParamValue::Ptr(buf)], exec)?;
+    let mut image = vec![0u8; BYTES];
+    dev.memcpy_dtoh(&mut image, buf).expect("read back");
+    Ok((image, stats))
+}
+
+/// A fresh device holding `case`'s kernel and a buffer for its image.
+/// Persistence is off, so the device starts with nothing compiled.
+fn fresh_device(case: &Case) -> (Device, DevicePtr) {
+    let dev = Device::with_persist(MachineModel::sandybridge_sse(), 1 << 16, None);
+    dev.register_source(&case.source).unwrap_or_else(|e| panic!("{e}\n{}", case.source));
+    let buf = dev.malloc(BYTES).expect("buffer");
+    (dev, buf)
+}
+
+/// Cache state changes nothing: a kernel leaves the same image and
+/// charges the same stats on a fresh device (cold), again on that device
+/// (warm: translation, specializations and worker memos filled), and on
+/// a second fresh device whose pool workers just served the first.
+#[test]
+fn cold_warm_and_reused_worker_runs_agree() {
+    for seed in 0..48 {
+        let case = Kernel::generate(seed).case();
+        for engine in engines() {
+            let exec = ExecConfig::dynamic(4).with_engine(engine);
+            let run = |dev: &Device, buf| {
+                run_case(dev, buf, &case, &exec)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", case.source))
+            };
+            let (first, buf) = fresh_device(&case);
+            let cold = run(&first, buf);
+            let warm = run(&first, buf);
+            let (second, buf) = fresh_device(&case);
+            let reused = run(&second, buf);
+            for (state, got) in [("warm", &warm), ("second device", &reused)] {
+                assert!(cold.0 == got.0, "seed {seed}, {}: {state} image differs", engine.label());
+                assert_eq!(cold.1, got.1, "seed {seed}, {}: {state} stats differ", engine.label());
+            }
+        }
+    }
 }
 
 /// The matrix's engines are all there are: any other name, `tree`
