@@ -71,6 +71,7 @@ pub mod exec;
 pub mod faults;
 pub mod persist;
 pub mod runtime;
+pub mod slots;
 pub mod specialize;
 pub mod sync;
 pub mod translate;

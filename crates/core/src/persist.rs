@@ -24,7 +24,10 @@
 //! mismatch (torn write, bit rot, format drift, one artifact's bytes
 //! under another's name) deletes the file and reports a miss, so the
 //! worst case for a bad cache is a recompile. `FORMAT_VERSION` **must
-//! be bumped whenever the IR codec or the layout in this file changes**
+//! be bumped whenever the IR codec, the layout in this file, or what a
+//! kernel's specializations assume of each other changes** — the slot
+//! plan's contract, say, which lets one specialization skip a store
+//! because its siblings store at the definition or recompute at entry
 //! (see DESIGN.md).
 //!
 //! **Atomicity.** Stores write a temp file whose name is unique within
@@ -47,12 +50,16 @@ use dpvk_trace::Counter;
 use crate::sync::Mutex;
 
 /// Bump whenever the on-disk encoding changes at either layer (this
-/// container or [`dpvk_ir::serial`]). Old artifacts then hash to
-/// different keys and are evicted by the size cap instead of being
-/// misread.
-pub const FORMAT_VERSION: u32 = 2;
+/// container or [`dpvk_ir::serial`]), or what a kernel's
+/// specializations assume of each other (the slot plan's contract:
+/// which live-ins are stored at their definition, recomputed at entry,
+/// or stored at the exit). A specialization persisted under one
+/// contract and loaded beside siblings compiled under another would
+/// restore slots nothing wrote. Old artifacts hash to different keys
+/// and are evicted by the size cap instead of being misread.
+pub const FORMAT_VERSION: u32 = 3;
 
-const MAGIC: &[u8; 8] = b"DPVKART\x02";
+const MAGIC: &[u8; 8] = b"DPVKART\x03";
 
 /// Default directory size cap: 256 MiB.
 const DEFAULT_CAP_BYTES: u64 = 256 << 20;

@@ -11,10 +11,12 @@
 //! * guarded `ret`/`exit` become conditional branches to a synthetic exit
 //!   block;
 //! * every conditional-branch successor and barrier continuation becomes an
-//!   *entry point* with a stable id, and each scalar virtual register that
-//!   is live into any entry point receives a *spill slot* in thread-local
-//!   memory (the slot map is shared by all specializations so that warps of
-//!   different widths can exchange suspended threads).
+//!   *entry point* with a stable id;
+//! * the [`SlotPlan`] decides, once per kernel, which live-ins each yield
+//!   stores, loads or recomputes, and each register some entry handler
+//!   loads receives a *spill slot* in thread-local memory (plan and slot
+//!   map are shared by all specializations so that warps of different
+//!   widths can exchange suspended threads).
 
 use std::collections::{HashMap, HashSet};
 
@@ -26,6 +28,7 @@ use dpvk_ptx as ptx;
 use dpvk_ptx::{AddressBase, Operand, ScalarType, SpecialReg};
 
 use crate::error::CoreError;
+use crate::slots::SlotPlan;
 
 /// A kernel translated to canonical scalar IR with yield metadata.
 #[derive(Debug, Clone)]
@@ -46,8 +49,10 @@ pub struct TranslatedKernel {
     /// Blocks that consist of nothing but `Ret` — divergence to these is
     /// encoded directly as [`ir::EXIT_ENTRY_ID`].
     pub pure_exit_blocks: HashSet<BlockId>,
+    /// Which live-ins each yield stores, loads and recomputes.
+    pub slots: SlotPlan,
     /// Spill-slot byte offset (within a thread's local memory) of every
-    /// scalar register live into some entry point.
+    /// scalar register some entry handler loads.
     pub spill_slots: HashMap<VReg, u64>,
     /// Bytes of user-declared `.local` variables.
     pub user_local_bytes: usize,
@@ -57,8 +62,6 @@ pub struct TranslatedKernel {
     pub shared_bytes: usize,
     /// Bytes of the parameter buffer.
     pub param_bytes: usize,
-    /// Sorted live-in register sets per scalar block.
-    pub live_in: Vec<Vec<VReg>>,
 }
 
 impl TranslatedKernel {
@@ -762,22 +765,14 @@ pub fn translate(kernel: &ptx::Kernel) -> Result<TranslatedKernel, CoreError> {
     let entry_id_of: HashMap<BlockId, i64> =
         entry_points.iter().enumerate().map(|(i, &b)| (b, i as i64)).collect();
 
-    // Spill slots for registers live into any entry point, numbered in
-    // register order.
+    // Spill slots for the registers some entry handler loads, numbered
+    // in register order.
     let lv = ir::Liveness::compute(&f);
+    let slots = SlotPlan::compute(&f, &lv, &entry_points, barrier_edges.values().copied());
     let user_local_bytes = kernel.local_size();
-    let mut spilled = vec![0u64; f.regs.len().div_ceil(64)];
-    for &e in &entry_points {
-        spilled.iter_mut().zip(lv.live_in(e)).for_each(|(acc, row)| *acc |= row);
-    }
-    let spill_slots: HashMap<VReg, u64> = ir::Liveness::regs_of(&spilled)
-        .enumerate()
-        .map(|(i, r)| (r, (user_local_bytes + i * 8) as u64))
-        .collect();
+    let spill_slots: HashMap<VReg, u64> =
+        slots.slotted().enumerate().map(|(i, r)| (r, (user_local_bytes + i * 8) as u64)).collect();
     let local_bytes = user_local_bytes + spill_slots.len() * 8;
-
-    let live_in: Vec<Vec<VReg>> =
-        (0..f.blocks.len()).map(|i| lv.live_in_sorted(BlockId(i as u32))).collect();
 
     Ok(TranslatedKernel {
         name: kernel.name.clone(),
@@ -786,12 +781,12 @@ pub fn translate(kernel: &ptx::Kernel) -> Result<TranslatedKernel, CoreError> {
         entry_id_of,
         barrier_edges,
         pure_exit_blocks,
+        slots,
         spill_slots,
         user_local_bytes,
         local_bytes,
         shared_bytes: kernel.shared_size(),
         param_bytes: kernel.param_buffer_size(),
-        live_in,
     })
 }
 
@@ -863,11 +858,13 @@ entry:
         assert_eq!(t.barrier_edges.len(), 1);
         let (&from, &cont) = t.barrier_edges.iter().next().unwrap();
         assert_eq!(t.scalar.block(from).term, Term::Br(cont));
-        // The continuation is an entry point with live state (%r1).
+        // The continuation is an entry point. %r1's value crosses the
+        // barrier, but it is `%tid.x`: the entry handler recomputes it, so
+        // nothing is loaded and no spill slot is needed.
         assert!(t.entry_id_of.contains_key(&cont));
-        assert!(!t.live_in[cont.index()].is_empty());
-        // %r1's value crosses the barrier, so it has a spill slot.
-        assert!(!t.spill_slots.is_empty());
+        assert!(t.slots.loads[cont.index()].is_empty());
+        assert!(!t.slots.remat[cont.index()].is_empty());
+        assert!(t.spill_slots.is_empty());
     }
 
     #[test]
@@ -991,10 +988,15 @@ head:
         let t = translate(&k).unwrap();
         let head = t.scalar.block_by_label("head").unwrap();
         // `head` is a conditional-branch successor: it must be an entry
-        // point and its live-ins (%r1, %r2) must have spill slots.
+        // point. Of its live-ins, the counter %r1 is loaded from a spill
+        // slot and the `ld.param` %r2 is recomputed.
         assert!(t.entry_id_of.contains_key(&head));
-        assert_eq!(t.live_in[head.index()].len(), 2);
-        assert_eq!(t.spill_slots.len(), 2);
-        assert_eq!(t.local_bytes, 16);
+        assert_eq!(t.slots.loads[head.index()], vec![VReg(1)]);
+        assert!(matches!(
+            t.slots.remat[head.index()][..],
+            [Inst::Load { space: ir::Space::Param, .. }]
+        ));
+        assert_eq!(t.spill_slots.len(), 1);
+        assert_eq!(t.local_bytes, 8);
     }
 }

@@ -19,6 +19,12 @@
 //!   and dispatches to *entry handlers* that reload live values from
 //!   thread-local spill slots.
 //!
+//! Which live values those handlers move is the kernel's
+//! [`SlotPlan`](crate::slots::SlotPlan), shared by every specialization:
+//! home-slot registers are stored right after their definition and never
+//! at an exit, rematerialized live-ins are recomputed by the entry handler
+//! instead of loaded, and the rest is spilled and reloaded.
+//!
 //! The width-1 specialization comes in two flavours: the *baseline*
 //! (branches jump directly; yields only at barriers — the serialized
 //! scalar execution of the paper's comparison baseline) and the
@@ -639,7 +645,8 @@ impl<'a> Specializer<'a> {
     }
 
     /// Emit spill code for `regs` (all lanes) into `block` (Algorithm 4's
-    /// "store live state").
+    /// "store live state"; also the store right after a home-slot
+    /// register's definition).
     fn emit_spills(&mut self, block: BlockId, regs: &[VReg]) {
         for lane in 0..self.w {
             let base = self.out.new_reg(Type::scalar(STy::I64));
@@ -663,7 +670,7 @@ impl<'a> Specializer<'a> {
                 let v = self.lane_value(block, Value::Reg(r), lane);
                 self.out.block_mut(block).insts.push(Inst::Store {
                     ty: sty,
-                    space: ir::Space::Local,
+                    space: ir::Space::Spill,
                     addr: Value::Reg(addr),
                     value: v,
                 });
@@ -699,7 +706,7 @@ impl<'a> Specializer<'a> {
                         let d = self.uni_home(r);
                         self.out.block_mut(block).insts.push(Inst::Load {
                             ty: sty,
-                            space: ir::Space::Local,
+                            space: ir::Space::Spill,
                             dst: d,
                             addr: Value::Reg(addr),
                         });
@@ -708,7 +715,7 @@ impl<'a> Specializer<'a> {
                     let tmp = self.out.new_reg(Type::scalar(sty));
                     self.out.block_mut(block).insts.push(Inst::Load {
                         ty: sty,
-                        space: ir::Space::Local,
+                        space: ir::Space::Spill,
                         dst: tmp,
                         addr: Value::Reg(addr),
                     });
@@ -726,7 +733,7 @@ impl<'a> Specializer<'a> {
                     let d = self.lane_home(r, lane);
                     self.out.block_mut(block).insts.push(Inst::Load {
                         ty: sty,
-                        space: ir::Space::Local,
+                        space: ir::Space::Spill,
                         dst: d,
                         addr: Value::Reg(addr),
                     });
@@ -759,16 +766,14 @@ impl<'a> Specializer<'a> {
         id
     }
 
-    /// Sorted union of the live-in sets of two blocks.
-    fn union_live_in(&self, a: BlockId, b: BlockId) -> Vec<VReg> {
-        let mut v: Vec<VReg> = self.tk.live_in[a.index()]
-            .iter()
-            .chain(self.tk.live_in[b.index()].iter())
-            .copied()
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+    /// Vectorize (or, at width 1, clone) one scalar instruction into
+    /// `block`.
+    fn emit_inst(&mut self, block: BlockId, inst: &Inst) {
+        if self.w == 1 {
+            clone_scalar_inst(self, block, inst);
+        } else {
+            self.vectorize_inst(block, inst);
+        }
     }
 }
 
@@ -977,28 +982,27 @@ pub fn specialize(
             Term::Switch { value: Value::Reg(id_reg), cases, default: entry_handlers[0] };
     }
 
-    // Entry handlers: restore live-ins, jump into the body.
+    // Entry handlers: restore the live-ins the slot plan loads,
+    // recompute the ones it rematerializes, jump into the body.
     for (i, &scalar_block) in tk.entry_points.iter().enumerate() {
         let handler = entry_handlers[i];
-        let regs: Vec<VReg> = tk.live_in[scalar_block.index()].clone();
-        sp.emit_restores(handler, &regs);
+        sp.emit_restores(handler, &tk.slots.loads[scalar_block.index()]);
+        for inst in &tk.slots.remat[scalar_block.index()] {
+            sp.emit_inst(handler, inst);
+        }
         let target = sp.body_block[scalar_block.index()];
         sp.out.block_mut(handler).term = Term::Br(target);
     }
 
-    // Body blocks.
+    // Body blocks; a home-slot register is stored where the slot plan
+    // says, right after its definition.
     for (i, sb) in scalar.blocks.iter().enumerate() {
         let body = sp.body_block[i];
-        if w == 1 {
-            // Clone with register renaming (lane 0 homes).
-            let insts: Vec<Inst> = sb.insts.clone();
-            for inst in insts {
-                clone_scalar_inst(&mut sp, body, &inst);
-            }
-        } else {
-            let insts: Vec<Inst> = sb.insts.clone();
-            for inst in &insts {
-                sp.vectorize_inst(body, inst);
+        let mut def_stores = tk.slots.def_stores[i].iter().peekable();
+        for (k, inst) in sb.insts.iter().enumerate() {
+            sp.emit_inst(body, inst);
+            if def_stores.next_if(|&&at| at as usize == k).is_some() {
+                sp.emit_spills(body, &[inst.dst().expect("home slots store definitions")]);
             }
         }
         // Terminator.
@@ -1007,7 +1011,7 @@ pub fn specialize(
             Term::Br(t) => {
                 if tk.barrier_edges.get(&this) == Some(t) {
                     // Barrier yield.
-                    let spill: Vec<VReg> = tk.live_in[t.index()].clone();
+                    let spill = tk.slots.exit_stores(&[*t]);
                     let id = tk.entry_id(*t);
                     let exit = sp.build_exit_handler(
                         format!("{}$bar_exit", sb.label),
@@ -1023,7 +1027,7 @@ pub fn specialize(
                 {
                     // Cooperative scalar: yield at entry-point edges so the
                     // execution manager can re-merge threads (Figure 4b).
-                    let spill: Vec<VReg> = tk.live_in[t.index()].clone();
+                    let spill = tk.slots.exit_stores(&[*t]);
                     let id = tk.entry_id(*t);
                     let exit = sp.build_exit_handler(
                         format!("{}$merge_exit", sb.label),
@@ -1043,7 +1047,7 @@ pub fn specialize(
                     if opts.yield_at_branches {
                         // Yield unconditionally; the resume point selects
                         // the successor.
-                        let spill = sp.union_live_in(*taken, *fall);
+                        let spill = tk.slots.exit_stores(&[*taken, *fall]);
                         let cond = *cond;
                         let exit = sp.build_exit_handler(
                             format!("{}$br_exit", sb.label),
@@ -1092,7 +1096,7 @@ pub fn specialize(
                         dst: sum,
                         vec: cv,
                     });
-                    let spill = sp.union_live_in(*taken, *fall);
+                    let spill = tk.slots.exit_stores(&[*taken, *fall]);
                     let cond = *cond;
                     let exit = sp.build_exit_handler(
                         format!("{}$div_exit", sb.label),
@@ -1357,12 +1361,25 @@ join:
         let stores = handler
             .insts
             .iter()
-            .filter(|i| matches!(i, Inst::Store { space: ir::Space::Local, .. }))
+            .filter(|i| matches!(i, Inst::Store { space: ir::Space::Spill, .. }))
             .count();
         let selects = handler.insts.iter().filter(|i| matches!(i, Inst::Select { .. })).count();
         let resume_points =
             handler.insts.iter().filter(|i| matches!(i, Inst::SetResumePoint { .. })).count();
-        assert!(stores > 0);
+        // The one value live across the branch is `%tid.x`: both
+        // successors' entry handlers recompute it, so the exit stores
+        // nothing and the handlers load nothing.
+        assert_eq!(stores, 0, "{}", ir::print_function(&s.function));
+        for b in s.function.blocks.iter().filter(|b| b.kind == BlockKind::EntryHandler).skip(1) {
+            assert!(!b
+                .insts
+                .iter()
+                .any(|i| matches!(i, Inst::Load { space: ir::Space::Spill, .. })));
+            assert!(b
+                .insts
+                .iter()
+                .any(|i| matches!(i, Inst::CtxRead { field: CtxField::Tid(0), .. })));
+        }
         assert_eq!(selects, 2);
         assert_eq!(resume_points, 2);
         assert!(handler

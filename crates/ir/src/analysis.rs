@@ -81,11 +81,6 @@ impl Liveness {
         &self.live_out[b.index() * self.words..][..self.words]
     }
 
-    /// Registers live on entry to `b`, in index order.
-    pub fn live_in_sorted(&self, b: BlockId) -> Vec<VReg> {
-        Self::regs_of(self.live_in(b)).collect()
-    }
-
     /// The registers whose bits are set in `row`, in index order.
     pub fn regs_of(row: &[u64]) -> impl Iterator<Item = VReg> + '_ {
         row.iter().enumerate().flat_map(|(w, &word)| {
@@ -131,6 +126,13 @@ mod tests {
     use crate::inst::{BinOp, Inst, Term};
     use crate::types::{STy, Type};
     use crate::value::Value;
+
+    impl Liveness {
+        /// Registers live on entry to `b`, in index order.
+        fn live_in_sorted(&self, b: BlockId) -> Vec<VReg> {
+            Self::regs_of(self.live_in(b)).collect()
+        }
+    }
 
     fn straightline() -> Function {
         let mut f = Function::new("t", 1);

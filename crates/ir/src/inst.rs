@@ -98,12 +98,16 @@ pub enum Space {
     Global,
     /// Per-CTA scratchpad.
     Shared,
-    /// Per-thread private memory (holds spill slots).
+    /// Per-thread private memory: the kernel's `.local` variables.
     Local,
     /// Read-only parameter buffer.
     Param,
     /// Read-only constant bank.
     Const,
+    /// A thread's spill slots: the same local arena as [`Space::Local`],
+    /// marked so the counters tell a yield's data movement (spills and
+    /// restores) from the kernel's own `.local` traffic.
+    Spill,
 }
 
 /// Atomic read-modify-write kinds.

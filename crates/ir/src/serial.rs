@@ -231,7 +231,7 @@ enum_codec!(
 );
 enum_codec!(put_un_op, take_un_op, UnOp, [Neg, Not, Abs, Sqrt, Rsqrt, Rcp, Sin, Cos, Ex2, Lg2]);
 enum_codec!(put_cmp_pred, take_cmp_pred, CmpPred, [Eq, Ne, Lt, Le, Gt, Ge]);
-enum_codec!(put_space, take_space, Space, [Global, Shared, Local, Param, Const]);
+enum_codec!(put_space, take_space, Space, [Global, Shared, Local, Param, Const, Spill]);
 enum_codec!(put_atom_kind, take_atom_kind, AtomKind, [Add, Min, Max, Exch, Cas]);
 enum_codec!(put_reduce_op, take_reduce_op, ReduceOp, [Add, All, Any]);
 enum_codec!(put_resume_status, take_resume_status, ResumeStatus, [Branch, Barrier, Exit]);

@@ -41,11 +41,11 @@ use crate::stats::ExecStats;
 
 /// µop counts [`ExecStats::loads`].
 pub(crate) const F_LOAD: u8 = 1 << 0;
-/// µop also counts restore traffic (a load in an entry handler).
+/// µop also counts restore traffic (a load from a spill slot).
 pub(crate) const F_RESTORE: u8 = 1 << 1;
 /// µop counts [`ExecStats::stores`].
 pub(crate) const F_STORE: u8 = 1 << 2;
-/// µop also counts spill traffic (a store in an exit handler).
+/// µop also counts spill traffic (a store to a spill slot).
 pub(crate) const F_SPILL: u8 = 1 << 3;
 
 /// Pre-baked per-µop charges: modeled cycles, flops, and stat flags.

@@ -8,7 +8,7 @@
 //!   (`Slot` for width-1 registers, which broadcast; `Lanes` for vector
 //!   bases) and immediates pre-encode to their masked bit patterns;
 //! * modeled cycles ([`inst_cost`]), flops ([`inst_flops`]) and
-//!   stat-attribution flags (load/store, spill/restore by block kind)
+//!   stat-attribution flags (load/store, spill/restore by memory space)
 //!   bake into each µop's [`OpMeta`], so the engine charges a constant
 //!   instead of re-walking the cost model;
 //! * blocks concatenate into one linear stream with branch and switch
@@ -32,7 +32,7 @@
 //! [`inst_cost`]: crate::cost::inst_cost
 //! [`inst_flops`]: crate::cost::inst_flops
 
-use dpvk_ir::{BlockId, BlockKind, Function, Inst, Liveness, STy, Term, Type, VReg, Value};
+use dpvk_ir::{BlockId, BlockKind, Function, Inst, Liveness, STy, Space, Term, Type, VReg, Value};
 
 use crate::bytecode::{
     BDst, BSrc, BytecodeProgram, DecodeStats, Op, OpKind, OpMeta, SwitchVal, TermInfo, F_LOAD,
@@ -154,23 +154,24 @@ impl<'a> Decoder<'a> {
         BDst { off: self.layout.offset(r) as u32, w: self.layout.width(r) as u32 }
     }
 
-    /// Pre-baked charges for one source instruction in a block of kind
-    /// `bk`.
-    fn meta_of(&self, inst: &Inst, bk: BlockKind) -> OpMeta {
+    /// Pre-baked charges for one source instruction. Spill and restore
+    /// traffic is what touches [`Space::Spill`], in whatever block it
+    /// sits: a store right after a definition is a spill too.
+    fn meta_of(&self, inst: &Inst) -> OpMeta {
         let cost = inst_cost(inst, self.model, self.info);
         debug_assert!(cost <= u32::MAX as u64, "instruction cost overflows the µop encoding");
         let (mut flags, mut bytes) = (0u8, 0u8);
         match inst {
-            Inst::Load { ty, .. } => {
+            Inst::Load { ty, space, .. } => {
                 flags |= F_LOAD;
-                if bk == BlockKind::EntryHandler {
+                if *space == Space::Spill {
                     flags |= F_RESTORE;
                     bytes = ty.size_bytes() as u8;
                 }
             }
-            Inst::Store { ty, .. } => {
+            Inst::Store { ty, space, .. } => {
                 flags |= F_STORE;
-                if bk == BlockKind::ExitHandler {
+                if *space == Space::Spill {
                     flags |= F_SPILL;
                     bytes = ty.size_bytes() as u8;
                 }
@@ -195,7 +196,7 @@ impl<'a> Decoder<'a> {
         while i < n {
             let inst = &block.insts[i];
             if i + 1 == n {
-                if let Some(op) = self.try_cmp_br(inst, &block.term, term, bk) {
+                if let Some(op) = self.try_cmp_br(inst, &block.term, term) {
                     self.code.push(op);
                     term_consumed = true;
                     i += 1;
@@ -203,13 +204,13 @@ impl<'a> Decoder<'a> {
                 }
             }
             if i + 1 < n {
-                if let Some(op) = self.try_fuse_pair(inst, &block.insts[i + 1], bk) {
+                if let Some(op) = self.try_fuse_pair(inst, &block.insts[i + 1]) {
                     self.code.push(op);
                     i += 2;
                     continue;
                 }
             }
-            let meta = self.meta_of(inst, bk);
+            let meta = self.meta_of(inst);
             let kind = self.lower_inst(inst);
             self.code.push(Op { meta, kind });
             i += 1;
@@ -222,7 +223,7 @@ impl<'a> Decoder<'a> {
 
     /// Fuse a block-final scalar `Cmp` with a `CondBr` on its predicate.
     /// The predicate write is elided when the branch is its only reader.
-    fn try_cmp_br(&mut self, inst: &Inst, t: &Term, term: TermInfo, bk: BlockKind) -> Option<Op> {
+    fn try_cmp_br(&mut self, inst: &Inst, t: &Term, term: TermInfo) -> Option<Op> {
         let (Inst::Cmp { pred, ty, signed, dst, a, b }, Term::CondBr { cond, taken, fall }) =
             (inst, t)
         else {
@@ -234,7 +235,7 @@ impl<'a> Decoder<'a> {
         let keep = self.use_counts[dst.index()] > 1;
         self.stats.fused_cmp_br += 1;
         Some(Op {
-            meta: self.meta_of(inst, bk),
+            meta: self.meta_of(inst),
             kind: OpKind::CmpBr {
                 pred: *pred,
                 sty: ty.scalar,
@@ -253,7 +254,7 @@ impl<'a> Decoder<'a> {
     /// second instruction reads the first's result; the forwarded value
     /// travels through [`BSrc::Prev`] and the intermediate register write
     /// is elided when the pair's consumer is its only reader.
-    fn try_fuse_pair(&mut self, first: &Inst, second: &Inst, bk: BlockKind) -> Option<Op> {
+    fn try_fuse_pair(&mut self, first: &Inst, second: &Inst) -> Option<Op> {
         let Inst::Bin { op: op2, ty: ty2, signed: sg2, dst: dst2, a: a2, b: b2 } = second else {
             return None;
         };
@@ -279,8 +280,8 @@ impl<'a> Decoder<'a> {
             }
         };
         let (a2, b2) = (fwd(self, a2), fwd(self, b2));
-        let (dst2, meta2) = (self.bdst(*dst2), self.meta_of(second, bk));
-        let meta = self.meta_of(first, bk);
+        let (dst2, meta2) = (self.bdst(*dst2), self.meta_of(second));
+        let meta = self.meta_of(first);
         let kind = match first {
             Inst::Bin { op: op1, ty: ty1, signed: sg1, a: a1, b: b1, .. } => {
                 self.stats.fused_bin_bin += 1;

@@ -234,7 +234,7 @@ fn space_offsets(space: Space) -> (i32, i32, bool) {
     match space {
         Space::Global => (ENV_GLOBAL_BASE, ENV_GLOBAL_LEN, true),
         Space::Shared => (ENV_SHARED_BASE, ENV_SHARED_LEN, true),
-        Space::Local => (ENV_LOCAL_BASE, ENV_LOCAL_LEN, true),
+        Space::Local | Space::Spill => (ENV_LOCAL_BASE, ENV_LOCAL_LEN, true),
         Space::Param => (ENV_PARAM_BASE, ENV_PARAM_LEN, false),
         Space::Const => (ENV_CONST_BASE, ENV_CONST_LEN, false),
     }

@@ -217,7 +217,7 @@ impl<'a> MemAccess<'a> {
     fn slice_for(&self, space: Space) -> Result<&[u8], VmError> {
         Ok(match space {
             Space::Shared => &*self.shared,
-            Space::Local => &*self.local,
+            Space::Local | Space::Spill => &*self.local,
             Space::Param => self.param,
             Space::Const => self.cbank,
             Space::Global => unreachable!("global handled separately"),
@@ -276,7 +276,7 @@ impl<'a> MemAccess<'a> {
             Space::Param | Space::Const => {
                 Err(VmError::Unsupported(format!("store to read-only space {space:?}")))
             }
-            Space::Shared | Space::Local => {
+            Space::Shared | Space::Local | Space::Spill => {
                 let s: &mut [u8] = if space == Space::Shared { self.shared } else { self.local };
                 let a = addr as usize;
                 if a.checked_add(size).map(|e| e <= s.len()).unwrap_or(false) {

@@ -390,7 +390,7 @@ pub(crate) fn atom_rmw(
             8 => mem.global.atomic_rmw_u64(addr, apply),
             n => Err(VmError::Unsupported(format!("{n}-byte atomic"))),
         },
-        dpvk_ir::Space::Shared | dpvk_ir::Space::Local => {
+        dpvk_ir::Space::Shared | dpvk_ir::Space::Local | dpvk_ir::Space::Spill => {
             // Within one execution manager the CTA's threads are
             // serialized, so a plain read-modify-write is atomic.
             let old = mem.read(space, addr, ty.size_bytes())?;

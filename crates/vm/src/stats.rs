@@ -24,18 +24,20 @@ pub struct ExecStats {
     pub loads: u64,
     /// Scalar stores executed.
     pub stores: u64,
-    /// Loads executed inside entry-handler blocks (live-state restores);
-    /// divided by thread-entries this gives the paper's Figure 8 metric.
+    /// Loads from spill slots (live-state restores; a live-in an entry
+    /// handler recomputes is not one); divided by thread-entries this
+    /// gives the paper's Figure 8 metric.
     pub restore_loads: u64,
-    /// Stores executed inside exit-handler blocks (live-state spills).
+    /// Stores to spill slots (live-state spills), in exit handlers or
+    /// right after a home-slot register's definition.
     pub spill_stores: u64,
     /// Warp executions, i.e. kernel entries from the execution manager.
     pub warp_entries: u64,
     /// Sum of warp sizes over all entries (thread-entries).
     pub thread_entries: u64,
-    /// Bytes stored by exit-handler live-state spills.
+    /// Bytes stored by live-state spills.
     pub spill_bytes: u64,
-    /// Bytes loaded by entry-handler live-state restores.
+    /// Bytes loaded by live-state restores.
     pub restore_bytes: u64,
     /// Warp entries that ran a scalar-baseline fallback because the
     /// requested vectorized specialization failed to compile.

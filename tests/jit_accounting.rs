@@ -139,8 +139,9 @@ fn faulting_inst(kind: &str, scratch: VReg) -> Inst {
 }
 
 /// A block of µops that between them move every counter a block header
-/// pre-charges — flops, loads, stores, and (by the block's kind) spill
-/// or restore traffic — plus one helper-only µop (`sin`), with `fault`
+/// pre-charges — flops, loads, stores, and (through a spill-slot load
+/// and store, in a block of any kind) restore and spill traffic — plus
+/// one helper-only µop (`sin`), with `fault`
 /// spliced in at `at`. A clean block precedes it so the stats also hold
 /// a retired block's worth of cycles and instructions.
 fn faulting_function(fault: &str, at: usize, kind: BlockKind, width: u32) -> Function {
@@ -160,8 +161,13 @@ fn faulting_function(fault: &str, at: usize, kind: BlockKind, width: u32) -> Fun
         Inst::Fma { ty: vt, dst: v, a: Value::Reg(v), b: Value::Reg(v), c: Value::Reg(v) },
         Inst::Un { op: UnOp::Sin, ty: vt, dst: t, a: Value::Reg(v) },
         store(8, Value::Reg(z)),
-        Inst::Load { ty: STy::I32, space: Space::Shared, dst: y, addr: Value::ImmI(4) },
-        store(12, Value::Reg(y)),
+        Inst::Load { ty: STy::I32, space: Space::Spill, dst: y, addr: Value::ImmI(4) },
+        Inst::Store {
+            ty: STy::I32,
+            space: Space::Spill,
+            addr: Value::ImmI(12),
+            value: Value::Reg(y),
+        },
     ];
     body.insert(at.min(body.len()), faulting_inst(fault, s));
     let mut block = Block::new("faulting");
@@ -200,6 +206,14 @@ fn a_fault_anywhere_in_a_block_leaves_the_interpreters_stats() {
                     };
                     let own = u64::from(fault != "div_zero");
                     assert_eq!(seen.stats.stores, stores_before + own, "{what}");
+                    // Spill-slot traffic counts as restore and spill in a
+                    // block of any kind.
+                    let spilled = u64::from(place == "last");
+                    assert_eq!(
+                        (seen.stats.restore_loads, seen.stats.spill_stores),
+                        (spilled, spilled),
+                        "{what}"
+                    );
                 }
             }
         }

@@ -212,32 +212,33 @@ fn golden_launch_stats() {
     };
 
     // (config label, workers) -> digest over all kernels. Recorded before
-    // the host fast path landed (DPVK_BLESS output).
+    // the host fast path landed (DPVK_BLESS output); re-recorded once when
+    // the slot plan changed what `BARRIER_PROP`'s yields store and load.
     const GOLDEN: [(&str, usize, u64); 24] = [
-        ("baseline", 1, 0x77369bb26790127f),
-        ("baseline", 2, 0x77369bb26790127f),
-        ("baseline", 4, 0x77369bb26790127f),
-        ("dynamic_w1", 1, 0x154209b860f0789b),
-        ("dynamic_w1", 2, 0x154209b860f0789b),
-        ("dynamic_w1", 4, 0x154209b860f0789b),
-        ("dynamic_w2", 1, 0x7938d8dfd05330f2),
-        ("dynamic_w2", 2, 0x7938d8dfd05330f2),
-        ("dynamic_w2", 4, 0x7938d8dfd05330f2),
-        ("dynamic_w4", 1, 0x2fa4a38a69ee7488),
-        ("dynamic_w4", 2, 0x2fa4a38a69ee7488),
-        ("dynamic_w4", 4, 0x2fa4a38a69ee7488),
-        ("dynamic_w8", 1, 0x539e9fdfe5645764),
-        ("dynamic_w8", 2, 0x539e9fdfe5645764),
-        ("dynamic_w8", 4, 0x539e9fdfe5645764),
-        ("static_w2", 1, 0xeecc63d870cffed6),
-        ("static_w2", 2, 0xeecc63d870cffed6),
-        ("static_w2", 4, 0xeecc63d870cffed6),
-        ("static_w4", 1, 0x093cf51be6782528),
-        ("static_w4", 2, 0x093cf51be6782528),
-        ("static_w4", 4, 0x093cf51be6782528),
-        ("static_w8", 1, 0xc33c9f166144c0a0),
-        ("static_w8", 2, 0xc33c9f166144c0a0),
-        ("static_w8", 4, 0xc33c9f166144c0a0),
+        ("baseline", 1, 0x161c5505a53b57bf),
+        ("baseline", 2, 0x161c5505a53b57bf),
+        ("baseline", 4, 0x161c5505a53b57bf),
+        ("dynamic_w1", 1, 0x4749b1d41a32ebc7),
+        ("dynamic_w1", 2, 0x4749b1d41a32ebc7),
+        ("dynamic_w1", 4, 0x4749b1d41a32ebc7),
+        ("dynamic_w2", 1, 0xa5bc80b00d522bce),
+        ("dynamic_w2", 2, 0xa5bc80b00d522bce),
+        ("dynamic_w2", 4, 0xa5bc80b00d522bce),
+        ("dynamic_w4", 1, 0x23843b382e96bcf4),
+        ("dynamic_w4", 2, 0x23843b382e96bcf4),
+        ("dynamic_w4", 4, 0x23843b382e96bcf4),
+        ("dynamic_w8", 1, 0x25401316267919ec),
+        ("dynamic_w8", 2, 0x25401316267919ec),
+        ("dynamic_w8", 4, 0x25401316267919ec),
+        ("static_w2", 1, 0x8637cbde0fa894ae),
+        ("static_w2", 2, 0x8637cbde0fa894ae),
+        ("static_w2", 4, 0x8637cbde0fa894ae),
+        ("static_w4", 1, 0xbda9fcb74bd52f08),
+        ("static_w4", 2, 0xbda9fcb74bd52f08),
+        ("static_w4", 4, 0xbda9fcb74bd52f08),
+        ("static_w8", 1, 0x85664fb6e4331a00),
+        ("static_w8", 2, 0x85664fb6e4331a00),
+        ("static_w8", 4, 0x85664fb6e4331a00),
     ];
 
     let bless = std::env::var("DPVK_BLESS").is_ok();
@@ -297,12 +298,12 @@ use crate::common::{digest_bytes, fold};
 /// specialized function, its register-pressure figure and its
 /// post-optimization instruction count, over every suite kernel under
 /// every option set the cache can ask for, fold into one digest recorded
-/// before the optimizer and the analyses were rewritten for speed. A
-/// moved digest means an optimization changed what is compiled, not just
-/// how fast.
+/// before the optimizer and the analyses were rewritten for speed, and
+/// re-recorded once for the slot plan. A moved digest means an
+/// optimization changed what is compiled, not just how fast.
 #[test]
 fn specialization_digest_is_pinned() {
-    const PINNED: u64 = 0x3970_1366_78a2_b64e;
+    const PINNED: u64 = 0x2072_0794_1b49_9165;
     let mut options = vec![SpecializeOptions::baseline()];
     options.extend([1, 2, 4, 8].map(SpecializeOptions::dynamic));
     options.extend([2, 4, 8].map(SpecializeOptions::static_tie));

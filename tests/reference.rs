@@ -294,3 +294,48 @@ fn kernels_the_matrix_once_failed_on_pass() {
         }
     }
 }
+
+/// The tier-1 seeds cover the unstructured loops and exercise the slot
+/// plan: every kernel has a live-in some entry handler recomputes and a
+/// register stored where it is defined (the generator's prologue makes
+/// both: `%s0` is `%tid.x`, `%a1` is an address built from it, and
+/// every kernel ends with a barrier).
+#[test]
+fn generated_kernels_exercise_the_slot_plan() {
+    fn shapes(stmts: &[gen::Stmt], seen: &mut [u32; 3]) {
+        for s in stmts {
+            match s {
+                gen::Stmt::TwoEntry { first, second, .. } => {
+                    seen[0] += 1;
+                    shapes(first, seen);
+                    shapes(second, seen);
+                }
+                gen::Stmt::Leave { first, second, .. } => {
+                    seen[1] += 1;
+                    shapes(first, seen);
+                    shapes(second, seen);
+                }
+                gen::Stmt::Carry { body, .. } => {
+                    seen[2] += 1;
+                    shapes(body, seen);
+                }
+                gen::Stmt::If { then, els, .. } => {
+                    shapes(then, seen);
+                    shapes(els, seen);
+                }
+                gen::Stmt::Loop { body, .. } => shapes(body, seen),
+                _ => {}
+            }
+        }
+    }
+    let (mut planned, mut seen) = (0, [0; 3]);
+    for seed in 0..48 {
+        let k = Kernel::generate(seed);
+        shapes(&k.body, &mut seen);
+        let tk = dpvk::core::translate(&ptx::parse_kernel(&k.source()).unwrap()).unwrap();
+        let remat = tk.slots.remat.iter().any(|v| !v.is_empty());
+        planned += u32::from(remat && tk.slots.home.contains(&true));
+    }
+    assert_eq!(planned, 48, "seeds with a rematerialized live-in and a home-slot register");
+    assert!(seen.iter().all(|&n| n > 0), "two-entry, early-exit, carry loops: {seen:?}");
+}

@@ -1,8 +1,10 @@
 //! A seeded generator of structured kernels, and their PTX text.
 //!
 //! A [`Kernel`] is a tree of [`Stmt`]s — nested `if`/`else`, loops with
-//! CTA-uniform or per-thread trip counts, barriers and shared-memory
-//! exchanges under CTA-uniform control, divergent exits — over integer,
+//! CTA-uniform or per-thread trip counts, unstructured loops (entered at
+//! two blocks, left early by a `break` or a `ret`), barriers and
+//! shared-memory exchanges under CTA-uniform control, barrier loops that
+//! carry a parameter-derived pointer, divergent exits — over integer,
 //! f32, f64 and predicate registers, rendered to PTX by
 //! [`Kernel::source`]. Each thread observes itself by storing registers
 //! to its own output slots; its inputs are loaded from a table of edge
@@ -128,6 +130,15 @@ pub enum Trips {
 /// - `Exchange`: publish `src` in the thread's shared slot, barrier, read
 ///   the slot of thread `(tid + offset) mod ntid` into `dst`, barrier;
 /// - `Counter`: a barrier, then `dst` ← shared counter `slot`.
+/// - `TwoEntry`: a do-while loop over `first` then `second`, entered at
+///   two blocks: threads where `enter` holds start at `second`.
+/// - `Leave`: a loop over `first` then `second` with a second exit
+///   between them where `cond` holds: a `break`, or a `ret` if `ret`.
+/// - `Carry`: a do-while loop of `trips` iterations under CTA-uniform
+///   control that computes a pointer into the input table from the
+///   parameter before the loop, redefines that pointer's intermediate
+///   register before a barrier in every iteration and reads it after,
+///   then loads input word `counter` into `dst` through the pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     Op { guard: Option<(Reg, bool)>, mnemonic: String, dst: Reg, srcs: Vec<Src> },
@@ -143,6 +154,9 @@ pub enum Stmt {
     Exchange { src: Reg, dst: Reg, offset: i64 },
     Counter { dst: Reg, slot: usize },
     Exit(Cond),
+    TwoEntry { enter: Cond, trips: Trips, first: Vec<Stmt>, second: Vec<Stmt> },
+    Leave { cond: Cond, ret: bool, trips: Trips, first: Vec<Stmt>, second: Vec<Stmt> },
+    Carry { trips: i64, dst: Reg, body: Vec<Stmt> },
 }
 
 /// A generated kernel and the launch it is meant for.
@@ -349,6 +363,28 @@ impl Gen {
         Stmt::Load { dst: self.reg(class), index, offset: self.below(32) as i64 }
     }
 
+    /// A loop's trip count, and the context of its body.
+    fn trips(&mut self, ctx: Ctx) -> (Trips, Ctx) {
+        let uniform = self.chance(50);
+        let trips = if uniform {
+            Trips::Uniform(self.below(4) as i64)
+        } else {
+            Trips::PerThread(self.reg(Class::R))
+        };
+        let loops = if uniform { ctx.loops | 1 << ctx.depth } else { ctx.loops };
+        (trips, Ctx { depth: ctx.depth + 1, uniform: ctx.uniform && uniform, loops })
+    }
+
+    /// A condition that is CTA-uniform (and says so) some of the time
+    /// when `ctx` is.
+    fn maybe_uniform_cond(&mut self, ctx: Ctx) -> (Cond, bool) {
+        if ctx.uniform && self.chance(30) {
+            (self.uniform_cond(ctx), true)
+        } else {
+            (self.cond(ctx), false)
+        }
+    }
+
     fn stmt(&mut self, ctx: Ctx) -> Stmt {
         self.budget = self.budget.saturating_sub(1);
         let nest = ctx.depth < 3 && self.budget > 2;
@@ -366,15 +402,28 @@ impl Gen {
                 Stmt::If { cond, then, els }
             }
             10..=17 if nest => {
-                let uniform = self.chance(50);
-                let trips = if uniform {
-                    Trips::Uniform(self.below(4) as i64)
-                } else {
-                    Trips::PerThread(self.reg(Class::R))
-                };
-                let loops = if uniform { ctx.loops | 1 << ctx.depth } else { ctx.loops };
-                let inner = Ctx { depth: ctx.depth + 1, uniform: ctx.uniform && uniform, loops };
+                let (trips, inner) = self.trips(ctx);
                 Stmt::Loop { trips, body: self.block(inner) }
+            }
+            51..=54 if nest => {
+                let (enter, uniform) = self.maybe_uniform_cond(ctx);
+                let (trips, inner) = self.trips(ctx);
+                let inner = Ctx { uniform: inner.uniform && uniform, ..inner };
+                let (first, second) = (self.block(inner), self.block(inner));
+                Stmt::TwoEntry { enter, trips, first, second }
+            }
+            55..=58 if nest => {
+                let (cond, uniform) = self.maybe_uniform_cond(ctx);
+                let (trips, inner) = self.trips(ctx);
+                let inner = Ctx { uniform: inner.uniform && uniform, ..inner };
+                let ret = self.chance(30);
+                let (first, second) = (self.block(inner), self.block(inner));
+                Stmt::Leave { cond, ret, trips, first, second }
+            }
+            59..=61 if nest && ctx.uniform => {
+                let trips = 1 + self.below(3) as i64;
+                let inner = Ctx { depth: ctx.depth + 1, loops: ctx.loops | 1 << ctx.depth, ..ctx };
+                Stmt::Carry { trips, dst: self.reg(Class::R), body: self.block(inner) }
             }
             18..=20 if ctx.uniform => Stmt::Barrier,
             21..=25 if ctx.uniform => {
@@ -462,7 +511,7 @@ impl Kernel {
         for class in CLASSES {
             declared(class.name(), class.ty(), class.count(), &mut s);
         }
-        for (name, ty) in [("i", "pred"), ("c", "u32"), ("n", "u32"), ("l", "pred")] {
+        for (name, ty) in [("i", "pred"), ("c", "u32"), ("n", "u32"), ("l", "pred"), ("t", "u64")] {
             declared(name, ty, 4, &mut s);
         }
         if uses("shared") {
@@ -529,6 +578,27 @@ struct Render {
 }
 
 impl Render {
+    /// The trip-count operand of a loop at `depth`, computing a
+    /// per-thread one into `%n<depth>`.
+    fn bound(&mut self, trips: &Trips, depth: usize) -> String {
+        match trips {
+            Trips::Uniform(k) => k.to_string(),
+            Trips::PerThread(r) => {
+                self.line(format_args!("and.b32 %n{depth}, {r}, 3;"));
+                format!("%n{depth}")
+            }
+        }
+    }
+
+    /// Step the counter of the loop at `depth` and go back to `head`
+    /// while it is below `bound`.
+    fn next_trip(&mut self, bound: &str, head: &str, depth: usize) {
+        let (c, l) = (format!("%c{depth}"), format!("%l{depth}"));
+        self.line(format_args!(
+            "add.u32 {c}, {c}, 1;\nsetp.lt.u32 {l}, {c}, {bound};\n@{l} bra {head};"
+        ));
+    }
+
     /// Append `text`'s lines, indented.
     fn line(&mut self, text: impl std::fmt::Display) {
         for line in text.to_string().lines() {
@@ -630,23 +700,59 @@ impl Render {
             }
             Stmt::Loop { trips, body } => {
                 let (head, done) = (self.label(), self.label());
-                let bound = match trips {
-                    Trips::Uniform(k) => k.to_string(),
-                    Trips::PerThread(r) => {
-                        self.line(format_args!("and.b32 %n{depth}, {r}, 3;"));
-                        format!("%n{depth}")
-                    }
-                };
+                let bound = self.bound(trips, depth);
                 let (c, l) = (format!("%c{depth}"), format!("%l{depth}"));
                 self.line(format_args!(
                     "mov.u32 {c}, 0;\nsetp.ge.u32 {l}, {c}, {bound};\n@{l} bra {done};"
                 ));
                 let _ = writeln!(self.out, "{head}:");
                 self.stmts(body, depth + 1);
-                self.line(format_args!(
-                    "add.u32 {c}, {c}, 1;\nsetp.lt.u32 {l}, {c}, {bound};\n@{l} bra {head};"
-                ));
+                self.next_trip(&bound, &head, depth);
                 let _ = writeln!(self.out, "{done}:");
+            }
+            Stmt::TwoEntry { enter, trips, first, second } => {
+                let (head, mid) = (self.label(), self.label());
+                let bound = self.bound(trips, depth);
+                self.line(format_args!("mov.u32 %c{depth}, 0;"));
+                let guard = self.cond(enter, depth);
+                self.line(format_args!("{guard} bra {mid};"));
+                let _ = writeln!(self.out, "{head}:");
+                self.stmts(first, depth + 1);
+                let _ = writeln!(self.out, "{mid}:");
+                self.stmts(second, depth + 1);
+                self.next_trip(&bound, &head, depth);
+            }
+            Stmt::Leave { cond, ret, trips, first, second } => {
+                let (head, done) = (self.label(), self.label());
+                let bound = self.bound(trips, depth);
+                let (c, l) = (format!("%c{depth}"), format!("%l{depth}"));
+                self.line(format_args!(
+                    "mov.u32 {c}, 0;\nsetp.ge.u32 {l}, {c}, {bound};\n@{l} bra {done};"
+                ));
+                let _ = writeln!(self.out, "{head}:");
+                self.stmts(first, depth + 1);
+                let guard = self.cond(cond, depth);
+                if *ret {
+                    self.line(format_args!("{guard} ret;"));
+                } else {
+                    self.line(format_args!("{guard} bra {done};"));
+                }
+                self.stmts(second, depth + 1);
+                self.next_trip(&bound, &head, depth);
+                let _ = writeln!(self.out, "{done}:");
+            }
+            Stmt::Carry { trips, dst, body } => {
+                let head = self.label();
+                self.line(format_args!(
+                    "ld.param.u64 %t0, [buf];\nadd.u64 %t1, %t0, {IN};\nmov.u32 %c{depth}, 0;"
+                ));
+                let _ = writeln!(self.out, "{head}:");
+                self.line(format_args!(
+                    "cvt.u64.u32 %t0, %c{depth};\nshl.b64 %t0, %t0, 3;\nbar.sync 0;\n\
+                     add.u64 %t2, %t1, %t0;\nld.global.u32 {dst}, [%t2];"
+                ));
+                self.stmts(body, depth + 1);
+                self.next_trip(&trips.to_string(), &head, depth);
             }
             Stmt::Barrier => self.line(format_args!("bar.sync 0;")),
             Stmt::Exchange { src, dst, offset } => {

@@ -1,6 +1,6 @@
 //! Shrinks a generated kernel while a failure persists: delete a
 //! statement, unwrap a region (an `if`'s arm or a loop's body in place
-//! of the statement), narrow a constant or the launch, one step at a
+//! of the statement; an unstructured loop's two bodies in sequence), narrow a constant or the launch, one step at a
 //! time, biggest steps first, until no step keeps the failure.
 //!
 //! Every step keeps the generator's guarantees: a barrier only ever
@@ -70,7 +70,10 @@ fn variants(stmts: &[Stmt]) -> Vec<Vec<Stmt>> {
                 out.push(with(i, then.clone()));
                 out.push(with(i, els.clone()));
             }
-            Stmt::Loop { body, .. } => out.push(with(i, body.clone())),
+            Stmt::Loop { body, .. } | Stmt::Carry { body, .. } => out.push(with(i, body.clone())),
+            Stmt::TwoEntry { first, second, .. } | Stmt::Leave { first, second, .. } => {
+                out.push(with(i, [first.clone(), second.clone()].concat()));
+            }
             _ => {}
         }
     }
@@ -104,6 +107,38 @@ fn inner(s: &Stmt) -> Vec<Stmt> {
             }
             if let Trips::Uniform(k @ 1..) = trips {
                 out.push(Stmt::Loop { trips: Trips::Uniform(k - 1), body: body.clone() });
+            }
+        }
+        Stmt::TwoEntry { enter, trips, first, second } => {
+            let with = |first: Vec<Stmt>, second: Vec<Stmt>| Stmt::TwoEntry {
+                enter: enter.clone(),
+                trips: trips.clone(),
+                first,
+                second,
+            };
+            out.extend(variants(first).into_iter().map(|v| with(v, second.clone())));
+            out.extend(variants(second).into_iter().map(|v| with(first.clone(), v)));
+        }
+        Stmt::Leave { cond, ret, trips, first, second } => {
+            let with = |ret: bool, first: Vec<Stmt>, second: Vec<Stmt>| Stmt::Leave {
+                cond: cond.clone(),
+                ret,
+                trips: trips.clone(),
+                first,
+                second,
+            };
+            out.extend(variants(first).into_iter().map(|v| with(*ret, v, second.clone())));
+            out.extend(variants(second).into_iter().map(|v| with(*ret, first.clone(), v)));
+            if *ret {
+                out.push(with(false, first.clone(), second.clone()));
+            }
+        }
+        Stmt::Carry { trips, dst, body } => {
+            for body in variants(body) {
+                out.push(Stmt::Carry { trips: *trips, dst: *dst, body });
+            }
+            if *trips > 1 {
+                out.push(Stmt::Carry { trips: trips - 1, dst: *dst, body: body.clone() });
             }
         }
         Stmt::Op { guard, mnemonic, dst, srcs } => {
