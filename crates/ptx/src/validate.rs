@@ -8,9 +8,11 @@ use crate::types::{AddressSpace, ScalarType};
 
 /// Validate a kernel: block structure, operand arity, and type consistency.
 ///
-/// Types are checked with bit-compatibility semantics: a register may be
-/// used at any type of the same width (as in PTX's `.bN` types), but
-/// predicates only unify with predicates.
+/// Types are checked as PTX checks them: a register may be used at a
+/// type of its own width and kind — any integer type for an integer
+/// register, the float type for a float one — and an untyped `.bN`
+/// register, or a `.bN` operation, goes with any type of its width.
+/// Predicates only unify with predicates.
 ///
 /// # Errors
 ///
@@ -56,7 +58,9 @@ fn compatible(reg: ScalarType, at: ScalarType) -> bool {
     if reg == ScalarType::Pred || at == ScalarType::Pred {
         return reg == at;
     }
+    let untyped = |t| matches!(t, ScalarType::B8 | ScalarType::B32 | ScalarType::B64);
     reg.size_bytes() == at.size_bytes()
+        && (untyped(reg) || untyped(at) || reg.is_float() == at.is_float())
 }
 
 fn validate_instruction(kernel: &Kernel, inst: &Instruction) -> Result<(), String> {
@@ -278,6 +282,22 @@ mod tests {
     fn accepts_bitcompatible_types() {
         // f32 and u32 are both 4 bytes: mov.b32-style reuse is allowed.
         ok(".kernel k () { .reg .f32 %f<2>; entry: mov.b32 %f1, %f0; ret; }");
+    }
+
+    #[test]
+    fn rejects_float_arithmetic_on_integer_registers() {
+        let m = bad(".kernel k () { .reg .u32 %r<3>; entry: add.f32 %r0, %r1, %r2; ret; }");
+        assert!(m.contains("incompatible"), "{m}");
+        let m = bad(".kernel k () { .reg .f32 %f<3>; .reg .u32 %r<2>; \
+                     entry: add.u32 %r0, %f1, %r1; ret; }");
+        assert!(m.contains("incompatible"), "{m}");
+    }
+
+    #[test]
+    fn untyped_registers_go_with_any_type_of_their_width() {
+        ok(".kernel k () { .reg .b32 %b<3>; .reg .f32 %f<2>; \
+            entry: add.f32 %b0, %b1, %b2; add.u32 %b0, %b1, 1; mov.b32 %f0, %b0; ret; }");
+        ok(".kernel k () { .reg .s32 %s<2>; .reg .u32 %r<2>; entry: add.u32 %r0, %s1, %r1; ret; }");
     }
 
     #[test]

@@ -34,8 +34,8 @@ use crate::error::VmError;
 use crate::frame::RegFrame;
 use crate::memory::MemAccess;
 use crate::semantics::{
-    atom_rmw, f_enc, f_min_max, f_of, fused_mul_add, mask_to, scalar_bin, scalar_cmp, scalar_cvt,
-    scalar_un, sext, ExecLimits, WarpOutcome,
+    atom_rmw, f_enc, f_min_max, f_of, fused_mul_add, fused_mul_add_f32, mask_to, scalar_bin,
+    scalar_cmp, scalar_cvt, scalar_un, sext, ExecLimits, WarpOutcome,
 };
 use crate::stats::ExecStats;
 
@@ -1087,7 +1087,7 @@ pub(crate) fn exec_un(
             UnOp::Rsqrt => vec1(regs, w, doff, a, |x| f_enc(1.0 / f_of(x, sty).sqrt(), sty)),
             UnOp::Rcp => vec1(regs, w, doff, a, |x| f_enc(1.0 / f_of(x, sty), sty)),
             _ => {
-                // Transcendentals (libm calls) and the erroring Not.
+                // Transcendentals and the erroring Not.
                 for i in 0..w {
                     regs[doff + i] = scalar_un(op, sty, lane(regs, a, i, 0))?;
                 }
@@ -1657,8 +1657,8 @@ fn exec_loop<P: UopSink>(
 
 /// Element-wise FMA with the `sty` dispatch hoisted out of the lane
 /// loop: the common types get monomorphized chunk kernels whose bodies
-/// are exact transcriptions of [`fma_one`] for that type (f32 stays
-/// widen-to-f64 [`fused_mul_add`], narrow once).
+/// are exact transcriptions of [`fma_one`] for that type (f32 through
+/// [`fused_mul_add_f32`], rounded once to f32).
 #[inline(always)]
 pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b: BSrc, c: BSrc) {
     if w == 1 {
@@ -1670,8 +1670,8 @@ pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b
     let doff = dst.off as usize;
     match sty {
         STy::F32 => vec3(regs, w, doff, a, b, c, |x, y, z| {
-            let widen = |v: u64| f32::from_bits(v as u32) as f64;
-            f_enc(fused_mul_add(widen(x), widen(y), widen(z)), STy::F32)
+            let f = |v: u64| f32::from_bits(v as u32);
+            fused_mul_add_f32(f(x), f(y), f(z)).to_bits() as u64
         }),
         STy::F64 => vec3(regs, w, doff, a, b, c, |x, y, z| {
             fused_mul_add(f64::from_bits(x), f64::from_bits(y), f64::from_bits(z)).to_bits()
@@ -1687,10 +1687,14 @@ pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b
     }
 }
 
-/// One FMA lane: floats through [`fused_mul_add`], integers wrap.
+/// One FMA lane: floats through [`fused_mul_add_f32`] or
+/// [`fused_mul_add`], integers wrap.
 #[inline(always)]
 pub(crate) fn fma_one(sty: STy, x: u64, y: u64, z: u64) -> u64 {
-    if sty.is_float() {
+    if sty == STy::F32 {
+        let f = |v: u64| f32::from_bits(v as u32);
+        fused_mul_add_f32(f(x), f(y), f(z)).to_bits() as u64
+    } else if sty.is_float() {
         f_enc(fused_mul_add(f_of(x, sty), f_of(y, sty), f_of(z, sty)), sty)
     } else {
         let r = sext(x, sty).wrapping_mul(sext(y, sty)).wrapping_add(sext(z, sty));

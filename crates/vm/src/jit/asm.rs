@@ -2,8 +2,10 @@
 //!
 //! Just enough of the ISA for the µop templates: 64/32-bit ALU forms,
 //! loads/stores with `[base + disp32]` and `[base + index]` addressing,
-//! one VEX.128 encoder with the vector forms as [`Vop`] constants, and
-//! rel32 branches with back-patching. Registers are raw encodings
+//! the locked read-modify-write forms of the atomics, one VEX.128
+//! encoder with the vector forms as [`Vop`] constants (register,
+//! frame and RIP-relative constant operands), and rel32 branches with
+//! back-patching. Registers are raw encodings
 //! (`RAX`…) rather than an enum — the emitter is an internal tool, not
 //! an API.
 
@@ -28,10 +30,10 @@ pub const XMM1: u8 = 1;
 macro_rules! host_features {
     ($($f:tt),*) => {
         /// Every instruction-set extension a form in this file belongs
-        /// to: `fma` for `vfmadd213pd`, `avx` for the VEX encoding of
-        /// everything else, `sse4.1` for the instructions born there
-        /// (`vpinsrq/d`, `vpmovzxdq`). No `avx2`: there is no 256-bit
-        /// form and no `vpbroadcast`.
+        /// to: `fma` for `vfmadd213pd/ps`, `avx` for the VEX encoding
+        /// of everything else, `sse4.1` for the instructions born there
+        /// (`vpinsrq/d`, `vpmovzxdq`, `vroundpd`, `vblendvpd`). No
+        /// `avx2`: there is no 256-bit form and no `vpbroadcast`.
         pub const HOST_FEATURES: &[&str] = &[$($f),*];
 
         /// Whether the host has every one of [`HOST_FEATURES`].
@@ -94,6 +96,15 @@ pub enum Sh {
 #[derive(Debug, Clone, Copy)]
 pub struct Fixup {
     pos: usize,
+}
+
+/// A RIP-relative constant operand awaiting its address: the disp32 at
+/// `pos`, relative to the end of its instruction at `end`; patched by
+/// [`Asm::patch_rip`].
+#[derive(Debug, Clone, Copy)]
+pub struct RipFixup {
+    pos: usize,
+    end: usize,
 }
 
 /// The append-only code buffer.
@@ -245,6 +256,42 @@ impl Asm {
         self.rex(false, r, base);
         self.u8(0x8B);
         self.modrm_mem(r, base, disp);
+    }
+
+    /// `mov [base + disp], r32`.
+    pub fn store32(&mut self, base: u8, disp: i32, r: u8) {
+        self.rex(false, r, base);
+        self.u8(0x89);
+        self.modrm_mem(r, base, disp);
+    }
+
+    // -- atomics --------------------------------------------------------
+
+    /// `lock xadd [base], r` (32- or 64-bit): `r` gets the old value.
+    pub fn lock_xadd(&mut self, base: u8, r: u8, wide: bool) {
+        self.u8(0xF0);
+        self.rex(wide, r, base);
+        self.u8(0x0F);
+        self.u8(0xC1);
+        self.modrm_mem(r, base, 0);
+    }
+
+    /// `xchg [base], r` (32- or 64-bit; locked by definition): `r` gets
+    /// the old value.
+    pub fn xchg_mem(&mut self, base: u8, r: u8, wide: bool) {
+        self.rex(wide, r, base);
+        self.u8(0x87);
+        self.modrm_mem(r, base, 0);
+    }
+
+    /// `lock cmpxchg [base], r` (32- or 64-bit): stores `r` if the cell
+    /// equals `rax`/`eax` (ZF set), else loads the cell into it.
+    pub fn lock_cmpxchg(&mut self, base: u8, r: u8, wide: bool) {
+        self.u8(0xF0);
+        self.rex(wide, r, base);
+        self.u8(0x0F);
+        self.u8(0xB1);
+        self.modrm_mem(r, base, 0);
     }
 
     /// Zero-extending load of `sz` (1/2/4/8) bytes from `[base + index]`.
@@ -473,6 +520,12 @@ impl Asm {
         Fixup { pos }
     }
 
+    /// `jcc rel32` back to the already-emitted `target`.
+    pub fn jcc_back(&mut self, cc: Cc, target: usize) {
+        let f = self.jcc_fwd(cc);
+        self.patch(f, target);
+    }
+
     /// Resolve a forward fixup to `target`.
     pub fn patch(&mut self, f: Fixup, target: usize) {
         let rel = (target as i64 - (f.pos as i64 + 4)) as i32;
@@ -507,6 +560,24 @@ impl Asm {
     /// `ret`.
     pub fn ret(&mut self) {
         self.u8(0xC3);
+    }
+
+    /// Pad with `int3` to a multiple of `align` bytes.
+    pub fn align(&mut self, align: usize) {
+        while !self.here().is_multiple_of(align) {
+            self.u8(0xCC);
+        }
+    }
+
+    /// Append a data qword (the constant pool after the code).
+    pub fn data_u64(&mut self, v: u64) {
+        self.u64(v);
+    }
+
+    /// Point a RIP-relative operand at `target`.
+    pub fn patch_rip(&mut self, f: RipFixup, target: usize) {
+        let rel = (target as i64 - f.end as i64) as i32;
+        self.buf[f.pos..f.pos + 4].copy_from_slice(&rel.to_le_bytes());
     }
 
     // -- VEX.128 -------------------------------------------------------
@@ -554,10 +625,29 @@ impl Asm {
         self.u8(imm);
     }
 
-    /// `vpsllq`/`vpsrlq x, x, imm8`.
-    pub fn vshift_q(&mut self, op: Sh, x: u8, imm: u8) {
+    /// `vpsllq`/`vpsrlq dst, src, imm8`.
+    pub fn vshift_q(&mut self, op: Sh, dst: u8, src: u8, imm: u8) {
         let ext = if op == Sh::Shl { 6 } else { 2 };
-        self.vop_i(VPSHIFTQ, ext, x, x, imm);
+        self.vop_i(VPSHIFTQ, ext, dst, src, imm);
+    }
+
+    /// `vblendvpd dst, src1, src2, mask`: each qword from `src2` where
+    /// `mask`'s sign bit is set, else from `src1`.
+    pub fn vblendv(&mut self, dst: u8, src1: u8, src2: u8, mask: u8) {
+        self.vop_i(VBLENDVPD, dst, src1, src2, mask << 4);
+    }
+
+    /// `op dst, src1, [rip + disp32]` (with `imm8` when given): a
+    /// constant-pool operand, at an address patched later.
+    pub fn vop_rip(&mut self, o: Vop, dst: u8, src1: u8, imm: Option<u8>) -> RipFixup {
+        self.vex(o, dst, src1, false);
+        self.u8((dst & 7) << 3 | 5);
+        let pos = self.here();
+        self.u32(0);
+        if let Some(imm) = imm {
+            self.u8(imm);
+        }
+        RipFixup { pos, end: self.here() }
     }
 
     /// Memory-operand form. Private: what generated code may do to the
@@ -655,8 +745,24 @@ pub const VPMOVZXDQ: Vop = v(2, 1, false, 0x35);
 pub const VFMADD213PD: Vop = v(2, 1, true, 0xA8);
 /// `dst = dst * src2 + src1`.
 pub const VFMADD132PD: Vop = v(2, 1, true, 0x98);
+/// The f32 twins of the two above: `f32::mul_add` on four dwords.
+pub const VFMADD213PS: Vop = v(2, 1, false, 0xA8);
+pub const VFMADD132PS: Vop = v(2, 1, false, 0x98);
 pub const VPAND: Vop = v(1, 1, false, 0xDB);
+pub const VPOR: Vop = v(1, 1, false, 0xEB);
 pub const VPXOR: Vop = v(1, 1, false, 0xEF);
+pub const VPADDQ: Vop = v(1, 1, false, 0xD4);
+pub const VPSUBQ: Vop = v(1, 1, false, 0xFB);
+/// `vminpd`/`vmaxpd`: of two unequal non-NaN lanes the smaller/larger,
+/// as `f64::min`/`f64::max` on them.
+pub const VMINPD: Vop = v(1, 1, false, 0x5D);
+pub const VMAXPD: Vop = v(1, 1, false, 0x5F);
+/// `vroundpd dst, src, imm8` (`src1 = 0`); imm8 8 rounds to nearest,
+/// ties to even, exception-free: `f64::round_ties_even`.
+pub const VROUNDPD: Vop = v(3, 1, false, 0x09);
+/// `vmovmskpd r32, xmm` (`src1 = 0`): the two sign bits.
+pub const VMOVMSKPD: Vop = v(1, 1, false, 0x50);
+const VBLENDVPD: Vop = v(3, 1, false, 0x4B);
 const VMOVAPS: Vop = v(1, 0, false, 0x28);
 const VMOVAPS_STORE: Vop = v(1, 0, false, 0x29);
 /// `vpshufd xmm, xmm, imm8` (`src1 = 0`): dword shuffle; packs the two
@@ -691,8 +797,8 @@ mod tests {
         a.vload_dup(XMM1, RBX, 0x80); // vmovddup: c5 fb 12 8b 80 00 00 00
         a.vstore(RBX, 16, XMM0, 2); // vmovdqu: c5 fa 7f 43 10
         a.vstore(RBX, 0x200, XMM0, 1); // vmovq: c5 f9 d6 83 00 02 00 00
-        a.vshift_q(Sh::Shl, XMM0, 63); // vpsllq: c5 f9 73 f0 3f
-        a.vshift_q(Sh::Shr, XMM0, 63); // vpsrlq: c5 f9 73 d0 3f
+        a.vshift_q(Sh::Shl, XMM0, XMM0, 63); // vpsllq: c5 f9 73 f0 3f
+        a.vshift_q(Sh::Shr, XMM0, XMM0, 63); // vpsrlq: c5 f9 73 d0 3f
         a.vop_i(Vop::float(F_CMP, false, 2), XMM0, XMM0, XMM1, 0x1E); // vcmppd
 
         // The residency pool's forms: register copies, and xmm8–15 in
@@ -707,7 +813,7 @@ mod tests {
         a.vstore(RBX, 16, 15, 2); // vmovdqu [rbx+16], xmm15: c5 7a 7f 7b 10
         a.vop(VCVTPS2PD, 5, 0, 8); // c4 c1 78 5a e8
         a.vinsert_lane(11, RBX, 12, true); // vpinsrd: c4 63 21 22 5b 0c 01
-        a.vshift_q(Sh::Shl, 13, 63); // vpsllq xmm13, xmm13, 63: c4 c1 11 73 f5 3f
+        a.vshift_q(Sh::Shl, 13, 13, 63); // vpsllq xmm13, xmm13, 63: c4 c1 11 73 f5 3f
         a.vop(VMOVQ_XR, 9, 0, R11); // vmovq xmm9, r11: c4 41 f9 6e cb
         a.vop(VMOVQ_RX, 12, 0, RDI); // vmovq rdi, xmm12: c4 61 f9 7e e7
         a.vload_dup(14, RBX, 0x80); // vmovddup: c5 7b 12 b3 80 00 00 00
@@ -763,6 +869,47 @@ mod tests {
                 0xC4, 0xC1, 0x1A, 0x51, 0xFC, //
                 0xC4, 0xC1, 0xFB, 0x2C, 0xC3, //
                 0xC4, 0xE2, 0xB1, 0x98, 0xE3,
+            ]
+        );
+    }
+
+    /// The forms the atomic and transcendental templates added.
+    #[test]
+    fn atomic_and_constant_pool_encodings_match_reference() {
+        let mut a = Asm::new();
+        a.lock_xadd(RSI, RCX, false); // lock xadd [rsi], ecx: f0 0f c1 0e
+        a.lock_xadd(RSI, RCX, true); // lock xadd [rsi], rcx: f0 48 0f c1 0e
+        a.xchg_mem(RSI, RCX, false); // xchg [rsi], ecx: 87 0e
+        a.lock_cmpxchg(RSI, RDX, true); // lock cmpxchg [rsi], rdx: f0 48 0f b1 16
+        a.store32(RSI, 0, RDX); // mov [rsi], edx: 89 16
+        a.vop_i(VROUNDPD, 2, 0, 3, 8); // vroundpd xmm2, xmm3, 8: c4 e3 79 09 d3 08
+        a.vblendv(2, 3, 4, 5); // vblendvpd xmm2, xmm3, xmm4, xmm5: c4 e3 61 4b d4 50
+        a.vop(VMOVMSKPD, RAX, 0, 2); // vmovmskpd eax, xmm2: c5 f9 50 c2
+        a.vshift_q(Sh::Shl, 2, 3, 63); // vpsllq xmm2, xmm3, 63: c5 e9 73 f3 3f
+        a.vop(VFMADD213PS, 2, 3, 4); // vfmadd213ps xmm2, xmm3, xmm4: c4 e2 61 a8 d4
+        a.vop(VPADDQ, 2, 3, 4); // vpaddq xmm2, xmm3, xmm4: c5 e1 d4 d4
+        let f = a.vop_rip(Vop::float(F_MUL, false, 2), 2, 3, None); // vmulpd xmm2, xmm3, [rip+d]
+        let g = a.vop_rip(Vop::float(F_CMP, false, 2), 2, 3, Some(0x12)); // vcmplepd, imm after disp
+        let pool = a.here();
+        a.patch_rip(f, pool);
+        a.patch_rip(g, pool);
+        let code = a.into_code();
+        assert_eq!(
+            code,
+            [
+                0xF0, 0x0F, 0xC1, 0x0E, //
+                0xF0, 0x48, 0x0F, 0xC1, 0x0E, //
+                0x87, 0x0E, //
+                0xF0, 0x48, 0x0F, 0xB1, 0x16, //
+                0x89, 0x16, //
+                0xC4, 0xE3, 0x79, 0x09, 0xD3, 0x08, //
+                0xC4, 0xE3, 0x61, 0x4B, 0xD4, 0x50, //
+                0xC5, 0xF9, 0x50, 0xC2, //
+                0xC5, 0xE9, 0x73, 0xF3, 0x3F, //
+                0xC4, 0xE2, 0x61, 0xA8, 0xD4, //
+                0xC5, 0xE1, 0xD4, 0xD4, //
+                0xC5, 0xE1, 0x59, 0x15, 0x09, 0x00, 0x00, 0x00, //
+                0xC5, 0xE1, 0xC2, 0x15, 0x00, 0x00, 0x00, 0x00, 0x12,
             ]
         );
     }

@@ -27,8 +27,9 @@
 //!   charge. Otherwise something stops the warp at an instruction of
 //!   this block, and the helper steps the block µop by µop, with the
 //!   interpreter's accounting, to exactly that instruction.
-//! * µop shapes without a template (atomics, division, transcendentals,
-//!   wide vectors; [`has_inline_template`] is the one predicate) call
+//! * µop shapes without a template (float atomics, division, f64
+//!   transcendentals, wide vectors; [`has_inline_template`] is the one
+//!   predicate) call
 //!   [`jit_step`], which runs the whole µop through the interpreter's
 //!   own helpers, charge included — the header leaves them out of its
 //!   sums. Memory templates bounds-check inline and take the same
@@ -83,8 +84,9 @@
 
 use std::mem::offset_of;
 
-use dpvk_ir::{BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp};
+use dpvk_ir::{AtomKind, BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp};
 
+use crate::approx::{self, Domain};
 use crate::bytecode::{BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo};
 use crate::context::ThreadContext;
 use crate::jit::asm::*;
@@ -207,6 +209,8 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         ok_fixups: Vec::new(),
         slow_sites: Vec::new(),
         refills: Vec::new(),
+        consts: Vec::new(),
+        const_fixups: Vec::new(),
         res: Residency::default(),
         stats: JitEmitStats::default(),
     };
@@ -278,6 +282,7 @@ fn bin_ok(op: BinOp, sty: STy) -> bool {
 fn un_ok(op: UnOp, sty: STy) -> bool {
     if sty.is_float() {
         matches!(op, UnOp::Neg | UnOp::Abs | UnOp::Sqrt | UnOp::Rsqrt | UnOp::Rcp)
+            || (sty == STy::F32 && approx::is_transcendental(op))
     } else {
         matches!(op, UnOp::Neg | UnOp::Not | UnOp::Abs)
     }
@@ -301,10 +306,17 @@ fn chunks(w: u32) -> impl Iterator<Item = (u32, u32)> {
     (0..w).step_by(2).map(move |i| (i, (w - i).min(2)))
 }
 
+/// Whether an atomic has a template: 32- and 64-bit integers in a
+/// writable data space. Float atomics, narrow integers (which global
+/// memory rejects) and the read-only spaces (which only fault) do not.
+fn atom_ok(sty: STy, space: Space) -> bool {
+    matches!(sty, STy::I32 | STy::I64) && space_offsets(space).2
+}
+
 /// Whether the µop's shape has an inline template at some width:
-/// atomics, integer division, transcendentals, float min/max, unsigned
-/// i64 → float and stores to read-only spaces (which only ever fault)
-/// do not.
+/// float and narrow atomics, integer division, f64 transcendentals,
+/// float min/max, unsigned i64 → float and stores to read-only spaces
+/// (which only ever fault) do not.
 fn shape_has_template(kind: &OpKind) -> bool {
     match *kind {
         OpKind::Bin { op, sty, .. } => bin_ok(op, sty),
@@ -313,7 +325,8 @@ fn shape_has_template(kind: &OpKind) -> bool {
         OpKind::Store { space, .. } | OpKind::StoreRun { space, .. } => space_offsets(space).2,
         OpKind::BinBin { op1, sty1, op2, sty2, .. } => bin_ok(op1, sty1) && bin_ok(op2, sty2),
         OpKind::LoadBin { op2, sty2, .. } => bin_ok(op2, sty2),
-        OpKind::Atom { .. } | OpKind::Unsupported { .. } => false,
+        OpKind::Atom { sty, space, .. } => atom_ok(sty, space),
+        OpKind::Unsupported { .. } => false,
         _ => true,
     }
 }
@@ -351,6 +364,11 @@ struct Emitter<'p> {
     slow_sites: Vec<SlowSite>,
     /// What the slow sites reload, each site a range of it.
     refills: Vec<(Held, u8)>,
+    /// The constant pool emitted after the code, one 16-byte entry
+    /// (the value in both qwords) per distinct value, and the operands
+    /// that read it.
+    consts: Vec<u64>,
+    const_fixups: Vec<(RipFixup, usize)>,
     /// Which pool register holds which frame value in the current block.
     res: Residency,
     stats: JitEmitStats,
@@ -819,8 +837,8 @@ impl Emitter<'_> {
         self.asm.vop(Vop::float(opc, sty == STy::F32, n), x, a, b);
         if (op, sty, n) == (BinOp::Div, STy::F32, 2) {
             // `vdivps` left 0/0 in the slots' upper dwords.
-            self.asm.vshift_q(Sh::Shl, x, 32);
-            self.asm.vshift_q(Sh::Shr, x, 32);
+            self.asm.vshift_q(Sh::Shl, x, x, 32);
+            self.asm.vshift_q(Sh::Shr, x, x, 32);
         }
     }
 
@@ -875,18 +893,10 @@ impl Emitter<'_> {
     /// and quiet, except `Ne`: a NaN compares false, and unequal.
     /// Comparing f32 lanes as f32 is comparing their exact f64 widenings.
     fn cmp_chunk(&mut self, pred: CmpPred, sty: STy, x: u8, (a, b): (u8, u8)) {
-        let imm = match pred {
-            CmpPred::Eq => 0x00,
-            CmpPred::Ne => 0x04,
-            CmpPred::Lt => 0x11,
-            CmpPred::Le => 0x12,
-            CmpPred::Ge => 0x1D,
-            CmpPred::Gt => 0x1E,
-        };
-        self.asm.vop_i(Vop::float(F_CMP, sty == STy::F32, 2), x, a, b, imm);
+        self.asm.vop_i(Vop::float(F_CMP, sty == STy::F32, 2), x, a, b, cmp_imm(pred));
         // Bit 0 of a slot is the answer, whether the mask is 32 or 64 wide.
-        self.asm.vshift_q(Sh::Shl, x, 63);
-        self.asm.vshift_q(Sh::Shr, x, 63);
+        self.asm.vshift_q(Sh::Shl, x, x, 63);
+        self.asm.vshift_q(Sh::Shr, x, x, 63);
     }
 
     /// Compute one `scalar_bin` lane into RAX (clobbers RCX, and XMM0/1
@@ -1086,6 +1096,296 @@ impl Emitter<'_> {
     }
 }
 
+/// `f64` bits of `1.5 · 2^52`: an integral f64 `n` with `|n| < 2^51`
+/// added to it leaves `n` in two's complement in the low bits — `n as
+/// i64` on the bits, for the quadrant and exponent arithmetic below.
+const INT_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `vcmppd`'s "both ordered" predicate: true unless a lane is NaN.
+const CMP_ORD: u8 = 0x07;
+
+/// The f64 arithmetic forms on two lanes.
+const MULPD: Vop = Vop::float(F_MUL, false, 2);
+const ADDPD: Vop = Vop::float(F_ADD, false, 2);
+const SUBPD: Vop = Vop::float(F_SUB, false, 2);
+const DIVPD: Vop = Vop::float(F_DIV, false, 2);
+const CMPPD: Vop = Vop::float(F_CMP, false, 2);
+
+impl Emitter<'_> {
+    /// `o dst, src1, [constant v, v]` from the pool.
+    fn cop(&mut self, o: Vop, dst: u8, src1: u8, v: u64) {
+        self.cop_i(o, dst, src1, v, None);
+    }
+
+    fn cop_i(&mut self, o: Vop, dst: u8, src1: u8, v: u64, imm: Option<u8>) {
+        let k = match self.consts.iter().position(|&c| c == v) {
+            Some(k) => k,
+            None => {
+                self.consts.push(v);
+                self.consts.len() - 1
+            }
+        };
+        let f = self.asm.vop_rip(o, dst, src1, imm);
+        self.const_fixups.push((f, k));
+    }
+
+    /// `cop` with an f64 constant.
+    fn fop(&mut self, o: Vop, dst: u8, src1: u8, v: f64) {
+        self.cop(o, dst, src1, v.to_bits());
+    }
+
+    /// A fresh pool register holding `Σ c[k] · x^k`, by Horner's rule in
+    /// [`approx::horner`]'s order.
+    fn horner(&mut self, x: u8, c: &[f64]) -> u8 {
+        let p = self.res.alloc();
+        let n = c.len() - 1;
+        self.fop(MULPD, p, x, c[n]);
+        self.fop(ADDPD, p, p, c[n - 1]);
+        for &k in c[..n - 1].iter().rev() {
+            self.asm.vop(MULPD, p, p, x);
+            self.fop(ADDPD, p, p, k);
+        }
+        p
+    }
+
+    /// An f32 `sin`/`cos`/`ex2`/`lg2` µop, [`approx`]'s definition on two
+    /// lanes per register. Every lane's domain is checked before any
+    /// chunk is written, so a lane outside it sends the whole µop — none
+    /// of it done yet, whatever `dst` aliases — to the slow site, whose
+    /// helper computes the same definition in Rust.
+    fn emit_transcendental(&mut self, idx: u32, op: UnOp, w: u32, dst: BDst, a: BSrc) {
+        let mut slow = Vec::new();
+        for (i, n) in chunks(w) {
+            self.res.unpin();
+            let x = self.operand_f64(a, i, n, STy::F32);
+            let m = self.res.alloc();
+            match approx::template_domain(op) {
+                Domain::Abs(bound) => {
+                    self.cop(VPAND, m, x, !SIGN_BIT);
+                    self.cop_i(CMPPD, m, m, bound.to_bits(), Some(cmp_imm(CmpPred::Le)));
+                }
+                Domain::Ordered => self.asm.vop_i(CMPPD, m, x, x, CMP_ORD),
+                Domain::PositiveFinite => {
+                    let t = self.res.alloc();
+                    self.cop_i(CMPPD, m, x, 0.0f64.to_bits(), Some(cmp_imm(CmpPred::Gt)));
+                    self.cop_i(CMPPD, t, x, f64::MAX.to_bits(), Some(cmp_imm(CmpPred::Le)));
+                    self.asm.vop(VPAND, m, m, t);
+                }
+            }
+            self.asm.vop(VMOVMSKPD, RAX, 0, m);
+            self.asm.not(RAX);
+            self.asm.test_ri(RAX, (1 << n) - 1);
+            slow.push(self.asm.jcc_fwd(Cc::Ne));
+        }
+        self.each_chunk(dst, w, |e, i, n| {
+            let x = e.operand_f64(a, i, n, STy::F32);
+            let r = match op {
+                UnOp::Sin | UnOp::Cos => e.sin_cos_chunk(x, op == UnOp::Cos),
+                UnOp::Ex2 => e.ex2_chunk(x),
+                _ => e.lg2_chunk(x),
+            };
+            e.narrow_chunk(r, r, STy::F32)
+        });
+        self.slow_site(slow, SlowCall::Step(idx));
+    }
+
+    /// `approx::sin_cos` over `x` (f64, `|x| ≤ SIN_COS_RANGE`): both
+    /// polynomials, then each lane's by its quadrant.
+    fn sin_cos_chunk(&mut self, x: u8, cos: bool) -> u8 {
+        let (q, t, r, s) = (self.res.alloc(), self.res.alloc(), self.res.alloc(), self.res.alloc());
+        self.fop(MULPD, q, x, approx::FRAC_2_PI);
+        self.asm.vop_i(VROUNDPD, q, 0, q, 8);
+        self.fop(ADDPD, q, q, 0.0);
+        self.fop(MULPD, t, q, approx::P1);
+        self.asm.vop(SUBPD, r, x, t);
+        self.fop(MULPD, t, q, approx::P2);
+        self.asm.vop(SUBPD, r, r, t);
+        self.fop(MULPD, t, q, approx::P3);
+        self.asm.vop(SUBPD, r, r, t);
+        self.asm.vop(MULPD, s, r, r);
+        let sin = self.horner(s, &approx::SIN);
+        self.asm.vop(MULPD, sin, sin, s);
+        self.fop(ADDPD, sin, sin, 1.0);
+        self.asm.vop(MULPD, sin, sin, r);
+        let cos_p = self.horner(s, &approx::COS);
+        self.asm.vop(MULPD, cos_p, cos_p, s);
+        self.fop(ADDPD, cos_p, cos_p, 1.0);
+        // The quadrant's bits: bit 0 picks the cosine, bit 1 negates.
+        self.fop(ADDPD, q, q, INT_MAGIC);
+        if cos {
+            self.cop(VPADDQ, q, q, 1);
+        }
+        self.asm.vshift_q(Sh::Shl, t, q, 63);
+        self.asm.vblendv(sin, sin, cos_p, t);
+        self.asm.vshift_q(Sh::Shl, q, q, 62);
+        self.cop(VPAND, q, q, SIGN_BIT);
+        self.asm.vop(VPXOR, sin, sin, q);
+        sin
+    }
+
+    /// `approx::ex2_wide` over non-NaN `x`.
+    fn ex2_chunk(&mut self, x: u8) -> u8 {
+        let (c, n) = (self.res.alloc(), self.res.alloc());
+        self.fop(VMAXPD, c, x, -approx::EX2_CLAMP);
+        self.fop(VMINPD, c, c, approx::EX2_CLAMP);
+        self.asm.vop_i(VROUNDPD, n, 0, c, 8);
+        self.asm.vop(SUBPD, c, c, n);
+        let p = self.horner(c, &approx::EX2);
+        // 2^n: `n + 1023` in the exponent field.
+        self.fop(ADDPD, n, n, INT_MAGIC);
+        self.cop(VPADDQ, n, n, 1023);
+        self.asm.vshift_q(Sh::Shl, n, n, 52);
+        self.asm.vop(MULPD, p, p, n);
+        p
+    }
+
+    /// `approx::lg2_wide` over positive finite `x`.
+    fn lg2_chunk(&mut self, x: u8) -> u8 {
+        let (m, big, h, e) =
+            (self.res.alloc(), self.res.alloc(), self.res.alloc(), self.res.alloc());
+        self.cop(VPAND, m, x, (1 << 52) - 1);
+        self.cop(VPOR, m, m, 1.0f64.to_bits());
+        self.cop_i(CMPPD, big, m, approx::SQRT_2.to_bits(), Some(cmp_imm(CmpPred::Ge)));
+        self.fop(MULPD, h, m, 0.5);
+        self.asm.vblendv(m, m, h, big);
+        // e = (bits >> 52) − 1023 + big, converted through 2^52 + e.
+        self.asm.vshift_q(Sh::Shr, e, x, 52);
+        self.asm.vop(VPSUBQ, e, e, big);
+        self.cop(VPOR, e, e, 4_503_599_627_370_496.0f64.to_bits());
+        self.fop(SUBPD, e, e, 4_503_599_627_371_519.0);
+        self.fop(SUBPD, h, m, 1.0);
+        self.fop(ADDPD, m, m, 1.0);
+        self.asm.vop(DIVPD, h, h, m);
+        self.asm.vop(MULPD, big, h, h);
+        let p = self.horner(big, &approx::LG2);
+        self.asm.vop(MULPD, p, h, p);
+        self.fop(MULPD, p, p, approx::LG2_SCALE);
+        self.asm.vop(ADDPD, p, e, p);
+        p
+    }
+
+    /// An integer atomic ([`atom_ok`]). The lane's bounds — and, in
+    /// global memory, alignment — are checked before memory is touched;
+    /// a failure sends the µop to the slow site, whose helper faults
+    /// exactly as interpreted. Global memory is shared with other
+    /// workers: `lock xadd`, `xchg`, and a `lock cmpxchg` loop. The other
+    /// spaces belong to a CTA whose threads run serialized
+    /// (`semantics::atom_rmw`): a plain load, operation and store. The
+    /// old value lands in `dst`.
+    fn emit_atom(
+        &mut self,
+        idx: u32,
+        (sty, space, op, signed): (STy, Space, AtomKind, bool),
+        dst: BDst,
+        addr: BSrc,
+        a: BSrc,
+        b: Option<BSrc>,
+    ) {
+        let (base_off, len_off, _) = space_offsets(space);
+        let size = sty.size_bytes();
+        let wide = size == 8;
+        let mut slow = Vec::new();
+        self.emit_bounds(addr, 0, len_off, size, &mut slow);
+        let global = space == Space::Global;
+        if global {
+            self.asm.test_ri(RAX, size as i32 - 1);
+            slow.push(self.asm.jcc_fwd(Cc::Ne));
+        }
+        self.asm.load(RSI, R15, base_off);
+        self.asm.alu_rr(Alu::Add, RSI, RAX);
+        self.load_src(RCX, a, 0, None);
+        let load_old = |e: &mut Self| {
+            if wide {
+                e.asm.load(RAX, RSI, 0);
+            } else {
+                e.asm.load32(RAX, RSI, 0);
+            }
+        };
+        match (global, op) {
+            (true, AtomKind::Add) => {
+                self.asm.lock_xadd(RSI, RCX, wide);
+                self.asm.mov_rr(RAX, RCX);
+            }
+            (true, AtomKind::Exch) => {
+                self.asm.xchg_mem(RSI, RCX, wide);
+                self.asm.mov_rr(RAX, RCX);
+            }
+            (true, AtomKind::Cas) => {
+                // Equal: the cell takes `b` and `rax` keeps `a`, the old
+                // value; unequal: `rax` takes the cell.
+                self.asm.mov_rr(RAX, RCX);
+                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0, None);
+                self.asm.lock_cmpxchg(RSI, RDX, wide);
+            }
+            (true, _) => {
+                load_old(self);
+                let retry = self.asm.here();
+                self.atom_new(sty, op, signed, b);
+                self.asm.lock_cmpxchg(RSI, RDX, wide);
+                self.asm.jcc_back(Cc::Ne, retry);
+            }
+            (false, _) => {
+                load_old(self);
+                self.atom_new(sty, op, signed, b);
+                if wide {
+                    self.asm.store(RSI, 0, RDX);
+                } else {
+                    self.asm.store32(RSI, 0, RDX);
+                }
+            }
+        }
+        self.store_bcast(dst, RAX);
+        self.slow_site(slow, SlowCall::Step(idx));
+    }
+
+    /// RDX ← what the atomic stores, from the old value in RAX and the
+    /// operand in RCX (`semantics::atom_rmw`'s `apply`); only the low
+    /// `sty` bytes of it are stored. A signed 32-bit min/max compares
+    /// sign-extended copies and leaves RCX extended, for a retry.
+    fn atom_new(&mut self, sty: STy, op: AtomKind, signed: bool, b: Option<BSrc>) {
+        match op {
+            AtomKind::Add => {
+                self.asm.mov_rr(RDX, RAX);
+                self.asm.alu_rr(Alu::Add, RDX, RCX);
+            }
+            AtomKind::Exch => self.asm.mov_rr(RDX, RCX),
+            AtomKind::Cas => {
+                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0, None);
+                self.asm.alu_rr(Alu::Cmp, RAX, RCX);
+                self.asm.cmov(Cc::Ne, RDX, RAX);
+            }
+            AtomKind::Min | AtomKind::Max => {
+                self.asm.mov_rr(RDX, RAX);
+                if signed {
+                    self.sext_reg(RDX, sty);
+                    self.sext_reg(RCX, sty);
+                }
+                self.asm.alu_rr(Alu::Cmp, RDX, RCX);
+                let cc = match (op, signed) {
+                    (AtomKind::Min, true) => Cc::G,
+                    (AtomKind::Min, false) => Cc::A,
+                    (_, true) => Cc::L,
+                    _ => Cc::B,
+                };
+                self.asm.cmov(cc, RDX, RCX);
+            }
+        }
+    }
+}
+
+/// The `vcmpps/pd` predicate of `pred`: ordered and quiet, except `Ne`
+/// (unordered), so a NaN compares false, and unequal.
+fn cmp_imm(pred: CmpPred) -> u8 {
+    match pred {
+        CmpPred::Eq => 0x00,
+        CmpPred::Ne => 0x04,
+        CmpPred::Lt => 0x11,
+        CmpPred::Le => 0x12,
+        CmpPred::Ge => 0x1D,
+        CmpPred::Gt => 0x1E,
+    }
+}
+
 /// `scalar_bin`'s shift-amount mask for `sty`.
 fn shift_mask(sty: STy) -> i32 {
     (sty.bits() - 1).max(1) as i32
@@ -1151,35 +1451,44 @@ impl Emitter<'_> {
             OpKind::Bin { op, sty, signed, w, dst, a, b } => {
                 self.each_lane(dst, w, |e, i| e.emit_bin_lane(op, sty, signed, a, b, i, None))
             }
+            OpKind::Un { op, sty: STy::F32, w, dst, a } if approx::is_transcendental(op) => {
+                self.emit_transcendental(idx, op, w, dst, a)
+            }
             OpKind::Un { op, sty, w, dst, a } if sty.is_float() => {
                 self.each_chunk(dst, w, |e, i, n| e.un_chunk(op, sty, a, i, n))
             }
             OpKind::Un { op, sty, w, dst, a } => {
                 self.each_lane(dst, w, |e, i| e.emit_un_lane(op, sty, a, i))
             }
-            // f32 is *defined* as f64 `mul_add`, then narrowed. The 213
-            // form multiplies its second operand by its first and
-            // prefers their NaNs in that order: `a` goes second, so
-            // `a`'s NaN beats `b`'s beats `c`'s as in `mul_add`. The
-            // 132 form computes `a·b + c` in `a`'s register with the
-            // same preference, so an `a` this chunk loaded becomes the
-            // result; a resident one stays, and `b` is copied instead.
+            // One rounding, at the type's own width: f32 as packed
+            // dwords on the slot layout (the zero upper dwords stay
+            // 0·0 + 0 = 0), f64 as qwords. The 213 form multiplies its
+            // second operand by its first and prefers their NaNs in that
+            // order: `a` goes second, so `a`'s NaN beats `b`'s beats
+            // `c`'s as in `fused_mul_add`. The 132 form computes `a·b +
+            // c` in `a`'s register with the same preference, so an `a`
+            // this chunk loaded becomes the result; a resident one
+            // stays, and `b` is copied instead.
             OpKind::Fma { sty, w, dst, a, b, c } if sty.is_float() => {
+                let (f213, f132) = if sty == STy::F32 {
+                    (VFMADD213PS, VFMADD132PS)
+                } else {
+                    (VFMADD213PD, VFMADD132PD)
+                };
                 self.each_chunk(dst, w, |e, i, n| {
-                    let (a, resident) = e.fetch_f64(a, i, n, sty);
-                    let b = e.operand_f64(b, i, n, sty);
-                    let c = e.operand_f64(c, i, n, sty);
-                    let x = if resident || a == b || a == c {
+                    let (a, resident) = e.fetch(a, i, n, false, None);
+                    let b = e.operand(b, i, n, false, None);
+                    let c = e.operand(c, i, n, false, None);
+                    if resident || a == b || a == c {
                         let x = e.res.alloc();
                         e.asm.vmov(x, b);
-                        e.asm.vop(VFMADD213PD, x, a, c);
+                        e.asm.vop(f213, x, a, c);
                         x
                     } else {
                         e.res.forget(a);
-                        e.asm.vop(VFMADD132PD, a, c, b);
+                        e.asm.vop(f132, a, c, b);
                         a
-                    };
-                    e.narrow_chunk(x, x, sty)
+                    }
                 })
             }
             // Low bits of mul/add are independent of the high bits, so
@@ -1450,7 +1759,10 @@ impl Emitter<'_> {
                 let f = self.asm.jmp_fwd();
                 self.ok_fixups.push(f);
             }
-            OpKind::Atom { .. } | OpKind::Unsupported { .. } => {
+            OpKind::Atom { sty, space, op, signed, dst, addr, a, b } => {
+                self.emit_atom(idx, (sty, space, op, signed), dst, addr, a, b)
+            }
+            OpKind::Unsupported { .. } => {
                 unreachable!("has_inline_template admitted a µop without a template")
             }
         }
@@ -1543,6 +1855,16 @@ impl Emitter<'_> {
         self.asm.pop(RBX);
         self.asm.pop(RBP);
         self.asm.ret();
+        // The constant pool: read-only data past the last instruction.
+        self.asm.align(16);
+        let pool = self.asm.here();
+        for &v in &self.consts {
+            self.asm.data_u64(v);
+            self.asm.data_u64(v);
+        }
+        for (f, k) in std::mem::take(&mut self.const_fixups) {
+            self.asm.patch_rip(f, pool + 16 * k);
+        }
     }
 }
 
@@ -1616,6 +1938,59 @@ mod tests {
     fn vector_adds_are_chunks_not_a_lane_loop() {
         let bytes = emit_adds(Type::vector(STy::F32, 4));
         assert!(bytes < ADDS * 130, "{bytes} B for {ADDS} w4 f32 adds: the lane loop is back");
+    }
+
+    /// Neither an f32 transcendental nor an integer atomic calls a
+    /// helper any more; float atomics and f64 transcendentals still do.
+    #[test]
+    fn transcendentals_and_integer_atomics_have_templates() {
+        use dpvk_ir::AtomKind;
+        let t = Type::vector(STy::F32, 4);
+        for op in [UnOp::Sin, UnOp::Cos, UnOp::Ex2, UnOp::Lg2] {
+            let un = |dst, a, _: [Value; 2]| Inst::Un { op, ty: t, dst, a };
+            let (_, stats) = emit_block(t, 2, un);
+            assert_eq!(stats.helper_uops, 0, "{op:?}");
+        }
+        for (sty, space) in [(STy::I32, Space::Global), (STy::I64, Space::Shared)] {
+            let atom = |op| {
+                move |dst, a, _: [Value; 2]| Inst::Atom {
+                    ty: sty,
+                    space,
+                    op,
+                    signed: true,
+                    dst,
+                    addr: Value::ImmI(0),
+                    a,
+                    b: (op == AtomKind::Cas).then_some(a),
+                }
+            };
+            for op in [AtomKind::Add, AtomKind::Min, AtomKind::Max, AtomKind::Exch, AtomKind::Cas] {
+                let (_, stats) = emit_block(Type::scalar(sty), 2, atom(op));
+                assert_eq!(stats.helper_uops, 0, "{op:?} {sty} {space:?}");
+            }
+        }
+        let kinds = [
+            OpKind::Un {
+                op: UnOp::Sin,
+                sty: STy::F64,
+                w: 1,
+                dst: BDst { off: 0, w: 1 },
+                a: BSrc::Slot(0),
+            },
+            OpKind::Atom {
+                sty: STy::F32,
+                space: Space::Global,
+                op: AtomKind::Add,
+                signed: false,
+                dst: BDst { off: 0, w: 1 },
+                addr: BSrc::Slot(0),
+                a: BSrc::Slot(0),
+                b: None,
+            },
+        ];
+        for kind in kinds {
+            assert!(!has_inline_template(&kind), "{kind:?}");
+        }
     }
 
     /// Operands stay in registers within a block: 64 `w4` f32 `fma`s

@@ -11,7 +11,7 @@
 //! [`crate::ExecStats`] deltas, memory effects, errors and
 //! watchdog/deadline/cancellation polling.
 //!
-//! µop shapes without an inline template (atomics, division,
+//! µop shapes without an inline template (float atomics, division, f64
 //! transcendentals, vectors wider than the inline cap) call back into
 //! the interpreter's own helpers at run time, so coverage gaps cost
 //! speed, never correctness. Hosts where native emission is unavailable

@@ -109,7 +109,7 @@ impl Residency {
         let r = (POOL_FIRST..=POOL_LAST)
             .filter(|&r| self.pinned & (1 << r) == 0)
             .min_by_key(|&r| (busy & (1 << r) != 0, self.used[r as usize]))
-            .expect("a chunk pins at most five registers of fourteen");
+            .expect("a chunk pins at most eight registers of fourteen");
         self.forget(r);
         self.touch(r)
     }

@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 
+pub mod approx;
 mod bytecode;
 mod cancel;
 mod context;

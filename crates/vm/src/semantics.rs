@@ -5,12 +5,15 @@
 //! chunked vector kernels transcribe them; every µop the JIT does not
 //! template runs through them too. Values live in `u64` slots in their
 //! zero-extension representation ([`mask_to`]); f32 operations are
-//! defined through f64 ([`f_of`] widens, [`f_enc`] narrows).
+//! defined through f64 ([`f_of`] widens, [`f_enc`] narrows), except
+//! `fma`, which rounds once in f32 ([`fused_mul_add_f32`]), and the
+//! transcendentals, which [`crate::approx`] defines.
 
 use dpvk_ir::{AtomKind, BinOp, CmpPred, ResumeStatus, STy, UnOp, Value};
 
 use std::time::Instant;
 
+use crate::approx;
 use crate::error::VmError;
 use crate::memory::MemAccess;
 
@@ -132,6 +135,18 @@ pub(crate) fn fused_mul_add(x: f64, y: f64, z: f64) -> f64 {
     [x, y, z].into_iter().find(|v| v.is_nan()).map_or(r, |v| f64::from_bits(v.to_bits() | 1 << 51))
 }
 
+/// [`fused_mul_add`] at f32, in f32: one rounding, to f32. (Through f64
+/// it would round twice — to f64, then to f32 — which a product whose
+/// f64 rounding lands on an f32 tie gets wrong.)
+#[inline]
+pub(crate) fn fused_mul_add_f32(x: f32, y: f32, z: f32) -> f32 {
+    let r = x.mul_add(y, z);
+    if !r.is_nan() {
+        return r;
+    }
+    [x, y, z].into_iter().find(|v| v.is_nan()).map_or(r, |v| f32::from_bits(v.to_bits() | 1 << 22))
+}
+
 /// `x.min(y)`, or `x.max(y)` when `max`, with the two cases `f64::min`
 /// leaves to the compiler's lowering pinned: a NaN operand is ignored (of
 /// two NaNs the second is returned, unchanged), and of two operands that
@@ -250,6 +265,7 @@ pub(crate) fn scalar_un(op: UnOp, sty: STy, a: u64) -> Result<u64, VmError> {
             UnOp::Sqrt => x.sqrt(),
             UnOp::Rsqrt => 1.0 / x.sqrt(),
             UnOp::Rcp => 1.0 / x,
+            op if sty == STy::F32 && approx::is_transcendental(op) => approx::eval(op, x),
             UnOp::Sin => x.sin(),
             UnOp::Cos => x.cos(),
             UnOp::Ex2 => x.exp2(),

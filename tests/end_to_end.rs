@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: every execution policy must compute the
 //! same results, across CTA shapes, worker counts and machine models.
 
-use dpvk::core::{Device, ExecConfig, ParamValue};
+use dpvk::core::{CoreError, Device, ExecConfig, ParamValue};
+use dpvk::ptx::PtxError;
 use dpvk::vm::MachineModel;
 
 const STENCIL: &str = r#"
@@ -148,4 +149,28 @@ fn wider_machines_speed_up_wide_warps() {
     let sse = cycles(&dev(MachineModel::sandybridge_sse()));
     let avx = cycles(&dev(MachineModel::sandybridge_avx()));
     assert!(avx < sse, "avx {avx} should beat sse {sse} on width-8 warps");
+}
+
+/// An f32 operation on u32 registers is a typed error when the kernel is
+/// registered, not an IR verification failure at its first launch.
+#[test]
+fn ill_typed_ptx_fails_at_registration() {
+    let src = ".kernel bad () { .reg .u32 %r<3>; entry: add.f32 %r0, %r1, %r2; ret; }";
+    let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 16);
+    match dev.register_source(src) {
+        Err(CoreError::Ptx(PtxError::Validation { kernel, message })) => {
+            assert_eq!(kernel, "bad");
+            assert!(message.contains("incompatible"), "{message}");
+        }
+        other => panic!("expected a validation error, got {other:?}"),
+    }
+}
+
+/// Every suite kernel still registers under the register type rules.
+#[test]
+fn every_suite_kernel_registers() {
+    for w in dpvk::workloads::all_workloads() {
+        let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 16);
+        dev.register_source(&w.source()).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+    }
 }

@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use dpvk::ir::{
-    BinOp, Block, BlockKind, CmpPred, Function, Inst, STy, Space, Term, Type, UnOp, VReg, Value,
+    BinOp, Block, BlockKind, CmpPred, Function, Inst, STy, Space, Term, Type, VReg, Value,
 };
 use dpvk::vm::{
     execute_warp_bytecode, jit_compile, jit_supported, BytecodeProgram, CancelToken, CostInfo,
@@ -141,7 +141,7 @@ fn faulting_inst(kind: &str, scratch: VReg) -> Inst {
 /// A block of µops that between them move every counter a block header
 /// pre-charges — flops, loads, stores, and (through a spill-slot load
 /// and store, in a block of any kind) restore and spill traffic — plus
-/// one helper-only µop (`sin`), with `fault`
+/// one helper-only µop (`min.f32`), with `fault`
 /// spliced in at `at`. A clean block precedes it so the stats also hold
 /// a retired block's worth of cycles and instructions.
 fn faulting_function(fault: &str, at: usize, kind: BlockKind, width: u32) -> Function {
@@ -159,7 +159,14 @@ fn faulting_function(fault: &str, at: usize, kind: BlockKind, width: u32) -> Fun
         add(z, Value::Reg(y), Value::Reg(x)),
         Inst::Splat { ty: vt, dst: v, a: Value::ImmF(0.5) },
         Inst::Fma { ty: vt, dst: v, a: Value::Reg(v), b: Value::Reg(v), c: Value::Reg(v) },
-        Inst::Un { op: UnOp::Sin, ty: vt, dst: t, a: Value::Reg(v) },
+        Inst::Bin {
+            op: BinOp::Min,
+            ty: vt,
+            signed: false,
+            dst: t,
+            a: Value::Reg(v),
+            b: Value::Reg(v),
+        },
         store(8, Value::Reg(z)),
         Inst::Load { ty: STy::I32, space: Space::Spill, dst: y, addr: Value::ImmI(4) },
         Inst::Store {

@@ -14,14 +14,21 @@
 //! does not), run as one warp on both engines, and the memory image and
 //! every `ExecStats` field must be equal. Skipped where
 //! `!jit_supported()`.
+//!
+//! The same holds for the templates that replaced helper calls: the f32
+//! transcendentals (`dpvk::vm::approx`'s definition, over its edges and
+//! the template's range limits) and the integer atomics (each operation,
+//! type and space, lanes on one cell or on their own, and a lane that
+//! faults).
 
 use dpvk::ir::{
-    BinOp, Block, BlockId, CmpPred, Function, Inst, STy, Space, Term, Type, UnOp, VReg, Value,
+    AtomKind, BinOp, Block, BlockId, CmpPred, Function, Inst, STy, Space, Term, Type, UnOp, VReg,
+    Value,
 };
 use dpvk::vm::{
-    execute_warp_bytecode, jit_compile, jit_supported, BytecodeProgram, CostInfo, ExecLimits,
-    ExecStats, FrameLayout, GlobalMem, JitCta, MachineModel, MemAccess, RegFrame, ThreadContext,
-    JIT_HOST_FEATURES,
+    approx, execute_warp_bytecode, jit_compile, jit_supported, BytecodeProgram, CostInfo,
+    ExecLimits, ExecStats, FrameLayout, GlobalMem, JitCta, MachineModel, MemAccess, RegFrame,
+    ThreadContext, VmError, WarpOutcome, JIT_HOST_FEATURES,
 };
 
 const F32_EDGES: [u32; 18] = [
@@ -121,11 +128,16 @@ struct Case {
     cells: usize,
     /// Whether µops without a template were added on purpose.
     helpers: bool,
+    /// Cells whose value is known in advance: (cell, bits).
+    pinned: Vec<(usize, u64)>,
 }
 
 impl Case {
     fn new(sty: STy, w: u32) -> Case {
-        let edges = edges(sty);
+        Case::with_edges(sty, w, edges(sty))
+    }
+
+    fn with_edges(sty: STy, w: u32, edges: Vec<u64>) -> Case {
         let mut c = Case {
             f: Function::new(format!("lanes_{sty}_w{w}"), w),
             blk: Block::new("entry"),
@@ -137,6 +149,7 @@ impl Case {
             cells: edges.len(),
             edges,
             helpers: false,
+            pinned: Vec::new(),
         };
         for k in 0..c.edges.len() {
             let dst = c.f.new_reg(Type::scalar(sty));
@@ -641,6 +654,10 @@ impl Case {
             );
         }
         assert_eq!(got_stats, expected_stats, "{}", self.f.name);
+        for (cell, want) in self.pinned {
+            let bits = u64::from_le_bytes(expected[8 * cell..8 * cell + 8].try_into().unwrap());
+            assert_eq!(bits, want, "{}: cell {cell}: got {bits:#x}, want {want:#x}", self.f.name);
+        }
     }
 }
 
@@ -740,6 +757,542 @@ fn integer_shapes_match_the_bytecode_engine_bit_for_bit() {
                 c.scalar_into_vector(op);
             }
             c.check();
+        }
+    }
+}
+
+/// Inputs of the f32 transcendentals: the float edges, then where the
+/// definition or the template changes course — f32 subnormals, the
+/// `sin`/`cos` template's bound `2^16` and its neighbours, `ex2`'s
+/// overflow and underflow, `lg2` of zeros, negatives and powers of two,
+/// and `mriq`'s phase range.
+const TRANSCENDENTAL_EDGES: [u32; 30] = [
+    0x0000_0001, // smallest subnormal
+    0x8040_0000, // -subnormal
+    0x4780_0000, // 65536 = 2^16, the template's bound
+    0x4780_0001, // 2^16 + 1 ulp: the slow site
+    0x477F_FFFF, // 2^16 - 1 ulp
+    0xC780_0001, // -(2^16 + 1 ulp)
+    0x42FF_FFFF, // 127.99999
+    0x4300_0000, // 128: ex2 overflows
+    0xC2FC_0000, // -126: ex2's last normal
+    0xC315_0000, // -149: ex2's last subnormal
+    0xC315_8000, // -149.5
+    0xC316_0000, // -150: ex2 underflows to 0
+    0x4348_8000, // 200.5: past ex2's clamp
+    0xC348_8000, // -200.5
+    0x3F00_0000, // 0.5
+    0x4B00_0000, // 2^23
+    0x0080_0000, // 2^-126
+    0x4198_0000, // 19
+    0xC196_0000, // -18.75
+    0x3FC9_0FDB, // π/2
+    0x4049_0FDB, // π
+    0x3F35_04F3, // √½
+    0x3FB5_04F3, // √2
+    0x3F80_0001, // 1 + 1 ulp
+    0x3F7F_FFFF, // 1 - 1 ulp
+    0x4CBE_BC20, // 1e8
+    0x7149_F2CA, // 1e30
+    0xD0CE_6B28, // -2.77e10
+    0x3456_BF95, // 2e-7
+    0xBF80_0000, // -1
+];
+
+/// Inputs whose f64 result lies within a few f64 ulps of an f32
+/// rounding midpoint, found by searching every f32 input of each
+/// template's domain (`sin`, `cos`, `ex2`, `lg2` in turn): their f32
+/// result turns on the last bits of the evaluation, so a template that
+/// computes anything but `approx`'s operations in `approx`'s order
+/// shows here.
+const NEAR_TIES: [u32; 26] = [
+    0xC619_9998,
+    0x4371_ADE3,
+    0x3EF3_830F,
+    0x45A8_ABB3,
+    0x3DCF_5597,
+    0xC2D4_4528,
+    0x3D06_50EA,
+    0x3A12_85FF,
+    0x3980_0000,
+    0x3C10_7FE6,
+    0x4247_90CE,
+    0x3A54_4395,
+    0x3A0F_1BBD,
+    0x3E5F_A70E,
+    0xB52D_1F9A,
+    0x3B42_9D37,
+    0xBCF3_A937,
+    0x3A07_857C,
+    0xB8D3_D026,
+    0xBAEC_2B40,
+    0x3C02_A9AD,
+    0xBE1F_29DE,
+    0x4020_7AB9,
+    0x5F91_4A90,
+    0x6491_4A90,
+    0x3FED_DFFD,
+];
+
+/// Every f32 transcendental at every width over the float edges,
+/// [`TRANSCENDENTAL_EDGES`] and [`NEAR_TIES`]: the templates within
+/// their domain, the slow site beyond it, on every operand kind.
+#[test]
+fn transcendentals_match_the_bytecode_engine_bit_for_bit() {
+    if skip() {
+        return;
+    }
+    let inputs: Vec<u64> = F32_EDGES
+        .iter()
+        .chain(&TRANSCENDENTAL_EDGES)
+        .chain(&NEAR_TIES)
+        .map(|&b| b as u64)
+        .collect();
+    for w in WIDTHS {
+        let mut c = Case::with_edges(STy::F32, w, inputs.clone());
+        for op in [UnOp::Sin, UnOp::Cos, UnOp::Ex2, UnOp::Lg2] {
+            c.uns(op);
+        }
+        c.check();
+    }
+}
+
+/// What the definition promises exactly, as every engine computes it.
+#[test]
+fn transcendental_known_answers() {
+    let pow2 =
+        |k: i32| f32::from_bits(if k < -126 { 1 << (k + 149) } else { ((k + 127) as u32) << 23 });
+    let table: [(F32Op, f32, u32); 16] = [
+        (approx::sin, 0.0, 0x0000_0000),
+        (approx::sin, -0.0, 0x8000_0000),
+        (approx::cos, 0.0, 0x3F80_0000),
+        (approx::cos, -0.0, 0x3F80_0000),
+        (approx::ex2, 0.0, 0x3F80_0000),
+        (approx::ex2, 10.0, 0x4480_0000),
+        (approx::ex2, -149.0, 0x0000_0001),
+        (approx::ex2, -150.0, 0x0000_0000),
+        (approx::ex2, 128.0, 0x7F80_0000),
+        (approx::ex2, f32::NEG_INFINITY, 0x0000_0000),
+        (approx::lg2, 1.0, 0x0000_0000),
+        (approx::lg2, 0.0, 0xFF80_0000),
+        (approx::lg2, -0.0, 0xFF80_0000),
+        (approx::lg2, f32::INFINITY, 0x7F80_0000),
+        (approx::lg2, 1024.0, 0x4120_0000),
+        (approx::lg2, f32::from_bits(1), 0xC315_0000),
+    ];
+    for (f, x, want) in table {
+        assert_eq!(f(x).to_bits(), want, "{x:e}");
+    }
+    for k in -149..128 {
+        assert_eq!(approx::ex2(k as f32), pow2(k), "ex2({k})");
+        assert_eq!(approx::lg2(pow2(k)), k as f32, "lg2(2^{k})");
+    }
+    for x in [f32::NAN, -1.0, f32::NEG_INFINITY] {
+        assert!(approx::lg2(x).is_nan(), "lg2({x})");
+    }
+    for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        assert!(approx::sin(x).is_nan() && approx::cos(x).is_nan(), "sin/cos({x})");
+    }
+    // A NaN input comes back quieted with its sign and payload.
+    for f in [approx::sin, approx::cos, approx::ex2, approx::lg2] {
+        assert_eq!(f(f32::from_bits(0xFF81_2345)).to_bits(), 0xFFC1_2345);
+    }
+}
+
+/// One of `approx`'s f32 functions, and the host library's f64 twin.
+type F32Op = fn(f32) -> f32;
+type HostOp = fn(f64) -> f64;
+
+/// Units in the last place between two f32 of one sign.
+fn ulps(a: f32, b: f32) -> u32 {
+    (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs() as u32
+}
+
+/// A stride sweep over f32 bit patterns: the JIT template, the bytecode
+/// engine and `approx` agree exactly on every input, and `approx` agrees
+/// with the host library (f64, narrowed) — the definition it replaced —
+/// on at least 99.9 % of them and within one ulp on all (for `sin` and
+/// `cos`, within the template's bound). Prints the agreement.
+#[test]
+#[ignore = "a sweep of 2^32 / 509 inputs per function; CI runs it in release"]
+fn transcendental_sweep_matches_the_definition_and_the_host_library() {
+    const STRIDE: u32 = 509;
+    let inputs: Vec<u32> = (0..=u32::MAX / STRIDE).map(|k| k * STRIDE).collect();
+    let ops: [(UnOp, F32Op, HostOp); 4] = [
+        (UnOp::Sin, approx::sin, f64::sin),
+        (UnOp::Cos, approx::cos, f64::cos),
+        (UnOp::Ex2, approx::ex2, f64::exp2),
+        (UnOp::Lg2, approx::lg2, f64::log2),
+    ];
+    for (op, def, host) in ops {
+        let want: Vec<u32> = inputs.iter().map(|&b| def(f32::from_bits(b)).to_bits()).collect();
+        if jit_supported() {
+            for jit in [false, true] {
+                let got = sweep_engine(op, &inputs, jit);
+                if let Some(k) = (0..inputs.len()).find(|&k| got[k] != want[k]) {
+                    let x = f32::from_bits(inputs[k]);
+                    panic!(
+                        "{op:?}({x:e}): engine (jit {jit}) {:#x}, approx {:#x}",
+                        got[k], want[k]
+                    );
+                }
+            }
+        }
+        let (mut equal, mut worst) = (0usize, 0u32);
+        for (&bits, &got) in inputs.iter().zip(&want) {
+            let (x, got) = (f32::from_bits(bits), f32::from_bits(got));
+            let host = host(x as f64) as f32;
+            if got.to_bits() == host.to_bits() || (got.is_nan() && host.is_nan()) {
+                equal += 1;
+            } else if op == UnOp::Ex2 || op == UnOp::Lg2 || x.abs() <= 65536.0 {
+                worst = worst.max(ulps(got, host));
+            }
+        }
+        let share = equal as f64 / inputs.len() as f64;
+        println!(
+            "{op:?}: {equal} of {} inputs equal to the host library ({:.5} %), worst {worst} ulp",
+            inputs.len(),
+            100.0 * share
+        );
+        assert!(share >= 0.999, "{op:?}: {share}");
+        assert!(worst <= 1, "{op:?}: {worst} ulp");
+    }
+}
+
+/// The result bits of `op` over `inputs` on one engine, eight at a time
+/// as one `w8` vector µop.
+fn sweep_engine(op: UnOp, inputs: &[u32], jit: bool) -> Vec<u32> {
+    const LANES: u32 = 8;
+    let ty = Type::vector(STy::F32, LANES);
+    let mut f = Function::new("sweep", LANES);
+    let mut b = Block::new("entry");
+    let (x, y) = (f.new_reg(ty), f.new_reg(ty));
+    // Lane k reads global word k and writes word LANES + k.
+    for k in 0..LANES {
+        let s = f.new_reg(Type::scalar(STy::F32));
+        let addr = Value::ImmI(4 * k as i64);
+        b.insts.push(Inst::Load { ty: STy::F32, space: Space::Global, dst: s, addr });
+        let vec = if k == 0 { Value::ImmF(0.0) } else { Value::Reg(x) };
+        b.insts.push(Inst::Insert { ty, dst: x, vec, elem: Value::Reg(s), lane: k });
+    }
+    b.insts.push(Inst::Un { op, ty, dst: y, a: Value::Reg(x) });
+    for k in 0..LANES {
+        let s = f.new_reg(Type::scalar(STy::F32));
+        b.insts.push(Inst::Extract { ty, dst: s, vec: Value::Reg(y), lane: k });
+        let addr = Value::ImmI(4 * (LANES + k) as i64);
+        b.insts.push(Inst::Store {
+            ty: STy::F32,
+            space: Space::Global,
+            addr,
+            value: Value::Reg(s),
+        });
+    }
+    f.add_block(b);
+    let model = MachineModel::sandybridge_sse();
+    let info = CostInfo::analyze(&f, &model);
+    let program = BytecodeProgram::decode(&f, &FrameLayout::of(&f), &model, &info);
+    let native = jit_compile(&program).expect("a jit_supported() host compiles");
+    assert_eq!(native.emit_stats().helper_uops, 0, "{op:?} left its template");
+    let limits = ExecLimits::default();
+    let global = GlobalMem::new(8 * LANES as usize);
+    let mut out = Vec::with_capacity(inputs.len());
+    for chunk in inputs.chunks(LANES as usize) {
+        for k in 0..LANES as usize {
+            let v = chunk.get(k).copied().unwrap_or(0);
+            global.write::<4>(4 * k as u64, v.to_le_bytes()).unwrap();
+        }
+        let mut ctxs: Vec<ThreadContext> = (0..LANES)
+            .map(|i| ThreadContext::new([i, 0, 0], [LANES, 1, 1], [0; 3], [1, 1, 1]))
+            .collect();
+        let (mut shared, mut local) = (Vec::new(), Vec::new());
+        let mut mem = MemAccess {
+            global: &global,
+            shared: &mut shared,
+            local: &mut local,
+            param: &[],
+            cbank: &[],
+        };
+        let (mut stats, mut frame) = (ExecStats::default(), RegFrame::new());
+        if jit {
+            JitCta::new(mem, &limits, None)
+                .execute_warp(Some(&native), &program, &mut frame, &mut ctxs, 0, &mut stats)
+                .unwrap();
+        } else {
+            execute_warp_bytecode(
+                &program, &mut frame, &mut ctxs, 0, &mut mem, &mut stats, &limits, None,
+            )
+            .unwrap();
+        }
+        for k in 0..chunk.len() as u64 {
+            out.push(u32::from_le_bytes(global.read::<4>(4 * (LANES as u64 + k)).unwrap()));
+        }
+    }
+    out
+}
+
+/// The `fma` known answer: `a·b = 1 + 2^-11 + 2^-24`
+/// lies on an f32 tie, and `c = 2^-80` breaks it upward. Rounded once,
+/// `0x3f801001`; through f64 the `c` is lost and the tie goes to even,
+/// `0x3f801000`. And which NaN wins: `a`'s, then `b`'s, then `c`'s,
+/// quieted.
+#[test]
+fn fma_rounds_once_and_prefers_the_first_nan() {
+    if skip() {
+        return;
+    }
+    let cases: [([u32; 3], u32); 6] = [
+        ([0x3F80_0800, 0x3F80_0800, 0x1780_0000], 0x3F80_1001),
+        ([0x7F81_2345, 0xFFC0_0042, 0x7FC0_1234], 0x7FC1_2345),
+        ([0x3F80_0000, 0xFFA0_0001, 0x7FC0_1234], 0xFFE0_0001),
+        ([0x3F80_0000, 0x4040_0000, 0x7F81_2345], 0x7FC1_2345),
+        ([0xFFC0_0042, 0x7F81_2345, 0x3F80_0000], 0xFFC0_0042),
+        ([0x4040_0000, 0x7FC0_0007, 0xFF81_0000], 0x7FC0_0007),
+    ];
+    for w in WIDTHS {
+        let inputs: Vec<u64> = cases.iter().flat_map(|(abc, _)| abc.map(|v| v as u64)).collect();
+        let mut c = Case::with_edges(STy::F32, w, inputs);
+        let ty = c.ty();
+        for (k, (_, want)) in cases.iter().enumerate() {
+            let kinds: &[Kind] = if w == 1 { &[Kind::Slot] } else { &[Kind::Slot, Kind::Lanes] };
+            for &kind in kinds {
+                // `Lanes` operands rotate: lane 0 holds the case, the
+                // others the cases after it.
+                let [a, b, cc] = [0, 1, 2].map(|i| c.operand(kind, 3 * k + i));
+                let dst = c.f.new_reg(ty);
+                c.blk.insts.push(Inst::Fma { ty, dst, a, b, c: cc });
+                let cell = c.cells;
+                c.observe(format!("fma case {k} {kind:?}"), dst, STy::F32, w);
+                c.ops.last_mut().unwrap().1 += &format!(" want {want:#x}");
+                c.pinned.push((cell, *want as u64));
+            }
+        }
+        c.check();
+    }
+}
+
+/// Global memory of an atomics case: the operand table, then the cells
+/// the atomics update, then one output cell per lane.
+const ATOM_TABLE: usize = 16;
+const ATOM_CELLS: u64 = 8 * ATOM_TABLE as u64;
+const ATOM_OUT: u64 = ATOM_CELLS + 64;
+const ATOM_GLOBAL: usize = ATOM_OUT as usize + 64;
+const ATOM_SHARED: usize = 64;
+
+/// Operand values: signs, width boundaries and a run of small numbers,
+/// so `min`/`max` move both ways and `cas` both hits and misses.
+const ATOM_VALUES: [u64; ATOM_TABLE] = [
+    5,
+    u64::MAX,
+    0x8000_0000,
+    0x7FFF_FFFF,
+    3,
+    0xFFFF_FFFF,
+    1 << 32,
+    9,
+    i64::MIN as u64,
+    4,
+    0xFFFF_FFFE,
+    7,
+    5,
+    1,
+    0x1_0000_0005,
+    2,
+];
+
+/// How a lane's atomic goes wrong, if it does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AtomFault {
+    None,
+    /// Past the end of its space.
+    OutOfBounds,
+    /// Not aligned to its size (only global memory checks).
+    Misaligned,
+}
+
+/// A width-`w` warp's worth of one atomic, as the vectorizer leaves it:
+/// one scalar `Atom` per lane, lane `l` at cell `l` (`shared_cell`: all
+/// at cell 0) with operand `ATOM_VALUES[l]` (and, for `cas`, the value
+/// after it), the cells first filled from the table, every old value
+/// stored to an output cell. Lane `w / 2` may fault.
+fn atom_function(
+    (op, sty, signed, space): (AtomKind, STy, bool, Space),
+    w: u32,
+    shared_cell: bool,
+    fault: AtomFault,
+) -> Function {
+    let mut f = Function::new(format!("atom_{op:?}_{sty}_{signed}_{space:?}_w{w}"), w);
+    let mut b = Block::new("entry");
+    let size = sty.size_bytes() as i64;
+    let base = if space == Space::Global { ATOM_CELLS as i64 } else { 0 };
+    let regs: Vec<VReg> = (0..ATOM_TABLE)
+        .map(|k| {
+            let dst = f.new_reg(Type::scalar(sty));
+            let addr = Value::ImmI(8 * k as i64);
+            b.insts.push(Inst::Load { ty: sty, space: Space::Global, dst, addr });
+            dst
+        })
+        .collect();
+    for l in 0..8 {
+        // Even cells start equal to their lane's operand (a `cas` hit),
+        // odd ones at the operand after it.
+        let value = Value::Reg(regs[(l + l % 2) % ATOM_TABLE]);
+        b.insts.push(Inst::Store { ty: sty, space, addr: Value::ImmI(base + 8 * l as i64), value });
+    }
+    for l in 0..w as usize {
+        let mut addr = base + if shared_cell { 0 } else { 8 * l as i64 };
+        if l == w as usize / 2 {
+            match fault {
+                AtomFault::None => {}
+                AtomFault::OutOfBounds => addr = 1 << 20,
+                AtomFault::Misaligned => addr += size / 2,
+            }
+        }
+        let dst = f.new_reg(Type::scalar(sty));
+        // Alternate immediate and register operands.
+        let a = if l % 2 == 0 { Value::Reg(regs[l]) } else { Value::ImmI(ATOM_VALUES[l] as i64) };
+        let b_op = (op == AtomKind::Cas).then(|| Value::Reg(regs[(l + 1) % ATOM_TABLE]));
+        b.insts.push(Inst::Atom {
+            ty: sty,
+            space,
+            op,
+            signed,
+            dst,
+            addr: Value::ImmI(addr),
+            a,
+            b: b_op,
+        });
+        let out = Value::ImmI((ATOM_OUT + 8 * l as u64) as i64);
+        b.insts.push(Inst::Store {
+            ty: STy::I64,
+            space: Space::Global,
+            addr: out,
+            value: Value::Reg(dst),
+        });
+    }
+    if space != Space::Global {
+        // The shared cells after the atomics, to global memory.
+        for l in 0..8 {
+            let v = f.new_reg(Type::scalar(STy::I64));
+            let addr = Value::ImmI(8 * l as i64);
+            b.insts.push(Inst::Load { ty: STy::I64, space, dst: v, addr });
+            let out = Value::ImmI((ATOM_CELLS + 8 * l as u64) as i64);
+            b.insts.push(Inst::Store {
+                ty: STy::I64,
+                space: Space::Global,
+                addr: out,
+                value: Value::Reg(v),
+            });
+        }
+    }
+    f.add_block(b);
+    f
+}
+
+/// Everything a warp call leaves that a caller can see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    result: Result<WarpOutcome, VmError>,
+    stats: ExecStats,
+    global: Vec<u8>,
+    shared: Vec<u8>,
+}
+
+/// Run `f` as one warp on the JIT (`jit`) or the bytecode engine.
+fn run_atoms(f: &Function, jit: bool) -> Observed {
+    let model = MachineModel::sandybridge_sse();
+    let info = CostInfo::analyze(f, &model);
+    let program = BytecodeProgram::decode(f, &FrameLayout::of(f), &model, &info);
+    let global = GlobalMem::new(ATOM_GLOBAL);
+    for (k, v) in ATOM_VALUES.iter().enumerate() {
+        global.write::<8>(8 * k as u64, v.to_le_bytes()).unwrap();
+    }
+    let (mut shared, mut local) = (vec![0u8; ATOM_SHARED], vec![0u8; ATOM_SHARED]);
+    let mut ctxs: Vec<ThreadContext> = (0..f.warp_size)
+        .map(|i| ThreadContext::new([i, 0, 0], [f.warp_size, 1, 1], [0; 3], [1, 1, 1]))
+        .collect();
+    let mut mem = MemAccess {
+        global: &global,
+        shared: &mut shared,
+        local: &mut local,
+        param: &[],
+        cbank: &[],
+    };
+    let (mut stats, mut frame) = (ExecStats::default(), RegFrame::new());
+    let limits = ExecLimits::default();
+    let result = if jit {
+        let native = jit_compile(&program).expect("a jit_supported() host compiles");
+        assert_eq!(native.emit_stats().helper_uops, 0, "{}: an atomic left its template", f.name);
+        JitCta::new(mem, &limits, None).execute_warp(
+            Some(&native),
+            &program,
+            &mut frame,
+            &mut ctxs,
+            0,
+            &mut stats,
+        )
+    } else {
+        execute_warp_bytecode(
+            &program, &mut frame, &mut ctxs, 0, &mut mem, &mut stats, &limits, None,
+        )
+    };
+    let mut image = vec![0u8; ATOM_GLOBAL];
+    global.copy_out(0, &mut image).unwrap();
+    Observed { result, stats, global: image, shared }
+}
+
+const ATOM_OPS: [AtomKind; 5] =
+    [AtomKind::Add, AtomKind::Min, AtomKind::Max, AtomKind::Exch, AtomKind::Cas];
+/// u32, s32, u64 and s64.
+const ATOM_TYPES: [(STy, bool); 4] =
+    [(STy::I32, false), (STy::I32, true), (STy::I64, false), (STy::I64, true)];
+
+/// Every integer atomic the JIT templates — each operation × u32/s32/u64
+/// × global/shared, lanes on one cell and on their own cells, at every
+/// width — leaves the bytecode engine's old values, cells and stats.
+#[test]
+fn atomics_match_the_bytecode_engine_bit_for_bit() {
+    if skip() {
+        return;
+    }
+    for op in ATOM_OPS {
+        for (sty, signed) in ATOM_TYPES {
+            for space in [Space::Global, Space::Shared] {
+                for w in WIDTHS {
+                    for one_cell in [false, true] {
+                        let f =
+                            atom_function((op, sty, signed, space), w, one_cell, AtomFault::None);
+                        let (want, got) = (run_atoms(&f, false), run_atoms(&f, true));
+                        assert!(want.result.is_ok(), "{}: {:?}", f.name, want.result);
+                        assert_eq!(got, want, "{} (one cell: {one_cell}): jit (left)", f.name);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A lane whose atomic is out of bounds, or misaligned in global
+/// memory, fails on the JIT as on the bytecode engine: the same error,
+/// the same stats, and memory holding exactly the lanes before it.
+#[test]
+fn a_faulting_atomic_lane_fails_like_the_bytecode_engine() {
+    if skip() {
+        return;
+    }
+    for op in ATOM_OPS {
+        for (sty, signed) in ATOM_TYPES {
+            for (space, fault) in [
+                (Space::Global, AtomFault::OutOfBounds),
+                (Space::Global, AtomFault::Misaligned),
+                (Space::Shared, AtomFault::OutOfBounds),
+            ] {
+                for w in WIDTHS {
+                    let f = atom_function((op, sty, signed, space), w, false, fault);
+                    let (want, got) = (run_atoms(&f, false), run_atoms(&f, true));
+                    assert!(want.result.is_err(), "{}: {fault:?} did not fault", f.name);
+                    assert_eq!(got, want, "{} ({fault:?}): jit (left)", f.name);
+                }
+            }
         }
     }
 }

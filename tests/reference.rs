@@ -285,6 +285,43 @@ entry:
     ),
 ];
 
+/// `fma.rn.f32` rounds once: `a = b = 1 + 2^-12` make
+/// `a·b = 1 + 2^-11 + 2^-24`, an f32 tie that `c = 2^-80` breaks
+/// upward. Rounded once that is `0x3f801001`; rounded to f64 first, the
+/// `c` is lost and the tie goes to even, `0x3f801000`. The reference and
+/// every engine at every width must store the first.
+#[test]
+fn f32_fma_rounds_once() {
+    let source = ".kernel refk (.param .u64 buf) {
+  .reg .u32 %s<3>;
+  .reg .u64 %a<3>;
+  .reg .f32 %f<4>;
+entry:
+  ld.param.u64 %a0, [buf];
+  mov.u32 %s0, %tid.x;
+  mad.lo.u32 %s1, %ctaid.x, %ntid.x, %s0;
+  mul.lo.u32 %s2, %s1, 4;
+  cvt.u64.u32 %a1, %s2;
+  add.u64 %a1, %a1, %a0;
+  mov.f32 %f0, 0f3F800800;
+  mov.f32 %f1, 0f3F800800;
+  mov.f32 %f2, 0f17800000;
+  fma.rn.f32 %f3, %f0, %f1, %f2;
+  st.global.f32 [%a1], %f3;
+  ret;
+}";
+    let case = Case { source: source.to_string(), threads: 8, ctas: 2, seed: 0 };
+    let kernel = ptx::parse_kernel(source).unwrap();
+    let want = reference_image(&case, &kernel, 0).expect("the reference runs it");
+    for t in 0..16 {
+        let bits = u32::from_le_bytes(want[4 * t..4 * t + 4].try_into().unwrap());
+        assert_eq!(bits, 0x3F80_1001, "thread {t}: the reference rounded twice");
+    }
+    if let Err(m) = check(&case, None) {
+        panic!("{m:?}");
+    }
+}
+
 #[test]
 fn kernels_the_matrix_once_failed_on_pass() {
     for (seed, threads, source) in REGRESSIONS {

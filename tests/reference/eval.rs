@@ -10,7 +10,9 @@
 //! registers hold values zero-extended to their width; f32 operations
 //! widen to f64, compute once and narrow (so an f32 sNaN comes back
 //! quieted, `neg`/`abs` included); an arithmetic NaN result propagates
-//! the first NaN operand, quieted; `fma` rounds once; float → integer
+//! the first NaN operand, quieted; `fma` rounds once, an f32 one to f32.
+//! The one import is `dpvk::vm::approx`, the definition of the f32
+//! `sin`/`cos`/`ex2`/`lg2`, which exists once by design; float → integer
 //! conversions truncate, saturate at 64 bits and wrap to the width; shift
 //! amounts wrap at the width.
 //!
@@ -23,6 +25,7 @@ use dpvk::ptx::{
     Address, AddressBase, AddressSpace, AtomOp, CmpOp, Dim, Instruction, Kernel, MulHalf, Opcode,
     Operand, ScalarType, SpecialReg, VoteMode,
 };
+use dpvk::vm::approx;
 
 /// One launch of a kernel: its geometry and parameter buffer. `global`
 /// memory is the byte range `[base, base + len)` of the caller's image.
@@ -344,6 +347,15 @@ impl Cta<'_, '_> {
                     p
                 }
             }
+            Opcode::Fma | Opcode::Mad if ty == ScalarType::F32 => {
+                let [x, y, z] = [0, 1, 2].map(|i| f32::from_bits(src(self, t, i) as u32));
+                // Rounded once, to f32; a NaN result is the first NaN
+                // operand's.
+                let r = x.mul_add(y, z);
+                let nan = [x, y, z].into_iter().find(|v| v.is_nan());
+                let quiet32 = |v: f32| f32::from_bits(v.to_bits() | 1 << 22);
+                (if r.is_nan() { nan.map_or(r, quiet32) } else { r }).to_bits() as u64
+            }
             Opcode::Fma | Opcode::Mad if float => {
                 let [x, y, z] = [0, 1, 2].map(|i| f_of(src(self, t, i), ty));
                 // Rounded once; a NaN result is the first NaN operand's.
@@ -364,6 +376,19 @@ impl Cta<'_, '_> {
 fn unary(op: &Opcode, ty: ScalarType, a: u64) -> u64 {
     if ty.is_float() {
         let f = |g: fn(f64) -> f64| f_enc(g(f_of(a, ty)), ty);
+        if ty == ScalarType::F32 {
+            // The f32 transcendentals have one definition, dpvk's own.
+            let approx: Option<fn(f32) -> f32> = match op {
+                Opcode::Sin => Some(approx::sin),
+                Opcode::Cos => Some(approx::cos),
+                Opcode::Ex2 => Some(approx::ex2),
+                Opcode::Lg2 => Some(approx::lg2),
+                _ => None,
+            };
+            if let Some(g) = approx {
+                return g(f32::from_bits(a as u32)).to_bits() as u64;
+            }
+        }
         return match op {
             Opcode::Neg => f(|x| -x),
             Opcode::Abs => f(f64::abs),

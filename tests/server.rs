@@ -151,6 +151,20 @@ fn register_launch_read_back_round_trip() {
     handle.shutdown();
 }
 
+/// Ill-typed PTX — f32 arithmetic on u32 registers — is refused at
+/// `Register` with the typed `ptx` error.
+#[test]
+fn ill_typed_ptx_is_refused_at_register() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let src =
+        ".kernel ill (.param .u64 data) { .reg .u32 %r<3>; entry: add.f32 %r0, %r1, %r2; ret; }";
+    let resp = client.register("acme", src).unwrap();
+    let (retryable, _) = expect_error(&resp, "ptx");
+    assert!(!retryable);
+    handle.shutdown();
+}
+
 #[test]
 fn repeated_launches_reuse_pooled_buffers_and_stay_correct() {
     // A long-lived serving process must not leak device heap per request
