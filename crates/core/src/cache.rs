@@ -451,13 +451,11 @@ impl TranslationCache {
         let disk = disk.filter(|_| {
             crate::faults::injected_specialize_failure(kernel, warp_size, variant).is_none()
         });
-        let mut fusion = None;
         let SpecArtifact { function, pre_opt_instructions, post_opt_instructions } =
             match disk.as_ref().and_then(|(ps, id)| self.load_persisted(ps, id)) {
                 Some(art) => art,
                 None => {
                     let s = self.specialize_checked(&tk, kernel, warp_size, variant)?;
-                    fusion = Some(s.fusion);
                     let art = SpecArtifact {
                         function: s.function,
                         pre_opt_instructions: s.pre_opt_instructions,
@@ -478,30 +476,10 @@ impl TranslationCache {
         // Arc per compile): the µop profiler may be switched on after
         // this specialization is already cached.
         bytecode.attach_profile(kernel, variant.label());
-        // The decoder re-derives fusion legality per pair; the
-        // specializer's static summary bounds what it may form.
-        if let Some(fusion) = fusion {
-            debug_assert!(
-                bytecode.stats.fused_cmp_br <= fusion.cmp_br_candidates,
-                "decoder fused {} compare-branches but only {} are legal",
-                bytecode.stats.fused_cmp_br,
-                fusion.cmp_br_candidates,
-            );
-            debug_assert!(
-                bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin
-                    <= fusion.pair_candidates,
-                "decoder fused {} pairs but only {} are legal",
-                bytecode.stats.fused_bin_bin + bytecode.stats.fused_load_bin,
-                fusion.pair_candidates,
-            );
-        }
         let decode_ns = decode_t.elapsed().as_nanos() as u64;
         self.shared.stats.decode_ns.fetch_add(decode_ns, Relaxed);
         if let Some(s) = decode_span {
             dpvk_trace::add(dpvk_trace::Counter::GuestDecodeNs, decode_ns);
-            dpvk_trace::add(dpvk_trace::Counter::FusedCmpBr, bytecode.stats.fused_cmp_br);
-            dpvk_trace::add(dpvk_trace::Counter::FusedBinBin, bytecode.stats.fused_bin_bin);
-            dpvk_trace::add(dpvk_trace::Counter::FusedLoadBin, bytecode.stats.fused_load_bin);
             flight::emit_span(SpanKind::Decode, kernel, s, bytecode.stats.ops);
         }
         let compiled = Arc::new(CompiledKernel {

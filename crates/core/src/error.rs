@@ -1,6 +1,7 @@
 //! Errors of the dynamic compilation pipeline and runtime.
 
 use std::fmt;
+use std::ops::RangeBounds;
 
 use dpvk_ir::VerifyError;
 use dpvk_ptx::PtxError;
@@ -55,14 +56,28 @@ impl fmt::Display for InvalidEnvValue {
 
 impl std::error::Error for InvalidEnvValue {}
 
-/// Read an integer knob from the environment. `Ok(None)` when unset;
-/// panics (startup configuration bug) when set to something unparsable.
-pub(crate) fn env_u64(var: &'static str, expected: &'static str) -> Option<u64> {
-    let value = std::env::var(var).ok()?;
+/// Parse `value`, the setting of knob `var`, as an integer in `range`.
+pub(crate) fn parse_u64(
+    var: &'static str,
+    value: String,
+    expected: &'static str,
+    range: impl RangeBounds<u64>,
+) -> Result<u64, InvalidEnvValue> {
     match value.parse() {
-        Ok(v) => Some(v),
-        Err(_) => panic!("{var}: {}", InvalidEnvValue { var, value, expected }),
+        Ok(v) if range.contains(&v) => Ok(v),
+        _ => Err(InvalidEnvValue { var, value, expected }),
     }
+}
+
+/// Read an integer knob in `range` from the environment. `None` when
+/// unset; panics (startup configuration bug) when set to anything else.
+pub(crate) fn env_u64(
+    var: &'static str,
+    expected: &'static str,
+    range: impl RangeBounds<u64>,
+) -> Option<u64> {
+    let value = std::env::var(var).ok()?;
+    Some(parse_u64(var, value, expected, range).unwrap_or_else(|e| panic!("{var}: {e}")))
 }
 
 /// Error from translation, vectorization, caching or kernel execution.
@@ -261,6 +276,17 @@ mod tests {
         let s = e.to_string();
         for needle in ["vecadd", "CTA 3", "entry 2", "[4, 5, 6, 7]", "division"] {
             assert!(s.contains(needle), "missing `{needle}` in `{s}`");
+        }
+    }
+
+    #[test]
+    fn integer_knobs_refuse_what_does_not_parse_or_lies_outside_their_range() {
+        let pool = |v: &str| parse_u64("DPVK_POOL_WORKERS", v.into(), "a count (1..=256)", 1..=256);
+        assert_eq!(pool("1"), Ok(1));
+        assert_eq!(pool("256"), Ok(256));
+        for bad in ["0", "257", "1000", "-1", "abc", ""] {
+            let e = pool(bad).expect_err(bad);
+            assert_eq!(e.to_string(), format!("invalid value `{bad}`: expected a count (1..=256)"));
         }
     }
 

@@ -468,6 +468,10 @@ pub(crate) fn submit(
             .min(cta_count as usize)
             .max(1);
 
+    // The first launch creates the pool, which panics on a bad
+    // `DPVK_POOL_WORKERS`: do that before the gauge counts this launch,
+    // or the unwinding device's drop waits for it forever.
+    let pool = worker::pool();
     let max_warp = req.config.max_warp;
     let job = Arc::new(LaunchJob {
         tk,
@@ -491,7 +495,7 @@ pub(crate) fn submit(
     dpvk_trace::add(dpvk_trace::Counter::LaunchesSubmitted, 1);
     match &job.stream {
         Some(stream) => stream.submit_ordered(Arc::clone(&job)),
-        None => worker::pool().enqueue(Arc::clone(&job)),
+        None => pool.enqueue(Arc::clone(&job)),
     }
     Ok(LaunchHandle { job })
 }

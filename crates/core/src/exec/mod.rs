@@ -68,9 +68,9 @@ pub enum FormationPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The pre-decoded linear-bytecode engine (default): operands
-    /// resolved to frame slots at compile time, hot pairs fused, inner
-    /// loop a flat `match` over µops. The one executable definition of
-    /// modeled cycles.
+    /// resolved to frame slots at compile time, per-lane glue runs
+    /// fused, inner loop a flat `match` over µops. The one executable
+    /// definition of modeled cycles.
     #[default]
     Bytecode,
     /// The native tier: the µop stream copy-and-patch compiled to
@@ -309,7 +309,7 @@ impl AdaptConfig {
                     Err(e) => panic!("DPVK_ADAPT: {e}"),
                 }
             }
-            if let Some(t) = crate::error::env_u64("DPVK_ADAPT_THRESHOLD", "a launch count") {
+            if let Some(t) = crate::error::env_u64("DPVK_ADAPT_THRESHOLD", "a launch count", ..) {
                 cfg = cfg.with_threshold(u32::try_from(t).unwrap_or(u32::MAX));
             }
             if let Ok(value) = std::env::var("DPVK_ADAPT_WIDTHS") {

@@ -129,12 +129,13 @@ pub(crate) fn pool() -> &'static WorkerPool {
 /// available parallelism but at least 4, so a default-config launch on
 /// either 4-core model has a worker per chunk.
 fn pool_size() -> usize {
-    // An unparsable value is a startup configuration bug and panics
-    // (same contract as `DPVK_ENGINE`), it is never silently ignored.
-    if let Some(n) = crate::error::env_u64("DPVK_POOL_WORKERS", "a worker count (1..=256)") {
-        return usize::try_from(n).unwrap_or(usize::MAX).clamp(1, 256);
+    // A value that does not parse or lies outside 1..=256 is a startup
+    // configuration bug and panics (same contract as `DPVK_ENGINE`); it
+    // is never silently clamped or ignored.
+    match crate::error::env_u64("DPVK_POOL_WORKERS", "a worker count (1..=256)", 1..=256) {
+        Some(n) => n as usize,
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()).max(4),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get()).max(4)
 }
 
 /// One worker thread: park until a chunk is available, run it, flush

@@ -100,7 +100,7 @@ impl PersistConfig {
     pub fn from_env() -> Option<Self> {
         // Read first: a malformed cap is a startup error even when no
         // directory is named.
-        let cap_bytes = crate::error::env_u64("DPVK_CACHE_CAP", "a size cap in bytes")
+        let cap_bytes = crate::error::env_u64("DPVK_CACHE_CAP", "a size cap in bytes", ..)
             .unwrap_or(DEFAULT_CAP_BYTES);
         let dir = PathBuf::from(std::env::var_os("DPVK_CACHE_DIR")?);
         Some(PersistConfig { dir, cap_bytes })

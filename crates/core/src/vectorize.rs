@@ -118,58 +118,6 @@ pub struct Specialized {
     pub post_opt_instructions: usize,
     /// Pipeline statistics.
     pub opt_stats: ir::opt::OptStats,
-    /// Fusion-legality summary for the bytecode decoder.
-    pub fusion: FusionInfo,
-}
-
-/// Static upper bounds on the superinstructions the bytecode decoder may
-/// legally form from a specialized body, computed here where the final
-/// (post-optimization) def-use structure is known. The decoder re-derives
-/// legality per pair from the same rules; these totals let the cache
-/// cross-check that it never fuses beyond what the specializer deems
-/// legal, and feed the fusion-effectiveness trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionInfo {
-    /// Blocks ending in a scalar `Cmp` whose result directly conditions
-    /// the block's `CondBr` — candidates for compare-branch fusion.
-    pub cmp_br_candidates: u64,
-    /// Adjacent scalar pairs where the first (a `Bin` or `Load`) feeds
-    /// the immediately following scalar `Bin` — candidates for pair
-    /// fusion.
-    pub pair_candidates: u64,
-}
-
-/// Scan a specialized function for statically fusible pairs.
-fn fusion_info(f: &Function) -> FusionInfo {
-    let mut info = FusionInfo::default();
-    for block in &f.blocks {
-        for pair in block.insts.windows(2) {
-            let feeds =
-                |second: &Inst, dst: VReg| second.uses().iter().any(|u| u.as_reg() == Some(dst));
-            match (&pair[0], &pair[1]) {
-                (Inst::Bin { ty, dst, .. }, Inst::Bin { ty: ty2, .. })
-                    if !ty.is_vector() && !ty2.is_vector() && feeds(&pair[1], *dst) =>
-                {
-                    info.pair_candidates += 1;
-                }
-                // Loads are always scalar-typed.
-                (Inst::Load { dst, .. }, Inst::Bin { ty: ty2, .. })
-                    if !ty2.is_vector() && feeds(&pair[1], *dst) =>
-                {
-                    info.pair_candidates += 1;
-                }
-                _ => {}
-            }
-        }
-        if let (Some(Inst::Cmp { ty, dst, .. }), Term::CondBr { cond, .. }) =
-            (block.insts.last(), &block.term)
-        {
-            if !ty.is_vector() && cond.as_reg() == Some(*dst) {
-                info.cmp_br_candidates += 1;
-            }
-        }
-    }
-    info
 }
 
 /// Where a scalar register's value lives in the specialized function.
@@ -1191,14 +1139,7 @@ pub fn specialize(
         });
     }
 
-    let fusion = fusion_info(&out);
-    Ok(Specialized {
-        function: out,
-        pre_opt_instructions,
-        post_opt_instructions,
-        opt_stats,
-        fusion,
-    })
+    Ok(Specialized { function: out, pre_opt_instructions, post_opt_instructions, opt_stats })
 }
 
 /// Width-1 clone of a scalar instruction with register renaming.

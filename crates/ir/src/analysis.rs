@@ -98,7 +98,7 @@ impl Liveness {
 
 /// Number of uses of each register across the whole function (including
 /// terminators).
-pub fn use_counts(f: &Function) -> Vec<u32> {
+pub(crate) fn use_counts(f: &Function) -> Vec<u32> {
     let mut counts = vec![0u32; f.regs.len()];
     for b in &f.blocks {
         for inst in &b.insts {

@@ -60,7 +60,7 @@ mod verify;
 pub mod opt;
 pub mod serial;
 
-pub use analysis::{use_counts, Liveness};
+pub use analysis::Liveness;
 pub use function::{Block, BlockKind, Function};
 pub use inst::{
     AtomKind, BinOp, BlockId, CmpPred, CtxField, Inst, ReduceOp, ResumeStatus, Space, Term, UnOp,

@@ -79,20 +79,45 @@ pub fn disable() {
 /// (`1`, `true`, `on`, `yes`). Idempotent; the variable is read once per
 /// process so repeated calls cost one `Once` check. Also applies the
 /// `DPVK_TRACE_UOPS` opt-out for the µop profiler (see
-/// [`profile::set_uop_profiling`]).
+/// [`profile::set_uop_profiling`]) and reads [`event_capacity`].
+///
+/// # Panics
+///
+/// Panics when either variable is set to anything but a truthy value or
+/// a falsy one (`0`, `false`, `off`, `no`), or `DPVK_TRACE_EVENTS` to
+/// anything but an unsigned integer: a mistyped knob is a configuration
+/// bug, not a request for the default.
 pub fn init_from_env() {
     ENV_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("DPVK_TRACE") {
-            if matches!(v.as_str(), "1" | "true" | "on" | "yes") {
-                enable();
-            }
+        // Here rather than at the first event, which a worker records.
+        event_capacity();
+        let flag = |var, default| {
+            parse_flag(var, std::env::var(var).ok().as_deref(), default)
+                .unwrap_or_else(|e| panic!("{e}"))
+        };
+        if flag("DPVK_TRACE", false) {
+            enable();
         }
-        if let Ok(v) = std::env::var("DPVK_TRACE_UOPS") {
-            if matches!(v.as_str(), "0" | "false" | "off" | "no") {
-                profile::set_uop_profiling(false);
-            }
+        if !flag("DPVK_TRACE_UOPS", true) {
+            profile::set_uop_profiling(false);
         }
     });
+}
+
+/// The message of a knob set to a value it does not take, in the format
+/// of `dpvk_core::InvalidEnvValue` (this crate sits below `dpvk-core`).
+fn invalid_env(var: &str, value: &str, expected: &str) -> String {
+    format!("{var}: invalid value `{value}`: expected {expected}")
+}
+
+/// An on/off knob `var` set to `v`: `default` when unset.
+fn parse_flag(var: &str, v: Option<&str>, default: bool) -> Result<bool, String> {
+    match v {
+        None => Ok(default),
+        Some("1" | "true" | "on" | "yes") => Ok(true),
+        Some("0" | "false" | "off" | "no") => Ok(false),
+        Some(v) => Err(invalid_env(var, v, "1/true/on/yes or 0/false/off/no")),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -174,12 +199,6 @@ pub enum Counter {
     /// to the bytecode interpreter (unsupported host, emit failure, or
     /// µop-profiling active).
     JitFallbackWarps,
-    /// `Cmp`+`CondBr` pairs fused into compare-branch µops at decode.
-    FusedCmpBr,
-    /// Scalar `Bin`+`Bin` chains fused into one µop at decode.
-    FusedBinBin,
-    /// Scalar `Load`+`Bin` pairs fused into one µop at decode.
-    FusedLoadBin,
     /// Launches accepted by a worker pool (async or blocking).
     LaunchesSubmitted,
     /// Launches whose every chunk completed (result observable).
@@ -249,7 +268,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 56] = [
+    pub const ALL: [Counter; 53] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -280,9 +299,6 @@ impl Counter {
         Counter::JitTemplateUops,
         Counter::JitHelperUops,
         Counter::JitFallbackWarps,
-        Counter::FusedCmpBr,
-        Counter::FusedBinBin,
-        Counter::FusedLoadBin,
         Counter::LaunchesSubmitted,
         Counter::LaunchesRetired,
         Counter::StreamQueuePeak,
@@ -341,9 +357,6 @@ impl Counter {
             Counter::JitTemplateUops => "jit_template_uops",
             Counter::JitHelperUops => "jit_helper_uops",
             Counter::JitFallbackWarps => "jit_fallback_warps",
-            Counter::FusedCmpBr => "fused_cmp_br",
-            Counter::FusedBinBin => "fused_bin_bin",
-            Counter::FusedLoadBin => "fused_load_bin",
             Counter::LaunchesSubmitted => "launches_submitted",
             Counter::LaunchesRetired => "launches_retired",
             Counter::StreamQueuePeak => "stream_queue_peak",
@@ -569,19 +582,31 @@ pub enum Event {
 /// [16, 4Mi]; read once per process — see [`event_capacity`]).
 pub const EVENT_CAPACITY: usize = 4096;
 
-fn parse_event_capacity(v: Option<&str>) -> usize {
-    v.and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(16, 1 << 22))
-        .unwrap_or(EVENT_CAPACITY)
+/// `DPVK_TRACE_EVENTS` set to `v`: [`EVENT_CAPACITY`] when unset, a
+/// size clamped to [16, 4Mi] when it parses, an error otherwise.
+fn parse_event_capacity(v: Option<&str>) -> Result<usize, String> {
+    let Some(v) = v else { return Ok(EVENT_CAPACITY) };
+    match v.trim().parse::<usize>() {
+        Ok(n) => Ok(n.clamp(16, 1 << 22)),
+        Err(_) => Err(invalid_env("DPVK_TRACE_EVENTS", v, "an event count")),
+    }
 }
 
-/// Effective event-ring capacity: `DPVK_TRACE_EVENTS` if set to a valid
-/// size (clamped to [16, 4Mi]), else [`EVENT_CAPACITY`]. Long
-/// stream-stress runs that used to silently overflow the default ring
-/// can raise it without a rebuild.
+/// Effective event-ring capacity: `DPVK_TRACE_EVENTS` if set (clamped to
+/// [16, 4Mi]), else [`EVENT_CAPACITY`]. Long stream-stress runs that
+/// used to silently overflow the default ring can raise it without a
+/// rebuild.
+///
+/// # Panics
+///
+/// Panics at the first call when `DPVK_TRACE_EVENTS` is set to anything
+/// but an unsigned integer.
 pub fn event_capacity() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| parse_event_capacity(std::env::var("DPVK_TRACE_EVENTS").ok().as_deref()))
+    *CAP.get_or_init(|| {
+        parse_event_capacity(std::env::var("DPVK_TRACE_EVENTS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 /// Per-`(kernel, warp_size, variant)` vectorizer effectiveness record.
@@ -1191,12 +1216,32 @@ mod tests {
 
     #[test]
     fn event_capacity_parses_and_clamps() {
-        assert_eq!(parse_event_capacity(None), EVENT_CAPACITY);
-        assert_eq!(parse_event_capacity(Some("not a number")), EVENT_CAPACITY);
-        assert_eq!(parse_event_capacity(Some("65536")), 65536);
-        assert_eq!(parse_event_capacity(Some(" 8192 ")), 8192);
-        assert_eq!(parse_event_capacity(Some("1")), 16, "clamped to the floor");
-        assert_eq!(parse_event_capacity(Some("999999999999")), 1 << 22, "clamped to the cap");
+        assert_eq!(parse_event_capacity(None), Ok(EVENT_CAPACITY));
+        assert_eq!(
+            parse_event_capacity(Some("not a number")),
+            Err("DPVK_TRACE_EVENTS: invalid value `not a number`: expected an event count".into())
+        );
+        assert!(parse_event_capacity(Some("-5")).is_err());
+        assert_eq!(parse_event_capacity(Some("65536")), Ok(65536));
+        assert_eq!(parse_event_capacity(Some(" 8192 ")), Ok(8192));
+        assert_eq!(parse_event_capacity(Some("1")), Ok(16), "clamped to the floor");
+        assert_eq!(parse_event_capacity(Some("999999999999")), Ok(1 << 22), "clamped to the cap");
+    }
+
+    #[test]
+    fn trace_flags_take_on_or_off_and_refuse_anything_else() {
+        for (v, want) in [("1", true), ("true", true), ("yes", true), ("0", false), ("off", false)]
+        {
+            assert_eq!(parse_flag("DPVK_TRACE", Some(v), !want), Ok(want), "{v}");
+        }
+        assert_eq!(parse_flag("DPVK_TRACE", None, false), Ok(false));
+        assert_eq!(parse_flag("DPVK_TRACE_UOPS", None, true), Ok(true));
+        assert_eq!(
+            parse_flag("DPVK_TRACE", Some("2"), false),
+            Err("DPVK_TRACE: invalid value `2`: expected 1/true/on/yes or 0/false/off/no".into())
+        );
+        assert!(parse_flag("DPVK_TRACE_UOPS", Some("nope"), true).is_err());
+        assert!(parse_flag("DPVK_TRACE", Some(""), false).is_err());
     }
 
     #[test]

@@ -341,7 +341,7 @@ pub fn default_folded_path() -> PathBuf {
 mod tests {
     use super::*;
 
-    const NAMES: [&str; 3] = ["bin", "cmp_br", "ret"];
+    const NAMES: [&str; 3] = ["bin", "copy_run", "ret"];
     const FUSED: [bool; 3] = [false, true, false];
 
     fn sample<'a>(hits: &'a [u64], cycles: &'a [u64], path: &'static str) -> UopSample<'a> {
@@ -375,7 +375,7 @@ mod tests {
         assert_eq!(portable.rows[0].hits, 20);
         assert_eq!(portable.rows[0].cycles, 80);
         assert_eq!(portable.rows[0].static_ops, 2);
-        assert_eq!(portable.rows[1].uop, "cmp_br");
+        assert_eq!(portable.rows[1].uop, "copy_run");
         assert!(portable.rows[1].fused);
         assert_eq!(total_cycles(), 144 + 6);
         let top = hotspots(1);

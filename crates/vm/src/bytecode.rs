@@ -150,8 +150,6 @@ pub(crate) enum BSrc {
     Slot(u32),
     /// Vector register: lane `i` reads slot `base + i`.
     Lanes(u32),
-    /// The value produced by the previous component of a fused µop.
-    Prev,
 }
 
 /// A resolved destination: scalar results broadcast-fill all `w` declared
@@ -184,7 +182,7 @@ pub(crate) enum SwitchVal {
 /// One fixed-size µop.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Op {
-    /// Charges applied when the µop (or its first fused component) issues.
+    /// Charges applied when the µop (or each component of a run) issues.
     pub meta: OpMeta,
     /// Operation payload.
     pub kind: OpKind,
@@ -193,9 +191,8 @@ pub(crate) struct Op {
 impl Op {
     /// Everything this µop's `charge!` calls add up to when it runs to
     /// completion, from component `from` on: one `meta` per component,
-    /// plus the second meta of a fused pair. A terminator's retire (its
-    /// own tick and cost) is not a `charge!` and is not counted; the
-    /// compare half of a `CmpBr` is.
+    /// plus a `StoreRun`'s store meta. A terminator's retire (its own
+    /// tick and cost) is not a `charge!` and is not counted.
     pub(crate) fn charge_from(&self, from: u32) -> Charge {
         match self.kind {
             OpKind::CopyRun { n, .. }
@@ -203,9 +200,6 @@ impl Op {
             | OpKind::CtxReadRun { n, .. } => Charge::of(self.meta, n - from),
             OpKind::StoreRun { n, smeta, .. } => {
                 Charge::of(self.meta, n - from).plus(Charge::of(smeta, n - from))
-            }
-            OpKind::BinBin { meta2, .. } | OpKind::LoadBin { meta2, .. } => {
-                Charge::of(self.meta, 1).plus(Charge::of(meta2, 1))
             }
             OpKind::Br { .. }
             | OpKind::CondBr { .. }
@@ -219,17 +213,13 @@ impl Op {
     pub(crate) fn is_terminator(&self) -> bool {
         matches!(
             self.kind,
-            OpKind::CmpBr { .. }
-                | OpKind::Br { .. }
-                | OpKind::CondBr { .. }
-                | OpKind::Switch { .. }
-                | OpKind::Ret { .. }
+            OpKind::Br { .. } | OpKind::CondBr { .. } | OpKind::Switch { .. } | OpKind::Ret { .. }
         )
     }
 }
 
 /// µop payloads. Straight-line µops advance `pc` by one; terminator µops
-/// (and the fused compare-branch) retire the block and jump.
+/// retire the block and jump.
 #[derive(Debug, Clone, Copy)]
 #[allow(clippy::enum_variant_names)]
 pub(crate) enum OpKind {
@@ -286,52 +276,6 @@ pub(crate) enum OpKind {
     /// instruction, then errors.
     Unsupported { what: &'static str },
 
-    /// Fused scalar compare + conditional branch (superinstruction).
-    /// `dst: None` when the predicate register has no other use.
-    CmpBr {
-        pred: CmpPred,
-        sty: STy,
-        signed: bool,
-        a: BSrc,
-        b: BSrc,
-        dst: Option<BDst>,
-        taken: u32,
-        fall: u32,
-        term: TermInfo,
-    },
-    /// Fused scalar `Bin`+`Bin` chain (FMA-shaped and address-arithmetic
-    /// pairs); the second component reads the first through [`BSrc::Prev`].
-    BinBin {
-        op1: BinOp,
-        sty1: STy,
-        sg1: bool,
-        a1: BSrc,
-        b1: BSrc,
-        dst1: Option<BDst>,
-        op2: BinOp,
-        sty2: STy,
-        sg2: bool,
-        a2: BSrc,
-        b2: BSrc,
-        dst2: BDst,
-        meta2: OpMeta,
-    },
-    /// Fused scalar `Load`+`Bin` where the loaded value feeds the next
-    /// instruction.
-    LoadBin {
-        sty1: STy,
-        space: Space,
-        addr: BSrc,
-        dst1: Option<BDst>,
-        op2: BinOp,
-        sty2: STy,
-        sg2: bool,
-        a2: BSrc,
-        b2: BSrc,
-        dst2: BDst,
-        meta2: OpMeta,
-    },
-
     /// Fused register-copy run (superinstruction): component `i` copies
     /// slot `src + i*sstride` to slot `dst + i`. Covers `Extract` lane
     /// spreads, `Insert` packs (via `prefill`, replayed after the first
@@ -372,7 +316,7 @@ pub(crate) enum OpKind {
 }
 
 /// Number of distinct µop opcodes ([`OpKind`] variants).
-pub(crate) const N_UOPS: usize = 32;
+pub(crate) const N_UOPS: usize = 29;
 
 /// Stable snake_case µop names, indexed by [`OpKind::opcode`]. The
 /// profiler's reports and collapsed-stack output use these.
@@ -398,9 +342,6 @@ pub(crate) static UOP_NAMES: [&str; N_UOPS] = [
     "mov_vec",
     "mov_scalar",
     "unsupported",
-    "cmp_br",
-    "bin_bin",
-    "load_bin",
     "copy_run",
     "load_run",
     "store_run",
@@ -415,9 +356,9 @@ pub(crate) static UOP_NAMES: [&str; N_UOPS] = [
 /// like [`UOP_NAMES`].
 pub(crate) static UOP_FUSED: [bool; N_UOPS] = {
     let mut fused = [false; N_UOPS];
-    // CmpBr, BinBin, LoadBin, CopyRun, LoadRun, StoreRun, CtxReadRun.
+    // CopyRun, LoadRun, StoreRun, CtxReadRun.
     let mut i = 21;
-    while i <= 27 {
+    while i <= 24 {
         fused[i] = true;
         i += 1;
     }
@@ -451,17 +392,14 @@ impl OpKind {
             OpKind::MovVec { .. } => 18,
             OpKind::MovScalar { .. } => 19,
             OpKind::Unsupported { .. } => 20,
-            OpKind::CmpBr { .. } => 21,
-            OpKind::BinBin { .. } => 22,
-            OpKind::LoadBin { .. } => 23,
-            OpKind::CopyRun { .. } => 24,
-            OpKind::LoadRun { .. } => 25,
-            OpKind::StoreRun { .. } => 26,
-            OpKind::CtxReadRun { .. } => 27,
-            OpKind::Br { .. } => 28,
-            OpKind::CondBr { .. } => 29,
-            OpKind::Switch { .. } => 30,
-            OpKind::Ret { .. } => 31,
+            OpKind::CopyRun { .. } => 21,
+            OpKind::LoadRun { .. } => 22,
+            OpKind::StoreRun { .. } => 23,
+            OpKind::CtxReadRun { .. } => 24,
+            OpKind::Br { .. } => 25,
+            OpKind::CondBr { .. } => 26,
+            OpKind::Switch { .. } => 27,
+            OpKind::Ret { .. } => 28,
         }
     }
 
@@ -506,7 +444,7 @@ pub(crate) trait UopSink {
     /// following [`charge`](Self::charge) calls attribute to.
     fn note_op(&mut self, kind: &OpKind) -> usize;
     /// Attribute `cycles` modeled cycles to opcode `opc` (called by the
-    /// charge/retire macros, including per fused component).
+    /// charge/retire macros, including per run component).
     fn charge(&mut self, opc: usize, cycles: u32);
 }
 
@@ -563,18 +501,22 @@ pub(crate) struct ProfileTag {
     pub variant: &'static str,
 }
 
-/// Decode-time tallies: µop counts and superinstruction fusion hits.
+/// Decode-time tallies: µop counts and run fusion hits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// µops emitted.
     pub ops: u64,
     /// Source instructions plus terminators covered by those µops.
     pub source_insts: u64,
-    /// `Cmp`+`CondBr` pairs fused into a compare-branch.
+    /// Always 0: the decoder fuses no compare-branch. Kept only because
+    /// the benchmark's layer pass still reads it; the next benchmark
+    /// change removes it together with `vm.decode.fused_uops`.
     pub fused_cmp_br: u64,
-    /// Scalar `Bin`+`Bin` chains fused.
+    /// Always 0: the decoder fuses no `Bin`+`Bin` chain. Removed with
+    /// [`fused_cmp_br`](Self::fused_cmp_br).
     pub fused_bin_bin: u64,
-    /// Scalar `Load`+`Bin` pairs fused.
+    /// Always 0: the decoder fuses no `Load`+`Bin` pair. Removed with
+    /// [`fused_cmp_br`](Self::fused_cmp_br).
     pub fused_load_bin: u64,
     /// Per-lane glue runs (`Extract`/`Insert`/`Load`/`Store`/`Mov`/
     /// `CtxRead` sequences) collapsed into run superinstructions.
@@ -654,7 +596,7 @@ impl BytecodeProgram {
             BSrc::Lanes(o) => {
                 assert!(o as usize + w.max(1) as usize <= slots, "lanes {o}+{w} out of {slots}")
             }
-            BSrc::Imm(_) | BSrc::Prev => {}
+            BSrc::Imm(_) => {}
         };
         let dst = |d: BDst| {
             assert!(d.off as usize + d.w.max(1) as usize <= slots, "dst {d:?} out of {slots}")
@@ -739,34 +681,6 @@ impl BytecodeProgram {
                     src(BSrc::Slot(slot), 1);
                 }
                 OpKind::SetStatus { .. } | OpKind::Unsupported { .. } => {}
-                OpKind::CmpBr { a, b, dst: d, taken, fall, .. } => {
-                    src(a, 1);
-                    src(b, 1);
-                    if let Some(d) = d {
-                        dst(d);
-                    }
-                    target(taken);
-                    target(fall);
-                }
-                OpKind::BinBin { a1, b1, dst1, a2, b2, dst2, .. } => {
-                    src(a1, 1);
-                    src(b1, 1);
-                    src(a2, 1);
-                    src(b2, 1);
-                    if let Some(d) = dst1 {
-                        dst(d);
-                    }
-                    dst(dst2);
-                }
-                OpKind::LoadBin { addr, dst1, a2, b2, dst2, .. } => {
-                    src(addr, 1);
-                    src(a2, 1);
-                    src(b2, 1);
-                    if let Some(d) = dst1 {
-                        dst(d);
-                    }
-                    dst(dst2);
-                }
                 OpKind::CopyRun { n, src: s, sstride, dst: d, prefill } => {
                     run(s, n, sstride);
                     run(d, n, 1);
@@ -834,6 +748,15 @@ impl BytecodeProgram {
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
+
+    /// Source instructions, terminators included, that each µop covers,
+    /// in stream order: the watchdog ticks it takes when it runs to
+    /// completion. A lane run covers its components (two per lane for a
+    /// `StoreRun`: the address extract and the store); every other µop
+    /// covers one.
+    pub fn insts_per_uop(&self) -> impl Iterator<Item = u64> + '_ {
+        self.code.iter().map(|op| op.charge_from(0).ticks + op.is_terminator() as u64)
+    }
 }
 
 // The accessors below skip slice bounds checks: every `BSrc`/`BDst`
@@ -843,17 +766,15 @@ impl BytecodeProgram {
 // per guest instruction on the hot paths, which is why they are elided
 // rather than left to the optimizer.
 
-/// Lane `i` of a resolved operand; width-1 slots broadcast and `Prev`
-/// yields the fused predecessor's value.
+/// Lane `i` of a resolved operand; width-1 slots broadcast.
 #[inline(always)]
-pub(crate) fn lane(regs: &[u64], s: BSrc, i: usize, prev: u64) -> u64 {
+pub(crate) fn lane(regs: &[u64], s: BSrc, i: usize) -> u64 {
     match s {
         BSrc::Imm(v) => v,
         // SAFETY: slot/lane offsets were validated at decode time and
         // `i` is below the op's validated width.
         BSrc::Slot(o) => unsafe { *regs.get_unchecked(o as usize) },
         BSrc::Lanes(o) => unsafe { *regs.get_unchecked(o as usize + i) },
-        BSrc::Prev => prev,
     }
 }
 
@@ -876,7 +797,6 @@ pub(crate) fn read4(regs: &[u64], s: BSrc, base: usize) -> [u64; 4] {
                 ]
             }
         }
-        BSrc::Prev => unreachable!("fused operand in a vector kernel"),
     }
 }
 
@@ -903,7 +823,7 @@ pub(crate) fn vec1(regs: &mut [u64], w: usize, doff: usize, a: BSrc, f: impl Fn(
         i += 4;
     }
     while i < w {
-        regs[doff + i] = f(lane(regs, a, i, 0));
+        regs[doff + i] = f(lane(regs, a, i));
         i += 1;
     }
 }
@@ -929,7 +849,7 @@ pub(crate) fn vec2(
         i += 4;
     }
     while i < w {
-        regs[doff + i] = f(lane(regs, a, i, 0), lane(regs, b, i, 0));
+        regs[doff + i] = f(lane(regs, a, i), lane(regs, b, i));
         i += 1;
     }
 }
@@ -958,13 +878,12 @@ pub(crate) fn vec3(
         i += 4;
     }
     while i < w {
-        regs[doff + i] = f(lane(regs, a, i, 0), lane(regs, b, i, 0), lane(regs, c, i, 0));
+        regs[doff + i] = f(lane(regs, a, i), lane(regs, b, i), lane(regs, c, i));
         i += 1;
     }
 }
 
-/// Element-wise binary op. Returns the scalar result (for fused
-/// chaining); vector forms return 0.
+/// Element-wise binary op.
 ///
 /// The arithmetic in each lane closure replicates `scalar_bin` exactly
 /// (guarded by `tests/jit_lanes.rs` and the reference matrix); infallible
@@ -982,12 +901,11 @@ pub(crate) fn exec_bin(
     dst: BDst,
     a: BSrc,
     b: BSrc,
-    prev: u64,
-) -> Result<u64, VmError> {
+) -> Result<(), VmError> {
     if w == 1 {
-        let r = scalar_bin(op, sty, signed, lane(regs, a, 0, prev), lane(regs, b, 0, prev))?;
+        let r = scalar_bin(op, sty, signed, lane(regs, a, 0), lane(regs, b, 0))?;
         set_bcast(regs, dst, r);
-        return Ok(r);
+        return Ok(());
     }
     let w = w as usize;
     let doff = dst.off as usize;
@@ -1009,11 +927,11 @@ pub(crate) fn exec_bin(
             _ => {
                 for i in 0..w {
                     regs[doff + i] =
-                        scalar_bin(op, sty, signed, lane(regs, a, i, 0), lane(regs, b, i, 0))?;
+                        scalar_bin(op, sty, signed, lane(regs, a, i), lane(regs, b, i))?;
                 }
             }
         }
-        return Ok(0);
+        return Ok(());
     }
     let shift_mask = (sty.bits().max(1) - 1).max(1) as u64;
     match op {
@@ -1054,12 +972,11 @@ pub(crate) fn exec_bin(
             // MulHi (i128 product) and the fallible Div/Rem: sequential,
             // via the shared scalar helper.
             for i in 0..w {
-                regs[doff + i] =
-                    scalar_bin(op, sty, signed, lane(regs, a, i, 0), lane(regs, b, i, 0))?;
+                regs[doff + i] = scalar_bin(op, sty, signed, lane(regs, a, i), lane(regs, b, i))?;
             }
         }
     }
-    Ok(0)
+    Ok(())
 }
 
 /// Element-wise unary op.
@@ -1073,7 +990,7 @@ pub(crate) fn exec_un(
     a: BSrc,
 ) -> Result<(), VmError> {
     if w == 1 {
-        let r = scalar_un(op, sty, lane(regs, a, 0, 0))?;
+        let r = scalar_un(op, sty, lane(regs, a, 0))?;
         set_bcast(regs, dst, r);
         return Ok(());
     }
@@ -1089,7 +1006,7 @@ pub(crate) fn exec_un(
             _ => {
                 // Transcendentals and the erroring Not.
                 for i in 0..w {
-                    regs[doff + i] = scalar_un(op, sty, lane(regs, a, i, 0))?;
+                    regs[doff + i] = scalar_un(op, sty, lane(regs, a, i))?;
                 }
             }
         }
@@ -1102,7 +1019,7 @@ pub(crate) fn exec_un(
         UnOp::Not => vec1(regs, w, doff, a, |x| mask_to(!x, sty)),
         _ => {
             for i in 0..w {
-                regs[doff + i] = scalar_un(op, sty, lane(regs, a, i, 0))?;
+                regs[doff + i] = scalar_un(op, sty, lane(regs, a, i))?;
             }
         }
     }
@@ -1273,7 +1190,7 @@ fn exec_loop<P: UopSink>(
 
     // Per-instruction bookkeeping: the watchdog and the
     // deadline/cancellation poll tick once per source instruction,
-    // including per fused component.
+    // including per run component.
     macro_rules! tick {
         () => {
             executed += 1;
@@ -1340,7 +1257,7 @@ fn exec_loop<P: UopSink>(
         match op.kind {
             OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
                 charge!(op.meta);
-                exec_bin(regs, bop, sty, signed, w, dst, a, b, 0)?;
+                exec_bin(regs, bop, sty, signed, w, dst, a, b)?;
                 pc += 1;
             }
             OpKind::Un { op: uop, sty, w, dst, a } => {
@@ -1356,7 +1273,7 @@ fn exec_loop<P: UopSink>(
             OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
                 charge!(op.meta);
                 if w == 1 {
-                    let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
+                    let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0), lane(regs, b, 0));
                     set_bcast(regs, dst, r);
                 } else {
                     vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
@@ -1368,10 +1285,10 @@ fn exec_loop<P: UopSink>(
             OpKind::Select { w, dst, cond, a, b } => {
                 charge!(op.meta);
                 if w == 1 {
-                    let r = if lane(regs, cond, 0, 0) & 1 != 0 {
-                        lane(regs, a, 0, 0)
+                    let r = if lane(regs, cond, 0) & 1 != 0 {
+                        lane(regs, a, 0)
                     } else {
-                        lane(regs, b, 0, 0)
+                        lane(regs, b, 0)
                     };
                     set_bcast(regs, dst, r);
                 } else {
@@ -1388,7 +1305,7 @@ fn exec_loop<P: UopSink>(
             OpKind::Cvt { to, from, signed, w, dst, a } => {
                 charge!(op.meta);
                 if w == 1 {
-                    let r = scalar_cvt(to, from, signed, lane(regs, a, 0, 0));
+                    let r = scalar_cvt(to, from, signed, lane(regs, a, 0));
                     set_bcast(regs, dst, r);
                 } else {
                     vec1(regs, w as usize, dst.off as usize, a, |x| {
@@ -1399,34 +1316,34 @@ fn exec_loop<P: UopSink>(
             }
             OpKind::Load { sty, space, dst, addr } => {
                 charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
+                let a = lane(regs, addr, 0);
                 let bits = mem.read(space, a, sty.size_bytes())?;
                 set_bcast(regs, dst, mask_to(bits, sty));
                 pc += 1;
             }
             OpKind::Store { sty, space, addr, value } => {
                 charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
-                let v = lane(regs, value, 0, 0);
+                let a = lane(regs, addr, 0);
+                let v = lane(regs, value, 0);
                 mem.write(space, a, sty.size_bytes(), v)?;
                 pc += 1;
             }
             OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
                 charge!(op.meta);
-                let addr_v = lane(regs, addr, 0, 0);
-                let av = lane(regs, a, 0, 0);
-                let bv = b.map(|b| lane(regs, b, 0, 0));
+                let addr_v = lane(regs, addr, 0);
+                let av = lane(regs, a, 0);
+                let bv = b.map(|b| lane(regs, b, 0));
                 let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
                 set_bcast(regs, dst, mask_to(old, sty));
                 pc += 1;
             }
             OpKind::Insert { w, dst, vec, elem, lane: l } => {
                 charge!(op.meta);
-                let e = lane(regs, elem, 0, 0);
+                let e = lane(regs, elem, 0);
                 let doff = dst.off as usize;
                 if let Some(v) = vec {
                     for i in 0..w as usize {
-                        regs[doff + i] = lane(regs, v, i, 0);
+                        regs[doff + i] = lane(regs, v, i);
                     }
                 }
                 regs[doff + l as usize] = e;
@@ -1434,13 +1351,13 @@ fn exec_loop<P: UopSink>(
             }
             OpKind::Extract { dst, vec, lane: l } => {
                 charge!(op.meta);
-                let v = lane(regs, vec, l as usize, 0);
+                let v = lane(regs, vec, l as usize);
                 set_bcast(regs, dst, v);
                 pc += 1;
             }
             OpKind::Splat { dst, a } => {
                 charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
+                let v = lane(regs, a, 0);
                 set_bcast(regs, dst, v);
                 pc += 1;
             }
@@ -1451,12 +1368,12 @@ fn exec_loop<P: UopSink>(
                     ReduceOp::Add => {
                         let mut sum: u64 = 0;
                         for i in 0..w {
-                            sum = sum.wrapping_add(mask_to(lane(regs, vec, i, 0), sty));
+                            sum = sum.wrapping_add(mask_to(lane(regs, vec, i), sty));
                         }
                         mask_to(sum, STy::I32)
                     }
-                    ReduceOp::All => (0..w).all(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-                    ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
+                    ReduceOp::All => (0..w).all(|i| lane(regs, vec, i) & 1 != 0) as u64,
+                    ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i) & 1 != 0) as u64,
                 };
                 set_bcast(regs, dst, r);
                 pc += 1;
@@ -1495,7 +1412,7 @@ fn exec_loop<P: UopSink>(
             }
             OpKind::Vote { dst, a } => {
                 charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
+                let v = lane(regs, a, 0);
                 set_bcast(regs, dst, v & 1);
                 pc += 1;
             }
@@ -1506,7 +1423,7 @@ fn exec_loop<P: UopSink>(
             }
             OpKind::MovScalar { dst, a } => {
                 charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
+                let v = lane(regs, a, 0);
                 set_bcast(regs, dst, v);
                 pc += 1;
             }
@@ -1520,7 +1437,7 @@ fn exec_loop<P: UopSink>(
                         // element is read first, exactly as unfused.
                         if let Some((v, w)) = prefill {
                             for j in 0..w as usize {
-                                regs[dst as usize + j] = lane(regs, v, j, 0);
+                                regs[dst as usize + j] = lane(regs, v, j);
                             }
                         }
                     }
@@ -1570,60 +1487,13 @@ fn exec_loop<P: UopSink>(
                 charge!(op.meta);
                 return Err(VmError::Unsupported(what.to_string()));
             }
-            OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
-                charge!(op.meta);
-                let c = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
-                if let Some(d) = dst {
-                    set_bcast(regs, d, c);
-                }
-                retire_block!(term);
-                pc = if c & 1 != 0 { taken as usize } else { fall as usize };
-            }
-            OpKind::BinBin {
-                op1,
-                sty1,
-                sg1,
-                a1,
-                b1,
-                dst1,
-                op2,
-                sty2,
-                sg2,
-                a2,
-                b2,
-                dst2,
-                meta2,
-            } => {
-                charge!(op.meta);
-                let v1 = scalar_bin(op1, sty1, sg1, lane(regs, a1, 0, 0), lane(regs, b1, 0, 0))?;
-                if let Some(d) = dst1 {
-                    set_bcast(regs, d, v1);
-                }
-                charge!(meta2);
-                let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-                set_bcast(regs, dst2, v2);
-                pc += 1;
-            }
-            OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
-                let bits = mem.read(space, a, sty1.size_bytes())?;
-                let v1 = mask_to(bits, sty1);
-                if let Some(d) = dst1 {
-                    set_bcast(regs, d, v1);
-                }
-                charge!(meta2);
-                let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-                set_bcast(regs, dst2, v2);
-                pc += 1;
-            }
             OpKind::Br { target, term } => {
                 retire_block!(term);
                 pc = target as usize;
             }
             OpKind::CondBr { cond, taken, fall, term } => {
                 retire_block!(term);
-                let c = lane(regs, cond, 0, 0);
+                let c = lane(regs, cond, 0);
                 pc = if c & 1 != 0 { taken as usize } else { fall as usize };
             }
             OpKind::Switch { val, cases, default, term } => {
@@ -1662,7 +1532,7 @@ fn exec_loop<P: UopSink>(
 #[inline(always)]
 pub(crate) fn exec_fma(regs: &mut [u64], sty: STy, w: u32, dst: BDst, a: BSrc, b: BSrc, c: BSrc) {
     if w == 1 {
-        let r = fma_one(sty, lane(regs, a, 0, 0), lane(regs, b, 0, 0), lane(regs, c, 0, 0));
+        let r = fma_one(sty, lane(regs, a, 0), lane(regs, b, 0), lane(regs, c, 0));
         set_bcast(regs, dst, r);
         return;
     }

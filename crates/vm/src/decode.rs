@@ -13,15 +13,8 @@
 //!   instead of re-walking the cost model;
 //! * blocks concatenate into one linear stream with branch and switch
 //!   targets patched to µop indices, so block dispatch is a `pc` move;
-//! * the hottest adjacent pairs fuse into superinstructions:
-//!   scalar `Cmp` + `CondBr` on its predicate, scalar `Bin`+`Bin` chains
-//!   where the second reads the first, and scalar `Load`→`Bin` feeding
-//!   pairs. A fused µop still ticks, charges, and polls once per source
-//!   instruction, so watchdog counts, poll points, and every `ExecStats`
-//!   field are those of the unfused pair. The intermediate register
-//!   write is elided only when use counting proves the fused consumer is
-//!   its sole reader anywhere in the function;
-//! * per-lane glue runs collapse into run superinstructions
+//! * every source instruction and terminator lowers to one µop, except
+//!   that per-lane glue runs collapse into run superinstructions
 //!   ([`Decoder::fuse_runs`]): the specializer lowers vector memory
 //!   access and lane packing to long runs of width-1 `Extract`/`Load`/
 //!   `Insert`/`Store`/`Mov`/`CtxRead` µops whose operands advance by a
@@ -60,7 +53,6 @@ impl BytecodeProgram {
             layout,
             model,
             info,
-            use_counts: dpvk_ir::use_counts(f),
             code: Vec::new(),
             cases: Vec::new(),
             stats: DecodeStats::default(),
@@ -115,10 +107,6 @@ struct Decoder<'a> {
     layout: &'a FrameLayout,
     model: &'a MachineModel,
     info: &'a CostInfo,
-    /// Static read counts per register. Fusion may elide an intermediate
-    /// write only when the fused consumer accounts for every read in the
-    /// function.
-    use_counts: Vec<u32>,
     code: Vec<Op>,
     cases: Vec<(i64, u32)>,
     stats: DecodeStats,
@@ -190,136 +178,13 @@ impl<'a> Decoder<'a> {
         };
         self.stats.source_insts += block.insts.len() as u64 + 1;
 
-        let n = block.insts.len();
-        let mut term_consumed = false;
-        let mut i = 0;
-        while i < n {
-            let inst = &block.insts[i];
-            if i + 1 == n {
-                if let Some(op) = self.try_cmp_br(inst, &block.term, term) {
-                    self.code.push(op);
-                    term_consumed = true;
-                    i += 1;
-                    continue;
-                }
-            }
-            if i + 1 < n {
-                if let Some(op) = self.try_fuse_pair(inst, &block.insts[i + 1]) {
-                    self.code.push(op);
-                    i += 2;
-                    continue;
-                }
-            }
+        for inst in &block.insts {
             let meta = self.meta_of(inst);
             let kind = self.lower_inst(inst);
             self.code.push(Op { meta, kind });
-            i += 1;
         }
-        if !term_consumed {
-            let kind = self.lower_term(&block.term, term);
-            self.code.push(Op { meta: OpMeta::default(), kind });
-        }
-    }
-
-    /// Fuse a block-final scalar `Cmp` with a `CondBr` on its predicate.
-    /// The predicate write is elided when the branch is its only reader.
-    fn try_cmp_br(&mut self, inst: &Inst, t: &Term, term: TermInfo) -> Option<Op> {
-        let (Inst::Cmp { pred, ty, signed, dst, a, b }, Term::CondBr { cond, taken, fall }) =
-            (inst, t)
-        else {
-            return None;
-        };
-        if ty.is_vector() || cond.as_reg()?.index() != dst.index() {
-            return None;
-        }
-        let keep = self.use_counts[dst.index()] > 1;
-        self.stats.fused_cmp_br += 1;
-        Some(Op {
-            meta: self.meta_of(inst),
-            kind: OpKind::CmpBr {
-                pred: *pred,
-                sty: ty.scalar,
-                signed: *signed,
-                a: self.bsrc(*a, ty.scalar),
-                b: self.bsrc(*b, ty.scalar),
-                dst: keep.then(|| self.bdst(*dst)),
-                taken: taken.0,
-                fall: fall.0,
-                term,
-            },
-        })
-    }
-
-    /// Fuse adjacent scalar `Bin`+`Bin` or `Load`+`Bin` pairs where the
-    /// second instruction reads the first's result; the forwarded value
-    /// travels through [`BSrc::Prev`] and the intermediate register write
-    /// is elided when the pair's consumer is its only reader.
-    fn try_fuse_pair(&mut self, first: &Inst, second: &Inst) -> Option<Op> {
-        let Inst::Bin { op: op2, ty: ty2, signed: sg2, dst: dst2, a: a2, b: b2 } = second else {
-            return None;
-        };
-        if ty2.is_vector() {
-            return None;
-        }
-        let dst1 = match first {
-            Inst::Bin { ty, dst, .. } if !ty.is_vector() => *dst,
-            Inst::Load { dst, .. } => *dst,
-            _ => return None,
-        };
-        let feeds = |v: &Value| matches!(v.as_reg(), Some(r) if r.index() == dst1.index());
-        let reads = feeds(a2) as u32 + feeds(b2) as u32;
-        if reads == 0 {
-            return None;
-        }
-        let kept = (self.use_counts[dst1.index()] > reads).then(|| self.bdst(dst1));
-        let fwd = |this: &Self, v: &Value| {
-            if feeds(v) {
-                BSrc::Prev
-            } else {
-                this.bsrc(*v, ty2.scalar)
-            }
-        };
-        let (a2, b2) = (fwd(self, a2), fwd(self, b2));
-        let (dst2, meta2) = (self.bdst(*dst2), self.meta_of(second));
-        let meta = self.meta_of(first);
-        let kind = match first {
-            Inst::Bin { op: op1, ty: ty1, signed: sg1, a: a1, b: b1, .. } => {
-                self.stats.fused_bin_bin += 1;
-                OpKind::BinBin {
-                    op1: *op1,
-                    sty1: ty1.scalar,
-                    sg1: *sg1,
-                    a1: self.bsrc(*a1, ty1.scalar),
-                    b1: self.bsrc(*b1, ty1.scalar),
-                    dst1: kept,
-                    op2: *op2,
-                    sty2: ty2.scalar,
-                    sg2: *sg2,
-                    a2,
-                    b2,
-                    dst2,
-                    meta2,
-                }
-            }
-            Inst::Load { ty, space, addr, .. } => {
-                self.stats.fused_load_bin += 1;
-                OpKind::LoadBin {
-                    sty1: *ty,
-                    space: *space,
-                    addr: self.bsrc_scalar(*addr, STy::I64),
-                    dst1: kept,
-                    op2: *op2,
-                    sty2: ty2.scalar,
-                    sg2: *sg2,
-                    a2,
-                    b2,
-                    dst2,
-                    meta2,
-                }
-            }
-            _ => unreachable!(),
-        };
-        Some(Op { meta, kind })
+        let kind = self.lower_term(&block.term, term);
+        self.code.push(Op { meta: OpMeta::default(), kind });
     }
 
     /// Collapse per-lane glue runs in the block lowered at
@@ -519,7 +384,7 @@ impl<'a> Decoder<'a> {
         for op in &mut self.code {
             match &mut op.kind {
                 OpKind::Br { target, .. } => at(target),
-                OpKind::CondBr { taken, fall, .. } | OpKind::CmpBr { taken, fall, .. } => {
+                OpKind::CondBr { taken, fall, .. } => {
                     at(taken);
                     at(fall);
                 }
@@ -761,8 +626,8 @@ mod tests {
         assert_eq!(ran.stats, stats);
     }
 
-    /// Sum 0..10 into global[0]: exercises
-    /// `Cmp`+`CondBr` fusion, `Bin`+`Bin` fusion, and the loop back-edge.
+    /// Sum 0..10 into global[0]: a block-final `Cmp` feeding the
+    /// `CondBr` of the loop back-edge.
     fn sum_loop() -> Function {
         let mut f = Function::new("t", 1);
         let t = Type::scalar(STy::I32);
@@ -828,28 +693,9 @@ mod tests {
     }
 
     #[test]
-    fn fusion_is_applied_and_preserves_results() {
-        let f = sum_loop();
-        let model = MachineModel::sandybridge_sse();
-        let info = CostInfo::analyze(&f, &model);
-        let layout = FrameLayout::of(&f);
-        let program = BytecodeProgram::decode(&f, &layout, &model, &info);
-        // `acc += i; i += 1` does not chain (the second never reads
-        // `acc`), but the block-final compare fuses with its branch; the
-        // predicate has no other use, so its write is elided.
-        assert_eq!(program.stats.fused_cmp_br, 1, "{:?}", program.stats);
-        assert_eq!(program.stats.fused_bin_bin, 0, "{:?}", program.stats);
-        assert!(
-            program.code.iter().any(|op| matches!(op.kind, OpKind::CmpBr { dst: None, .. })),
-            "single-use predicate write should be elided"
-        );
-    }
-
-    #[test]
-    fn chained_arithmetic_fuses_and_keeps_its_pinned_image_and_stats() {
+    fn chained_arithmetic_keeps_its_pinned_image_and_stats() {
         // global[4] = (global[0] + 5) * 3 + 7, all through single-use
-        // temporaries: one Load+Bin pair and one Bin+Bin pair fuse, with
-        // every intermediate write elided.
+        // temporaries.
         let mut f = Function::new("t", 1);
         let t = Type::scalar(STy::I32);
         let x = f.new_reg(t);
@@ -895,17 +741,6 @@ mod tests {
         });
         b.term = Term::Ret;
         f.add_block(b);
-
-        let model = MachineModel::sandybridge_sse();
-        let info = CostInfo::analyze(&f, &model);
-        let layout = FrameLayout::of(&f);
-        let program = BytecodeProgram::decode(&f, &layout, &model, &info);
-        assert_eq!(program.stats.fused_load_bin, 1, "{:?}", program.stats);
-        assert_eq!(program.stats.fused_bin_bin, 1, "{:?}", program.stats);
-        assert!(
-            program.code.iter().any(|op| matches!(op.kind, OpKind::LoadBin { dst1: None, .. })),
-            "single-use load result should be elided"
-        );
         let stats = ExecStats {
             cycles_body: 8,
             instructions: 6,
@@ -919,9 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_use_predicate_write_is_kept() {
-        // The predicate is read again after the branch, so the fused
-        // compare-branch must still write it.
+    fn a_predicate_read_after_its_branch_keeps_its_value() {
         let mut f = Function::new("t", 1);
         let t = Type::scalar(STy::I32);
         let p = f.new_reg(Type::scalar(STy::I1));
@@ -954,16 +787,6 @@ mod tests {
         let e = f.add_block(entry);
         let j = f.add_block(join);
         f.block_mut(e).term = Term::CondBr { cond: Value::Reg(p), taken: j, fall: j };
-
-        let model = MachineModel::sandybridge_sse();
-        let info = CostInfo::analyze(&f, &model);
-        let layout = FrameLayout::of(&f);
-        let program = BytecodeProgram::decode(&f, &layout, &model, &info);
-        assert_eq!(program.stats.fused_cmp_br, 1);
-        assert!(
-            program.code.iter().any(|op| matches!(op.kind, OpKind::CmpBr { dst: Some(_), .. })),
-            "multi-use predicate write must be kept"
-        );
         assert_eq!(run(&f).word(0), 1);
     }
 

@@ -20,10 +20,9 @@ pub const RDI: u8 = 7;
 pub const R11: u8 = 11;
 pub const R15: u8 = 15;
 
-/// XMM register encodings: the two scratch registers by name; the
-/// residency pool (`jit/resident.rs`) is `2..=15`.
+/// XMM register encodings: the scratch register by name; the residency
+/// pool (`jit/resident.rs`) is `2..=15`.
 pub const XMM0: u8 = 0;
-pub const XMM1: u8 = 1;
 
 /// Declares the host features generated code needs, once: the list
 /// and the probe [`super::jit_supported`] gates compilation on.
@@ -772,6 +771,8 @@ pub const VPSHUFD: Vop = v(1, 1, false, 0x70);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const XMM1: u8 = 1;
 
     /// Spot-check encodings against hand-assembled bytes (GNU as
     /// output).

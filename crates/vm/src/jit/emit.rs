@@ -77,9 +77,9 @@
 //!
 //! Register conventions inside generated code:
 //!   r15 = &JitEnv      rbx = register-frame base
-//!   rbp = value kept live within a fused µop (helper calls clobber the rest)
+//!   rbp = unused; saved only to keep rsp 16-aligned at helper calls
 //!   rax/rcx/rdx/rsi/rdi/r11 = scratch
-//!   xmm0-1 = scratch of one template (a GPR result's chunk, a `Prev` operand)
+//!   xmm0 = scratch of one template (a GPR result's chunk); xmm1 unused
 //!   xmm2-15 = the residency pool: operands and float results, LRU-evicted
 
 use std::mem::offset_of;
@@ -323,8 +323,6 @@ fn shape_has_template(kind: &OpKind) -> bool {
         OpKind::Un { op, sty, .. } => un_ok(op, sty),
         OpKind::Cvt { to, from, signed, .. } => cvt_ok(to, from, signed),
         OpKind::Store { space, .. } | OpKind::StoreRun { space, .. } => space_offsets(space).2,
-        OpKind::BinBin { op1, sty1, op2, sty2, .. } => bin_ok(op1, sty1) && bin_ok(op2, sty2),
-        OpKind::LoadBin { op2, sty2, .. } => bin_ok(op2, sty2),
         OpKind::Atom { sty, space, .. } => atom_ok(sty, space),
         OpKind::Unsupported { .. } => false,
         _ => true,
@@ -518,19 +516,12 @@ impl Emitter<'_> {
     }
 
     /// Load operand lane `i` into GPR `r` (`lane()` of the interpreter:
-    /// `Slot` broadcasts, `Lanes` indexes, `Prev` reads the fused
-    /// predecessor from its register).
-    fn load_src(&mut self, r: u8, src: BSrc, i: u32, prev: Option<u8>) {
+    /// `Slot` broadcasts, `Lanes` indexes).
+    fn load_src(&mut self, r: u8, src: BSrc, i: u32) {
         match src {
             BSrc::Imm(v) => self.asm.mov_ri(r, v),
             BSrc::Slot(s) => self.asm.load(r, RBX, disp(s, 0)),
             BSrc::Lanes(s) => self.asm.load(r, RBX, disp(s, i)),
-            BSrc::Prev => {
-                let p = prev.expect("Prev operand outside a fused µop");
-                if p != r {
-                    self.asm.mov_rr(r, p);
-                }
-            }
         }
     }
 
@@ -592,7 +583,7 @@ impl Emitter<'_> {
     fn copy_vec(&mut self, off: u32, src: BSrc, w: u32) {
         for (i, n) in chunks(w) {
             self.res.unpin();
-            let x = self.operand(src, i, n, false, None);
+            let x = self.operand(src, i, n, false);
             self.put_chunk(off + i, x, n);
             self.res.record(Held::chunk(off + i, n), x);
         }
@@ -603,25 +594,18 @@ impl Emitter<'_> {
     /// widening of those f32 lanes (`f_of`). Read from the residency
     /// table when an earlier template of the block left it in a
     /// register; otherwise loaded into a pool register, lane-wide (R1),
-    /// and entered in the table. `Prev` comes from its GPR through
-    /// XMM1 and is never resident.
-    fn operand(&mut self, src: BSrc, i: u32, n: u32, wide: bool, prev: Option<u8>) -> u8 {
-        self.fetch(src, i, n, wide, prev).0
+    /// and entered in the table.
+    fn operand(&mut self, src: BSrc, i: u32, n: u32, wide: bool) -> u8 {
+        self.fetch(src, i, n, wide).0
     }
 
     /// [`Self::operand`], and whether the value was resident (`false`:
     /// this call loaded or widened it into a register of its own).
-    fn fetch(&mut self, src: BSrc, i: u32, n: u32, wide: bool, prev: Option<u8>) -> (u8, bool) {
+    fn fetch(&mut self, src: BSrc, i: u32, n: u32, wide: bool) -> (u8, bool) {
         let (lo, hi) = match src {
             BSrc::Imm(v) => (Word::Imm(v), Word::Imm(v)),
             BSrc::Slot(s) => (Word::Slot(s), Word::Slot(s)),
             BSrc::Lanes(s) => (Word::Slot(s + i), Word::Slot(s + i + 1)),
-            BSrc::Prev => {
-                debug_assert!(n == 1 && !wide, "Prev is a scalar slot-layout operand");
-                let p = prev.expect("Prev operand outside a fused µop");
-                self.asm.vop(VMOVQ_XR, XMM1, 0, p);
-                return (XMM1, false);
-            }
         };
         let want = Held { lo, hi: (n == 2).then_some(hi), wide };
         if let Some(x) = self.res.find(want) {
@@ -665,8 +649,8 @@ impl Emitter<'_> {
     /// [`Self::fetch`] as f64.
     fn fetch_f64(&mut self, src: BSrc, i: u32, n: u32, sty: STy) -> (u8, bool) {
         match src {
-            BSrc::Imm(v) => self.fetch(BSrc::Imm(f_of(v, sty).to_bits()), i, n, false, None),
-            _ => self.fetch(src, i, n, sty == STy::F32, None),
+            BSrc::Imm(v) => self.fetch(BSrc::Imm(f_of(v, sty).to_bits()), i, n, false),
+            _ => self.fetch(src, i, n, sty == STy::F32),
         }
     }
 
@@ -782,7 +766,7 @@ impl Emitter<'_> {
     /// `addr > len - size`); the slow path re-runs the µop through a
     /// helper that charges and errors exactly as interpreted.
     fn emit_bounds(&mut self, src: BSrc, i: u32, len_off: i32, size: usize, slow: &mut Vec<Fixup>) {
-        self.load_src(RAX, src, i, None);
+        self.load_src(RAX, src, i);
         self.asm.load(RCX, R15, len_off);
         self.asm.alu_ri(Alu::Sub, RCX, size as i32);
         slow.push(self.asm.jcc_fwd(Cc::B));
@@ -817,8 +801,8 @@ impl Emitter<'_> {
     }
 
     /// Chunk `i..i + n` of `a` and of `b` on the slot layout.
-    fn operand_pair(&mut self, a: BSrc, b: BSrc, i: u32, n: u32, prev: Option<u8>) -> (u8, u8) {
-        (self.operand(a, i, n, false, prev), self.operand(b, i, n, false, prev))
+    fn operand_pair(&mut self, a: BSrc, b: BSrc, i: u32, n: u32) -> (u8, u8) {
+        (self.operand(a, i, n, false), self.operand(b, i, n, false))
     }
 
     /// `x` ← `a` `op` `b` over `n` lanes of a [`float_arith`] shape,
@@ -858,7 +842,7 @@ impl Emitter<'_> {
     /// `Rsqrt`/`Rcp` for their two f64 roundings.
     fn un_chunk(&mut self, op: UnOp, sty: STy, a: BSrc, i: u32, n: u32) -> u8 {
         if op == UnOp::Sqrt {
-            let a = self.operand(a, i, n, false, None);
+            let a = self.operand(a, i, n, false);
             let x = self.res.alloc();
             self.sqrt_chunk(sty == STy::F32, n, x, a);
             return x;
@@ -868,13 +852,13 @@ impl Emitter<'_> {
             UnOp::Neg | UnOp::Abs => {
                 let (mask, vop) =
                     if op == UnOp::Neg { (SIGN_BIT, VPXOR) } else { (!SIGN_BIT, VPAND) };
-                let m = self.operand(BSrc::Imm(mask), 0, n, false, None);
+                let m = self.operand(BSrc::Imm(mask), 0, n, false);
                 let x = self.res.alloc();
                 self.asm.vop(vop, x, a, m);
                 self.narrow_chunk(x, x, sty)
             }
             UnOp::Rsqrt | UnOp::Rcp => {
-                let one = self.operand(BSrc::Imm(1.0f64.to_bits()), 0, n, false, None);
+                let one = self.operand(BSrc::Imm(1.0f64.to_bits()), 0, n, false);
                 let x = self.res.alloc();
                 let div = Vop::float(F_DIV, false, n);
                 if op == UnOp::Rsqrt {
@@ -907,24 +891,14 @@ impl Emitter<'_> {
     /// sext-op-mask wherever the low bits are independent of the high
     /// bits (add/sub/mul/shl), and masked inputs make bitwise results
     /// and unsigned shifts/compares pre-masked.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_bin_lane(
-        &mut self,
-        op: BinOp,
-        sty: STy,
-        signed: bool,
-        a: BSrc,
-        b: BSrc,
-        i: u32,
-        prev: Option<u8>,
-    ) {
+    fn emit_bin_lane(&mut self, op: BinOp, sty: STy, signed: bool, a: BSrc, b: BSrc, i: u32) {
         if float_arith(op, sty) {
-            let ab = self.operand_pair(a, b, i, 1, prev);
+            let ab = self.operand_pair(a, b, i, 1);
             self.bin_chunk(op, sty, 1, XMM0, ab);
             return self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         }
-        self.load_src(RAX, a, i, prev);
-        self.load_src(RCX, b, i, prev);
+        self.load_src(RAX, a, i);
+        self.load_src(RCX, b, i);
         match op {
             BinOp::Add => {
                 self.asm.alu_rr(Alu::Add, RAX, RCX);
@@ -980,7 +954,7 @@ impl Emitter<'_> {
     /// Compute one integer `scalar_un` lane into RAX. Only `un_ok`
     /// shapes.
     fn emit_un_lane(&mut self, op: UnOp, sty: STy, a: BSrc, i: u32) {
-        self.load_src(RAX, a, i, None);
+        self.load_src(RAX, a, i);
         match op {
             UnOp::Neg => {
                 self.asm.neg(RAX);
@@ -1012,12 +986,12 @@ impl Emitter<'_> {
     /// XMM0 for floats, whose operands come through the residency table.
     fn emit_cmp_lane(&mut self, pred: CmpPred, sty: STy, signed: bool, a: BSrc, b: BSrc, i: u32) {
         if sty.is_float() {
-            let ab = self.operand_pair(a, b, i, 1, None);
+            let ab = self.operand_pair(a, b, i, 1);
             self.cmp_chunk(pred, sty, XMM0, ab);
             return self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         }
-        self.load_src(RAX, a, i, None);
-        self.load_src(RCX, b, i, None);
+        self.load_src(RAX, a, i);
+        self.load_src(RCX, b, i);
         if signed {
             self.sext_reg(RAX, sty);
             self.sext_reg(RCX, sty);
@@ -1044,7 +1018,7 @@ impl Emitter<'_> {
             if to.is_float() {
                 if from == STy::F64 && to == STy::F64 {
                     // f64 → f64 is the identity.
-                    self.load_src(RAX, a, i, None);
+                    self.load_src(RAX, a, i);
                 } else {
                     // Widen/narrow dance; f32 → f32 keeps it so sNaN
                     // quietizes exactly like the interpreter's
@@ -1073,7 +1047,7 @@ impl Emitter<'_> {
             self.slow_site(vec![slow], SlowCall::F2i { x, to, signed });
             return;
         }
-        self.load_src(RAX, a, i, None);
+        self.load_src(RAX, a, i);
         if to.is_float() {
             if signed {
                 self.sext_reg(RAX, from);
@@ -1293,7 +1267,7 @@ impl Emitter<'_> {
         }
         self.asm.load(RSI, R15, base_off);
         self.asm.alu_rr(Alu::Add, RSI, RAX);
-        self.load_src(RCX, a, 0, None);
+        self.load_src(RCX, a, 0);
         let load_old = |e: &mut Self| {
             if wide {
                 e.asm.load(RAX, RSI, 0);
@@ -1314,7 +1288,7 @@ impl Emitter<'_> {
                 // Equal: the cell takes `b` and `rax` keeps `a`, the old
                 // value; unequal: `rax` takes the cell.
                 self.asm.mov_rr(RAX, RCX);
-                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0, None);
+                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0);
                 self.asm.lock_cmpxchg(RSI, RDX, wide);
             }
             (true, _) => {
@@ -1350,7 +1324,7 @@ impl Emitter<'_> {
             }
             AtomKind::Exch => self.asm.mov_rr(RDX, RCX),
             AtomKind::Cas => {
-                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0, None);
+                self.load_src(RDX, b.unwrap_or(BSrc::Imm(0)), 0);
                 self.asm.alu_rr(Alu::Cmp, RAX, RCX);
                 self.asm.cmov(Cc::Ne, RDX, RAX);
             }
@@ -1442,14 +1416,14 @@ impl Emitter<'_> {
             // lane by lane through the scalar templates.
             OpKind::Bin { op, sty, w, dst, a, b, .. } if float_arith(op, sty) => {
                 self.each_chunk(dst, w, |e, i, n| {
-                    let ab = e.operand_pair(a, b, i, n, None);
+                    let ab = e.operand_pair(a, b, i, n);
                     let x = e.res.alloc();
                     e.bin_chunk(op, sty, n, x, ab);
                     x
                 })
             }
             OpKind::Bin { op, sty, signed, w, dst, a, b } => {
-                self.each_lane(dst, w, |e, i| e.emit_bin_lane(op, sty, signed, a, b, i, None))
+                self.each_lane(dst, w, |e, i| e.emit_bin_lane(op, sty, signed, a, b, i))
             }
             OpKind::Un { op, sty: STy::F32, w, dst, a } if approx::is_transcendental(op) => {
                 self.emit_transcendental(idx, op, w, dst, a)
@@ -1476,9 +1450,9 @@ impl Emitter<'_> {
                     (VFMADD213PD, VFMADD132PD)
                 };
                 self.each_chunk(dst, w, |e, i, n| {
-                    let (a, resident) = e.fetch(a, i, n, false, None);
-                    let b = e.operand(b, i, n, false, None);
-                    let c = e.operand(c, i, n, false, None);
+                    let (a, resident) = e.fetch(a, i, n, false);
+                    let b = e.operand(b, i, n, false);
+                    let c = e.operand(c, i, n, false);
                     if resident || a == b || a == c {
                         let x = e.res.alloc();
                         e.asm.vmov(x, b);
@@ -1494,16 +1468,16 @@ impl Emitter<'_> {
             // Low bits of mul/add are independent of the high bits, so
             // the interpreter's sext·sext+sext reduces to wrap-and-mask.
             OpKind::Fma { sty, w, dst, a, b, c } => self.each_lane(dst, w, |e, i| {
-                e.load_src(RAX, a, i, None);
-                e.load_src(RCX, b, i, None);
+                e.load_src(RAX, a, i);
+                e.load_src(RCX, b, i);
                 e.asm.imul_rr(RAX, RCX);
-                e.load_src(RCX, c, i, None);
+                e.load_src(RCX, c, i);
                 e.asm.alu_rr(Alu::Add, RAX, RCX);
                 e.mask_reg(RAX, sty);
             }),
             OpKind::Cmp { pred, sty, w, dst, a, b, .. } if sty.is_float() => {
                 self.each_chunk(dst, w, |e, i, n| {
-                    let ab = e.operand_pair(a, b, i, n, None);
+                    let ab = e.operand_pair(a, b, i, n);
                     let x = e.res.alloc();
                     e.cmp_chunk(pred, sty, x, ab);
                     x
@@ -1513,9 +1487,9 @@ impl Emitter<'_> {
                 self.each_lane(dst, w, |e, i| e.emit_cmp_lane(pred, sty, signed, a, b, i))
             }
             OpKind::Select { w, dst, cond, a, b } => self.each_lane(dst, w, |e, i| {
-                e.load_src(RDX, cond, i, None);
-                e.load_src(RAX, a, i, None);
-                e.load_src(RCX, b, i, None);
+                e.load_src(RDX, cond, i);
+                e.load_src(RAX, a, i);
+                e.load_src(RCX, b, i);
                 e.asm.test_ri(RDX, 1);
                 e.asm.cmov(Cc::E, RAX, RCX);
             }),
@@ -1535,7 +1509,7 @@ impl Emitter<'_> {
                 let size = sty.size_bytes();
                 let mut slow = Vec::new();
                 self.emit_bounds(addr, 0, len_off, size, &mut slow);
-                self.load_src(RCX, value, 0, None);
+                self.load_src(RCX, value, 0);
                 self.asm.load(RDX, R15, base_off);
                 self.asm.store_index(RDX, RAX, RCX, size as u8);
                 self.slow_site(slow, SlowCall::Step(idx));
@@ -1543,21 +1517,21 @@ impl Emitter<'_> {
             OpKind::Insert { w, dst, vec, elem, lane: l } => {
                 // Element first, then the initializer copy, then the
                 // lane write — the interpreter's exact order.
-                self.load_src(RCX, elem, 0, None);
+                self.load_src(RCX, elem, 0);
                 if let Some(v) = vec {
                     self.copy_vec(dst.off, v, w);
                 }
                 self.put(dst.off + l, RCX);
             }
             OpKind::Extract { dst, vec, lane: l } => {
-                self.load_src(RAX, vec, l, None);
+                self.load_src(RAX, vec, l);
                 self.store_bcast(dst, RAX);
             }
             OpKind::Splat { dst, a } | OpKind::MovScalar { dst, a } if dst.w > 1 => {
                 self.copy_vec(dst.off, a, dst.w)
             }
             OpKind::Splat { dst, a } | OpKind::MovScalar { dst, a } | OpKind::Vote { dst, a } => {
-                self.load_src(RAX, a, 0, None);
+                self.load_src(RAX, a, 0);
                 if matches!(kind, OpKind::Vote { .. }) {
                     self.asm.alu_ri(Alu::And, RAX, 1);
                 }
@@ -1568,7 +1542,7 @@ impl Emitter<'_> {
                     ReduceOp::Add => {
                         self.asm.mov_ri(RAX, 0);
                         for i in 0..w {
-                            self.load_src(RCX, vec, i, None);
+                            self.load_src(RCX, vec, i);
                             self.mask_reg(RCX, sty);
                             self.asm.alu_rr(Alu::Add, RAX, RCX);
                         }
@@ -1578,9 +1552,9 @@ impl Emitter<'_> {
                     // lanes' bit 0.
                     ReduceOp::All | ReduceOp::Any => {
                         let fold = if matches!(rop, ReduceOp::All) { Alu::And } else { Alu::Or };
-                        self.load_src(RAX, vec, 0, None);
+                        self.load_src(RAX, vec, 0);
                         for i in 1..w {
-                            self.load_src(RCX, vec, i, None);
+                            self.load_src(RCX, vec, i);
                             self.asm.alu_rr(fold, RAX, RCX);
                         }
                         self.asm.alu_ri(Alu::And, RAX, 1);
@@ -1618,7 +1592,7 @@ impl Emitter<'_> {
                     if i == 0 {
                         if let Some((v, w)) = prefill {
                             for j in 0..w {
-                                self.load_src(RCX, v, j, None);
+                                self.load_src(RCX, v, j);
                                 self.put(dst + j, RCX);
                             }
                         }
@@ -1659,50 +1633,13 @@ impl Emitter<'_> {
                     self.put(dst + i, RAX);
                 }
             }
-            OpKind::BinBin {
-                op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, ..
-            } => {
-                self.emit_bin_lane(op1, sty1, sg1, a1, b1, 0, None);
-                // v1 moves out of the second lane's scratch registers.
-                self.asm.mov_rr(RBP, RAX);
-                if let Some(d) = dst1 {
-                    self.store_bcast(d, RBP);
-                }
-                self.emit_bin_lane(op2, sty2, sg2, a2, b2, 0, Some(RBP));
-                self.store_bcast(dst2, RAX);
-            }
-            OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, .. } => {
-                let (base_off, len_off, _) = space_offsets(space);
-                let mut slow = Vec::new();
-                self.emit_bounds(addr, 0, len_off, sty1.size_bytes(), &mut slow);
-                self.emit_load_value(RBP, sty1, base_off);
-                if let Some(d) = dst1 {
-                    self.store_bcast(d, RBP);
-                }
-                self.emit_bin_lane(op2, sty2, sg2, a2, b2, 0, Some(RBP));
-                self.store_bcast(dst2, RAX);
-                self.slow_site(slow, SlowCall::Step(idx));
-            }
-            OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
-                self.emit_cmp_lane(pred, sty, signed, a, b, 0);
-                // The 0/1 result must survive the retire's poll call.
-                self.asm.mov_rr(RBP, RAX);
-                if let Some(d) = dst {
-                    self.store_bcast(d, RBP);
-                }
-                self.retire(term);
-                self.asm.test_ri(RBP, 1);
-                let f = self.asm.jcc_fwd(Cc::Ne);
-                self.branch_fixups.push((f, taken));
-                self.emit_jump(fall, idx);
-            }
             OpKind::Br { target, term } => {
                 self.retire(term);
                 self.emit_jump(target, idx);
             }
             OpKind::CondBr { cond, taken, fall, term } => {
                 self.retire(term);
-                self.load_src(RAX, cond, 0, None);
+                self.load_src(RAX, cond, 0);
                 self.asm.test_ri(RAX, 1);
                 let f = self.asm.jcc_fwd(Cc::Ne);
                 self.branch_fixups.push((f, taken));

@@ -11,8 +11,8 @@
 //! touches ([`Residency::clobber`]) and emptying the table wherever code
 //! outside the emitter's view runs ([`Residency::clear`]).
 
-/// The first register of the pool; `xmm0` and `xmm1` stay per-template
-/// scratch.
+/// The first register of the pool; `xmm0` stays per-template scratch
+/// and `xmm1` is unused.
 pub(crate) const POOL_FIRST: u8 = 2;
 /// The last register of the pool.
 pub(crate) const POOL_LAST: u8 = 15;

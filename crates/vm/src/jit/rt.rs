@@ -32,7 +32,7 @@ use crate::context::ThreadContext;
 use crate::error::VmError;
 use crate::jit::emit::has_inline_template;
 use crate::memory::MemAccess;
-use crate::semantics::{atom_rmw, mask_to, scalar_bin, scalar_cmp, scalar_cvt, sext};
+use crate::semantics::{atom_rmw, mask_to, scalar_cmp, scalar_cvt, sext};
 
 /// Status codes written to [`JitEnv::status`]; 0 means "no SetStatus
 /// executed yet" (`None` in the interpreter).
@@ -374,16 +374,10 @@ pub(crate) unsafe extern "C" fn jit_block_slow(env: *mut JitEnv, first: u32) -> 
         return 0;
     }
     for (pc, op) in code.iter().enumerate().skip(first as usize) {
-        let stepped = match op.kind {
-            // The compare's charge is the block's last tick: by it the
-            // limit is passed or the poll has come due.
-            OpKind::CmpBr { .. } => charge(env, op.meta),
-            _ => step_op(env, pc as u32),
-        };
-        if let Err(e) = stepped {
+        assert!(!op.is_terminator(), "block {first} ran out before its watchdog or poll");
+        if let Err(e) = step_op(env, pc as u32) {
             return fail(env, e);
         }
-        assert!(!op.is_terminator(), "block {first} ran out before its watchdog or poll");
     }
     unreachable!("µop stream ends without a terminator")
 }
@@ -444,7 +438,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
     match op.kind {
         OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
             charge(env, op.meta)?;
-            exec_bin(env.regs_mut(), bop, sty, signed, w, dst, a, b, 0)?;
+            exec_bin(env.regs_mut(), bop, sty, signed, w, dst, a, b)?;
         }
         OpKind::Un { op: uop, sty, w, dst, a } => {
             charge(env, op.meta)?;
@@ -458,7 +452,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
             if w == 1 {
-                let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
+                let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0), lane(regs, b, 0));
                 set_bcast(regs, dst, r);
             } else {
                 vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
@@ -470,11 +464,8 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
             if w == 1 {
-                let r = if lane(regs, cond, 0, 0) & 1 != 0 {
-                    lane(regs, a, 0, 0)
-                } else {
-                    lane(regs, b, 0, 0)
-                };
+                let r =
+                    if lane(regs, cond, 0) & 1 != 0 { lane(regs, a, 0) } else { lane(regs, b, 0) };
                 set_bcast(regs, dst, r);
             } else {
                 vec3(regs, w as usize, dst.off as usize, cond, a, b, |c, x, y| {
@@ -490,7 +481,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
             if w == 1 {
-                let r = scalar_cvt(to, from, signed, lane(regs, a, 0, 0));
+                let r = scalar_cvt(to, from, signed, lane(regs, a, 0));
                 set_bcast(regs, dst, r);
             } else {
                 vec1(regs, w as usize, dst.off as usize, a, |x| scalar_cvt(to, from, signed, x));
@@ -498,7 +489,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         }
         OpKind::Load { sty, space, dst, addr } => {
             charge(env, op.meta)?;
-            let a = lane(env.regs_mut(), addr, 0, 0);
+            let a = lane(env.regs_mut(), addr, 0);
             let mem = &mut *env.host().mem;
             let bits = mem.read(space, a, sty.size_bytes())?;
             set_bcast(env.regs_mut(), dst, mask_to(bits, sty));
@@ -506,17 +497,17 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         OpKind::Store { sty, space, addr, value } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let a = lane(regs, addr, 0, 0);
-            let v = lane(regs, value, 0, 0);
+            let a = lane(regs, addr, 0);
+            let v = lane(regs, value, 0);
             let mem = &mut *env.host().mem;
             mem.write(space, a, sty.size_bytes(), v)?;
         }
         OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let addr_v = lane(regs, addr, 0, 0);
-            let av = lane(regs, a, 0, 0);
-            let bv = b.map(|b| lane(regs, b, 0, 0));
+            let addr_v = lane(regs, addr, 0);
+            let av = lane(regs, a, 0);
+            let bv = b.map(|b| lane(regs, b, 0));
             let mem = &mut *env.host().mem;
             let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
             set_bcast(env.regs_mut(), dst, mask_to(old, sty));
@@ -524,11 +515,11 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         OpKind::Insert { w, dst, vec, elem, lane: l } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let e = lane(regs, elem, 0, 0);
+            let e = lane(regs, elem, 0);
             let doff = dst.off as usize;
             if let Some(v) = vec {
                 for i in 0..w as usize {
-                    regs[doff + i] = lane(regs, v, i, 0);
+                    regs[doff + i] = lane(regs, v, i);
                 }
             }
             regs[doff + l as usize] = e;
@@ -536,13 +527,13 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         OpKind::Extract { dst, vec, lane: l } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let v = lane(regs, vec, l as usize, 0);
+            let v = lane(regs, vec, l as usize);
             set_bcast(regs, dst, v);
         }
         OpKind::Splat { dst, a } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
+            let v = lane(regs, a, 0);
             set_bcast(regs, dst, v);
         }
         OpKind::Reduce { op: rop, sty, w, dst, vec } => {
@@ -553,12 +544,12 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
                 dpvk_ir::ReduceOp::Add => {
                     let mut sum: u64 = 0;
                     for i in 0..w {
-                        sum = sum.wrapping_add(mask_to(lane(regs, vec, i, 0), sty));
+                        sum = sum.wrapping_add(mask_to(lane(regs, vec, i), sty));
                     }
                     mask_to(sum, STy::I32)
                 }
-                dpvk_ir::ReduceOp::All => (0..w).all(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-                dpvk_ir::ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
+                dpvk_ir::ReduceOp::All => (0..w).all(|i| lane(regs, vec, i) & 1 != 0) as u64,
+                dpvk_ir::ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i) & 1 != 0) as u64,
             };
             set_bcast(regs, dst, r);
         }
@@ -587,7 +578,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         OpKind::Vote { dst, a } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
+            let v = lane(regs, a, 0);
             set_bcast(regs, dst, v & 1);
         }
         OpKind::MovVec { w, off, a } => {
@@ -597,7 +588,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
         OpKind::MovScalar { dst, a } => {
             charge(env, op.meta)?;
             let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
+            let v = lane(regs, a, 0);
             set_bcast(regs, dst, v);
         }
         OpKind::CopyRun { n, src, sstride, dst, prefill } => {
@@ -608,7 +599,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
                 if i == 0 {
                     if let Some((v, w)) = prefill {
                         for j in 0..w as usize {
-                            regs[dst as usize + j] = lane(regs, v, j, 0);
+                            regs[dst as usize + j] = lane(regs, v, j);
                         }
                     }
                 }
@@ -629,38 +620,7 @@ unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
             charge(env, op.meta)?;
             return Err(VmError::Unsupported(what.to_string()));
         }
-        OpKind::BinBin { op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v1 = scalar_bin(op1, sty1, sg1, lane(regs, a1, 0, 0), lane(regs, b1, 0, 0))?;
-            if let Some(d) = dst1 {
-                set_bcast(regs, d, v1);
-            }
-            charge(env, meta2)?;
-            let regs = env.regs_mut();
-            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-            set_bcast(regs, dst2, v2);
-        }
-        OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            charge(env, op.meta)?;
-            let a = lane(env.regs_mut(), addr, 0, 0);
-            let mem = &mut *env.host().mem;
-            let bits = mem.read(space, a, sty1.size_bytes())?;
-            let v1 = mask_to(bits, sty1);
-            let regs = env.regs_mut();
-            if let Some(d) = dst1 {
-                set_bcast(regs, d, v1);
-            }
-            charge(env, meta2)?;
-            let regs = env.regs_mut();
-            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-            set_bcast(regs, dst2, v2);
-        }
-        OpKind::CmpBr { .. }
-        | OpKind::Br { .. }
-        | OpKind::CondBr { .. }
-        | OpKind::Switch { .. }
-        | OpKind::Ret { .. } => {
+        OpKind::Br { .. } | OpKind::CondBr { .. } | OpKind::Switch { .. } | OpKind::Ret { .. } => {
             unreachable!("terminator µop routed to jit_step")
         }
     }

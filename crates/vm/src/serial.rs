@@ -77,7 +77,6 @@ fn put_bsrc(buf: &mut Vec<u8>, s: BSrc) {
             put_u8(buf, 2);
             put_u32(buf, o);
         }
-        BSrc::Prev => put_u8(buf, 3),
     }
 }
 
@@ -86,7 +85,6 @@ fn take_bsrc(r: &mut Reader<'_>) -> SerialResult<BSrc> {
         0 => BSrc::Imm(r.take_u64()?),
         1 => BSrc::Slot(r.take_u32()?),
         2 => BSrc::Lanes(r.take_u32()?),
-        3 => BSrc::Prev,
         t => return Err(SerialError::new(format!("invalid BSrc tag {t}"))),
     })
 }
@@ -112,20 +110,6 @@ fn put_bdst(buf: &mut Vec<u8>, d: BDst) {
 
 fn take_bdst(r: &mut Reader<'_>) -> SerialResult<BDst> {
     Ok(BDst { off: r.take_u32()?, w: r.take_u32()? })
-}
-
-fn put_opt_bdst(buf: &mut Vec<u8>, d: Option<BDst>) {
-    match d {
-        Some(d) => {
-            put_bool(buf, true);
-            put_bdst(buf, d);
-        }
-        None => put_bool(buf, false),
-    }
-}
-
-fn take_opt_bdst(r: &mut Reader<'_>) -> SerialResult<Option<BDst>> {
-    Ok(if r.take_bool()? { Some(take_bdst(r)?) } else { None })
 }
 
 fn put_switch_val(buf: &mut Vec<u8>, v: SwitchVal) {
@@ -271,45 +255,6 @@ fn put_op_kind(buf: &mut Vec<u8>, k: &OpKind) {
         OpKind::Unsupported { what } => {
             let idx = UNSUPPORTED_WHATS.iter().position(|w| *w == what).expect("known what string");
             put_u32(buf, idx as u32);
-        }
-        OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
-            put_cmp_pred(buf, pred);
-            put_sty(buf, sty);
-            put_bool(buf, signed);
-            put_bsrc(buf, a);
-            put_bsrc(buf, b);
-            put_opt_bdst(buf, dst);
-            put_u32(buf, taken);
-            put_u32(buf, fall);
-            put_term_info(buf, term);
-        }
-        OpKind::BinBin { op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            put_bin_op(buf, op1);
-            put_sty(buf, sty1);
-            put_bool(buf, sg1);
-            put_bsrc(buf, a1);
-            put_bsrc(buf, b1);
-            put_opt_bdst(buf, dst1);
-            put_bin_op(buf, op2);
-            put_sty(buf, sty2);
-            put_bool(buf, sg2);
-            put_bsrc(buf, a2);
-            put_bsrc(buf, b2);
-            put_bdst(buf, dst2);
-            put_meta(buf, meta2);
-        }
-        OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            put_sty(buf, sty1);
-            put_space(buf, space);
-            put_bsrc(buf, addr);
-            put_opt_bdst(buf, dst1);
-            put_bin_op(buf, op2);
-            put_sty(buf, sty2);
-            put_bool(buf, sg2);
-            put_bsrc(buf, a2);
-            put_bsrc(buf, b2);
-            put_bdst(buf, dst2);
-            put_meta(buf, meta2);
         }
         OpKind::CopyRun { n, src, sstride, dst, prefill } => {
             put_u32(buf, n);
@@ -473,60 +418,21 @@ fn take_op_kind(r: &mut Reader<'_>) -> SerialResult<OpKind> {
                 .ok_or_else(|| SerialError::new(format!("unknown Unsupported index {idx}")))?;
             OpKind::Unsupported { what }
         }
-        21 => OpKind::CmpBr {
-            pred: take_cmp_pred(r)?,
-            sty: take_sty(r)?,
-            signed: r.take_bool()?,
-            a: take_bsrc(r)?,
-            b: take_bsrc(r)?,
-            dst: take_opt_bdst(r)?,
-            taken: r.take_u32()?,
-            fall: r.take_u32()?,
-            term: take_term_info(r)?,
-        },
-        22 => OpKind::BinBin {
-            op1: take_bin_op(r)?,
-            sty1: take_sty(r)?,
-            sg1: r.take_bool()?,
-            a1: take_bsrc(r)?,
-            b1: take_bsrc(r)?,
-            dst1: take_opt_bdst(r)?,
-            op2: take_bin_op(r)?,
-            sty2: take_sty(r)?,
-            sg2: r.take_bool()?,
-            a2: take_bsrc(r)?,
-            b2: take_bsrc(r)?,
-            dst2: take_bdst(r)?,
-            meta2: take_meta(r)?,
-        },
-        23 => OpKind::LoadBin {
-            sty1: take_sty(r)?,
-            space: take_space(r)?,
-            addr: take_bsrc(r)?,
-            dst1: take_opt_bdst(r)?,
-            op2: take_bin_op(r)?,
-            sty2: take_sty(r)?,
-            sg2: r.take_bool()?,
-            a2: take_bsrc(r)?,
-            b2: take_bsrc(r)?,
-            dst2: take_bdst(r)?,
-            meta2: take_meta(r)?,
-        },
-        24 => OpKind::CopyRun {
+        21 => OpKind::CopyRun {
             n: r.take_u32()?,
             src: r.take_u32()?,
             sstride: r.take_u32()?,
             dst: r.take_u32()?,
             prefill: if r.take_bool()? { Some((take_bsrc(r)?, r.take_u32()?)) } else { None },
         },
-        25 => OpKind::LoadRun {
+        22 => OpKind::LoadRun {
             n: r.take_u32()?,
             sty: take_sty(r)?,
             space: take_space(r)?,
             addr: r.take_u32()?,
             dst: r.take_u32()?,
         },
-        26 => OpKind::StoreRun {
+        23 => OpKind::StoreRun {
             n: r.take_u32()?,
             sty: take_sty(r)?,
             space: take_space(r)?,
@@ -536,23 +442,23 @@ fn take_op_kind(r: &mut Reader<'_>) -> SerialResult<OpKind> {
             vstride: r.take_u32()?,
             smeta: take_meta(r)?,
         },
-        27 => {
+        24 => {
             OpKind::CtxReadRun { field: take_ctx_field(r)?, n: r.take_u32()?, dst: r.take_u32()? }
         }
-        28 => OpKind::Br { target: r.take_u32()?, term: take_term_info(r)? },
-        29 => OpKind::CondBr {
+        25 => OpKind::Br { target: r.take_u32()?, term: take_term_info(r)? },
+        26 => OpKind::CondBr {
             cond: take_bsrc(r)?,
             taken: r.take_u32()?,
             fall: r.take_u32()?,
             term: take_term_info(r)?,
         },
-        30 => OpKind::Switch {
+        27 => OpKind::Switch {
             val: take_switch_val(r)?,
             cases: (r.take_u32()?, r.take_u32()?),
             default: r.take_u32()?,
             term: take_term_info(r)?,
         },
-        31 => OpKind::Ret { term: take_term_info(r)? },
+        28 => OpKind::Ret { term: take_term_info(r)? },
         t => return Err(SerialError::new(format!("invalid OpKind tag {t}"))),
     })
 }
@@ -567,14 +473,7 @@ pub fn program_to_bytes(p: &BytecodeProgram) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + p.code.len() * 32 + p.cases.len() * 12);
     put_u32(&mut buf, p.warp_size);
     put_u64(&mut buf, p.slots as u64);
-    for v in [
-        p.stats.ops,
-        p.stats.source_insts,
-        p.stats.fused_cmp_br,
-        p.stats.fused_bin_bin,
-        p.stats.fused_load_bin,
-        p.stats.fused_runs,
-    ] {
+    for v in [p.stats.ops, p.stats.source_insts, p.stats.fused_runs] {
         put_u64(&mut buf, v);
     }
     put_u32(&mut buf, p.cases.len() as u32);
@@ -608,11 +507,8 @@ pub fn program_from_bytes(bytes: &[u8]) -> SerialResult<BytecodeProgram> {
     let mut stats = DecodeStats {
         ops: r.take_u64()?,
         source_insts: r.take_u64()?,
-        fused_cmp_br: r.take_u64()?,
-        fused_bin_bin: r.take_u64()?,
-        fused_load_bin: r.take_u64()?,
         fused_runs: r.take_u64()?,
-        vector_ops: 0,
+        ..DecodeStats::default()
     };
     let ncases = r.take_len(12)?;
     let mut cases = Vec::with_capacity(ncases);
@@ -669,7 +565,7 @@ mod tests {
     };
 
     /// Build a real program through the production decoder so the sample
-    /// exercises fused superinstructions, branches, and the case table.
+    /// exercises memory µops, branches, and the case table.
     fn sample_program() -> BytecodeProgram {
         let mut f = Function::new("serial_sample", 1);
         let tid = f.new_reg(Type::scalar(STy::I32));

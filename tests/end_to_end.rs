@@ -174,3 +174,34 @@ fn every_suite_kernel_registers() {
         dev.register_source(&w.source()).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
     }
 }
+
+/// The decoder lowers every source instruction to a µop of its own,
+/// except the per-lane glue it collapses into lane runs: over every
+/// suite kernel and specialization the µops cover the source exactly
+/// once, and only runs cover more than one instruction.
+#[test]
+fn each_source_instruction_decodes_to_one_uop_outside_lane_runs() {
+    use dpvk::core::{specialize, translate, SpecializeOptions};
+    use dpvk::vm::{BytecodeProgram, CostInfo, FrameLayout};
+
+    let model = MachineModel::sandybridge_sse();
+    let mut configs = vec![SpecializeOptions::baseline()];
+    configs.extend([1, 2, 4, 8].map(SpecializeOptions::dynamic));
+    configs.extend([2, 4, 8].map(SpecializeOptions::static_tie));
+    for w in dpvk::workloads::all_workloads() {
+        for kernel in &dpvk::ptx::parse_module(&w.source()).expect("suite source parses").kernels {
+            let translated = translate(kernel).expect("suite kernel translates");
+            for options in &configs {
+                let f =
+                    specialize(&translated, options).expect("suite kernel specializes").function;
+                let info = CostInfo::analyze(&f, &model);
+                let program = BytecodeProgram::decode(&f, &FrameLayout::of(&f), &model, &info);
+                let covered: Vec<u64> = program.insts_per_uop().collect();
+                let what = format!("{} {options:?}: {:?}", kernel.name, program.stats);
+                assert_eq!(covered.iter().sum::<u64>(), program.stats.source_insts, "{what}");
+                let multi = covered.iter().filter(|&&c| c > 1).count() as u64;
+                assert_eq!(multi, program.stats.fused_runs, "{what}");
+            }
+        }
+    }
+}

@@ -16,7 +16,7 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Collatz step counts: data-dependent trip counts, so warps diverge,
 /// re-form at several widths, and exercise every µop path the profiler
-/// attributes (loads, stores, fused compare-branches, terminators).
+/// attributes (loads, stores, compares, terminators).
 const DIVERGENT: &str = r#"
 .kernel collatz_steps (.param .u64 seeds, .param .u64 out, .param .u32 n) {
   .reg .u32 %r<8>;

@@ -311,8 +311,8 @@ fn a_faulting_lane_of_a_run_charges_the_lanes_before_it() {
     }
 }
 
-/// `acc += i; i += 1; global[4] = acc` ten times, then a store — the
-/// decoder's compare-branch fusion applies, and a store late in every
+/// `acc += i; i += 1; global[4] = acc` ten times, then a store — a
+/// block-final `Cmp` feeds the loop's `CondBr`, and a store late in every
 /// block makes the instruction a poll or the watchdog stops at visible
 /// in `stats.stores` and in memory. 4 + 10·5 + 2 = 56 dynamic
 /// instructions, terminators included.

@@ -559,8 +559,8 @@ impl Case {
             }
         }
 
-        // A resident value read again after a `CmpBr` into another
-        // block, where nothing is resident any more. The branch is
+        // A resident value read again after a `Cmp` and its taken
+        // `CondBr` into another block, where nothing is resident any more. The branch is
         // always taken, past a block that is emitted in between and
         // leaves values in registers the taken path never set.
         let (x, y) = (self.operand(kind, 1), self.operand(kind, 2));
@@ -586,7 +586,7 @@ impl Case {
         let done = std::mem::replace(&mut self.blk, Block::new("join"));
         self.f.add_block(done);
         let u = self.bin(BinOp::Mul, reg(t), x);
-        self.observe("after CmpBr".into(), u, sty, w);
+        self.observe("after a taken CondBr".into(), u, sty, w);
         let u = self.bin(BinOp::Mul, reg(v), y);
         self.observe("unset on the taken path".into(), u, sty, w);
     }
