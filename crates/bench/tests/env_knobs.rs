@@ -1,10 +1,70 @@
-//! A mistyped configuration knob fails the process loudly and promptly:
-//! it panics with the `InvalidEnvValue` message where the knob is first
-//! read, instead of being taken as unset or clamped, and the panic does
-//! not leave the process waiting on a launch it never started.
+//! The product's environment knobs: the README's table names every one
+//! the source reads, and a mistyped knob fails the process loudly and
+//! promptly: it panics with the `InvalidEnvValue` message where the knob
+//! is first read, instead of being taken as unset or clamped, and the
+//! panic does not leave the process waiting on a launch it never
+//! started.
 
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every `"DPVK_…` string literal in the `.rs` files under `dir`.
+fn knob_literals(dir: &Path, skip: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("source directory reads") {
+        let path = entry.expect("directory entry").path();
+        if path.starts_with(skip) {
+            continue;
+        }
+        if path.is_dir() {
+            knob_literals(&path, skip, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("source file reads");
+            for (at, _) in text.match_indices("\"DPVK_") {
+                let name: String = text[at + 1..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                out.insert(name);
+            }
+        }
+    }
+}
+
+/// The README's knob table lists exactly the knobs the library and its
+/// binaries read (`dpvk-bench`, which clears them, aside).
+#[test]
+fn the_readme_table_names_every_knob_the_source_reads() {
+    let root = repo_root();
+    let skip = root.join("crates/bench/src/bin/dpvk-bench");
+    let mut read = BTreeSet::new();
+    knob_literals(&root.join("src"), &skip, &mut read);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ reads") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            knob_literals(&src, &skip, &mut read);
+        }
+    }
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README reads");
+    let table = readme
+        .split("## Environment knobs")
+        .nth(1)
+        .expect("README has an Environment knobs section")
+        .split("\n## ")
+        .next()
+        .unwrap_or_default();
+    let listed: BTreeSet<String> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `DPVK_"))
+        .map(|l| format!("DPVK_{}", &l[..l.find('`').expect("closing backtick")]))
+        .collect();
+    assert_eq!(listed, read, "README knob table (left) vs the source's literals (right)");
+}
 
 #[test]
 fn bad_knobs_panic_with_their_message_and_exit() {

@@ -201,19 +201,11 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// One compiled width of a kernel, with per-width hotness accounting.
-///
-/// `hits` counts warm resolutions served at this width (direct cache
-/// hits plus memo-resolved dispatches flushed at chunk boundaries);
-/// `warps` counts warps actually dispatched against this entry. Both are
-/// relaxed monotonic sums, updated without the map's write lock, and are
-/// what the adaptive width policy and the trace report read.
+/// One compiled width of a kernel.
 struct WidthEntry {
     width: u32,
     variant: Variant,
     compiled: Arc<CompiledKernel>,
-    hits: AtomicU64,
-    warps: AtomicU64,
 }
 
 /// The set of compiled widths of one translation — the cache's unit of
@@ -233,21 +225,6 @@ impl WidthSet {
     fn len(&self) -> usize {
         self.entries.len()
     }
-}
-
-/// Snapshot of one width's accounting, for trace reports, the adaptive
-/// policy, and tests. See [`TranslationCache::width_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WidthStats {
-    /// The specialized warp width.
-    pub width: u32,
-    /// The specialization family compiled at this width.
-    pub variant: Variant,
-    /// Warm resolutions served at this width (cache hits plus
-    /// memo-resolved dispatches).
-    pub hits: u64,
-    /// Warps dispatched against this entry.
-    pub warps: u64,
 }
 
 /// Cache statistics as relaxed atomics, so the hot hit path updates them
@@ -420,7 +397,7 @@ impl TranslationCache {
         // Hot path: shared read lock, borrowed key, no allocation. Trace
         // bookkeeping (including `Variant::label`) runs only when the
         // trace layer is actually on.
-        if let Some(c) = self.lookup_counting(kernel, warp_size, variant) {
+        if let Some(c) = self.lookup(kernel, warp_size, variant) {
             self.shared.stats.hits.fetch_add(1, Relaxed);
             if dpvk_trace::enabled() {
                 dpvk_trace::record_cache_query(kernel, warp_size, variant.label(), true);
@@ -503,81 +480,32 @@ impl TranslationCache {
         if let Some(existing) = set.find(warp_size, variant) {
             return Ok(Arc::clone(&existing.compiled));
         }
-        set.entries.push(WidthEntry {
-            width: warp_size,
-            variant,
-            compiled: Arc::clone(&compiled),
-            hits: AtomicU64::new(0),
-            warps: AtomicU64::new(0),
-        });
+        set.entries.push(WidthEntry { width: warp_size, variant, compiled: Arc::clone(&compiled) });
         Ok(compiled)
     }
 
     /// Warm lookup: read lock, borrowed key, linear scan of the kernel's
-    /// few specializations; charges the served width's hit counter.
-    fn lookup_counting(
+    /// few specializations.
+    fn lookup(
         &self,
         kernel: &str,
         warp_size: u32,
         variant: Variant,
     ) -> Option<Arc<CompiledKernel>> {
         let map = self.shared.compiled.read();
-        let set = map.get(kernel)?;
-        let e = set.find(warp_size, variant)?;
-        e.hits.fetch_add(1, Relaxed);
-        Some(Arc::clone(&e.compiled))
-    }
-
-    /// Snapshot per-width accounting for `kernel`: every compiled
-    /// `(width, variant)` with its hit and dispatched-warp tallies,
-    /// ordered by `(width, variant)` for deterministic reporting.
-    pub fn width_stats(&self, kernel: &str) -> Vec<WidthStats> {
-        let map = self.shared.compiled.read();
-        let mut out: Vec<WidthStats> = map
-            .get(kernel)
-            .map(|set| {
-                set.entries
-                    .iter()
-                    .map(|e| WidthStats {
-                        width: e.width,
-                        variant: e.variant,
-                        hits: e.hits.load(Relaxed),
-                        warps: e.warps.load(Relaxed),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        out.sort_by_key(|s| (s.width, s.variant.label()));
-        out
+        map.get(kernel)?.find(warp_size, variant).map(|e| Arc::clone(&e.compiled))
     }
 
     /// Every `(width, variant)` currently compiled for `kernel`, in
     /// deterministic `(width, variant)` order.
     pub fn observed_widths(&self, kernel: &str) -> Vec<(u32, Variant)> {
-        self.width_stats(kernel).into_iter().map(|s| (s.width, s.variant)).collect()
-    }
-
-    /// Fold per-width usage flushed from a worker's dispatch memo into
-    /// the served entry's accounting: `hits` resolutions and `warps`
-    /// dispatched warps at `(warp_size, variant)`. Read lock only — the
-    /// entry's counters are relaxed atomics.
-    pub(crate) fn note_width_use(
-        &self,
-        kernel: &str,
-        warp_size: u32,
-        variant: Variant,
-        hits: u64,
-        warps: u64,
-    ) {
         let map = self.shared.compiled.read();
-        if let Some(e) = map.get(kernel).and_then(|set| set.find(warp_size, variant)) {
-            if hits != 0 {
-                e.hits.fetch_add(hits, Relaxed);
-            }
-            if warps != 0 {
-                e.warps.fetch_add(warps, Relaxed);
-            }
-        }
+        let mut out: Vec<(u32, Variant)> = map
+            .get(kernel)
+            .map(|set| set.entries.iter().map(|e| (e.width, e.variant)).collect())
+            .unwrap_or_default();
+        out.sort_by_key(|&(width, variant)| (width, variant.label()));
+        out
     }
 
     /// The persisted specialization named by `id`, if the directory
@@ -859,28 +787,23 @@ done:
     }
 
     #[test]
-    fn width_set_keeps_independent_per_width_stats() {
+    fn observed_widths_lists_each_compiled_width_once_in_order() {
         let cache = cache_with_kernel();
-        for w in [2u32, 4, 8] {
+        assert!(cache.observed_widths("k").is_empty());
+        for w in [8u32, 2, 4, 4, 8] {
             cache.get("k", w, Variant::Dynamic).unwrap();
         }
-        cache.get("k", 4, Variant::Dynamic).unwrap();
-        cache.get("k", 4, Variant::Dynamic).unwrap();
-        cache.get("k", 8, Variant::Dynamic).unwrap();
-        let stats = cache.width_stats("k");
-        assert_eq!(stats.len(), 3);
-        let hits = |w: u32| stats.iter().find(|s| s.width == w).unwrap().hits;
-        assert_eq!(hits(2), 0);
-        assert_eq!(hits(4), 2);
-        assert_eq!(hits(8), 1);
-        cache.note_width_use("k", 8, Variant::Dynamic, 3, 7);
-        let s8 = *cache.width_stats("k").iter().find(|s| s.width == 8).unwrap();
-        assert_eq!(s8.hits, 4);
-        assert_eq!(s8.warps, 7);
+        cache.get("k", 4, Variant::StaticTie).unwrap();
         assert_eq!(
             cache.observed_widths("k"),
-            vec![(2, Variant::Dynamic), (4, Variant::Dynamic), (8, Variant::Dynamic)]
+            vec![
+                (2, Variant::Dynamic),
+                (4, Variant::Dynamic),
+                (4, Variant::StaticTie),
+                (8, Variant::Dynamic)
+            ]
         );
+        assert!(cache.observed_widths("absent").is_empty());
     }
 
     #[test]

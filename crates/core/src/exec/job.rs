@@ -40,10 +40,6 @@ pub(crate) struct LaunchRequest {
     /// otherwise. Chunks trip it on any fault so siblings of *this*
     /// launch stop early; other launches' tokens are untouched.
     pub token: CancelToken,
-    /// The device's adaptive width-policy table; the retiring worker
-    /// feeds the launch's `ExecStats` back into it (a no-op unless
-    /// adaptation is enabled).
-    pub policy: Arc<crate::specialize::policy::PolicyTable>,
 }
 
 /// Mutable completion state of one launch, updated by pool workers as
@@ -134,21 +130,7 @@ impl LaunchJob {
             st.stopped[index] = stopped_at;
             st.remaining -= 1;
             if st.remaining == 0 {
-                let outcome = finalize(&self.req.kernel, &mut st);
-                if let Ok(stats) = &outcome {
-                    // Feed the launch's modeled cost back into the
-                    // adaptive width policy before the outcome becomes
-                    // visible to waiters, so a caller that immediately
-                    // relaunches observes every prior launch's score.
-                    self.req.policy.observe(
-                        &self.req.kernel,
-                        self.req.config.max_warp,
-                        stats,
-                        &self.req.config.adapt,
-                        &self.req.cache,
-                    );
-                }
-                st.outcome = Some(outcome);
+                st.outcome = Some(finalize(&self.req.kernel, &mut st));
                 true
             } else {
                 false

@@ -142,191 +142,17 @@ impl std::fmt::Display for UnknownEngineError {
 
 impl std::error::Error for UnknownEngineError {}
 
-/// How the adaptive width policy treats a launch; see
-/// [`AdaptConfig`].
+/// Configures nothing: a dynamic launch runs at the width it asks for.
+/// Kept only because `dpvk-bench` calls it; the next `benchmark` PR
+/// removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdaptMode {
-    /// Adaptation disabled: launches run at their requested width.
-    #[default]
-    Off,
-    /// Record per-width profiles (visible in trace reports and
-    /// [`Device::width_policy`](crate::Device::width_policy) snapshots)
-    /// but never change a launch's width.
-    Observe,
-    /// Full adaptation: past the hotness threshold, candidate widths are
-    /// compiled in the background and hot kernels are re-specialized to
-    /// the best-measuring width.
-    On,
-}
-
-impl AdaptMode {
-    /// Stable lowercase label used in reports and benchmark output.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdaptMode::Off => "off",
-            AdaptMode::Observe => "observe",
-            AdaptMode::On => "on",
-        }
-    }
-
-    /// Parse a mode name as accepted by `DPVK_ADAPT`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAdaptModeError`] (listing the valid names) for
-    /// anything other than `off`, `observe`, or `on`.
-    pub fn parse(name: &str) -> Result<Self, UnknownAdaptModeError> {
-        match name {
-            "off" | "0" => Ok(AdaptMode::Off),
-            "observe" => Ok(AdaptMode::Observe),
-            "on" | "1" => Ok(AdaptMode::On),
-            other => Err(UnknownAdaptModeError { value: other.to_string() }),
-        }
-    }
-}
-
-/// An adaptation mode name that is not one of the recognized modes; see
-/// [`AdaptMode::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownAdaptModeError {
-    value: String,
-}
-
-impl std::fmt::Display for UnknownAdaptModeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown adaptation mode `{}`: expected `off`, `observe`, or `on`", self.value)
-    }
-}
-
-impl std::error::Error for UnknownAdaptModeError {}
-
-/// Default launches a kernel must accumulate at a width before the
-/// policy trusts its measurement and moves on.
-pub const DEFAULT_HOTNESS_THRESHOLD: u32 = 8;
-
-/// Widest candidate width the policy can represent (candidate sets are
-/// a 64-bit width bitmask).
-pub const MAX_ADAPT_WIDTH: u32 = 63;
-
-/// The adaptive warp-width policy knobs, carried per launch inside
-/// [`ExecConfig`] and read from the environment by
-/// [`AdaptConfig::from_env`]: `DPVK_ADAPT=off|observe|on`,
-/// `DPVK_ADAPT_THRESHOLD=<launches>`, `DPVK_ADAPT_WIDTHS=<w,w,…>`.
-///
-/// Adaptation only ever changes *which width* a dynamic-formation launch
-/// specializes for — never the kernel's semantics — so modeled outputs
-/// stay bit-identical across every mode and width (proven by the width ×
-/// engine differential matrix in the test suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptConfig {
-    /// Whether the policy observes and/or steers launches.
-    pub mode: AdaptMode,
-    /// Launches a kernel must accumulate at a width before the policy
-    /// trusts its measurement.
-    pub hotness_threshold: u32,
-    /// Candidate widths as a bitmask (bit `w` set → width `w` is a
-    /// candidate). Built with [`AdaptConfig::with_candidates`].
-    candidates: u64,
-}
-
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig::off()
-    }
-}
+pub struct AdaptConfig;
 
 impl AdaptConfig {
-    const DEFAULT_CANDIDATES: [u32; 4] = [1, 2, 4, 8];
-
-    /// Adaptation disabled (the default for explicitly built configs).
+    /// The only value. Kept only because `dpvk-bench` calls it; the next
+    /// `benchmark` PR removes it.
     pub fn off() -> Self {
-        AdaptConfig {
-            mode: AdaptMode::Off,
-            hotness_threshold: DEFAULT_HOTNESS_THRESHOLD,
-            candidates: 0,
-        }
-        .with_candidates(&Self::DEFAULT_CANDIDATES)
-    }
-
-    /// Observe-only: profile per-width behavior, never steer.
-    pub fn observe() -> Self {
-        AdaptConfig { mode: AdaptMode::Observe, ..Self::off() }
-    }
-
-    /// Full adaptation with the default threshold and candidate set.
-    pub fn on() -> Self {
-        AdaptConfig { mode: AdaptMode::On, ..Self::off() }
-    }
-
-    /// Override the hotness threshold (launches per width measurement;
-    /// clamped to at least 1).
-    #[must_use]
-    pub fn with_threshold(mut self, launches: u32) -> Self {
-        self.hotness_threshold = launches.max(1);
-        self
-    }
-
-    /// Replace the candidate width set. Widths outside
-    /// `1..=`[`MAX_ADAPT_WIDTH`] are ignored.
-    #[must_use]
-    pub fn with_candidates(mut self, widths: &[u32]) -> Self {
-        self.candidates = 0;
-        for &w in widths {
-            if (1..=MAX_ADAPT_WIDTH).contains(&w) {
-                self.candidates |= 1u64 << w;
-            }
-        }
-        self
-    }
-
-    /// Whether `width` is in the candidate set.
-    pub fn is_candidate(&self, width: u32) -> bool {
-        width <= MAX_ADAPT_WIDTH && self.candidates & (1u64 << width) != 0
-    }
-
-    /// The candidate widths, ascending.
-    pub fn candidate_widths(&self) -> Vec<u32> {
-        (1..=MAX_ADAPT_WIDTH).filter(|&w| self.is_candidate(w)).collect()
-    }
-
-    /// The session default, read once from the environment (the same
-    /// contract as [`Engine::from_env`]): `DPVK_ADAPT` selects the mode,
-    /// `DPVK_ADAPT_THRESHOLD` the hotness threshold, and
-    /// `DPVK_ADAPT_WIDTHS` a comma-separated candidate set.
-    ///
-    /// # Panics
-    ///
-    /// Panics at startup when any of the three variables is set to an
-    /// unparsable value — a typo must surface immediately, not silently
-    /// disable adaptation.
-    pub fn from_env() -> Self {
-        static CHOICE: std::sync::OnceLock<AdaptConfig> = std::sync::OnceLock::new();
-        *CHOICE.get_or_init(|| {
-            let mut cfg = AdaptConfig::off();
-            if let Ok(value) = std::env::var("DPVK_ADAPT") {
-                match AdaptMode::parse(&value) {
-                    Ok(mode) => cfg.mode = mode,
-                    Err(e) => panic!("DPVK_ADAPT: {e}"),
-                }
-            }
-            if let Some(t) = crate::error::env_u64("DPVK_ADAPT_THRESHOLD", "a launch count", ..) {
-                cfg = cfg.with_threshold(u32::try_from(t).unwrap_or(u32::MAX));
-            }
-            if let Ok(value) = std::env::var("DPVK_ADAPT_WIDTHS") {
-                let widths: Vec<u32> = value
-                    .split(',')
-                    .map(|s| match s.trim().parse::<u32>() {
-                        Ok(w) if (1..=MAX_ADAPT_WIDTH).contains(&w) => w,
-                        _ => panic!(
-                            "DPVK_ADAPT_WIDTHS: invalid width `{s}`: expected integers in \
-                             1..={MAX_ADAPT_WIDTH}, comma-separated"
-                        ),
-                    })
-                    .collect();
-                cfg = cfg.with_candidates(&widths);
-            }
-            cfg
-        })
+        AdaptConfig
     }
 }
 
@@ -377,11 +203,6 @@ pub struct ExecConfig {
     pub em_cost: EmCostModel,
     /// Which guest interpreter runs warp bodies.
     pub engine: Engine,
-    /// Adaptive width-policy knobs. Constructed configs inherit the
-    /// environment (`DPVK_ADAPT`, off unless set); adaptation applies
-    /// only to [`FormationPolicy::Dynamic`] launches through a
-    /// [`Device`](crate::Device).
-    pub adapt: AdaptConfig,
 }
 
 impl ExecConfig {
@@ -394,7 +215,6 @@ impl ExecConfig {
             limits: ExecLimits::default(),
             em_cost: EmCostModel::default(),
             engine: Engine::from_env(),
-            adapt: AdaptConfig::from_env(),
         }
     }
 
@@ -420,9 +240,10 @@ impl ExecConfig {
         self
     }
 
-    /// Override the adaptive width-policy knobs for this launch.
-    pub fn with_adapt(mut self, adapt: AdaptConfig) -> Self {
-        self.adapt = adapt;
+    /// Does nothing. Kept only because `dpvk-bench` calls it; the next
+    /// `benchmark` PR removes it.
+    #[must_use]
+    pub fn with_adapt(self, _adapt: AdaptConfig) -> Self {
         self
     }
 }
@@ -673,21 +494,6 @@ entry:
                 "each failed submission must be counted"
             );
         }
-    }
-
-    #[test]
-    fn adapt_config_candidates_and_mode_parse() {
-        let c = AdaptConfig::on().with_candidates(&[4, 8, 16, 99]);
-        assert_eq!(c.mode, AdaptMode::On);
-        assert!(c.is_candidate(4) && c.is_candidate(16));
-        assert!(!c.is_candidate(99) && !c.is_candidate(2));
-        assert_eq!(c.candidate_widths(), vec![4, 8, 16]);
-        assert_eq!(AdaptMode::parse("observe"), Ok(AdaptMode::Observe));
-        assert_eq!(AdaptMode::parse("on"), Ok(AdaptMode::On));
-        let err = AdaptMode::parse("sometimes").unwrap_err();
-        assert!(err.to_string().contains("sometimes"), "{err}");
-        assert_eq!(AdaptConfig::default().mode, AdaptMode::Off);
-        assert_eq!(AdaptConfig::off().with_threshold(0).hotness_threshold, 1);
     }
 
     #[test]

@@ -47,19 +47,10 @@ struct Chunk {
     index: usize,
 }
 
-/// A queued unit of pool work: a launch chunk, or a detached background
-/// task (the adaptive width policy compiles candidate specializations
-/// this way, so re-specialization never runs on a launch's critical
-/// path).
-enum PoolItem {
-    Chunk(Chunk),
-    Task(Box<dyn FnOnce() + Send>),
-}
-
 #[derive(Default)]
 struct PoolQueue {
-    items: VecDeque<PoolItem>,
-    /// Workers currently executing an item (pool occupancy).
+    items: VecDeque<Chunk>,
+    /// Workers currently executing a chunk (pool occupancy).
     busy: usize,
     /// Workers spawned so far: the pool grows on demand, never past its
     /// size, and never shrinks.
@@ -73,30 +64,18 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Enqueue every chunk of `job` and wake workers. Called at submit
-    /// for unordered jobs, and by the retiring worker for the next job
-    /// of a stream.
+    /// Enqueue every chunk of `job`, spawn workers while more chunks wait
+    /// than workers are idle (up to the pool size), and wake one parked
+    /// worker; a worker that takes a chunk and leaves more behind wakes
+    /// the next. Waking one at a time keeps the woken workers from all
+    /// contending for the queue lock at once, which on a two-core host
+    /// left the second chunk of a launch waiting for the first. Called at
+    /// submit for unordered jobs, and by the retiring worker for the next
+    /// job of a stream.
     pub(crate) fn enqueue(&self, job: Arc<LaunchJob>) {
-        let chunks = (0..job.chunks).map(|index| Chunk { job: Arc::clone(&job), index });
-        self.push(chunks.map(PoolItem::Chunk));
-    }
-
-    /// Enqueue a detached background task; it runs on a pool worker when
-    /// one frees up, behind any queued chunks.
-    pub(crate) fn submit_task(&self, task: Box<dyn FnOnce() + Send>) {
-        self.push(std::iter::once(PoolItem::Task(task)));
-    }
-
-    /// Queue `items`, spawn workers while more items wait than workers
-    /// are idle (up to the pool size), and wake one parked worker; a
-    /// worker that takes an item and leaves more behind wakes the next.
-    /// Waking one at a time keeps the woken workers from all contending
-    /// for the queue lock at once, which on a two-core host left the
-    /// second chunk of a launch waiting for the first.
-    fn push(&self, items: impl Iterator<Item = PoolItem>) {
         let spawn = {
             let mut q = self.queue.lock();
-            q.items.extend(items);
+            q.items.extend((0..job.chunks).map(|index| Chunk { job: Arc::clone(&job), index }));
             let idle = q.spawned - q.busy;
             let spawn = q.spawned..(q.spawned + q.items.len().saturating_sub(idle)).min(self.size);
             q.spawned = spawn.end;
@@ -147,10 +126,10 @@ fn worker_loop(pool: &WorkerPool) {
     timeline::register_worker();
     let mut scratch = WorkerScratch::new();
     loop {
-        let item = {
+        let Chunk { job, index } = {
             let mut q = pool.queue.lock();
             loop {
-                if let Some(item) = q.items.pop_front() {
+                if let Some(chunk) = q.items.pop_front() {
                     if !q.items.is_empty() {
                         pool.queue.notify_one();
                     }
@@ -158,20 +137,9 @@ fn worker_loop(pool: &WorkerPool) {
                     if dpvk_trace::enabled() {
                         dpvk_trace::record_peak(dpvk_trace::Counter::PoolBusyPeak, q.busy as u64);
                     }
-                    break item;
+                    break chunk;
                 }
                 q = pool.queue.wait(q);
-            }
-        };
-        let Chunk { job, index } = match item {
-            PoolItem::Chunk(c) => c,
-            PoolItem::Task(task) => {
-                // Background work is panic-contained like a chunk: a bad
-                // candidate compile must not kill the worker thread.
-                let _ = catch_unwind(AssertUnwindSafe(task));
-                let mut q = pool.queue.lock();
-                q.busy -= 1;
-                continue;
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(&job, index, &mut scratch)));
@@ -314,13 +282,6 @@ struct MemoEntry {
     variant: Variant,
     compiled: Arc<CompiledKernel>,
     downgraded: bool,
-    /// Memo hits since the last flush, folded into the cache entry's
-    /// per-width hit counter at chunk boundaries.
-    pending_hits: u64,
-    /// Warps resolved through this entry since the last flush (memo hits
-    /// plus the initial shared-cache resolution), folded into the cache
-    /// entry's per-width dispatched-warp counter.
-    pending_warps: u64,
 }
 
 /// Memo entries are a linear scan; past this the scan (and the held
@@ -364,10 +325,8 @@ impl DispatchMemo {
             // Tally what the shared cache would have counted: one hit per
             // resolution, and for a downgraded entry a hit on the width-1
             // baseline plus one downgrade.
-            let e = &mut self.entries[at];
+            let e = &self.entries[at];
             self.hits += 1;
-            e.pending_hits += 1;
-            e.pending_warps += 1;
             if e.downgraded {
                 self.downgrades += 1;
             }
@@ -380,8 +339,6 @@ impl DispatchMemo {
             let cache = self.cache.as_ref().expect("memo bound to a cache before resolving");
             let (compiled, downgraded) = cache.get_or_downgrade(kernel, w, variant)?;
             if self.entries.len() >= MEMO_CAPACITY {
-                // Flush before discarding so no per-width tallies are lost.
-                self.flush();
                 self.entries.clear();
             }
             self.entries.push(MemoEntry {
@@ -390,8 +347,6 @@ impl DispatchMemo {
                 variant,
                 compiled,
                 downgraded,
-                pending_hits: 0,
-                pending_warps: 1,
             });
             self.entries.len() - 1
         };
@@ -399,9 +354,7 @@ impl DispatchMemo {
         Ok((&e.compiled, e.downgraded))
     }
 
-    /// Flush accumulated hit/downgrade and per-width tallies to the
-    /// bound cache. A downgraded entry's usage is attributed to the
-    /// width-1 baseline it actually dispatched.
+    /// Flush accumulated hit/downgrade tallies to the bound cache.
     pub(crate) fn flush(&mut self) {
         if self.hits != 0 || self.downgrades != 0 {
             if let Some(cache) = &self.cache {
@@ -409,22 +362,6 @@ impl DispatchMemo {
             }
             self.hits = 0;
             self.downgrades = 0;
-        }
-        if let Some(cache) = &self.cache {
-            let tracing = dpvk_trace::enabled();
-            for e in &mut self.entries {
-                if e.pending_hits == 0 && e.pending_warps == 0 {
-                    continue;
-                }
-                let hits = std::mem::take(&mut e.pending_hits);
-                let warps = std::mem::take(&mut e.pending_warps);
-                let (w, v) =
-                    if e.downgraded { (1, Variant::Baseline) } else { (e.width, e.variant) };
-                cache.note_width_use(&e.tk.name, w, v, hits, warps);
-                if tracing {
-                    dpvk_trace::record_width_use(&e.tk.name, w, warps);
-                }
-            }
         }
     }
 }

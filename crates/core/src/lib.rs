@@ -72,21 +72,19 @@ pub mod faults;
 pub mod persist;
 pub mod runtime;
 pub mod slots;
-pub mod specialize;
 pub mod sync;
 pub mod translate;
 pub mod vectorize;
 
-pub use cache::{CacheStats, CompiledKernel, TranslationCache, Variant, WidthStats};
+pub use cache::{CacheStats, CompiledKernel, TranslationCache, Variant};
 pub use devmem::MemoryStats;
 pub use dpvk_vm::CancelToken;
 pub use error::{CoreError, FaultContext, InvalidEnvValue};
 pub use exec::{
-    AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig, FormationPolicy, LaunchHandle,
-    LaunchStats, UnknownAdaptModeError, UnknownEngineError,
+    AdaptConfig, EmCostModel, Engine, ExecConfig, FormationPolicy, LaunchHandle, LaunchStats,
+    UnknownEngineError,
 };
 pub use persist::PersistConfig;
 pub use runtime::{Device, DeviceBuffer, DevicePtr, ParamValue, Stream};
-pub use specialize::{PolicySnapshot, PolicyTable};
 pub use translate::{translate, TranslatedKernel};
 pub use vectorize::{specialize, SpecializeOptions, Specialized};

@@ -17,8 +17,7 @@ use crate::devmem::{DevHeap, MemoryStats};
 use crate::error::CoreError;
 use crate::exec::job::{self, InflightGauge, LaunchRequest, StreamShared};
 use crate::exec::worker;
-use crate::exec::{ExecConfig, FormationPolicy, LaunchHandle, LaunchStats};
-use crate::specialize::{PolicySnapshot, PolicyTable};
+use crate::exec::{ExecConfig, LaunchHandle, LaunchStats};
 
 /// A kernel launch parameter value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,9 +63,6 @@ pub struct Device {
     heap_size: u64,
     inflight: Arc<InflightGauge>,
     next_stream: std::sync::atomic::AtomicU64,
-    /// Adaptive width-policy table shared by every launch path of this
-    /// device (blocking, async, stream).
-    policy: Arc<PolicyTable>,
 }
 
 impl Device {
@@ -98,7 +94,6 @@ impl Device {
             heap_size: heap_size as u64,
             inflight: Arc::new(InflightGauge::new()),
             next_stream: std::sync::atomic::AtomicU64::new(1),
-            policy: Arc::new(PolicyTable::new()),
         }
     }
 
@@ -289,13 +284,6 @@ impl Device {
         token: CancelToken,
     ) -> Result<LaunchRequest, CoreError> {
         let param = self.pack_params(kernel, args)?;
-        let mut config = *config;
-        if config.policy == FormationPolicy::Dynamic {
-            // Let the adaptive policy steer the width (identity unless
-            // `DPVK_ADAPT=on`); a finished background respecialization
-            // is adopted here, at the launch boundary.
-            config.max_warp = self.policy.decide(kernel, config.max_warp, &config.adapt);
-        }
         Ok(LaunchRequest {
             cache: self.cache.clone(),
             kernel: kernel.to_string(),
@@ -303,9 +291,8 @@ impl Device {
             block,
             param,
             global: Arc::clone(&self.global),
-            config,
+            config: *config,
             token,
-            policy: Arc::clone(&self.policy),
         })
     }
 
@@ -329,7 +316,7 @@ impl Device {
     /// Launch `kernel` asynchronously: the launch is enqueued on the
     /// worker pool and this call returns immediately with a
     /// [`LaunchHandle`] to wait on, poll, or cancel. Launches submitted
-    /// this way are unordered with respect to each other; use a
+    /// this way are unordered relative to each other; use a
     /// [`Stream`](Device::stream) for in-order submission.
     ///
     /// # Errors
@@ -435,16 +422,6 @@ impl Device {
     /// Translation-cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Adaptation state of `kernel` under the device's width policy:
-    /// launches observed, the width currently steered to, the final
-    /// committed width once exploration converges, and how many
-    /// background respecializations were scheduled. Zeroed for kernels
-    /// the device has never launched (or when `DPVK_ADAPT` is off —
-    /// observe mode still counts launches).
-    pub fn width_policy(&self, kernel: &str) -> PolicySnapshot {
-        self.policy.snapshot(kernel)
     }
 }
 

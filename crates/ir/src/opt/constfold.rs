@@ -108,7 +108,7 @@ fn sext(x: i64, sty: STy) -> i64 {
 /// both operands are brought to the operation's width first (sign- or
 /// zero-extended, as the operation reads them) and the result is
 /// truncated to it: exactly what the VM computes for the unfolded
-/// instruction, shift-amount masking included.
+/// instruction, the clamping of shift amounts to the width included.
 fn fold(inst: &Inst) -> Option<(VReg, Value)> {
     match inst {
         Inst::Bin { op, ty, signed, dst, a, b } if ty.width == 1 => {
@@ -130,7 +130,6 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
                 let (x, y) = (as_i64(*a)?, as_i64(*b)?);
                 let (ux, uy) = (zext(x, sty), zext(y, sty));
                 let (sx, sy) = (sext(x, sty), sext(y, sty));
-                let shift = uy & (sty.bits() - 1).max(1) as u64;
                 let r: u64 = match (op, *signed) {
                     (BinOp::Add, _) => sx.wrapping_add(sy) as u64,
                     (BinOp::Sub, _) => sx.wrapping_sub(sy) as u64,
@@ -138,9 +137,13 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
                     (BinOp::And, _) => ux & uy,
                     (BinOp::Or, _) => ux | uy,
                     (BinOp::Xor, _) => ux ^ uy,
-                    (BinOp::Shl, _) => ux << shift,
-                    (BinOp::Shr, true) => (sx >> shift) as u64,
-                    (BinOp::Shr, false) => ux >> shift,
+                    // Past 63 every width is passed: only `shr.s` keeps
+                    // bits (the sign fill). Below, the 64-bit shift of
+                    // the extended operand truncates to the clamped value.
+                    (BinOp::Shl | BinOp::Shr, false) | (BinOp::Shl, true) if uy > 63 => 0,
+                    (BinOp::Shl, _) => ux << uy,
+                    (BinOp::Shr, true) => (sx >> uy.min(63)) as u64,
+                    (BinOp::Shr, false) => ux >> uy,
                     (BinOp::Div | BinOp::Rem, _) if uy == 0 => return None,
                     (BinOp::Div, true) => sx.wrapping_div(sy) as u64,
                     (BinOp::Div, false) => ux / uy,
@@ -366,9 +369,12 @@ mod tests {
         assert_eq!(folded(cmp(CmpPred::Lt, true, 0xFFFF_FFFF, 0)), Some(Value::ImmI(1)));
         assert_eq!(folded(cmp(CmpPred::Eq, false, 1 << 32, 0)), Some(Value::ImmI(1)));
         assert_eq!(folded(bin(BinOp::Max, true, 0xFFFF_FFFF, 5)), Some(Value::ImmI(5)));
-        // Shift amounts wrap at the width, as the machine's do.
-        assert_eq!(folded(bin(BinOp::Shl, false, 1, 33)), Some(Value::ImmI(2)));
+        // PTX clamps a shift amount to the width: 1 << 33 at 32 bits is
+        // 0, and a signed right shift past it is the sign fill.
+        assert_eq!(folded(bin(BinOp::Shl, false, 1, 33)), Some(Value::ImmI(0)));
+        assert_eq!(folded(bin(BinOp::Shr, false, -1, 32)), Some(Value::ImmI(0)));
         assert_eq!(folded(bin(BinOp::Shr, true, -8, 1)), Some(Value::ImmI(0xFFFF_FFFC)));
+        assert_eq!(folded(bin(BinOp::Shr, true, -8, 0xFFFF_FFFF)), Some(Value::ImmI(0xFFFF_FFFF)));
         // Zero at the width is zero, whatever the upper bits say.
         assert_eq!(folded(bin(BinOp::Rem, false, 7, 1 << 32)), None);
     }

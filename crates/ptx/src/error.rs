@@ -13,6 +13,16 @@ pub enum PtxError {
     UnknownOpcode(String),
     /// A special-register name (`%tid.x`, ...) that does not exist.
     UnknownSpecialRegister(String),
+    /// An instruction modifier (`.sat`, `.rmi`, `.wide`, ...) that dpvk
+    /// does not implement for that instruction.
+    UnsupportedModifier {
+        /// 1-based line number.
+        line: u32,
+        /// The full mnemonic, e.g. `add.sat.s32`.
+        instruction: String,
+        /// The refused modifier, without its dot.
+        modifier: String,
+    },
     /// Lexical error with line/column position.
     Lex {
         /// 1-based line number.
@@ -51,6 +61,9 @@ impl fmt::Display for PtxError {
             PtxError::UnknownAddressSpace(s) => write!(f, "unknown address space `{s}`"),
             PtxError::UnknownOpcode(o) => write!(f, "unknown opcode `{o}`"),
             PtxError::UnknownSpecialRegister(r) => write!(f, "unknown special register `{r}`"),
+            PtxError::UnsupportedModifier { line, instruction, modifier } => {
+                write!(f, "unsupported modifier `.{modifier}` in `{instruction}` at line {line}")
+            }
             PtxError::Lex { line, col, message } => {
                 write!(f, "lex error at {line}:{col}: {message}")
             }

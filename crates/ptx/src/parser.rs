@@ -315,6 +315,7 @@ impl Parser {
         let mnemonic = self.expect_word()?;
         let parts: Vec<&str> = mnemonic.split('.').collect();
         if parts[0] == "bra" {
+            self.check_modifiers(&mnemonic, &parts[1..], &["uni"])?;
             let mut inst = self.parse_bra()?;
             if let Some((pred, negated)) = guard {
                 inst = inst.with_guard(pred, negated);
@@ -352,14 +353,50 @@ impl Parser {
         regs.get(name).copied().ok_or_else(|| PtxError::UndeclaredRegister(format!("%{name}")))
     }
 
+    /// Refuse the first of `modifiers` that is not in `allowed`, and any
+    /// second modifier: dpvk accepts a modifier only where it implements
+    /// exactly what PTX defines it to mean, so an unimplemented one (a
+    /// rounding mode, `sat`, `ftz`, `wide`, …) is an error, never ignored.
+    fn check_modifiers(
+        &self,
+        full: &str,
+        modifiers: &[&str],
+        allowed: &[&str],
+    ) -> Result<(), PtxError> {
+        let bad = modifiers.iter().enumerate().find(|&(i, m)| i > 0 || !allowed.contains(m));
+        match bad {
+            None => Ok(()),
+            Some((_, m)) => Err(PtxError::UnsupportedModifier {
+                line: self.line(),
+                instruction: full.to_string(),
+                modifier: (*m).to_string(),
+            }),
+        }
+    }
+
     fn decode_mnemonic(&self, parts: &[&str]) -> Result<(Opcode, ScalarType), PtxError> {
         let full = parts.join(".");
         let base = parts[0];
         let last_ty = || -> Result<ScalarType, PtxError> {
             ScalarType::from_suffix(parts.last().expect("split produces at least one part"))
         };
-        let simple =
-            |op: Opcode| -> Result<(Opcode, ScalarType), PtxError> { Ok((op, last_ty()?)) };
+        // `base[.modifier].type`: the parts between the base and the type
+        // suffix are modifiers.
+        let simple = |op: Opcode| -> Result<(Opcode, ScalarType), PtxError> {
+            // Fails on a bare base, so `parts` has a type part below.
+            let ty = last_ty()?;
+            let allowed: &[&str] = match (base, ty.is_float()) {
+                ("add" | "sub" | "fma", true) => &["rn"],
+                ("mul", false) => &["lo", "hi"],
+                ("mad", false) => &["lo"],
+                ("mul" | "mad", true) => &["rn"],
+                ("div" | "sqrt" | "rcp", true) => &["rn", "approx"],
+                ("rsqrt" | "sin" | "cos" | "ex2" | "lg2", _) => &["approx"],
+                _ => &[],
+            };
+            self.check_modifiers(&full, &parts[1..parts.len() - 1], allowed)?;
+            Ok((op, ty))
+        };
         match base {
             "add" => simple(Opcode::Add),
             "sub" => simple(Opcode::Sub),
@@ -395,31 +432,39 @@ impl Parser {
                     return Err(self.err(format!("malformed setp `{full}`")));
                 }
                 let cmp = CmpOp::from_token(parts[1])?;
+                self.check_modifiers(&full, &parts[2..parts.len() - 1], &[])?;
                 Ok((Opcode::Setp(cmp), last_ty()?))
             }
             "cvt" => {
-                let types: Vec<ScalarType> =
-                    parts[1..].iter().filter_map(|p| ScalarType::from_suffix(p).ok()).collect();
-                if types.len() != 2 {
+                // `cvt[.rounding].dtype.stype`. Integer → float and float →
+                // float conversions round to nearest (`rn`); float → integer
+                // ones truncate toward zero (`rzi`) and saturate.
+                let n = parts.len();
+                if n < 3 {
                     return Err(
                         self.err(format!("cvt `{full}` must name destination and source types"))
                     );
                 }
-                Ok((Opcode::Cvt(types[1]), types[0]))
+                let to = ScalarType::from_suffix(parts[n - 2])?;
+                let from = ScalarType::from_suffix(parts[n - 1])?;
+                let allowed: &[&str] = if to.is_float() {
+                    &["rn"]
+                } else if from.is_float() {
+                    &["rzi"]
+                } else {
+                    &[]
+                };
+                self.check_modifiers(&full, &parts[1..n - 2], allowed)?;
+                Ok((Opcode::Cvt(from), to))
             }
-            "ld" | "ldu" => {
+            "ld" | "ldu" | "st" => {
                 if parts.len() < 3 {
-                    return Err(self.err(format!("malformed ld `{full}`")));
+                    return Err(self.err(format!("malformed {base} `{full}`")));
                 }
                 let space = AddressSpace::from_token(parts[1])?;
-                Ok((Opcode::Ld(space), last_ty()?))
-            }
-            "st" => {
-                if parts.len() < 3 {
-                    return Err(self.err(format!("malformed st `{full}`")));
-                }
-                let space = AddressSpace::from_token(parts[1])?;
-                Ok((Opcode::St(space), last_ty()?))
+                self.check_modifiers(&full, &parts[2..parts.len() - 1], &[])?;
+                let op = if base == "st" { Opcode::St(space) } else { Opcode::Ld(space) };
+                Ok((op, last_ty()?))
             }
             "atom" => {
                 if parts.len() < 4 {
@@ -434,6 +479,7 @@ impl Parser {
                     "cas" => AtomOp::Cas,
                     other => return Err(PtxError::UnknownOpcode(format!("atom.{other}"))),
                 };
+                self.check_modifiers(&full, &parts[3..parts.len() - 1], &[])?;
                 Ok((Opcode::Atom(space, op), last_ty()?))
             }
             "vote" => {
@@ -446,11 +492,18 @@ impl Parser {
                     "uni" => VoteMode::Uni,
                     other => return Err(PtxError::UnknownOpcode(format!("vote.{other}"))),
                 };
+                let rest = parts[2..].strip_suffix(&["pred"]).unwrap_or(&parts[2..]);
+                self.check_modifiers(&full, rest, &[])?;
                 Ok((Opcode::Vote(mode), ScalarType::Pred))
             }
-            "bar" => Ok((Opcode::Bar, ScalarType::Pred)),
-            "ret" => Ok((Opcode::Ret, ScalarType::Pred)),
-            "exit" => Ok((Opcode::Exit, ScalarType::Pred)),
+            "bar" => {
+                self.check_modifiers(&full, &parts[1..], &["sync"])?;
+                Ok((Opcode::Bar, ScalarType::Pred))
+            }
+            "ret" | "exit" => {
+                self.check_modifiers(&full, &parts[1..], &[])?;
+                Ok((if base == "ret" { Opcode::Ret } else { Opcode::Exit }, ScalarType::Pred))
+            }
             other => Err(PtxError::UnknownOpcode(other.to_string())),
         }
     }

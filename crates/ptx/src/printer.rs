@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::instruction::{Instruction, Opcode};
+use crate::instruction::{Instruction, MulHalf, Opcode};
 use crate::kernel::{Kernel, Module};
 use crate::operand::{Address, AddressBase, Operand, RegId};
 
@@ -104,6 +104,11 @@ fn render_instruction(kernel: &Kernel, inst: &Instruction) -> String {
         }
         Opcode::Atom(space, op) => {
             write!(s, "atom.{}.{}.{}", space, op.token(), inst.ty).expect("string write");
+        }
+        // `lo` selects an integer product's low half; float forms take none.
+        Opcode::Mul(MulHalf::Lo) | Opcode::Mad if inst.ty.is_float() => {
+            let base = if inst.opcode == Opcode::Mad { "mad" } else { "mul" };
+            write!(s, "{base}.{}", inst.ty).expect("string write");
         }
         op => {
             write!(s, "{}.{}", op.mnemonic(), inst.ty).expect("string write");

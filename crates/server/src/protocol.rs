@@ -108,13 +108,6 @@ pub struct TenantStats {
     pub failed: u64,
     /// Cumulative device execution wall time, nanoseconds.
     pub exec_ns: u64,
-    /// Warp width the adaptive policy committed for the tenant's
-    /// most-launched kernel (`0` until a width has been chosen, or when
-    /// adaptation is off).
-    pub chosen_width: u64,
-    /// Background respecializations scheduled across the tenant's
-    /// kernels by the adaptive width policy.
-    pub respec_events: u64,
     /// Device heap bytes currently live (device-wide, snapshotted when
     /// the stats response was built).
     pub heap_live_bytes: u64,
@@ -468,8 +461,6 @@ impl Response {
                     s.completed,
                     s.failed,
                     s.exec_ns,
-                    s.chosen_width,
-                    s.respec_events,
                     s.heap_live_bytes,
                     s.heap_high_water,
                 ] {
@@ -515,8 +506,6 @@ impl Response {
                 completed: d.u64()?,
                 failed: d.u64()?,
                 exec_ns: d.u64()?,
-                chosen_width: d.u64()?,
-                respec_events: d.u64()?,
                 heap_live_bytes: d.u64()?,
                 heap_high_water: d.u64()?,
             }),
@@ -592,8 +581,6 @@ mod tests {
             completed: 7,
             failed: 1,
             exec_ns: 123_456,
-            chosen_width: 4,
-            respec_events: 2,
             heap_live_bytes: 4096,
             heap_high_water: 1 << 20,
         }));

@@ -145,36 +145,11 @@ impl Server {
         }
     }
 
-    /// Assemble a `Stats` payload: the tenant's serving counters, its
-    /// adaptation state (the width committed for its most-launched
-    /// kernel, plus respecializations summed across its kernels), and a
+    /// Assemble a `Stats` payload: the tenant's serving counters and a
     /// device-wide heap snapshot. An unknown tenant gets zeroed serving
     /// counters but still sees the heap snapshot.
     fn tenant_stats(&self, tenant: &str) -> crate::protocol::TenantStats {
-        let mut stats = crate::protocol::TenantStats::default();
-        if let Some(t) = self.tenants.get(tenant) {
-            stats = t.stats();
-            let mut kernels: Vec<String> = t
-                .kernels
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .cloned()
-                .collect();
-            // Sorted so "most-launched" ties break deterministically.
-            kernels.sort();
-            let mut best_launches = 0u64;
-            for kernel in &kernels {
-                let snap = self.dev.width_policy(kernel);
-                stats.respec_events += snap.respec_events;
-                if let Some(w) = snap.chosen_width {
-                    if snap.launches > best_launches {
-                        best_launches = snap.launches;
-                        stats.chosen_width = u64::from(w);
-                    }
-                }
-            }
-        }
+        let mut stats = self.tenants.get(tenant).map(|t| t.stats()).unwrap_or_default();
         let mem = self.dev.memory_stats();
         stats.heap_live_bytes = mem.live_bytes;
         stats.heap_high_water = mem.high_water;

@@ -248,12 +248,6 @@ pub enum Counter {
     /// Bytes of idle free-list blocks evicted (coalesced into the
     /// reserve) to satisfy an allocation under pressure.
     AllocEvictedBytes,
-    /// Background respecializations scheduled by the adaptive width
-    /// policy (`DPVK_ADAPT=on`).
-    RespecEvents,
-    /// Launch-boundary width switches adopted after a background
-    /// respecialization finished.
-    WidthSwitches,
     /// The subset of `JitHelperUops` that fell back solely because the
     /// µop's vector width exceeds the JIT's inline lane cap — the
     /// width-aware rung of the engine fallback ladder.
@@ -268,7 +262,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 51] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -317,8 +311,6 @@ impl Counter {
         Counter::AllocReuseBytes,
         Counter::AllocFreshBytes,
         Counter::AllocEvictedBytes,
-        Counter::RespecEvents,
-        Counter::WidthSwitches,
         Counter::JitWideHelperUops,
         Counter::JitResidentReads,
         Counter::JitRefills,
@@ -375,8 +367,6 @@ impl Counter {
             Counter::AllocReuseBytes => "alloc_reuse_bytes",
             Counter::AllocFreshBytes => "alloc_fresh_bytes",
             Counter::AllocEvictedBytes => "alloc_evicted_bytes",
-            Counter::RespecEvents => "respec_events",
-            Counter::WidthSwitches => "width_switches",
             Counter::JitWideHelperUops => "jit_wide_helper_uops",
             Counter::JitResidentReads => "jit_resident_reads",
             Counter::JitRefills => "jit_refills",
@@ -539,28 +529,6 @@ pub enum Event {
         /// Interned rendered error (with provenance).
         detail: u32,
     },
-    /// The adaptive width policy scheduled a background
-    /// respecialization of a kernel toward a candidate width.
-    Respec {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Width launches were running at when the candidate was
-        /// scheduled.
-        from: u32,
-        /// Candidate width being compiled in the background.
-        to: u32,
-        /// Launches the policy had observed for the kernel at that
-        /// point.
-        launches: u64,
-    },
-    /// The adaptive width policy committed a final width for a kernel
-    /// (exploration converged).
-    WidthChoice {
-        /// Interned kernel name.
-        kernel: u32,
-        /// The committed width.
-        width: u32,
-    },
     /// A launch entered (`submit = true`) or left (`submit = false`) a
     /// stream's ordered queue.
     Stream {
@@ -691,11 +659,6 @@ struct State {
     phases: HashMap<(String, &'static str, usize), PhaseTotals>,
     specs: Vec<SpecRecord>,
     tenants: HashMap<String, TenantRecord>,
-    /// Warps dispatched per `(kernel, width)`, accumulated (not ring
-    /// events — dispatch memos flush these on a hot path).
-    width_use: HashMap<(String, u32), u64>,
-    /// Final width committed by the adaptive policy, per kernel.
-    width_chosen: HashMap<String, u32>,
 }
 
 #[derive(Default, Clone, Copy)]
@@ -810,43 +773,6 @@ pub fn record_stream_event(kernel: &str, stream: u64, depth: u32, submit: bool) 
     let mut s = lock_state();
     let kernel = s.intern(kernel);
     s.push_event(Event::Stream { kernel, stream, depth, submit });
-}
-
-/// Record `warps` warp dispatches of `kernel` resolved at `width`. Fed
-/// by the execution manager's dispatch-memo flushes; accumulated per
-/// `(kernel, width)` rather than pushed into the event ring.
-#[inline]
-pub fn record_width_use(kernel: &str, width: u32, warps: u64) {
-    if !enabled() || warps == 0 {
-        return;
-    }
-    let mut s = lock_state();
-    *s.width_use.entry((kernel.to_string(), width)).or_default() += warps;
-}
-
-/// Record a scheduled background respecialization: the adaptive policy
-/// is moving `kernel` from `from` toward candidate width `to` after
-/// observing `launches` launches.
-#[inline]
-pub fn record_respec(kernel: &str, from: u32, to: u32, launches: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    s.push_event(Event::Respec { kernel, from, to, launches });
-}
-
-/// Record the adaptive policy's final width commitment for `kernel`.
-#[inline]
-pub fn record_width_choice(kernel: &str, width: u32) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock_state();
-    let id = s.intern(kernel);
-    s.push_event(Event::WidthChoice { kernel: id, width });
-    s.width_chosen.insert(kernel.to_string(), width);
 }
 
 /// Record one serving-layer transition for `tenant`: bumps the matching
@@ -975,8 +901,6 @@ pub fn reset() {
     s.phases.clear();
     s.specs.clear();
     s.tenants.clear();
-    s.width_use.clear();
-    s.width_chosen.clear();
 }
 
 pub(crate) struct FullSnapshot {
@@ -987,10 +911,6 @@ pub(crate) struct FullSnapshot {
     pub phases: Vec<(String, &'static str, usize, u64, u64)>,
     pub specs: Vec<SpecRecord>,
     pub tenants: Vec<TenantRecord>,
-    /// `(kernel, width, warps)` sorted by `(kernel, width)`.
-    pub width_use: Vec<(String, u32, u64)>,
-    /// `(kernel, chosen width)` sorted by kernel.
-    pub width_chosen: Vec<(String, u32)>,
 }
 
 pub(crate) fn full_snapshot() -> FullSnapshot {
@@ -1015,12 +935,6 @@ pub(crate) fn full_snapshot() -> FullSnapshot {
         .map(|(name, rec)| TenantRecord { tenant: name.clone(), ..rec.clone() })
         .collect();
     tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    let mut width_use: Vec<(String, u32, u64)> =
-        s.width_use.iter().map(|((k, w), n)| (k.clone(), *w, *n)).collect();
-    width_use.sort();
-    let mut width_chosen: Vec<(String, u32)> =
-        s.width_chosen.iter().map(|(k, w)| (k.clone(), *w)).collect();
-    width_chosen.sort();
     FullSnapshot {
         counters: Counter::ALL.iter().map(|&c| (c.name(), counter(c))).collect(),
         occupancy: occupancy_histogram(),
@@ -1029,8 +943,6 @@ pub(crate) fn full_snapshot() -> FullSnapshot {
         phases,
         specs,
         tenants,
-        width_use,
-        width_chosen,
     }
 }
 

@@ -92,25 +92,6 @@ pub enum EventReport {
         /// `true` on submit, `false` on retire.
         submit: bool,
     },
-    /// The adaptive width policy scheduled a background
-    /// respecialization.
-    Respec {
-        /// Kernel name.
-        kernel: String,
-        /// Width launches were running at.
-        from: u32,
-        /// Candidate width being compiled.
-        to: u32,
-        /// Launches observed when the candidate was scheduled.
-        launches: u64,
-    },
-    /// The adaptive width policy committed a final width.
-    WidthChoice {
-        /// Kernel name.
-        kernel: String,
-        /// The committed width.
-        width: u32,
-    },
 }
 
 /// A point-in-time snapshot of everything the tracer has recorded,
@@ -138,14 +119,6 @@ pub struct TraceReport {
     /// Per-tenant serving-layer totals (admission, shedding, retries,
     /// degradation), sorted by tenant name; empty when no server ran.
     pub tenants: Vec<TenantRecord>,
-    /// Warps dispatched per `(kernel, width, warps)`, sorted by
-    /// `(kernel, width)` — the per-width occupancy the adaptive policy
-    /// steers on.
-    pub width_occupancy: Vec<(String, u32, u64)>,
-    /// `(kernel, width)` committed by the adaptive policy, sorted by
-    /// kernel; empty unless exploration converged under
-    /// `DPVK_ADAPT=on`.
-    pub width_chosen: Vec<(String, u32)>,
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -195,12 +168,6 @@ impl TraceReport {
                 Event::Stream { kernel, stream, depth, submit } => {
                     EventReport::Stream { kernel: name_of(kernel), stream, depth, submit }
                 }
-                Event::Respec { kernel, from, to, launches } => {
-                    EventReport::Respec { kernel: name_of(kernel), from, to, launches }
-                }
-                Event::WidthChoice { kernel, width } => {
-                    EventReport::WidthChoice { kernel: name_of(kernel), width }
-                }
             })
             .collect();
         let events_dropped =
@@ -225,8 +192,6 @@ impl TraceReport {
             span_totals: timeline::span_totals(),
             uop_profiles: profile::profiles(),
             tenants: snap.tenants,
-            width_occupancy: snap.width_use,
-            width_chosen: snap.width_chosen,
         }
     }
 
@@ -325,23 +290,6 @@ impl TraceReport {
             j.close_obj();
         }
         j.close_arr();
-        j.open_arr(Some("width_occupancy"));
-        for (kernel, width, warps) in &self.width_occupancy {
-            j.open_obj(None);
-            j.field_str("kernel", kernel);
-            j.field_u64("width", u64::from(*width));
-            j.field_u64("warps", *warps);
-            j.close_obj();
-        }
-        j.close_arr();
-        j.open_arr(Some("width_chosen"));
-        for (kernel, width) in &self.width_chosen {
-            j.open_obj(None);
-            j.field_str("kernel", kernel);
-            j.field_u64("width", u64::from(*width));
-            j.close_obj();
-        }
-        j.close_arr();
         j.field_u64("events_dropped", self.events_dropped);
         j.open_arr(Some("events"));
         for e in &self.events {
@@ -386,18 +334,6 @@ impl TraceReport {
                     j.field_u64("stream", *stream);
                     j.field_u64("depth", u64::from(*depth));
                     j.field_bool("submit", *submit);
-                }
-                EventReport::Respec { kernel, from, to, launches } => {
-                    j.field_str("type", "respec");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("from", u64::from(*from));
-                    j.field_u64("to", u64::from(*to));
-                    j.field_u64("launches", *launches);
-                }
-                EventReport::WidthChoice { kernel, width } => {
-                    j.field_str("type", "width_choice");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("width", u64::from(*width));
                 }
             }
             j.close_obj();
@@ -539,17 +475,6 @@ impl TraceReport {
                 }
             }
         }
-        let respecs = self.counter("respec_events");
-        if respecs > 0 || !self.width_chosen.is_empty() {
-            let _ = writeln!(
-                out,
-                "  adaptation: {respecs} respecializations, {} width switches",
-                self.counter("width_switches"),
-            );
-            for (kernel, width) in &self.width_chosen {
-                let _ = writeln!(out, "    {kernel}: chose width {width}");
-            }
-        }
         if self.span_totals.iter().any(|t| t.calls > 0) {
             let _ = writeln!(out, "  launch phases (span · calls · total):");
             for t in &self.span_totals {
@@ -684,8 +609,6 @@ mod tests {
             span_totals: vec![],
             uop_profiles: vec![],
             tenants: vec![],
-            width_occupancy: vec![],
-            width_chosen: vec![],
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -727,8 +650,6 @@ mod tests {
             span_totals: vec![],
             uop_profiles: vec![],
             tenants: vec![],
-            width_occupancy: vec![],
-            width_chosen: vec![],
         };
         let json = report.to_json();
         for needle in [
@@ -770,8 +691,6 @@ mod tests {
             span_totals: vec![],
             uop_profiles: vec![],
             tenants: vec![],
-            width_occupancy: vec![],
-            width_chosen: vec![],
         };
         let json = report.to_json();
         for needle in [

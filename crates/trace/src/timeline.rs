@@ -127,7 +127,7 @@ pub enum SpanKind {
     /// Warp formation inside one chunk, coalesced into a single span.
     Gather,
     /// Retiring the launch: from its last chunk's taking the job's
-    /// state lock (merge, finalize, policy feedback, waking waiters) to
+    /// state lock (merge, finalize, waking waiters) to
     /// after the stream's next job was released.
     Retire,
     /// Loading a specialized function from the persistent on-disk
@@ -135,15 +135,11 @@ pub enum SpanKind {
     PersistLoad,
     /// Writing a freshly compiled artifact to the persistent cache.
     PersistStore,
-    /// A background respecialization task compiling a candidate warp
-    /// width for the adaptive policy (runs on a pool worker track,
-    /// off every launch's critical path).
-    Respecialize,
 }
 
 impl SpanKind {
     /// Every kind, in pipeline order.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::QueueWait,
         SpanKind::Translate,
         SpanKind::Specialize,
@@ -154,7 +150,6 @@ impl SpanKind {
         SpanKind::Retire,
         SpanKind::PersistLoad,
         SpanKind::PersistStore,
-        SpanKind::Respecialize,
     ];
 
     /// Stable snake_case name used in exports.
@@ -170,7 +165,6 @@ impl SpanKind {
             SpanKind::Retire => "retire",
             SpanKind::PersistLoad => "persist_load",
             SpanKind::PersistStore => "persist_store",
-            SpanKind::Respecialize => "respecialize",
         }
     }
 }

@@ -35,7 +35,7 @@ use crate::frame::RegFrame;
 use crate::memory::MemAccess;
 use crate::semantics::{
     atom_rmw, f_enc, f_min_max, f_of, fused_mul_add, fused_mul_add_f32, mask_to, scalar_bin,
-    scalar_cmp, scalar_cvt, scalar_un, sext, ExecLimits, WarpOutcome,
+    scalar_cmp, scalar_cvt, scalar_un, sext, shift, ExecLimits, WarpOutcome,
 };
 use crate::stats::ExecStats;
 
@@ -933,7 +933,6 @@ pub(crate) fn exec_bin(
         }
         return Ok(());
     }
-    let shift_mask = (sty.bits().max(1) - 1).max(1) as u64;
     match op {
         BinOp::Add => vec2(regs, w, doff, a, b, |x, y| {
             mask_to(sext(x, sty).wrapping_add(sext(y, sty)) as u64, sty)
@@ -959,15 +958,11 @@ pub(crate) fn exec_bin(
         BinOp::And => vec2(regs, w, doff, a, b, |x, y| mask_to(x & y, sty)),
         BinOp::Or => vec2(regs, w, doff, a, b, |x, y| mask_to(x | y, sty)),
         BinOp::Xor => vec2(regs, w, doff, a, b, |x, y| mask_to(x ^ y, sty)),
-        BinOp::Shl => {
-            vec2(regs, w, doff, a, b, |x, y| mask_to(mask_to(x, sty) << (y & shift_mask), sty))
+        BinOp::Shl => vec2(regs, w, doff, a, b, |x, y| shift(BinOp::Shl, sty, false, x, y)),
+        BinOp::Shr if signed => {
+            vec2(regs, w, doff, a, b, |x, y| shift(BinOp::Shr, sty, true, x, y))
         }
-        BinOp::Shr if signed => vec2(regs, w, doff, a, b, |x, y| {
-            mask_to((sext(x, sty) >> (y & shift_mask)) as u64, sty)
-        }),
-        BinOp::Shr => {
-            vec2(regs, w, doff, a, b, |x, y| mask_to(mask_to(x, sty) >> (y & shift_mask), sty))
-        }
+        BinOp::Shr => vec2(regs, w, doff, a, b, |x, y| shift(BinOp::Shr, sty, false, x, y)),
         _ => {
             // MulHi (i128 product) and the fallible Div/Rem: sequential,
             // via the shared scalar helper.

@@ -115,8 +115,7 @@ pub struct JitEmitStats {
     /// The subset of `helper_uops` that fell back *solely* because the
     /// µop's vector width exceeds [`VEC_INLINE_MAX`] — the shape itself
     /// has an inline template. A specialization with a high wide share
-    /// pays helper-call overhead per dynamic µop, which the adaptive
-    /// width policy observes as inflated cycles at that width.
+    /// pays helper-call overhead per dynamic µop.
     pub wide_helper_uops: u64,
     /// Operand reads served by a register an earlier template of the
     /// same block left the value in, instead of by frame loads.
@@ -288,10 +287,12 @@ fn un_ok(op: UnOp, sty: STy) -> bool {
     }
 }
 
-/// Whether a `Cvt` has an inline template. The one exclusion is
-/// unsigned i64 → float, whose u64 rounding `cvtsi2sd` cannot express.
+/// Whether a `Cvt` has an inline template. The exclusions are i64 →
+/// float conversions the template's `cvtsi2sd` cannot round as the
+/// semantics do: unsigned ones, and any to f32, which must round once,
+/// not through f64.
 fn cvt_ok(to: STy, from: STy, signed: bool) -> bool {
-    !(to.is_float() && from == STy::I64 && !signed)
+    !(to.is_float() && from == STy::I64 && (!signed || to == STy::F32))
 }
 
 /// Whether a `bin_ok` shape is float arithmetic, which runs as chunks;
@@ -378,7 +379,7 @@ enum SlowCall {
     Step(u32),
     /// Finish run µop `idx` from a component in [`jit_run_from`].
     RunFrom(u32, u32),
-    /// Convert the f64 lane in xmm `x` in [`jit_f2i`] (overflow or NaN).
+    /// Convert the f64 lane in xmm `x` in [`jit_f2i`] (out of range or NaN).
     F2i { x: u8, to: STy, signed: bool },
 }
 
@@ -898,6 +899,9 @@ impl Emitter<'_> {
             return self.asm.vop(VMOVQ_RX, XMM0, 0, RAX);
         }
         self.load_src(RAX, a, i);
+        if matches!(op, BinOp::Shl | BinOp::Shr) {
+            return self.emit_shift_lane(op, sty, signed, b, i);
+        }
         self.load_src(RCX, b, i);
         match op {
             BinOp::Add => {
@@ -915,21 +919,6 @@ impl Emitter<'_> {
             BinOp::And => self.asm.alu_rr(Alu::And, RAX, RCX),
             BinOp::Or => self.asm.alu_rr(Alu::Or, RAX, RCX),
             BinOp::Xor => self.asm.alu_rr(Alu::Xor, RAX, RCX),
-            BinOp::Shl => {
-                self.asm.alu_ri(Alu::And, RCX, shift_mask(sty));
-                self.asm.shift_cl(Sh::Shl, RAX);
-                self.mask_reg(RAX, sty);
-            }
-            BinOp::Shr => {
-                if signed {
-                    self.sext_reg(RAX, sty);
-                }
-                self.asm.alu_ri(Alu::And, RCX, shift_mask(sty));
-                self.asm.shift_cl(if signed { Sh::Sar } else { Sh::Shr }, RAX);
-                if signed {
-                    self.mask_reg(RAX, sty);
-                }
-            }
             BinOp::Min | BinOp::Max => {
                 if signed {
                     self.sext_reg(RAX, sty);
@@ -948,6 +937,45 @@ impl Emitter<'_> {
                 }
             }
             _ => unreachable!("µop without an inline template reached emit_bin_lane"),
+        }
+    }
+
+    /// Shift the lane in RAX by `b` (clobbers RCX). PTX clamps the
+    /// amount to the operand width, so `shl` and `shr.u` give 0 and
+    /// `shr.s` the sign fill past it. A 64-bit shift of the
+    /// `mask_to`-normalized (for `shr.s`, sign-extended) value already
+    /// gives those results for amounts up to 63, so only a larger amount
+    /// needs handling: an immediate is clamped here, a register amount
+    /// zeroes the value (`shl`, `shr.u`) or becomes 63 (`shr.s`).
+    fn emit_shift_lane(&mut self, op: BinOp, sty: STy, signed: bool, b: BSrc, i: u32) {
+        let sh = match (op, signed) {
+            (BinOp::Shl, _) => Sh::Shl,
+            (_, true) => Sh::Sar,
+            _ => Sh::Shr,
+        };
+        if sh == Sh::Sar {
+            self.sext_reg(RAX, sty);
+        }
+        if let BSrc::Imm(amount) = b {
+            if amount > 63 && sh != Sh::Sar {
+                self.asm.alu_rr32(Alu::Xor, RAX, RAX);
+            } else {
+                self.asm.shift_ri(sh, RAX, amount.min(63) as u8);
+            }
+        } else {
+            self.load_src(RCX, b, i);
+            self.asm.alu_ri(Alu::Cmp, RCX, 63);
+            let in_range = self.asm.jcc_fwd(Cc::Be);
+            if sh == Sh::Sar {
+                self.asm.mov_ri(RCX, 63);
+            } else {
+                self.asm.alu_rr32(Alu::Xor, RAX, RAX);
+            }
+            self.asm.bind(in_range);
+            self.asm.shift_cl(sh, RAX);
+        }
+        if sh != Sh::Shr {
+            self.mask_reg(RAX, sty);
         }
     }
 
@@ -1029,19 +1057,38 @@ impl Emitter<'_> {
                 }
                 return;
             }
-            // float → int: `cvttsd2si` fast path; the i64::MIN sentinel
-            // (overflow/NaN) — or any negative result for unsigned —
-            // takes the saturating `jit_f2i` helper, out of line, which
-            // returns the Rust `as`-cast value already masked.
+            // float → int: `cvttsd2si` fast path; a value outside the
+            // destination's range takes the saturating `jit_f2i` helper,
+            // out of line, which returns the saturated value already
+            // masked. At 64 bits that is the i64::MIN sentinel
+            // (overflow/NaN) or, unsigned, any negative result; below,
+            // a value the destination width does not hold (the sentinel
+            // included).
             let x = self.operand_f64(a, i, 1, from);
             self.asm.vop(VCVTTSD2SI, RAX, 0, x);
-            let slow = if signed {
-                self.asm.mov_ri(RCX, i64::MIN as u64);
-                self.asm.alu_rr(Alu::Cmp, RAX, RCX);
-                self.asm.jcc_fwd(Cc::E)
-            } else {
-                self.asm.test_rr(RAX, RAX);
-                self.asm.jcc_fwd(Cc::S)
+            let bits = to.bits();
+            let slow = match (signed, bits) {
+                (true, 64) => {
+                    self.asm.mov_ri(RCX, i64::MIN as u64);
+                    self.asm.alu_rr(Alu::Cmp, RAX, RCX);
+                    self.asm.jcc_fwd(Cc::E)
+                }
+                (false, 64) => {
+                    self.asm.test_rr(RAX, RAX);
+                    self.asm.jcc_fwd(Cc::S)
+                }
+                (true, _) => {
+                    self.asm.mov_rr(RCX, RAX);
+                    self.sext_reg(RCX, to);
+                    self.asm.alu_rr(Alu::Cmp, RAX, RCX);
+                    self.asm.jcc_fwd(Cc::Ne)
+                }
+                (false, _) => {
+                    self.asm.mov_rr(RCX, RAX);
+                    self.asm.shift_ri(Sh::Shr, RCX, bits as u8);
+                    self.asm.test_rr(RCX, RCX);
+                    self.asm.jcc_fwd(Cc::Ne)
+                }
             };
             self.mask_reg(RAX, to);
             self.slow_site(vec![slow], SlowCall::F2i { x, to, signed });
@@ -1054,8 +1101,8 @@ impl Emitter<'_> {
             }
             // Unsigned sources below i64 are masked, hence
             // non-negative, so the signed convert is exact; unsigned
-            // i64 is excluded by `cvt_ok`. The f32 narrow reproduces
-            // the interpreter's double rounding through f64.
+            // i64, and i64 to f32, are excluded by `cvt_ok`. A 32-bit
+            // source is exact in f64, so the f32 narrow rounds once.
             // Zeroed first: the convert merges XMM0's upper lane.
             self.asm.vop(VPXOR, XMM0, XMM0, XMM0);
             self.asm.vop(VCVTSI2SD, XMM0, XMM0, RAX);
@@ -1358,11 +1405,6 @@ fn cmp_imm(pred: CmpPred) -> u8 {
         CmpPred::Ge => 0x1D,
         CmpPred::Gt => 0x1E,
     }
-}
-
-/// `scalar_bin`'s shift-amount mask for `sty`.
-fn shift_mask(sty: STy) -> i32 {
-    (sty.bits() - 1).max(1) as i32
 }
 
 impl Emitter<'_> {

@@ -32,7 +32,7 @@ use crate::context::ThreadContext;
 use crate::error::VmError;
 use crate::jit::emit::has_inline_template;
 use crate::memory::MemAccess;
-use crate::semantics::{atom_rmw, mask_to, scalar_cmp, scalar_cvt, sext};
+use crate::semantics::{atom_rmw, f2i, mask_to, scalar_cmp, scalar_cvt, sext};
 
 /// Status codes written to [`JitEnv::status`]; 0 means "no SetStatus
 /// executed yet" (`None` in the interpreter).
@@ -288,11 +288,10 @@ pub(crate) unsafe extern "C" fn jit_fail(env: *mut JitEnv, kind: u32) -> u32 {
     fail(env, err)
 }
 
-/// Slow-path float→int conversion lane (saturating Rust `as` casts; the
-/// inline template branches here only when `cvttsd2si` reports overflow
-/// or NaN). Pure: no env access.
+/// Slow-path float→int conversion lane ([`f2i`]; the inline template
+/// branches here only when the truncated value is out of the
+/// destination's range, or NaN). Pure: no env access.
 pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) -> u64 {
-    let x = f64::from_bits(bits);
     let to = match to_bits {
         1 => STy::I1,
         8 => STy::I8,
@@ -300,11 +299,7 @@ pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) ->
         32 => STy::I32,
         _ => STy::I64,
     };
-    if signed != 0 {
-        mask_to((x as i64) as u64, to)
-    } else {
-        mask_to(x as u64, to)
-    }
+    f2i(f64::from_bits(bits), to, signed != 0)
 }
 
 /// Execute µop `idx` — charge included — through the interpreter's own

@@ -193,7 +193,6 @@ pub(crate) fn scalar_bin(
         return Ok(f_enc(r, sty));
     }
     let bits = sty.bits().max(1);
-    let shift_mask = (bits - 1).max(1) as u64;
     let r: u64 = match op {
         BinOp::Add => (sext(a, sty).wrapping_add(sext(b, sty))) as u64,
         BinOp::Sub => (sext(a, sty).wrapping_sub(sext(b, sty))) as u64,
@@ -244,16 +243,25 @@ pub(crate) fn scalar_bin(
         BinOp::And => a & b,
         BinOp::Or => a | b,
         BinOp::Xor => a ^ b,
-        BinOp::Shl => mask_to(a, sty) << (b & shift_mask),
-        BinOp::Shr => {
-            if signed {
-                (sext(a, sty) >> (b & shift_mask)) as u64
-            } else {
-                mask_to(a, sty) >> (b & shift_mask)
-            }
-        }
+        BinOp::Shl | BinOp::Shr => shift(op, sty, signed, a, b),
     };
     Ok(mask_to(r, sty))
+}
+
+/// `shl`/`shr` of `a` by `b`. PTX clamps the amount to the operand
+/// width: past it `shl` and `shr.u` give 0 and `shr.s` the sign fill.
+#[inline(always)]
+pub(crate) fn shift(op: BinOp, sty: STy, signed: bool, a: u64, b: u64) -> u64 {
+    // Values are held zero-extended in 64 bits, so a 64-bit shift by up
+    // to 63 already gives the clamped result at every narrower width.
+    let r = match (op, signed) {
+        (BinOp::Shl, _) if b > 63 => 0,
+        (BinOp::Shl, _) => mask_to(a, sty) << b,
+        (_, true) => (sext(a, sty) >> b.min(63)) as u64,
+        _ if b > 63 => 0,
+        _ => mask_to(a, sty) >> b,
+    };
+    mask_to(r, sty)
 }
 
 pub(crate) fn scalar_un(op: UnOp, sty: STy, a: u64) -> Result<u64, VmError> {
@@ -324,19 +332,39 @@ pub(crate) fn scalar_cmp(pred: CmpPred, sty: STy, signed: bool, a: u64, b: u64) 
     r as u64
 }
 
+/// Float → integer `cvt`: truncate toward zero and saturate to the
+/// destination's range, NaN giving 0, as PTX defines it. A Rust `as`
+/// cast to the destination width does exactly that.
+pub(crate) fn f2i(x: f64, to: STy, signed: bool) -> u64 {
+    let r = match (to, signed) {
+        (STy::I8, true) => x as i8 as u64,
+        (STy::I8, false) => u64::from(x as u8),
+        (STy::I16, true) => x as i16 as u64,
+        (STy::I16, false) => u64::from(x as u16),
+        (STy::I32, true) => x as i32 as u64,
+        (STy::I32, false) => u64::from(x as u32),
+        (_, true) => x as i64 as u64,
+        (_, false) => x as u64,
+    };
+    mask_to(r, to)
+}
+
 pub(crate) fn scalar_cvt(to: STy, from: STy, signed: bool, a: u64) -> u64 {
     if from.is_float() {
         let x = f_of(a, from);
         if to.is_float() {
             f_enc(x, to)
-        } else if signed {
-            mask_to((x as i64) as u64, to)
         } else {
-            mask_to(x as u64, to)
+            f2i(x, to, signed)
         }
     } else {
         let v: i64 = if signed { sext(a, from) } else { mask_to(a, from) as i64 };
-        if to.is_float() {
+        if to == STy::F32 {
+            // Rounded once, to f32: through f64 a 64-bit source rounds
+            // twice.
+            let x = if signed { v as f32 } else { (v as u64) as f32 };
+            f_enc(f64::from(x), to)
+        } else if to.is_float() {
             if signed {
                 f_enc(v as f64, to)
             } else {

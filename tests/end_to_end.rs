@@ -166,6 +166,67 @@ fn ill_typed_ptx_fails_at_registration() {
     }
 }
 
+/// A modifier dpvk does not implement as PTX defines it is refused by
+/// name when the kernel is registered, never silently dropped; the ones
+/// it implements still register.
+#[test]
+fn unimplemented_modifiers_fail_at_registration() {
+    let source = |i: usize, inst: &str| {
+        format!(
+            ".kernel k{i} () {{ .reg .u32 %r<4>; .reg .s32 %i<2>; .reg .u64 %rd<2>;
+               .reg .f32 %f<2>; .reg .pred %p<2>; entry: {inst} ret; }}"
+        )
+    };
+    let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 16);
+    let refused = [
+        ("cvt.rni.s32.f32 %i0, %f0;", "rni"),
+        ("cvt.rmi.s32.f32 %i0, %f0;", "rmi"),
+        ("cvt.rpi.s32.f32 %i0, %f0;", "rpi"),
+        ("cvt.rn.s32.f32 %i0, %f0;", "rn"),
+        ("cvt.rz.f32.s32 %f0, %i0;", "rz"),
+        ("cvt.rm.f32.f32 %f0, %f1;", "rm"),
+        ("cvt.rzi.f32.f32 %f0, %f1;", "rzi"),
+        ("cvt.sat.u32.f32 %r0, %f0;", "sat"),
+        ("add.sat.s32 %i0, %i0, %i1;", "sat"),
+        ("add.rp.f32 %f0, %f0, %f1;", "rp"),
+        ("mul.ftz.f32 %f0, %f0, %f1;", "ftz"),
+        ("mul.wide.u32 %rd0, %r0, %r1;", "wide"),
+        ("mul.lo.hi.u32 %r0, %r1, %r2;", "hi"),
+        ("mad.hi.u32 %r0, %r1, %r2, %r3;", "hi"),
+        ("add.cc.u32 %r0, %r1, %r2;", "cc"),
+        ("ex2.approx.ftz.f32 %f0, %f1;", "ftz"),
+        ("setp.lt.ftz.f32 %p0, %f0, %f1;", "ftz"),
+        ("ld.global.nc.u32 %r0, [%rd0];", "nc"),
+        ("bar.arrive 0;", "arrive"),
+    ];
+    for (i, (inst, modifier)) in refused.into_iter().enumerate() {
+        let err = dev.register_source(&source(i, inst)).expect_err(inst);
+        let CoreError::Ptx(PtxError::UnsupportedModifier { instruction, modifier: m, .. }) = &err
+        else {
+            panic!("{inst}: expected an unsupported-modifier error, got {err:?}");
+        };
+        assert_eq!(m, modifier, "{inst}");
+        assert!(inst.starts_with(instruction.as_str()), "{inst}: {instruction}");
+        assert!(err.to_string().contains(&format!("`.{modifier}`")), "{err}");
+    }
+    let accepted = [
+        "cvt.rzi.s32.f32 %i0, %f0;",
+        "cvt.rn.f32.s32 %f0, %i0;",
+        "fma.rn.f32 %f0, %f0, %f1, %f1;",
+        "div.rn.f32 %f0, %f0, %f1;",
+        "sqrt.approx.f32 %f0, %f1;",
+        "sin.approx.f32 %f0, %f1;",
+        "mul.hi.u32 %r0, %r1, %r2;",
+        "mad.lo.s32 %i0, %i0, %i1, %i1;",
+        "vote.uni.pred %p0, %p1;",
+        "bar.sync 0;",
+    ];
+    for (i, inst) in accepted.into_iter().enumerate() {
+        dev.register_source(&source(refused.len() + i, inst))
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
+    }
+}
+
 /// Every suite kernel still registers under the register type rules.
 #[test]
 fn every_suite_kernel_registers() {

@@ -5,7 +5,7 @@
 //! scratch state, so once a launch shape is warm the number of heap
 //! allocations must not scale with the number of warps executed. This
 //! test measures that directly with a counting global allocator: two
-//! launches identical in every respect except a param-controlled loop
+//! launches identical in every way except a param-controlled loop
 //! trip count (so one executes ~16x the warps of the other) must perform
 //! essentially the same number of allocations.
 //!

@@ -333,10 +333,8 @@ fn specialization_digest_is_pinned() {
 /// at every formation policy and width: the same output and
 /// bit-identical `LaunchStats`, modeled cycles included. Every
 /// configuration's output also equals the scalar baseline's, so width
-/// itself does not change what is computed (the invariant the adaptive
-/// width policy relies on to switch widths between launches). The
-/// reference matrix (`tests/reference.rs`) holds the same over
-/// generated kernels.
+/// itself does not change what is computed. The reference matrix
+/// (`tests/reference.rs`) holds the same over generated kernels.
 #[test]
 fn engines_are_pairwise_identical() {
     let configs = [

@@ -376,3 +376,202 @@ fn generated_kernels_exercise_the_slot_plan() {
     assert_eq!(planned, 48, "seeds with a rematerialized live-in and a home-slot register");
     assert!(seen.iter().all(|&n| n > 0), "two-entry, early-exit, carry loops: {seen:?}");
 }
+
+/// Run `source` (kernel `refk`, first parameter a buffer holding `input`
+/// and then `want.len()` zeroed words, further parameters `args`) over
+/// one CTA of `threads`, on the reference and on both engines × {baseline,
+/// `dynamic(4)`}, and assert each leaves `want` after the input.
+fn known_answers(source: &str, threads: u32, input: &[u8], args: &[ParamValue], want: &[u64]) {
+    let kernel = ptx::parse_kernel(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
+    let dev = Device::with_persist(MachineModel::sandybridge_sse(), 1 << 16, None);
+    dev.register_source(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
+    let buf = dev.malloc(input.len() + 8 * want.len()).expect("buffer");
+    let mut image = input.to_vec();
+    image.resize(input.len() + 8 * want.len(), 0);
+    let params: Vec<ParamValue> =
+        std::iter::once(ParamValue::Ptr(buf)).chain(args.iter().copied()).collect();
+    let check = |cell: &str, image: &[u8]| {
+        for (w, &want) in want.iter().enumerate() {
+            let at = input.len() + 8 * w;
+            let got = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+            assert_eq!(got, want, "{cell}: word {w} is {got:#x}, want {want:#x}\n{source}");
+        }
+    };
+
+    let mut bytes = vec![0u8; kernel.params.iter().map(|p| p.offset + 8).max().unwrap_or(0)];
+    for (p, arg) in kernel.params.iter().zip(&params) {
+        let v = match *arg {
+            ParamValue::U32(v) => u64::from(v),
+            ParamValue::U64(v) => v,
+            ParamValue::Ptr(p) => p.0,
+            ParamValue::F32(v) => u64::from(v.to_bits()),
+            ParamValue::F64(v) => v.to_bits(),
+        };
+        let n = p.ty.size_bytes();
+        bytes[p.offset..p.offset + n].copy_from_slice(&v.to_le_bytes()[..n]);
+    }
+    let mut reference = image.clone();
+    let launch = Launch { grid: [1, 1, 1], block: [threads, 1, 1], params: &bytes, base: buf.0 };
+    eval::run(&kernel, &launch, &mut reference);
+    check("reference", &reference);
+
+    for (config, exec) in
+        [("baseline", ExecConfig::baseline()), ("dynamic w4", ExecConfig::dynamic(4))]
+    {
+        for engine in engines() {
+            dev.memcpy_htod(buf, &image).expect("upload");
+            dev.launch("refk", [1, 1, 1], [threads, 1, 1], &params, &exec.with_engine(engine))
+                .unwrap_or_else(|e| panic!("{config}, {}: {e}", engine.label()));
+            let mut got = vec![0u8; image.len()];
+            dev.memcpy_dtoh(&mut got, buf).expect("read back");
+            check(&format!("{config}, {}", engine.label()), &got);
+        }
+    }
+}
+
+/// PTX clamps a shift amount to the operand width N: a shift by N or
+/// more leaves 0 for `shl` and `shr.u` and the sign fill for `shr.s`.
+/// Each of eight threads shifts `x = 0x80…01` by N − 1, N, N + 1 and
+/// `0xffffffff`, taken from a parameter, as an immediate, and as an
+/// immediate applied to an immediate `x` (which the optimizer folds).
+#[test]
+fn shift_amounts_clamp_to_the_operand_width() {
+    const THREADS: u32 = 8;
+    for n in [32u32, 64] {
+        let x: u64 = (1 << (n - 1)) | 1;
+        let ones = u64::MAX >> (64 - n);
+        // (op, result at N − 1, result at N and past it)
+        let ops = [("shl.b", 1 << (n - 1), 0), ("shr.u", 1, 0), ("shr.s", ones, ones)];
+        let (mut body, mut row) = (String::new(), Vec::new());
+        for (k, s) in [n - 1, n, n + 1, u32::MAX].into_iter().enumerate() {
+            body.push_str(&format!("  ld.param.u32 %s{k}, [s{k}];\n  mov.b{n} %v2, {x:#x};\n"));
+            for (value, amount) in
+                [("%v0", format!("%s{k}")), ("%v0", s.to_string()), ("%v2", s.to_string())]
+            {
+                for (op, below, past) in ops {
+                    body.push_str(&format!(
+                        "  {op}{n} %v1, {value}, {amount};\n  st.global.b{n} [%a1+{}], %v1;\n",
+                        8 * row.len()
+                    ));
+                    row.push(if s < n { below } else { past });
+                }
+            }
+        }
+        let source = format!(
+            ".kernel refk (.param .u64 buf, .param .u{n} x, .param .u32 s0, .param .u32 s1,
+  .param .u32 s2, .param .u32 s3) {{
+  .reg .u32 %r<2>;
+  .reg .u32 %s<4>;
+  .reg .u64 %a<2>;
+  .reg .b{n} %v<3>;
+entry:
+  ld.param.u64 %a0, [buf];
+  mov.u32 %r0, %tid.x;
+  mul.lo.u32 %r1, %r0, {};
+  cvt.u64.u32 %a1, %r1;
+  add.u64 %a1, %a1, %a0;
+  ld.param.u{n} %v0, [x];
+{body}  ret;
+}}",
+            8 * row.len()
+        );
+        let x = if n == 32 { ParamValue::U32(x as u32) } else { ParamValue::U64(x) };
+        let args = [
+            x,
+            ParamValue::U32(n - 1),
+            ParamValue::U32(n),
+            ParamValue::U32(n + 1),
+            ParamValue::U32(u32::MAX),
+        ];
+        known_answers(&source, THREADS, &[], &args, &row.repeat(THREADS as usize));
+    }
+}
+
+/// PTX's float → integer `cvt` truncates toward zero and saturates to the
+/// destination's range; NaN gives 0. Thread `t` converts the `t`-th
+/// input, held as f32 and as f64, to s32, u32, s64 and u64 (32-bit
+/// results in the low half of their word).
+#[test]
+fn float_to_integer_cvt_saturates_to_the_destination() {
+    let inputs = [3e9, -3e9, 5e9, 2f64.powi(63), f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5];
+    // s32, u32, s64, u64 of each input.
+    let want: [[u64; 4]; 8] = [
+        [0x7fff_ffff, 3_000_000_000, 3_000_000_000, 3_000_000_000],
+        [0x8000_0000, 0, (-3_000_000_000i64) as u64, 0],
+        [0x7fff_ffff, 0xffff_ffff, 5_000_000_000, 5_000_000_000],
+        [0x7fff_ffff, 0xffff_ffff, 0x7fff_ffff_ffff_ffff, 0x8000_0000_0000_0000],
+        [0x7fff_ffff, 0xffff_ffff, 0x7fff_ffff_ffff_ffff, u64::MAX],
+        [0x8000_0000, 0, 0x8000_0000_0000_0000, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ];
+    let mut input: Vec<u8> = inputs.iter().flat_map(|&v| (v as f32).to_le_bytes()).collect();
+    input.extend(inputs.iter().flat_map(|&v| v.to_le_bytes()));
+    let mut body = String::new();
+    for (i, (src, reg)) in [("f32", "%f0"), ("f64", "%d0")].into_iter().enumerate() {
+        for (j, (to, dst)) in
+            [("s32", "%i0"), ("u32", "%r2"), ("s64", "%j0"), ("u64", "%q0")].into_iter().enumerate()
+        {
+            let off = input.len() + 8 * (4 * i + j);
+            body.push_str(&format!(
+                "  cvt.{to}.{src} {dst}, {reg};\n  st.global.{to} [%a3+{off}], {dst};\n"
+            ));
+        }
+    }
+    let source = format!(
+        ".kernel refk (.param .u64 buf) {{
+  .reg .u32 %r<3>;
+  .reg .s32 %i<1>;
+  .reg .s64 %j<1>;
+  .reg .u64 %q<1>;
+  .reg .u64 %a<4>;
+  .reg .f32 %f<1>;
+  .reg .f64 %d<1>;
+entry:
+  ld.param.u64 %a0, [buf];
+  mov.u32 %r0, %tid.x;
+  mul.lo.u32 %r1, %r0, 4;
+  cvt.u64.u32 %a1, %r1;
+  add.u64 %a1, %a1, %a0;
+  ld.global.f32 %f0, [%a1];
+  mul.lo.u32 %r1, %r0, 8;
+  cvt.u64.u32 %a2, %r1;
+  add.u64 %a2, %a2, %a0;
+  ld.global.f64 %d0, [%a2+32];
+  mul.lo.u32 %r1, %r0, 64;
+  cvt.u64.u32 %a3, %r1;
+  add.u64 %a3, %a3, %a0;
+{body}  ret;
+}}"
+    );
+    let want: Vec<u64> = want.iter().flat_map(|row| row.repeat(2)).collect();
+    known_answers(&source, 8, &input, &[], &want);
+}
+
+/// An integer converts to f32 rounding once. `x = 2⁶¹ + 2³⁷ + 1` lies
+/// just above the midpoint between the f32s `2⁶¹` and `2⁶¹ + 2³⁸`, so
+/// it rounds up, to `0x5e000001`; rounded to f64 first, the `+ 1` is
+/// lost and the tie goes to even, `0x5e000000`. Its negation rounds to
+/// `0xde000001`, and as u64 it is the same positive value.
+#[test]
+fn integer_to_f32_cvt_rounds_once() {
+    let x: i64 = (1 << 61) + (1 << 37) + 1;
+    let source = ".kernel refk (.param .u64 buf, .param .s64 x, .param .s64 y) {
+  .reg .u64 %a<1>;
+  .reg .s64 %q<2>;
+  .reg .f32 %f<3>;
+entry:
+  ld.param.u64 %a0, [buf];
+  ld.param.s64 %q0, [x];
+  ld.param.s64 %q1, [y];
+  cvt.rn.f32.s64 %f0, %q0;
+  cvt.rn.f32.s64 %f1, %q1;
+  cvt.rn.f32.u64 %f2, %q0;
+  st.global.f32 [%a0], %f0;
+  st.global.f32 [%a0+8], %f1;
+  st.global.f32 [%a0+16], %f2;
+  ret;
+}";
+    let args = [ParamValue::U64(x as u64), ParamValue::U64(x.wrapping_neg() as u64)];
+    known_answers(source, 1, &[], &args, &[0x5e00_0001, 0xde00_0001, 0x5e00_0001]);
+}

@@ -12,9 +12,11 @@
 //! quieted, `neg`/`abs` included); an arithmetic NaN result propagates
 //! the first NaN operand, quieted; `fma` rounds once, an f32 one to f32.
 //! The one import is `dpvk::vm::approx`, the definition of the f32
-//! `sin`/`cos`/`ex2`/`lg2`, which exists once by design; float → integer
-//! conversions truncate, saturate at 64 bits and wrap to the width; shift
-//! amounts wrap at the width.
+//! `sin`/`cos`/`ex2`/`lg2`, which exists once by design; integer → float
+//! conversions round once, to the destination; float → integer
+//! conversions truncate toward zero and saturate to the destination's
+//! range, NaN giving 0; shift amounts clamp to the width, so a shift by
+//! the width or more gives 0, or for `shr.s` the sign fill.
 //!
 //! Outside the model (the evaluator panics): `%laneid`, `%warpsize`,
 //! `.const`, address-of a `.local` variable, out-of-bounds accesses,
@@ -158,14 +160,23 @@ fn compare(op: CmpOp, t: ScalarType, a: u64, b: u64) -> u64 {
 fn cvt(to: ScalarType, from: ScalarType, a: u64) -> u64 {
     if from.is_float() {
         let x = f_of(a, from);
-        return match () {
-            _ if to.is_float() => f_enc(x, to),
-            _ if to.is_signed() => mask(x as i64 as u64, to),
-            _ => mask(x as u64, to),
+        if to.is_float() {
+            return f_enc(x, to);
+        }
+        let n = bits(to);
+        let (lo, hi) = if to.is_signed() {
+            (-(2f64.powi(n as i32 - 1)), 2f64.powi(n as i32 - 1) - 1.0)
+        } else {
+            (0.0, 2f64.powi(n as i32) - 1.0)
         };
+        let r = if x.is_nan() { 0.0 } else { x.trunc().clamp(lo, hi) };
+        return mask(if to.is_signed() { r as i64 as u64 } else { r as u64 }, to);
     }
     let v = if from.is_signed() { sext(a, from) as u64 } else { mask(a, from) };
+    // An integer rounds once, to the destination's precision.
     match () {
+        _ if to == ScalarType::F32 && from.is_signed() => f_enc(f64::from(v as i64 as f32), to),
+        _ if to == ScalarType::F32 => f_enc(f64::from(v as f32), to),
         _ if to.is_float() && from.is_signed() => f_enc(v as i64 as f64, to),
         _ if to.is_float() => f_enc(v as f64, to),
         _ => mask(v, to),
@@ -455,9 +466,9 @@ fn binary(op: &Opcode, ty: ScalarType, a: u64, b: u64) -> u64 {
         Opcode::And => a & b,
         Opcode::Or => a | b,
         Opcode::Xor => a ^ b,
-        Opcode::Shl => ua << (b & (n as u64 - 1)),
-        Opcode::Shr if signed => (sa >> (b & (n as u64 - 1))) as u64,
-        Opcode::Shr => ua >> (b & (n as u64 - 1)),
+        Opcode::Shl => ((ua as u128) << ub.min(n as u64)) as u64,
+        Opcode::Shr if signed => ((sa as i128) >> ub.min(n as u64)) as u64,
+        Opcode::Shr => ((ua as u128) >> ub.min(n as u64)) as u64,
         other => panic!("{} on an integer", other.mnemonic()),
     }
 }

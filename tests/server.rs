@@ -145,9 +145,6 @@ fn register_launch_read_back_round_trip() {
     // Device-heap observability rides on the same response: the launch
     // above allocated real device memory, so the high-water mark is up.
     assert!(stats.heap_high_water > 0, "launch must move the heap high-water mark");
-    // Adaptation is off by default: no width committed, no respecs.
-    assert_eq!(stats.chosen_width, 0);
-    assert_eq!(stats.respec_events, 0);
     handle.shutdown();
 }
 
@@ -162,6 +159,23 @@ fn ill_typed_ptx_is_refused_at_register() {
     let resp = client.register("acme", src).unwrap();
     let (retryable, _) = expect_error(&resp, "ptx");
     assert!(!retryable);
+    handle.shutdown();
+}
+
+/// A modifier dpvk does not implement (`add.sat`) is refused at
+/// `Register` with the typed `ptx` error naming it.
+#[test]
+fn unimplemented_modifier_is_refused_at_register() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let src = ".kernel sat (.param .u64 data) { .reg .s32 %r<3>; entry: add.sat.s32 %r0, %r1, %r2; ret; }";
+    let resp = client.register("acme", src).unwrap();
+    let (retryable, _) = expect_error(&resp, "ptx");
+    assert!(!retryable);
+    match resp {
+        Response::Error { message, .. } => assert!(message.contains("`.sat`"), "{message}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
     handle.shutdown();
 }
 
