@@ -71,7 +71,6 @@ fn bad_knobs_panic_with_their_message_and_exit() {
     let cases = [
         ("DPVK_TRACE", "2"),
         ("DPVK_TRACE_UOPS", "nope"),
-        ("DPVK_TRACE_EVENTS", "abc"),
         ("DPVK_POOL_WORKERS", "0"),
         ("DPVK_POOL_WORKERS", "1000"),
         ("DPVK_POOL_WORKERS", "abc"),

@@ -24,10 +24,10 @@ use crate::sync::{Mutex, RwLock};
 use dpvk_ptx as ptx;
 use dpvk_vm::{BytecodeProgram, CostInfo, FrameLayout, JitProgram, MachineModel};
 
-use dpvk_trace::timeline::SpanKind;
+use dpvk_trace::timeline::{self, SpanKind};
+use dpvk_trace::Counter;
 
 use crate::error::CoreError;
-use crate::flight;
 use crate::persist::{PersistConfig, PersistStore, SpecArtifact, SpecId};
 use crate::translate::{translate, TranslatedKernel};
 use crate::vectorize::{specialize, SpecializeOptions, Specialized};
@@ -101,20 +101,17 @@ impl CompiledKernel {
     pub fn jit(&self, kernel: &str) -> Option<&Arc<JitProgram>> {
         self.jit
             .get_or_init(|| {
-                let span = flight::span_start();
-                let _phase = dpvk_trace::phase(kernel, "jit:emit");
+                let mut span = timeline::span(SpanKind::JitEmit, kernel);
                 let program = dpvk_vm::jit_compile(&self.bytecode).map(Arc::new);
                 if let Some(jit) = &program {
                     let s = jit.emit_stats();
-                    dpvk_trace::add(dpvk_trace::Counter::JitCodeBytes, s.code_bytes);
-                    dpvk_trace::add(dpvk_trace::Counter::JitTemplateUops, s.template_uops);
-                    dpvk_trace::add(dpvk_trace::Counter::JitHelperUops, s.helper_uops);
-                    dpvk_trace::add(dpvk_trace::Counter::JitWideHelperUops, s.wide_helper_uops);
-                    dpvk_trace::add(dpvk_trace::Counter::JitResidentReads, s.resident_reads);
-                    dpvk_trace::add(dpvk_trace::Counter::JitRefills, s.refills);
-                    if let Some(start) = span {
-                        flight::emit_span(SpanKind::JitEmit, kernel, start, s.code_bytes);
-                    }
+                    dpvk_trace::add(Counter::JitCodeBytes, s.code_bytes);
+                    dpvk_trace::add(Counter::JitTemplateUops, s.template_uops);
+                    dpvk_trace::add(Counter::JitHelperUops, s.helper_uops);
+                    dpvk_trace::add(Counter::JitWideHelperUops, s.wide_helper_uops);
+                    dpvk_trace::add(Counter::JitResidentReads, s.resident_reads);
+                    dpvk_trace::add(Counter::JitRefills, s.refills);
+                    span.set_detail(s.code_bytes);
                 }
                 program
             })
@@ -363,13 +360,10 @@ impl TranslationCache {
         };
         let t = {
             let start = Instant::now();
-            let span = flight::span_start();
-            let _phase = dpvk_trace::phase(kernel, "translate");
+            let mut span = timeline::span(SpanKind::Translate, kernel);
             let t = Arc::new(translate(&ptx_kernel)?);
             self.shared.stats.translate_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-            if let Some(s) = span {
-                flight::emit_span(SpanKind::Translate, kernel, s, t.scalar.blocks.len() as u64);
-            }
+            span.set_detail(t.scalar.blocks.len() as u64);
             t
         };
         // Keyed by format version × model × printed source, so a changed
@@ -394,14 +388,10 @@ impl TranslationCache {
         warp_size: u32,
         variant: Variant,
     ) -> Result<Arc<CompiledKernel>, CoreError> {
-        // Hot path: shared read lock, borrowed key, no allocation. Trace
-        // bookkeeping (including `Variant::label`) runs only when the
-        // trace layer is actually on.
+        // Hot path: shared read lock, borrowed key, no allocation.
         if let Some(c) = self.lookup(kernel, warp_size, variant) {
             self.shared.stats.hits.fetch_add(1, Relaxed);
-            if dpvk_trace::enabled() {
-                dpvk_trace::record_cache_query(kernel, warp_size, variant.label(), true);
-            }
+            dpvk_trace::add(Counter::CacheHit, 1);
             return Ok(c);
         }
         {
@@ -410,9 +400,7 @@ impl TranslationCache {
                 return Err(e.clone());
             }
         }
-        if dpvk_trace::enabled() {
-            dpvk_trace::record_cache_query(kernel, warp_size, variant.label(), false);
-        }
+        dpvk_trace::add(Counter::CacheMiss, 1);
         let (tk, tkey) = self.translation(kernel)?;
         let start = Instant::now();
         // The specialized function: from disk, else specialize + store.
@@ -447,7 +435,7 @@ impl TranslationCache {
         let cost = CostInfo::analyze(&function, &self.shared.model);
         let frame = FrameLayout::of(&function);
         let decode_t = Instant::now();
-        let decode_span = flight::span_start();
+        let mut decode_span = timeline::span(SpanKind::Decode, kernel);
         let mut bytecode = BytecodeProgram::decode(&function, &frame, &self.shared.model, &cost);
         // Tag the program with its profiler identity unconditionally (one
         // Arc per compile): the µop profiler may be switched on after
@@ -455,10 +443,9 @@ impl TranslationCache {
         bytecode.attach_profile(kernel, variant.label());
         let decode_ns = decode_t.elapsed().as_nanos() as u64;
         self.shared.stats.decode_ns.fetch_add(decode_ns, Relaxed);
-        if let Some(s) = decode_span {
-            dpvk_trace::add(dpvk_trace::Counter::GuestDecodeNs, decode_ns);
-            flight::emit_span(SpanKind::Decode, kernel, s, bytecode.stats.ops);
-        }
+        dpvk_trace::add(Counter::GuestDecodeNs, decode_ns);
+        decode_span.set_detail(bytecode.stats.ops);
+        drop(decode_span);
         let compiled = Arc::new(CompiledKernel {
             function: Arc::new(function),
             cost,
@@ -469,7 +456,7 @@ impl TranslationCache {
             jit: OnceLock::new(),
         });
         let elapsed = start.elapsed().as_nanos() as u64;
-        dpvk_trace::record_compile(kernel, warp_size, variant.label(), elapsed);
+        dpvk_trace::add(Counter::CacheCompileNs, elapsed);
         self.shared.stats.misses.fetch_add(1, Relaxed);
         self.shared.stats.compile_ns.fetch_add(elapsed, Relaxed);
         // Publish under the write lock; on a compile race the first
@@ -511,40 +498,28 @@ impl TranslationCache {
     /// The persisted specialization named by `id`, if the directory
     /// holds a sound one.
     fn load_persisted(&self, ps: &PersistStore, id: &SpecId<'_>) -> Option<SpecArtifact> {
-        let span = flight::span_start();
+        let mut span = timeline::span(SpanKind::PersistLoad, id.kernel);
         let art = ps.load_spec(id);
-        let (cell, counter) = match art {
-            Some(_) => (&self.shared.stats.persist_hits, dpvk_trace::Counter::PersistHits),
-            None => (&self.shared.stats.persist_misses, dpvk_trace::Counter::PersistMisses),
+        let (cell, counter) = match &art {
+            Some(art) => {
+                span.set_detail(art.function.blocks.len() as u64);
+                (&self.shared.stats.persist_hits, Counter::PersistHits)
+            }
+            None => (&self.shared.stats.persist_misses, Counter::PersistMisses),
         };
         cell.fetch_add(1, Relaxed);
         dpvk_trace::add(counter, 1);
-        if let (Some(s), Some(art)) = (span, &art) {
-            flight::emit_span(
-                SpanKind::PersistLoad,
-                id.kernel,
-                s,
-                art.function.blocks.len() as u64,
-            );
-        }
         art
     }
 
     /// Persist a freshly specialized function (best effort).
     fn store_persisted(&self, ps: &PersistStore, id: &SpecId<'_>, art: &SpecArtifact) {
-        let span = flight::span_start();
+        let mut span = timeline::span(SpanKind::PersistStore, id.kernel);
+        span.set_detail(art.function.blocks.len() as u64);
         let evicted = ps.store_spec(id, art);
         self.shared.stats.persist_writes.fetch_add(1, Relaxed);
         self.shared.stats.persist_evictions.fetch_add(evicted, Relaxed);
-        dpvk_trace::add(dpvk_trace::Counter::PersistWrites, 1);
-        if let Some(s) = span {
-            flight::emit_span(
-                SpanKind::PersistStore,
-                id.kernel,
-                s,
-                art.function.blocks.len() as u64,
-            );
-        }
+        dpvk_trace::add(Counter::PersistWrites, 1);
     }
 
     /// Run `specialize` — with the fault-injection hook (forced verify
@@ -558,9 +533,9 @@ impl TranslationCache {
         variant: Variant,
     ) -> Result<Specialized, CoreError> {
         let start = Instant::now();
-        let span = flight::span_start();
         let specialized = {
-            let _phase = dpvk_trace::phase(kernel, "specialize");
+            let mut span = timeline::span(SpanKind::Specialize, kernel);
+            span.set_detail(u64::from(warp_size));
             #[cfg(feature = "fault-inject")]
             let injected = crate::faults::injected_specialize_failure(kernel, warp_size, variant);
             #[cfg(not(feature = "fault-inject"))]
@@ -571,14 +546,12 @@ impl TranslationCache {
             }
         };
         self.shared.stats.specialize_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-        if let Some(s) = span {
-            flight::emit_span(SpanKind::Specialize, kernel, s, u64::from(warp_size));
-        }
         // Memoize compile-type failures so later queries (and the
-        // downgrade path) answer without recompiling.
+        // downgrade path) answer without recompiling; the marker puts
+        // the downgrade on the launch that met it.
         if let Err(e @ (CoreError::Verify(_) | CoreError::Unsupported { .. })) = &specialized {
-            dpvk_trace::add(dpvk_trace::Counter::SpecFailures, 1);
-            dpvk_trace::record_downgrade(kernel, warp_size, variant.label(), &e.to_string());
+            dpvk_trace::add(Counter::SpecFailures, 1);
+            timeline::marker(SpanKind::Downgrade, kernel, u64::from(warp_size));
             self.shared.stats.spec_failures.fetch_add(1, Relaxed);
             let mut inner = self.shared.inner.lock();
             inner
@@ -639,14 +612,15 @@ impl TranslationCache {
     /// Record a specialization-type failure that was detected outside
     /// [`TranslationCache::get`] — e.g. an eager pre-translation failure
     /// at launch submission — so the async submit path reports compile
-    /// errors with the same statistics and trace events as worker-side
+    /// errors with the same statistics and trace markers as worker-side
     /// translation failures.
     pub(crate) fn note_spec_failure(&self, kernel: &str, error: &CoreError) {
         if matches!(error, CoreError::Verify(_) | CoreError::Unsupported { .. }) {
             self.shared.stats.spec_failures.fetch_add(1, Relaxed);
-            dpvk_trace::add(dpvk_trace::Counter::SpecFailures, 1);
+            dpvk_trace::add(Counter::SpecFailures, 1);
         }
-        dpvk_trace::record_fault(kernel, &format!("[{}] {error}", error.code()));
+        dpvk_trace::add(Counter::Faults, 1);
+        timeline::marker(SpanKind::Fault, kernel, 0);
     }
 
     /// Current statistics.

@@ -12,12 +12,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
-use dpvk_trace::timeline::{self, SpanKind};
+use dpvk_trace::timeline::{self, Span, SpanKind};
 use dpvk_vm::{CancelToken, GlobalMem, VmError};
 
 use crate::cache::TranslationCache;
 use crate::error::CoreError;
-use crate::flight;
 use crate::sync::Monitor;
 use crate::translate::TranslatedKernel;
 
@@ -91,6 +90,24 @@ impl LaunchJob {
         self.stream.as_ref().map_or(0, |s| s.id)
     }
 
+    /// Record a span of this launch on its stream's track, from
+    /// `start_ns` until now (`None`: a marker, now). Callers check
+    /// `seq != 0` first.
+    fn stream_span(&self, kind: SpanKind, start_ns: Option<u64>, detail: u64) {
+        let now = timeline::now_ns();
+        let start_ns = start_ns.unwrap_or(now);
+        timeline::record_span(Span {
+            kind,
+            kernel: self.req.kernel.clone(),
+            seq: self.seq,
+            stream: self.stream_id(),
+            worker: None,
+            start_ns,
+            dur_ns: now.saturating_sub(start_ns),
+            detail,
+        });
+    }
+
     /// Called by a worker immediately before it runs a chunk of this
     /// job; the first caller closes the launch's queue-wait span
     /// (submission → first dispatch) on the stream track. One untaken
@@ -99,15 +116,7 @@ impl LaunchJob {
         if self.seq == 0 || self.queue_wait_done.swap(true, Relaxed) {
             return;
         }
-        flight::emit_stream_span(
-            SpanKind::QueueWait,
-            &self.req.kernel,
-            self.seq,
-            self.stream_id(),
-            self.submit_ns,
-            timeline::now_ns().saturating_sub(self.submit_ns),
-            self.chunks as u64,
-        );
+        self.stream_span(SpanKind::QueueWait, Some(self.submit_ns), self.chunks as u64);
     }
 
     /// Record one finished chunk, consuming the worker's reference; the
@@ -130,7 +139,15 @@ impl LaunchJob {
             st.stopped[index] = stopped_at;
             st.remaining -= 1;
             if st.remaining == 0 {
-                st.outcome = Some(finalize(&self.req.kernel, &mut st));
+                let outcome = finalize(&self.req.kernel, &mut st);
+                // Before the waiters wake, so they see the fault traced.
+                if outcome.is_err() {
+                    dpvk_trace::add(dpvk_trace::Counter::Faults, 1);
+                    if self.seq != 0 {
+                        self.stream_span(SpanKind::Fault, None, 0);
+                    }
+                }
+                st.outcome = Some(outcome);
                 true
             } else {
                 false
@@ -140,18 +157,10 @@ impl LaunchJob {
             self.state.notify_all();
             dpvk_trace::add(dpvk_trace::Counter::LaunchesRetired, 1);
             if let Some(stream) = &self.stream {
-                stream.on_job_retired(&self.req.kernel);
+                stream.on_job_retired();
             }
             if self.seq != 0 {
-                flight::emit_stream_span(
-                    SpanKind::Retire,
-                    &self.req.kernel,
-                    self.seq,
-                    self.stream_id(),
-                    start,
-                    timeline::now_ns().saturating_sub(start),
-                    self.cta_count,
-                );
+                self.stream_span(SpanKind::Retire, Some(start), self.cta_count);
             }
             // Last, and with this worker's reference let go, so a
             // device's `synchronize` (and its drop) returns only once
@@ -207,15 +216,7 @@ fn finalize(kernel: &str, st: &mut JobInner) -> Result<LaunchStats, CoreError> {
         let cta = st.stopped.iter().flatten().copied().min().unwrap_or(0);
         first_error = Some(boundary_fault(kernel, cta, VmError::Cancelled));
     }
-    match first_error {
-        Some(e) => {
-            // Lead with the stable error code so trace consumers classify
-            // faults without parsing the human-readable rendering.
-            dpvk_trace::record_fault(kernel, &format!("[{}] {e}", e.code()));
-            Err(e)
-        }
-        None => Ok(st.stats.clone()),
-    }
+    first_error.map_or_else(|| Ok(st.stats.clone()), Err)
 }
 
 /// A handle to one asynchronous launch: wait on it, poll it, or cancel
@@ -308,24 +309,13 @@ impl StreamShared {
             let mut q = self.queue.lock();
             if q.active {
                 q.pending.push_back(Arc::clone(&job));
-                if dpvk_trace::enabled() {
-                    dpvk_trace::record_peak(
-                        dpvk_trace::Counter::StreamQueuePeak,
-                        q.pending.len() as u64,
-                    );
-                    dpvk_trace::record_stream_event(
-                        &job.req.kernel,
-                        self.id,
-                        q.pending.len() as u32,
-                        true,
-                    );
-                }
+                dpvk_trace::record_peak(
+                    dpvk_trace::Counter::StreamQueuePeak,
+                    q.pending.len() as u64,
+                );
                 false
             } else {
                 q.active = true;
-                if dpvk_trace::enabled() {
-                    dpvk_trace::record_stream_event(&job.req.kernel, self.id, 0, true);
-                }
                 true
             }
         };
@@ -336,15 +326,12 @@ impl StreamShared {
 
     /// Called by the pool worker that retired this stream's active job:
     /// release the next held job, or mark the stream idle.
-    fn on_job_retired(&self, kernel: &str) {
+    fn on_job_retired(&self) {
         let next = {
             let mut q = self.queue.lock();
             let next = q.pending.pop_front();
             if next.is_none() {
                 q.active = false;
-            }
-            if dpvk_trace::enabled() {
-                dpvk_trace::record_stream_event(kernel, self.id, q.pending.len() as u32, false);
             }
             next
         };
@@ -407,9 +394,10 @@ impl InflightGauge {
 ///
 /// Launch-geometry and translation errors are reported synchronously
 /// (nothing is enqueued). Eager pre-translation failures are recorded in
-/// [`CacheStats::spec_failures`](crate::cache::CacheStats) and emitted
-/// as a dpvk-trace fault event, exactly like worker-side translation
-/// failures, so the async path reports compile errors consistently.
+/// [`CacheStats::spec_failures`](crate::cache::CacheStats) and marked as
+/// a fault on the launch's timeline, exactly like worker-side
+/// translation failures, so the async path reports compile errors
+/// consistently.
 pub(crate) fn submit(
     req: LaunchRequest,
     stream: Option<Arc<StreamShared>>,

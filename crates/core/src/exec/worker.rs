@@ -31,7 +31,6 @@ use dpvk_vm::{
 
 use crate::cache::{CompiledKernel, TranslationCache, Variant};
 use crate::error::CoreError;
-use crate::flight;
 use crate::sync::Monitor;
 use crate::translate::TranslatedKernel;
 
@@ -236,15 +235,11 @@ fn run_chunk(
         // head of the execute span (its duration is the sum of the
         // chunk's gather calls, so it always nests).
         if scratch.gather.calls != 0 {
-            flight::emit_span_at(
-                SpanKind::Gather,
-                &req.kernel,
-                start,
-                scratch.gather.ns,
-                scratch.gather.calls,
-            );
+            let (ns, calls) = (scratch.gather.ns, scratch.gather.calls);
+            timeline::record(SpanKind::Gather, &req.kernel, start, ns, calls);
         }
-        flight::emit_span(SpanKind::Execute, &req.kernel, start, stats.exec.warp_entries);
+        let dur_ns = timeline::now_ns().saturating_sub(start);
+        timeline::record(SpanKind::Execute, &req.kernel, start, dur_ns, stats.exec.warp_entries);
     }
     (stats, error, stopped_at)
 }
@@ -330,10 +325,7 @@ impl DispatchMemo {
             if e.downgraded {
                 self.downgrades += 1;
             }
-            if dpvk_trace::enabled() {
-                let (rw, rv) = if e.downgraded { (1, Variant::Baseline) } else { (w, variant) };
-                dpvk_trace::record_cache_query(kernel, rw, rv.label(), true);
-            }
+            dpvk_trace::add(dpvk_trace::Counter::CacheHit, 1);
             at
         } else {
             let cache = self.cache.as_ref().expect("memo bound to a cache before resolving");
@@ -588,7 +580,7 @@ fn run_cta(
                 ResumeStatus::Branch => dpvk_trace::YieldReason::Branch,
                 ResumeStatus::Barrier => dpvk_trace::YieldReason::Barrier,
             };
-            dpvk_trace::record_yield(kernel, rp.max(0) as u32, reason, w);
+            dpvk_trace::record_yield(reason);
         }
 
         stats.exec.cycles_manager += config.em_cost.per_yield_thread * w as u64;

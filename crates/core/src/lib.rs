@@ -63,7 +63,6 @@
 
 mod devmem;
 mod error;
-mod flight;
 
 pub mod cache;
 pub mod exec;

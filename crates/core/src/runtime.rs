@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpvk_ptx as ptx;
+use dpvk_trace::timeline::{self, SpanKind};
 use dpvk_vm::{CancelToken, GlobalMem, MachineModel};
 
 use crate::cache::{CacheStats, TranslationCache};
@@ -123,7 +124,7 @@ impl Device {
     ///
     /// Returns parse/validation errors.
     pub fn register_source(&self, src: &str) -> Result<(), CoreError> {
-        let _phase = dpvk_trace::phase("module", "parse");
+        let _span = timeline::span(SpanKind::Parse, "module");
         let module = ptx::parse_module(src)?;
         for k in &module.kernels {
             ptx::validate_kernel(k)?;

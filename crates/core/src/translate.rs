@@ -26,6 +26,7 @@ use dpvk_ir::{
 };
 use dpvk_ptx as ptx;
 use dpvk_ptx::{AddressBase, Operand, ScalarType, SpecialReg};
+use dpvk_trace::timeline::{self, SpanKind};
 
 use crate::error::CoreError;
 use crate::slots::SlotPlan;
@@ -617,10 +618,10 @@ impl<'k> Translator<'k> {
 /// [`CoreError::Unsupported`] for constructs outside the supported subset
 /// (guarded stores/atomics, address-of in narrow registers, ...).
 pub fn translate(kernel: &ptx::Kernel) -> Result<TranslatedKernel, CoreError> {
-    // Nested sub-phases of the cache's "translate" phase, so cold-start
-    // time splits into lowering vs. entry-point/liveness analysis in the
-    // trace report. Free when tracing is off.
-    let lower_phase = dpvk_trace::phase(&kernel.name, "translate:lower");
+    // Spans nested in the cache's `Translate` span, so cold-start time
+    // splits into lowering vs. entry-point/liveness analysis on the
+    // timeline. Free when tracing is off.
+    let lower_span = timeline::span(SpanKind::Lower, &kernel.name);
     ptx::validate_kernel(kernel)?;
 
     let mut f = Function::new(format!("{}::scalar", kernel.name), 1);
@@ -724,8 +725,8 @@ pub fn translate(kernel: &ptx::Kernel) -> Result<TranslatedKernel, CoreError> {
     }
 
     let Translator { f, barrier_edges, .. } = tr;
-    drop(lower_phase);
-    let _analyze_phase = dpvk_trace::phase(&kernel.name, "translate:analyze");
+    drop(lower_span);
+    let _analyze_span = timeline::span(SpanKind::Analyze, &kernel.name);
     ir::verify(&f)?;
 
     // Entry points: kernel entry + barrier continuations + conditional

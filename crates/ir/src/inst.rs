@@ -37,6 +37,22 @@ pub enum BinOp {
     Shr,
 }
 
+/// Float `min(x, y)`, or `max(x, y)` when `max`: the one definition the
+/// constant folder and the VM share. It pins the two cases `f64::min`
+/// leaves to the compiler's lowering: a NaN operand is ignored (of two
+/// NaNs the second is returned, unchanged), and of two operands that
+/// compare equal (±0) the first is returned.
+#[inline]
+pub fn f_min_max(x: f64, y: f64, max: bool) -> f64 {
+    if x.is_nan() {
+        y
+    } else if y.is_nan() || x == y || (x < y) != max {
+        x
+    } else {
+        y
+    }
+}
+
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {

@@ -63,8 +63,8 @@ pub mod serial;
 pub use analysis::Liveness;
 pub use function::{Block, BlockKind, Function};
 pub use inst::{
-    AtomKind, BinOp, BlockId, CmpPred, CtxField, Inst, ReduceOp, ResumeStatus, Space, Term, UnOp,
-    Uses, EXIT_ENTRY_ID,
+    f_min_max, AtomKind, BinOp, BlockId, CmpPred, CtxField, Inst, ReduceOp, ResumeStatus, Space,
+    Term, UnOp, Uses, EXIT_ENTRY_ID,
 };
 pub use printer::print_function;
 pub use types::{STy, Type};

@@ -1,7 +1,7 @@
 //! Block-local constant propagation and folding.
 
 use crate::function::Function;
-use crate::inst::{BinOp, CmpPred, Inst, UnOp};
+use crate::inst::{f_min_max, BinOp, CmpPred, Inst, UnOp};
 use crate::types::{STy, Type};
 use crate::value::{VReg, Value};
 
@@ -119,8 +119,8 @@ fn fold(inst: &Inst) -> Option<(VReg, Value)> {
                     BinOp::Sub => x - y,
                     BinOp::Mul => x * y,
                     BinOp::Div => x / y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
+                    BinOp::Min => f_min_max(x, y, false),
+                    BinOp::Max => f_min_max(x, y, true),
                     _ => return None,
                 };
                 let r = if ty.scalar == STy::F32 { (r as f32) as f64 } else { r };

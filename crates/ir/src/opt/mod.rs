@@ -18,6 +18,8 @@ pub use cse::local_cse;
 pub use dce::dead_code_elimination;
 pub use fusion::{fuse_blocks, remove_unreachable_blocks};
 
+use dpvk_trace::timeline::{span, SpanKind};
+
 use crate::function::Function;
 
 /// Statistics from one pipeline run.
@@ -44,21 +46,27 @@ impl OptStats {
 
 /// Run the standard pipeline to a fixpoint (bounded):
 /// constant folding → local CSE → DCE → block fusion.
+///
+/// With tracing on, every pass is a timeline span of the function's
+/// kernel (the vectorizer names a specialization `<kernel>::<variant>`).
 pub fn standard_pipeline(f: &mut Function) -> OptStats {
+    fn kernel(f: &Function) -> &str {
+        f.name.split("::").next().unwrap_or_default()
+    }
     let mut stats = OptStats::default();
     // The passes interact (folding exposes CSE, CSE exposes DCE); iterate a
     // few rounds, stopping early when a round changes nothing.
     for _ in 0..4 {
         let folded = {
-            let _p = dpvk_trace::phase(&f.name, "opt:const_fold");
+            let _s = span(SpanKind::ConstFold, kernel(f));
             const_fold(f)
         };
         let replaced = {
-            let _p = dpvk_trace::phase(&f.name, "opt:cse");
+            let _s = span(SpanKind::Cse, kernel(f));
             local_cse(f)
         };
         let removed = {
-            let _p = dpvk_trace::phase(&f.name, "opt:dce");
+            let _s = span(SpanKind::Dce, kernel(f));
             dead_code_elimination(f)
         };
         stats.folded += folded;
@@ -69,7 +77,7 @@ pub fn standard_pipeline(f: &mut Function) -> OptStats {
         }
     }
     {
-        let _p = dpvk_trace::phase(&f.name, "opt:fusion");
+        let _s = span(SpanKind::Fusion, kernel(f));
         stats.blocks_fused = fuse_blocks(f);
         stats.blocks_removed = remove_unreachable_blocks(f);
     }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpvk_core::{CoreError, Device, ExecConfig, ParamValue};
-use dpvk_trace::ServerOutcome;
+use dpvk_trace::Counter;
 use dpvk_vm::MachineModel;
 
 use crate::admission::CapacityGate;
@@ -189,7 +189,7 @@ impl Server {
 
     fn handle_launch(&self, spec: &LaunchSpec) -> Response {
         let tenant = self.tenants.get_or_create(&spec.tenant, &self.config);
-        dpvk_trace::record_server(&tenant.name, ServerOutcome::Request);
+        dpvk_trace::add(Counter::ServerRequests, 1);
         tenant.update_stats(|s| s.requests += 1);
 
         // Ownership: launching another tenant's kernel is denied, an
@@ -203,7 +203,7 @@ impl Server {
                 None => ("not_found", format!("kernel `{}` is not registered", spec.kernel)),
             };
             tenant.update_stats(|s| s.failed += 1);
-            dpvk_trace::record_server(&tenant.name, ServerOutcome::Failed);
+            dpvk_trace::add(Counter::ServerFailed, 1);
             return Response::Error { code: code.into(), retryable: false, attempts: 0, message };
         }
 
@@ -213,7 +213,7 @@ impl Server {
             let spent = tenant.exec_ns.load(Ordering::Relaxed);
             if spent >= quota {
                 tenant.update_stats(|s| s.failed += 1);
-                dpvk_trace::record_server(&tenant.name, ServerOutcome::Failed);
+                dpvk_trace::add(Counter::ServerFailed, 1);
                 return Response::Error {
                     code: "quota".into(),
                     retryable: false,
@@ -237,13 +237,13 @@ impl Server {
             return self.shed(&tenant, self.config.shed_retry_ms);
         };
 
-        dpvk_trace::record_server(&tenant.name, ServerOutcome::Admitted);
+        dpvk_trace::add(Counter::ServerAdmitted, 1);
         tenant.update_stats(|s| s.admitted += 1);
         self.execute_admitted(&tenant, spec)
     }
 
     fn shed(&self, tenant: &TenantState, retry_after_ms: u32) -> Response {
-        dpvk_trace::record_server(&tenant.name, ServerOutcome::Shed);
+        dpvk_trace::add(Counter::ServerShed, 1);
         tenant.update_stats(|s| s.shed += 1);
         Response::Overloaded { retry_after_ms }
     }
@@ -321,7 +321,7 @@ impl Server {
                 Ok(_stats) => break Ok(()),
                 Err(e) if e.is_retryable() => {
                     if attempts <= self.config.max_retries {
-                        dpvk_trace::record_server(&tenant.name, ServerOutcome::Retried);
+                        dpvk_trace::add(Counter::ServerRetries, 1);
                         tenant.update_stats(|s| s.retries += 1);
                         let shift = (attempts - 1).min(16);
                         let backoff = self
@@ -337,7 +337,7 @@ impl Server {
                         // avoids the vector-specialized path entirely.
                         degraded = true;
                         config = ExecConfig::baseline();
-                        dpvk_trace::record_server(&tenant.name, ServerOutcome::Degraded);
+                        dpvk_trace::add(Counter::ServerDegraded, 1);
                         tenant.update_stats(|s| s.degraded += 1);
                         continue;
                     }
@@ -367,10 +367,7 @@ impl Server {
                 match read_back_error {
                     Some(e) => self.fail(tenant, &e, attempts, exec_ns),
                     None => {
-                        dpvk_trace::record_server(
-                            &tenant.name,
-                            ServerOutcome::Completed { exec_ns },
-                        );
+                        dpvk_trace::add(Counter::ServerCompleted, 1);
                         tenant.update_stats(|s| {
                             s.completed += 1;
                             s.exec_ns += exec_ns;
@@ -387,7 +384,7 @@ impl Server {
     }
 
     fn fail(&self, tenant: &TenantState, e: &CoreError, attempts: u32, exec_ns: u64) -> Response {
-        dpvk_trace::record_server(&tenant.name, ServerOutcome::Failed);
+        dpvk_trace::add(Counter::ServerFailed, 1);
         tenant.update_stats(|s| {
             s.failed += 1;
             s.exec_ns += exec_ns;

@@ -17,8 +17,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// One tenant's serving state. Created lazily on first use with the
 /// server's per-tenant defaults.
 pub struct TenantState {
-    /// Tenant name.
-    pub name: String,
     /// Rate limiter: one token per launch request.
     pub bucket: Mutex<TokenBucket>,
     /// The tenant's stream group: at most this many of the tenant's
@@ -34,9 +32,8 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    fn new(name: &str, config: &ServerConfig) -> Arc<TenantState> {
+    fn new(config: &ServerConfig) -> Arc<TenantState> {
         Arc::new(TenantState {
-            name: name.to_string(),
             bucket: Mutex::new(TokenBucket::new(config.tenant_rate_per_sec, config.tenant_burst)),
             slots: CapacityGate::new(config.tenant_parallelism),
             kernels: Mutex::new(HashSet::new()),
@@ -88,7 +85,7 @@ impl TenantRegistry {
         if let Some(t) = tenants.get(name) {
             return Arc::clone(t);
         }
-        let t = TenantState::new(name, config);
+        let t = TenantState::new(config);
         tenants.insert(name.to_string(), Arc::clone(&t));
         t
     }
@@ -138,7 +135,7 @@ mod tests {
 
     #[test]
     fn tenant_tracks_kernels_quota_and_stats() {
-        let t = TenantState::new("alpha", &ServerConfig::default());
+        let t = TenantState::new(&ServerConfig::default());
         assert!(!t.owns("k"));
         t.kernels.lock().unwrap().insert("k".to_string());
         assert!(t.owns("k"));

@@ -1,15 +1,17 @@
 //! # dpvk-trace
 //!
 //! Lightweight, dependency-free observability for the dynamic
-//! compilation pipeline: counters, histograms, scoped phase timers and a
-//! bounded structured event ring, feeding a [`TraceReport`] that
-//! serializes to JSON and renders a human-readable summary.
+//! compilation pipeline. It keeps two kinds of record: atomic counters
+//! and the warp-occupancy histogram (this module), and timed spans on
+//! the flight-recorder [`timeline`], the only place the crate stores
+//! events and timings. A [`TraceReport`] snapshots both, serializes to
+//! JSON and renders a human-readable summary.
 //!
 //! The paper's evaluation (Figures 7–9) is built from exactly the signals
 //! collected here: warp-occupancy mix, spill/restore volume at yields,
 //! and the split of work between the execution manager, yield handlers
 //! and the vectorized subkernel — plus the compile-side costs (per-phase
-//! wall time, vector-promotion effectiveness) that Table 1's dynamic
+//! spans, vector-promotion effectiveness) that Table 1's dynamic
 //! compilation story depends on.
 //!
 //! ## Cost model
@@ -19,19 +21,24 @@
 //! path does no allocation, locking, or timestamping. Enable it with
 //! `DPVK_TRACE=1` in the environment (checked once by [`init_from_env`],
 //! which `dpvk-core`'s `Device` calls) or programmatically with
-//! [`enable`].
+//! [`enable`]. Counters are lock-free when on too; only closing a span
+//! takes the timeline's lock.
 //!
 //! ## Usage
 //!
 //! ```
+//! use dpvk_trace::timeline::{self, SpanKind};
+//!
 //! dpvk_trace::enable();
 //! dpvk_trace::add(dpvk_trace::Counter::CacheHit, 1);
 //! {
-//!     let _t = dpvk_trace::phase("my_kernel", "translate");
+//!     let _span = timeline::span(SpanKind::Translate, "my_kernel");
 //!     // ... timed work ...
 //! }
 //! let report = dpvk_trace::TraceReport::capture();
 //! assert_eq!(report.counter("cache_hit"), 1);
+//! let translate = report.span_totals.iter().find(|t| t.kind == SpanKind::Translate);
+//! assert_eq!(translate.map(|t| t.calls), Some(1));
 //! dpvk_trace::disable();
 //! dpvk_trace::reset();
 //! ```
@@ -43,13 +50,10 @@ pub mod profile;
 mod report;
 pub mod timeline;
 
-pub use report::{write_if_enabled, EventReport, PhaseReport, TraceReport};
+pub use report::{write_if_enabled, TraceReport};
 
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, Once};
 
 // ---------------------------------------------------------------------------
 // Enablement
@@ -79,18 +83,15 @@ pub fn disable() {
 /// (`1`, `true`, `on`, `yes`). Idempotent; the variable is read once per
 /// process so repeated calls cost one `Once` check. Also applies the
 /// `DPVK_TRACE_UOPS` opt-out for the µop profiler (see
-/// [`profile::set_uop_profiling`]) and reads [`event_capacity`].
+/// [`profile::set_uop_profiling`]).
 ///
 /// # Panics
 ///
 /// Panics when either variable is set to anything but a truthy value or
-/// a falsy one (`0`, `false`, `off`, `no`), or `DPVK_TRACE_EVENTS` to
-/// anything but an unsigned integer: a mistyped knob is a configuration
-/// bug, not a request for the default.
+/// a falsy one (`0`, `false`, `off`, `no`): a mistyped knob is a
+/// configuration bug, not a request for the default.
 pub fn init_from_env() {
     ENV_INIT.call_once(|| {
-        // Here rather than at the first event, which a worker records.
-        event_capacity();
         let flag = |var, default| {
             parse_flag(var, std::env::var(var).ok().as_deref(), default)
                 .unwrap_or_else(|e| panic!("{e}"))
@@ -104,19 +105,17 @@ pub fn init_from_env() {
     });
 }
 
-/// The message of a knob set to a value it does not take, in the format
-/// of `dpvk_core::InvalidEnvValue` (this crate sits below `dpvk-core`).
-fn invalid_env(var: &str, value: &str, expected: &str) -> String {
-    format!("{var}: invalid value `{value}`: expected {expected}")
-}
-
-/// An on/off knob `var` set to `v`: `default` when unset.
+/// An on/off knob `var` set to `v`: `default` when unset. The error is
+/// in the format of `dpvk_core::InvalidEnvValue` (this crate sits below
+/// `dpvk-core`).
 fn parse_flag(var: &str, v: Option<&str>, default: bool) -> Result<bool, String> {
     match v {
         None => Ok(default),
         Some("1" | "true" | "on" | "yes") => Ok(true),
         Some("0" | "false" | "off" | "no") => Ok(false),
-        Some(v) => Err(invalid_env(var, v, "1/true/on/yes or 0/false/off/no")),
+        Some(v) => {
+            Err(format!("{var}: invalid value `{v}`: expected 1/true/on/yes or 0/false/off/no"))
+        }
     }
 }
 
@@ -161,8 +160,6 @@ pub enum Counter {
     SpillBytes,
     /// Bytes of live state restored by entry handlers.
     RestoreBytes,
-    /// Events discarded because the bounded event ring was full.
-    EventsDropped,
     /// Warp entries downgraded to the scalar baseline because the
     /// requested specialization failed to compile.
     DowngradedWarps,
@@ -262,7 +259,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 51] = [
+    pub const ALL: [Counter; 50] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -279,7 +276,6 @@ impl Counter {
         Counter::ScanSteps,
         Counter::SpillBytes,
         Counter::RestoreBytes,
-        Counter::EventsDropped,
         Counter::DowngradedWarps,
         Counter::CancelledWarps,
         Counter::SpecFailures,
@@ -335,7 +331,6 @@ impl Counter {
             Counter::ScanSteps => "scan_steps",
             Counter::SpillBytes => "spill_bytes",
             Counter::RestoreBytes => "restore_bytes",
-            Counter::EventsDropped => "events_dropped",
             Counter::DowngradedWarps => "downgraded_warps",
             Counter::CancelledWarps => "cancelled_warps",
             Counter::SpecFailures => "spec_failures",
@@ -438,7 +433,7 @@ pub fn occupancy_histogram() -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Structured events (bounded ring)
+// Yields
 // ---------------------------------------------------------------------------
 
 /// Why a warp yielded back to the execution manager (mirrors the
@@ -453,129 +448,23 @@ pub enum YieldReason {
     Exit,
 }
 
-impl YieldReason {
-    /// Stable lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            YieldReason::Branch => "branch",
-            YieldReason::Barrier => "barrier",
-            YieldReason::Exit => "exit",
-        }
-    }
-
-    fn counter(self) -> Counter {
-        match self {
+/// Count one warp yield under its reason's counter: one relaxed atomic
+/// add, no lock, so it is cheap enough for the warp path.
+#[inline]
+pub fn record_yield(reason: YieldReason) {
+    add(
+        match reason {
             YieldReason::Branch => Counter::YieldBranch,
             YieldReason::Barrier => Counter::YieldBarrier,
             YieldReason::Exit => Counter::YieldExit,
-        }
-    }
+        },
+        1,
+    );
 }
 
-/// One structured trace event. Kernel names are interned; resolve them
-/// through a captured [`TraceReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A warp returned to the execution manager.
-    Yield {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Entry point the warp will resume at (0 = kernel entry).
-        entry_point: u32,
-        /// Why the warp yielded.
-        reason: YieldReason,
-        /// Number of threads in the warp.
-        width: u32,
-    },
-    /// A translation-cache lookup.
-    CacheQuery {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Requested warp size.
-        warp_size: u32,
-        /// Requested variant (`"baseline"`, `"dynamic"`, `"static_tie"`).
-        variant: &'static str,
-        /// Whether the specialization was already cached.
-        hit: bool,
-    },
-    /// A cache miss finished compiling a specialization.
-    Compile {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Compiled warp size.
-        warp_size: u32,
-        /// Compiled variant.
-        variant: &'static str,
-        /// Wall time of the compilation.
-        ns: u64,
-    },
-    /// A specialization request was downgraded to the scalar baseline
-    /// because the requested variant failed to compile.
-    Downgrade {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Warp size that was requested (and refused).
-        warp_size: u32,
-        /// Variant that was requested.
-        variant: &'static str,
-        /// Interned failure message that caused the downgrade.
-        detail: u32,
-    },
-    /// An execution fault escaped a launch (worker panic, VM error,
-    /// deadline expiry or cancellation).
-    Fault {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Interned rendered error (with provenance).
-        detail: u32,
-    },
-    /// A launch entered (`submit = true`) or left (`submit = false`) a
-    /// stream's ordered queue.
-    Stream {
-        /// Interned kernel name.
-        kernel: u32,
-        /// Stream identifier.
-        stream: u64,
-        /// Launches queued behind the stream's active job at the moment
-        /// of the event.
-        depth: u32,
-        /// `true` on submit, `false` on retire.
-        submit: bool,
-    },
-}
-
-/// Default capacity of the bounded event ring; past it, events are
-/// counted in [`Counter::EventsDropped`] instead of stored. Override
-/// with the `DPVK_TRACE_EVENTS` environment variable (clamped to
-/// [16, 4Mi]; read once per process — see [`event_capacity`]).
-pub const EVENT_CAPACITY: usize = 4096;
-
-/// `DPVK_TRACE_EVENTS` set to `v`: [`EVENT_CAPACITY`] when unset, a
-/// size clamped to [16, 4Mi] when it parses, an error otherwise.
-fn parse_event_capacity(v: Option<&str>) -> Result<usize, String> {
-    let Some(v) = v else { return Ok(EVENT_CAPACITY) };
-    match v.trim().parse::<usize>() {
-        Ok(n) => Ok(n.clamp(16, 1 << 22)),
-        Err(_) => Err(invalid_env("DPVK_TRACE_EVENTS", v, "an event count")),
-    }
-}
-
-/// Effective event-ring capacity: `DPVK_TRACE_EVENTS` if set (clamped to
-/// [16, 4Mi]), else [`EVENT_CAPACITY`]. Long stream-stress runs that
-/// used to silently overflow the default ring can raise it without a
-/// rebuild.
-///
-/// # Panics
-///
-/// Panics at the first call when `DPVK_TRACE_EVENTS` is set to anything
-/// but an unsigned integer.
-pub fn event_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        parse_event_capacity(std::env::var("DPVK_TRACE_EVENTS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    })
-}
+// ---------------------------------------------------------------------------
+// Specialization records
+// ---------------------------------------------------------------------------
 
 /// Per-`(kernel, warp_size, variant)` vectorizer effectiveness record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -602,223 +491,9 @@ pub struct SpecRecord {
     pub dce_removed: u64,
 }
 
-/// Per-tenant serving-layer totals, accumulated by [`record_server`] and
-/// reported as the report's `tenants` section.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct TenantRecord {
-    /// Tenant name (empty in the accumulator; filled in snapshots).
-    pub tenant: String,
-    /// Launch requests received (before admission).
-    pub requests: u64,
-    /// Requests admitted past the token bucket and capacity gate.
-    pub admitted: u64,
-    /// Requests shed with an `Overloaded` response.
-    pub shed: u64,
-    /// Server-side retries of transient failures.
-    pub retries: u64,
-    /// Requests that fell back to the scalar baseline.
-    pub degraded: u64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests that surfaced a typed error after the retry ladder.
-    pub failed: u64,
-    /// Device wall-clock nanoseconds spent executing this tenant's
-    /// admitted launches (all attempts included).
-    pub exec_ns: u64,
-}
-
-/// One serving-layer lifecycle transition of a tenant's launch request,
-/// recorded via [`record_server`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerOutcome {
-    /// A launch request arrived (counted before any admission decision).
-    Request,
-    /// The request passed admission control.
-    Admitted,
-    /// The request was shed with an `Overloaded` response.
-    Shed,
-    /// One transient failure was retried server-side.
-    Retried,
-    /// The request fell back to the scalar baseline.
-    Degraded,
-    /// The request completed successfully after `exec_ns` nanoseconds of
-    /// cumulative device execution (all attempts).
-    Completed {
-        /// Cumulative execution wall time across attempts.
-        exec_ns: u64,
-    },
-    /// The request exhausted the retry ladder and failed.
-    Failed,
-}
-
-#[derive(Default)]
-struct State {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
-    events: Vec<Event>,
-    phases: HashMap<(String, &'static str, usize), PhaseTotals>,
-    specs: Vec<SpecRecord>,
-    tenants: HashMap<String, TenantRecord>,
-}
-
-#[derive(Default, Clone, Copy)]
-struct PhaseTotals {
-    calls: u64,
-    total_ns: u64,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(State::default()))
-}
-
-fn lock_state() -> std::sync::MutexGuard<'static, State> {
-    state().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl State {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
-        id
-    }
-
-    fn push_event(&mut self, event: Event) {
-        if self.events.len() < event_capacity() {
-            self.events.push(event);
-        } else {
-            COUNTERS[Counter::EventsDropped as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Record a warp yield event (reason counter + structured event).
-#[inline]
-pub fn record_yield(kernel: &str, entry_point: u32, reason: YieldReason, width: u32) {
-    if !enabled() {
-        return;
-    }
-    COUNTERS[reason.counter() as usize].fetch_add(1, Ordering::Relaxed);
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    s.push_event(Event::Yield { kernel, entry_point, reason, width });
-}
-
-/// Record a translation-cache lookup.
-#[inline]
-pub fn record_cache_query(kernel: &str, warp_size: u32, variant: &'static str, hit: bool) {
-    if !enabled() {
-        return;
-    }
-    let c = if hit { Counter::CacheHit } else { Counter::CacheMiss };
-    COUNTERS[c as usize].fetch_add(1, Ordering::Relaxed);
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    s.push_event(Event::CacheQuery { kernel, warp_size, variant, hit });
-}
-
-/// Record a finished compilation (cache-miss fill).
-#[inline]
-pub fn record_compile(kernel: &str, warp_size: u32, variant: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    COUNTERS[Counter::CacheCompileNs as usize].fetch_add(ns, Ordering::Relaxed);
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    s.push_event(Event::Compile { kernel, warp_size, variant, ns });
-}
-
-/// Record a downgrade-to-scalar: `kernel`'s `(warp_size, variant)`
-/// specialization failed to compile (`detail`) and launches now fall
-/// back to the baseline. Emitted once per failed specialization key; the
-/// per-warp volume is in [`Counter::DowngradedWarps`].
-#[inline]
-pub fn record_downgrade(kernel: &str, warp_size: u32, variant: &'static str, detail: &str) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    let detail = s.intern(detail);
-    s.push_event(Event::Downgrade { kernel, warp_size, variant, detail });
-}
-
-/// Record an execution fault that escaped a launch of `kernel`; `detail`
-/// is the rendered error, provenance included.
-#[inline]
-pub fn record_fault(kernel: &str, detail: &str) {
-    if !enabled() {
-        return;
-    }
-    COUNTERS[Counter::Faults as usize].fetch_add(1, Ordering::Relaxed);
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    let detail = s.intern(detail);
-    s.push_event(Event::Fault { kernel, detail });
-}
-
-/// Record a stream queue transition: a launch of `kernel` was submitted
-/// to (`submit = true`) or retired from (`submit = false`) stream
-/// `stream`, leaving `depth` launches queued behind its active job.
-#[inline]
-pub fn record_stream_event(kernel: &str, stream: u64, depth: u32, submit: bool) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock_state();
-    let kernel = s.intern(kernel);
-    s.push_event(Event::Stream { kernel, stream, depth, submit });
-}
-
-/// Record one serving-layer transition for `tenant`: bumps the matching
-/// global `server_*` counter and the tenant's [`TenantRecord`] totals.
-#[inline]
-pub fn record_server(tenant: &str, outcome: ServerOutcome) {
-    if !enabled() {
-        return;
-    }
-    let (counter, exec_ns) = match outcome {
-        ServerOutcome::Request => (Counter::ServerRequests, 0),
-        ServerOutcome::Admitted => (Counter::ServerAdmitted, 0),
-        ServerOutcome::Shed => (Counter::ServerShed, 0),
-        ServerOutcome::Retried => (Counter::ServerRetries, 0),
-        ServerOutcome::Degraded => (Counter::ServerDegraded, 0),
-        ServerOutcome::Completed { exec_ns } => (Counter::ServerCompleted, exec_ns),
-        ServerOutcome::Failed => (Counter::ServerFailed, 0),
-    };
-    COUNTERS[counter as usize].fetch_add(1, Ordering::Relaxed);
-    let mut s = lock_state();
-    let rec = s.tenants.entry(tenant.to_string()).or_default();
-    match outcome {
-        ServerOutcome::Request => rec.requests += 1,
-        ServerOutcome::Admitted => rec.admitted += 1,
-        ServerOutcome::Shed => rec.shed += 1,
-        ServerOutcome::Retried => rec.retries += 1,
-        ServerOutcome::Degraded => rec.degraded += 1,
-        ServerOutcome::Completed { .. } => {
-            rec.completed += 1;
-            rec.exec_ns += exec_ns;
-        }
-        ServerOutcome::Failed => rec.failed += 1,
-    }
-}
-
-/// Per-tenant serving-layer totals so far, sorted by tenant name. Empty
-/// unless a server recorded [`ServerOutcome`]s while tracing was on.
-pub fn tenant_records() -> Vec<TenantRecord> {
-    let s = lock_state();
-    let mut out: Vec<TenantRecord> = s
-        .tenants
-        .iter()
-        .map(|(name, rec)| TenantRecord { tenant: name.clone(), ..rec.clone() })
-        .collect();
-    out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    out
+fn lock_specs() -> std::sync::MutexGuard<'static, Vec<SpecRecord>> {
+    static SPECS: Mutex<Vec<SpecRecord>> = Mutex::new(Vec::new());
+    SPECS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Record a vectorizer effectiveness record and bump the aggregate
@@ -832,59 +507,30 @@ pub fn record_specialization(rec: SpecRecord) {
     COUNTERS[Counter::SpecPackGlue as usize].fetch_add(rec.pack_glue, Ordering::Relaxed);
     COUNTERS[Counter::SpecUnpackGlue as usize].fetch_add(rec.unpack_glue, Ordering::Relaxed);
     COUNTERS[Counter::SpecDceRemoved as usize].fetch_add(rec.dce_removed, Ordering::Relaxed);
-    lock_state().specs.push(rec);
+    lock_specs().push(rec);
 }
 
-// ---------------------------------------------------------------------------
-// Scoped phase timers
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static PHASE_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// RAII timer for a compile phase; records accumulated wall time (keyed
-/// by kernel, phase name and nesting depth) when dropped.
-#[must_use = "the phase is timed until the guard is dropped"]
-pub struct PhaseGuard {
-    active: Option<(String, &'static str, Instant, usize)>,
-}
-
-/// Start timing `phase` of `kernel`. Nested phases (e.g. individual
-/// optimization passes inside `specialize`) record their depth so
-/// reports can reconstruct the hierarchy. Returns an inert guard when
-/// tracing is disabled.
-pub fn phase(kernel: &str, phase: &'static str) -> PhaseGuard {
-    if !enabled() {
-        return PhaseGuard { active: None };
-    }
-    let depth = PHASE_DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
+/// The specialization records so far, sorted by kernel, width and
+/// variant.
+pub(crate) fn spec_records() -> Vec<SpecRecord> {
+    let mut specs = lock_specs().clone();
+    specs.sort_by(|a, b| {
+        (a.kernel.as_str(), a.warp_size, a.variant).cmp(&(
+            b.kernel.as_str(),
+            b.warp_size,
+            b.variant,
+        ))
     });
-    PhaseGuard { active: Some((kernel.to_string(), phase, Instant::now(), depth)) }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some((kernel, phase, start, depth)) = self.active.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            PHASE_DEPTH.with(|d| d.set(depth));
-            let mut s = lock_state();
-            let totals = s.phases.entry((kernel, phase, depth)).or_default();
-            totals.calls += 1;
-            totals.total_ns += ns;
-        }
-    }
+    specs
 }
 
 // ---------------------------------------------------------------------------
-// Reset + snapshot plumbing (used by report.rs)
+// Reset
 // ---------------------------------------------------------------------------
 
-/// Clear all recorded data (counters, histograms, events, timers,
-/// timeline spans, µop profiles). The enabled flag is left as-is.
+/// Clear all recorded data (counters, histograms, specialization
+/// records, timeline spans, µop profiles). The enabled flag is left
+/// as-is.
 pub fn reset() {
     for c in &COUNTERS {
         c.store(0, Ordering::Relaxed);
@@ -894,56 +540,7 @@ pub fn reset() {
     }
     timeline::reset_timeline();
     profile::reset_profile();
-    let mut s = lock_state();
-    s.names.clear();
-    s.by_name.clear();
-    s.events.clear();
-    s.phases.clear();
-    s.specs.clear();
-    s.tenants.clear();
-}
-
-pub(crate) struct FullSnapshot {
-    pub counters: Vec<(&'static str, u64)>,
-    pub occupancy: Vec<u64>,
-    pub names: Vec<String>,
-    pub events: Vec<Event>,
-    pub phases: Vec<(String, &'static str, usize, u64, u64)>,
-    pub specs: Vec<SpecRecord>,
-    pub tenants: Vec<TenantRecord>,
-}
-
-pub(crate) fn full_snapshot() -> FullSnapshot {
-    let s = lock_state();
-    let mut phases: Vec<_> = s
-        .phases
-        .iter()
-        .map(|((kernel, phase, depth), t)| (kernel.clone(), *phase, *depth, t.calls, t.total_ns))
-        .collect();
-    phases.sort();
-    let mut specs = s.specs.clone();
-    specs.sort_by(|a, b| {
-        (a.kernel.as_str(), a.warp_size, a.variant).cmp(&(
-            b.kernel.as_str(),
-            b.warp_size,
-            b.variant,
-        ))
-    });
-    let mut tenants: Vec<TenantRecord> = s
-        .tenants
-        .iter()
-        .map(|(name, rec)| TenantRecord { tenant: name.clone(), ..rec.clone() })
-        .collect();
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    FullSnapshot {
-        counters: Counter::ALL.iter().map(|&c| (c.name(), counter(c))).collect(),
-        occupancy: occupancy_histogram(),
-        names: s.names.clone(),
-        events: s.events.clone(),
-        phases,
-        specs,
-        tenants,
-    }
+    lock_specs().clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,24 +665,20 @@ mod tests {
         disable();
         reset();
         add(Counter::CacheHit, 3);
-        record_yield("k", 1, YieldReason::Branch, 4);
+        record_yield(YieldReason::Branch);
         record_warp_entry(4, 2);
-        let _t = phase("k", "translate");
-        drop(_t);
         assert_eq!(counter(Counter::CacheHit), 0);
         assert_eq!(counter(Counter::YieldBranch), 0);
         assert!(occupancy_histogram().is_empty());
-        assert!(full_snapshot().events.is_empty());
-        assert!(full_snapshot().phases.is_empty());
     }
 
     #[test]
-    fn enabled_records_counters_events_and_histogram() {
+    fn enabled_records_counters_yields_and_histogram() {
         let _g = serial();
         enable();
         reset();
         add(Counter::CacheHit, 2);
-        record_yield("k", 3, YieldReason::Barrier, 2);
+        record_yield(YieldReason::Barrier);
         record_warp_entry(2, 5);
         record_warp_entry(4, 1);
         assert_eq!(counter(Counter::CacheHit), 2);
@@ -1096,48 +689,8 @@ mod tests {
         let hist = occupancy_histogram();
         assert_eq!(hist[2], 1);
         assert_eq!(hist[4], 1);
-        let snap = full_snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.names, vec!["k".to_string()]);
         disable();
         reset();
-    }
-
-    #[test]
-    fn phase_guards_nest_and_accumulate() {
-        let _g = serial();
-        enable();
-        reset();
-        {
-            let _outer = phase("k", "specialize");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _inner = phase("k", "opt:dce");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        let snap = full_snapshot();
-        let outer = snap.phases.iter().find(|(_, p, ..)| *p == "specialize").unwrap();
-        let inner = snap.phases.iter().find(|(_, p, ..)| *p == "opt:dce").unwrap();
-        assert_eq!(outer.2, 0, "outer phase at depth 0");
-        assert_eq!(inner.2, 1, "inner phase nested at depth 1");
-        assert!(inner.4 <= outer.4, "inner time contained in outer");
-        disable();
-        reset();
-    }
-
-    #[test]
-    fn event_capacity_parses_and_clamps() {
-        assert_eq!(parse_event_capacity(None), Ok(EVENT_CAPACITY));
-        assert_eq!(
-            parse_event_capacity(Some("not a number")),
-            Err("DPVK_TRACE_EVENTS: invalid value `not a number`: expected an event count".into())
-        );
-        assert!(parse_event_capacity(Some("-5")).is_err());
-        assert_eq!(parse_event_capacity(Some("65536")), Ok(65536));
-        assert_eq!(parse_event_capacity(Some(" 8192 ")), Ok(8192));
-        assert_eq!(parse_event_capacity(Some("1")), Ok(16), "clamped to the floor");
-        assert_eq!(parse_event_capacity(Some("999999999999")), Ok(1 << 22), "clamped to the cap");
     }
 
     #[test]
@@ -1183,68 +736,6 @@ mod tests {
         // An empty interval deltas to zero everywhere (peaks aside).
         let idle = snapshot().delta(&after);
         assert!(idle.counters().all(|(n, v)| v == 0 || n.ends_with("_peak")));
-        disable();
-        reset();
-    }
-
-    #[test]
-    fn server_outcomes_accumulate_per_tenant_and_globally() {
-        let _g = serial();
-        enable();
-        reset();
-        for _ in 0..3 {
-            record_server("alpha", ServerOutcome::Request);
-        }
-        record_server("alpha", ServerOutcome::Admitted);
-        record_server("alpha", ServerOutcome::Retried);
-        record_server("alpha", ServerOutcome::Completed { exec_ns: 1_000 });
-        record_server("beta", ServerOutcome::Request);
-        record_server("beta", ServerOutcome::Shed);
-        record_server("beta", ServerOutcome::Degraded);
-        record_server("beta", ServerOutcome::Failed);
-        assert_eq!(counter(Counter::ServerRequests), 4);
-        assert_eq!(counter(Counter::ServerAdmitted), 1);
-        assert_eq!(counter(Counter::ServerShed), 1);
-        assert_eq!(counter(Counter::ServerRetries), 1);
-        assert_eq!(counter(Counter::ServerDegraded), 1);
-        assert_eq!(counter(Counter::ServerCompleted), 1);
-        assert_eq!(counter(Counter::ServerFailed), 1);
-        let tenants = tenant_records();
-        assert_eq!(tenants.len(), 2);
-        assert_eq!(tenants[0].tenant, "alpha", "sorted by name");
-        assert_eq!(tenants[0].requests, 3);
-        assert_eq!(tenants[0].completed, 1);
-        assert_eq!(tenants[0].exec_ns, 1_000);
-        assert_eq!(tenants[1].tenant, "beta");
-        assert_eq!(tenants[1].shed, 1);
-        assert_eq!(tenants[1].degraded, 1);
-        assert_eq!(tenants[1].failed, 1);
-        disable();
-        reset();
-    }
-
-    #[test]
-    fn server_records_are_dark_when_disabled() {
-        let _g = serial();
-        disable();
-        reset();
-        record_server("ghost", ServerOutcome::Request);
-        assert_eq!(counter(Counter::ServerRequests), 0);
-        assert!(tenant_records().is_empty());
-    }
-
-    #[test]
-    fn event_ring_is_bounded() {
-        let _g = serial();
-        enable();
-        reset();
-        for i in 0..(EVENT_CAPACITY as u32 + 10) {
-            record_yield("k", i, YieldReason::Exit, 1);
-        }
-        assert_eq!(full_snapshot().events.len(), EVENT_CAPACITY);
-        assert_eq!(counter(Counter::EventsDropped), 10);
-        // Aggregate counters still see every yield.
-        assert_eq!(counter(Counter::YieldExit), EVENT_CAPACITY as u64 + 10);
         disable();
         reset();
     }

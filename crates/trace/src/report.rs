@@ -8,91 +8,7 @@ use std::path::{Path, PathBuf};
 use crate::json::Json;
 use crate::profile::{self, UopProfile};
 use crate::timeline::{self, SpanTotal};
-use crate::{full_snapshot, Event, SpecRecord, TenantRecord};
-
-/// Accumulated wall time of one compile phase of one kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseReport {
-    /// Kernel (or function) the phase ran for.
-    pub kernel: String,
-    /// Phase name (`parse`, `translate`, `specialize`, `opt:<pass>`).
-    pub phase: String,
-    /// Nesting depth at which the phase ran (optimization passes run at
-    /// depth `specialize` + 1).
-    pub depth: usize,
-    /// Number of times the phase ran.
-    pub calls: u64,
-    /// Total wall time across all calls.
-    pub total_ns: u64,
-}
-
-/// One structured event with interned kernel names resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventReport {
-    /// A warp returned to the execution manager.
-    Yield {
-        /// Kernel name.
-        kernel: String,
-        /// Entry point the warp resumes at.
-        entry_point: u32,
-        /// `"branch"`, `"barrier"` or `"exit"`.
-        reason: &'static str,
-        /// Warp width.
-        width: u32,
-    },
-    /// A translation-cache lookup.
-    CacheQuery {
-        /// Kernel name.
-        kernel: String,
-        /// Requested warp size.
-        warp_size: u32,
-        /// Requested variant.
-        variant: &'static str,
-        /// Served from cache?
-        hit: bool,
-    },
-    /// A compilation triggered by a cache miss.
-    Compile {
-        /// Kernel name.
-        kernel: String,
-        /// Compiled warp size.
-        warp_size: u32,
-        /// Compiled variant.
-        variant: &'static str,
-        /// Compilation wall time.
-        ns: u64,
-    },
-    /// A specialization failed to compile and launches now fall back to
-    /// the scalar baseline for it.
-    Downgrade {
-        /// Kernel name.
-        kernel: String,
-        /// Requested (refused) warp size.
-        warp_size: u32,
-        /// Requested variant.
-        variant: &'static str,
-        /// The failure that caused the downgrade.
-        detail: String,
-    },
-    /// An execution fault escaped a launch.
-    Fault {
-        /// Kernel name.
-        kernel: String,
-        /// Rendered error, provenance included.
-        detail: String,
-    },
-    /// A launch entered or left a stream's ordered queue.
-    Stream {
-        /// Kernel name.
-        kernel: String,
-        /// Stream identifier.
-        stream: u64,
-        /// Launches queued behind the stream's active job.
-        depth: u32,
-        /// `true` on submit, `false` on retire.
-        submit: bool,
-    },
-}
+use crate::{counter, occupancy_histogram, spec_records, Counter, SpecRecord};
 
 /// A point-in-time snapshot of everything the tracer has recorded,
 /// serializable to JSON and printable as a summary table.
@@ -102,23 +18,15 @@ pub struct TraceReport {
     pub counters: Vec<(&'static str, u64)>,
     /// Warp-occupancy histogram (`occupancy[w]` = entries at width `w`).
     pub occupancy: Vec<u64>,
-    /// Per-kernel compile-phase timings.
-    pub phases: Vec<PhaseReport>,
     /// Vectorizer effectiveness per specialization.
     pub specializations: Vec<SpecRecord>,
-    /// Structured events, oldest first (bounded; see
-    /// [`events_dropped`](Self::events_dropped)).
-    pub events: Vec<EventReport>,
-    /// Events discarded after the ring filled.
-    pub events_dropped: u64,
-    /// Flight-recorder span totals per launch phase (queue-wait,
-    /// translate, ..., retire), in pipeline order.
+    /// Flight-recorder span totals per kind (queue-wait, parse,
+    /// translate, ..., fault), in pipeline order.
     pub span_totals: Vec<SpanTotal>,
+    /// Spans the timeline discarded because its store was full.
+    pub dropped_spans: u64,
     /// µop profiles per kernel × specialization × engine path.
     pub uop_profiles: Vec<UopProfile>,
-    /// Per-tenant serving-layer totals (admission, shedding, retries,
-    /// degradation), sorted by tenant name; empty when no server ran.
-    pub tenants: Vec<TenantRecord>,
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -136,62 +44,13 @@ fn fmt_ns(ns: u64) -> String {
 impl TraceReport {
     /// Capture a snapshot of the current trace state.
     pub fn capture() -> TraceReport {
-        let snap = full_snapshot();
-        let name_of = |id: u32| {
-            snap.names.get(id as usize).cloned().unwrap_or_else(|| format!("<kernel {id}>"))
-        };
-        let events = snap
-            .events
-            .iter()
-            .map(|e| match *e {
-                Event::Yield { kernel, entry_point, reason, width } => EventReport::Yield {
-                    kernel: name_of(kernel),
-                    entry_point,
-                    reason: reason.name(),
-                    width,
-                },
-                Event::CacheQuery { kernel, warp_size, variant, hit } => {
-                    EventReport::CacheQuery { kernel: name_of(kernel), warp_size, variant, hit }
-                }
-                Event::Compile { kernel, warp_size, variant, ns } => {
-                    EventReport::Compile { kernel: name_of(kernel), warp_size, variant, ns }
-                }
-                Event::Downgrade { kernel, warp_size, variant, detail } => EventReport::Downgrade {
-                    kernel: name_of(kernel),
-                    warp_size,
-                    variant,
-                    detail: name_of(detail),
-                },
-                Event::Fault { kernel, detail } => {
-                    EventReport::Fault { kernel: name_of(kernel), detail: name_of(detail) }
-                }
-                Event::Stream { kernel, stream, depth, submit } => {
-                    EventReport::Stream { kernel: name_of(kernel), stream, depth, submit }
-                }
-            })
-            .collect();
-        let events_dropped =
-            snap.counters.iter().find(|(n, _)| *n == "events_dropped").map_or(0, |&(_, v)| v);
         TraceReport {
-            counters: snap.counters,
-            occupancy: snap.occupancy,
-            phases: snap
-                .phases
-                .into_iter()
-                .map(|(kernel, phase, depth, calls, total_ns)| PhaseReport {
-                    kernel,
-                    phase: phase.to_string(),
-                    depth,
-                    calls,
-                    total_ns,
-                })
-                .collect(),
-            specializations: snap.specs,
-            events,
-            events_dropped,
+            counters: Counter::ALL.iter().map(|&c| (c.name(), counter(c))).collect(),
+            occupancy: occupancy_histogram(),
+            specializations: spec_records(),
             span_totals: timeline::span_totals(),
+            dropped_spans: timeline::dropped_spans(),
             uop_profiles: profile::profiles(),
-            tenants: snap.tenants,
         }
     }
 
@@ -219,17 +78,6 @@ impl TraceReport {
         j.field_u64("barrier", self.counter("yield_barrier"));
         j.field_u64("exit", self.counter("yield_exit"));
         j.close_obj();
-        j.open_arr(Some("compile_phases"));
-        for p in &self.phases {
-            j.open_obj(None);
-            j.field_str("kernel", &p.kernel);
-            j.field_str("phase", &p.phase);
-            j.field_u64("depth", p.depth as u64);
-            j.field_u64("calls", p.calls);
-            j.field_u64("total_ns", p.total_ns);
-            j.close_obj();
-        }
-        j.close_arr();
         j.open_arr(Some("specializations"));
         for s in &self.specializations {
             j.open_obj(None);
@@ -254,6 +102,7 @@ impl TraceReport {
             j.close_obj();
         }
         j.close_obj();
+        j.field_u64("dropped_spans", self.dropped_spans);
         j.open_arr(Some("uop_profile"));
         for p in &self.uop_profiles {
             j.open_obj(None);
@@ -272,70 +121,6 @@ impl TraceReport {
                 j.close_obj();
             }
             j.close_arr();
-            j.close_obj();
-        }
-        j.close_arr();
-        j.open_arr(Some("tenants"));
-        for t in &self.tenants {
-            j.open_obj(None);
-            j.field_str("tenant", &t.tenant);
-            j.field_u64("requests", t.requests);
-            j.field_u64("admitted", t.admitted);
-            j.field_u64("shed", t.shed);
-            j.field_u64("retries", t.retries);
-            j.field_u64("degraded", t.degraded);
-            j.field_u64("completed", t.completed);
-            j.field_u64("failed", t.failed);
-            j.field_u64("exec_ns", t.exec_ns);
-            j.close_obj();
-        }
-        j.close_arr();
-        j.field_u64("events_dropped", self.events_dropped);
-        j.open_arr(Some("events"));
-        for e in &self.events {
-            j.open_obj(None);
-            match e {
-                EventReport::Yield { kernel, entry_point, reason, width } => {
-                    j.field_str("type", "yield");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("entry_point", u64::from(*entry_point));
-                    j.field_str("reason", reason);
-                    j.field_u64("width", u64::from(*width));
-                }
-                EventReport::CacheQuery { kernel, warp_size, variant, hit } => {
-                    j.field_str("type", "cache_query");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("warp_size", u64::from(*warp_size));
-                    j.field_str("variant", variant);
-                    j.field_bool("hit", *hit);
-                }
-                EventReport::Compile { kernel, warp_size, variant, ns } => {
-                    j.field_str("type", "compile");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("warp_size", u64::from(*warp_size));
-                    j.field_str("variant", variant);
-                    j.field_u64("ns", *ns);
-                }
-                EventReport::Downgrade { kernel, warp_size, variant, detail } => {
-                    j.field_str("type", "downgrade");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("warp_size", u64::from(*warp_size));
-                    j.field_str("variant", variant);
-                    j.field_str("detail", detail);
-                }
-                EventReport::Fault { kernel, detail } => {
-                    j.field_str("type", "fault");
-                    j.field_str("kernel", kernel);
-                    j.field_str("detail", detail);
-                }
-                EventReport::Stream { kernel, stream, depth, submit } => {
-                    j.field_str("type", "stream");
-                    j.field_str("kernel", kernel);
-                    j.field_u64("stream", *stream);
-                    j.field_u64("depth", u64::from(*depth));
-                    j.field_bool("submit", *submit);
-                }
-            }
             j.close_obj();
         }
         j.close_arr();
@@ -380,20 +165,6 @@ impl TraceReport {
         let (spill, restore) = (self.counter("spill_bytes"), self.counter("restore_bytes"));
         if spill > 0 || restore > 0 {
             let _ = writeln!(out, "  live state: {spill} B spilled, {restore} B restored");
-        }
-        if !self.phases.is_empty() {
-            let _ = writeln!(out, "  compile phases (kernel · phase · calls · total):");
-            for p in &self.phases {
-                let _ = writeln!(
-                    out,
-                    "    {:<24} {}{:<16} {:>5}  {}",
-                    p.kernel,
-                    "  ".repeat(p.depth),
-                    p.phase,
-                    p.calls,
-                    fmt_ns(p.total_ns),
-                );
-            }
         }
         if !self.specializations.is_empty() {
             let _ = writeln!(
@@ -441,7 +212,7 @@ impl TraceReport {
             );
         }
         let requests = self.counter("server_requests");
-        if requests > 0 || !self.tenants.is_empty() {
+        if requests > 0 {
             let _ = writeln!(
                 out,
                 "  server: {requests} requests, {} admitted, {} shed, {} retries, {} degraded, \
@@ -453,30 +224,9 @@ impl TraceReport {
                 self.counter("server_completed"),
                 self.counter("server_failed"),
             );
-            if !self.tenants.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "  tenants (name · req · adm · shed · retry · degr · done · fail · exec):"
-                );
-                for t in &self.tenants {
-                    let _ = writeln!(
-                        out,
-                        "    {:<20} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  {}",
-                        t.tenant,
-                        t.requests,
-                        t.admitted,
-                        t.shed,
-                        t.retries,
-                        t.degraded,
-                        t.completed,
-                        t.failed,
-                        fmt_ns(t.exec_ns),
-                    );
-                }
-            }
         }
         if self.span_totals.iter().any(|t| t.calls > 0) {
-            let _ = writeln!(out, "  launch phases (span · calls · total):");
+            let _ = writeln!(out, "  spans (kind · calls · total):");
             for t in &self.span_totals {
                 if t.calls == 0 {
                     continue;
@@ -516,13 +266,8 @@ impl TraceReport {
             }
             let _ = writeln!(out, "  µop cycles attributed: {total}");
         }
-        if self.events_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "  events: {} recorded, {} dropped (ring full)",
-                self.events.len(),
-                self.events_dropped
-            );
+        if self.dropped_spans > 0 {
+            let _ = writeln!(out, "  spans dropped (timeline store full): {}", self.dropped_spans);
         }
         out
     }
@@ -596,20 +341,22 @@ pub fn write_if_enabled() -> io::Result<Option<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::SpanKind;
+
+    fn report(counters: Vec<(&'static str, u64)>) -> TraceReport {
+        TraceReport {
+            counters,
+            occupancy: vec![],
+            specializations: vec![],
+            span_totals: vec![],
+            dropped_spans: 0,
+            uop_profiles: vec![],
+        }
+    }
 
     #[test]
     fn empty_report_serializes() {
-        let report = TraceReport {
-            counters: vec![("cache_hit", 0)],
-            occupancy: vec![],
-            phases: vec![],
-            specializations: vec![],
-            events: vec![],
-            events_dropped: 0,
-            span_totals: vec![],
-            uop_profiles: vec![],
-            tenants: vec![],
-        };
+        let report = report(vec![("cache_hit", 0)]);
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cache_hit\":0"));
@@ -618,91 +365,46 @@ mod tests {
 
     #[test]
     fn json_contains_all_sections() {
-        let report = TraceReport {
-            counters: vec![("yield_branch", 2), ("warp_entries", 1)],
-            occupancy: vec![0, 0, 0, 0, 3],
-            phases: vec![PhaseReport {
-                kernel: "k".into(),
-                phase: "translate".into(),
-                depth: 0,
-                calls: 1,
-                total_ns: 42,
-            }],
-            specializations: vec![crate::SpecRecord {
-                kernel: "k".into(),
-                warp_size: 4,
-                variant: "dynamic",
-                pre_opt_instructions: 100,
-                post_opt_instructions: 80,
-                replicated: 10,
-                promoted: 50,
-                pack_glue: 5,
-                unpack_glue: 6,
-                dce_removed: 20,
-            }],
-            events: vec![EventReport::Yield {
-                kernel: "k".into(),
-                entry_point: 2,
-                reason: "branch",
-                width: 4,
-            }],
-            events_dropped: 0,
-            span_totals: vec![],
-            uop_profiles: vec![],
-            tenants: vec![],
-        };
+        let mut report = report(vec![("yield_branch", 2), ("warp_entries", 1)]);
+        report.occupancy = vec![0, 0, 0, 0, 3];
+        report.specializations = vec![crate::SpecRecord {
+            kernel: "k".into(),
+            warp_size: 4,
+            variant: "dynamic",
+            pre_opt_instructions: 100,
+            post_opt_instructions: 80,
+            replicated: 10,
+            promoted: 50,
+            pack_glue: 5,
+            unpack_glue: 6,
+            dce_removed: 20,
+        }];
+        report.span_totals = vec![SpanTotal { kind: SpanKind::Specialize, calls: 3, total_ns: 42 }];
+        report.dropped_spans = 7;
         let json = report.to_json();
         for needle in [
             "\"warp_occupancy\":[0,0,0,0,3]",
-            "\"compile_phases\":[{\"kernel\":\"k\",\"phase\":\"translate\"",
             "\"specializations\":[{\"kernel\":\"k\",\"warp_size\":4",
-            "\"events\":[{\"type\":\"yield\"",
+            "\"span_totals\":{\"specialize\":{\"calls\":3,\"total_ns\":42}}",
+            "\"dropped_spans\":7",
             "\"yield_reasons\":{\"branch\":2",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        assert!(report.summary().contains("spans dropped (timeline store full): 7"));
     }
 
     #[test]
-    fn downgrade_and_fault_events_serialize_and_summarize() {
-        let report = TraceReport {
-            counters: vec![
-                ("downgraded_warps", 3),
-                ("cancelled_warps", 1),
-                ("spec_failures", 1),
-                ("faults", 2),
-            ],
-            occupancy: vec![],
-            phases: vec![],
-            specializations: vec![],
-            events: vec![
-                EventReport::Downgrade {
-                    kernel: "k".into(),
-                    warp_size: 4,
-                    variant: "dynamic",
-                    detail: "verify error in `k`".into(),
-                },
-                EventReport::Fault {
-                    kernel: "k".into(),
-                    detail: "execution fault at kernel `k`, CTA 3".into(),
-                },
-            ],
-            events_dropped: 0,
-            span_totals: vec![],
-            uop_profiles: vec![],
-            tenants: vec![],
-        };
-        let json = report.to_json();
-        for needle in [
-            "\"type\":\"downgrade\"",
-            "\"detail\":\"verify error in `k`\"",
-            "\"type\":\"fault\"",
-            "CTA 3",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
+    fn degradation_counters_summarize() {
+        let report = report(vec![
+            ("downgraded_warps", 3),
+            ("cancelled_warps", 1),
+            ("spec_failures", 1),
+            ("faults", 2),
+        ]);
         let summary = report.summary();
         assert!(summary.contains("3 warps downgraded"), "{summary}");
         assert!(summary.contains("1 warps cancelled"), "{summary}");
+        assert!(summary.contains("2 faults"), "{summary}");
     }
 }

@@ -1,14 +1,16 @@
-//! Span-based per-launch timeline — the "flight recorder".
+//! Span-based per-launch timeline — the "flight recorder", and the only
+//! store of events and timings in `dpvk-trace`.
 //!
 //! Every launch is assigned a monotonically increasing sequence number at
 //! submission and accumulates nested spans as it moves through the
 //! pipeline: queue-wait (submission to first worker pickup), translate /
 //! specialize / decode (compile phases, attributed to the launch that
-//! triggered them), per-chunk execute with a coalesced gather child, and
-//! retire. Spans are tagged with the stream id (0 = direct, unstreamed)
-//! and — when they were produced on a pool worker thread — the worker's
-//! track id, so the Chrome-trace export renders one track per worker and
-//! one per stream.
+//! triggered them, with their sub-phases nested inside), per-chunk
+//! execute with a coalesced gather child, and retire. A downgrade or a
+//! fault is a zero-length marker span on its launch. Spans are tagged
+//! with the stream id (0 = direct, unstreamed) and — when they were
+//! produced on a pool worker thread — the worker's track id, so the
+//! Chrome-trace export renders one track per worker and one per stream.
 //!
 //! Like the rest of `dpvk-trace`, the recorder is disabled by default:
 //! every entry point is gated on [`crate::enabled`], one relaxed atomic
@@ -113,10 +115,26 @@ pub fn current_launch() -> (u64, u64) {
 pub enum SpanKind {
     /// Submission until the first worker picked up a chunk.
     QueueWait,
+    /// Parsing and validating a module's source at registration (not
+    /// attributed to a launch).
+    Parse,
     /// PTX → IR translation (cold; cached afterwards).
     Translate,
+    /// Lowering PTX instructions to scalar IR, inside `Translate`.
+    Lower,
+    /// Verifying the scalar IR and finding its entry points and live
+    /// sets, inside `Translate`.
+    Analyze,
     /// Warp-width specialization of the IR (cache-miss fill).
     Specialize,
+    /// One constant-folding pass of the optimizer, inside `Specialize`.
+    ConstFold,
+    /// One local common-subexpression pass, inside `Specialize`.
+    Cse,
+    /// One dead-code-elimination pass, inside `Specialize`.
+    Dce,
+    /// Block fusion and unreachable-block removal, inside `Specialize`.
+    Fusion,
     /// Pre-decoding a specialization into linear bytecode.
     Decode,
     /// Lowering a decoded specialization to native x86-64 (JIT emit,
@@ -135,14 +153,29 @@ pub enum SpanKind {
     PersistLoad,
     /// Writing a freshly compiled artifact to the persistent cache.
     PersistStore,
+    /// Marker: a specialization failed to compile and its launches fall
+    /// back to the scalar baseline. The failure itself is the memoized
+    /// error the translation cache returns for that specialization.
+    Downgrade,
+    /// Marker: a fault escaped the launch. The fault itself is the
+    /// launch's error.
+    Fault,
 }
 
 impl SpanKind {
-    /// Every kind, in pipeline order.
-    pub const ALL: [SpanKind; 10] = [
+    /// Every kind, in declaration (pipeline) order, so `kind as usize`
+    /// indexes it.
+    pub const ALL: [SpanKind; 19] = [
         SpanKind::QueueWait,
+        SpanKind::Parse,
         SpanKind::Translate,
+        SpanKind::Lower,
+        SpanKind::Analyze,
         SpanKind::Specialize,
+        SpanKind::ConstFold,
+        SpanKind::Cse,
+        SpanKind::Dce,
+        SpanKind::Fusion,
         SpanKind::Decode,
         SpanKind::JitEmit,
         SpanKind::Execute,
@@ -150,14 +183,23 @@ impl SpanKind {
         SpanKind::Retire,
         SpanKind::PersistLoad,
         SpanKind::PersistStore,
+        SpanKind::Downgrade,
+        SpanKind::Fault,
     ];
 
     /// Stable snake_case name used in exports.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::QueueWait => "queue_wait",
+            SpanKind::Parse => "parse",
             SpanKind::Translate => "translate",
+            SpanKind::Lower => "lower",
+            SpanKind::Analyze => "analyze",
             SpanKind::Specialize => "specialize",
+            SpanKind::ConstFold => "const_fold",
+            SpanKind::Cse => "cse",
+            SpanKind::Dce => "dce",
+            SpanKind::Fusion => "fusion",
             SpanKind::Decode => "decode",
             SpanKind::JitEmit => "jit_emit",
             SpanKind::Execute => "execute",
@@ -165,6 +207,8 @@ impl SpanKind {
             SpanKind::Retire => "retire",
             SpanKind::PersistLoad => "persist_load",
             SpanKind::PersistStore => "persist_store",
+            SpanKind::Downgrade => "downgrade",
+            SpanKind::Fault => "fault",
         }
     }
 }
@@ -184,10 +228,12 @@ pub struct Span {
     pub worker: Option<u32>,
     /// Start, nanoseconds on the [`now_ns`] clock.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for instantaneous markers).
+    /// Duration in nanoseconds (0 for markers).
     pub dur_ns: u64,
     /// Kind-specific detail: warps executed (execute), gather calls
-    /// coalesced (gather), chunk count (queue-wait); 0 otherwise.
+    /// coalesced (gather), chunk count (queue-wait), CTAs (retire),
+    /// blocks (translate, persist), warp width (specialize, downgrade),
+    /// µops (decode), code bytes (JIT emit); 0 otherwise.
     pub detail: u64,
 }
 
@@ -220,6 +266,71 @@ pub fn record_span(span: Span) {
         s.spans.push(span);
     } else {
         s.dropped += 1;
+    }
+}
+
+/// Record a span of `kernel` that began at `start_ns` and lasted
+/// `dur_ns`, attributed to the calling thread's [`launch_scope`] (seq and
+/// stream 0 outside one) and, on a pool worker, to its track (without
+/// one the span lands on its stream's track).
+pub fn record(kind: SpanKind, kernel: &str, start_ns: u64, dur_ns: u64, detail: u64) {
+    if crate::enabled() {
+        record_ambient(kind, kernel.to_string(), start_ns, dur_ns, detail);
+    }
+}
+
+fn record_ambient(kind: SpanKind, kernel: String, start_ns: u64, dur_ns: u64, detail: u64) {
+    let (seq, stream) = current_launch();
+    record_span(Span {
+        kind,
+        kernel,
+        seq,
+        stream,
+        worker: worker_track(),
+        start_ns,
+        dur_ns,
+        detail,
+    });
+}
+
+/// Record a zero-length marker span of `kernel` now, attributed like
+/// [`record`].
+pub fn marker(kind: SpanKind, kernel: &str, detail: u64) {
+    if crate::enabled() {
+        record(kind, kernel, now_ns(), 0, detail);
+    }
+}
+
+/// RAII span: opened by [`span`], recorded (attributed like [`record`])
+/// when dropped. Inert when tracing was off at the open.
+#[must_use = "the span is timed until the guard is dropped"]
+pub struct SpanGuard {
+    open: Option<(SpanKind, String, u64)>,
+    detail: u64,
+}
+
+/// Open a span of `kind` for `kernel`, closed when the returned guard
+/// drops. A span opened inside another on the same thread nests inside
+/// it on the same track. Costs one relaxed atomic load when tracing is
+/// off.
+pub fn span(kind: SpanKind, kernel: &str) -> SpanGuard {
+    let open = crate::enabled().then(|| (kind, kernel.to_string(), now_ns()));
+    SpanGuard { open, detail: 0 }
+}
+
+impl SpanGuard {
+    /// Set the span's [`Span::detail`].
+    pub fn set_detail(&mut self, detail: u64) {
+        self.detail = detail;
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some((kind, kernel, start_ns)) = self.open.take() {
+            let dur_ns = now_ns().saturating_sub(start_ns);
+            record_ambient(kind, kernel, start_ns, dur_ns, self.detail);
+        }
     }
 }
 
@@ -405,7 +516,7 @@ pub fn default_timeline_path() -> PathBuf {
 mod tests {
     use super::*;
 
-    fn span(kind: SpanKind, seq: u64, start: u64, dur: u64, worker: Option<u32>) -> Span {
+    fn fixed(kind: SpanKind, seq: u64, start: u64, dur: u64, worker: Option<u32>) -> Span {
         Span {
             kind,
             kernel: "k".to_string(),
@@ -423,10 +534,10 @@ mod tests {
         let _g = crate::test_serial();
         crate::enable();
         crate::reset();
-        record_span(span(SpanKind::QueueWait, 1, 0, 10, None));
-        record_span(span(SpanKind::Execute, 1, 10, 100, Some(0)));
-        record_span(span(SpanKind::Execute, 2, 20, 50, Some(1)));
-        record_span(span(SpanKind::Gather, 1, 10, 30, Some(0)));
+        record_span(fixed(SpanKind::QueueWait, 1, 0, 10, None));
+        record_span(fixed(SpanKind::Execute, 1, 10, 100, Some(0)));
+        record_span(fixed(SpanKind::Execute, 2, 20, 50, Some(1)));
+        record_span(fixed(SpanKind::Gather, 1, 10, 30, Some(0)));
         let records = launch_records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 1);
@@ -445,8 +556,8 @@ mod tests {
         let _g = crate::test_serial();
         crate::enable();
         crate::reset();
-        record_span(span(SpanKind::Execute, 1, 1500, 2500, Some(3)));
-        record_span(span(SpanKind::QueueWait, 1, 0, 1500, None));
+        record_span(fixed(SpanKind::Execute, 1, 1500, 2500, Some(3)));
+        record_span(fixed(SpanKind::QueueWait, 1, 0, 1500, None));
         let json = chrome_trace();
         assert!(json.contains("\"traceEvents\":["), "{json}");
         assert!(json.contains("\"name\":\"worker 3\""), "{json}");
@@ -464,9 +575,39 @@ mod tests {
         let _g = crate::test_serial();
         crate::disable();
         crate::reset();
-        record_span(span(SpanKind::Execute, 1, 0, 1, Some(0)));
+        record_span(fixed(SpanKind::Execute, 1, 0, 1, Some(0)));
+        drop(span(SpanKind::Translate, "k"));
+        marker(SpanKind::Fault, "k", 0);
         assert!(spans().is_empty());
         assert_eq!(dropped_spans(), 0);
+    }
+
+    #[test]
+    fn span_guards_nest_and_markers_have_no_length() {
+        let _g = crate::test_serial();
+        crate::enable();
+        crate::reset();
+        {
+            let _scope = launch_scope(5, 3);
+            let mut outer = span(SpanKind::Specialize, "k");
+            outer.set_detail(4);
+            {
+                let _inner = span(SpanKind::Dce, "k");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            marker(SpanKind::Downgrade, "k", 4);
+        }
+        let spans = spans();
+        crate::disable();
+        crate::reset();
+        let of = |kind| spans.iter().find(|s| s.kind == kind).unwrap();
+        let (outer, inner, mark) =
+            (of(SpanKind::Specialize), of(SpanKind::Dce), of(SpanKind::Downgrade));
+        assert_eq!((outer.seq, outer.stream, outer.detail), (5, 3, 4));
+        assert!(inner.start_ns >= outer.start_ns);
+        assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
+        assert!(inner.dur_ns >= 1_000_000);
+        assert_eq!((mark.seq, mark.dur_ns, mark.detail), (5, 0, 4));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `fma`, which rounds once in f32 ([`fused_mul_add_f32`]), and the
 //! transcendentals, which [`crate::approx`] defines.
 
+pub(crate) use dpvk_ir::f_min_max;
 use dpvk_ir::{AtomKind, BinOp, CmpPred, ResumeStatus, STy, UnOp, Value};
 
 use std::time::Instant;
@@ -145,21 +146,6 @@ pub(crate) fn fused_mul_add_f32(x: f32, y: f32, z: f32) -> f32 {
         return r;
     }
     [x, y, z].into_iter().find(|v| v.is_nan()).map_or(r, |v| f32::from_bits(v.to_bits() | 1 << 22))
-}
-
-/// `x.min(y)`, or `x.max(y)` when `max`, with the two cases `f64::min`
-/// leaves to the compiler's lowering pinned: a NaN operand is ignored (of
-/// two NaNs the second is returned, unchanged), and of two operands that
-/// compare equal (±0) the first is returned.
-#[inline]
-pub(crate) fn f_min_max(x: f64, y: f64, max: bool) -> f64 {
-    if x.is_nan() {
-        y
-    } else if y.is_nan() || x == y || (x < y) != max {
-        x
-    } else {
-        y
-    }
 }
 
 pub(crate) fn scalar_bin(

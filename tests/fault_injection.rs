@@ -13,7 +13,8 @@ mod common;
 use std::time::{Duration, Instant};
 
 use dpvk::core::faults::{install, FaultPlan, SlowWarps};
-use dpvk::core::{CancelToken, CoreError, Device, Engine, ExecConfig, ParamValue};
+use dpvk::core::{CancelToken, CoreError, Device, Engine, ExecConfig, ParamValue, Variant};
+use dpvk::trace::timeline::{self, SpanKind};
 use dpvk::vm::{MachineModel, VmError};
 
 /// Both guest engines must survive every recovery path identically.
@@ -255,19 +256,27 @@ fn failed_specialization_downgrades_to_scalar_and_is_counted() {
     assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u32) * 3));
 
     // The downgrade is visible at every level: cache stats, launch
-    // stats, trace counters, and the serialized trace events.
+    // stats, trace counters, and one marker on the launch's timeline.
     let cache = dev.cache_stats();
     assert!(cache.spec_failures >= 1, "cache stats: {cache:?}");
     assert!(cache.downgrades >= 1, "cache stats: {cache:?}");
     assert!(stats.exec.downgraded_warps >= 1, "exec stats: {:?}", stats.exec);
 
     let report = dpvk::trace::TraceReport::capture();
+    let records = timeline::launch_records();
     dpvk::trace::disable();
+    dpvk::trace::reset();
     assert!(report.counter("spec_failures") >= 1);
     assert!(report.counter("downgraded_warps") >= 1);
-    let json = report.to_json();
-    assert!(json.contains("\"type\":\"downgrade\""), "trace json: {json}");
-    assert!(json.contains("injected fault: forced verify failure"), "trace json: {json}");
+    assert_eq!(records.len(), 1, "{records:?}");
+    let markers: Vec<_> =
+        records[0].spans.iter().filter(|s| s.kind == SpanKind::Downgrade).collect();
+    assert_eq!(markers.len(), 1, "{markers:?}");
+    assert_eq!((markers[0].dur_ns, markers[0].detail), (0, 4), "a marker at the refused width");
+
+    // The failure text is the memoized error the cache answers with.
+    let err = dev.cache().get("triple", 4, Variant::Dynamic).expect_err("memoized failure");
+    assert!(err.to_string().contains("injected fault: forced verify failure"), "{err}");
 }
 
 #[test]
@@ -535,8 +544,8 @@ fn server_retries_injected_panic_and_leaves_other_tenants_bit_identical() {
         assert_eq!(d, reference, "bystander run {i} diverged from fault-free digest");
     }
 
-    // The retry is visible end-to-end: per-tenant wire stats, the global
-    // trace counters, and the report's per-tenant records.
+    // The retry is visible end-to-end: per-tenant wire stats and the
+    // global trace counters.
     let stats = faulty.stats("faulty").unwrap();
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.completed, 1);
@@ -550,13 +559,6 @@ fn server_retries_injected_panic_and_leaves_other_tenants_bit_identical() {
     assert!(report.counter("server_retries") >= 1, "counters: {:?}", report.counters);
     assert!(report.counter("server_completed") >= 7, "counters: {:?}", report.counters);
     assert!(report.counter("faults") >= 1, "the panicked attempt must be traced as a fault");
-    let faulty_rec = report
-        .tenants
-        .iter()
-        .find(|t| t.tenant == "faulty")
-        .expect("per-tenant record missing from report");
-    assert_eq!(faulty_rec.retries, 1);
-    assert_eq!(faulty_rec.completed, 1);
 
     handle.shutdown();
 }

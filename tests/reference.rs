@@ -379,8 +379,9 @@ fn generated_kernels_exercise_the_slot_plan() {
 
 /// Run `source` (kernel `refk`, first parameter a buffer holding `input`
 /// and then `want.len()` zeroed words, further parameters `args`) over
-/// one CTA of `threads`, on the reference and on both engines × {baseline,
-/// `dynamic(4)`}, and assert each leaves `want` after the input.
+/// one CTA of `threads`, on the reference and on both engines × every
+/// policy and width of the matrix, and assert each leaves `want` after
+/// the input.
 fn known_answers(source: &str, threads: u32, input: &[u8], args: &[ParamValue], want: &[u64]) {
     let kernel = ptx::parse_kernel(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
     let dev = Device::with_persist(MachineModel::sandybridge_sse(), 1 << 16, None);
@@ -415,9 +416,7 @@ fn known_answers(source: &str, threads: u32, input: &[u8], args: &[ParamValue], 
     eval::run(&kernel, &launch, &mut reference);
     check("reference", &reference);
 
-    for (config, exec) in
-        [("baseline", ExecConfig::baseline()), ("dynamic w4", ExecConfig::dynamic(4))]
-    {
+    for (config, exec) in configs() {
         for engine in engines() {
             dev.memcpy_htod(buf, &image).expect("upload");
             dev.launch("refk", [1, 1, 1], [threads, 1, 1], &params, &exec.with_engine(engine))
@@ -574,4 +573,124 @@ entry:
 }";
     let args = [ParamValue::U64(x as u64), ParamValue::U64(x.wrapping_neg() as u64)];
     known_answers(source, 1, &[], &args, &[0x5e00_0001, 0xde00_0001, 0x5e00_0001]);
+}
+
+/// Float `min`/`max` return the first operand of two that compare equal
+/// (`±0`) and ignore a NaN operand, in either operand order. Each of
+/// eight threads computes every row at f32 and f64 twice: from
+/// parameters, and from immediates the constant folder folds.
+#[test]
+fn float_min_max_of_signed_zeros_and_nan() {
+    const THREADS: u32 = 8;
+    let mut body = String::new();
+    let mut row: Vec<u64> = Vec::new();
+    for (t, r, bits, nz, pz, nan, one) in [
+        ("f32", "%f", 32, 0x8000_0000u64, 0, 0x7fc0_0000, 0x3f80_0000),
+        ("f64", "%d", 64, 0x8000_0000_0000_0000, 0, 0x7ff8_0000_0000_0000, 0x3ff0_0000_0000_0000),
+    ] {
+        body.push_str(&format!(
+            "  ld.param.{t} {r}0, [{t}_nz];\n  ld.param.{t} {r}1, [{t}_pz];\n  \
+             ld.param.{t} {r}2, [{t}_nan];\n  ld.param.{t} {r}3, [{t}_one];\n"
+        ));
+        let imm = |v: u64| {
+            if bits == 32 {
+                format!("0f{v:08x}")
+            } else {
+                format!("0d{v:016x}")
+            }
+        };
+        // (op, x, y, result): x and y index [nz, pz, nan, one].
+        let values = [nz, pz, nan, one];
+        for (op, x, y, want) in [
+            ("min", 0, 1, nz),
+            ("min", 1, 0, pz),
+            ("max", 0, 1, nz),
+            ("max", 1, 0, pz),
+            ("min", 2, 3, one),
+            ("min", 3, 2, one),
+            ("max", 2, 3, one),
+            ("max", 3, 2, one),
+        ] {
+            for (a, b) in [(format!("{r}{x}"), format!("{r}{y}")), (imm(values[x]), imm(values[y]))]
+            {
+                body.push_str(&format!(
+                    "  {op}.{t} {r}4, {a}, {b};\n  st.global.{t} [%a1+{}], {r}4;\n",
+                    8 * row.len()
+                ));
+                row.push(want);
+            }
+        }
+    }
+    let source = format!(
+        ".kernel refk (.param .u64 buf, .param .f32 f32_nz, .param .f32 f32_pz,
+  .param .f32 f32_nan, .param .f32 f32_one, .param .f64 f64_nz, .param .f64 f64_pz,
+  .param .f64 f64_nan, .param .f64 f64_one) {{
+  .reg .u32 %r<2>;
+  .reg .u64 %a<2>;
+  .reg .f32 %f<5>;
+  .reg .f64 %d<5>;
+entry:
+  ld.param.u64 %a0, [buf];
+  mov.u32 %r0, %tid.x;
+  mul.lo.u32 %r1, %r0, {};
+  cvt.u64.u32 %a1, %r1;
+  add.u64 %a1, %a1, %a0;
+{body}  ret;
+}}",
+        8 * row.len()
+    );
+    let args = [
+        ParamValue::F32(-0.0),
+        ParamValue::F32(0.0),
+        ParamValue::F32(f32::from_bits(0x7fc0_0000)),
+        ParamValue::F32(1.0),
+        ParamValue::F64(-0.0),
+        ParamValue::F64(0.0),
+        ParamValue::F64(f64::from_bits(0x7ff8_0000_0000_0000)),
+        ParamValue::F64(1.0),
+    ];
+    known_answers(&source, THREADS, &[], &args, &row.repeat(THREADS as usize));
+}
+
+/// Signed `div` of the most negative value by −1 wraps to that value,
+/// and `rem` gives 0, at s32 and s64: from parameters, and from
+/// immediates the constant folder folds.
+#[test]
+fn signed_division_of_min_by_minus_one_wraps() {
+    let mut body = String::new();
+    let mut want: Vec<u64> = Vec::new();
+    for (n, min) in [(32u32, 0x8000_0000u64), (64, 0x8000_0000_0000_0000)] {
+        let imm_min = if n == 32 { i64::from(i32::MIN) } else { i64::MIN };
+        body.push_str(&format!(
+            "  ld.param.s{n} %x{n}, [min{n}];\n  ld.param.s{n} %y{n}, [neg{n}];\n"
+        ));
+        for (op, result) in [("div", min), ("rem", 0)] {
+            for (a, b) in [(format!("%x{n}"), format!("%y{n}")), (imm_min.to_string(), "-1".into())]
+            {
+                body.push_str(&format!(
+                    "  {op}.s{n} %z{n}, {a}, {b};\n  st.global.s{n} [%a0+{}], %z{n};\n",
+                    8 * want.len()
+                ));
+                want.push(result);
+            }
+        }
+    }
+    let source = format!(
+        ".kernel refk (.param .u64 buf, .param .s32 min32, .param .s32 neg32,
+  .param .s64 min64, .param .s64 neg64) {{
+  .reg .u64 %a<1>;
+  .reg .s32 %x32, %y32, %z32;
+  .reg .s64 %x64, %y64, %z64;
+entry:
+  ld.param.u64 %a0, [buf];
+{body}  ret;
+}}"
+    );
+    let args = [
+        ParamValue::U32(i32::MIN as u32),
+        ParamValue::U32(u32::MAX),
+        ParamValue::U64(i64::MIN as u64),
+        ParamValue::U64(u64::MAX),
+    ];
+    known_answers(&source, 1, &[], &args, &want);
 }

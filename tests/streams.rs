@@ -336,8 +336,19 @@ fn stream_metrics_reach_the_trace_report() {
     assert!(report.counter("launches_retired") >= 6, "counters: {:?}", report.counters);
     assert!(report.counter("stream_queue_peak") >= 1, "counters: {:?}", report.counters);
     assert!(report.counter("pool_busy_peak") >= 1, "counters: {:?}", report.counters);
-    let json = report.to_json();
-    assert!(json.contains("\"type\":\"stream\""), "missing stream events: {json}");
+    // Each launch is on the timeline under its stream, queue wait and
+    // retirement included: a retire span closes after the waiters wake,
+    // and before the device's `synchronize` returns.
+    dev.synchronize();
+    let on_stream: Vec<_> = dpvk::trace::timeline::launch_records()
+        .into_iter()
+        .filter(|r| r.stream == stream.id())
+        .collect();
+    assert_eq!(on_stream.len(), 6, "{on_stream:?}");
+    for rec in &on_stream {
+        let kinds: Vec<_> = rec.spans.iter().map(|s| s.kind.name()).collect();
+        assert!(kinds.contains(&"queue_wait") && kinds.contains(&"retire"), "{kinds:?}");
+    }
     dpvk::trace::disable();
     dpvk::trace::reset();
 }

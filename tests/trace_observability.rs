@@ -1,13 +1,15 @@
 //! Integration tests of the dpvk-trace observability layer: a
 //! known-divergent kernel must produce the expected yield-reason counts,
-//! a non-trivial warp-occupancy histogram, and properly nested compile
-//! phase timers — and with tracing disabled, no events at all and
-//! bit-identical execution statistics.
+//! a non-trivial warp-occupancy histogram, a timeline span for every
+//! compile phase nested in its parent, and one fault marker per failed
+//! launch — and with tracing disabled, nothing at all and bit-identical
+//! execution statistics.
 
 use std::sync::Mutex;
 
-use dpvk::core::{Device, ExecConfig, LaunchStats, ParamValue};
-use dpvk::trace::{self, EventReport, TraceReport};
+use dpvk::core::{CoreError, Device, Engine, ExecConfig, LaunchStats, ParamValue};
+use dpvk::trace::timeline::{self, Span, SpanKind};
+use dpvk::trace::{self, TraceReport};
 use dpvk::vm::MachineModel;
 
 /// The tracer is process-global; tests in this binary serialize on this
@@ -85,7 +87,7 @@ entry:
 
 fn run_divergent(config: &ExecConfig) -> LaunchStats {
     let n = 128usize;
-    // No persistent cache: these tests assert cold-compile phase timers,
+    // No persistent cache: these tests assert cold-compile phase spans,
     // which a warm disk cache legitimately skips.
     let dev = Device::with_persist(MachineModel::sandybridge_sse(), 4 << 20, None);
     dev.register_source(DIVERGENT).unwrap();
@@ -119,6 +121,7 @@ fn divergent_kernel_yields_and_occupancy() {
     run_divergent(&ExecConfig::dynamic(4).with_workers(1));
     run_barrier(&ExecConfig::dynamic(4).with_workers(1));
     let report = TraceReport::capture();
+    let records = timeline::launch_records();
     trace::disable();
     trace::reset();
 
@@ -136,22 +139,17 @@ fn divergent_kernel_yields_and_occupancy() {
     let entries: u64 = report.occupancy.iter().sum();
     assert_eq!(entries, report.counter("warp_entries"));
 
-    // Structured events carry the same story, tagged with the kernel.
-    let mut yields = 0usize;
-    let mut reasons = std::collections::HashSet::new();
-    for e in &report.events {
-        if let EventReport::Yield { kernel, reason, width, .. } = e {
-            assert!(
-                kernel == "collatz_steps" || kernel == "twophase",
-                "unexpected kernel `{kernel}`"
-            );
-            assert!((1..=4).contains(width));
-            reasons.insert(*reason);
-            yields += 1;
-        }
-    }
-    assert!(yields > 0, "no yield events in the ring");
-    assert!(reasons.contains("branch") && reasons.contains("exit"), "{reasons:?}");
+    // The timeline tells the same story, tagged with the kernel: the
+    // execute spans of the two launches count every warp entry.
+    let kernels: Vec<&str> = records.iter().map(|r| r.kernel.as_str()).collect();
+    assert_eq!(kernels, ["collatz_steps", "twophase"]);
+    let warps: u64 = records
+        .iter()
+        .flat_map(|r| &r.spans)
+        .filter(|s| s.kind == SpanKind::Execute)
+        .map(|s| s.detail)
+        .sum();
+    assert_eq!(warps, report.counter("warp_entries"));
 
     // Cache traffic: every (warp size, variant) specialization compiled
     // once; re-entries at the same width hit.
@@ -162,71 +160,121 @@ fn divergent_kernel_yields_and_occupancy() {
     assert!(report.counter("spec_promoted") > 0, "nothing was vector-promoted");
 }
 
+/// Whether `inner` lies within `outer` on the same track.
+fn nests_in(inner: &Span, outer: &Span) -> bool {
+    (inner.seq, inner.stream, inner.worker) == (outer.seq, outer.stream, outer.worker)
+        && inner.start_ns >= outer.start_ns
+        && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
+}
+
 #[test]
 fn compile_phase_timers_nest() {
     let _guard = TRACE_LOCK.lock().unwrap();
     trace::reset();
     trace::enable();
 
-    run_divergent(&ExecConfig::dynamic(4).with_workers(1));
+    run_divergent(&ExecConfig::dynamic(4).with_workers(1).with_engine(Engine::Jit));
     let report = TraceReport::capture();
+    let spans = timeline::spans();
     trace::disable();
     trace::reset();
 
-    let total_of = |phase: &str| -> u64 {
-        report.phases.iter().filter(|p| p.phase == phase).map(|p| p.total_ns).sum()
-    };
-    let depths_of = |prefix: &str| -> Vec<usize> {
-        report.phases.iter().filter(|p| p.phase.starts_with(prefix)).map(|p| p.depth).collect()
-    };
+    let of = |kind: SpanKind| spans.iter().filter(|s| s.kind == kind).collect::<Vec<_>>();
 
-    // Every top-level compiler phase ran and was timed. Exact-name depth
-    // check: `translate:*` sub-phases share the prefix but nest deeper.
-    for phase in ["parse", "translate", "specialize"] {
-        assert!(
-            report.phases.iter().any(|p| p.phase == phase),
-            "phase `{phase}` missing from {:?}",
-            report.phases
-        );
-        let depths: Vec<usize> =
-            report.phases.iter().filter(|p| p.phase == phase).map(|p| p.depth).collect();
-        assert!(depths.iter().all(|&d| d == 0), "`{phase}` not at depth 0");
+    // Every compile phase ran and has its span: parse, translate with
+    // its two sub-phases, specialize with the four optimizer passes,
+    // decode and JIT emit.
+    let passes = [SpanKind::ConstFold, SpanKind::Cse, SpanKind::Dce, SpanKind::Fusion];
+    for kind in [
+        SpanKind::Parse,
+        SpanKind::Translate,
+        SpanKind::Lower,
+        SpanKind::Analyze,
+        SpanKind::Specialize,
+        SpanKind::Decode,
+        SpanKind::JitEmit,
+    ]
+    .into_iter()
+    .chain(passes)
+    {
+        assert!(!of(kind).is_empty(), "no `{}` span in {spans:?}", kind.name());
     }
 
-    // Translation sub-phases nest inside translate, one level down, and
-    // their total time is bounded by the enclosing translate time.
-    let tr_depths = depths_of("translate:");
-    assert!(!tr_depths.is_empty(), "no translate:* phases recorded");
-    assert!(tr_depths.iter().all(|&d| d == 1), "translate sub-phases not at depth 1");
-    let tr_ns: u64 = report
-        .phases
-        .iter()
-        .filter(|p| p.phase.starts_with("translate:"))
-        .map(|p| p.total_ns)
-        .sum();
-    assert!(
-        tr_ns <= total_of("translate"),
-        "nested translate time {tr_ns} exceeds translate time {}",
-        total_of("translate")
-    );
+    // Translation sub-phases nest in a translate span of their kernel,
+    // on the same track.
+    for kind in [SpanKind::Lower, SpanKind::Analyze] {
+        for s in of(kind) {
+            assert!(
+                of(SpanKind::Translate).iter().any(|t| t.kernel == s.kernel && nests_in(s, t)),
+                "{s:?} outside every translate span"
+            );
+        }
+    }
 
-    // Optimization passes run nested inside specialize, one level down,
-    // and their total time is bounded by the enclosing specialize time.
-    let opt_depths = depths_of("opt:");
-    assert!(!opt_depths.is_empty(), "no opt:* phases recorded");
-    assert!(opt_depths.iter().all(|&d| d == 1), "opt passes not nested at depth 1");
-    let opt_ns: u64 =
-        report.phases.iter().filter(|p| p.phase.starts_with("opt:")).map(|p| p.total_ns).sum();
-    assert!(
-        opt_ns <= total_of("specialize"),
-        "nested opt time {opt_ns} exceeds specialize time {}",
-        total_of("specialize")
-    );
+    // Optimizer passes nest in their specialize span, on the same track.
+    for kind in passes {
+        for s in of(kind) {
+            assert_eq!(s.kernel, "collatz_steps", "{s:?}");
+            assert!(
+                of(SpanKind::Specialize).iter().any(|t| nests_in(s, t)),
+                "{s:?} outside every specialize span"
+            );
+        }
+    }
 
     // Specialize ran once per compiled (warp size, variant) pairing.
-    let spec_calls: u64 =
-        report.phases.iter().filter(|p| p.phase == "specialize").map(|p| p.calls).sum();
-    assert_eq!(spec_calls, report.counter("cache_miss"));
+    assert_eq!(of(SpanKind::Specialize).len() as u64, report.counter("cache_miss"));
+    let total = report.span_totals.iter().find(|t| t.kind == SpanKind::Specialize).unwrap();
+    assert_eq!(total.calls, report.counter("cache_miss"));
+}
+
+/// `out[tid] = tid` through a caller-supplied pointer: a pointer far
+/// outside the heap makes every CTA fault.
+const STORE: &str = r#"
+.kernel store_tid (.param .u64 out) {
+  .reg .u32 %r<1>;
+  .reg .u64 %rd<3>;
+entry:
+  mov.u32 %r0, %tid.x;
+  cvt.u64.u32 %rd0, %r0;
+  shl.u64 %rd0, %rd0, 2;
+  ld.param.u64 %rd1, [out];
+  add.u64 %rd1, %rd1, %rd0;
+  st.global.u32 [%rd1], %r0;
+  ret;
+}
+"#;
+
+#[test]
+fn a_launch_fault_leaves_one_marker_on_its_launch() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let dev = Device::with_persist(MachineModel::sandybridge_sse(), 1 << 20, None);
+    dev.register_source(STORE).unwrap();
+    let good = dev.malloc(4 * 32).unwrap();
+    trace::reset();
+    trace::enable();
+
+    let config = ExecConfig::dynamic(4).with_workers(2);
+    let launch =
+        |ptr: u64| dev.launch("store_tid", [4, 1, 1], [32, 1, 1], &[ParamValue::U64(ptr)], &config);
+    launch(good.0).expect("an in-bounds launch succeeds");
+    let err = launch(1 << 40).expect_err("an out-of-bounds store faults");
+    let records = timeline::launch_records();
+    let faults = trace::counter(trace::Counter::Faults);
+    trace::disable();
+    trace::reset();
+
+    assert!(matches!(err, CoreError::Fault { .. }), "{err:?}");
+    assert_eq!(faults, 1);
+    let markers = |seq: u64| -> Vec<Span> {
+        let rec = records.iter().find(|r| r.seq == seq).expect("launch recorded");
+        rec.spans.iter().filter(|s| s.kind == SpanKind::Fault).cloned().collect()
+    };
+    assert_eq!(records.len(), 2, "{records:?}");
+    assert!(markers(records[0].seq).is_empty(), "the good launch has a fault marker");
+    let marks = markers(records[1].seq);
+    assert_eq!(marks.len(), 1, "every chunk faulted, but the launch failed once: {marks:?}");
+    assert_eq!((marks[0].dur_ns, marks[0].kernel.as_str()), (0, "store_tid"));
 }
 
 #[test]
@@ -241,8 +289,8 @@ fn disabled_tracing_records_nothing_and_preserves_stats() {
     for (name, value) in &report.counters {
         assert_eq!(*value, 0, "counter `{name}` advanced while disabled");
     }
-    assert!(report.events.is_empty(), "events recorded while disabled");
-    assert!(report.phases.is_empty(), "phases recorded while disabled");
+    assert!(timeline::spans().is_empty(), "spans recorded while disabled");
+    assert!(report.span_totals.iter().all(|t| t.calls == 0), "{:?}", report.span_totals);
     assert!(report.specializations.is_empty());
     assert!(report.occupancy.iter().all(|&c| c == 0), "{:?}", report.occupancy);
 
@@ -274,9 +322,9 @@ fn report_round_trips_to_json() {
         "\"counters\"",
         "\"warp_occupancy\"",
         "\"yield_reasons\"",
-        "\"compile_phases\"",
         "\"specializations\"",
-        "\"events\"",
+        "\"span_totals\"",
+        "\"dropped_spans\":0",
     ] {
         assert!(json.contains(section), "missing {section}");
     }
