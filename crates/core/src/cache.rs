@@ -274,7 +274,9 @@ impl Clone for TranslationCache {
 
 struct CacheShared {
     model: MachineModel,
-    kernels: Mutex<HashMap<String, ptx::Kernel>>,
+    /// Registered kernels, shared: a launch reads the declaration's
+    /// parameters and a translation miss reads the body without copying.
+    kernels: Mutex<HashMap<String, Arc<ptx::Kernel>>>,
     /// Read-mostly: warm lookups take the read lock with a borrowed
     /// `&str` key; the write lock is held only to publish a freshly
     /// compiled specialization.
@@ -327,7 +329,7 @@ impl TranslationCache {
     pub fn register_module(&self, module: &ptx::Module) {
         let mut k = self.shared.kernels.lock();
         for kernel in &module.kernels {
-            k.insert(kernel.name.clone(), kernel.clone());
+            k.insert(kernel.name.clone(), Arc::new(kernel.clone()));
         }
     }
 
@@ -647,7 +649,7 @@ impl TranslationCache {
     /// # Errors
     ///
     /// Returns [`CoreError::NotFound`] for unregistered kernels.
-    pub fn kernel_declaration(&self, kernel: &str) -> Result<ptx::Kernel, CoreError> {
+    pub fn kernel_declaration(&self, kernel: &str) -> Result<Arc<ptx::Kernel>, CoreError> {
         self.shared
             .kernels
             .lock()

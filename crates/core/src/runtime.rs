@@ -256,12 +256,13 @@ impl Device {
         }
         let mut buf = vec![0u8; decl.param_buffer_size()];
         for (p, a) in decl.params.iter().zip(args) {
-            let bytes: Vec<u8> = match (p.ty.size_bytes(), a) {
-                (4, ParamValue::U32(v)) => v.to_le_bytes().to_vec(),
-                (4, ParamValue::F32(v)) => v.to_le_bytes().to_vec(),
-                (8, ParamValue::U64(v)) => v.to_le_bytes().to_vec(),
-                (8, ParamValue::F64(v)) => v.to_le_bytes().to_vec(),
-                (8, ParamValue::Ptr(v)) => v.0.to_le_bytes().to_vec(),
+            // Little-endian, so a 4-byte value is the low half of its u64.
+            let (bits, size) = match (p.ty.size_bytes(), a) {
+                (4, ParamValue::U32(v)) => (u64::from(*v), 4),
+                (4, ParamValue::F32(v)) => (u64::from(v.to_bits()), 4),
+                (8, ParamValue::U64(v)) => (*v, 8),
+                (8, ParamValue::F64(v)) => (v.to_bits(), 8),
+                (8, ParamValue::Ptr(v)) => (v.0, 8),
                 (size, other) => {
                     return Err(CoreError::BadLaunch(format!(
                         "parameter `{}` is {size} bytes but argument is {other:?}",
@@ -269,7 +270,7 @@ impl Device {
                     )))
                 }
             };
-            buf[p.offset..p.offset + bytes.len()].copy_from_slice(&bytes);
+            buf[p.offset..p.offset + size].copy_from_slice(&bits.to_le_bytes()[..size]);
         }
         Ok(buf)
     }

@@ -180,7 +180,7 @@ fn addr_run_from() -> u64 {
     jit_run_from as unsafe extern "C" fn(*mut JitEnv, u32, u32) -> u32 as usize as u64
 }
 fn addr_block_slow() -> u64 {
-    jit_block_slow as unsafe extern "C" fn(*mut JitEnv, u32) -> u32 as usize as u64
+    jit_block_slow as unsafe extern "C" fn(*mut JitEnv, u32, u64) -> u32 as usize as u64
 }
 fn addr_f2i() -> u64 {
     jit_f2i as unsafe extern "C" fn(u64, u32, u32) -> u64 as usize as u64
@@ -1792,12 +1792,14 @@ impl Emitter<'_> {
             let t = self.uop_start[target as usize];
             self.asm.patch(f, t);
         }
-        // Block headers' slow exits, out of line: ask the helper, then
-        // rejoin the header at its charge.
+        // Block headers' slow exits, out of line: ask the helper, with
+        // the header's `executed + bound` still in rax, then rejoin the
+        // header at its charge.
         for (fixups, first, charge) in std::mem::take(&mut self.slow_blocks) {
             for f in fixups {
                 self.asm.bind(f);
             }
+            self.asm.mov_rr(RDX, RAX);
             self.call_helper(addr_block_slow(), first);
             let back = self.asm.jmp_fwd();
             self.asm.patch(back, charge);

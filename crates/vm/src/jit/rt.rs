@@ -341,9 +341,10 @@ unsafe fn settle(env: &mut JitEnv, idx: u32, r: Result<(), VmError>) -> u32 {
     }
 }
 
-/// The block header's slow path: `executed` plus the tick bound of the
-/// block starting at µop `first` reaches the watchdog limit or the next
-/// poll, so charging the block up front could step over one of them.
+/// The block header's slow path: `end`, which is `executed` plus the
+/// tick bound of the block starting at µop `first`, reaches the
+/// watchdog limit or the next poll, so charging the block up front could
+/// step over one of them.
 ///
 /// When only polls lie inside the block and neither the token nor the
 /// deadline would stop the warp, the polls change nothing but
@@ -356,11 +357,9 @@ unsafe fn settle(env: &mut JitEnv, idx: u32, r: Result<(), VmError>) -> u32 {
 /// step the block through [`step_op`] — per-µop accounting, the
 /// interpreter's — until it does, and return 1 with that error stored
 /// and the stats exactly as the interpreter leaves them.
-pub(crate) unsafe extern "C" fn jit_block_slow(env: *mut JitEnv, first: u32) -> u32 {
+pub(crate) unsafe extern "C" fn jit_block_slow(env: *mut JitEnv, first: u32, end: u64) -> u32 {
     let env = &mut *env;
     let code = env.code();
-    let (bound, _) = block_charges(code, first as usize);
-    let end = env.executed + bound;
     if end <= env.max_instructions && poll(env).is_ok() {
         let stride = env.host().poll_stride;
         while env.next_poll <= end {

@@ -9,6 +9,10 @@
 //! trip count (so one executes ~16x the warps of the other) must perform
 //! essentially the same number of allocations.
 //!
+//! A warm launch's own cost does not scale with the kernel either: a
+//! kernel padded with ~200 instructions launches with exactly as many
+//! allocations as the 13-instruction one, within a fixed budget.
+//!
 //! The compile tail has a budget of the same kind: allocations per
 //! instruction compiled, so per-instruction heap traffic (operand lists,
 //! string keys, hash sets) cannot creep back into the optimizer and the
@@ -125,6 +129,85 @@ fn warm_dispatch_does_not_allocate_per_warp() {
             delta < (big_warps - small_warps) / 8,
             "[{engine:?}] warm dispatch allocated per warp: {small_allocs} allocs for \
              {small_warps} warps vs {big_allocs} allocs for {big_warps} warps"
+        );
+    }
+}
+
+/// `dispatch_tiny`'s kernel: one CTA of 64 threads computing
+/// `dst[i] = src[i] * 3 + k`, named `name`, with `pad` straight-line
+/// `add`s on a register nothing else reads (never written, so it reads
+/// zero).
+fn tiny_source(name: &str, pad: usize) -> String {
+    let padding = "  add.u32 %r3, %r3, 1;\n".repeat(pad);
+    format!(
+        r#"
+.kernel {name} (.param .u64 src, .param .u64 dst, .param .u32 k) {{
+  .reg .u32 %r<4>;
+  .reg .u64 %rd<4>;
+entry:
+  mov.u32 %r0, %tid.x;
+{padding}  cvt.u64.u32 %rd0, %r0;
+  shl.u64 %rd0, %rd0, 2;
+  ld.param.u64 %rd1, [src];
+  add.u64 %rd1, %rd1, %rd0;
+  ld.global.u32 %r1, [%rd1];
+  mul.lo.u32 %r1, %r1, 3;
+  ld.param.u32 %r2, [k];
+  add.u32 %r1, %r1, %r2;
+  ld.param.u64 %rd2, [dst];
+  add.u64 %rd2, %rd2, %rd0;
+  st.global.u32 [%rd2], %r1;
+  ret;
+}}
+"#
+    )
+}
+
+/// Heap allocations of one warm launch of the 13-instruction tiny
+/// kernel, submit to retire, on either engine: measured, so the budget
+/// is tight on purpose. It was 48 (248 for the padded kernel) while
+/// packing the parameters deep-copied the registered kernel.
+const TINY_LAUNCH_ALLOCS: u64 = 13;
+
+/// A warm launch costs the same whatever the kernel's length: nothing on
+/// the launch path copies the kernel. Two kernels that differ only in
+/// ~200 dead straight-line instructions must allocate exactly as often.
+#[test]
+fn warm_launch_allocations_do_not_scale_with_kernel_length() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
+    dev.register_source(&tiny_source("tiny", 0)).unwrap();
+    dev.register_source(&tiny_source("tiny_padded", 200)).unwrap();
+    let src = dev.malloc(64 * 4).unwrap();
+    let dst = dev.malloc(64 * 4).unwrap();
+    let input: Vec<u32> = (0..64).collect();
+    dev.copy_u32_htod(src, &input).unwrap();
+    let args = [ParamValue::Ptr(src), ParamValue::Ptr(dst), ParamValue::U32(7)];
+    for engine in [Engine::Bytecode, Engine::Jit] {
+        let config = ExecConfig::dynamic(4).with_workers(1).with_engine(engine);
+        let launch = |kernel: &str| {
+            dev.launch(kernel, [1, 1, 1], [64, 1, 1], &args, &config).unwrap();
+        };
+        // Warm both: compile, and grow every reusable buffer.
+        for _ in 0..4 {
+            launch("tiny");
+            launch("tiny_padded");
+        }
+        // The fewest of a few launches: a stray allocation elsewhere in
+        // the process can only add.
+        let allocs =
+            |kernel: &str| (0..5).map(|_| count_allocs(|| launch(kernel)).0).min().unwrap();
+        let (short, padded) = (allocs("tiny"), allocs("tiny_padded"));
+        let want: Vec<u32> = input.iter().map(|v| v * 3 + 7).collect();
+        assert_eq!(dev.copy_u32_dtoh(dst, 64).unwrap(), want, "[{engine:?}] wrong output");
+        assert_eq!(
+            short, padded,
+            "[{engine:?}] a warm launch allocated {short} times for the 13-instruction kernel \
+             but {padded} times for the padded one"
+        );
+        assert!(
+            short <= TINY_LAUNCH_ALLOCS,
+            "[{engine:?}] a warm tiny launch allocated {short} times (budget {TINY_LAUNCH_ALLOCS})"
         );
     }
 }
