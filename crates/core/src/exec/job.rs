@@ -1,12 +1,16 @@
 //! Launch jobs, handles and stream state.
 //!
-//! A launch is *submitted*: validated and translated eagerly on the
-//! calling thread (so compile errors surface synchronously, with the
-//! same statistics and trace events on every path), packaged as an
-//! owned [`LaunchJob`], and enqueued on the process-wide
-//! [`WorkerPool`](super::worker::WorkerPool) as one chunk per worker
-//! share. The caller gets a [`LaunchHandle`] — the stream-ordered,
-//! individually waitable/cancellable "event" of the CUDA model.
+//! A launch is validated and translated eagerly on the calling thread
+//! (so compile errors surface synchronously, with the same statistics
+//! and trace events on every path) and packaged as an owned
+//! [`LaunchJob`] of one chunk per worker share. An asynchronous or
+//! stream launch is *submitted*: every chunk goes to the process-wide
+//! [`WorkerPool`](super::worker::WorkerPool) and the caller gets a
+//! [`LaunchHandle`] — the stream-ordered, individually
+//! waitable/cancellable "event" of the CUDA model. A synchronous launch
+//! is *run*: the pool gets chunks `1..`, and the calling thread executes
+//! chunk 0 and any chunk still queued, then parks only for chunks a
+//! worker holds.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -108,10 +112,11 @@ impl LaunchJob {
         });
     }
 
-    /// Called by a worker immediately before it runs a chunk of this
-    /// job; the first caller closes the launch's queue-wait span
-    /// (submission → first dispatch) on the stream track. One untaken
-    /// branch per chunk when the flight recorder is off.
+    /// Called immediately before a chunk of this job runs (on a pool
+    /// worker or the launching thread); the first call closes the
+    /// launch's queue-wait span (submission → first dispatch) on the
+    /// stream track. One untaken branch per chunk when the flight
+    /// recorder is off.
     pub(crate) fn note_chunk_start(&self) {
         if self.seq == 0 || self.queue_wait_done.swap(true, Relaxed) {
             return;
@@ -119,11 +124,12 @@ impl LaunchJob {
         self.stream_span(SpanKind::QueueWait, Some(self.submit_ns), self.chunks as u64);
     }
 
-    /// Record one finished chunk, consuming the worker's reference; the
-    /// worker that retires the last chunk finalizes the outcome, wakes
-    /// waiters, and releases the stream's next job into the pool. On a
-    /// traced launch that retirement is the `Retire` span: from the last
-    /// chunk's taking the state lock to after the stream promotion.
+    /// Record one finished chunk, consuming the reference its thread ran
+    /// it under; the thread that retires the last chunk finalizes the
+    /// outcome, wakes waiters, and releases the stream's next job into
+    /// the pool. On a traced launch that retirement is the `Retire` span:
+    /// from the last chunk's taking the state lock to after the stream
+    /// promotion.
     pub(crate) fn complete_chunk(
         self: Arc<Self>,
         index: usize,
@@ -162,9 +168,9 @@ impl LaunchJob {
             if self.seq != 0 {
                 self.stream_span(SpanKind::Retire, Some(start), self.cta_count);
             }
-            // Last, and with this worker's reference let go, so a
+            // Last, and with this chunk's reference let go, so a
             // device's `synchronize` (and its drop) returns only once
-            // retirement is done and the retiring worker no longer keeps
+            // retirement is done and a retiring worker no longer keeps
             // the launch's memory alive.
             let gauge = Arc::clone(&self.gauge);
             drop(self);
@@ -176,6 +182,14 @@ impl LaunchJob {
         let guard = self.state.lock();
         let guard = self.state.wait_while(guard, |st| st.outcome.is_none());
         guard.outcome.clone().expect("job finalized before wakeup")
+    }
+
+    /// Wait for the outcome and move it out of the job: for a launch no
+    /// handle can wait on again.
+    fn take_outcome(&self) -> Result<LaunchStats, CoreError> {
+        let guard = self.state.lock();
+        let mut guard = self.state.wait_while(guard, |st| st.outcome.is_none());
+        guard.outcome.take().expect("job finalized before wakeup")
     }
 
     fn try_outcome(&self) -> Option<Result<LaunchStats, CoreError>> {
@@ -216,7 +230,7 @@ fn finalize(kernel: &str, st: &mut JobInner) -> Result<LaunchStats, CoreError> {
         let cta = st.stopped.iter().flatten().copied().min().unwrap_or(0);
         first_error = Some(boundary_fault(kernel, cta, VmError::Cancelled));
     }
-    first_error.map_or_else(|| Ok(st.stats.clone()), Err)
+    first_error.map_or_else(|| Ok(std::mem::take(&mut st.stats)), Err)
 }
 
 /// A handle to one asynchronous launch: wait on it, poll it, or cancel
@@ -320,7 +334,7 @@ impl StreamShared {
             }
         };
         if release {
-            worker::pool().enqueue(job);
+            worker::pool().enqueue(&job, 0);
         }
     }
 
@@ -337,7 +351,7 @@ impl StreamShared {
         };
         self.queue.notify_all();
         if let Some(job) = next {
-            worker::pool().enqueue(job);
+            worker::pool().enqueue(&job, 0);
         }
     }
 
@@ -386,23 +400,59 @@ impl InflightGauge {
 }
 
 /// Validate, translate, and enqueue one launch on the process-wide pool,
-/// returning its handle. This is the single submission path:
-/// `Device::launch`, `Device::launch_async` and `Stream::launch` all come
-/// through here.
+/// returning its handle: the path of `Device::launch_async` and
+/// `Stream::launch`.
 ///
 /// # Errors
 ///
-/// Launch-geometry and translation errors are reported synchronously
-/// (nothing is enqueued). Eager pre-translation failures are recorded in
-/// [`CacheStats::spec_failures`](crate::cache::CacheStats) and marked as
-/// a fault on the launch's timeline, exactly like worker-side
-/// translation failures, so the async path reports compile errors
-/// consistently.
+/// As [`prepare`]; nothing is enqueued.
 pub(crate) fn submit(
     req: LaunchRequest,
     stream: Option<Arc<StreamShared>>,
     gauge: Arc<InflightGauge>,
 ) -> Result<LaunchHandle, CoreError> {
+    let job = prepare(req, stream, gauge)?;
+    match &job.stream {
+        Some(stream) => stream.submit_ordered(Arc::clone(&job)),
+        None => worker::pool().enqueue(&job, 0),
+    }
+    Ok(LaunchHandle { job })
+}
+
+/// Validate, translate and run one launch to completion, the calling
+/// thread its first execution manager: the pool gets chunks `1..` (a
+/// one-chunk launch wakes no worker), the caller runs chunk 0 and takes
+/// back every chunk still queued, and parks only for chunks a worker
+/// already holds. The path of `Device::launch` and its deadline and
+/// cancellable forms.
+///
+/// # Errors
+///
+/// As [`prepare`], then the launch's execution error, exactly as
+/// [`LaunchHandle::wait`] reports it.
+pub(crate) fn run(req: LaunchRequest, gauge: Arc<InflightGauge>) -> Result<LaunchStats, CoreError> {
+    let job = prepare(req, None, gauge)?;
+    worker::pool().enqueue(&job, 1);
+    worker::run_on_caller(&job);
+    job.take_outcome()
+}
+
+/// Validate and translate one launch and package it as a job counted in
+/// the device's in-flight gauge, ready for its chunks to run.
+///
+/// # Errors
+///
+/// Launch-geometry and translation errors are reported synchronously
+/// (no job is made). Eager pre-translation failures are recorded in
+/// [`CacheStats::spec_failures`](crate::cache::CacheStats) and marked as
+/// a fault on the launch's timeline, exactly like worker-side
+/// translation failures, so every launch path reports compile errors
+/// consistently.
+fn prepare(
+    req: LaunchRequest,
+    stream: Option<Arc<StreamShared>>,
+    gauge: Arc<InflightGauge>,
+) -> Result<Arc<LaunchJob>, CoreError> {
     let cta_count = (req.grid[0] as u64) * (req.grid[1] as u64) * (req.grid[2] as u64);
     let cta_size = (req.block[0] as u64) * (req.block[1] as u64) * (req.block[2] as u64);
     if cta_count == 0 || cta_size == 0 {
@@ -441,7 +491,7 @@ pub(crate) fn submit(
     // The first launch creates the pool, which panics on a bad
     // `DPVK_POOL_WORKERS`: do that before the gauge counts this launch,
     // or the unwinding device's drop waits for it forever.
-    let pool = worker::pool();
+    worker::pool();
     let max_warp = req.config.max_warp;
     let job = Arc::new(LaunchJob {
         tk,
@@ -463,9 +513,5 @@ pub(crate) fn submit(
     });
     job.gauge.inc();
     dpvk_trace::add(dpvk_trace::Counter::LaunchesSubmitted, 1);
-    match &job.stream {
-        Some(stream) => stream.submit_ordered(Arc::clone(&job)),
-        None => pool.enqueue(Arc::clone(&job)),
-    }
-    Ok(LaunchHandle { job })
+    Ok(job)
 }

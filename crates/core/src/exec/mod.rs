@@ -28,8 +28,9 @@
 //! runs CTAs `i, i + chunks, i + 2·chunks, …` — exactly the striding the
 //! spawn-per-launch implementation used per worker, so statistics and
 //! modeled outputs are bit-identical. Chunks of one launch run on
-//! whichever pool workers are free, so independent launches (and
-//! different streams and devices) overlap while launches queued on one
+//! whichever pool workers are free — a blocking launch runs chunk 0 on
+//! its calling thread — so independent launches (and different streams
+//! and devices) overlap while launches queued on one
 //! [`Stream`](crate::runtime::Stream) retain in-order semantics. Every
 //! chunk's CTA loop runs under `catch_unwind`: a panic in one CTA becomes
 //! [`CoreError::WorkerPanic`] on that launch, and the launch's token is
@@ -228,7 +229,10 @@ impl ExecConfig {
         ExecConfig { policy: FormationPolicy::Static, ..Self::dynamic(max_warp) }
     }
 
-    /// Use exactly `n` worker threads.
+    /// Split the launch into `n` chunks: for a blocking
+    /// [`Device::launch`](crate::runtime::Device::launch), the calling
+    /// thread plus up to `n − 1` pool workers; for an asynchronous or
+    /// stream launch, up to `n` pool workers.
     pub fn with_workers(mut self, n: usize) -> Self {
         self.workers = n;
         self

@@ -12,12 +12,19 @@
 //! stats stay exact and fault-safe, and rebinding when a job arrives
 //! from a different device's cache).
 //!
+//! The thread that issues a synchronous launch is that launch's first
+//! execution manager ([`run_on_caller`]): it runs chunk 0 and any chunk
+//! no worker has taken, with a thread-local [`WorkerScratch`], through
+//! the same [`execute_chunk`] the workers use.
+//!
 //! Fault isolation: each CTA runs under `catch_unwind` (plus a
 //! chunk-level net around the glue), so a panic becomes
 //! [`CoreError::WorkerPanic`] on that launch's handle, the launch's own
-//! token is tripped, and the worker thread survives to serve the next
-//! job — one launch's failure cannot poison its siblings or the pool.
+//! token is tripped, and the thread — worker or caller — survives to
+//! serve the next job: one launch's failure cannot poison its siblings
+//! or the pool.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -63,18 +70,23 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Enqueue every chunk of `job`, spawn workers while more chunks wait
-    /// than workers are idle (up to the pool size), and wake one parked
-    /// worker; a worker that takes a chunk and leaves more behind wakes
-    /// the next. Waking one at a time keeps the woken workers from all
-    /// contending for the queue lock at once, which on a two-core host
-    /// left the second chunk of a launch waiting for the first. Called at
-    /// submit for unordered jobs, and by the retiring worker for the next
-    /// job of a stream.
-    pub(crate) fn enqueue(&self, job: Arc<LaunchJob>) {
+    /// Enqueue chunks `first..job.chunks` of `job`, spawn workers while
+    /// more chunks wait than workers are idle (up to the pool size), and
+    /// wake one parked worker; a worker that takes a chunk and leaves
+    /// more behind wakes the next. Waking one at a time keeps the woken
+    /// workers from all contending for the queue lock at once, which on a
+    /// two-core host left the second chunk of a launch waiting for the
+    /// first. Called at submit with `first == 0` for unordered jobs, by
+    /// the retiring worker for the next job of a stream, and with
+    /// `first == 1` by a synchronous launch, whose caller runs chunk 0
+    /// itself (a one-chunk launch enqueues, spawns and wakes nothing).
+    pub(crate) fn enqueue(&self, job: &Arc<LaunchJob>, first: usize) {
+        if first >= job.chunks {
+            return;
+        }
         let spawn = {
             let mut q = self.queue.lock();
-            q.items.extend((0..job.chunks).map(|index| Chunk { job: Arc::clone(&job), index }));
+            q.items.extend((first..job.chunks).map(|index| Chunk { job: Arc::clone(job), index }));
             let idle = q.spawned - q.busy;
             let spawn = q.spawned..(q.spawned + q.items.len().saturating_sub(idle)).min(self.size);
             q.spawned = spawn.end;
@@ -87,6 +99,13 @@ impl WorkerPool {
                 .expect("spawn pool worker");
         }
         self.queue.notify_one();
+    }
+
+    /// Take back a chunk of `job` that no worker has picked up yet.
+    fn reclaim(&self, job: &Arc<LaunchJob>) -> Option<Chunk> {
+        let mut q = self.queue.lock();
+        let at = q.items.iter().position(|c| Arc::ptr_eq(&c.job, job))?;
+        q.items.remove(at)
     }
 
     /// Most worker threads the pool runs.
@@ -116,8 +135,8 @@ fn pool_size() -> usize {
     }
 }
 
-/// One worker thread: park until a chunk is available, run it, flush
-/// memo tallies, report completion, repeat for the life of the process.
+/// One worker thread: park until a chunk is available, run it, repeat
+/// for the life of the process.
 fn worker_loop(pool: &WorkerPool) {
     // Claim a timeline track up front (one atomic increment per worker
     // thread lifetime) so spans emitted on this thread — including
@@ -141,32 +160,78 @@ fn worker_loop(pool: &WorkerPool) {
                 q = pool.queue.wait(q);
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(&job, index, &mut scratch)));
-        let (stats, error, stopped_at) = outcome.unwrap_or_else(|payload| {
-            // A panic that escaped the per-CTA net (inter-CTA glue).
-            // Contain it exactly like a CTA panic; this chunk's partial
-            // stats are lost, as they were under spawn-per-launch.
-            job.req.token.cancel();
-            (
-                LaunchStats::new(job.req.config.max_warp),
-                Some(CoreError::WorkerPanic {
-                    worker: index,
-                    cta: 0,
-                    payload: panic_payload(payload.as_ref()),
-                }),
-                Some(0),
-            )
-        });
-        // Flush memo tallies *before* completion is observable, so cache
-        // stats are exact the moment a waiter wakes — and flushed even
-        // when the chunk panicked or faulted.
-        scratch.dispatch.flush();
-        {
-            let mut q = pool.queue.lock();
-            q.busy -= 1;
-        }
-        job.complete_chunk(index, stats, error, stopped_at);
+        execute_chunk(job, index, &mut scratch, Some(pool));
     }
+}
+
+thread_local! {
+    /// Execution scratch of a thread that runs chunks of its own
+    /// synchronous launches: built on its first launch and reused, so a
+    /// warm launch allocates nothing for it.
+    static CALLER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::new());
+}
+
+/// Run a synchronous launch on the calling thread, the launch's first
+/// execution manager: chunk 0, then every chunk of `job` no worker has
+/// picked up yet (chunks `1..` were enqueued for the pool). Returns when
+/// none is left to take; chunks a worker already holds may still be
+/// running. The thread's dispatch memo is unbound afterwards, so a user
+/// thread never keeps a dropped device's cache alive.
+pub(crate) fn run_on_caller(job: &Arc<LaunchJob>) {
+    // A timeline track for this thread, claimed on its first traced
+    // chunk only: untraced launches register nothing.
+    if job.seq != 0 && dpvk_trace::enabled() && timeline::worker_track().is_none() {
+        timeline::register_worker();
+    }
+    CALLER_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        execute_chunk(Arc::clone(job), 0, scratch, None);
+        if job.chunks > 1 {
+            while let Some(Chunk { job, index }) = pool().reclaim(job) {
+                execute_chunk(job, index, scratch, None);
+            }
+        }
+        scratch.dispatch.unbind();
+    });
+}
+
+/// Run chunk `index` of `job` on the calling thread — a pool worker
+/// (`worker` is its pool) or the thread of a synchronous launch — and
+/// report it. The one path every chunk takes: a panic that escapes the
+/// per-CTA net is contained here, memo tallies are flushed, and the
+/// completion is recorded (by the last chunk, the launch retired).
+fn execute_chunk(
+    job: Arc<LaunchJob>,
+    index: usize,
+    scratch: &mut WorkerScratch,
+    worker: Option<&WorkerPool>,
+) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(&job, index, scratch)));
+    let (stats, error, stopped_at) = outcome.unwrap_or_else(|payload| {
+        // A panic that escaped the per-CTA net (inter-CTA glue).
+        // Contain it exactly like a CTA panic; this chunk's partial
+        // stats are lost, as they were under spawn-per-launch.
+        job.req.token.cancel();
+        (
+            LaunchStats::new(job.req.config.max_warp),
+            Some(CoreError::WorkerPanic {
+                worker: index,
+                cta: 0,
+                payload: panic_payload(payload.as_ref()),
+            }),
+            Some(0),
+        )
+    });
+    // Flush memo tallies *before* completion is observable, so cache
+    // stats are exact the moment a waiter wakes — and flushed even when
+    // the chunk panicked or faulted.
+    scratch.dispatch.flush();
+    // A worker counts as idle before the completion, which may release
+    // a stream's next job into the pool.
+    if let Some(pool) = worker {
+        pool.queue.lock().busy -= 1;
+    }
+    job.complete_chunk(index, stats, error, stopped_at);
 }
 
 /// Run one chunk of a launch: CTAs `index, index + chunks, …` — the same
@@ -254,13 +319,14 @@ fn run_chunk(
 /// entirely) and are invalidated only when a job arrives from a
 /// different cache. The bound cache and its entries therefore outlive a
 /// dropped device until this worker serves another one: at most one
-/// device's cache per worker is kept alive this way. Hit and downgrade
-/// tallies accumulate locally and flush to the cache's atomic counters
-/// at every chunk boundary — which runs even when a CTA panics or
-/// faults, because the flush sits outside `catch_unwind` in the worker
-/// loop — so [`TranslationCache::stats`] totals are identical to
-/// per-query counting by the time any waiter observes the launch
-/// complete.
+/// device's cache per worker is kept alive this way. A thread that runs
+/// chunks of its own synchronous launches unbinds its memo after each
+/// launch, so it keeps none alive. Hit and downgrade tallies accumulate
+/// locally and flush to the cache's atomic counters at every chunk
+/// boundary — which runs even when a CTA panics or faults, because the
+/// flush sits outside `catch_unwind` in `execute_chunk` — so
+/// [`TranslationCache::stats`] totals are identical to per-query
+/// counting by the time any waiter observes the launch complete.
 pub(crate) struct DispatchMemo {
     cache: Option<TranslationCache>,
     entries: Vec<MemoEntry>,
@@ -294,8 +360,7 @@ impl DispatchMemo {
         if self.cache.as_ref().is_some_and(|c| c.same_cache(cache)) {
             return;
         }
-        self.flush();
-        self.entries.clear();
+        self.unbind();
         self.cache = Some(cache.clone());
     }
 
@@ -346,8 +411,15 @@ impl DispatchMemo {
         Ok((&e.compiled, e.downgraded))
     }
 
+    /// Flush tallies, drop every entry and let go of the bound cache.
+    fn unbind(&mut self) {
+        self.flush();
+        self.entries.clear();
+        self.cache = None;
+    }
+
     /// Flush accumulated hit/downgrade tallies to the bound cache.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         if self.hits != 0 || self.downgrades != 0 {
             if let Some(cache) = &self.cache {
                 cache.add_resolved(self.hits, self.downgrades);

@@ -49,13 +49,15 @@ impl DevicePtr {
 /// The simulated device: global memory, a translation cache, and launch
 /// facilities.
 ///
-/// Launches — blocking or [asynchronous](Device::launch_async) — are
-/// enqueued on the one process-wide pool of execution-manager workers,
-/// which every device shares; building or dropping a device spawns or
-/// joins no thread. Launches on one [`Stream`] run in submission order;
-/// launches on different streams (or plain `launch_async` calls) may
-/// overlap. Dropping the device is [`Device::synchronize`]: every
-/// outstanding [`LaunchHandle`] and stream-held launch completes first.
+/// [Asynchronous](Device::launch_async) and stream launches are enqueued
+/// on the one process-wide pool of execution-manager workers, which
+/// every device shares; a [blocking](Device::launch) launch runs its
+/// first chunk on the calling thread and gives the pool the rest.
+/// Building or dropping a device spawns or joins no thread. Launches on
+/// one [`Stream`] run in submission order; launches on different streams
+/// (or plain `launch_async` calls) may overlap. Dropping the device is
+/// [`Device::synchronize`]: every outstanding [`LaunchHandle`] and
+/// stream-held launch completes first.
 pub struct Device {
     model: MachineModel,
     global: Arc<GlobalMem>,
@@ -299,7 +301,13 @@ impl Device {
     }
 
     /// Launch `kernel` over `grid` CTAs of `block` threads and block
-    /// until it completes (submit + wait on the worker pool).
+    /// until it completes. The calling thread is the launch's first
+    /// execution manager: of the launch's `n` chunks
+    /// ([`ExecConfig::with_workers`]) it runs chunk 0 itself, pool
+    /// workers take up to `n − 1` others, and it also runs any chunk no
+    /// worker has picked up by the time it is done. A one-chunk launch
+    /// therefore wakes no worker, and a launch completes even while
+    /// every pool worker is busy.
     ///
     /// # Errors
     ///
@@ -312,7 +320,7 @@ impl Device {
         args: &[ParamValue],
         config: &ExecConfig,
     ) -> Result<LaunchStats, CoreError> {
-        self.launch_async(kernel, grid, block, args, config)?.wait()
+        self.launch_cancellable(kernel, grid, block, args, config, &CancelToken::new())
     }
 
     /// Launch `kernel` asynchronously: the launch is enqueued on the
@@ -355,7 +363,8 @@ impl Device {
     }
 
     /// Size of the process-wide worker pool every device shares: the
-    /// most launch chunks that run at once.
+    /// most launch chunks the pool runs at once. Blocking launches also
+    /// run chunks on their calling threads.
     pub fn pool_workers(&self) -> usize {
         worker::pool().size()
     }
@@ -418,7 +427,7 @@ impl Device {
         cancel: &CancelToken,
     ) -> Result<LaunchStats, CoreError> {
         let req = self.request(kernel, grid, block, args, config, cancel.clone())?;
-        job::submit(req, None, Arc::clone(&self.inflight))?.wait()
+        job::run(req, Arc::clone(&self.inflight))
     }
 
     /// Translation-cache statistics.

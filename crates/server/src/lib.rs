@@ -11,7 +11,9 @@
 //! * **Admission control** — each tenant has a token bucket (rate +
 //!   burst) and a stream group bounding its concurrent launches; a
 //!   global capacity gate bounds total in-flight work against the
-//!   device pool.
+//!   device pool. An admitted launch executes on its connection
+//!   thread (the thread runs the launch's first chunk itself), so the
+//!   gate bounds concurrently executing launches directly.
 //! * **Load shedding** — requests that do not pass admission are
 //!   answered immediately with [`Response::Overloaded`] and a
 //!   retry-after hint instead of queueing unboundedly, so overload
@@ -119,7 +121,8 @@ pub struct ServerConfig {
     /// Backoff ceiling.
     pub backoff_cap_ms: u64,
     /// Global in-flight launch cap; `None` derives `2 × pool_workers`
-    /// at bind time.
+    /// at bind time. Each admitted launch executes on its connection
+    /// thread, so this bounds concurrently executing launches.
     pub admission_capacity: Option<usize>,
     /// Retry-after hint handed out when capacity (not the token bucket)
     /// sheds the request.

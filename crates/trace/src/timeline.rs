@@ -9,8 +9,10 @@
 //! execute with a coalesced gather child, and retire. A downgrade or a
 //! fault is a zero-length marker span on its launch. Spans are tagged
 //! with the stream id (0 = direct, unstreamed) and — when they were
-//! produced on a pool worker thread — the worker's track id, so the
-//! Chrome-trace export renders one track per worker and one per stream.
+//! produced on a thread that runs launch chunks (a pool worker, or the
+//! launching thread of a traced blocking launch) — that thread's track
+//! id, so the Chrome-trace export renders one track per such thread and
+//! one per stream.
 //!
 //! Like the rest of `dpvk-trace`, the recorder is disabled by default:
 //! every entry point is gated on [`crate::enabled`], one relaxed atomic
@@ -55,7 +57,8 @@ thread_local! {
     static CURRENT_LAUNCH: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// Register the calling thread as a pool worker and return its track id.
+/// Register the calling thread — a pool worker, or a thread that runs
+/// chunks of its own blocking launches — and return its track id.
 /// Worker ids are process-unique and stable for the thread's lifetime;
 /// spans recorded on this thread (including compile phases that happen to
 /// run on it) are attributed to its track.
@@ -113,7 +116,8 @@ pub fn current_launch() -> (u64, u64) {
 /// The launch phases the flight recorder distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
-    /// Submission until the first worker picked up a chunk.
+    /// Submission until the first chunk started (on a worker, or on the
+    /// launching thread of a blocking launch).
     QueueWait,
     /// Parsing and validating a module's source at registration (not
     /// attributed to a launch).
@@ -271,7 +275,7 @@ pub fn record_span(span: Span) {
 
 /// Record a span of `kernel` that began at `start_ns` and lasted
 /// `dur_ns`, attributed to the calling thread's [`launch_scope`] (seq and
-/// stream 0 outside one) and, on a pool worker, to its track (without
+/// stream 0 outside one) and, on a registered thread, to its track (without
 /// one the span lands on its stream's track).
 pub fn record(kind: SpanKind, kernel: &str, start_ns: u64, dur_ns: u64, detail: u64) {
     if crate::enabled() {

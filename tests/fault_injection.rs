@@ -10,6 +10,7 @@
 
 mod common;
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dpvk::core::faults::{install, FaultPlan, SlowWarps};
@@ -196,6 +197,94 @@ fn panic_in_one_async_launch_fails_only_its_handle() {
     let out = dev.copy_u32_dtoh(pv, n_victim as usize).unwrap();
     assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u32) * 3));
     dev.synchronize();
+}
+
+#[test]
+fn a_panic_in_chunk_zero_is_contained_on_the_launching_thread() {
+    // A blocking launch runs its chunk 0 (CTAs 0 and 2 of four, two
+    // chunks) on the calling thread, so the panic at CTA 0 unwinds
+    // there: it must become the launch's `WorkerPanic`, and the thread
+    // must go on to launch again on the same device.
+    let guard = install(FaultPlan { panic_at_cta: Some(0), ..Default::default() });
+    let dev = device(TRIPLE);
+    let config = ExecConfig::dynamic(4).with_workers(2);
+
+    let panicked_on = Arc::new(Mutex::new(Vec::new()));
+    let prev_hook = std::panic::take_hook();
+    {
+        let panicked_on = Arc::clone(&panicked_on);
+        std::panic::set_hook(Box::new(move |_| {
+            panicked_on.lock().unwrap().push(std::thread::current().id());
+        }));
+    }
+    let (result, _) = launch_triple(&dev, 4, 8, 32, &config);
+    std::panic::set_hook(prev_hook);
+
+    match result {
+        Err(CoreError::WorkerPanic { worker, cta, payload }) => {
+            assert_eq!((worker, cta), (0, 0));
+            assert!(payload.contains("injected fault"), "payload: {payload}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    let panicked_on = panicked_on.lock().unwrap().clone();
+    assert_eq!(
+        panicked_on,
+        [std::thread::current().id()],
+        "chunk 0 must panic on the launching thread, once"
+    );
+
+    guard.clear();
+    let (result, out) = launch_triple(&dev, 4, 8, 32, &config);
+    result.expect("the launching thread's next launch must succeed");
+    assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u32) * 3));
+}
+
+#[test]
+fn a_blocking_launch_run_by_its_caller_stops_when_cancelled_from_another_thread() {
+    // One chunk: the whole launch runs on the calling thread, 64 CTAs
+    // of one 15 ms warp each (~960 ms). Another thread cancels the
+    // token after 60 ms.
+    let _guard = install(FaultPlan {
+        slow_warps: Some(SlowWarps {
+            seed: 0xCA11,
+            fraction: 1.0,
+            delay: Duration::from_millis(15),
+        }),
+        ..Default::default()
+    });
+    let dev = device(TRIPLE);
+    let n = 64u32 * 4;
+    let ptr = dev.malloc(n as usize * 4).unwrap();
+    dev.copy_u32_htod(ptr, &(0..n).collect::<Vec<_>>()).unwrap();
+
+    let token = CancelToken::new();
+    let canceller = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(60));
+            token.cancel();
+        })
+    };
+    let start = Instant::now();
+    let err = dev
+        .launch_cancellable(
+            "triple",
+            [64, 1, 1],
+            [4, 1, 1],
+            &[ParamValue::Ptr(ptr), ParamValue::U32(n)],
+            &ExecConfig::dynamic(4).with_workers(1),
+            &token,
+        )
+        .unwrap_err();
+    let elapsed = start.elapsed();
+    canceller.join().unwrap();
+
+    assert!(err.is_cancelled(), "expected cancellation, got {err:?}");
+    assert!(
+        elapsed < Duration::from_millis(600),
+        "cancellation should beat the ~960ms uncancelled runtime: {elapsed:?}"
+    );
 }
 
 #[test]
@@ -483,7 +572,7 @@ fn server_retries_injected_panic_and_leaves_other_tenants_bit_identical() {
         other => panic!("reference launch failed: {other:?}"),
     };
 
-    // The injected panic inside the server's pool worker would spam the
+    // The injected panic inside the server's launch would spam the
     // log through the default hook; silence it for the serving window.
     // The injection gate serializes this suite, so no other test's
     // panic message is swallowed.

@@ -1,7 +1,9 @@
 //! Stream semantics of the persistent executor: launches on one stream
 //! run in submission order, launches on different streams overlap when
 //! the pool has the workers for it, and cancelling one stream's
-//! launch leaves its siblings' results bit-identical.
+//! launch leaves its siblings' results bit-identical. A blocking launch
+//! runs on its calling thread, so it completes while every pool worker
+//! is busy.
 
 use std::time::{Duration, Instant};
 
@@ -55,6 +57,15 @@ loop:
   add.u64 %rd1, %rd1, %rd0;
   st.global.u32 [%rd1], %r3;
   ret;
+}
+"#;
+
+/// A kernel that never terminates: the only block branches to itself.
+const SPIN: &str = r#"
+.kernel spin (.param .u32 n) {
+  .reg .u32 %r<1>;
+entry:
+  bra entry;
 }
 "#;
 
@@ -351,4 +362,48 @@ fn stream_metrics_reach_the_trace_report() {
     }
     dpvk::trace::disable();
     dpvk::trace::reset();
+}
+
+#[test]
+fn a_blocking_launch_needs_no_pool_worker() {
+    let _g = serial();
+    // Every pool worker spins in a chunk of one launch that only its
+    // cancellation (or, should that fail, its 10 s deadline) ends.
+    let busy = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
+    busy.register_source(SPIN).unwrap();
+    let workers = busy.pool_workers();
+    let mut spin_config = ExecConfig::dynamic(4).with_workers(workers);
+    spin_config.limits.deadline = Some(Instant::now() + Duration::from_secs(10));
+    spin_config.limits.max_instructions = u64::MAX;
+    let spinner = busy
+        .launch_async(
+            "spin",
+            [workers as u32, 1, 1],
+            [8, 1, 1],
+            &[ParamValue::U32(0)],
+            &spin_config,
+        )
+        .unwrap();
+
+    // A one-chunk blocking launch on another device runs on this thread.
+    let dev = device();
+    let n = 64u32;
+    let input: Vec<u32> = (0..n).collect();
+    let ptr = dev.malloc(n as usize * 4).unwrap();
+    dev.copy_u32_htod(ptr, &input).unwrap();
+    dev.launch(
+        "triple",
+        [1, 1, 1],
+        [n, 1, 1],
+        &[ParamValue::Ptr(ptr), ParamValue::U32(n)],
+        &ExecConfig::dynamic(4).with_workers(1),
+    )
+    .unwrap();
+    assert!(!spinner.is_finished(), "the blocking launch waited for a pool worker");
+    let out = dev.copy_u32_dtoh(ptr, n as usize).unwrap();
+    assert!(out.iter().zip(&input).all(|(o, i)| *o == i * 3), "{out:?}");
+
+    spinner.cancel();
+    let err = spinner.wait().unwrap_err();
+    assert!(err.is_cancelled(), "expected cancellation, got {err:?}");
 }
