@@ -347,6 +347,14 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.reuse_bytes, 256);
         assert_eq!(s.fresh_bytes, 256);
+        // Any size of the class takes a freed block back; another class
+        // allocates fresh.
+        h.free(a).unwrap();
+        assert_eq!(h.alloc(120).unwrap(), a);
+        assert_eq!(h.stats().fresh_bytes, 256);
+        let c = h.alloc(1000).unwrap();
+        assert!(c != a && c != b);
+        assert_eq!(h.stats().fresh_bytes, 256 + 1024);
     }
 
     #[test]
@@ -356,6 +364,10 @@ mod tests {
         h.free(a).unwrap();
         assert!(matches!(h.free(a), Err(CoreError::Memory(_))));
         assert!(matches!(h.free(0xdead0), Err(CoreError::Memory(_))));
+        // The rejected frees left the free lists alone: the block comes
+        // back once, not twice.
+        assert_eq!(h.alloc(64).unwrap(), a);
+        assert_ne!(h.alloc(64).unwrap(), a);
     }
 
     #[test]

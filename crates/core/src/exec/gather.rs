@@ -19,10 +19,9 @@ pub(crate) struct GatherTally {
     pub calls: u64,
 }
 
-/// [`gather`], timed when the trace layer is on: host nanoseconds feed
-/// the `HostFormationNs` counter and accumulate in `tally` for the
-/// chunk's coalesced gather span. When tracing is off this adds one
-/// relaxed atomic load to the plain gather.
+/// [`gather`], timed when the trace layer is on: host nanoseconds
+/// accumulate in `tally` for the chunk's coalesced gather span. When
+/// tracing is off this adds one relaxed atomic load to the plain gather.
 pub(crate) fn gather_timed(
     ready: &mut VecDeque<ThreadContext>,
     rp: i64,
@@ -34,9 +33,7 @@ pub(crate) fn gather_timed(
     let t = dpvk_trace::enabled().then(Instant::now);
     let scanned = gather(ready, rp, config, warp, kept);
     if let Some(t) = t {
-        let ns = t.elapsed().as_nanos() as u64;
-        dpvk_trace::add(dpvk_trace::Counter::HostFormationNs, ns);
-        tally.ns += ns;
+        tally.ns += t.elapsed().as_nanos() as u64;
         tally.calls += 1;
     }
     scanned

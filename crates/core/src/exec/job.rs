@@ -468,7 +468,6 @@ fn prepare(
     let tracing = dpvk_trace::enabled();
     let seq = if tracing { timeline::next_launch_seq() } else { 0 };
     let stream_id = stream.as_ref().map_or(0, |s| s.id);
-    let submit_ns = if tracing { timeline::now_ns() } else { 0 };
     // Force translation at submission so errors surface eagerly (and
     // chunks skip the per-CTA cache lookup). The launch scope attributes
     // any cold translate span to this launch.
@@ -482,6 +481,9 @@ fn prepare(
             }
         }
     };
+    // The queue wait starts once the launch is translated, so a cold
+    // launch's `queue_wait` span does not contain its `translate` span.
+    let submit_ns = if tracing { timeline::now_ns() } else { 0 };
 
     let chunks =
         if req.config.workers == 0 { req.cache.model().cores as usize } else { req.config.workers }

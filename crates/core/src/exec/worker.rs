@@ -32,9 +32,7 @@ use std::time::Instant;
 
 use dpvk_ir::ResumeStatus;
 use dpvk_trace::timeline::{self, SpanKind};
-use dpvk_vm::{
-    execute_warp_bytecode, GlobalMem, JitCta, MemAccess, RegFrame, ThreadContext, VmError,
-};
+use dpvk_vm::{GlobalMem, JitCta, MemAccess, RegFrame, ThreadContext, VmError};
 
 use crate::cache::{CompiledKernel, TranslationCache, Variant};
 use crate::error::CoreError;
@@ -456,16 +454,6 @@ impl WorkerScratch {
     }
 }
 
-/// A CTA's memory spaces, held the way its engine takes them: the JIT
-/// binds them into its environment block once per CTA, the bytecode
-/// engine borrows them per warp call. One lives on `run_cta`'s stack per CTA, so
-/// the size gap between the variants costs nothing a `Box` would save.
-#[allow(clippy::large_enum_variant)]
-enum CtaMem<'a> {
-    Jit(JitCta<'a>),
-    Bytecode(MemAccess<'a>),
-}
-
 /// Execute all threads of one CTA to completion.
 fn run_cta(
     job: &LaunchJob,
@@ -517,10 +505,7 @@ fn run_cta(
 
     let mem =
         MemAccess { global, shared: &mut shared, local: &mut local, param: &req.param, cbank: &[] };
-    let mut mem = match config.engine {
-        Engine::Jit => CtaMem::Jit(JitCta::new(mem, &config.limits, Some(cancel))),
-        Engine::Bytecode => CtaMem::Bytecode(mem),
-    };
+    let mut cta = JitCta::new(mem, &config.limits, Some(cancel));
 
     while let Some(front) = ready.front() {
         let rp = front.resume_point;
@@ -571,11 +556,7 @@ fn run_cta(
         // compile falls back to the width-1 scalar baseline. Entry-point
         // numbering is shared across variants (assigned in `translate`),
         // so baseline warps resume mid-grid safely.
-        let host_t = tracing.then(Instant::now);
         let (compiled, downgraded) = scratch.dispatch.resolve(kernel, tk, w, variant)?;
-        if let Some(t) = host_t {
-            dpvk_trace::add(dpvk_trace::Counter::HostDispatchNs, t.elapsed().as_nanos() as u64);
-        }
         let w = if downgraded {
             stats.exec.downgraded_warps += 1;
             1
@@ -616,32 +597,21 @@ fn run_cta(
             };
             dpvk_trace::add(engine_counter, 1);
         }
-        let outcome = match &mut mem {
-            CtaMem::Jit(cta) => cta.execute_warp(
+        let outcome = cta
+            .execute_warp(
                 jit.map(Arc::as_ref),
                 &compiled.bytecode,
                 &mut scratch.frame,
                 &mut scratch.warp,
                 rp,
                 &mut stats.exec,
-            ),
-            CtaMem::Bytecode(mem) => execute_warp_bytecode(
-                &compiled.bytecode,
-                &mut scratch.frame,
-                &mut scratch.warp,
-                rp,
-                mem,
-                &mut stats.exec,
-                &config.limits,
-                Some(cancel),
-            ),
-        }
-        .map_err(|e| {
-            if matches!(e, VmError::Cancelled | VmError::Deadline) {
-                stats.exec.cancelled_warps += 1;
-            }
-            warp_fault(kernel, cta_flat, rp, &scratch.warp, e)
-        })?;
+            )
+            .map_err(|e| {
+                if matches!(e, VmError::Cancelled | VmError::Deadline) {
+                    stats.exec.cancelled_warps += 1;
+                }
+                warp_fault(kernel, cta_flat, rp, &scratch.warp, e)
+            })?;
         if (w as usize) < stats.warp_hist.len() {
             stats.warp_hist[w as usize] += 1;
         }

@@ -93,7 +93,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-mod bufpool;
 mod client;
 pub mod protocol;
 mod service;

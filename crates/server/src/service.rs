@@ -12,7 +12,6 @@ use dpvk_trace::Counter;
 use dpvk_vm::MachineModel;
 
 use crate::admission::CapacityGate;
-use crate::bufpool::BufferPool;
 use crate::protocol::{write_frame, LaunchSpec, ProtoError, Request, Response, WireParam};
 use crate::tenant::{TenantRegistry, TenantState};
 use crate::ServerConfig;
@@ -22,7 +21,7 @@ use crate::ServerConfig;
 const POLL: Duration = Duration::from_millis(20);
 
 /// The kernel service: owns the device (worker pool included), the
-/// tenant registry, the buffer pool and the listening socket.
+/// tenant registry and the listening socket.
 ///
 /// Create with [`Server::bind`], then either run [`Server::serve`] on
 /// the current thread or [`Server::start`] a background thread and keep
@@ -32,7 +31,6 @@ pub struct Server {
     config: ServerConfig,
     listener: TcpListener,
     tenants: TenantRegistry,
-    buffers: BufferPool,
     gate: Arc<CapacityGate>,
     shutdown: Arc<AtomicBool>,
 }
@@ -58,7 +56,6 @@ impl Server {
             config,
             listener,
             tenants: TenantRegistry::default(),
-            buffers: BufferPool::default(),
             gate: CapacityGate::new(capacity),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -256,7 +253,7 @@ impl Server {
         // Resolve buffers and parameters before the first attempt.
         let mut ptrs = Vec::with_capacity(spec.buffers.len());
         for buf in &spec.buffers {
-            match self.buffers.acquire(&self.dev, buf.bytes.len()) {
+            match self.dev.malloc(buf.bytes.len().max(1)) {
                 Ok(ptr) => ptrs.push(ptr),
                 Err(e) => {
                     self.release_buffers(&ptrs);
@@ -395,7 +392,9 @@ impl Server {
 
     fn release_buffers(&self, ptrs: &[dpvk_core::DevicePtr]) {
         for &ptr in ptrs {
-            self.buffers.release(&self.dev, ptr);
+            // A stale or double release is a server bug but must not take
+            // the request loop down; the heap rejects it and we move on.
+            let _ = self.dev.free(ptr);
         }
     }
 }

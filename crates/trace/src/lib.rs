@@ -171,12 +171,6 @@ pub enum Counter {
     /// Execution faults surfaced from launches (panics, VM errors,
     /// deadline/cancellation).
     Faults,
-    /// Wall-clock nanoseconds the host spent resolving warp dispatches
-    /// (specialization lookup) in the steady state.
-    HostDispatchNs,
-    /// Wall-clock nanoseconds the host spent forming warps from the
-    /// ready queue.
-    HostFormationNs,
     /// Wall-clock nanoseconds spent pre-decoding compiled functions into
     /// linear bytecode (part of each cache-miss fill).
     GuestDecodeNs,
@@ -259,7 +253,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 50] = [
+    pub const ALL: [Counter; 48] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheCompileNs,
@@ -280,8 +274,6 @@ impl Counter {
         Counter::CancelledWarps,
         Counter::SpecFailures,
         Counter::Faults,
-        Counter::HostDispatchNs,
-        Counter::HostFormationNs,
         Counter::GuestDecodeNs,
         Counter::WarpsBytecode,
         Counter::WarpsJit,
@@ -335,8 +327,6 @@ impl Counter {
             Counter::CancelledWarps => "cancelled_warps",
             Counter::SpecFailures => "spec_failures",
             Counter::Faults => "faults",
-            Counter::HostDispatchNs => "host_dispatch_ns",
-            Counter::HostFormationNs => "host_formation_ns",
             Counter::GuestDecodeNs => "guest_decode_ns",
             Counter::WarpsBytecode => "warps_bytecode",
             Counter::WarpsJit => "warps_jit",

@@ -13,13 +13,16 @@
 //! autovectorizer straight-line, branch-free bodies to widen — no SIMD
 //! intrinsics or new dependencies involved.
 //!
-//! This loop is the one executable definition of modeled cycles: each
-//! µop charges its cycles/flops in source order, and [`ExecStats`] fields
-//! and watchdog/deadline/cancellation polls tick once per source
-//! instruction (terminators included, so pure-branch spin loops still
-//! poll). Lane values are the functions of [`crate::semantics`]. The JIT
-//! is held to this engine; the results of both are held to a PTX-level
-//! reference evaluator in the test suite (`tests/reference.rs`).
+//! [`step`] is the one executable definition of each non-terminator
+//! µop — its effect and its charge — and the loop runs terminators
+//! itself and every other µop through it; the JIT's slow paths call the
+//! same `step`. Each µop charges its cycles/flops in source order into a
+//! [`Meter`], and [`ExecStats`] fields and watchdog/deadline/cancellation
+//! polls tick once per source instruction (terminators included, so
+//! pure-branch spin loops still poll). Lane values are the functions of
+//! [`crate::semantics`]. The JIT is held to this engine; the results of
+//! both are held to a PTX-level reference evaluator in the test suite
+//! (`tests/reference.rs`).
 //!
 //! [`FrameLayout`]: crate::frame::FrameLayout
 
@@ -78,18 +81,20 @@ pub(crate) struct TermInfo {
     pub overhead: bool,
 }
 
-/// What a run of `charge!` calls adds up to: the poll-clock ticks and
-/// every counter the macro touches. The interpreter never builds one —
-/// it charges µop by µop — but the JIT pre-charges whole basic blocks
-/// (and takes charges back on its slow paths) in these units, so the
-/// arithmetic has one definition next to [`OpMeta`].
+/// What a run of [`Meter::charge`] calls adds up to: the poll-clock
+/// ticks and every counter it touches. The interpreter charges µop by
+/// µop, but the JIT pre-charges whole basic blocks (and takes charges
+/// back on its slow paths) in these units, so the arithmetic has one
+/// definition next to [`OpMeta`]. It is also the counter part of the
+/// [`Meter`] both engines charge into.
+#[repr(C)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Charge {
-    /// `tick!` calls (one per source instruction).
+    /// Ticks: dynamic instructions, the watchdog/poll clock.
     pub ticks: u64,
     /// Modeled cycles.
     pub cost: u64,
-    /// Modeled flops.
+    /// [`ExecStats::flops`].
     pub flops: u64,
     /// [`ExecStats::loads`].
     pub loads: u64,
@@ -106,7 +111,7 @@ pub(crate) struct Charge {
 }
 
 impl Charge {
-    /// What `times` back-to-back `charge!(meta)` calls accumulate.
+    /// What `times` back-to-back `charge(meta)` calls accumulate.
     pub(crate) fn of(meta: OpMeta, times: u32) -> Charge {
         let n = times as u64;
         let flag = |f: u8| if meta.flags & f != 0 { n } else { 0 };
@@ -125,19 +130,222 @@ impl Charge {
         }
     }
 
-    /// Field-wise sum.
-    pub(crate) fn plus(self, o: Charge) -> Charge {
+    /// Field-wise `f`.
+    fn zip(self, o: Charge, f: impl Fn(u64, u64) -> u64) -> Charge {
         Charge {
-            ticks: self.ticks + o.ticks,
-            cost: self.cost + o.cost,
-            flops: self.flops + o.flops,
-            loads: self.loads + o.loads,
-            stores: self.stores + o.stores,
-            restore_loads: self.restore_loads + o.restore_loads,
-            restore_bytes: self.restore_bytes + o.restore_bytes,
-            spill_stores: self.spill_stores + o.spill_stores,
-            spill_bytes: self.spill_bytes + o.spill_bytes,
+            ticks: f(self.ticks, o.ticks),
+            cost: f(self.cost, o.cost),
+            flops: f(self.flops, o.flops),
+            loads: f(self.loads, o.loads),
+            stores: f(self.stores, o.stores),
+            restore_loads: f(self.restore_loads, o.restore_loads),
+            restore_bytes: f(self.restore_bytes, o.restore_bytes),
+            spill_stores: f(self.spill_stores, o.spill_stores),
+            spill_bytes: f(self.spill_bytes, o.spill_bytes),
         }
+    }
+}
+
+impl std::ops::AddAssign for Charge {
+    fn add_assign(&mut self, o: Charge) {
+        *self = self.zip(o, |a, b| a + b);
+    }
+}
+
+impl std::ops::SubAssign for Charge {
+    fn sub_assign(&mut self, o: Charge) {
+        *self = self.zip(o, |a, b| a - b);
+    }
+}
+
+/// What a due poll looks at, and how often one comes due.
+pub(crate) struct Poll<'a> {
+    /// Cancellation token, looked at first.
+    pub cancel: Option<&'a CancelToken>,
+    /// Wall-clock deadline.
+    pub deadline: Option<Instant>,
+    /// Instructions between polls (`ExecLimits::check_interval.max(1)`).
+    pub stride: u64,
+}
+
+impl<'a> Poll<'a> {
+    /// The polls of a warp call under `limits` and `cancel`.
+    pub(crate) fn new(limits: &ExecLimits, cancel: Option<&'a CancelToken>) -> Self {
+        Poll { cancel, deadline: limits.deadline, stride: limits.check_interval.max(1) }
+    }
+
+    /// Whether the token or the deadline stops the warp now.
+    pub(crate) fn check(&self) -> Result<(), VmError> {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(VmError::Cancelled);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(VmError::Deadline);
+        }
+        Ok(())
+    }
+}
+
+/// The accounting of one warp call, in both engines: the watchdog/poll
+/// clock, the modeled cycles of the running block and the
+/// [`ExecStats`] deltas. The bytecode loop keeps one as a local; the
+/// JIT's environment block embeds one, which generated code addresses
+/// at `offset_of!` displacements (hence `repr(C)`). Either way it is
+/// merged into the caller's stats when the call returns, on success
+/// and on error alike.
+#[repr(C)]
+pub(crate) struct Meter {
+    /// What the µops charged: `ticks` is the watchdog/poll clock,
+    /// `cost` the modeled cycles since the last block retire (dropped
+    /// if the call ends inside a block), the rest `ExecStats` deltas.
+    pub charged: Charge,
+    /// Watchdog limit (`ExecLimits::max_instructions`).
+    pub max_instructions: u64,
+    /// Next `charged.ticks` at which to poll; `u64::MAX` when nothing
+    /// can interrupt the warp.
+    pub next_poll: u64,
+    /// [`ExecStats::instructions`] delta.
+    pub instructions: u64,
+    /// [`ExecStats::cycles_body`] delta.
+    pub cycles_body: u64,
+    /// [`ExecStats::cycles_yield`] delta.
+    pub cycles_yield: u64,
+}
+
+impl Meter {
+    /// A fresh meter for one warp call.
+    #[inline(always)]
+    pub(crate) fn new(limits: &ExecLimits, poll: &Poll<'_>) -> Meter {
+        let polling = poll.cancel.is_some() || poll.deadline.is_some();
+        Meter {
+            charged: Charge::default(),
+            max_instructions: limits.max_instructions,
+            next_poll: if polling { poll.stride } else { u64::MAX },
+            instructions: 0,
+            cycles_body: 0,
+            cycles_yield: 0,
+        }
+    }
+
+    /// One source instruction: trip the watchdog, poll when due.
+    #[inline(always)]
+    pub(crate) fn tick(&mut self, poll: &Poll<'_>) -> Result<(), VmError> {
+        self.charged.ticks += 1;
+        if self.charged.ticks > self.max_instructions {
+            return Err(VmError::Watchdog { limit: self.max_instructions });
+        }
+        if self.charged.ticks >= self.next_poll {
+            return self.poll(poll);
+        }
+        Ok(())
+    }
+
+    /// A due poll: schedule the next one, then look. Inlined so the
+    /// bytecode loop's meter never escapes and stays in registers.
+    #[inline(always)]
+    pub(crate) fn poll(&mut self, poll: &Poll<'_>) -> Result<(), VmError> {
+        self.next_poll = self.charged.ticks + poll.stride;
+        poll.check()
+    }
+
+    /// Tick, then charge `meta`. The µop profiler sees the cycles here,
+    /// so its per-opcode sum is the modeled cycles.
+    #[inline(always)]
+    pub(crate) fn charge(
+        &mut self,
+        meta: OpMeta,
+        poll: &Poll<'_>,
+        prof: &mut impl UopSink,
+    ) -> Result<(), VmError> {
+        self.tick(poll)?;
+        let c = &mut self.charged;
+        c.cost += meta.cost as u64;
+        prof.charge(meta.cost);
+        c.flops += meta.flops as u64;
+        if meta.flags != 0 {
+            if meta.flags & F_LOAD != 0 {
+                c.loads += 1;
+                if meta.flags & F_RESTORE != 0 {
+                    c.restore_loads += 1;
+                    c.restore_bytes += meta.bytes as u64;
+                }
+            }
+            if meta.flags & F_STORE != 0 {
+                c.stores += 1;
+                if meta.flags & F_SPILL != 0 {
+                    c.spill_stores += 1;
+                    c.spill_bytes += meta.bytes as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Retire a block at its terminator: the terminator's cost joins
+    /// the block's cycles *before* its tick, so a watchdog trip drops
+    /// them, then the block's cycles flush to the body or yield bucket.
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        term: TermInfo,
+        poll: &Poll<'_>,
+        prof: &mut impl UopSink,
+    ) -> Result<(), VmError> {
+        self.charged.cost += term.cost as u64;
+        prof.charge(term.cost);
+        self.tick(poll)?;
+        self.instructions += term.insts as u64;
+        let bucket = if term.overhead { &mut self.cycles_yield } else { &mut self.cycles_body };
+        *bucket += std::mem::take(&mut self.charged.cost);
+        Ok(())
+    }
+
+    /// Undo a charge of `c`, for µops that will charge themselves or
+    /// never run (the JIT's block headers charge ahead).
+    pub(crate) fn take_back(&mut self, c: Charge) {
+        self.charged -= c;
+    }
+
+    /// Add this call's deltas to the caller's stats.
+    #[inline(always)]
+    pub(crate) fn merge_into(&self, stats: &mut ExecStats) {
+        let c = &self.charged;
+        stats.instructions += self.instructions;
+        stats.flops += c.flops;
+        stats.loads += c.loads;
+        stats.stores += c.stores;
+        stats.restore_loads += c.restore_loads;
+        stats.restore_bytes += c.restore_bytes;
+        stats.spill_stores += c.spill_stores;
+        stats.spill_bytes += c.spill_bytes;
+        stats.cycles_body += self.cycles_body;
+        stats.cycles_yield += self.cycles_yield;
+    }
+}
+
+/// `SetStatus` codes as [`step`] records them (the JIT's generated code
+/// reads and writes the same word); 0 means no `SetStatus` ran yet.
+pub(crate) const STATUS_NONE: u64 = 0;
+pub(crate) const STATUS_BRANCH: u64 = 1;
+pub(crate) const STATUS_BARRIER: u64 = 2;
+pub(crate) const STATUS_EXIT: u64 = 3;
+
+/// The code `SetStatus` records for `s`.
+pub(crate) fn status_code(s: ResumeStatus) -> u64 {
+    match s {
+        ResumeStatus::Branch => STATUS_BRANCH,
+        ResumeStatus::Barrier => STATUS_BARRIER,
+        ResumeStatus::Exit => STATUS_EXIT,
+    }
+}
+
+/// How a warp call that recorded `code` yields: `Exit` unless a
+/// `SetStatus` said otherwise.
+pub(crate) fn resume_status(code: u64) -> ResumeStatus {
+    match code {
+        STATUS_BRANCH => ResumeStatus::Branch,
+        STATUS_BARRIER => ResumeStatus::Barrier,
+        _ => ResumeStatus::Exit,
     }
 }
 
@@ -199,7 +407,9 @@ impl Op {
             | OpKind::LoadRun { n, .. }
             | OpKind::CtxReadRun { n, .. } => Charge::of(self.meta, n - from),
             OpKind::StoreRun { n, smeta, .. } => {
-                Charge::of(self.meta, n - from).plus(Charge::of(smeta, n - from))
+                let mut c = Charge::of(self.meta, n - from);
+                c += Charge::of(smeta, n - from);
+                c
             }
             OpKind::Br { .. }
             | OpKind::CondBr { .. }
@@ -440,12 +650,12 @@ pub(crate) fn count_vector_ops(code: &[Op]) -> u64 {
 /// [`NoProfile`] impl, all no-ops) carries zero per-µop overhead — the
 /// hot path stays byte-for-byte what it was before profiling existed.
 pub(crate) trait UopSink {
-    /// Called once per µop dispatch; returns the opcode index the
-    /// following [`charge`](Self::charge) calls attribute to.
-    fn note_op(&mut self, kind: &OpKind) -> usize;
-    /// Attribute `cycles` modeled cycles to opcode `opc` (called by the
-    /// charge/retire macros, including per run component).
-    fn charge(&mut self, opc: usize, cycles: u32);
+    /// Called once per µop dispatch; the following
+    /// [`charge`](Self::charge) calls attribute to this µop's opcode.
+    fn note_op(&mut self, kind: &OpKind);
+    /// Attribute `cycles` modeled cycles to the µop last noted (called
+    /// by the meter's charge and retire, including per run component).
+    fn charge(&mut self, cycles: u32);
 }
 
 /// The disabled sink: everything inlines to nothing.
@@ -453,12 +663,10 @@ pub(crate) struct NoProfile;
 
 impl UopSink for NoProfile {
     #[inline(always)]
-    fn note_op(&mut self, _kind: &OpKind) -> usize {
-        0
-    }
+    fn note_op(&mut self, _kind: &OpKind) {}
 
     #[inline(always)]
-    fn charge(&mut self, _opc: usize, _cycles: u32) {}
+    fn charge(&mut self, _cycles: u32) {}
 }
 
 /// Stack-allocated per-warp-call µop histogram, flushed to
@@ -469,25 +677,26 @@ pub(crate) struct UopCounts {
     /// Modeled cycles attributed per opcode (charge + retire costs, so
     /// the per-warp sum equals exactly `cycles_body + cycles_yield`).
     pub cycles: [u64; N_UOPS],
+    /// Opcode of the µop dispatching now.
+    current: usize,
 }
 
 impl UopCounts {
     fn new() -> UopCounts {
-        UopCounts { hits: [0; N_UOPS], cycles: [0; N_UOPS] }
+        UopCounts { hits: [0; N_UOPS], cycles: [0; N_UOPS], current: 0 }
     }
 }
 
 impl UopSink for UopCounts {
     #[inline(always)]
-    fn note_op(&mut self, kind: &OpKind) -> usize {
-        let opc = kind.opcode();
-        self.hits[opc] += 1;
-        opc
+    fn note_op(&mut self, kind: &OpKind) {
+        self.current = kind.opcode();
+        self.hits[self.current] += 1;
     }
 
     #[inline(always)]
-    fn charge(&mut self, opc: usize, cycles: u32) {
-        self.cycles[opc] += u64::from(cycles);
+    fn charge(&mut self, cycles: u32) {
+        self.cycles[self.current] += u64::from(cycles);
     }
 }
 
@@ -1144,9 +1353,6 @@ unsafe fn exec_loop_simd<P: UopSink>(
 }
 
 #[allow(clippy::too_many_arguments)]
-// The charge/retire macros update `cycles`/`next_poll` uniformly; on µops
-// that return right after (Ret, Unsupported) those writes are dead.
-#[allow(unused_assignments)]
 #[inline(always)]
 fn exec_loop<P: UopSink>(
     program: &BytecodeProgram,
@@ -1166,335 +1372,52 @@ fn exec_loop<P: UopSink>(
         ctxs.len(),
         program.warp_size
     );
-    let regs = scratch.prepare_slots(program.slots, &program.entry_live);
-    let code = program.code.as_slice();
-    let mut pc: usize = 0;
-    let mut status: Option<ResumeStatus> = None;
-    let mut executed: u64 = 0;
-    let poll_stride = limits.check_interval.max(1);
-    let polling = limits.deadline.is_some() || cancel.is_some();
-    let mut next_poll = poll_stride;
-    let mut cycles: u64 = 0;
-    // Opcode of the µop currently dispatching; the charge/retire macros
-    // attribute modeled cycles to it via the (monomorphized) sink. Must
-    // be declared before the macros so their bodies resolve to it.
-    let mut opc: usize = 0;
-
     stats.warp_entries += 1;
     stats.thread_entries += program.warp_size as u64;
+    let poll = Poll::new(limits, cancel);
+    let mut meter = Meter::new(limits, &poll);
+    let mut status = STATUS_NONE;
+    let mut w = Warp {
+        regs: scratch.prepare_slots(program.slots, &program.entry_live),
+        ctxs,
+        mem,
+        entry_id: mask_to(entry_id as u64, STy::I32),
+        status: &mut status,
+        meter: &mut meter,
+        poll: &poll,
+    };
+    let result = run_blocks(program, &mut w, prof);
+    meter.merge_into(stats);
+    result
+}
 
-    // Per-instruction bookkeeping: the watchdog and the
-    // deadline/cancellation poll tick once per source instruction,
-    // including per run component.
-    macro_rules! tick {
-        () => {
-            executed += 1;
-            if executed > limits.max_instructions {
-                return Err(VmError::Watchdog { limit: limits.max_instructions });
-            }
-            if polling && executed >= next_poll {
-                next_poll = executed + poll_stride;
-                if let Some(token) = cancel {
-                    if token.is_cancelled() {
-                        return Err(VmError::Cancelled);
-                    }
-                }
-                if let Some(deadline) = limits.deadline {
-                    if Instant::now() >= deadline {
-                        return Err(VmError::Deadline);
-                    }
-                }
-            }
-        };
-    }
-    macro_rules! charge {
-        ($meta:expr) => {
-            tick!();
-            cycles += $meta.cost as u64;
-            prof.charge(opc, $meta.cost);
-            stats.flops += $meta.flops as u64;
-            if $meta.flags != 0 {
-                if $meta.flags & F_LOAD != 0 {
-                    stats.loads += 1;
-                    if $meta.flags & F_RESTORE != 0 {
-                        stats.restore_loads += 1;
-                        stats.restore_bytes += $meta.bytes as u64;
-                    }
-                }
-                if $meta.flags & F_STORE != 0 {
-                    stats.stores += 1;
-                    if $meta.flags & F_SPILL != 0 {
-                        stats.spill_stores += 1;
-                        stats.spill_bytes += $meta.bytes as u64;
-                    }
-                }
-            }
-        };
-    }
-    macro_rules! retire_block {
-        ($term:expr) => {
-            cycles += $term.cost as u64;
-            prof.charge(opc, $term.cost);
-            tick!();
-            stats.instructions += $term.insts as u64;
-            if $term.overhead {
-                stats.cycles_yield += cycles;
-            } else {
-                stats.cycles_body += cycles;
-            }
-            cycles = 0;
-        };
-    }
-
+/// The bytecode engine proper: terminators here, every other µop
+/// through [`step`].
+#[inline(always)]
+fn run_blocks<P: UopSink>(
+    program: &BytecodeProgram,
+    w: &mut Warp<'_, '_>,
+    prof: &mut P,
+) -> Result<WarpOutcome, VmError> {
+    let code = program.code.as_slice();
+    let mut pc: usize = 0;
     loop {
         let op = &code[pc];
-        opc = prof.note_op(&op.kind);
+        prof.note_op(&op.kind);
         match op.kind {
-            OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
-                charge!(op.meta);
-                exec_bin(regs, bop, sty, signed, w, dst, a, b)?;
-                pc += 1;
-            }
-            OpKind::Un { op: uop, sty, w, dst, a } => {
-                charge!(op.meta);
-                exec_un(regs, uop, sty, w, dst, a)?;
-                pc += 1;
-            }
-            OpKind::Fma { sty, w, dst, a, b, c } => {
-                charge!(op.meta);
-                exec_fma(regs, sty, w, dst, a, b, c);
-                pc += 1;
-            }
-            OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0), lane(regs, b, 0));
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
-                        scalar_cmp(pred, sty, signed, x, y)
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Select { w, dst, cond, a, b } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = if lane(regs, cond, 0) & 1 != 0 {
-                        lane(regs, a, 0)
-                    } else {
-                        lane(regs, b, 0)
-                    };
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec3(regs, w as usize, dst.off as usize, cond, a, b, |c, x, y| {
-                        if c & 1 != 0 {
-                            x
-                        } else {
-                            y
-                        }
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Cvt { to, from, signed, w, dst, a } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = scalar_cvt(to, from, signed, lane(regs, a, 0));
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec1(regs, w as usize, dst.off as usize, a, |x| {
-                        scalar_cvt(to, from, signed, x)
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Load { sty, space, dst, addr } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0);
-                let bits = mem.read(space, a, sty.size_bytes())?;
-                set_bcast(regs, dst, mask_to(bits, sty));
-                pc += 1;
-            }
-            OpKind::Store { sty, space, addr, value } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0);
-                let v = lane(regs, value, 0);
-                mem.write(space, a, sty.size_bytes(), v)?;
-                pc += 1;
-            }
-            OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
-                charge!(op.meta);
-                let addr_v = lane(regs, addr, 0);
-                let av = lane(regs, a, 0);
-                let bv = b.map(|b| lane(regs, b, 0));
-                let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
-                set_bcast(regs, dst, mask_to(old, sty));
-                pc += 1;
-            }
-            OpKind::Insert { w, dst, vec, elem, lane: l } => {
-                charge!(op.meta);
-                let e = lane(regs, elem, 0);
-                let doff = dst.off as usize;
-                if let Some(v) = vec {
-                    for i in 0..w as usize {
-                        regs[doff + i] = lane(regs, v, i);
-                    }
-                }
-                regs[doff + l as usize] = e;
-                pc += 1;
-            }
-            OpKind::Extract { dst, vec, lane: l } => {
-                charge!(op.meta);
-                let v = lane(regs, vec, l as usize);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::Splat { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::Reduce { op: rop, sty, w, dst, vec } => {
-                charge!(op.meta);
-                let w = w as usize;
-                let r = match rop {
-                    ReduceOp::Add => {
-                        let mut sum: u64 = 0;
-                        for i in 0..w {
-                            sum = sum.wrapping_add(mask_to(lane(regs, vec, i), sty));
-                        }
-                        mask_to(sum, STy::I32)
-                    }
-                    ReduceOp::All => (0..w).all(|i| lane(regs, vec, i) & 1 != 0) as u64,
-                    ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i) & 1 != 0) as u64,
-                };
-                set_bcast(regs, dst, r);
-                pc += 1;
-            }
-            OpKind::CtxRead { field, lane: l, dst } => {
-                charge!(op.meta);
-                let li = l as usize;
-                let ctx = &ctxs[li.min(ctxs.len() - 1)];
-                let v: u64 = match field {
-                    CtxField::Tid(d) => ctx.tid[d as usize] as u64,
-                    CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
-                    CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
-                    CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
-                    CtxField::LocalBase => ctx.local_base,
-                    CtxField::LaneId => l as u64,
-                    CtxField::WarpSize => program.warp_size as u64,
-                    CtxField::EntryId => mask_to(entry_id as u64, STy::I32),
-                };
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::SetRpImm { lane: l, id } => {
-                charge!(op.meta);
-                ctxs[l as usize].resume_point = id;
-                pc += 1;
-            }
-            OpKind::SetRpReg { lane: l, slot, sty } => {
-                charge!(op.meta);
-                ctxs[l as usize].resume_point = sext(regs[slot as usize], sty);
-                pc += 1;
-            }
-            OpKind::SetStatus { status: s } => {
-                charge!(op.meta);
-                status = Some(s);
-                pc += 1;
-            }
-            OpKind::Vote { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0);
-                set_bcast(regs, dst, v & 1);
-                pc += 1;
-            }
-            OpKind::MovVec { w, off, a } => {
-                charge!(op.meta);
-                vec1(regs, w as usize, off as usize, a, |x| x);
-                pc += 1;
-            }
-            OpKind::MovScalar { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::CopyRun { n, src, sstride, dst, prefill } => {
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let e = regs[src as usize + i * sstride as usize];
-                    if i == 0 {
-                        // The first Insert of a pack copies its
-                        // initializer vector before writing lane 0; the
-                        // element is read first, exactly as unfused.
-                        if let Some((v, w)) = prefill {
-                            for j in 0..w as usize {
-                                regs[dst as usize + j] = lane(regs, v, j);
-                            }
-                        }
-                    }
-                    regs[dst as usize + i] = e;
-                }
-                pc += 1;
-            }
-            OpKind::LoadRun { n, sty, space, addr, dst } => {
-                let size = sty.size_bytes();
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let bits = mem.read(space, regs[addr as usize + i], size)?;
-                    regs[dst as usize + i] = mask_to(bits, sty);
-                }
-                pc += 1;
-            }
-            OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
-                let size = sty.size_bytes();
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let a = regs[avec as usize + i];
-                    regs[atmp as usize + i] = a;
-                    charge!(smeta);
-                    mem.write(space, a, size, regs[val as usize + i * vstride as usize])?;
-                }
-                pc += 1;
-            }
-            OpKind::CtxReadRun { field, n, dst } => {
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let ctx = &ctxs[i.min(ctxs.len() - 1)];
-                    let v: u64 = match field {
-                        CtxField::Tid(d) => ctx.tid[d as usize] as u64,
-                        CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
-                        CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
-                        CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
-                        CtxField::LocalBase => ctx.local_base,
-                        CtxField::LaneId => i as u64,
-                        CtxField::WarpSize => program.warp_size as u64,
-                        CtxField::EntryId => mask_to(entry_id as u64, STy::I32),
-                    };
-                    regs[dst as usize + i] = v;
-                }
-                pc += 1;
-            }
-            OpKind::Unsupported { what } => {
-                charge!(op.meta);
-                return Err(VmError::Unsupported(what.to_string()));
-            }
             OpKind::Br { target, term } => {
-                retire_block!(term);
+                w.meter.retire(term, w.poll, prof)?;
                 pc = target as usize;
             }
             OpKind::CondBr { cond, taken, fall, term } => {
-                retire_block!(term);
-                let c = lane(regs, cond, 0);
+                w.meter.retire(term, w.poll, prof)?;
+                let c = lane(w.regs, cond, 0);
                 pc = if c & 1 != 0 { taken as usize } else { fall as usize };
             }
             OpKind::Switch { val, cases, default, term } => {
-                retire_block!(term);
+                w.meter.retire(term, w.poll, prof)?;
                 let v = match val {
-                    SwitchVal::Reg { slot, sty } => sext(regs[slot as usize], sty),
+                    SwitchVal::Reg { slot, sty } => sext(w.regs[slot as usize], sty),
                     SwitchVal::Imm(i) => i,
                     SwitchVal::BadFloat => return Err(VmError::Unsupported("float switch".into())),
                 };
@@ -1507,17 +1430,254 @@ fn exec_loop<P: UopSink>(
                     .unwrap_or(default as usize);
             }
             OpKind::Ret { term } => {
-                retire_block!(term);
-                let status = status.unwrap_or(ResumeStatus::Exit);
+                w.meter.retire(term, w.poll, prof)?;
+                let status = resume_status(*w.status);
                 if status == ResumeStatus::Exit {
-                    for c in ctxs.iter_mut() {
+                    for c in w.ctxs.iter_mut() {
                         c.resume_point = dpvk_ir::EXIT_ENTRY_ID;
                     }
                 }
                 return Ok(WarpOutcome { status });
             }
+            _ => {
+                step(op, 0, w, prof)?;
+                pc += 1;
+            }
         }
     }
+}
+
+/// What [`step`] runs a µop against: the warp's registers, contexts and
+/// memory, and the meter it charges — borrowed from the bytecode loop's
+/// locals or from the JIT's environment block.
+pub(crate) struct Warp<'a, 'm> {
+    /// The register frame.
+    pub regs: &'a mut [u64],
+    /// The warp's thread contexts, one per lane.
+    pub ctxs: &'a mut [ThreadContext],
+    /// The CTA's memory spaces.
+    pub mem: &'a mut MemAccess<'m>,
+    /// The `EntryId` context value, `mask_to(entry_id, I32)`.
+    pub entry_id: u64,
+    /// The last `SetStatus` (a `STATUS_*` code).
+    pub status: &'a mut u64,
+    /// The accounting every µop charges.
+    pub meter: &'a mut Meter,
+    /// What the meter's due polls look at.
+    pub poll: &'a Poll<'a>,
+}
+
+/// Thread-context field `field` as lane `l` reads it.
+#[inline(always)]
+fn ctx_field(w: &Warp<'_, '_>, field: CtxField, l: usize) -> u64 {
+    let ctx = &w.ctxs[l.min(w.ctxs.len() - 1)];
+    match field {
+        CtxField::Tid(d) => ctx.tid[d as usize] as u64,
+        CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
+        CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
+        CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
+        CtxField::LocalBase => ctx.local_base,
+        CtxField::LaneId => l as u64,
+        CtxField::WarpSize => w.ctxs.len() as u64,
+        CtxField::EntryId => w.entry_id,
+    }
+}
+
+/// Run one non-terminator µop, charges included: the one definition of
+/// each µop's effect, which the bytecode loop dispatches to and the
+/// JIT's slow paths call. A lane run starts at component `from` (the
+/// JIT resumes a run whose component failed its inline bounds check);
+/// every other µop takes `from == 0`. An error leaves the registers,
+/// memory and meter exactly as far as the µop got.
+#[inline(always)]
+pub(crate) fn step<P: UopSink>(
+    op: &Op,
+    from: u32,
+    w: &mut Warp<'_, '_>,
+    prof: &mut P,
+) -> Result<(), VmError> {
+    let regs = &mut *w.regs;
+    match op.kind {
+        OpKind::Bin { op: bop, sty, signed, w: n, dst, a, b } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            exec_bin(regs, bop, sty, signed, n, dst, a, b)?;
+        }
+        OpKind::Un { op: uop, sty, w: n, dst, a } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            exec_un(regs, uop, sty, n, dst, a)?;
+        }
+        OpKind::Fma { sty, w: n, dst, a, b, c } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            exec_fma(regs, sty, n, dst, a, b, c);
+        }
+        OpKind::Cmp { pred, sty, signed, w: n, dst, a, b } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            if n == 1 {
+                let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0), lane(regs, b, 0));
+                set_bcast(regs, dst, r);
+            } else {
+                vec2(regs, n as usize, dst.off as usize, a, b, |x, y| {
+                    scalar_cmp(pred, sty, signed, x, y)
+                });
+            }
+        }
+        OpKind::Select { w: n, dst, cond, a, b } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            if n == 1 {
+                let r =
+                    if lane(regs, cond, 0) & 1 != 0 { lane(regs, a, 0) } else { lane(regs, b, 0) };
+                set_bcast(regs, dst, r);
+            } else {
+                vec3(regs, n as usize, dst.off as usize, cond, a, b, |c, x, y| {
+                    if c & 1 != 0 {
+                        x
+                    } else {
+                        y
+                    }
+                });
+            }
+        }
+        OpKind::Cvt { to, from: src, signed, w: n, dst, a } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            if n == 1 {
+                let r = scalar_cvt(to, src, signed, lane(regs, a, 0));
+                set_bcast(regs, dst, r);
+            } else {
+                vec1(regs, n as usize, dst.off as usize, a, |x| scalar_cvt(to, src, signed, x));
+            }
+        }
+        OpKind::Load { sty, space, dst, addr } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let bits = w.mem.read(space, lane(regs, addr, 0), sty.size_bytes())?;
+            set_bcast(regs, dst, mask_to(bits, sty));
+        }
+        OpKind::Store { sty, space, addr, value } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let a = lane(regs, addr, 0);
+            w.mem.write(space, a, sty.size_bytes(), lane(regs, value, 0))?;
+        }
+        OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let addr_v = lane(regs, addr, 0);
+            let av = lane(regs, a, 0);
+            let bv = b.map(|b| lane(regs, b, 0));
+            let old = atom_rmw(w.mem, sty, space, akind, signed, addr_v, av, bv)?;
+            set_bcast(regs, dst, mask_to(old, sty));
+        }
+        OpKind::Insert { w: n, dst, vec, elem, lane: l } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let e = lane(regs, elem, 0);
+            let doff = dst.off as usize;
+            if let Some(v) = vec {
+                for i in 0..n as usize {
+                    regs[doff + i] = lane(regs, v, i);
+                }
+            }
+            regs[doff + l as usize] = e;
+        }
+        OpKind::Extract { dst, vec, lane: l } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let v = lane(regs, vec, l as usize);
+            set_bcast(regs, dst, v);
+        }
+        OpKind::Splat { dst, a } | OpKind::MovScalar { dst, a } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let v = lane(regs, a, 0);
+            set_bcast(regs, dst, v);
+        }
+        OpKind::Reduce { op: rop, sty, w: n, dst, vec } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let n = n as usize;
+            let r = match rop {
+                ReduceOp::Add => {
+                    let mut sum: u64 = 0;
+                    for i in 0..n {
+                        sum = sum.wrapping_add(mask_to(lane(regs, vec, i), sty));
+                    }
+                    mask_to(sum, STy::I32)
+                }
+                ReduceOp::All => (0..n).all(|i| lane(regs, vec, i) & 1 != 0) as u64,
+                ReduceOp::Any => (0..n).any(|i| lane(regs, vec, i) & 1 != 0) as u64,
+            };
+            set_bcast(regs, dst, r);
+        }
+        OpKind::CtxRead { field, lane: l, dst } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let v = ctx_field(w, field, l as usize);
+            set_bcast(w.regs, dst, v);
+        }
+        OpKind::SetRpImm { lane: l, id } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            w.ctxs[l as usize].resume_point = id;
+        }
+        OpKind::SetRpReg { lane: l, slot, sty } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            w.ctxs[l as usize].resume_point = sext(regs[slot as usize], sty);
+        }
+        OpKind::SetStatus { status } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            *w.status = status_code(status);
+        }
+        OpKind::Vote { dst, a } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            let v = lane(regs, a, 0);
+            set_bcast(regs, dst, v & 1);
+        }
+        OpKind::MovVec { w: n, off, a } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            vec1(regs, n as usize, off as usize, a, |x| x);
+        }
+        OpKind::CopyRun { n, src, sstride, dst, prefill } => {
+            for i in from as usize..n as usize {
+                w.meter.charge(op.meta, w.poll, prof)?;
+                let e = regs[src as usize + i * sstride as usize];
+                if i == 0 {
+                    // The first Insert of a pack copies its
+                    // initializer vector before writing lane 0; the
+                    // element is read first, exactly as unfused.
+                    if let Some((v, vw)) = prefill {
+                        for j in 0..vw as usize {
+                            regs[dst as usize + j] = lane(regs, v, j);
+                        }
+                    }
+                }
+                regs[dst as usize + i] = e;
+            }
+        }
+        OpKind::LoadRun { n, sty, space, addr, dst } => {
+            let size = sty.size_bytes();
+            for i in from as usize..n as usize {
+                w.meter.charge(op.meta, w.poll, prof)?;
+                let bits = w.mem.read(space, regs[addr as usize + i], size)?;
+                regs[dst as usize + i] = mask_to(bits, sty);
+            }
+        }
+        OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
+            let size = sty.size_bytes();
+            for i in from as usize..n as usize {
+                w.meter.charge(op.meta, w.poll, prof)?;
+                let a = regs[avec as usize + i];
+                regs[atmp as usize + i] = a;
+                w.meter.charge(smeta, w.poll, prof)?;
+                w.mem.write(space, a, size, regs[val as usize + i * vstride as usize])?;
+            }
+        }
+        OpKind::CtxReadRun { field, n, dst } => {
+            for i in from as usize..n as usize {
+                w.meter.charge(op.meta, w.poll, prof)?;
+                let v = ctx_field(w, field, i);
+                w.regs[dst as usize + i] = v;
+            }
+        }
+        OpKind::Unsupported { what } => {
+            w.meter.charge(op.meta, w.poll, prof)?;
+            return Err(VmError::Unsupported(what.to_string()));
+        }
+        OpKind::Br { .. } | OpKind::CondBr { .. } | OpKind::Switch { .. } | OpKind::Ret { .. } => {
+            unreachable!("terminator µop routed to step")
+        }
+    }
+    Ok(())
 }
 
 /// Element-wise FMA with the `sty` dispatch hoisted out of the lane

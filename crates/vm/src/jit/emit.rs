@@ -8,9 +8,10 @@
 //! values funnel through the same masking/sign-extension rules, every
 //! [`ExecStats`](crate::ExecStats) field ends up the same on success
 //! and on error, and the watchdog trips and the deadline/cancellation
-//! poll fires on the same dynamic instruction counts. The interpreter's
-//! per-µop `tick!`/`charge!` is the definition of that accounting;
-//! generated code reaches the same totals per *basic block*:
+//! poll fires on the same dynamic instruction counts. The per-µop
+//! `Meter::tick`/`Meter::charge` of the bytecode engine is the
+//! definition of that accounting; generated code reaches the same
+//! totals per *basic block*, in the same `Meter`:
 //!
 //! * Each block opens with one header. It compares `executed` plus the
 //!   ticks of all the block's µops against the watchdog limit and the
@@ -29,10 +30,9 @@
 //!   interpreter's accounting, to exactly that instruction.
 //! * µop shapes without a template (float atomics, division, f64
 //!   transcendentals, wide vectors; [`has_inline_template`] is the one
-//!   predicate) call
-//!   [`jit_step`], which runs the whole µop through the interpreter's
-//!   own helpers, charge included — the header leaves them out of its
-//!   sums. Memory templates bounds-check inline and take the same
+//!   predicate) call [`jit_step`], which runs the whole µop through
+//!   the interpreter's own `step`, charge included — the header leaves
+//!   them out of its sums. Memory templates bounds-check inline and take the same
 //!   helper when the access would fault; the helper first takes back
 //!   the header's charge for that µop, then charges and errors exactly
 //!   as interpreted. A helper that fails also takes back the header's
@@ -84,16 +84,19 @@
 
 use std::mem::offset_of;
 
-use dpvk_ir::{AtomKind, BinOp, CmpPred, CtxField, ReduceOp, ResumeStatus, STy, Space, UnOp};
+use dpvk_ir::{AtomKind, BinOp, CmpPred, CtxField, ReduceOp, STy, Space, UnOp};
 
 use crate::approx::{self, Domain};
-use crate::bytecode::{BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo};
+use crate::bytecode::{
+    status_code, BDst, BSrc, BytecodeProgram, OpKind, SwitchVal, TermInfo, STATUS_BARRIER,
+    STATUS_BRANCH,
+};
 use crate::context::ThreadContext;
 use crate::jit::asm::*;
 use crate::jit::resident::{Held, Residency, Word};
 use crate::jit::rt::{
     block_charges, jit_block_slow, jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv,
-    FAIL_FLOAT_SWITCH, FAIL_WATCHDOG, STATUS_BARRIER, STATUS_BRANCH, STATUS_EXIT,
+    FAIL_FLOAT_SWITCH, FAIL_WATCHDOG,
 };
 use crate::semantics::f_of;
 
@@ -128,20 +131,20 @@ pub struct JitEmitStats {
 // JitEnv field displacements, resolved at compile time from the
 // `repr(C)` layout.
 const ENV_REGS: i32 = offset_of!(JitEnv, regs) as i32;
-const ENV_EXECUTED: i32 = offset_of!(JitEnv, executed) as i32;
-const ENV_MAX_INSTRUCTIONS: i32 = offset_of!(JitEnv, max_instructions) as i32;
-const ENV_NEXT_POLL: i32 = offset_of!(JitEnv, next_poll) as i32;
-const ENV_CYCLES: i32 = offset_of!(JitEnv, cycles) as i32;
-const ENV_INSTRUCTIONS: i32 = offset_of!(JitEnv, instructions) as i32;
-const ENV_FLOPS: i32 = offset_of!(JitEnv, flops) as i32;
-const ENV_LOADS: i32 = offset_of!(JitEnv, loads) as i32;
-const ENV_STORES: i32 = offset_of!(JitEnv, stores) as i32;
-const ENV_RESTORE_LOADS: i32 = offset_of!(JitEnv, restore_loads) as i32;
-const ENV_RESTORE_BYTES: i32 = offset_of!(JitEnv, restore_bytes) as i32;
-const ENV_SPILL_STORES: i32 = offset_of!(JitEnv, spill_stores) as i32;
-const ENV_SPILL_BYTES: i32 = offset_of!(JitEnv, spill_bytes) as i32;
-const ENV_CYCLES_BODY: i32 = offset_of!(JitEnv, cycles_body) as i32;
-const ENV_CYCLES_YIELD: i32 = offset_of!(JitEnv, cycles_yield) as i32;
+const ENV_EXECUTED: i32 = offset_of!(JitEnv, meter.charged.ticks) as i32;
+const ENV_MAX_INSTRUCTIONS: i32 = offset_of!(JitEnv, meter.max_instructions) as i32;
+const ENV_NEXT_POLL: i32 = offset_of!(JitEnv, meter.next_poll) as i32;
+const ENV_CYCLES: i32 = offset_of!(JitEnv, meter.charged.cost) as i32;
+const ENV_INSTRUCTIONS: i32 = offset_of!(JitEnv, meter.instructions) as i32;
+const ENV_FLOPS: i32 = offset_of!(JitEnv, meter.charged.flops) as i32;
+const ENV_LOADS: i32 = offset_of!(JitEnv, meter.charged.loads) as i32;
+const ENV_STORES: i32 = offset_of!(JitEnv, meter.charged.stores) as i32;
+const ENV_RESTORE_LOADS: i32 = offset_of!(JitEnv, meter.charged.restore_loads) as i32;
+const ENV_RESTORE_BYTES: i32 = offset_of!(JitEnv, meter.charged.restore_bytes) as i32;
+const ENV_SPILL_STORES: i32 = offset_of!(JitEnv, meter.charged.spill_stores) as i32;
+const ENV_SPILL_BYTES: i32 = offset_of!(JitEnv, meter.charged.spill_bytes) as i32;
+const ENV_CYCLES_BODY: i32 = offset_of!(JitEnv, meter.cycles_body) as i32;
+const ENV_CYCLES_YIELD: i32 = offset_of!(JitEnv, meter.cycles_yield) as i32;
 const ENV_STATUS: i32 = offset_of!(JitEnv, status) as i32;
 const ENV_ENTRY_ID_MASKED: i32 = offset_of!(JitEnv, entry_id_masked) as i32;
 const ENV_CTXS: i32 = offset_of!(JitEnv, ctxs) as i32;
@@ -442,7 +445,7 @@ impl Emitter<'_> {
         Some(())
     }
 
-    /// The interpreter's `tick!`, kept by terminators: bump `executed`,
+    /// The interpreter's `Meter::tick`, kept by terminators: bump `executed`,
     /// trip the watchdog, poll cancel/deadline when the counter crosses
     /// `next_poll`.
     fn tick(&mut self) {
@@ -465,7 +468,7 @@ impl Emitter<'_> {
         self.asm.bind(skip);
     }
 
-    /// The interpreter's `retire_block!`: terminator cost joins the
+    /// The interpreter's block retire: terminator cost joins the
     /// running block cycles *before* the tick so a watchdog trip
     /// discards them exactly as the interpreter does, then the block's
     /// cycles flush to the body/yield bucket.
@@ -1620,12 +1623,7 @@ impl Emitter<'_> {
                 self.asm.store(RCX, l as i32 * CTX_SIZE + CTX_RESUME_POINT, RAX);
             }
             OpKind::SetStatus { status } => {
-                let code = match status {
-                    ResumeStatus::Branch => STATUS_BRANCH,
-                    ResumeStatus::Barrier => STATUS_BARRIER,
-                    ResumeStatus::Exit => STATUS_EXIT,
-                };
-                self.asm.store_imm(R15, ENV_STATUS, code as i32);
+                self.asm.store_imm(R15, ENV_STATUS, status_code(status) as i32);
             }
             OpKind::MovVec { w, off, a } => self.copy_vec(off, a, w),
             OpKind::CopyRun { n, src, sstride, dst, prefill } => {

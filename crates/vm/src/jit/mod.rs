@@ -28,9 +28,11 @@ mod rt;
 pub use asm::HOST_FEATURES as JIT_HOST_FEATURES;
 pub use emit::JitEmitStats;
 
-use dpvk_ir::{ResumeStatus, STy};
+use dpvk_ir::STy;
 
-use crate::bytecode::{execute_warp_bytecode, BytecodeProgram};
+use crate::bytecode::{
+    execute_warp_bytecode, resume_status, BytecodeProgram, Meter, Poll, STATUS_NONE,
+};
 use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
@@ -110,40 +112,22 @@ pub fn compile(program: &BytecodeProgram) -> Option<JitProgram> {
 /// per-entry pointers instead of rebuilding every field.
 pub struct JitCta<'a> {
     env: rt::JitEnv,
-    host: rt::HostCtx,
+    host: rt::HostCtx<'a>,
     /// Owned so the base pointers in `env` cannot outlive or be
     /// re-pointed away from the slices they were taken from.
     mem: MemAccess<'a>,
     limits: ExecLimits,
-    cancel: Option<&'a CancelToken>,
-    /// `next_poll` at the start of every entry: the stride when anything
-    /// can interrupt the warp, `u64::MAX` otherwise.
-    first_poll: u64,
 }
 
 impl<'a> JitCta<'a> {
     /// Bind the engine to a CTA's memory, limits and cancellation token.
     pub fn new(mem: MemAccess<'a>, limits: &ExecLimits, cancel: Option<&'a CancelToken>) -> Self {
-        let poll_stride = limits.check_interval.max(1);
-        let polling = limits.deadline.is_some() || cancel.is_some();
+        let poll = Poll::new(limits, cancel);
         let (global_base, global_len) = mem.global.raw_parts();
         let env = rt::JitEnv {
             regs: std::ptr::null_mut(),
-            executed: 0,
-            max_instructions: limits.max_instructions,
-            next_poll: 0,
-            cycles: 0,
-            instructions: 0,
-            flops: 0,
-            loads: 0,
-            stores: 0,
-            restore_loads: 0,
-            restore_bytes: 0,
-            spill_stores: 0,
-            spill_bytes: 0,
-            cycles_body: 0,
-            cycles_yield: 0,
-            status: rt::STATUS_NONE,
+            meter: Meter::new(limits, &poll),
+            status: STATUS_NONE,
             entry_id_masked: 0,
             ctxs: std::ptr::null_mut(),
             nctx: 0,
@@ -160,16 +144,9 @@ impl<'a> JitCta<'a> {
             const_len: mem.cbank.len() as u64,
             host: std::ptr::null_mut(),
         };
-        let host = rt::HostCtx {
-            program: std::ptr::null(),
-            mem: std::ptr::null_mut(),
-            cancel: cancel.map_or(std::ptr::null(), |c| c as *const CancelToken),
-            deadline: limits.deadline,
-            poll_stride,
-            err: None,
-        };
-        let first_poll = if polling { poll_stride } else { u64::MAX };
-        JitCta { env, host, mem, limits: *limits, cancel, first_poll }
+        let host =
+            rt::HostCtx { program: std::ptr::null(), mem: std::ptr::null_mut(), poll, err: None };
+        JitCta { env, host, mem, limits: *limits }
     }
 
     /// Execute one warp, starting at µop 0, through `jit` — or through
@@ -215,7 +192,7 @@ impl<'a> JitCta<'a> {
                     &mut self.mem,
                     stats,
                     &self.limits,
-                    self.cancel,
+                    self.host.poll.cancel,
                 );
             }
         };
@@ -239,26 +216,14 @@ impl<'a> JitCta<'a> {
         host.program = program;
         host.mem = (&mut self.mem as *mut MemAccess<'a>).cast::<MemAccess<'static>>();
         let env = &mut self.env;
-        env.host = host;
+        env.host = (host as *mut rt::HostCtx<'a>).cast::<rt::HostCtx<'static>>();
         env.regs = regs.as_mut_ptr();
         env.slots = program.slots as u64;
         env.ctxs = ctxs.as_mut_ptr();
         env.nctx = ctxs.len() as u64;
         env.entry_id_masked = mask_to(entry_id as u64, STy::I32);
-        env.status = rt::STATUS_NONE;
-        env.next_poll = self.first_poll;
-        env.executed = 0;
-        env.cycles = 0;
-        env.instructions = 0;
-        env.flops = 0;
-        env.loads = 0;
-        env.stores = 0;
-        env.restore_loads = 0;
-        env.restore_bytes = 0;
-        env.spill_stores = 0;
-        env.spill_bytes = 0;
-        env.cycles_body = 0;
-        env.cycles_yield = 0;
+        env.status = STATUS_NONE;
+        env.meter = Meter::new(&self.limits, &host.poll);
 
         // SAFETY: `jit.mem` holds code emitted for this program's µop
         // stream by `emit_program`, entry at offset 0, with the extern "C"
@@ -270,21 +235,8 @@ impl<'a> JitCta<'a> {
             entry(env)
         };
 
-        // Merge the counter deltas on success and error alike — the
-        // interpreter mutates the caller's stats in place as it runs. The
-        // unflushed block remainder `env.cycles` is dropped, matching the
-        // local accumulator the interpreter abandons when a block errors
-        // before retiring.
-        stats.instructions += env.instructions;
-        stats.flops += env.flops;
-        stats.loads += env.loads;
-        stats.stores += env.stores;
-        stats.restore_loads += env.restore_loads;
-        stats.restore_bytes += env.restore_bytes;
-        stats.spill_stores += env.spill_stores;
-        stats.spill_bytes += env.spill_bytes;
-        stats.cycles_body += env.cycles_body;
-        stats.cycles_yield += env.cycles_yield;
+        // Merge on success and error alike, as the bytecode loop does.
+        env.meter.merge_into(stats);
 
         if rc != 0 {
             return Err(self
@@ -293,11 +245,6 @@ impl<'a> JitCta<'a> {
                 .take()
                 .expect("jit helper signalled an error without recording one"));
         }
-        let status = match env.status {
-            rt::STATUS_BRANCH => ResumeStatus::Branch,
-            rt::STATUS_BARRIER => ResumeStatus::Barrier,
-            _ => ResumeStatus::Exit,
-        };
-        Ok(WarpOutcome { status })
+        Ok(WarpOutcome { status: resume_status(env.status) })
     }
 }

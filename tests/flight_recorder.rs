@@ -157,6 +157,33 @@ fn timeline_records_nested_launch_spans_and_exports_chrome_json() {
     assert!(chrome.contains("\"execute\"") && chrome.contains("\"queue_wait\""));
 }
 
+/// The queue wait is the time a translated launch waits for its first
+/// chunk: on a cold launch it starts after the eager `translate` span
+/// ends instead of containing it.
+#[test]
+fn queue_wait_starts_after_the_cold_translation() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    trace::reset();
+    trace::enable();
+    run_divergent(&ExecConfig::dynamic(4).with_workers(2));
+    let records = timeline::launch_records();
+    trace::disable();
+    trace::reset();
+    assert_eq!(records.len(), 1, "{records:?}");
+    let spans = &records[0].spans;
+    let one = |kind: SpanKind| {
+        let of: Vec<_> = spans.iter().filter(|s| s.kind == kind).collect();
+        assert_eq!(of.len(), 1, "{kind:?}: {spans:?}");
+        of[0]
+    };
+    let translate = one(SpanKind::Translate);
+    let wait = one(SpanKind::QueueWait);
+    assert!(
+        wait.start_ns >= translate.start_ns + translate.dur_ns,
+        "queue wait {wait:?} starts inside translate {translate:?}"
+    );
+}
+
 /// Retirement is work — merging the chunks' stats, finalizing, waking
 /// the waiter, promoting the stream — and its span measures it: over a
 /// batch of launches the summed retire time is not zero.
