@@ -58,6 +58,14 @@ impl JitProgram {
     pub fn emit_stats(&self) -> JitEmitStats {
         self.stats
     }
+
+    /// The emitted machine code, without the mapping's page padding.
+    /// Helper calls load absolute addresses of this process's helpers
+    /// (`mov r11, imm64`), so the bytes differ between processes there
+    /// and only there.
+    pub fn code(&self) -> &[u8] {
+        self.mem.code()
+    }
 }
 
 // SAFETY: the mapping is written once at construction and only read

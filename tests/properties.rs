@@ -289,10 +289,31 @@ fn golden_launch_stats() {
 // Pinned specialization digest
 // ---------------------------------------------------------------------------
 
-use dpvk::core::{specialize, translate, SpecializeOptions};
-use dpvk::vm::CostInfo;
+use dpvk::core::{specialize, translate, SpecializeOptions, TranslatedKernel};
+use dpvk::ir::opt::{standard_pipeline, OptStats};
+use dpvk::vm::{jit_compile, BytecodeProgram, CostInfo, FrameLayout};
 
 use crate::common::{digest_bytes, fold};
+
+/// Every option set the cache can ask the specializer for.
+fn every_specialization() -> Vec<SpecializeOptions> {
+    let mut options = vec![SpecializeOptions::baseline()];
+    options.extend([1, 2, 4, 8].map(SpecializeOptions::dynamic));
+    options.extend([2, 4, 8].map(SpecializeOptions::static_tie));
+    options.push(SpecializeOptions::dynamic(4).without_uniform_analysis());
+    options
+}
+
+/// Every kernel of the benchmark suite, translated.
+fn suite_kernels() -> Vec<TranslatedKernel> {
+    let mut out = Vec::new();
+    for w in dpvk::workloads::all_workloads() {
+        for kernel in &ptx::parse_module(&w.source()).unwrap().kernels {
+            out.push(translate(kernel).unwrap());
+        }
+    }
+    out
+}
 
 /// The compile tail must keep producing the same program: the serialized
 /// specialized function, its register-pressure figure and its
@@ -304,25 +325,109 @@ use crate::common::{digest_bytes, fold};
 #[test]
 fn specialization_digest_is_pinned() {
     const PINNED: u64 = 0x2072_0794_1b49_9165;
-    let mut options = vec![SpecializeOptions::baseline()];
-    options.extend([1, 2, 4, 8].map(SpecializeOptions::dynamic));
-    options.extend([2, 4, 8].map(SpecializeOptions::static_tie));
-    options.push(SpecializeOptions::dynamic(4).without_uniform_analysis());
     let model = MachineModel::sandybridge_sse();
 
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in dpvk::workloads::all_workloads() {
-        for kernel in &ptx::parse_module(&w.source()).unwrap().kernels {
-            let translated = translate(kernel).unwrap();
-            for opts in &options {
-                let s = specialize(&translated, opts).unwrap();
-                fold(&mut h, digest_bytes(&dpvk::ir::serial::function_to_bytes(&s.function)));
-                fold(&mut h, CostInfo::analyze(&s.function, &model).max_live_machine_vregs);
-                fold(&mut h, s.post_opt_instructions as u64);
-            }
+    for translated in &suite_kernels() {
+        for opts in &every_specialization() {
+            let s = specialize(translated, opts).unwrap();
+            fold(&mut h, digest_bytes(&dpvk::ir::serial::function_to_bytes(&s.function)));
+            fold(&mut h, CostInfo::analyze(&s.function, &model).max_live_machine_vregs);
+            fold(&mut h, s.post_opt_instructions as u64);
         }
     }
     assert_eq!(h, PINNED, "the specialized programs moved: digest {h:#018x}");
+}
+
+/// The optimizer runs const_fold → CSE → DCE once: the passes are
+/// block-local, the folder folds only all-constant operands and CSE
+/// never keys a copy, so nothing one pass does exposes work for an
+/// earlier one. Held here: a second `standard_pipeline` over what the
+/// specializer produced changes nothing, on every suite kernel under
+/// every option set and on the reference generator's tier-1 kernels.
+#[test]
+fn one_optimizer_sweep_is_a_fixpoint() {
+    let mut kernels = suite_kernels();
+    for seed in 0..48 {
+        let source = reference::gen::Kernel::generate(seed).source();
+        kernels.push(translate(&ptx::parse_kernel(&source).unwrap()).unwrap());
+    }
+    for translated in &kernels {
+        for opts in &every_specialization() {
+            let s = specialize(translated, opts).unwrap();
+            let mut again = s.function.clone();
+            let stats = standard_pipeline(&mut again);
+            assert_eq!(stats, OptStats::default(), "{} {opts:?}: a second sweep", s.function.name);
+            assert!(again == s.function, "{} {opts:?}: a second sweep moved it", s.function.name);
+        }
+    }
+}
+
+/// Zero the absolute helper addresses of generated code — `mov r11,
+/// imm64` (`49 BB` + 8 bytes) whose immediate lies within 4 GiB of
+/// `anchor`, a function of this binary — and return how many there
+/// were. Everything else the emitter writes is position-independent.
+fn mask_helper_addresses(code: &mut [u8], anchor: u64) -> u64 {
+    let mut masked = 0;
+    let mut i = 0;
+    while i + 10 <= code.len() {
+        let imm = u64::from_le_bytes(code[i + 2..i + 10].try_into().unwrap());
+        if code[i..i + 2] == [0x49, 0xBB] && imm.abs_diff(anchor) < 1 << 32 {
+            code[i + 2..i + 10].fill(0);
+            masked += 1;
+            i += 10;
+        } else {
+            i += 1;
+        }
+    }
+    masked
+}
+
+/// The JIT must keep emitting the same machine code: the bytes of every
+/// suite specialization (helper addresses masked) fold into one digest,
+/// recorded before the emitter was rewritten for speed.
+#[test]
+fn jit_code_digest_is_pinned() {
+    const PINNED: u64 = 0xf8f5_7730_56a0_0476;
+    if !dpvk::vm::jit_supported() {
+        return;
+    }
+    let model = MachineModel::sandybridge_sse();
+    let anchor = jit_compile as fn(&BytecodeProgram) -> _ as usize as u64;
+    let (mut h, mut helpers) = (0xcbf2_9ce4_8422_2325u64, 0);
+    for translated in &suite_kernels() {
+        for opts in &every_specialization() {
+            let f = specialize(translated, opts).unwrap().function;
+            let frame = FrameLayout::of(&f);
+            let program =
+                BytecodeProgram::decode(&f, &frame, &model, &CostInfo::analyze(&f, &model));
+            let jit = jit_compile(&program).expect("every suite specialization compiles");
+            let mut code = jit.code().to_vec();
+            helpers += mask_helper_addresses(&mut code, anchor);
+            fold(&mut h, digest_bytes(&code));
+        }
+    }
+    assert!(helpers > 0, "no helper address found: the mask no longer matches the emitter");
+    assert_eq!(h, PINNED, "the emitted code moved: digest {h:#018x}");
+}
+
+/// The front end must keep returning the same `Module`: the printed
+/// text and the whole structure (`Debug`) of every suite source and of
+/// the reference generator's tier-1 kernels fold into one digest,
+/// recorded before the lexer and the parser stopped copying.
+#[test]
+fn parsed_modules_are_pinned() {
+    const PINNED: u64 = 0xd19f_f195_4f90_6541;
+    let mut sources: Vec<String> =
+        dpvk::workloads::all_workloads().iter().map(|w| w.source()).collect();
+    sources.extend((0..48).map(|seed| reference::gen::Kernel::generate(seed).source()));
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for source in &sources {
+        let module = ptx::parse_module(source).unwrap();
+        fold(&mut h, digest_bytes(ptx::print_module(&module).as_bytes()));
+        fold(&mut h, digest_bytes(format!("{:?}", module.kernels).as_bytes()));
+    }
+    assert_eq!(h, PINNED, "the parsed modules moved: digest {h:#018x}");
 }
 
 // ---------------------------------------------------------------------------
