@@ -434,11 +434,13 @@ impl TranslationCache {
                     art
                 }
             };
-        let cost = CostInfo::analyze(&function, &self.shared.model);
+        let live = dpvk_ir::Liveness::compute(&function);
+        let cost = CostInfo::analyze_with(&function, &self.shared.model, &live);
         let frame = FrameLayout::of(&function);
         let decode_t = Instant::now();
         let mut decode_span = timeline::span(SpanKind::Decode, kernel);
-        let mut bytecode = BytecodeProgram::decode(&function, &frame, &self.shared.model, &cost);
+        let mut bytecode =
+            BytecodeProgram::decode_with(&function, &frame, &self.shared.model, &cost, &live);
         // Tag the program with its profiler identity unconditionally (one
         // Arc per compile): the µop profiler may be switched on after
         // this specialization is already cached.

@@ -44,8 +44,19 @@ impl OptStats {
     }
 }
 
-/// Run the standard pipeline to a fixpoint (bounded):
-/// constant folding → local CSE → DCE → block fusion.
+/// Run the standard pipeline once: constant folding → local CSE → DCE
+/// → block fusion.
+///
+/// One sweep is already the fixpoint of the first three passes, so
+/// nothing iterates. All three are block-local and walk each block
+/// once, forward (the folder, CSE) or to their own fixpoint (DCE), and
+/// none exposes work for an earlier one: the folder folds only
+/// all-constant operands and binds the result before the next
+/// instruction reads it; CSE never keys a `Mov`, so the copies it
+/// leaves neither fold nor merge; and DCE removes only definitions of
+/// registers nothing reads, which no fold or CSE key can mention.
+/// `tests/properties.rs` (`one_optimizer_sweep_is_a_fixpoint`) holds a
+/// second sweep to changing nothing on every suite and generated kernel.
 ///
 /// With tracing on, every pass is a timeline span of the function's
 /// kernel (the vectorizer names a specialization `<kernel>::<variant>`).
@@ -53,33 +64,20 @@ pub fn standard_pipeline(f: &mut Function) -> OptStats {
     fn kernel(f: &Function) -> &str {
         f.name.split("::").next().unwrap_or_default()
     }
-    let mut stats = OptStats::default();
-    // The passes interact (folding exposes CSE, CSE exposes DCE); iterate a
-    // few rounds, stopping early when a round changes nothing.
-    for _ in 0..4 {
-        let folded = {
-            let _s = span(SpanKind::ConstFold, kernel(f));
-            const_fold(f)
-        };
-        let replaced = {
-            let _s = span(SpanKind::Cse, kernel(f));
-            local_cse(f)
-        };
-        let removed = {
-            let _s = span(SpanKind::Dce, kernel(f));
-            dead_code_elimination(f)
-        };
-        stats.folded += folded;
-        stats.cse_replaced += replaced;
-        stats.dce_removed += removed;
-        if folded + replaced + removed == 0 {
-            break;
-        }
-    }
-    {
-        let _s = span(SpanKind::Fusion, kernel(f));
-        stats.blocks_fused = fuse_blocks(f);
-        stats.blocks_removed = remove_unreachable_blocks(f);
-    }
-    stats
+    let folded = {
+        let _s = span(SpanKind::ConstFold, kernel(f));
+        const_fold(f)
+    };
+    let cse_replaced = {
+        let _s = span(SpanKind::Cse, kernel(f));
+        local_cse(f)
+    };
+    let dce_removed = {
+        let _s = span(SpanKind::Dce, kernel(f));
+        dead_code_elimination(f)
+    };
+    let _s = span(SpanKind::Fusion, kernel(f));
+    let blocks_fused = fuse_blocks(f);
+    let blocks_removed = remove_unreachable_blocks(f);
+    OptStats { dce_removed, cse_replaced, folded, blocks_fused, blocks_removed }
 }

@@ -19,7 +19,8 @@
 //! }
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::error::PtxError;
 use crate::instruction::{AtomOp, CmpOp, Instruction, MulHalf, Opcode, VoteMode};
@@ -68,12 +69,130 @@ pub fn parse_kernel(src: &str) -> Result<Kernel, PtxError> {
     }
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// The registers a kernel body has declared so far, by the base name of
+/// their declaration, which borrows from the source: `%r<8>` is the
+/// range `r` × 8, `%acc` the single register `acc`. An ordered map, not
+/// a hash map: the names come from outside the program, and no crafted
+/// set of them can make a lookup slow.
+#[derive(Default)]
+struct Registers<'a> {
+    by_base: BTreeMap<&'a str, Declared>,
+}
+
+/// What the declarations with one base name declared, in order.
+#[derive(Default)]
+struct Declared {
+    /// The latest `%base`.
+    single: Option<RegId>,
+    /// Each `%base<count>`: its count and its first register.
+    ranges: Vec<(u64, RegId)>,
+}
+
+impl<'a> Registers<'a> {
+    fn declare_single(&mut self, base: &'a str, id: RegId) {
+        self.by_base.entry(base).or_default().single = Some(id);
+    }
+
+    fn declare_range(&mut self, base: &'a str, count: u64, first: RegId) {
+        self.by_base.entry(base).or_default().ranges.push((count, first));
+    }
+
+    /// The register `name` (without its `%`) refers to. A name can
+    /// match several declarations — `%r12` is the single `r12`, or
+    /// index 2 of a range `r1`, or index 12 of a range `r` — and the
+    /// latest wins, as it would in a map from spelled-out names: ids
+    /// grow in declaration order.
+    fn resolve(&self, name: &str) -> Result<RegId, PtxError> {
+        let digits = name.bytes().rev().take_while(u8::is_ascii_digit).count();
+        // Every split into a non-empty base and a decimal index the
+        // range expansion could have spelled (no leading zeros).
+        let ranged = (name.len() - digits.min(name.len() - 1)..name.len())
+            .filter(|&at| name.as_bytes()[at] != b'0' || at + 1 == name.len())
+            .filter_map(|at| {
+                let index: u64 = name[at..].parse().ok()?;
+                let declared = self.by_base.get(&name[..at])?;
+                let &(_, first) = declared.ranges.iter().rev().find(|&&(n, _)| index < n)?;
+                Some(RegId(first.0 + index as u32))
+            });
+        self.by_base
+            .get(name)
+            .and_then(|d| d.single)
+            .into_iter()
+            .chain(ranged)
+            .max()
+            .ok_or_else(|| PtxError::UndeclaredRegister(format!("%{name}")))
+    }
+}
+
+/// A dotted mnemonic (`setp.ge.u32`), split once: its part count, its
+/// first three parts and its last two, and the rest read in place.
+#[derive(Clone, Copy)]
+struct Mnemonic<'a> {
+    full: &'a str,
+    len: usize,
+    head: [&'a str; 3],
+    tail: [&'a str; 2],
+}
+
+impl<'a> Mnemonic<'a> {
+    fn new(full: &'a str) -> Self {
+        let mut m = Mnemonic { full, len: 0, head: [""; 3], tail: [""; 2] };
+        for (i, part) in full.split('.').enumerate() {
+            if let Some(h) = m.head.get_mut(i) {
+                *h = part;
+            }
+            m.tail = [m.tail[1], part];
+            m.len = i + 1;
+        }
+        m
+    }
+
+    /// Part `i`, which must be one of the first three or last two.
+    fn part(self, i: usize) -> &'a str {
+        if i + 2 >= self.len {
+            self.tail[i + 2 - self.len]
+        } else {
+            self.head[i]
+        }
+    }
+
+    fn last(self) -> &'a str {
+        self.tail[1]
+    }
+
+    fn parts(self, range: Range<usize>) -> impl Iterator<Item = &'a str> {
+        self.full.split('.').skip(range.start).take(range.len())
+    }
+}
+
+/// `%{base}{index}`, the name the range `%base<n>` gives its register
+/// `index`, in one allocation of the final size.
+fn range_register_name(base: &str, index: u64) -> String {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = index;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+    let mut name = String::with_capacity(1 + base.len() + digits.len());
+    name.push('%');
+    name.push_str(base);
+    name.push_str(digits);
+    name
+}
+
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -89,20 +208,16 @@ impl Parser {
         PtxError::Parse { line: self.line(), message: message.into() }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|s| s.token)
     }
 
-    fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1).map(|s| &s.token)
+    fn peek2(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos + 1).map(|s| s.token)
     }
 
-    fn next(&mut self) -> Result<Token, PtxError> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .map(|s| s.token.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
+    fn next(&mut self) -> Result<Token<'a>, PtxError> {
+        let t = self.peek().ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
@@ -115,7 +230,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if matches!(self.peek(), Some(Token::Punct(p)) if *p == c) {
+        if self.peek() == Some(Token::Punct(c)) {
             self.pos += 1;
             true
         } else {
@@ -130,7 +245,7 @@ impl Parser {
         }
     }
 
-    fn expect_word(&mut self) -> Result<String, PtxError> {
+    fn expect_word(&mut self) -> Result<&'a str, PtxError> {
         match self.next()? {
             Token::Word(w) => Ok(w),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -139,7 +254,7 @@ impl Parser {
 
     fn expect_type_directive(&mut self) -> Result<ScalarType, PtxError> {
         match self.next()? {
-            Token::Directive(d) => ScalarType::from_suffix(&d),
+            Token::Directive(d) => ScalarType::from_suffix(d),
             other => Err(self.err(format!("expected type directive, found {other:?}"))),
         }
     }
@@ -174,7 +289,7 @@ impl Parser {
     }
 
     fn parse_body(&mut self, kernel: &mut Kernel) -> Result<(), PtxError> {
-        let mut regs: HashMap<String, RegId> = HashMap::new();
+        let mut regs = Registers::default();
         let mut current = BasicBlock::new("entry");
         let mut anon = 0u32;
         let mut open = true; // whether `current` accepts more instructions
@@ -186,7 +301,7 @@ impl Parser {
                     self.pos += 1;
                     break;
                 }
-                Some(Token::Directive(d)) => match d.as_str() {
+                Some(Token::Directive(d)) => match d {
                     "reg" => {
                         self.pos += 1;
                         self.parse_reg_decl(kernel, &mut regs)?;
@@ -199,7 +314,7 @@ impl Parser {
                     }
                     other => return Err(self.err(format!("unexpected directive `.{other}`"))),
                 },
-                Some(Token::Word(_)) if matches!(self.peek2(), Some(Token::Punct(':'))) => {
+                Some(Token::Word(_)) if self.peek2() == Some(Token::Punct(':')) => {
                     // Label: close the current block, open a new one.
                     let label = self.expect_word()?;
                     self.expect_punct(':')?;
@@ -251,7 +366,7 @@ impl Parser {
     fn parse_reg_decl(
         &mut self,
         kernel: &mut Kernel,
-        regs: &mut HashMap<String, RegId>,
+        regs: &mut Registers<'a>,
     ) -> Result<(), PtxError> {
         let ty = self.expect_type_directive()?;
         loop {
@@ -265,14 +380,14 @@ impl Parser {
                 if count <= 0 {
                     return Err(self.err("register range count must be positive"));
                 }
-                for i in 0..count {
-                    let name = format!("{base}{i}");
-                    let id = kernel.add_register(format!("%{name}"), ty);
-                    regs.insert(name, id);
+                let first = RegId(kernel.registers.len() as u32);
+                for i in 0..count as u64 {
+                    kernel.add_register(range_register_name(base, i), ty);
                 }
+                regs.declare_range(base, count as u64, first);
             } else {
                 let id = kernel.add_register(format!("%{base}"), ty);
-                regs.insert(base, id);
+                regs.declare_single(base, id);
             }
             if self.eat_punct(',') {
                 continue;
@@ -300,29 +415,28 @@ impl Parser {
     fn parse_instruction(
         &mut self,
         kernel: &Kernel,
-        regs: &HashMap<String, RegId>,
+        regs: &Registers<'a>,
     ) -> Result<Instruction, PtxError> {
         // Optional guard.
         let mut guard = None;
         if self.eat_punct('@') {
             let negated = self.eat_punct('!');
             let pred = match self.next()? {
-                Token::Register(name) => self.resolve_reg(&name, regs)?,
+                Token::Register(name) => regs.resolve(name)?,
                 other => return Err(self.err(format!("expected guard predicate, found {other:?}"))),
             };
             guard = Some((pred, negated));
         }
-        let mnemonic = self.expect_word()?;
-        let parts: Vec<&str> = mnemonic.split('.').collect();
-        if parts[0] == "bra" {
-            self.check_modifiers(&mnemonic, &parts[1..], &["uni"])?;
+        let mnemonic = Mnemonic::new(self.expect_word()?);
+        if mnemonic.part(0) == "bra" {
+            self.check_modifiers(mnemonic, mnemonic.parts(1..mnemonic.len), &["uni"])?;
             let mut inst = self.parse_bra()?;
             if let Some((pred, negated)) = guard {
                 inst = inst.with_guard(pred, negated);
             }
             return Ok(inst);
         }
-        let (opcode, ty) = self.decode_mnemonic(&parts)?;
+        let (opcode, ty) = self.decode_mnemonic(mnemonic)?;
 
         let mut inst = match &opcode {
             Opcode::Bar => {
@@ -349,41 +463,34 @@ impl Parser {
         Ok(inst)
     }
 
-    fn resolve_reg(&self, name: &str, regs: &HashMap<String, RegId>) -> Result<RegId, PtxError> {
-        regs.get(name).copied().ok_or_else(|| PtxError::UndeclaredRegister(format!("%{name}")))
-    }
-
     /// Refuse the first of `modifiers` that is not in `allowed`, and any
     /// second modifier: dpvk accepts a modifier only where it implements
     /// exactly what PTX defines it to mean, so an unimplemented one (a
     /// rounding mode, `sat`, `ftz`, `wide`, …) is an error, never ignored.
-    fn check_modifiers(
+    fn check_modifiers<'m>(
         &self,
-        full: &str,
-        modifiers: &[&str],
+        mnemonic: Mnemonic<'_>,
+        modifiers: impl Iterator<Item = &'m str>,
         allowed: &[&str],
     ) -> Result<(), PtxError> {
-        let bad = modifiers.iter().enumerate().find(|&(i, m)| i > 0 || !allowed.contains(m));
+        let bad = modifiers.enumerate().find(|&(i, m)| i > 0 || !allowed.contains(&m));
         match bad {
             None => Ok(()),
             Some((_, m)) => Err(PtxError::UnsupportedModifier {
                 line: self.line(),
-                instruction: full.to_string(),
-                modifier: (*m).to_string(),
+                instruction: mnemonic.full.to_string(),
+                modifier: m.to_string(),
             }),
         }
     }
 
-    fn decode_mnemonic(&self, parts: &[&str]) -> Result<(Opcode, ScalarType), PtxError> {
-        let full = parts.join(".");
-        let base = parts[0];
-        let last_ty = || -> Result<ScalarType, PtxError> {
-            ScalarType::from_suffix(parts.last().expect("split produces at least one part"))
-        };
+    fn decode_mnemonic(&self, m: Mnemonic<'_>) -> Result<(Opcode, ScalarType), PtxError> {
+        let (full, n, base) = (m.full, m.len, m.part(0));
+        let last_ty = || ScalarType::from_suffix(m.last());
         // `base[.modifier].type`: the parts between the base and the type
         // suffix are modifiers.
         let simple = |op: Opcode| -> Result<(Opcode, ScalarType), PtxError> {
-            // Fails on a bare base, so `parts` has a type part below.
+            // Fails on a bare base, so `m` has a type part below.
             let ty = last_ty()?;
             let allowed: &[&str] = match (base, ty.is_float()) {
                 ("add" | "sub" | "fma", true) => &["rn"],
@@ -394,14 +501,14 @@ impl Parser {
                 ("rsqrt" | "sin" | "cos" | "ex2" | "lg2", _) => &["approx"],
                 _ => &[],
             };
-            self.check_modifiers(&full, &parts[1..parts.len() - 1], allowed)?;
+            self.check_modifiers(m, m.parts(1..n - 1), allowed)?;
             Ok((op, ty))
         };
         match base {
             "add" => simple(Opcode::Add),
             "sub" => simple(Opcode::Sub),
             "mul" => {
-                let half = if parts.contains(&"hi") { MulHalf::Hi } else { MulHalf::Lo };
+                let half = if m.parts(0..n).any(|p| p == "hi") { MulHalf::Hi } else { MulHalf::Lo };
                 simple(Opcode::Mul(half))
             }
             "mad" => simple(Opcode::Mad),
@@ -428,25 +535,24 @@ impl Parser {
             "mov" => simple(Opcode::Mov),
             "selp" => simple(Opcode::Selp),
             "setp" => {
-                if parts.len() < 3 {
+                if n < 3 {
                     return Err(self.err(format!("malformed setp `{full}`")));
                 }
-                let cmp = CmpOp::from_token(parts[1])?;
-                self.check_modifiers(&full, &parts[2..parts.len() - 1], &[])?;
+                let cmp = CmpOp::from_token(m.part(1))?;
+                self.check_modifiers(m, m.parts(2..n - 1), &[])?;
                 Ok((Opcode::Setp(cmp), last_ty()?))
             }
             "cvt" => {
                 // `cvt[.rounding].dtype.stype`. Integer → float and float →
                 // float conversions round to nearest (`rn`); float → integer
                 // ones truncate toward zero (`rzi`) and saturate.
-                let n = parts.len();
                 if n < 3 {
                     return Err(
                         self.err(format!("cvt `{full}` must name destination and source types"))
                     );
                 }
-                let to = ScalarType::from_suffix(parts[n - 2])?;
-                let from = ScalarType::from_suffix(parts[n - 1])?;
+                let to = ScalarType::from_suffix(m.part(n - 2))?;
+                let from = ScalarType::from_suffix(m.part(n - 1))?;
                 let allowed: &[&str] = if to.is_float() {
                     &["rn"]
                 } else if from.is_float() {
@@ -454,24 +560,24 @@ impl Parser {
                 } else {
                     &[]
                 };
-                self.check_modifiers(&full, &parts[1..n - 2], allowed)?;
+                self.check_modifiers(m, m.parts(1..n - 2), allowed)?;
                 Ok((Opcode::Cvt(from), to))
             }
             "ld" | "ldu" | "st" => {
-                if parts.len() < 3 {
+                if n < 3 {
                     return Err(self.err(format!("malformed {base} `{full}`")));
                 }
-                let space = AddressSpace::from_token(parts[1])?;
-                self.check_modifiers(&full, &parts[2..parts.len() - 1], &[])?;
+                let space = AddressSpace::from_token(m.part(1))?;
+                self.check_modifiers(m, m.parts(2..n - 1), &[])?;
                 let op = if base == "st" { Opcode::St(space) } else { Opcode::Ld(space) };
                 Ok((op, last_ty()?))
             }
             "atom" => {
-                if parts.len() < 4 {
+                if n < 4 {
                     return Err(self.err(format!("malformed atom `{full}`")));
                 }
-                let space = AddressSpace::from_token(parts[1])?;
-                let op = match parts[2] {
+                let space = AddressSpace::from_token(m.part(1))?;
+                let op = match m.part(2) {
                     "add" => AtomOp::Add,
                     "min" => AtomOp::Min,
                     "max" => AtomOp::Max,
@@ -479,29 +585,30 @@ impl Parser {
                     "cas" => AtomOp::Cas,
                     other => return Err(PtxError::UnknownOpcode(format!("atom.{other}"))),
                 };
-                self.check_modifiers(&full, &parts[3..parts.len() - 1], &[])?;
+                self.check_modifiers(m, m.parts(3..n - 1), &[])?;
                 Ok((Opcode::Atom(space, op), last_ty()?))
             }
             "vote" => {
-                if parts.len() < 2 {
+                if n < 2 {
                     return Err(self.err(format!("malformed vote `{full}`")));
                 }
-                let mode = match parts[1] {
+                let mode = match m.part(1) {
                     "all" => VoteMode::All,
                     "any" => VoteMode::Any,
                     "uni" => VoteMode::Uni,
                     other => return Err(PtxError::UnknownOpcode(format!("vote.{other}"))),
                 };
-                let rest = parts[2..].strip_suffix(&["pred"]).unwrap_or(&parts[2..]);
-                self.check_modifiers(&full, rest, &[])?;
+                // A trailing `.pred` is the type, not a modifier.
+                let end = if n > 2 && m.last() == "pred" { n - 1 } else { n };
+                self.check_modifiers(m, m.parts(2..end), &[])?;
                 Ok((Opcode::Vote(mode), ScalarType::Pred))
             }
             "bar" => {
-                self.check_modifiers(&full, &parts[1..], &["sync"])?;
+                self.check_modifiers(m, m.parts(1..n), &["sync"])?;
                 Ok((Opcode::Bar, ScalarType::Pred))
             }
             "ret" | "exit" => {
-                self.check_modifiers(&full, &parts[1..], &[])?;
+                self.check_modifiers(m, m.parts(1..n), &[])?;
                 Ok((if base == "ret" { Opcode::Ret } else { Opcode::Exit }, ScalarType::Pred))
             }
             other => Err(PtxError::UnknownOpcode(other.to_string())),
@@ -511,9 +618,9 @@ impl Parser {
     fn parse_operands(
         &mut self,
         kernel: &Kernel,
-        regs: &HashMap<String, RegId>,
+        regs: &Registers<'a>,
     ) -> Result<Vec<Operand>, PtxError> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(4);
         loop {
             let op = self.parse_operand(kernel, regs)?;
             out.push(op);
@@ -529,36 +636,33 @@ impl Parser {
     fn parse_operand(
         &mut self,
         kernel: &Kernel,
-        regs: &HashMap<String, RegId>,
+        regs: &Registers<'a>,
     ) -> Result<Operand, PtxError> {
         match self.next()? {
-            Token::Register(name) => {
-                if let Ok(sr) = SpecialReg::from_token(&name) {
-                    return Ok(Operand::Special(sr));
-                }
-                Ok(Operand::Reg(self.resolve_reg(&name, regs)?))
-            }
+            Token::Register(name) => match SpecialReg::parse(name) {
+                Some(sr) => Ok(Operand::Special(sr)),
+                None => Ok(Operand::Reg(regs.resolve(name)?)),
+            },
             Token::Int(v) => Ok(Operand::Imm(v)),
             Token::Float(v) => Ok(Operand::ImmF(v)),
             Token::Word(w) => {
                 // Bare identifier: address-of a declared variable.
-                if kernel.var(&w).is_some() {
-                    Ok(Operand::Sym(w))
+                if kernel.var(w).is_some() {
+                    Ok(Operand::Sym(w.to_string()))
                 } else {
-                    Err(PtxError::UndeclaredParam(w))
+                    Err(PtxError::UndeclaredParam(w.to_string()))
                 }
             }
             Token::Punct('[') => {
-                let base_tok = self.next()?;
-                let base = match base_tok {
-                    Token::Register(name) => AddressBase::Reg(self.resolve_reg(&name, regs)?),
+                let base = match self.next()? {
+                    Token::Register(name) => AddressBase::Reg(regs.resolve(name)?),
                     Token::Word(w) => {
-                        if kernel.param(&w).is_some() {
-                            AddressBase::Param(w)
-                        } else if kernel.var(&w).is_some() {
-                            AddressBase::Var(w)
+                        if kernel.param(w).is_some() {
+                            AddressBase::Param(w.to_string())
+                        } else if kernel.var(w).is_some() {
+                            AddressBase::Var(w.to_string())
                         } else {
-                            return Err(PtxError::UndeclaredParam(w));
+                            return Err(PtxError::UndeclaredParam(w.to_string()));
                         }
                     }
                     Token::Int(v) => {
@@ -580,7 +684,7 @@ impl Parser {
                 } else if let Some(Token::Int(v)) = self.peek() {
                     // The lexer folds a leading minus into the literal, so
                     // `[%rd0-4]` arrives as Register, Int(-4).
-                    offset = *v;
+                    offset = v;
                     self.pos += 1;
                 }
                 self.expect_punct(']')?;
@@ -625,16 +729,12 @@ impl Parser {
         }
         Ok(Instruction::new(opcode, ty, dst, operands))
     }
-}
 
-// `bra` needs the label *after* decode; handle it with a tiny wrapper on the
-// main instruction path.
-impl Parser {
     /// Decode + parse for `bra`, which embeds its target label in the opcode.
     fn parse_bra(&mut self) -> Result<Instruction, PtxError> {
         let label = self.expect_word()?;
         self.expect_punct(';')?;
-        Ok(Instruction::new(Opcode::Bra(label), ScalarType::Pred, None, vec![]))
+        Ok(Instruction::new(Opcode::Bra(label.to_string()), ScalarType::Pred, None, vec![]))
     }
 }
 
@@ -722,6 +822,27 @@ done:
     fn undefined_label_is_rejected() {
         let err = parse_kernel(".kernel k () { entry: bra nowhere; }").unwrap_err();
         assert_eq!(err, PtxError::UndefinedLabel("nowhere".into()));
+    }
+
+    #[test]
+    fn register_names_resolve_to_the_latest_declaration() {
+        // Ids: `%r<20>` 0..20, `%r1<5>` (`%r10`..`%r14`) 20..25, `%r15` 25.
+        let k = parse_kernel(
+            ".kernel k () { .reg .u32 %r<20>; .reg .u32 %r1<5>; .reg .u32 %r15; entry: \
+             mov.u32 %r12, 0; mov.u32 %r15, 0; mov.u32 %r16, 0; mov.u32 %r10, 0; \
+             mov.u32 %r0, 0; ret; }",
+        )
+        .unwrap();
+        let dsts: Vec<u32> =
+            k.blocks[0].instructions[..5].iter().map(|i| i.dst.unwrap().0).collect();
+        assert_eq!(dsts, [22, 25, 16, 20, 0]);
+        for (id, name) in [(22, "%r12"), (25, "%r15"), (20, "%r10")] {
+            assert_eq!(k.registers[id].name, name);
+        }
+        // A range spells its indices without leading zeros.
+        let err = parse_kernel(".kernel k () { .reg .u32 %r<20>; entry: mov.u32 %r01, 0; ret; }")
+            .unwrap_err();
+        assert_eq!(err, PtxError::UndeclaredRegister("%r01".into()));
     }
 
     #[test]

@@ -28,7 +28,14 @@ pub struct CostInfo {
 impl CostInfo {
     /// Analyze `f` under `model`.
     pub fn analyze(f: &Function, model: &MachineModel) -> Self {
-        let max_live = max_live_machine_vregs(f, model);
+        Self::analyze_with(f, model, &Liveness::compute(f))
+    }
+
+    /// [`Self::analyze`] with the liveness of `f` already computed: a
+    /// compile shares one [`Liveness`] between this and
+    /// [`BytecodeProgram::decode_with`](crate::BytecodeProgram::decode_with).
+    pub fn analyze_with(f: &Function, model: &MachineModel, lv: &Liveness) -> Self {
+        let max_live = max_live_machine_vregs(f, model, lv);
         let spill_extra_per_chunk =
             if max_live > model.vector_registers as u64 { model.spill_penalty as u64 } else { 0 };
         CostInfo { max_live_machine_vregs: max_live, spill_extra_per_chunk }
@@ -43,7 +50,7 @@ impl CostInfo {
 /// Maximum, over all program points, of the number of *machine* vector
 /// registers needed to hold the live vector values (each IR vector
 /// register of width `w` needs `chunks(w)` machine registers).
-fn max_live_machine_vregs(f: &Function, model: &MachineModel) -> u64 {
+fn max_live_machine_vregs(f: &Function, model: &MachineModel, lv: &Liveness) -> u64 {
     // Machine registers per IR register; scalars weigh nothing, so they
     // may sit in the live row without being counted.
     let weight: Vec<u64> = f
@@ -54,7 +61,6 @@ fn max_live_machine_vregs(f: &Function, model: &MachineModel) -> u64 {
     if weight.iter().all(|&w| w == 0) {
         return 0;
     }
-    let lv = Liveness::compute(f);
     let bit = |r: VReg| (r.index() / 64, 1u64 << (r.index() % 64));
     let mut live: Vec<u64> = Vec::new();
     let mut max = 0u64;

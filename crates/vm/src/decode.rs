@@ -48,6 +48,18 @@ impl BytecodeProgram {
         model: &MachineModel,
         info: &CostInfo,
     ) -> BytecodeProgram {
+        Self::decode_with(f, layout, model, info, &Liveness::compute(f))
+    }
+
+    /// [`Self::decode`] with the liveness of `f` already computed — the
+    /// one [`CostInfo::analyze_with`] read.
+    pub fn decode_with(
+        f: &Function,
+        layout: &FrameLayout,
+        model: &MachineModel,
+        info: &CostInfo,
+        lv: &Liveness,
+    ) -> BytecodeProgram {
         let mut d = Decoder {
             f,
             layout,
@@ -72,7 +84,7 @@ impl BytecodeProgram {
             cases: d.cases,
             slots: layout.slots(),
             warp_size: f.warp_size,
-            entry_live: entry_live_slots(f, layout),
+            entry_live: entry_live_slots(lv, layout),
             stats: d.stats,
             profile: None,
         };
@@ -89,9 +101,8 @@ impl BytecodeProgram {
 /// specializer's scheduler block restores everything a resumed thread
 /// needs from its spill slots, so this is empty unless the source
 /// itself reads a register it never wrote.
-fn entry_live_slots(f: &Function, layout: &FrameLayout) -> Vec<(u32, u32)> {
+fn entry_live_slots(lv: &Liveness, layout: &FrameLayout) -> Vec<(u32, u32)> {
     let mut ranges: Vec<(u32, u32)> = Vec::new();
-    let lv = Liveness::compute(f);
     for r in Liveness::regs_of(lv.live_in(BlockId(0))) {
         let (first, len) = (layout.offset(r) as u32, layout.width(r) as u32);
         match ranges.last_mut() {
