@@ -200,7 +200,9 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         return None;
     }
     let mut e = Emitter {
-        asm: Asm::new(),
+        // Room for the code of most programs (suite specializations
+        // average 60 bytes per µop), so the buffer seldom grows.
+        asm: Asm::with_capacity(96 * program.code.len() + 1024),
         program,
         uop_start: Vec::with_capacity(program.code.len()),
         branch_fixups: Vec::new(),
@@ -210,6 +212,7 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         err_fixups: Vec::new(),
         ok_fixups: Vec::new(),
         slow_sites: Vec::new(),
+        slow_exits: Vec::new(),
         refills: Vec::new(),
         consts: Vec::new(),
         const_fixups: Vec::new(),
@@ -364,6 +367,9 @@ struct Emitter<'p> {
     ok_fixups: Vec<Fixup>,
     /// Templates' out-of-line slow sites, emitted by `finish`.
     slow_sites: Vec<SlowSite>,
+    /// The fast paths' branches to the slow sites, each site a range
+    /// of it.
+    slow_exits: Vec<Fixup>,
     /// What the slow sites reload, each site a range of it.
     refills: Vec<(Held, u8)>,
     /// The constant pool emitted after the code, one 16-byte entry
@@ -386,11 +392,11 @@ enum SlowCall {
     F2i { x: u8, to: STy, signed: bool },
 }
 
-/// An out-of-line slow site: the fast path's branches to it, the call,
-/// the registers to reload after it (a range of `Emitter::refills`),
-/// and where it rejoins.
+/// An out-of-line slow site: the fast path's branches to it (a range of
+/// `Emitter::slow_exits`), the call, the registers to reload after it
+/// (a range of `Emitter::refills`), and where it rejoins.
 struct SlowSite {
-    from: Vec<Fixup>,
+    from: std::ops::Range<usize>,
     call: SlowCall,
     refill: std::ops::Range<usize>,
     back: usize,
@@ -765,17 +771,18 @@ impl Emitter<'_> {
     }
 
     /// Inline bounds check `addr + size <= len`: loads the address into
-    /// RAX (left there for the access) and branches to the pushed
-    /// fixups when the access would fault (`len < size` underflow, or
-    /// `addr > len - size`); the slow path re-runs the µop through a
-    /// helper that charges and errors exactly as interpreted.
-    fn emit_bounds(&mut self, src: BSrc, i: u32, len_off: i32, size: usize, slow: &mut Vec<Fixup>) {
+    /// RAX (left there for the access) and adds to `slow_exits` the two
+    /// branches taken when the access would fault (`len < size`
+    /// underflow, or `addr > len - size`); the slow path re-runs the µop
+    /// through a helper that charges and errors exactly as interpreted.
+    fn emit_bounds(&mut self, src: BSrc, i: u32, len_off: i32, size: usize) {
         self.load_src(RAX, src, i);
         self.asm.load(RCX, R15, len_off);
         self.asm.alu_ri(Alu::Sub, RCX, size as i32);
-        slow.push(self.asm.jcc_fwd(Cc::B));
+        let underflow = self.asm.jcc_fwd(Cc::B);
         self.asm.alu_rr(Alu::Cmp, RAX, RCX);
-        slow.push(self.asm.jcc_fwd(Cc::A));
+        let above = self.asm.jcc_fwd(Cc::A);
+        self.slow_exits.extend([underflow, above]);
     }
 
     /// RAX ← context field for lane `l`. The context dereference clamps
@@ -1094,7 +1101,9 @@ impl Emitter<'_> {
                 }
             };
             self.mask_reg(RAX, to);
-            self.slow_site(vec![slow], SlowCall::F2i { x, to, signed });
+            let from = self.slow_exits.len();
+            self.slow_exits.push(slow);
+            self.slow_site(from, SlowCall::F2i { x, to, signed });
             return;
         }
         self.load_src(RAX, a, i);
@@ -1178,7 +1187,7 @@ impl Emitter<'_> {
     /// of it done yet, whatever `dst` aliases — to the slow site, whose
     /// helper computes the same definition in Rust.
     fn emit_transcendental(&mut self, idx: u32, op: UnOp, w: u32, dst: BDst, a: BSrc) {
-        let mut slow = Vec::new();
+        let from = self.slow_exits.len();
         for (i, n) in chunks(w) {
             self.res.unpin();
             let x = self.operand_f64(a, i, n, STy::F32);
@@ -1199,7 +1208,8 @@ impl Emitter<'_> {
             self.asm.vop(VMOVMSKPD, RAX, 0, m);
             self.asm.not(RAX);
             self.asm.test_ri(RAX, (1 << n) - 1);
-            slow.push(self.asm.jcc_fwd(Cc::Ne));
+            let outside = self.asm.jcc_fwd(Cc::Ne);
+            self.slow_exits.push(outside);
         }
         self.each_chunk(dst, w, |e, i, n| {
             let x = e.operand_f64(a, i, n, STy::F32);
@@ -1210,7 +1220,7 @@ impl Emitter<'_> {
             };
             e.narrow_chunk(r, r, STy::F32)
         });
-        self.slow_site(slow, SlowCall::Step(idx));
+        self.slow_site(from, SlowCall::Step(idx));
     }
 
     /// `approx::sin_cos` over `x` (f64, `|x| ≤ SIN_COS_RANGE`): both
@@ -1308,12 +1318,13 @@ impl Emitter<'_> {
         let (base_off, len_off, _) = space_offsets(space);
         let size = sty.size_bytes();
         let wide = size == 8;
-        let mut slow = Vec::new();
-        self.emit_bounds(addr, 0, len_off, size, &mut slow);
+        let from = self.slow_exits.len();
+        self.emit_bounds(addr, 0, len_off, size);
         let global = space == Space::Global;
         if global {
             self.asm.test_ri(RAX, size as i32 - 1);
-            slow.push(self.asm.jcc_fwd(Cc::Ne));
+            let misaligned = self.asm.jcc_fwd(Cc::Ne);
+            self.slow_exits.push(misaligned);
         }
         self.asm.load(RSI, R15, base_off);
         self.asm.alu_rr(Alu::Add, RSI, RAX);
@@ -1359,7 +1370,7 @@ impl Emitter<'_> {
             }
         }
         self.store_bcast(dst, RAX);
-        self.slow_site(slow, SlowCall::Step(idx));
+        self.slow_site(from, SlowCall::Step(idx));
     }
 
     /// RDX ← what the atomic stores, from the old value in RAX and the
@@ -1442,11 +1453,16 @@ impl Emitter<'_> {
         }
     }
 
-    /// Close a template whose fast path branches out to `from` when it
-    /// cannot finish: the slow site, emitted out of line by
-    /// [`Self::finish`], makes `call` and rejoins the fast path here
-    /// with the residency table as the fast path leaves it.
-    fn slow_site(&mut self, from: Vec<Fixup>, call: SlowCall) {
+    /// Close a template whose fast path branches out to the exits from
+    /// `from` on in `slow_exits` when it cannot finish: the slow site,
+    /// emitted out of line by [`Self::finish`], makes `call` and
+    /// rejoins the fast path here with the residency table as the fast
+    /// path leaves it.
+    fn slow_site(&mut self, from: usize, call: SlowCall) {
+        self.slow_site_of(from..self.slow_exits.len(), call);
+    }
+
+    fn slow_site_of(&mut self, from: std::ops::Range<usize>, call: SlowCall) {
         let start = self.refills.len();
         self.res.snapshot(&mut self.refills);
         let refill = start..self.refills.len();
@@ -1543,21 +1559,21 @@ impl Emitter<'_> {
             }
             OpKind::Load { sty, space, dst, addr } => {
                 let (base_off, len_off, _) = space_offsets(space);
-                let mut slow = Vec::new();
-                self.emit_bounds(addr, 0, len_off, sty.size_bytes(), &mut slow);
+                let from = self.slow_exits.len();
+                self.emit_bounds(addr, 0, len_off, sty.size_bytes());
                 self.emit_load_value(RCX, sty, base_off);
                 self.store_bcast(dst, RCX);
-                self.slow_site(slow, SlowCall::Step(idx));
+                self.slow_site(from, SlowCall::Step(idx));
             }
             OpKind::Store { sty, space, addr, value } => {
                 let (base_off, len_off, _) = space_offsets(space);
                 let size = sty.size_bytes();
-                let mut slow = Vec::new();
-                self.emit_bounds(addr, 0, len_off, size, &mut slow);
+                let from = self.slow_exits.len();
+                self.emit_bounds(addr, 0, len_off, size);
                 self.load_src(RCX, value, 0);
                 self.asm.load(RDX, R15, base_off);
                 self.asm.store_index(RDX, RAX, RCX, size as u8);
-                self.slow_site(slow, SlowCall::Step(idx));
+                self.slow_site(from, SlowCall::Step(idx));
             }
             OpKind::Insert { w, dst, vec, elem, lane: l } => {
                 // Element first, then the initializer copy, then the
@@ -1642,30 +1658,26 @@ impl Emitter<'_> {
             }
             OpKind::LoadRun { n, sty, space, addr, dst } => {
                 let (base_off, len_off, _) = space_offsets(space);
-                let mut slow: Vec<(Vec<Fixup>, u32)> = Vec::new();
+                let from = self.slow_exits.len();
                 for i in 0..n {
-                    let mut s = Vec::new();
-                    self.emit_bounds(BSrc::Lanes(addr), i, len_off, sty.size_bytes(), &mut s);
-                    slow.push((s, i));
+                    self.emit_bounds(BSrc::Lanes(addr), i, len_off, sty.size_bytes());
                     self.emit_load_value(RCX, sty, base_off);
                     self.put(dst + i, RCX);
                 }
-                self.run_slow_sites(idx, slow);
+                self.run_slow_sites(idx, from);
             }
             OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, .. } => {
                 let (base_off, len_off, _) = space_offsets(space);
                 let size = sty.size_bytes();
-                let mut slow: Vec<(Vec<Fixup>, u32)> = Vec::new();
+                let from = self.slow_exits.len();
                 for i in 0..n {
-                    let mut s = Vec::new();
-                    self.emit_bounds(BSrc::Lanes(avec), i, len_off, size, &mut s);
-                    slow.push((s, i));
+                    self.emit_bounds(BSrc::Lanes(avec), i, len_off, size);
                     self.put(atmp + i, RAX);
                     self.asm.load(RCX, RBX, disp(val, i * vstride));
                     self.asm.load(RDX, R15, base_off);
                     self.asm.store_index(RDX, RAX, RCX, size as u8);
                 }
-                self.run_slow_sites(idx, slow);
+                self.run_slow_sites(idx, from);
             }
             OpKind::CtxReadRun { field, n, dst } => {
                 for i in 0..n {
@@ -1745,12 +1757,13 @@ impl Emitter<'_> {
         }
     }
 
-    /// Per-component slow sites of a run µop: each bounds-check failure
-    /// re-enters the run at its component through `jit_run_from`, then
-    /// rejoins after the run.
-    fn run_slow_sites(&mut self, idx: u32, slow: Vec<(Vec<Fixup>, u32)>) {
-        for (from, comp) in slow {
-            self.slow_site(from, SlowCall::RunFrom(idx, comp));
+    /// Per-component slow sites of a run µop, whose components' bounds
+    /// checks left their two exits each in `slow_exits` from `from` on:
+    /// each failure re-enters the run at its component through
+    /// `jit_run_from`, then rejoins after the run.
+    fn run_slow_sites(&mut self, idx: u32, from: usize) {
+        for (comp, at) in (from..self.slow_exits.len()).step_by(2).enumerate() {
+            self.slow_site_of(at..at + 2, SlowCall::RunFrom(idx, comp as u32));
         }
     }
 
@@ -1759,8 +1772,8 @@ impl Emitter<'_> {
     /// holds at the rejoin, so the fast path after it keeps its
     /// residency. The helpers leave the frame as the fast path would.
     fn emit_slow_site(&mut self, site: SlowSite) {
-        for f in site.from {
-            self.asm.bind(f);
+        for k in site.from {
+            self.asm.bind(self.slow_exits[k]);
         }
         match site.call {
             SlowCall::Step(idx) => self.call_step(idx),
