@@ -38,11 +38,13 @@ pub struct Launch<'a> {
     pub base: u64,
 }
 
-/// Run `k` to completion over `global`, in place.
-pub fn run(k: &Kernel, launch: &Launch, global: &mut [u8]) {
+/// Run `k` to completion over `global`, in place. Returns the most
+/// instructions any one thread executed.
+pub fn run(k: &Kernel, launch: &Launch, global: &mut [u8]) -> u64 {
     let labels: Vec<(&str, usize)> =
         k.blocks.iter().enumerate().map(|(i, b)| (b.label.as_str(), i)).collect();
     let [gx, gy, gz] = launch.grid;
+    let mut longest = 0;
     for ctaid in (0..gz).flat_map(|z| (0..gy).flat_map(move |y| (0..gx).map(move |x| [x, y, z]))) {
         let mut cta = Cta {
             k,
@@ -71,7 +73,9 @@ pub fn run(k: &Kernel, launch: &Launch, global: &mut [u8]) {
                 cta.run_to_barrier(t);
             }
         }
+        longest = threads.iter().map(|t| t.steps).fold(longest, u64::max);
     }
+    longest
 }
 
 struct Thread {
