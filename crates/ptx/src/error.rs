@@ -11,8 +11,6 @@ pub enum PtxError {
     UnknownAddressSpace(String),
     /// An opcode mnemonic that the ISA does not define.
     UnknownOpcode(String),
-    /// A special-register name (`%tid.x`, ...) that does not exist.
-    UnknownSpecialRegister(String),
     /// An instruction modifier (`.sat`, `.rmi`, `.wide`, ...) that dpvk
     /// does not implement for that instruction.
     UnsupportedModifier {
@@ -60,7 +58,6 @@ impl fmt::Display for PtxError {
             PtxError::UnknownType(t) => write!(f, "unknown type suffix `{t}`"),
             PtxError::UnknownAddressSpace(s) => write!(f, "unknown address space `{s}`"),
             PtxError::UnknownOpcode(o) => write!(f, "unknown opcode `{o}`"),
-            PtxError::UnknownSpecialRegister(r) => write!(f, "unknown special register `{r}`"),
             PtxError::UnsupportedModifier { line, instruction, modifier } => {
                 write!(f, "unsupported modifier `.{modifier}` in `{instruction}` at line {line}")
             }

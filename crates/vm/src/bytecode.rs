@@ -37,8 +37,8 @@ use crate::error::VmError;
 use crate::frame::RegFrame;
 use crate::memory::MemAccess;
 use crate::semantics::{
-    atom_rmw, f_enc, f_min_max, f_of, fused_mul_add, fused_mul_add_f32, mask_to, scalar_bin,
-    scalar_cmp, scalar_cvt, scalar_un, sext, shift, ExecLimits, WarpOutcome,
+    atom_rmw, f_arith, f_enc, f_min_max, f_of, fused_mul_add, fused_mul_add_f32, mask_to,
+    scalar_bin, scalar_cmp, scalar_cvt, scalar_un, sext, shift, ExecLimits, WarpOutcome,
 };
 use crate::stats::ExecStats;
 
@@ -1092,6 +1092,12 @@ pub(crate) fn vec3(
     }
 }
 
+/// One lane of a float `Add`/`Sub`/`Mul`/`Div` on encoded operands.
+#[inline(always)]
+fn f_bin(x: u64, y: u64, sty: STy, op: impl Fn(f64, f64) -> f64) -> u64 {
+    f_enc(f_arith(f_of(x, sty), f_of(y, sty), op), sty)
+}
+
 /// Element-wise binary op.
 ///
 /// The arithmetic in each lane closure replicates `scalar_bin` exactly
@@ -1120,10 +1126,12 @@ pub(crate) fn exec_bin(
     let doff = dst.off as usize;
     if sty.is_float() {
         match op {
-            BinOp::Add => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) + f_of(y, sty), sty)),
-            BinOp::Sub => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) - f_of(y, sty), sty)),
-            BinOp::Mul => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) * f_of(y, sty), sty)),
-            BinOp::Div => vec2(regs, w, doff, a, b, |x, y| f_enc(f_of(x, sty) / f_of(y, sty), sty)),
+            // One closure per operator, so each chunk loop is its own
+            // monomorphized body.
+            BinOp::Add => vec2(regs, w, doff, a, b, |x, y| f_bin(x, y, sty, |x, y| x + y)),
+            BinOp::Sub => vec2(regs, w, doff, a, b, |x, y| f_bin(x, y, sty, |x, y| x - y)),
+            BinOp::Mul => vec2(regs, w, doff, a, b, |x, y| f_bin(x, y, sty, |x, y| x * y)),
+            BinOp::Div => vec2(regs, w, doff, a, b, |x, y| f_bin(x, y, sty, |x, y| x / y)),
             BinOp::Min => vec2(regs, w, doff, a, b, |x, y| {
                 f_enc(f_min_max(f_of(x, sty), f_of(y, sty), false), sty)
             }),

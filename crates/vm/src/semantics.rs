@@ -148,6 +148,22 @@ pub(crate) fn fused_mul_add_f32(x: f32, y: f32, z: f32) -> f32 {
     [x, y, z].into_iter().find(|v| v.is_nan()).map_or(r, |v| f32::from_bits(v.to_bits() | 1 << 22))
 }
 
+/// `op(x, y)` for float `Add`/`Sub`/`Mul`/`Div`, with NaN propagation
+/// pinned: of two NaN operands the first, quieted — what the hardware
+/// does for the operand order written, and what the JIT's templates
+/// (`vmulsd x, a, b` keeps `a`'s NaN) and the reference compute. `+` and
+/// `*` commute, and the compiler swaps their operands freely: the
+/// bytecode engine's loop and the JIT's helper, two inlinings of the
+/// same `step`, kept different NaNs of a width-16 `mul.f32`.
+#[inline(always)]
+pub(crate) fn f_arith(x: f64, y: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    let r = op(x, y);
+    if !r.is_nan() {
+        return r;
+    }
+    [x, y].into_iter().find(|v| v.is_nan()).map_or(r, |v| f64::from_bits(v.to_bits() | 1 << 51))
+}
+
 pub(crate) fn scalar_bin(
     op: BinOp,
     sty: STy,
@@ -158,10 +174,10 @@ pub(crate) fn scalar_bin(
     if sty.is_float() {
         let (x, y) = (f_of(a, sty), f_of(b, sty));
         let r = match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
+            BinOp::Add => f_arith(x, y, |x, y| x + y),
+            BinOp::Sub => f_arith(x, y, |x, y| x - y),
+            BinOp::Mul => f_arith(x, y, |x, y| x * y),
+            BinOp::Div => f_arith(x, y, |x, y| x / y),
             BinOp::Min => f_min_max(x, y, false),
             BinOp::Max => f_min_max(x, y, true),
             BinOp::And | BinOp::Or | BinOp::Xor => {
