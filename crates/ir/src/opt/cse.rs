@@ -7,7 +7,7 @@
 //! and are removed here.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::function::Function;
 use crate::inst::{BinOp, CmpPred, CtxField, Inst, ReduceOp, Space, UnOp};
@@ -16,12 +16,25 @@ use crate::value::{VReg, Value};
 
 /// One operand of a keyed expression: registers resolve to
 /// `(register, version)` pairs so redefinitions invalidate entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OperandKey {
     None,
     Reg(VReg, u32),
     ImmI(i64),
     ImmF(u64),
+}
+
+impl OperandKey {
+    /// The operand as one word for the hasher. Two kinds may share a
+    /// word; equality, not the hash, decides a match.
+    fn word(self) -> u64 {
+        match self {
+            OperandKey::None => 0,
+            OperandKey::Reg(r, version) => (u64::from(r.0) << 32 | u64::from(version)) ^ 1 << 63,
+            OperandKey::ImmI(i) => i as u64,
+            OperandKey::ImmF(bits) => bits.rotate_left(29),
+        }
+    }
 }
 
 /// Everything about a pure instruction except its operands and its
@@ -50,10 +63,21 @@ enum Shape {
     Load(STy, Space),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExprKey {
     shape: Shape,
     operands: [OperandKey; 3],
+}
+
+/// The shape's fields, then one word per operand: a derived `Hash`
+/// would hash every operand's tag and fields separately.
+impl Hash for ExprKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.shape.hash(state);
+        for o in self.operands {
+            state.write_u64(o.word());
+        }
+    }
 }
 
 /// Folded-multiply hasher for [`ExprKey`]: a handful of small integers
@@ -108,8 +132,10 @@ pub fn local_cse(f: &mut Function) -> usize {
     // Copy bindings: dst -> (src, version-of-src-at-copy).
     let mut copies: Vec<Option<(VReg, u32)>> = vec![None; nregs];
     let mut written: Vec<VReg> = Vec::new();
+    // Sized for the longest block, so it never grows mid-block.
+    let longest = f.blocks.iter().map(|b| b.insts.len()).max().unwrap_or(0);
     let mut avail: HashMap<ExprKey, (VReg, u32), BuildHasherDefault<KeyHasher>> =
-        HashMap::default();
+        HashMap::with_capacity_and_hasher(longest, Default::default());
     let propagate = |v: &mut Value, version: &[u32], copies: &[Option<(VReg, u32)>]| {
         if let Value::Reg(r) = v {
             if let Some((src, ver)) = copies[r.index()] {
