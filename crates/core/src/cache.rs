@@ -289,10 +289,10 @@ struct CacheShared {
 
 impl TranslationCache {
     /// Create an empty cache compiling for `model`, with the persistent
-    /// disk cache configured from the environment (see
-    /// [`PersistConfig::from_env`]).
+    /// disk cache the process's configuration names (`DPVK_CACHE_DIR`,
+    /// `DPVK_CACHE_CAP`; none when unset).
     pub fn new(model: MachineModel) -> Self {
-        Self::with_persist(model, PersistConfig::from_env())
+        Self::with_persist(model, crate::config::get().persist.clone())
     }
 
     /// Create an empty cache compiling for `model` with explicit

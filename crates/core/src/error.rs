@@ -1,7 +1,6 @@
 //! Errors of the dynamic compilation pipeline and runtime.
 
 use std::fmt;
-use std::ops::RangeBounds;
 
 use dpvk_ir::VerifyError;
 use dpvk_ptx::PtxError;
@@ -30,54 +29,6 @@ impl fmt::Display for FaultContext {
             self.kernel, self.cta, self.warp_entry, self.thread_ids
         )
     }
-}
-
-/// An environment variable held a value that does not parse.
-///
-/// Configuration knobs read from the environment fail loudly at startup
-/// (the same contract as `DPVK_ENGINE`'s `UnknownEngineError`): a typo'd
-/// `DPVK_POOL_WORKERS` or `DPVK_CACHE_CAP` is a configuration bug, and
-/// silently falling back to a default hides it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidEnvValue {
-    /// The environment variable that failed to parse.
-    pub var: &'static str,
-    /// The offending value.
-    pub value: String,
-    /// What the variable expects, for the error message.
-    pub expected: &'static str,
-}
-
-impl fmt::Display for InvalidEnvValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid value `{}`: expected {}", self.value, self.expected)
-    }
-}
-
-impl std::error::Error for InvalidEnvValue {}
-
-/// Parse `value`, the setting of knob `var`, as an integer in `range`.
-pub(crate) fn parse_u64(
-    var: &'static str,
-    value: String,
-    expected: &'static str,
-    range: impl RangeBounds<u64>,
-) -> Result<u64, InvalidEnvValue> {
-    match value.parse() {
-        Ok(v) if range.contains(&v) => Ok(v),
-        _ => Err(InvalidEnvValue { var, value, expected }),
-    }
-}
-
-/// Read an integer knob in `range` from the environment. `None` when
-/// unset; panics (startup configuration bug) when set to anything else.
-pub(crate) fn env_u64(
-    var: &'static str,
-    expected: &'static str,
-    range: impl RangeBounds<u64>,
-) -> Option<u64> {
-    let value = std::env::var(var).ok()?;
-    Some(parse_u64(var, value, expected, range).unwrap_or_else(|e| panic!("{var}: {e}")))
 }
 
 /// Error from translation, vectorization, caching or kernel execution.
@@ -276,17 +227,6 @@ mod tests {
         let s = e.to_string();
         for needle in ["vecadd", "CTA 3", "entry 2", "[4, 5, 6, 7]", "division"] {
             assert!(s.contains(needle), "missing `{needle}` in `{s}`");
-        }
-    }
-
-    #[test]
-    fn integer_knobs_refuse_what_does_not_parse_or_lies_outside_their_range() {
-        let pool = |v: &str| parse_u64("DPVK_POOL_WORKERS", v.into(), "a count (1..=256)", 1..=256);
-        assert_eq!(pool("1"), Ok(1));
-        assert_eq!(pool("256"), Ok(256));
-        for bad in ["0", "257", "1000", "-1", "abc", ""] {
-            let e = pool(bad).expect_err(bad);
-            assert_eq!(e.to_string(), format!("invalid value `{bad}`: expected a count (1..=256)"));
         }
     }
 

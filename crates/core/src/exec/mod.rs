@@ -104,28 +104,6 @@ impl Engine {
             other => Err(UnknownEngineError { value: other.to_string() }),
         }
     }
-
-    /// The session default: `Engine::default()` unless overridden by
-    /// `DPVK_ENGINE={bytecode,jit}`. The env hook lets CI rerun a
-    /// whole reproduction binary on another engine and diff its output
-    /// against the bytecode engine without per-binary flags. Read once;
-    /// explicit `with_engine` calls are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics (fail-fast, with the [`UnknownEngineError`] message) when
-    /// `DPVK_ENGINE` is set to an unrecognized name: a typo must surface
-    /// at startup, not silently select the default engine.
-    pub fn from_env() -> Self {
-        static CHOICE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("DPVK_ENGINE") {
-            Err(_) => Engine::default(),
-            Ok(value) => match Engine::parse(&value) {
-                Ok(engine) => engine,
-                Err(e) => panic!("DPVK_ENGINE: {e}"),
-            },
-        })
-    }
 }
 
 /// An engine name that is not one of the recognized engines; see
@@ -157,34 +135,6 @@ impl AdaptConfig {
     }
 }
 
-/// Modeled cycle charges for execution-manager work (the "EM" bars of the
-/// paper's Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmCostModel {
-    /// Base cost of forming one warp.
-    pub formation_base: u64,
-    /// Cost per ready-pool entry examined while gathering.
-    pub per_thread_scanned: u64,
-    /// Cost per thread of processing a yield (status dispatch, re-queue).
-    pub per_yield_thread: u64,
-    /// Cost per thread of barrier bookkeeping.
-    pub per_barrier_thread: u64,
-    /// Cost of one translation-cache query.
-    pub per_cache_query: u64,
-}
-
-impl Default for EmCostModel {
-    fn default() -> Self {
-        EmCostModel {
-            formation_base: 20,
-            per_thread_scanned: 2,
-            per_yield_thread: 6,
-            per_barrier_thread: 4,
-            per_cache_query: 25,
-        }
-    }
-}
-
 /// Execution configuration for one launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
@@ -200,22 +150,20 @@ pub struct ExecConfig {
     pub workers: usize,
     /// Interpreter limits.
     pub limits: ExecLimits,
-    /// Execution-manager cycle charges.
-    pub em_cost: EmCostModel,
     /// Which guest interpreter runs warp bodies.
     pub engine: Engine,
 }
 
 impl ExecConfig {
-    /// Dynamic warp formation at the given maximum width.
+    /// Dynamic warp formation at the given maximum width, on the
+    /// session's engine (`DPVK_ENGINE`, else [`Engine::default`]).
     pub fn dynamic(max_warp: u32) -> Self {
         ExecConfig {
             policy: FormationPolicy::Dynamic,
             max_warp,
             workers: 0,
             limits: ExecLimits::default(),
-            em_cost: EmCostModel::default(),
-            engine: Engine::from_env(),
+            engine: crate::config::get().engine,
         }
     }
 

@@ -124,13 +124,9 @@ pub(crate) fn pool() -> &'static WorkerPool {
 /// available parallelism but at least 4, so a default-config launch on
 /// either 4-core model has a worker per chunk.
 fn pool_size() -> usize {
-    // A value that does not parse or lies outside 1..=256 is a startup
-    // configuration bug and panics (same contract as `DPVK_ENGINE`); it
-    // is never silently clamped or ignored.
-    match crate::error::env_u64("DPVK_POOL_WORKERS", "a worker count (1..=256)", 1..=256) {
-        Some(n) => n as usize,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()).max(4),
-    }
+    crate::config::get()
+        .pool_workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()).max(4))
 }
 
 /// One worker thread: park until a chunk is available, run it, repeat
@@ -347,6 +343,19 @@ struct MemoEntry {
 /// kernels) would outweigh the saved cache query, so start over.
 const MEMO_CAPACITY: usize = 64;
 
+// The execution manager's tariff in modeled cycles (the "EM" bars of
+// the paper's Figure 9): a fixed charge per event.
+/// Forming one warp.
+const EM_FORMATION: u64 = 20;
+/// Each ready-queue entry examined while gathering.
+const EM_PER_THREAD_SCANNED: u64 = 2;
+/// Each thread of a yield (status dispatch, re-queue).
+const EM_PER_YIELD_THREAD: u64 = 6;
+/// Each thread of barrier bookkeeping.
+const EM_PER_BARRIER_THREAD: u64 = 4;
+/// One translation-cache query.
+const EM_CACHE_QUERY: u64 = 25;
+
 impl DispatchMemo {
     fn new() -> Self {
         DispatchMemo { cache: None, entries: Vec::new(), hits: 0, downgrades: 0 }
@@ -529,8 +538,7 @@ fn run_cta(
             &mut scratch.kept,
             &mut scratch.gather,
         );
-        stats.exec.cycles_manager +=
-            config.em_cost.formation_base + config.em_cost.per_thread_scanned * scanned as u64;
+        stats.exec.cycles_manager += EM_FORMATION + EM_PER_THREAD_SCANNED * scanned as u64;
         scan_total += scanned as u64;
 
         // Pick the widest available specialization.
@@ -551,7 +559,7 @@ fn run_cta(
                 }
             }
         };
-        stats.exec.cycles_manager += config.em_cost.per_cache_query;
+        stats.exec.cycles_manager += EM_CACHE_QUERY;
         // Degrade instead of failing: a specialization that cannot
         // compile falls back to the width-1 scalar baseline. Entry-point
         // numbering is shared across variants (assigned in `translate`),
@@ -625,7 +633,7 @@ fn run_cta(
             dpvk_trace::record_yield(reason);
         }
 
-        stats.exec.cycles_manager += config.em_cost.per_yield_thread * w as u64;
+        stats.exec.cycles_manager += EM_PER_YIELD_THREAD * w as u64;
         match outcome.status {
             ResumeStatus::Exit => {
                 exited += scratch.warp.len();
@@ -641,7 +649,7 @@ fn run_cta(
                 }
             }
             ResumeStatus::Barrier => {
-                stats.exec.cycles_manager += config.em_cost.per_barrier_thread * w as u64;
+                stats.exec.cycles_manager += EM_PER_BARRIER_THREAD * w as u64;
                 barrier_pool.append(&mut scratch.warp);
             }
         }
@@ -650,8 +658,7 @@ fn run_cta(
         // resumes at the continuation entry point.
         let alive = cta_size - exited;
         if !barrier_pool.is_empty() && barrier_pool.len() == alive {
-            stats.exec.cycles_manager +=
-                config.em_cost.per_barrier_thread * barrier_pool.len() as u64;
+            stats.exec.cycles_manager += EM_PER_BARRIER_THREAD * barrier_pool.len() as u64;
             ready.extend(barrier_pool.drain(..));
         }
     }

@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 
+mod config;
 mod devmem;
 mod error;
 
@@ -76,12 +77,12 @@ pub mod translate;
 pub mod vectorize;
 
 pub use cache::{CacheStats, CompiledKernel, TranslationCache, Variant};
+pub use config::InvalidEnvValue;
 pub use devmem::MemoryStats;
 pub use dpvk_vm::CancelToken;
-pub use error::{CoreError, FaultContext, InvalidEnvValue};
+pub use error::{CoreError, FaultContext};
 pub use exec::{
-    AdaptConfig, EmCostModel, Engine, ExecConfig, FormationPolicy, LaunchHandle, LaunchStats,
-    UnknownEngineError,
+    AdaptConfig, Engine, ExecConfig, FormationPolicy, LaunchHandle, LaunchStats, UnknownEngineError,
 };
 pub use persist::PersistConfig;
 pub use runtime::{Device, DeviceBuffer, DevicePtr, ParamValue, Stream};

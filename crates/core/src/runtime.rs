@@ -72,7 +72,7 @@ impl Device {
     /// Create a device with the given machine model and global-memory heap
     /// size in bytes.
     pub fn new(model: MachineModel, heap_size: usize) -> Self {
-        Self::with_persist(model, heap_size, crate::persist::PersistConfig::from_env())
+        Self::with_persist(model, heap_size, crate::config::get().persist.clone())
     }
 
     /// [`Device::new`] with explicit control of the persistent
@@ -86,7 +86,10 @@ impl Device {
         heap_size: usize,
         persist: Option<crate::persist::PersistConfig>,
     ) -> Self {
-        dpvk_trace::init_from_env();
+        // Read (and validate) the configuration here, not at the first
+        // launch: a mistyped knob fails where the device is made, and
+        // `DPVK_TRACE` is on before the first kernel is registered.
+        crate::config::get();
         let global = GlobalMem::new(heap_size);
         Device {
             cache: TranslationCache::with_persist(model.clone(), persist),

@@ -104,21 +104,14 @@ pub use service::{Server, ServerHandle};
 
 /// Tunables of the serving layer. The defaults favor robustness for a
 /// small pool: a generous per-tenant rate, a global in-flight cap of
-/// twice the pool (`None` → `2 × pool_workers`), three retries with
-/// 2→50 ms backoff, and degradation to scalar enabled.
+/// twice the pool (`None` → `2 × pool_workers`), three retries, and
+/// degradation to scalar enabled. The deadlines and the retry backoff
+/// are fixed (see `service.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Per-attempt launch deadline when the request says `0`.
-    pub default_deadline_ms: u32,
-    /// Upper clamp on client-requested deadlines.
-    pub max_deadline_ms: u32,
     /// Transient-failure retries after the first attempt (the scalar
     /// degradation rung is in addition to these).
     pub max_retries: u32,
-    /// First retry backoff; doubles per retry.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
     /// Global in-flight launch cap; `None` derives `2 × pool_workers`
     /// at bind time. Each admitted launch executes on its connection
     /// thread, so this bounds concurrently executing launches.
@@ -143,11 +136,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            default_deadline_ms: 2_000,
-            max_deadline_ms: 10_000,
             max_retries: 3,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 50,
             admission_capacity: None,
             shed_retry_ms: 25,
             tenant_rate_per_sec: 1_000.0,

@@ -60,7 +60,7 @@ pub struct LaunchSpec {
     /// CTA dimensions (threads).
     pub block: [u32; 3],
     /// Per-attempt deadline in milliseconds; `0` uses the server
-    /// default. Clamped to the server maximum.
+    /// default (2 s). Clamped to 10 s.
     pub deadline_ms: u32,
     /// Device buffers, uploaded in order.
     pub buffers: Vec<WireBuffer>,

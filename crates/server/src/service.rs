@@ -20,6 +20,15 @@ use crate::ServerConfig;
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(20);
 
+/// Per-attempt launch deadline when the request says `0`.
+const DEFAULT_DEADLINE_MS: u32 = 2_000;
+/// Upper clamp on client-requested deadlines.
+const MAX_DEADLINE_MS: u32 = 10_000;
+/// First retry backoff; doubles per retry up to [`BACKOFF_CAP_MS`].
+const BACKOFF_BASE_MS: u64 = 2;
+/// Backoff ceiling.
+const BACKOFF_CAP_MS: u64 = 50;
+
 /// The kernel service: owns the device (worker pool included), the
 /// tenant registry and the listening socket.
 ///
@@ -282,8 +291,8 @@ impl Server {
             });
         }
         let deadline_ms = match spec.deadline_ms {
-            0 => self.config.default_deadline_ms,
-            ms => ms.min(self.config.max_deadline_ms),
+            0 => DEFAULT_DEADLINE_MS,
+            ms => ms.min(MAX_DEADLINE_MS),
         };
         let budget = Duration::from_millis(u64::from(deadline_ms));
 
@@ -321,11 +330,8 @@ impl Server {
                         dpvk_trace::add(Counter::ServerRetries, 1);
                         tenant.update_stats(|s| s.retries += 1);
                         let shift = (attempts - 1).min(16);
-                        let backoff = self
-                            .config
-                            .backoff_base_ms
-                            .saturating_mul(1 << shift)
-                            .min(self.config.backoff_cap_ms);
+                        let backoff =
+                            BACKOFF_BASE_MS.saturating_mul(1 << shift).min(BACKOFF_CAP_MS);
                         std::thread::sleep(Duration::from_millis(backoff));
                         continue;
                     }

@@ -19,8 +19,8 @@
 //! Tracing is **disabled by default** and every recording entry point
 //! starts with a single relaxed atomic load ([`enabled`]); the disabled
 //! path does no allocation, locking, or timestamping. Enable it with
-//! `DPVK_TRACE=1` in the environment (checked once by [`init_from_env`],
-//! which `dpvk-core`'s `Device` calls) or programmatically with
+//! `DPVK_TRACE=1` in the environment (read once by `dpvk-core`'s
+//! configuration, which calls [`enable_into`]) or programmatically with
 //! [`enable`]. Counters are lock-free when on too; only closing a span
 //! takes the timeline's lock.
 //!
@@ -52,15 +52,16 @@ pub mod timeline;
 
 pub use report::{write_if_enabled, TraceReport};
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Enablement
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
+static OUT_DIR: OnceLock<PathBuf> = OnceLock::new();
 
 /// Whether tracing is currently enabled. This is the only check on the
 /// disabled fast path: one relaxed atomic load.
@@ -79,44 +80,21 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Enable tracing if the `DPVK_TRACE` environment variable is truthy
-/// (`1`, `true`, `on`, `yes`). Idempotent; the variable is read once per
-/// process so repeated calls cost one `Once` check. Also applies the
-/// `DPVK_TRACE_UOPS` opt-out for the µop profiler (see
-/// [`profile::set_uop_profiling`]).
-///
-/// # Panics
-///
-/// Panics when either variable is set to anything but a truthy value or
-/// a falsy one (`0`, `false`, `off`, `no`): a mistyped knob is a
-/// configuration bug, not a request for the default.
-pub fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let flag = |var, default| {
-            parse_flag(var, std::env::var(var).ok().as_deref(), default)
-                .unwrap_or_else(|e| panic!("{e}"))
-        };
-        if flag("DPVK_TRACE", false) {
-            enable();
-        }
-        if !flag("DPVK_TRACE_UOPS", true) {
-            profile::set_uop_profiling(false);
-        }
-    });
+/// Turn tracing on for the rest of the process and write its files —
+/// `dpvk-trace.json`, `dpvk-timeline.json` and `dpvk-profile.folded` —
+/// under `dir` (`target` when `None`; the first call's `dir` holds).
+/// `dpvk-core` calls it when `DPVK_TRACE` asks for tracing; it never
+/// turns tracing off.
+pub fn enable_into(dir: Option<PathBuf>) {
+    if let Some(dir) = dir {
+        let _ = OUT_DIR.set(dir);
+    }
+    enable();
 }
 
-/// An on/off knob `var` set to `v`: `default` when unset. The error is
-/// in the format of `dpvk_core::InvalidEnvValue` (this crate sits below
-/// `dpvk-core`).
-fn parse_flag(var: &str, v: Option<&str>, default: bool) -> Result<bool, String> {
-    match v {
-        None => Ok(default),
-        Some("1" | "true" | "on" | "yes") => Ok(true),
-        Some("0" | "false" | "off" | "no") => Ok(false),
-        Some(v) => {
-            Err(format!("{var}: invalid value `{v}`: expected 1/true/on/yes or 0/false/off/no"))
-        }
-    }
+/// Where [`write_if_enabled`] puts its file `name`.
+pub(crate) fn out_path(name: &str) -> PathBuf {
+    OUT_DIR.get().map_or_else(|| Path::new("target").join(name), |dir| dir.join(name))
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +164,8 @@ pub enum Counter {
     /// µops lowered to a call into the shared interpreter helper at JIT
     /// emit (no inline template for the op shape).
     JitHelperUops,
-    /// Warp executions requested under `DPVK_ENGINE=jit` that fell back
-    /// to the bytecode interpreter (unsupported host, emit failure, or
-    /// µop-profiling active).
+    /// Warp executions requested under `Engine::Jit` that fell back to
+    /// the bytecode interpreter (unsupported host or emit failure).
     JitFallbackWarps,
     /// Launches accepted by a worker pool (async or blocking).
     LaunchesSubmitted,
@@ -681,22 +658,6 @@ mod tests {
         assert_eq!(hist[4], 1);
         disable();
         reset();
-    }
-
-    #[test]
-    fn trace_flags_take_on_or_off_and_refuse_anything_else() {
-        for (v, want) in [("1", true), ("true", true), ("yes", true), ("0", false), ("off", false)]
-        {
-            assert_eq!(parse_flag("DPVK_TRACE", Some(v), !want), Ok(want), "{v}");
-        }
-        assert_eq!(parse_flag("DPVK_TRACE", None, false), Ok(false));
-        assert_eq!(parse_flag("DPVK_TRACE_UOPS", None, true), Ok(true));
-        assert_eq!(
-            parse_flag("DPVK_TRACE", Some("2"), false),
-            Err("DPVK_TRACE: invalid value `2`: expected 1/true/on/yes or 0/false/off/no".into())
-        );
-        assert!(parse_flag("DPVK_TRACE_UOPS", Some("nope"), true).is_err());
-        assert!(parse_flag("DPVK_TRACE", Some(""), false).is_err());
     }
 
     #[test]

@@ -11,18 +11,20 @@
 //!
 //! Profiling rides on the trace enable flag ([`uop_enabled`] is
 //! `enabled() && !opted-out`), so the disabled fast path stays one
-//! relaxed atomic load per warp call.
+//! relaxed atomic load per warp call. It sees only the warps the
+//! bytecode engine runs: native code has no per-µop hook, and a JIT
+//! warp is never rerouted to the interpreter to be profiled.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 static UOPS: AtomicBool = AtomicBool::new(true);
 
 /// Whether the µop profiler should collect samples: tracing is enabled
-/// and profiling has not been opted out (`DPVK_TRACE_UOPS=0` or
-/// [`set_uop_profiling`]). Checked once per warp call by the engine.
+/// and profiling has not been opted out ([`set_uop_profiling`]).
+/// Checked once per warp call by the bytecode engine.
 #[inline]
 pub fn uop_enabled() -> bool {
     crate::enabled() && UOPS.load(Ordering::Relaxed)
@@ -326,15 +328,6 @@ pub fn write_folded(path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, folded())
-}
-
-/// Default folded-profile output path: `DPVK_PROFILE_OUT` if set, else
-/// `target/dpvk-profile.folded`.
-pub fn default_folded_path() -> PathBuf {
-    match std::env::var_os("DPVK_PROFILE_OUT") {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from("target").join("dpvk-profile.folded"),
-    }
 }
 
 #[cfg(test)]

@@ -285,31 +285,13 @@ impl TraceReport {
         }
         std::fs::write(path, self.to_json())
     }
-
-    /// The default report location: `$DPVK_TRACE_OUT` if set, else
-    /// `target/dpvk-trace.json` relative to the working directory.
-    pub fn default_path() -> PathBuf {
-        std::env::var_os("DPVK_TRACE_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/dpvk-trace.json"))
-    }
-
-    /// Write the JSON report to [`default_path`](Self::default_path) and
-    /// return where it went.
-    ///
-    /// # Errors
-    ///
-    /// See [`write_to`](Self::write_to).
-    pub fn write_default(&self) -> io::Result<PathBuf> {
-        let path = Self::default_path();
-        self.write_to(&path)?;
-        Ok(path)
-    }
 }
 
-/// If tracing is enabled, capture a report, write it to the default
-/// path, print the summary to stdout, and return the path. No-op
-/// returning `None` when tracing is disabled.
+/// If tracing is enabled, capture a report, write it, the timeline and
+/// the folded µop profile into the trace directory (see
+/// [`enable_into`](crate::enable_into)), print the summary to stdout,
+/// and return the report's path. No-op returning `None` when tracing is
+/// disabled.
 ///
 /// This is the one-liner examples and bench binaries call last thing in
 /// `main`.
@@ -322,16 +304,17 @@ pub fn write_if_enabled() -> io::Result<Option<PathBuf>> {
         return Ok(None);
     }
     let report = TraceReport::capture();
-    let path = report.write_default()?;
+    let path = crate::out_path("dpvk-trace.json");
+    report.write_to(&path)?;
     print!("{}", report.summary());
     println!("  report: {}", path.display());
     if report.span_totals.iter().any(|t| t.calls > 0) {
-        let timeline_path = timeline::default_timeline_path();
+        let timeline_path = crate::out_path("dpvk-timeline.json");
         timeline::write_chrome_trace(&timeline_path)?;
         println!("  timeline: {} (load in Perfetto / chrome://tracing)", timeline_path.display());
     }
     if !report.uop_profiles.is_empty() {
-        let folded_path = profile::default_folded_path();
+        let folded_path = crate::out_path("dpvk-profile.folded");
         profile::write_folded(&folded_path)?;
         println!("  µop profile: {} (collapsed stacks)", folded_path.display());
     }

@@ -20,7 +20,7 @@
 
 use std::cell::Cell;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -505,15 +505,6 @@ pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, chrome_trace())
-}
-
-/// Default timeline output path: `DPVK_TIMELINE_OUT` if set, else
-/// `target/dpvk-timeline.json`.
-pub fn default_timeline_path() -> PathBuf {
-    match std::env::var_os("DPVK_TIMELINE_OUT") {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from("target").join("dpvk-timeline.json"),
-    }
 }
 
 #[cfg(test)]

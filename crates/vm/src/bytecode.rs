@@ -111,22 +111,25 @@ pub(crate) struct Charge {
 }
 
 impl Charge {
-    /// What `times` back-to-back `charge(meta)` calls accumulate.
-    pub(crate) fn of(meta: OpMeta, times: u32) -> Charge {
+    /// Add what `times` back-to-back `charge(meta)` calls accumulate.
+    fn add(&mut self, meta: OpMeta, times: u32) {
         let n = times as u64;
-        let flag = |f: u8| if meta.flags & f != 0 { n } else { 0 };
-        let restores = if meta.flags & F_LOAD != 0 { flag(F_RESTORE) } else { 0 };
-        let spills = if meta.flags & F_STORE != 0 { flag(F_SPILL) } else { 0 };
-        Charge {
-            ticks: n,
-            cost: n * meta.cost as u64,
-            flops: n * meta.flops as u64,
-            loads: flag(F_LOAD),
-            stores: flag(F_STORE),
-            restore_loads: restores,
-            restore_bytes: restores * meta.bytes as u64,
-            spill_stores: spills,
-            spill_bytes: spills * meta.bytes as u64,
+        self.ticks += n;
+        self.cost += n * meta.cost as u64;
+        self.flops += n * meta.flops as u64;
+        if meta.flags & F_LOAD != 0 {
+            self.loads += n;
+            if meta.flags & F_RESTORE != 0 {
+                self.restore_loads += n;
+                self.restore_bytes += n * meta.bytes as u64;
+            }
+        }
+        if meta.flags & F_STORE != 0 {
+            self.stores += n;
+            if meta.flags & F_SPILL != 0 {
+                self.spill_stores += n;
+                self.spill_bytes += n * meta.bytes as u64;
+            }
         }
     }
 
@@ -143,12 +146,6 @@ impl Charge {
             spill_stores: f(self.spill_stores, o.spill_stores),
             spill_bytes: f(self.spill_bytes, o.spill_bytes),
         }
-    }
-}
-
-impl std::ops::AddAssign for Charge {
-    fn add_assign(&mut self, o: Charge) {
-        *self = self.zip(o, |a, b| a + b);
     }
 }
 
@@ -397,26 +394,32 @@ pub(crate) struct Op {
 }
 
 impl Op {
-    /// Everything this µop's `charge!` calls add up to when it runs to
-    /// completion, from component `from` on: one `meta` per component,
-    /// plus a `StoreRun`'s store meta. A terminator's retire (its own
-    /// tick and cost) is not a `charge!` and is not counted.
-    pub(crate) fn charge_from(&self, from: u32) -> Charge {
+    /// Add to `c` everything this µop's `charge!` calls add up to when
+    /// it runs to completion, from component `from` on: one `meta` per
+    /// component, plus a `StoreRun`'s store meta. A terminator's retire
+    /// (its own tick and cost) is not a `charge!` and is not counted.
+    pub(crate) fn charge_into(&self, from: u32, c: &mut Charge) {
         match self.kind {
             OpKind::CopyRun { n, .. }
             | OpKind::LoadRun { n, .. }
-            | OpKind::CtxReadRun { n, .. } => Charge::of(self.meta, n - from),
+            | OpKind::CtxReadRun { n, .. } => c.add(self.meta, n - from),
             OpKind::StoreRun { n, smeta, .. } => {
-                let mut c = Charge::of(self.meta, n - from);
-                c += Charge::of(smeta, n - from);
-                c
+                c.add(self.meta, n - from);
+                c.add(smeta, n - from);
             }
             OpKind::Br { .. }
             | OpKind::CondBr { .. }
             | OpKind::Switch { .. }
-            | OpKind::Ret { .. } => Charge::default(),
-            _ => Charge::of(self.meta, 1),
+            | OpKind::Ret { .. } => {}
+            _ => c.add(self.meta, 1),
         }
+    }
+
+    /// [`Self::charge_into`] an empty [`Charge`].
+    pub(crate) fn charge_from(&self, from: u32) -> Charge {
+        let mut c = Charge::default();
+        self.charge_into(from, &mut c);
+        c
     }
 
     /// Whether the µop ends its basic block.

@@ -217,6 +217,7 @@ pub(crate) fn emit_program(program: &BytecodeProgram) -> Option<(Vec<u8>, JitEmi
         consts: Vec::new(),
         const_fixups: Vec::new(),
         res: Residency::default(),
+        templated: program.code.iter().map(|op| has_inline_template(&op.kind)).collect(),
         stats: JitEmitStats::default(),
     };
     e.prologue();
@@ -379,6 +380,8 @@ struct Emitter<'p> {
     const_fixups: Vec<(RipFixup, usize)>,
     /// Which pool register holds which frame value in the current block.
     res: Residency,
+    /// [`has_inline_template`] of each µop, decided once per emission.
+    templated: Vec<bool>,
     stats: JitEmitStats,
 }
 
@@ -419,7 +422,7 @@ impl Emitter<'_> {
     /// then [`jit_block_slow`] decides first — charge all its templated
     /// µops at once. `None` when a sum does not fit an imm32.
     fn block_header(&mut self, first: u32) -> Option<()> {
-        let (bound, pre) = block_charges(&self.program.code, first as usize);
+        let (bound, pre) = block_charges(&self.program.code, first as usize, |i| self.templated[i]);
         if bound == 0 {
             // A bare terminator: nothing to check, nothing to charge.
             return Some(());
@@ -1427,7 +1430,7 @@ impl Emitter<'_> {
     fn emit_op(&mut self, idx: u32) {
         let kind = self.program.code[idx as usize].kind;
         self.res.unpin();
-        if has_inline_template(&kind) {
+        if self.templated[idx as usize] {
             self.stats.template_uops += 1;
             self.emit_template(idx, kind);
         } else {

@@ -159,9 +159,7 @@ impl<'a> JitCta<'a> {
 
     /// Execute one warp, starting at µop 0, through `jit` — or through
     /// the bytecode engine when this specialization has no native code
-    /// (`None`) or the warp is under the µop profiler, which needs the
-    /// interpreter's per-op dispatch (counted as
-    /// [`dpvk_trace::Counter::JitFallbackWarps`]).
+    /// (`None`).
     ///
     /// The native twin of [`execute_warp_bytecode`]: same contract, same
     /// errors, bit-identical modeled cycles, [`ExecStats`] and memory
@@ -185,24 +183,17 @@ impl<'a> JitCta<'a> {
         entry_id: i64,
         stats: &mut ExecStats,
     ) -> Result<WarpOutcome, VmError> {
-        let profiled = dpvk_trace::profile::uop_enabled() && program.profile_key().is_some();
-        let jit = match jit {
-            Some(jit) if !profiled => jit,
-            _ => {
-                if jit.is_some() {
-                    dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
-                }
-                return execute_warp_bytecode(
-                    program,
-                    scratch,
-                    ctxs,
-                    entry_id,
-                    &mut self.mem,
-                    stats,
-                    &self.limits,
-                    self.host.poll.cancel,
-                );
-            }
+        let Some(jit) = jit else {
+            return execute_warp_bytecode(
+                program,
+                scratch,
+                ctxs,
+                entry_id,
+                &mut self.mem,
+                stats,
+                &self.limits,
+                self.host.poll.cancel,
+            );
         };
 
         assert_eq!(

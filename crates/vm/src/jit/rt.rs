@@ -149,24 +149,23 @@ impl JitEnv {
 /// What a block header checks and charges for the µops from `from` to
 /// the end of its basic block: the ticks of all of them (the bound it
 /// holds against the watchdog limit and the next poll) and the summed
-/// charges of those with an inline template (the rest charge themselves
-/// in [`step`]). Recomputed from the µops' metas wherever it is
-/// needed — once per block at emission, and on the cold paths below —
-/// rather than stored.
-pub(crate) fn block_charges(code: &[Op], from: usize) -> (u64, Charge) {
-    let mut bound = 0;
-    let mut pre = Charge::default();
-    for op in &code[from..] {
-        let c = op.charge_from(0);
-        bound += c.ticks;
-        if has_inline_template(&op.kind) {
-            pre += c;
-        }
+/// charges of those `templated` admits — µop `i` has an inline template
+/// when `templated(i)`; the rest charge themselves in [`step`].
+/// Recomputed from the µops' metas wherever it is needed — once per
+/// block at emission, and on the cold paths below — rather than stored.
+pub(crate) fn block_charges(
+    code: &[Op],
+    from: usize,
+    templated: impl Fn(usize) -> bool,
+) -> (u64, Charge) {
+    let (mut pre, mut rest) = (Charge::default(), Charge::default());
+    for (i, op) in code.iter().enumerate().skip(from) {
+        op.charge_into(0, if templated(i) { &mut pre } else { &mut rest });
         if op.is_terminator() {
             break;
         }
     }
-    (bound, pre)
+    (pre.ticks + rest.ticks, pre)
 }
 
 #[inline(always)]
@@ -243,7 +242,9 @@ unsafe fn settle(env: &mut JitEnv, idx: u32, r: Result<(), VmError>) -> u32 {
     match r {
         Ok(()) => 0,
         Err(e) => {
-            let (_, rest) = block_charges(env.code(), idx as usize + 1);
+            let code = env.code();
+            let (_, rest) =
+                block_charges(code, idx as usize + 1, |i| has_inline_template(&code[i].kind));
             env.meter.take_back(rest);
             fail(env, e)
         }

@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use dpvk::core::{Device, ExecConfig, LaunchStats, ParamValue};
+use dpvk::core::{Device, Engine, ExecConfig, LaunchStats, ParamValue};
 use dpvk::trace::timeline::SpanKind;
 use dpvk::trace::{self, profile, timeline, Counter};
 use dpvk::vm::MachineModel;
@@ -57,6 +57,11 @@ done:
 "#;
 
 fn run_divergent(config: &ExecConfig) -> LaunchStats {
+    run_collatz(config).0
+}
+
+/// [`run_divergent`], also returning the step counts it wrote.
+fn run_collatz(config: &ExecConfig) -> (LaunchStats, Vec<u32>) {
     let n = 128usize;
     // No persistent cache: these tests assert on cold-compile spans
     // (Specialize/Decode), which a warm disk cache legitimately skips.
@@ -66,14 +71,16 @@ fn run_divergent(config: &ExecConfig) -> LaunchStats {
     let ps = dev.malloc(n * 4).unwrap();
     let po = dev.malloc(n * 4).unwrap();
     dev.copy_u32_htod(ps, &seeds).unwrap();
-    dev.launch(
-        "collatz_steps",
-        [(n as u32).div_ceil(32), 1, 1],
-        [32, 1, 1],
-        &[ParamValue::Ptr(ps), ParamValue::Ptr(po), ParamValue::U32(n as u32)],
-        config,
-    )
-    .unwrap()
+    let stats = dev
+        .launch(
+            "collatz_steps",
+            [(n as u32).div_ceil(32), 1, 1],
+            [32, 1, 1],
+            &[ParamValue::Ptr(ps), ParamValue::Ptr(po), ParamValue::U32(n as u32)],
+            config,
+        )
+        .unwrap();
+    (stats, dev.copy_u32_dtoh(po, n).unwrap())
 }
 
 #[test]
@@ -207,7 +214,9 @@ fn retire_spans_measure_the_retirement() {
 #[test]
 fn uop_profiler_attributes_every_modeled_cycle_deterministically() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    let config = ExecConfig::dynamic(4).with_workers(1);
+    // The profiler sees the bytecode engine's warps only: native code
+    // has no per-µop hook.
+    let config = ExecConfig::dynamic(4).with_workers(1).with_engine(Engine::Bytecode);
 
     trace::reset();
     trace::enable();
@@ -255,6 +264,33 @@ fn uop_profiler_attributes_every_modeled_cycle_deterministically() {
     trace::reset();
     assert_eq!(stats_a, stats_b);
     assert_eq!(folded_a, folded_b);
+}
+
+/// Tracing does not change the engine it measures: with the µop
+/// profiler on, a JIT launch still runs every warp natively, and its
+/// stats and output are those of the same launch untraced.
+#[test]
+fn traced_jit_launches_run_natively_and_match_untraced_ones() {
+    if !dpvk::vm::jit_supported() {
+        return;
+    }
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let config = ExecConfig::dynamic(4).with_workers(1).with_engine(Engine::Jit);
+
+    trace::reset();
+    trace::disable();
+    let untraced = run_collatz(&config);
+    trace::enable();
+    assert!(profile::uop_enabled(), "the µop profiler is on whenever tracing is");
+    let traced = run_collatz(&config);
+    let native = trace::counter(Counter::WarpsJit);
+    let fallback = trace::counter(Counter::JitFallbackWarps);
+    trace::disable();
+    trace::reset();
+
+    assert!(native > 0, "no warp ran natively under tracing");
+    assert_eq!(fallback, 0, "tracing rerouted {fallback} JIT warps to the interpreter");
+    assert_eq!(traced, untraced);
 }
 
 #[test]
