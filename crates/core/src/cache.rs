@@ -275,8 +275,9 @@ impl Clone for TranslationCache {
 struct CacheShared {
     model: MachineModel,
     /// Registered kernels, shared: a launch reads the declaration's
-    /// parameters and a translation miss reads the body without copying.
-    kernels: Mutex<HashMap<String, Arc<ptx::Kernel>>>,
+    /// parameters and takes the name, and a translation miss reads the
+    /// body, without copying.
+    kernels: Mutex<HashMap<Arc<str>, Arc<ptx::Kernel>>>,
     /// Read-mostly: warm lookups take the read lock with a borrowed
     /// `&str` key; the write lock is held only to publish a freshly
     /// compiled specialization.
@@ -329,7 +330,7 @@ impl TranslationCache {
     pub fn register_module(&self, module: &ptx::Module) {
         let mut k = self.shared.kernels.lock();
         for kernel in &module.kernels {
-            k.insert(kernel.name.clone(), Arc::new(kernel.clone()));
+            k.insert(kernel.name.as_str().into(), Arc::new(kernel.clone()));
         }
     }
 
@@ -652,11 +653,23 @@ impl TranslationCache {
     ///
     /// Returns [`CoreError::NotFound`] for unregistered kernels.
     pub fn kernel_declaration(&self, kernel: &str) -> Result<Arc<ptx::Kernel>, CoreError> {
+        self.registered(kernel).map(|(_, decl)| decl)
+    }
+
+    /// The registered name and declaration of `kernel`, both shared.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotFound`] for unregistered kernels.
+    pub(crate) fn registered(
+        &self,
+        kernel: &str,
+    ) -> Result<(Arc<str>, Arc<ptx::Kernel>), CoreError> {
         self.shared
             .kernels
             .lock()
-            .get(kernel)
-            .cloned()
+            .get_key_value(kernel)
+            .map(|(name, decl)| (Arc::clone(name), Arc::clone(decl)))
             .ok_or_else(|| CoreError::NotFound(format!("kernel `{kernel}`")))
     }
 }

@@ -63,14 +63,19 @@ pub(crate) fn gather(
     let is_static = config.policy == FormationPolicy::Static;
     let group_of =
         |ctx: &ThreadContext| -> u32 { ctx.flat_tid().checked_div(config.max_warp).unwrap_or(0) };
-    let front_group = ready.front().map(group_of).unwrap_or(0);
+    // Only static formation looks at groups: no division per call
+    // otherwise.
+    let front_group = if is_static { ready.front().map(group_of).unwrap_or(0) } else { 0 };
+    let eligible = |ctx: &ThreadContext| {
+        ctx.resume_point == rp && (!is_static || group_of(ctx) == front_group)
+    };
 
     warp.clear();
     kept.clear();
     let mut scanned = 0usize;
     while let Some(ctx) = ready.pop_front() {
         scanned += 1;
-        if ctx.resume_point == rp && (!is_static || group_of(&ctx) == front_group) {
+        if eligible(&ctx) {
             warp.push(ctx);
             if warp.len() == max {
                 break;

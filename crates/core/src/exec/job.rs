@@ -25,7 +25,7 @@ use crate::sync::Monitor;
 use crate::translate::TranslatedKernel;
 
 use super::stats::LaunchStats;
-use super::worker;
+use super::worker::{self, Chunk, WorkerPool};
 use super::{boundary_fault, ExecConfig};
 
 /// Everything a launch needs, owned: pool workers are `'static` and may
@@ -33,7 +33,9 @@ use super::{boundary_fault, ExecConfig};
 /// memory handles and copied parameter bytes instead of references.
 pub(crate) struct LaunchRequest {
     pub cache: TranslationCache,
-    pub kernel: String,
+    /// The registered kernel's name, shared with the registry: every
+    /// span of the launch records it by reference count.
+    pub kernel: Arc<str>,
     pub grid: [u32; 3],
     pub block: [u32; 3],
     pub param: Vec<u8>,
@@ -53,12 +55,10 @@ struct JobInner {
     /// Stats merged from finished chunks (merging is commutative, so
     /// completion order does not matter).
     stats: LaunchStats,
-    /// Per-chunk error slot, indexed by chunk — the final merge walks
-    /// them in chunk order, replicating the spawn-per-launch error
-    /// priority exactly.
-    errors: Vec<Option<CoreError>>,
-    /// Per-chunk first-unfinished-CTA slot.
-    stopped: Vec<Option<u32>>,
+    /// How each chunk ended, indexed by chunk: its error and its first
+    /// unfinished CTA. The final merge walks them in chunk order,
+    /// replicating the spawn-per-launch error priority exactly.
+    ends: Vec<(Option<CoreError>, Option<u32>)>,
     /// The finalized outcome; present exactly when `remaining == 0`.
     outcome: Option<Result<LaunchStats, CoreError>>,
 }
@@ -102,7 +102,7 @@ impl LaunchJob {
         let start_ns = start_ns.unwrap_or(now);
         timeline::record_span(Span {
             kind,
-            kernel: self.req.kernel.clone(),
+            kernel: Arc::clone(&self.req.kernel),
             seq: self.seq,
             stream: self.stream_id(),
             worker: None,
@@ -125,24 +125,29 @@ impl LaunchJob {
     }
 
     /// Record one finished chunk, consuming the reference its thread ran
-    /// it under; the thread that retires the last chunk finalizes the
-    /// outcome, wakes waiters, and releases the stream's next job into
-    /// the pool. On a traced launch that retirement is the `Retire` span:
-    /// from the last chunk's taking the state lock to after the stream
-    /// promotion.
+    /// it under. The thread that retires the last chunk finalizes the
+    /// outcome, hands the stream's next job on, wakes waiters and
+    /// releases the launch from the device's gauge. On a traced launch
+    /// that retirement is the `Retire` span: from the last chunk's taking
+    /// the state lock to after the hand-off.
+    ///
+    /// A pool worker passes its pool as `worker` and gets the chunk it
+    /// runs next, or `None` once it counts as idle (see
+    /// [`WorkerPool::finish_chunk`]). Any other thread gets `None`, the
+    /// next job having gone to the pool queue.
     pub(crate) fn complete_chunk(
         self: Arc<Self>,
         index: usize,
-        stats: LaunchStats,
+        stats: &LaunchStats,
         error: Option<CoreError>,
         stopped_at: Option<u32>,
-    ) {
+        worker: Option<&WorkerPool>,
+    ) -> Option<Chunk> {
         let start = if self.seq != 0 { timeline::now_ns() } else { 0 };
         let finished = {
             let mut st = self.state.lock();
-            st.stats.merge(&stats);
-            st.errors[index] = error;
-            st.stopped[index] = stopped_at;
+            st.stats.merge(stats);
+            st.ends[index] = (error, stopped_at);
             st.remaining -= 1;
             if st.remaining == 0 {
                 let outcome = finalize(&self.req.kernel, &mut st);
@@ -159,12 +164,22 @@ impl LaunchJob {
                 false
             }
         };
+        let next = finished.then(|| self.stream.as_ref()?.on_job_retired()).flatten();
+        // The pool learns of this worker's next move before any waiter
+        // wakes, so a waiter that submits again finds the worker counted
+        // as busy only if it is.
+        let continuation = match worker {
+            Some(pool) => pool.finish_chunk(next),
+            None => {
+                if let Some(next) = next {
+                    worker::pool().enqueue(&next, 0);
+                }
+                None
+            }
+        };
         if finished {
             self.state.notify_all();
             dpvk_trace::add(dpvk_trace::Counter::LaunchesRetired, 1);
-            if let Some(stream) = &self.stream {
-                stream.on_job_retired();
-            }
             if self.seq != 0 {
                 self.stream_span(SpanKind::Retire, Some(start), self.cta_count);
             }
@@ -176,6 +191,7 @@ impl LaunchJob {
             drop(self);
             gauge.dec();
         }
+        continuation
     }
 
     fn wait_outcome(&self) -> Result<LaunchStats, CoreError> {
@@ -195,6 +211,10 @@ impl LaunchJob {
     fn try_outcome(&self) -> Option<Result<LaunchStats, CoreError>> {
         self.state.lock().outcome.clone()
     }
+
+    fn is_finished(&self) -> bool {
+        self.state.lock().outcome.is_some()
+    }
 }
 
 /// Merge per-chunk outcomes into the launch result, replicating the
@@ -205,9 +225,9 @@ impl LaunchJob {
 fn finalize(kernel: &str, st: &mut JobInner) -> Result<LaunchStats, CoreError> {
     let mut first_error: Option<CoreError> = None;
     let mut interrupted = false;
-    for i in 0..st.errors.len() {
-        interrupted |= st.stopped[i].is_some();
-        match (&first_error, &st.errors[i]) {
+    for (error, stopped) in &st.ends {
+        interrupted |= stopped.is_some();
+        match (&first_error, error) {
             (None, Some(e)) => first_error = Some(e.clone()),
             (Some(prev), Some(e)) if prev.is_cancelled() && !e.is_cancelled() => {
                 first_error = Some(e.clone());
@@ -227,7 +247,7 @@ fn finalize(kernel: &str, st: &mut JobInner) -> Result<LaunchStats, CoreError> {
     if first_error.is_none() && interrupted {
         // The host cancelled the token and no chunk faulted: surface the
         // cancellation with the first interrupted CTA as provenance.
-        let cta = st.stopped.iter().flatten().copied().min().unwrap_or(0);
+        let cta = st.ends.iter().filter_map(|&(_, stopped)| stopped).min().unwrap_or(0);
         first_error = Some(boundary_fault(kernel, cta, VmError::Cancelled));
     }
     first_error.map_or_else(|| Ok(std::mem::take(&mut st.stats)), Err)
@@ -265,7 +285,7 @@ impl LaunchHandle {
 
     /// Whether the launch has completed (successfully or not).
     pub fn is_finished(&self) -> bool {
-        self.job.try_outcome().is_some()
+        self.job.is_finished()
     }
 
     /// Trip this launch's cancellation token. Cooperative: chunks stop
@@ -338,9 +358,10 @@ impl StreamShared {
         }
     }
 
-    /// Called by the pool worker that retired this stream's active job:
-    /// release the next held job, or mark the stream idle.
-    fn on_job_retired(&self) {
+    /// Called by the thread that retired this stream's active job: take
+    /// the next held job, now the stream's active one, for the caller to
+    /// run or enqueue, or mark the stream idle.
+    fn on_job_retired(&self) -> Option<Arc<LaunchJob>> {
         let next = {
             let mut q = self.queue.lock();
             let next = q.pending.pop_front();
@@ -350,9 +371,7 @@ impl StreamShared {
             next
         };
         self.queue.notify_all();
-        if let Some(job) = next {
-            worker::pool().enqueue(&job, 0);
-        }
+        next
     }
 
     /// Launches accepted but not yet released to the pool.
@@ -504,8 +523,7 @@ fn prepare(
         state: Monitor::new(JobInner {
             remaining: chunks,
             stats: LaunchStats::new(max_warp),
-            errors: vec![None; chunks],
-            stopped: vec![None; chunks],
+            ends: vec![(None, None); chunks],
             outcome: None,
         }),
         req,

@@ -17,6 +17,14 @@ impl LaunchStats {
         LaunchStats { exec: ExecStats::default(), warp_hist: vec![0; max_warp as usize + 1] }
     }
 
+    /// Zero every count in place: the state [`LaunchStats::new`] builds,
+    /// in the allocation `warp_hist` already has.
+    pub(crate) fn reset(&mut self, max_warp: u32) {
+        self.exec = ExecStats::default();
+        self.warp_hist.clear();
+        self.warp_hist.resize(max_warp as usize + 1, 0);
+    }
+
     /// Merge another stats block into this one. Every field is a
     /// monotonic sum, so merging is commutative — chunk completion order
     /// (which varies with pool scheduling) cannot change launch totals.

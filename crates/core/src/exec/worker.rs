@@ -12,6 +12,12 @@
 //! stats stay exact and fault-safe, and rebinding when a job arrives
 //! from a different device's cache).
 //!
+//! A worker that finishes a chunk takes its next one under the same
+//! queue lock ([`WorkerPool::finish_chunk`]): when nothing else waits,
+//! that is the stream launch its completion released, so a stream's
+//! launches run back to back on one thread, as the paper's resident
+//! managers run what is dispatched to them.
+//!
 //! The thread that issues a synchronous launch is that launch's first
 //! execution manager ([`run_on_caller`]): it runs chunk 0 and any chunk
 //! no worker has taken, with a thread-local [`WorkerScratch`], through
@@ -27,7 +33,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use dpvk_ir::ResumeStatus;
@@ -46,9 +52,14 @@ use super::{boundary_fault, panic_payload, warp_fault, Engine, FormationPolicy};
 
 /// One unit of pool work: the `index`-th chunk of `job` (CTAs
 /// `index, index + chunks, …`).
-struct Chunk {
+pub(crate) struct Chunk {
     job: Arc<LaunchJob>,
     index: usize,
+}
+
+/// Chunks `first..` of `job`, as queue items.
+fn chunks(job: &Arc<LaunchJob>, first: usize) -> impl Iterator<Item = Chunk> + '_ {
+    (first..job.chunks).map(|index| Chunk { job: Arc::clone(job), index })
 }
 
 #[derive(Default)]
@@ -74,22 +85,59 @@ impl WorkerPool {
     /// more behind wakes the next. Waking one at a time keeps the woken
     /// workers from all contending for the queue lock at once, which on a
     /// two-core host left the second chunk of a launch waiting for the
-    /// first. Called at submit with `first == 0` for unordered jobs, by
-    /// the retiring worker for the next job of a stream, and with
-    /// `first == 1` by a synchronous launch, whose caller runs chunk 0
-    /// itself (a one-chunk launch enqueues, spawns and wakes nothing).
+    /// first. Called at submit with `first == 0` for unordered jobs and
+    /// the first job of an idle stream, and with `first == 1` by a
+    /// synchronous launch, whose caller runs chunk 0 itself (a one-chunk
+    /// launch enqueues, spawns and wakes nothing).
     pub(crate) fn enqueue(&self, job: &Arc<LaunchJob>, first: usize) {
-        if first >= job.chunks {
-            return;
-        }
-        let spawn = {
+        if first < job.chunks {
             let mut q = self.queue.lock();
-            q.items.extend((first..job.chunks).map(|index| Chunk { job: Arc::clone(job), index }));
-            let idle = q.spawned - q.busy;
-            let spawn = q.spawned..(q.spawned + q.items.len().saturating_sub(idle)).min(self.size);
-            q.spawned = spawn.end;
-            spawn
+            q.items.extend(chunks(job, first));
+            self.staff(q);
+        }
+    }
+
+    /// The calling worker finished a chunk, and `next` is the stream job
+    /// its completion released, if any: queue `next` at the back and
+    /// take the chunk at the front, staying counted busy. With the queue
+    /// empty, that is `next`'s chunk 0, and the worker continues the
+    /// stream on the thread, and the core, that ran its predecessor.
+    /// Otherwise chunks already waiting, of other streams or launches, go
+    /// first, as FIFO order has it. Only with nothing to take does the
+    /// worker count itself idle. One lock, and no wake for work the
+    /// thread takes itself. Chunks it adds beyond the one it takes are
+    /// staffed as [`WorkerPool::enqueue`] staffs them. A take that adds
+    /// nothing and leaves chunks behind wakes the next parked worker, as
+    /// a worker's pop from the queue does. A swap of one chunk for
+    /// another wakes no one: the chunk left behind was already owed a
+    /// worker, woken or busy, when the taken one was queued.
+    pub(crate) fn finish_chunk(&self, next: Option<Arc<LaunchJob>>) -> Option<Chunk> {
+        let mut q = self.queue.lock();
+        let waiting = q.items.len();
+        if let Some(next) = &next {
+            q.items.extend(chunks(next, 0));
+        }
+        let Some(chunk) = q.items.pop_front() else {
+            q.busy -= 1;
+            return None;
         };
+        if q.items.len() > waiting {
+            self.staff(q);
+        } else if next.is_none() && !q.items.is_empty() {
+            drop(q);
+            self.queue.notify_one();
+        }
+        Some(chunk)
+    }
+
+    /// Spawn workers while more chunks wait than workers are idle (up to
+    /// the pool size) and wake one parked worker, releasing the queue
+    /// lock `q` first.
+    fn staff(&self, mut q: MutexGuard<'_, PoolQueue>) {
+        let idle = q.spawned - q.busy;
+        let spawn = q.spawned..(q.spawned + q.items.len().saturating_sub(idle)).min(self.size);
+        q.spawned = spawn.end;
+        drop(q);
         for i in spawn {
             std::thread::Builder::new()
                 .name(format!("dpvk-worker-{i}"))
@@ -138,7 +186,7 @@ fn worker_loop(pool: &WorkerPool) {
     timeline::register_worker();
     let mut scratch = WorkerScratch::new();
     loop {
-        let Chunk { job, index } = {
+        let mut chunk = {
             let mut q = pool.queue.lock();
             loop {
                 if let Some(chunk) = q.items.pop_front() {
@@ -149,12 +197,14 @@ fn worker_loop(pool: &WorkerPool) {
                     if dpvk_trace::enabled() {
                         dpvk_trace::record_peak(dpvk_trace::Counter::PoolBusyPeak, q.busy as u64);
                     }
-                    break chunk;
+                    break Some(chunk);
                 }
                 q = pool.queue.wait(q);
             }
         };
-        execute_chunk(job, index, &mut scratch, Some(pool));
+        while let Some(Chunk { job, index }) = chunk {
+            chunk = execute_chunk(job, index, &mut scratch, Some(pool));
+        }
     }
 }
 
@@ -179,6 +229,8 @@ pub(crate) fn run_on_caller(job: &Arc<LaunchJob>) {
     }
     CALLER_SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
+        // Not a pool worker: `execute_chunk` queues any stream job this
+        // completion releases and returns no chunk to continue with.
         execute_chunk(Arc::clone(job), 0, scratch, None);
         if job.chunks > 1 {
             while let Some(Chunk { job, index }) = pool().reclaim(job) {
@@ -194,20 +246,25 @@ pub(crate) fn run_on_caller(job: &Arc<LaunchJob>) {
 /// report it. The one path every chunk takes: a panic that escapes the
 /// per-CTA net is contained here, memo tallies are flushed, and the
 /// completion is recorded (by the last chunk, the launch retired).
+/// Returns the chunk a pool worker runs next, as
+/// [`LaunchJob::complete_chunk`] does.
 fn execute_chunk(
     job: Arc<LaunchJob>,
     index: usize,
     scratch: &mut WorkerScratch,
     worker: Option<&WorkerPool>,
-) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(&job, index, scratch)));
-    let (stats, error, stopped_at) = outcome.unwrap_or_else(|payload| {
+) -> Option<Chunk> {
+    let max_warp = job.req.config.max_warp;
+    let mut stats = std::mem::take(&mut scratch.stats);
+    stats.reset(max_warp);
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(&job, index, &mut stats, scratch)));
+    let (error, stopped_at) = outcome.unwrap_or_else(|payload| {
         // A panic that escaped the per-CTA net (inter-CTA glue).
         // Contain it exactly like a CTA panic; this chunk's partial
         // stats are lost, as they were under spawn-per-launch.
         job.req.token.cancel();
+        stats.reset(max_warp);
         (
-            LaunchStats::new(job.req.config.max_warp),
             Some(CoreError::WorkerPanic {
                 worker: index,
                 cta: 0,
@@ -216,26 +273,26 @@ fn execute_chunk(
             Some(0),
         )
     });
+    scratch.trim();
     // Flush memo tallies *before* completion is observable, so cache
     // stats are exact the moment a waiter wakes — and flushed even when
     // the chunk panicked or faulted.
     scratch.dispatch.flush();
-    // A worker counts as idle before the completion, which may release
-    // a stream's next job into the pool.
-    if let Some(pool) = worker {
-        pool.queue.lock().busy -= 1;
-    }
-    job.complete_chunk(index, stats, error, stopped_at);
+    let next = job.complete_chunk(index, &stats, error, stopped_at, worker);
+    scratch.stats = stats;
+    next
 }
 
 /// Run one chunk of a launch: CTAs `index, index + chunks, …` — the same
 /// striding the spawn-per-launch workers used, so statistics and modeled
-/// outputs are unchanged.
+/// outputs are unchanged. Counts into `stats`, zeroed by the caller;
+/// returns the chunk's error and its first unfinished CTA.
 fn run_chunk(
     job: &Arc<LaunchJob>,
     index: usize,
+    stats: &mut LaunchStats,
     scratch: &mut WorkerScratch,
-) -> (LaunchStats, Option<CoreError>, Option<u32>) {
+) -> (Option<CoreError>, Option<u32>) {
     let req = &job.req;
     scratch.dispatch.rebind(&req.cache);
     job.note_chunk_start();
@@ -245,7 +302,6 @@ fn run_chunk(
     let _scope = recording.then(|| timeline::launch_scope(job.seq, job.stream_id()));
     let exec_start = recording.then(timeline::now_ns);
     scratch.gather = GatherTally::default();
-    let mut stats = LaunchStats::new(req.config.max_warp);
     let mut error = None;
     let mut stopped_at = None;
     let mut cta = index as u64;
@@ -263,7 +319,7 @@ fn run_chunk(
                 break;
             }
         }
-        let run = catch_unwind(AssertUnwindSafe(|| run_cta(job, flat, &mut stats, scratch)));
+        let run = catch_unwind(AssertUnwindSafe(|| run_cta(job, flat, stats, scratch)));
         match run {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
@@ -300,7 +356,7 @@ fn run_chunk(
         let dur_ns = timeline::now_ns().saturating_sub(start);
         timeline::record(SpanKind::Execute, &req.kernel, start, dur_ns, stats.exec.warp_entries);
     }
-    (stats, error, stopped_at)
+    (error, stopped_at)
 }
 
 /// Worker-local memo of resolved specializations. A launch requests the
@@ -437,12 +493,23 @@ impl DispatchMemo {
     }
 }
 
-/// Reusable per-worker execution state: the dispatch memo plus scratch
-/// buffers for warp formation and the interpreter register frame, so the
-/// steady-state CTA loop performs no heap allocation. Lives as long as
-/// the worker thread.
+/// Reusable per-worker execution state: the dispatch memo, a chunk's
+/// statistics, a CTA's thread pools and memories, and the buffers of
+/// warp formation and the interpreter register frame, so a warm chunk
+/// allocates nothing. Lives as long as the worker thread; a buffer keeps
+/// the largest size any CTA it served needed, except a CTA memory above
+/// [`RETAINED_MEMORY_BYTES`], freed when its chunk ends.
 pub(crate) struct WorkerScratch {
     pub(crate) dispatch: DispatchMemo,
+    /// The running chunk's statistics, merged into its launch at
+    /// completion.
+    stats: LaunchStats,
+    /// A CTA's threads ready to run, its threads waiting at a barrier,
+    /// and its shared and local memories, zeroed per CTA.
+    ready: VecDeque<ThreadContext>,
+    barrier: Vec<ThreadContext>,
+    shared: Vec<u8>,
+    local: Vec<u8>,
     warp: Vec<ThreadContext>,
     kept: Vec<ThreadContext>,
     frame: RegFrame,
@@ -455,12 +522,42 @@ impl WorkerScratch {
     fn new() -> Self {
         WorkerScratch {
             dispatch: DispatchMemo::new(),
+            stats: LaunchStats::default(),
+            ready: VecDeque::new(),
+            barrier: Vec::new(),
+            shared: Vec::new(),
+            local: Vec::new(),
             warp: Vec::new(),
             kept: Vec::new(),
             frame: RegFrame::new(),
             gather: GatherTally::default(),
         }
     }
+
+    /// Free a shared or local memory larger than
+    /// [`RETAINED_MEMORY_BYTES`], before the chunk's completion is
+    /// observable.
+    fn trim(&mut self) {
+        for buf in [&mut self.shared, &mut self.local] {
+            if buf.capacity() > RETAINED_MEMORY_BYTES {
+                *buf = Vec::new();
+            }
+        }
+    }
+}
+
+/// The largest CTA shared or local memory a [`WorkerScratch`] keeps
+/// from one chunk to the next. A kernel with much `.local` memory, or
+/// many spill slots, in a large CTA needs megabytes; held by every pool
+/// worker and by every thread that ever made a blocking launch, such a
+/// buffer would stay pinned for the life of the process.
+const RETAINED_MEMORY_BYTES: usize = 64 << 10;
+
+/// Resize `buf` to `len` zero bytes, reusing its allocation.
+fn zeroed(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    buf.clear();
+    buf.resize(len, 0);
+    buf
 }
 
 /// Execute all threads of one CTA to completion.
@@ -474,7 +571,7 @@ fn run_cta(
     crate::faults::maybe_panic(cta_flat);
 
     let req = &job.req;
-    let kernel = req.kernel.as_str();
+    let kernel: &str = &req.kernel;
     let tk = &job.tk;
     let config = &req.config;
     let cancel = &req.token;
@@ -486,8 +583,13 @@ fn run_cta(
     let ctaid =
         [cta_flat % grid[0], (cta_flat / grid[0]) % grid[1], cta_flat / (grid[0] * grid[1])];
 
+    let WorkerScratch {
+        dispatch, ready, barrier, shared, local, warp, kept, frame, gather, ..
+    } = scratch;
+
     // Build thread contexts.
-    let mut ready: VecDeque<ThreadContext> = VecDeque::with_capacity(cta_size);
+    ready.clear();
+    barrier.clear();
     for tz in 0..block[2] {
         for ty in 0..block[1] {
             for tx in 0..block[0] {
@@ -499,9 +601,6 @@ fn run_cta(
         }
     }
 
-    let mut shared = vec![0u8; tk.shared_bytes.max(1)];
-    let mut local = vec![0u8; (tk.local_bytes * cta_size).max(1)];
-    let mut barrier_pool: Vec<ThreadContext> = Vec::new();
     let mut exited: usize = 0;
     let mut scan_total: u64 = 0;
     let tracing = dpvk_trace::enabled();
@@ -512,8 +611,13 @@ fn run_cta(
     #[cfg(feature = "fault-inject")]
     let mut injected_fault_pending = crate::faults::injected_warp_fault(cta_flat);
 
-    let mem =
-        MemAccess { global, shared: &mut shared, local: &mut local, param: &req.param, cbank: &[] };
+    let mem = MemAccess {
+        global,
+        shared: zeroed(shared, tk.shared_bytes.max(1)),
+        local: zeroed(local, (tk.local_bytes * cta_size).max(1)),
+        param: &req.param,
+        cbank: &[],
+    };
     let mut cta = JitCta::new(mem, &config.limits, Some(cancel));
 
     while let Some(front) = ready.front() {
@@ -530,14 +634,7 @@ fn run_cta(
         }
         // Gather a warp (round-robin from the queue head, greedy collect of
         // matching resume points).
-        let scanned = gather_timed(
-            &mut ready,
-            rp,
-            config,
-            &mut scratch.warp,
-            &mut scratch.kept,
-            &mut scratch.gather,
-        );
+        let scanned = gather_timed(ready, rp, config, warp, kept, gather);
         stats.exec.cycles_manager += EM_FORMATION + EM_PER_THREAD_SCANNED * scanned as u64;
         scan_total += scanned as u64;
 
@@ -546,13 +643,13 @@ fn run_cta(
             FormationPolicy::ScalarBaseline => (1u32, Variant::Baseline),
             FormationPolicy::Dynamic => {
                 let mut w = config.max_warp;
-                while w as usize > scratch.warp.len() {
+                while w as usize > warp.len() {
                     w /= 2;
                 }
                 (w.max(1), Variant::Dynamic)
             }
             FormationPolicy::Static => {
-                if scratch.warp.len() == config.max_warp as usize && config.max_warp > 1 {
+                if warp.len() == config.max_warp as usize && config.max_warp > 1 {
                     (config.max_warp, Variant::StaticTie)
                 } else {
                     (1, Variant::StaticTie)
@@ -564,7 +661,7 @@ fn run_cta(
         // compile falls back to the width-1 scalar baseline. Entry-point
         // numbering is shared across variants (assigned in `translate`),
         // so baseline warps resume mid-grid safely.
-        let (compiled, downgraded) = scratch.dispatch.resolve(kernel, tk, w, variant)?;
+        let (compiled, downgraded) = dispatch.resolve(kernel, tk, w, variant)?;
         let w = if downgraded {
             stats.exec.downgraded_warps += 1;
             1
@@ -572,14 +669,14 @@ fn run_cta(
             w
         };
         // Return surplus threads to the queue head (they keep priority).
-        while scratch.warp.len() > w as usize {
-            let ctx = scratch.warp.pop().expect("warp longer than w");
+        while warp.len() > w as usize {
+            let ctx = warp.pop().expect("warp longer than w");
             ready.push_front(ctx);
         }
 
         #[cfg(feature = "fault-inject")]
         if let Some(vm_err) = injected_fault_pending.take() {
-            return Err(warp_fault(kernel, cta_flat, rp, &scratch.warp, vm_err));
+            return Err(warp_fault(kernel, cta_flat, rp, warp, vm_err));
         }
         #[cfg(feature = "fault-inject")]
         crate::faults::maybe_slow_warp(cta_flat);
@@ -609,8 +706,8 @@ fn run_cta(
             .execute_warp(
                 jit.map(Arc::as_ref),
                 &compiled.bytecode,
-                &mut scratch.frame,
-                &mut scratch.warp,
+                frame,
+                warp,
                 rp,
                 &mut stats.exec,
             )
@@ -618,7 +715,7 @@ fn run_cta(
                 if matches!(e, VmError::Cancelled | VmError::Deadline) {
                     stats.exec.cancelled_warps += 1;
                 }
-                warp_fault(kernel, cta_flat, rp, &scratch.warp, e)
+                warp_fault(kernel, cta_flat, rp, warp, e)
             })?;
         if (w as usize) < stats.warp_hist.len() {
             stats.warp_hist[w as usize] += 1;
@@ -636,11 +733,11 @@ fn run_cta(
         stats.exec.cycles_manager += EM_PER_YIELD_THREAD * w as u64;
         match outcome.status {
             ResumeStatus::Exit => {
-                exited += scratch.warp.len();
-                scratch.warp.clear();
+                exited += warp.len();
+                warp.clear();
             }
             ResumeStatus::Branch => {
-                for ctx in scratch.warp.drain(..) {
+                for ctx in warp.drain(..) {
                     if ctx.is_terminated() {
                         exited += 1;
                     } else {
@@ -650,23 +747,23 @@ fn run_cta(
             }
             ResumeStatus::Barrier => {
                 stats.exec.cycles_manager += EM_PER_BARRIER_THREAD * w as u64;
-                barrier_pool.append(&mut scratch.warp);
+                barrier.append(warp);
             }
         }
 
         // Barrier release: when every live thread has arrived, everyone
         // resumes at the continuation entry point.
         let alive = cta_size - exited;
-        if !barrier_pool.is_empty() && barrier_pool.len() == alive {
-            stats.exec.cycles_manager += EM_PER_BARRIER_THREAD * barrier_pool.len() as u64;
-            ready.extend(barrier_pool.drain(..));
+        if !barrier.is_empty() && barrier.len() == alive {
+            stats.exec.cycles_manager += EM_PER_BARRIER_THREAD * barrier.len() as u64;
+            ready.extend(barrier.drain(..));
         }
     }
 
-    if !barrier_pool.is_empty() {
+    if !barrier.is_empty() {
         return Err(CoreError::BadLaunch(format!(
             "barrier deadlock in kernel `{kernel}`: {} thread(s) waiting, {} exited",
-            barrier_pool.len(),
+            barrier.len(),
             exited
         )));
     }

@@ -251,33 +251,7 @@ impl Device {
     /// Returns [`CoreError::BadLaunch`] when the argument count or types
     /// do not match the declaration.
     pub fn pack_params(&self, kernel: &str, args: &[ParamValue]) -> Result<Vec<u8>, CoreError> {
-        let decl = self.cache.kernel_declaration(kernel)?;
-        if decl.params.len() != args.len() {
-            return Err(CoreError::BadLaunch(format!(
-                "kernel `{kernel}` expects {} parameters, got {}",
-                decl.params.len(),
-                args.len()
-            )));
-        }
-        let mut buf = vec![0u8; decl.param_buffer_size()];
-        for (p, a) in decl.params.iter().zip(args) {
-            // Little-endian, so a 4-byte value is the low half of its u64.
-            let (bits, size) = match (p.ty.size_bytes(), a) {
-                (4, ParamValue::U32(v)) => (u64::from(*v), 4),
-                (4, ParamValue::F32(v)) => (u64::from(v.to_bits()), 4),
-                (8, ParamValue::U64(v)) => (*v, 8),
-                (8, ParamValue::F64(v)) => (v.to_bits(), 8),
-                (8, ParamValue::Ptr(v)) => (v.0, 8),
-                (size, other) => {
-                    return Err(CoreError::BadLaunch(format!(
-                        "parameter `{}` is {size} bytes but argument is {other:?}",
-                        p.name
-                    )))
-                }
-            };
-            buf[p.offset..p.offset + size].copy_from_slice(&bits.to_le_bytes()[..size]);
-        }
-        Ok(buf)
+        pack(&*self.cache.kernel_declaration(kernel)?, args)
     }
 
     /// Package a launch for submission to the pool.
@@ -290,13 +264,13 @@ impl Device {
         config: &ExecConfig,
         token: CancelToken,
     ) -> Result<LaunchRequest, CoreError> {
-        let param = self.pack_params(kernel, args)?;
+        let (kernel, decl) = self.cache.registered(kernel)?;
         Ok(LaunchRequest {
             cache: self.cache.clone(),
-            kernel: kernel.to_string(),
+            param: pack(&decl, args)?,
+            kernel,
             grid,
             block,
-            param,
             global: Arc::clone(&self.global),
             config: *config,
             token,
@@ -454,6 +428,37 @@ impl std::fmt::Debug for Device {
             .field("cache", &self.cache)
             .finish()
     }
+}
+
+/// Pack launch parameters according to the kernel's declaration.
+fn pack(decl: &ptx::Kernel, args: &[ParamValue]) -> Result<Vec<u8>, CoreError> {
+    if decl.params.len() != args.len() {
+        return Err(CoreError::BadLaunch(format!(
+            "kernel `{}` expects {} parameters, got {}",
+            decl.name,
+            decl.params.len(),
+            args.len()
+        )));
+    }
+    let mut buf = vec![0u8; decl.param_buffer_size()];
+    for (p, a) in decl.params.iter().zip(args) {
+        // Little-endian, so a 4-byte value is the low half of its u64.
+        let (bits, size) = match (p.ty.size_bytes(), a) {
+            (4, ParamValue::U32(v)) => (u64::from(*v), 4),
+            (4, ParamValue::F32(v)) => (u64::from(v.to_bits()), 4),
+            (8, ParamValue::U64(v)) => (*v, 8),
+            (8, ParamValue::F64(v)) => (v.to_bits(), 8),
+            (8, ParamValue::Ptr(v)) => (v.0, 8),
+            (size, other) => {
+                return Err(CoreError::BadLaunch(format!(
+                    "parameter `{}` is {size} bytes but argument is {other:?}",
+                    p.name
+                )))
+            }
+        };
+        buf[p.offset..p.offset + size].copy_from_slice(&bits.to_le_bytes()[..size]);
+    }
+    Ok(buf)
 }
 
 /// An RAII device allocation from [`Device::alloc`]: frees itself back

@@ -22,7 +22,7 @@ use std::cell::Cell;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::Json;
@@ -222,8 +222,9 @@ impl SpanKind {
 pub struct Span {
     /// Which phase this span covers.
     pub kind: SpanKind,
-    /// Kernel the span belongs to.
-    pub kernel: String,
+    /// Kernel the span belongs to: a launch's spans share its name, so
+    /// recording one copies a reference count, not the name.
+    pub kernel: Arc<str>,
     /// Launch sequence number (0 = not attributed to a launch).
     pub seq: u64,
     /// Stream id (0 = direct, unstreamed launch).
@@ -277,13 +278,13 @@ pub fn record_span(span: Span) {
 /// `dur_ns`, attributed to the calling thread's [`launch_scope`] (seq and
 /// stream 0 outside one) and, on a registered thread, to its track (without
 /// one the span lands on its stream's track).
-pub fn record(kind: SpanKind, kernel: &str, start_ns: u64, dur_ns: u64, detail: u64) {
+pub fn record(kind: SpanKind, kernel: &Arc<str>, start_ns: u64, dur_ns: u64, detail: u64) {
     if crate::enabled() {
-        record_ambient(kind, kernel.to_string(), start_ns, dur_ns, detail);
+        record_ambient(kind, Arc::clone(kernel), start_ns, dur_ns, detail);
     }
 }
 
-fn record_ambient(kind: SpanKind, kernel: String, start_ns: u64, dur_ns: u64, detail: u64) {
+fn record_ambient(kind: SpanKind, kernel: Arc<str>, start_ns: u64, dur_ns: u64, detail: u64) {
     let (seq, stream) = current_launch();
     record_span(Span {
         kind,
@@ -298,10 +299,11 @@ fn record_ambient(kind: SpanKind, kernel: String, start_ns: u64, dur_ns: u64, de
 }
 
 /// Record a zero-length marker span of `kernel` now, attributed like
-/// [`record`].
+/// [`record`]. The name is copied: a marker is rare (a downgrade or a
+/// fault).
 pub fn marker(kind: SpanKind, kernel: &str, detail: u64) {
     if crate::enabled() {
-        record(kind, kernel, now_ns(), 0, detail);
+        record_ambient(kind, kernel.into(), now_ns(), 0, detail);
     }
 }
 
@@ -309,16 +311,17 @@ pub fn marker(kind: SpanKind, kernel: &str, detail: u64) {
 /// when dropped. Inert when tracing was off at the open.
 #[must_use = "the span is timed until the guard is dropped"]
 pub struct SpanGuard {
-    open: Option<(SpanKind, String, u64)>,
+    open: Option<(SpanKind, Arc<str>, u64)>,
     detail: u64,
 }
 
 /// Open a span of `kind` for `kernel`, closed when the returned guard
 /// drops. A span opened inside another on the same thread nests inside
 /// it on the same track. Costs one relaxed atomic load when tracing is
-/// off.
+/// off; when it is on, the name is copied once, at the open (guards time
+/// compile phases, which run once per kernel, not once per launch).
 pub fn span(kind: SpanKind, kernel: &str) -> SpanGuard {
-    let open = crate::enabled().then(|| (kind, kernel.to_string(), now_ns()));
+    let open = crate::enabled().then(|| (kind, kernel.into(), now_ns()));
     SpanGuard { open, detail: 0 }
 }
 
@@ -389,7 +392,7 @@ pub fn launch_records() -> Vec<LaunchRecord> {
             Some(r) => r.spans.push(span),
             None => records.push(LaunchRecord {
                 seq: span.seq,
-                kernel: span.kernel.clone(),
+                kernel: span.kernel.to_string(),
                 stream: span.stream,
                 spans: vec![span],
             }),
@@ -514,7 +517,7 @@ mod tests {
     fn fixed(kind: SpanKind, seq: u64, start: u64, dur: u64, worker: Option<u32>) -> Span {
         Span {
             kind,
-            kernel: "k".to_string(),
+            kernel: "k".into(),
             seq,
             stream: 0,
             worker,

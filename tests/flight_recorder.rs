@@ -116,7 +116,7 @@ fn timeline_records_nested_launch_spans_and_exports_chrome_json() {
     assert!(rec.seq >= 1);
     assert_eq!(rec.kernel, "collatz_steps");
     assert!(!rec.spans.is_empty());
-    assert!(rec.spans.iter().all(|s| s.seq == rec.seq && s.kernel == rec.kernel));
+    assert!(rec.spans.iter().all(|s| s.seq == rec.seq && *s.kernel == *rec.kernel));
 
     let of = |kind: SpanKind| rec.spans.iter().filter(|s| s.kind == kind).collect::<Vec<_>>();
 

@@ -13,6 +13,9 @@
 //! kernel padded with ~200 instructions launches with exactly as many
 //! allocations as the 13-instruction one, within a fixed budget.
 //!
+//! A large CTA memory is not kept: a worker frees the shared or local
+//! memory of a kernel that needs megabytes of it when the chunk ends.
+//!
 //! The compile tail has a budget of the same kind: allocations per
 //! instruction compiled, so per-instruction heap traffic (operand lists,
 //! string keys, hash sets) cannot creep back into the optimizer and the
@@ -36,22 +39,30 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static BYTES_FREED: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Relaxed) {
             ALLOCS.fetch_add(1, Relaxed);
+            BYTES_ALLOCATED.fetch_add(layout.size() as u64, Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if ARMED.load(Relaxed) {
+            BYTES_FREED.fetch_add(layout.size() as u64, Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Relaxed) {
             ALLOCS.fetch_add(1, Relaxed);
+            BYTES_ALLOCATED.fetch_add(new_size as u64, Relaxed);
+            BYTES_FREED.fetch_add(layout.size() as u64, Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -66,6 +77,8 @@ static TURN: Mutex<()> = Mutex::new(());
 /// Count allocations performed by `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Relaxed);
+    BYTES_ALLOCATED.store(0, Relaxed);
+    BYTES_FREED.store(0, Relaxed);
     ARMED.store(true, Relaxed);
     let r = f();
     ARMED.store(false, Relaxed);
@@ -166,10 +179,14 @@ entry:
 /// Heap allocations of one warm launch of the 13-instruction tiny
 /// kernel, submit to retire, on either engine: measured, so the budget
 /// is tight on purpose. It was 48 (248 for the padded kernel) while
-/// packing the parameters deep-copied the registered kernel, and 13
-/// while the finished stats were cloned into the outcome and again out
-/// of it.
-const TINY_LAUNCH_ALLOCS: u64 = 11;
+/// packing the parameters deep-copied the registered kernel, 13 while
+/// the finished stats were cloned into the outcome and again out of it,
+/// and 11 while the launch copied the kernel's name, kept per-chunk
+/// error and stop slots in two vectors, and every chunk built its
+/// statistics and every CTA its ready queue, shared and local memory.
+/// The five left: the cancellation token, the parameter buffer, the job,
+/// the launch's warp histogram and its chunk slots.
+const TINY_LAUNCH_ALLOCS: u64 = 5;
 
 /// A warm launch costs the same whatever the kernel's length: nothing on
 /// the launch path copies the kernel. Two kernels that differ only in
@@ -211,6 +228,105 @@ fn warm_launch_allocations_do_not_scale_with_kernel_length() {
             short <= TINY_LAUNCH_ALLOCS,
             "[{engine:?}] a warm tiny launch allocated {short} times (budget {TINY_LAUNCH_ALLOCS})"
         );
+    }
+}
+
+/// Heap allocations of one warm launch of the tiny kernel on a warm
+/// stream, submit, wait and drop of the handle, on either engine: a
+/// blocking launch's five, and the copy of the result `wait` returns
+/// (the handle keeps its own, for repeat waits). Counted over two
+/// launches submitted back to back, so the second is usually queued
+/// behind the first and handed to the worker that retires it: that
+/// hand-off must not add any.
+const TINY_STREAM_LAUNCH_ALLOCS: u64 = 6;
+
+#[test]
+fn a_warm_stream_launch_allocates_within_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
+    dev.register_source(&tiny_source("tiny", 0)).unwrap();
+    let src = dev.malloc(64 * 4).unwrap();
+    let dst = dev.malloc(64 * 4).unwrap();
+    let input: Vec<u32> = (0..64).collect();
+    dev.copy_u32_htod(src, &input).unwrap();
+    let args = [ParamValue::Ptr(src), ParamValue::Ptr(dst), ParamValue::U32(7)];
+    let stream = dev.stream();
+    for engine in [Engine::Bytecode, Engine::Jit] {
+        let config = ExecConfig::dynamic(4).with_workers(1).with_engine(engine);
+        let launch = || stream.launch("tiny", [1, 1, 1], [64, 1, 1], &args, &config).unwrap();
+        let pair = || {
+            let (first, second) = (launch(), launch());
+            first.wait().unwrap();
+            second.wait().unwrap();
+        };
+        // Warm: compile, and grow every reusable buffer.
+        for _ in 0..4 {
+            pair();
+        }
+        let allocs = (0..5).map(|_| count_allocs(pair).0).min().unwrap();
+        let want: Vec<u32> = input.iter().map(|v| v * 3 + 7).collect();
+        assert_eq!(dev.copy_u32_dtoh(dst, 64).unwrap(), want, "[{engine:?}] wrong output");
+        assert!(
+            allocs <= 2 * TINY_STREAM_LAUNCH_ALLOCS,
+            "[{engine:?}] two warm stream launches allocated {allocs} times \
+             (budget {TINY_STREAM_LAUNCH_ALLOCS} each)"
+        );
+    }
+}
+
+/// One CTA of 256 threads, each with 4 KiB of `.local` memory: the CTA
+/// needs 1 MiB of it.
+const BIG_LOCAL: &str = r#"
+.kernel big_local (.param .u64 dst) {
+  .local .u32 scratch[1024];
+  .reg .u32 %r<4>;
+  .reg .u64 %rd<4>;
+entry:
+  mov.u32 %r0, %tid.x;
+  st.local.u32 [scratch], %r0;
+  ld.local.u32 %r1, [scratch];
+  cvt.u64.u32 %rd0, %r0;
+  shl.u64 %rd0, %rd0, 2;
+  ld.param.u64 %rd1, [dst];
+  add.u64 %rd1, %rd1, %rd0;
+  st.global.u32 [%rd1], %r1;
+  ret;
+}
+"#;
+
+/// A warm launch of [`BIG_LOCAL`] allocates the CTA's megabyte of local
+/// memory and frees it before the launch returns, whether the launch
+/// runs on its caller (blocking) or on a pool worker (stream): neither
+/// thread keeps it after the launch.
+#[test]
+fn a_large_local_memory_is_not_kept_after_its_launch() {
+    const LOCAL_BYTES: u64 = 256 * 4096;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
+    dev.register_source(BIG_LOCAL).unwrap();
+    let dst = dev.malloc(256 * 4).unwrap();
+    let args = [ParamValue::Ptr(dst)];
+    let config = ExecConfig::dynamic(4).with_workers(1);
+    let stream = dev.stream();
+    let blocking = || {
+        dev.launch("big_local", [1, 1, 1], [256, 1, 1], &args, &config).unwrap();
+    };
+    let streamed = || {
+        stream.launch("big_local", [1, 1, 1], [256, 1, 1], &args, &config).unwrap().wait().unwrap();
+    };
+    for (how, launch) in [("blocking", &blocking as &dyn Fn()), ("stream", &streamed)] {
+        // Warm: compile, and run once more on the same thread.
+        launch();
+        launch();
+        count_allocs(launch);
+        let (allocated, freed) = (BYTES_ALLOCATED.load(Relaxed), BYTES_FREED.load(Relaxed));
+        assert!(
+            allocated >= LOCAL_BYTES && freed >= LOCAL_BYTES,
+            "[{how}] a warm launch allocated {allocated} and freed {freed} bytes: the CTA's \
+             {LOCAL_BYTES}-byte local memory was kept from an earlier launch or after this one"
+        );
+        let want: Vec<u32> = (0..256).collect();
+        assert_eq!(dev.copy_u32_dtoh(dst, 256).unwrap(), want, "[{how}] wrong output");
     }
 }
 

@@ -189,6 +189,48 @@ fn two_streams_overlap_on_a_parallel_host() {
     }
 }
 
+/// A worker that retires a stream's launch runs the stream's next one
+/// itself only while no other work waits: every worker busy with a long
+/// chain, a launch of another stream still gets the first worker free.
+#[test]
+fn a_stream_launch_is_not_starved_by_busy_chains() {
+    let _g = serial();
+    let dev = device();
+    let config = ExecConfig::dynamic(4).with_workers(1);
+    let scratch = dev.malloc(32 * 4).unwrap();
+    let iters = calibrate_burn(&dev, scratch, Duration::from_millis(2));
+    let burn = |stream: &dpvk::core::Stream<'_>, out| {
+        let args = [ParamValue::Ptr(out), ParamValue::U32(iters)];
+        stream.launch("burn", [1, 1, 1], [32, 1, 1], &args, &config).unwrap()
+    };
+
+    // One chain of 32 queued launches per pool worker, then one launch
+    // on a stream of its own.
+    let chains: Vec<_> = (0..dev.pool_workers())
+        .map(|_| {
+            let (stream, out) = (dev.stream(), dev.malloc(32 * 4).unwrap());
+            let handles: Vec<_> = (0..32).map(|_| burn(&stream, out)).collect();
+            (stream, out, handles)
+        })
+        .collect();
+    let lone = dev.malloc(32 * 4).unwrap();
+    burn(&dev.stream(), lone).wait().unwrap();
+    for (i, (_, _, handles)) in chains.iter().enumerate() {
+        assert!(
+            !handles.last().unwrap().is_finished(),
+            "chain {i} ran all its launches before the one launch submitted after them ran"
+        );
+    }
+
+    dev.synchronize();
+    for out in chains.iter().map(|(_, out, _)| *out).chain([lone]) {
+        let got = dev.copy_u32_dtoh(out, 32).unwrap();
+        for (tid, &v) in got.iter().enumerate() {
+            assert_eq!(v, (tid as u32).wrapping_mul(iters), "thread {tid}");
+        }
+    }
+}
+
 #[test]
 fn cancelling_one_stream_leaves_the_sibling_bit_identical() {
     let _g = serial();

@@ -214,7 +214,7 @@ fn compile_phase_timers_nest() {
     // Optimizer passes nest in their specialize span, on the same track.
     for kind in passes {
         for s in of(kind) {
-            assert_eq!(s.kernel, "collatz_steps", "{s:?}");
+            assert_eq!(&*s.kernel, "collatz_steps", "{s:?}");
             assert!(
                 of(SpanKind::Specialize).iter().any(|t| nests_in(s, t)),
                 "{s:?} outside every specialize span"
@@ -274,7 +274,7 @@ fn a_launch_fault_leaves_one_marker_on_its_launch() {
     assert!(markers(records[0].seq).is_empty(), "the good launch has a fault marker");
     let marks = markers(records[1].seq);
     assert_eq!(marks.len(), 1, "every chunk faulted, but the launch failed once: {marks:?}");
-    assert_eq!((marks[0].dur_ns, marks[0].kernel.as_str()), (0, "store_tid"));
+    assert_eq!((marks[0].dur_ns, &*marks[0].kernel), (0, "store_tid"));
 }
 
 #[test]
